@@ -102,22 +102,31 @@ pub struct ActorContext<'a> {
     pub(crate) core: &'a Arc<RuntimeCore>,
     pub(crate) id: &'a ActorId,
     pub(crate) silo: SiloId,
-    pub(crate) deactivate_requested: bool,
-    /// The current turn's reply sink, stashed here (type-erased) by the
-    /// envelope before the handler runs so the handler can *take* it via
+    /// The scheduler's flag for this turn, written through so a request
+    /// made before a handler panics still counts.
+    pub(crate) deactivate_requested: &'a mut bool,
+    /// The current turn's reply sink, lent (type-erased) by the envelope
+    /// for the duration of the handler so the handler can *take* it via
     /// [`ActorContext::defer_reply`] and resolve it after the turn — the
     /// seam that lets an ingest ack ride a group-commit WAL callback
-    /// instead of blocking the turn on an fsync.
-    pub(crate) reply_slot: Option<Box<dyn Any + Send>>,
+    /// instead of blocking the turn on an fsync. Points at the
+    /// `Option<ReplyTo<M::Reply>>` inside the envelope's own closure: a
+    /// turn that replies normally costs no allocation for it.
+    pub(crate) reply_slot: Option<&'a mut dyn Any>,
 }
 
 impl<'a> ActorContext<'a> {
-    pub(crate) fn new(core: &'a Arc<RuntimeCore>, id: &'a ActorId, silo: SiloId) -> Self {
+    pub(crate) fn new(
+        core: &'a Arc<RuntimeCore>,
+        id: &'a ActorId,
+        silo: SiloId,
+        deactivate_requested: &'a mut bool,
+    ) -> Self {
         ActorContext {
             core,
             id,
             silo,
-            deactivate_requested: false,
+            deactivate_requested,
             reply_slot: None,
         }
     }
@@ -194,16 +203,12 @@ impl<'a> ActorContext<'a> {
     /// does not match the message's declared `Reply` type (the slot is
     /// left intact in that last case).
     pub fn defer_reply<R: Send + 'static>(&mut self) -> Option<ReplyTo<R>> {
-        let slot = self.reply_slot.take()?;
-        match slot.downcast::<ReplyTo<R>>() {
-            Ok(reply) => Some(*reply),
-            Err(other) => {
-                // Wrong type requested — put the sink back so the turn
-                // still replies normally.
-                self.reply_slot = Some(other);
-                None
-            }
-        }
+        // A wrong `R` fails the downcast and leaves the sink where it
+        // is, so the turn still replies normally.
+        self.reply_slot
+            .as_mut()?
+            .downcast_mut::<Option<ReplyTo<R>>>()?
+            .take()
     }
 
     /// Requests deactivation of this activation once its mailbox drains.
@@ -213,7 +218,7 @@ impl<'a> ActorContext<'a> {
     /// [`Actor::on_deactivate`] runs and the activation is dropped. The next
     /// message to this identity transparently creates a fresh activation.
     pub fn deactivate(&mut self) {
-        self.deactivate_requested = true;
+        *self.deactivate_requested = true;
     }
 
     /// Schedules `msg` to be delivered to this actor after `delay`.

@@ -11,6 +11,14 @@
 //! *run* it against the activation, or *abort* it with a typed error (a
 //! crashed silo resolving queued requests as
 //! [`PromiseError::SiloLost`][crate::PromiseError::SiloLost]).
+//!
+//! The reply sink never leaves that closure's state. While the turn runs
+//! the closure lends it to the [`ActorContext`], so a handler can take it
+//! ([`ActorContext::defer_reply`]) without the sink having been boxed a
+//! second time for the purpose; and because the envelope itself outlives
+//! the scheduler's `catch_unwind`, a sink stranded by a handler panic is
+//! dropped only after the scheduler has counted the panic — a caller that
+//! sees `Lost` can already see the counter.
 
 use crate::actor::{ActorContext, AnyActor, Handler, Message};
 use crate::error::PromiseError;
@@ -18,14 +26,18 @@ use crate::promise::ReplyTo;
 
 /// How an envelope is consumed: executed as a turn, or aborted with the
 /// reason delivered to its reply sink.
-pub(crate) enum Turn<'a, 'c> {
-    /// Execute the handler against the activation.
-    Run(&'a mut dyn AnyActor, &'a mut ActorContext<'c>),
+pub(crate) enum Turn<'a> {
+    /// Execute the handler against the activation, with this context.
+    /// The context is handed over by value so the envelope can lend it
+    /// the reply sink for exactly as long as the handler runs.
+    Run(&'a mut dyn AnyActor, ActorContext<'a>),
     /// The turn will never run; resolve the reply sink with this error.
     Abort(PromiseError),
 }
 
-type RunFn = Box<dyn FnOnce(Turn<'_, '_>) + Send>;
+/// Called once (`FnMut` only so that the sink can stay behind in the
+/// closure when a handler unwinds through it).
+type RunFn = Box<dyn FnMut(Turn<'_>) + Send>;
 
 /// What kind of turn an envelope triggers; used for scheduling bookkeeping
 /// and metrics.
@@ -55,29 +67,35 @@ impl Envelope {
         A: Handler<M>,
         M: Message,
     {
+        let mut msg = Some(msg);
+        let mut sink = Some(reply);
         Envelope {
             run: Box::new(move |turn| match turn {
-                Turn::Run(actor, ctx) => {
+                Turn::Run(actor, mut ctx) => {
+                    let Some(msg) = msg.take() else {
+                        return; // already ran
+                    };
                     let actor = actor
                         .as_any_mut()
                         .downcast_mut::<A>()
                         .expect("envelope executed against wrong actor type");
-                    // Stash the sink so the handler may take it via
-                    // `ActorContext::defer_reply` and resolve it after
-                    // the turn (e.g. from a WAL durability callback).
-                    debug_assert!(ctx.reply_slot.is_none(), "reply slot leaked across turns");
-                    ctx.reply_slot = Some(Box::new(reply));
-                    let out = actor.handle(msg, ctx);
-                    if let Some(slot) = ctx.reply_slot.take() {
-                        let reply = *slot
-                            .downcast::<ReplyTo<M::Reply>>()
-                            .expect("foreign value in reply slot after turn");
+                    // Lend the sink to the context so the handler may
+                    // take it via `ActorContext::defer_reply` and resolve
+                    // it after the turn (e.g. from a WAL durability
+                    // callback).
+                    ctx.reply_slot = Some(&mut sink);
+                    let out = actor.handle(msg, &mut ctx);
+                    if let Some(reply) = sink.take() {
                         reply.deliver(out);
                     }
-                    // Slot empty: the handler deferred the reply; its
+                    // Sink gone: the handler deferred the reply; its
                     // returned value is deliberately discarded.
                 }
-                Turn::Abort(err) => reply.abort(err),
+                Turn::Abort(err) => {
+                    if let Some(reply) = sink.take() {
+                        reply.abort(err);
+                    }
+                }
             }),
             kind: EnvelopeKind::User,
             replay: None,
@@ -107,8 +125,8 @@ impl Envelope {
     pub(crate) fn lifecycle_activate() -> Envelope {
         Envelope {
             run: Box::new(|turn| {
-                if let Turn::Run(actor, ctx) = turn {
-                    actor.activate(ctx)
+                if let Turn::Run(actor, mut ctx) = turn {
+                    actor.activate(&mut ctx);
                 }
             }),
             kind: EnvelopeKind::Lifecycle,
@@ -125,14 +143,15 @@ impl Envelope {
         self.replay.as_ref().map(|f| f())
     }
 
-    /// Executes the turn.
-    pub(crate) fn run(self, actor: &mut dyn AnyActor, ctx: &mut ActorContext<'_>) {
+    /// Executes the turn. If the handler panics the envelope is left
+    /// holding the undelivered sink; dropping the envelope drops it.
+    pub(crate) fn run(&mut self, actor: &mut dyn AnyActor, ctx: ActorContext<'_>) {
         (self.run)(Turn::Run(actor, ctx));
     }
 
     /// Resolves the envelope's reply sink with `err` without running the
     /// handler (crashed silo, dropped message).
-    pub(crate) fn abort(self, err: PromiseError) {
+    pub(crate) fn abort(mut self, err: PromiseError) {
         (self.run)(Turn::Abort(err));
     }
 }

@@ -144,6 +144,8 @@ impl Registry {
             .map(|e| e.name)
     }
 
+    /// Only the debug-build edge check reads one type's edges.
+    #[cfg(debug_assertions)]
     fn declared_calls(&self, type_id: ActorTypeId) -> Option<&'static [CallDecl]> {
         self.inner
             .read()

@@ -322,7 +322,7 @@ pub(crate) fn run_activation_slice(
         // Mark this thread as running turns of this actor type so debug
         // builds can check outgoing dispatches against its declared edges.
         let _turn = crate::topology::TurnGuard::enter(act.id.type_id);
-        for env in batch.drain(..) {
+        for mut env in batch.drain(..) {
             killed = killed || !unit.is_alive();
             if killed || (faulted && discard_on_panic) {
                 // Either the silo crashed mid-slice (remaining turns are
@@ -332,8 +332,8 @@ pub(crate) fn run_activation_slice(
                 continue;
             }
             let kind = env.kind();
-            let mut ctx = ActorContext::new(core, &act.id, act.silo);
-            let outcome = catch_unwind(AssertUnwindSafe(|| env.run(actor.as_mut(), &mut ctx)));
+            let ctx = ActorContext::new(core, &act.id, act.silo, &mut deactivate);
+            let outcome = catch_unwind(AssertUnwindSafe(|| env.run(actor.as_mut(), ctx)));
             if outcome.is_err() {
                 core.metrics.handler_panics.fetch_add(1, Ordering::Relaxed);
                 faulted = true;
@@ -341,7 +341,8 @@ pub(crate) fn run_activation_slice(
             if kind == EnvelopeKind::User {
                 processed += 1;
             }
-            deactivate |= ctx.deactivate_requested;
+            // `env` drops here, after the count above: a reply sink its
+            // handler panicked on resolves as `Lost` only now.
         }
         killed = killed || !unit.is_alive();
     }
@@ -427,7 +428,10 @@ pub(crate) fn finalize_deactivation(core: &Arc<RuntimeCore>, act: &Arc<Activatio
     debug_assert!(act.mailbox.is_retired());
     let taken = act.actor.lock().take();
     if let Some(mut actor) = taken {
-        let mut ctx = ActorContext::new(core, &act.id, act.silo);
+        // A deactivation request from `on_deactivate` has nothing left
+        // to act on.
+        let mut ignored = false;
+        let mut ctx = ActorContext::new(core, &act.id, act.silo, &mut ignored);
         let _turn = crate::topology::TurnGuard::enter(act.id.type_id);
         if catch_unwind(AssertUnwindSafe(|| actor.deactivate(&mut ctx))).is_err() {
             core.metrics.handler_panics.fetch_add(1, Ordering::Relaxed);

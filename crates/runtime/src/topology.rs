@@ -152,6 +152,8 @@ impl Drop for TurnGuard {
 }
 
 /// The actor type currently executing a turn on this thread, if any.
+/// Read by the debug-build edge check (and this module's tests).
+#[cfg(any(debug_assertions, test))]
 pub(crate) fn current_turn_actor() -> Option<ActorTypeId> {
     CURRENT_TURN.get()
 }

@@ -132,16 +132,46 @@ impl Actor for Aggregator {
 impl Handler<RecordSamples> for Aggregator {
     fn handle(&mut self, msg: RecordSamples, ctx: &mut ActorContext<'_>) {
         // Group the batch by bucket first: one state mutation + one
-        // roll-up check per bucket touched, not per point.
-        let mut per_bucket: BTreeMap<u64, Aggregate> = BTreeMap::new();
-        for p in &msg.points {
-            per_bucket
-                .entry(self.level.bucket_start(p.ts_ms))
-                .or_default()
-                .record(p.value);
+        // roll-up check per bucket touched, not per point. Devices
+        // stream in time order, so a batch is normally one run per
+        // bucket, in ascending order — exactly what a map would yield.
+        // Fold those runs in place; only a batch that steps back to an
+        // earlier bucket needs the map to merge and order them.
+        let level = self.level;
+        let bucket_sorted = msg
+            .points
+            .windows(2)
+            .all(|w| level.bucket_start(w[0].ts_ms) <= level.bucket_start(w[1].ts_ms));
+        if !bucket_sorted {
+            let mut per_bucket: BTreeMap<u64, Aggregate> = BTreeMap::new();
+            for p in &msg.points {
+                per_bucket
+                    .entry(level.bucket_start(p.ts_ms))
+                    .or_default()
+                    .record(p.value);
+            }
+            for (bucket_start, agg) in per_bucket {
+                self.absorb(bucket_start, agg, ctx);
+            }
+            return;
         }
-        for (bucket_start, agg) in per_bucket {
-            self.absorb(bucket_start, agg, ctx);
+        let mut run: Option<(u64, Aggregate)> = None;
+        for p in &msg.points {
+            let bucket_start = level.bucket_start(p.ts_ms);
+            match &mut run {
+                Some((start, agg)) if *start == bucket_start => agg.record(p.value),
+                _ => {
+                    if let Some((start, agg)) = run.take() {
+                        self.absorb(start, agg, ctx);
+                    }
+                    let mut agg = Aggregate::default();
+                    agg.record(p.value);
+                    run = Some((bucket_start, agg));
+                }
+            }
+        }
+        if let Some((start, agg)) = run {
+            self.absorb(start, agg, ctx);
         }
     }
 }

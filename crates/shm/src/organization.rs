@@ -5,7 +5,7 @@
 //! encapsulated in organization state — projects are passive structural
 //! schemes, so separate actors would only add messaging overhead.
 
-use aodb_runtime::{Actor, ActorContext, Collector, Handler};
+use aodb_runtime::{Actor, ActorContext, ActorKey, Collector, Handler};
 use serde::{Deserialize, Serialize};
 
 use crate::env::ShmEnv;
@@ -32,6 +32,10 @@ pub(crate) struct OrgState {
 /// The organization (tenant) actor.
 pub struct Organization {
     state: Persisted<OrgState>,
+    /// Actor keys of `state.channels`, index for index, minted once
+    /// (the live-data fan-out addresses every channel on every request)
+    /// and caught up at the start of each fan-out.
+    channel_keys: Vec<ActorKey>,
 }
 
 impl Organization {
@@ -39,7 +43,21 @@ impl Organization {
     pub fn register(rt: &aodb_runtime::Runtime, env: ShmEnv) {
         rt.register(move |id| Organization {
             state: env.persisted_structural(Self::TYPE_NAME, &id.key),
+            channel_keys: Vec::new(),
         });
+    }
+
+    /// Mints keys for channels registered since the last call (channels
+    /// are only ever appended), so `channel_keys` lines up with
+    /// `state.channels` again.
+    fn mint_channel_keys(&mut self) {
+        let channels = &self.state.get().channels;
+        let minted = self.channel_keys.len();
+        self.channel_keys.extend(
+            channels[minted..]
+                .iter()
+                .map(|(c, _)| ActorKey::from(c.as_str())),
+        );
     }
 }
 
@@ -126,30 +144,33 @@ impl Handler<GetLiveData> for Organization {
     /// resolves the caller's promise from whichever worker thread delivers
     /// the last one.
     fn handle(&mut self, msg: GetLiveData, ctx: &mut ActorContext<'_>) {
+        self.mint_channel_keys();
         let channels = &self.state.get().channels;
-        let keys: Vec<String> = channels.iter().map(|(c, _)| c.clone()).collect();
+        // The report owns its channel names: one copy per request, moved
+        // (not copied again) into the report as the replies are matched
+        // up. Every index arrives once — one collector slot per channel.
+        let mut names: Vec<String> = channels.iter().map(|(c, _)| c.clone()).collect();
         let collector = Collector::new(
             channels.len(),
             move |hits: Vec<(usize, Option<crate::types::DataPoint>)>| {
-                let mut report = LiveDataReport {
-                    channels: Vec::with_capacity(hits.len()),
-                };
-                for (idx, point) in hits {
-                    report.channels.push((keys[idx].clone(), point));
-                }
-                msg.reply.deliver(report);
+                let channels = hits
+                    .into_iter()
+                    .map(|(idx, point)| (std::mem::take(&mut names[idx]), point))
+                    .collect();
+                msg.reply.deliver(LiveDataReport { channels });
             },
         );
-        for (idx, (channel, is_virtual)) in channels.iter().enumerate() {
+        let targets = channels.iter().zip(&self.channel_keys);
+        for (idx, ((_, is_virtual), key)) in targets.enumerate() {
             let slot = collector.slot();
             let tagged = aodb_runtime::ReplyTo::Callback(Box::new(move |point| {
                 slot.deliver((idx, point));
             }));
             let sent = if *is_virtual {
-                ctx.actor_ref::<VirtualSensorChannel>(channel.as_str())
+                ctx.actor_ref::<VirtualSensorChannel>(key.clone())
                     .ask_with(GetLatest, tagged)
             } else {
-                ctx.actor_ref::<PhysicalSensorChannel>(channel.as_str())
+                ctx.actor_ref::<PhysicalSensorChannel>(key.clone())
                     .ask_with(GetLatest, tagged)
             };
             if sent.is_err() {

@@ -12,7 +12,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use aodb_runtime::{Actor, ActorContext, Handler};
+use aodb_runtime::{Actor, ActorContext, ActorKey, ActorRef, Handler};
 use aodb_store::tseries::SeriesStore;
 use serde::{Deserialize, Serialize};
 
@@ -91,19 +91,20 @@ pub(crate) struct ChannelSideCar {
 }
 
 impl ChannelSideCar {
-    /// Compact fixed-layout encoding (the side-car rides every columnar
-    /// append, so this sits on the ingest hot path — see `sidecar.rs`).
-    fn encode(&self) -> Vec<u8> {
-        let mut w = sidecar::Writer::new();
-        w.u64(self.total_points);
-        w.f64(self.accumulated_change);
-        w.opt_f64(self.first_value);
-        w.opt_point(self.last);
-        w.bool(self.breaching_high);
-        w.bool(self.breaching_low);
-        w.bool(self.accumulated_alerted);
-        w.pairs(&self.ingest_watermarks);
-        w.finish()
+    /// Compact fixed-layout encoding of `s`'s data-plane fields into
+    /// `out` (the side-car rides every columnar append, so this sits on
+    /// the ingest hot path — see `sidecar.rs` — and encodes straight from
+    /// the state into the channel's reused buffer).
+    fn encode_from(s: &ChannelState, out: &mut Vec<u8>) {
+        let mut w = sidecar::Writer::over(out);
+        w.u64(s.total_points);
+        w.f64(s.accumulated_change);
+        w.opt_f64(s.first_value);
+        w.opt_point(s.last);
+        w.bool(s.breaching_high);
+        w.bool(s.breaching_low);
+        w.bool(s.accumulated_alerted);
+        w.pairs(&s.ingest_watermarks);
     }
 
     fn decode(bytes: &[u8]) -> Result<Self, sidecar::SideCarDecodeError> {
@@ -118,19 +119,6 @@ impl ChannelSideCar {
             accumulated_alerted: r.bool()?,
             ingest_watermarks: r.pairs()?,
         })
-    }
-
-    fn capture(s: &ChannelState) -> Self {
-        ChannelSideCar {
-            total_points: s.total_points,
-            accumulated_change: s.accumulated_change,
-            first_value: s.first_value,
-            last: s.last,
-            breaching_high: s.breaching_high,
-            breaching_low: s.breaching_low,
-            accumulated_alerted: s.accumulated_alerted,
-            ingest_watermarks: s.ingest_watermarks.clone(),
-        }
     }
 
     fn apply(self, s: &mut ChannelState) {
@@ -151,6 +139,41 @@ pub(crate) fn channel_series_key(type_name: &str, channel_key: &str) -> String {
     format!("{type_name}/{channel_key}")
 }
 
+/// What a channel actor (physical or virtual) keeps per activation so
+/// that its hot turns stop re-deriving it per message: the strings its
+/// identity fixes for good and the buffers an append reuses. (Each
+/// actor also keeps its hour aggregator's reference next to this; the
+/// send site stays in the actor's own handler, where the topology
+/// checks look for it.) Actor-struct data, not persisted state.
+pub(crate) struct ChannelCache {
+    /// The actor key as text.
+    pub channel_key: String,
+    /// The channel's series name in the engine.
+    pub series_key: String,
+    /// Scratch: the batch being appended, in the engine's point type.
+    pub points: Vec<(u64, f64)>,
+    /// Scratch: the encoded side-car of that append.
+    pub meta: Vec<u8>,
+}
+
+impl ChannelCache {
+    pub fn new(type_name: &str, key: &ActorKey) -> Self {
+        let channel_key = key.to_string();
+        ChannelCache {
+            series_key: channel_series_key(type_name, &channel_key),
+            channel_key,
+            points: Vec::new(),
+            meta: Vec::new(),
+        }
+    }
+}
+
+/// Loads `points` into a [`ChannelCache::points`] scratch batch.
+pub(crate) fn stage_points(scratch: &mut Vec<(u64, f64)>, points: &[DataPoint]) {
+    scratch.clear();
+    scratch.extend(points.iter().map(|p| (p.ts_ms, p.value)));
+}
+
 /// The physical sensor channel actor.
 pub struct PhysicalSensorChannel {
     state: Persisted<ChannelState>,
@@ -161,6 +184,9 @@ pub struct PhysicalSensorChannel {
     /// Hand ingest acks to the series engine's group commit instead of
     /// blocking the turn on durability (see `ShmEnv::deferred_acks`).
     deferred_acks: bool,
+    cache: ChannelCache,
+    /// The hour aggregator ingests feed, resolved on first use.
+    hour_aggregator: Option<ActorRef<Aggregator>>,
 }
 
 impl PhysicalSensorChannel {
@@ -172,6 +198,8 @@ impl PhysicalSensorChannel {
             service_time: env.ingest_service_time,
             series: env.series.clone(),
             deferred_acks: env.deferred_acks,
+            cache: ChannelCache::new(Self::TYPE_NAME, &id.key),
+            hour_aggregator: None,
         });
     }
 
@@ -288,14 +316,13 @@ impl Actor for PhysicalSensorChannel {
         CALLS
     }
 
-    fn on_activate(&mut self, ctx: &mut ActorContext<'_>) {
+    fn on_activate(&mut self, _ctx: &mut ActorContext<'_>) {
         self.state.load_or_default();
         if let Some(series) = &self.series {
             // The series store is authoritative for data-plane fields on
             // the columnar path: overlay the committed sidecar (stats +
             // dedup watermarks) over whatever the KV blob held.
-            let key = channel_series_key(Self::TYPE_NAME, &ctx.key().to_string());
-            if let Ok(rec) = series.recover(&key) {
+            if let Ok(rec) = series.recover(&self.cache.series_key) {
                 // Empty meta means the series committed *nothing* — but
                 // the KV blob may still hold data-plane fields from a
                 // turn whose append never became durable (a WAL group
@@ -367,7 +394,7 @@ impl Handler<Ingest> for PhysicalSensorChannel {
             // `ShmEnv::ingest_service_time`).
             std::thread::sleep(service);
         }
-        let channel_key = ctx.key().to_string();
+        let channel_key = self.cache.channel_key.as_str();
         let capacity = self.window_capacity;
         let mut alerts = Vec::new();
         let accepted = if let Some(series) = &self.series {
@@ -379,13 +406,14 @@ impl Handler<Ingest> for PhysicalSensorChannel {
             if let Some((source, seq)) = msg.dedup {
                 s.admit_dedup(source, seq);
             }
-            let accepted = Self::apply_points(s, &msg.points, 0, &mut alerts, &channel_key);
-            let meta = ChannelSideCar::capture(s).encode();
-            let points: Vec<(u64, f64)> = msg.points.iter().map(|p| (p.ts_ms, p.value)).collect();
+            let accepted = Self::apply_points(s, &msg.points, 0, &mut alerts, channel_key);
+            ChannelSideCar::encode_from(s, &mut self.cache.meta);
+            stage_points(&mut self.cache.points, &msg.points);
+            let (points, meta) = (&self.cache.points, &self.cache.meta);
             // A failed append mirrors `Persisted`'s failed-save stance:
             // absorbed, with the points held in the in-memory tail until
             // the next committed tail record carries them.
-            let series_key = channel_series_key(Self::TYPE_NAME, &channel_key);
+            let series_key = self.cache.series_key.as_str();
             if self.deferred_acks {
                 // Group-commit path: hand the reply to the engine so the
                 // ack resolves when the append's WAL group fsyncs —
@@ -394,9 +422,9 @@ impl Handler<Ingest> for PhysicalSensorChannel {
                 // the turn abort, not a false ack).
                 let ack = ctx.defer_reply::<u32>();
                 series.append_batch_async(
-                    &series_key,
-                    &points,
-                    &meta,
+                    series_key,
+                    points,
+                    meta,
                     Box::new(move |result| {
                         if let Some(reply) = ack {
                             match result {
@@ -407,7 +435,7 @@ impl Handler<Ingest> for PhysicalSensorChannel {
                     }),
                 );
             } else {
-                let _ = series.append_batch(&series_key, &points, &meta);
+                let _ = series.append_batch(series_key, points, meta);
             }
             accepted
         } else {
@@ -418,7 +446,7 @@ impl Handler<Ingest> for PhysicalSensorChannel {
                     // admits.
                     s.admit_dedup(source, seq);
                 }
-                Self::apply_points(s, &msg.points, capacity, &mut alerts, &channel_key)
+                Self::apply_points(s, &msg.points, capacity, &mut alerts, channel_key)
             })
         };
 
@@ -433,13 +461,14 @@ impl Handler<Ingest> for PhysicalSensorChannel {
             let _ = ctx
                 .actor_ref::<VirtualSensorChannel>(subscriber.as_str())
                 .tell(PushDerived {
-                    source: channel_key.clone(),
+                    source: channel_key.to_string(),
                     points: msg.points.clone(),
                 });
         }
         if s.aggregates {
-            let agg =
-                ctx.actor_ref::<Aggregator>(aggregator_key(&channel_key, AggregateLevel::Hour));
+            let agg = self.hour_aggregator.get_or_insert_with(|| {
+                ctx.actor_ref::<Aggregator>(aggregator_key(channel_key, AggregateLevel::Hour))
+            });
             let _ = agg.tell(RecordSamples { points: msg.points });
         }
         accepted
@@ -453,14 +482,13 @@ impl Handler<GetLatest> for PhysicalSensorChannel {
 }
 
 impl Handler<QueryRange> for PhysicalSensorChannel {
-    fn handle(&mut self, msg: QueryRange, ctx: &mut ActorContext<'_>) -> Vec<DataPoint> {
+    fn handle(&mut self, msg: QueryRange, _ctx: &mut ActorContext<'_>) -> Vec<DataPoint> {
         if let Some(series) = &self.series {
             // Columnar path: scan compressed blocks, skipping any whose
             // sparse index misses the range, instead of replaying the
             // in-memory window.
-            let key = channel_series_key(Self::TYPE_NAME, &ctx.key().to_string());
             return series
-                .scan_range(&key, msg.from_ms, msg.to_ms, msg.limit)
+                .scan_range(&self.cache.series_key, msg.from_ms, msg.to_ms, msg.limit)
                 .map(|points| {
                     points
                         .into_iter()
@@ -713,7 +741,8 @@ mod codec_tests {
                 proptest::collection::vec((any::<u64>(), any::<u64>()), 0..4),
             ),
         ) {
-            let sc = ChannelSideCar {
+            // The encoder reads the fields off a channel state.
+            let state = ChannelState {
                 total_points,
                 accumulated_change,
                 first_value,
@@ -722,16 +751,19 @@ mod codec_tests {
                 breaching_low,
                 accumulated_alerted,
                 ingest_watermarks,
+                ..ChannelState::default()
             };
-            let decoded = ChannelSideCar::decode(&sc.encode()).unwrap();
-            prop_assert_eq!(decoded.total_points, sc.total_points);
-            prop_assert_eq!(decoded.accumulated_change.to_bits(), sc.accumulated_change.to_bits());
-            prop_assert_eq!(decoded.first_value.map(f64::to_bits), sc.first_value.map(f64::to_bits));
-            prop_assert_eq!(decoded.last, sc.last);
-            prop_assert_eq!(decoded.breaching_high, sc.breaching_high);
-            prop_assert_eq!(decoded.breaching_low, sc.breaching_low);
-            prop_assert_eq!(decoded.accumulated_alerted, sc.accumulated_alerted);
-            prop_assert_eq!(decoded.ingest_watermarks, sc.ingest_watermarks);
+            let mut bytes = Vec::new();
+            ChannelSideCar::encode_from(&state, &mut bytes);
+            let decoded = ChannelSideCar::decode(&bytes).unwrap();
+            prop_assert_eq!(decoded.total_points, state.total_points);
+            prop_assert_eq!(decoded.accumulated_change.to_bits(), state.accumulated_change.to_bits());
+            prop_assert_eq!(decoded.first_value.map(f64::to_bits), state.first_value.map(f64::to_bits));
+            prop_assert_eq!(decoded.last, state.last);
+            prop_assert_eq!(decoded.breaching_high, state.breaching_high);
+            prop_assert_eq!(decoded.breaching_low, state.breaching_low);
+            prop_assert_eq!(decoded.accumulated_alerted, state.accumulated_alerted);
+            prop_assert_eq!(decoded.ingest_watermarks, state.ingest_watermarks);
         }
     }
 }

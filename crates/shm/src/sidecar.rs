@@ -23,11 +23,14 @@ pub(crate) const FORMAT: u8 = 1;
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct SideCarDecodeError;
 
-pub(crate) struct Writer(Vec<u8>);
+/// Encodes into a caller-owned buffer, so a channel can reuse one
+/// buffer for the side-car of every append.
+pub(crate) struct Writer<'a>(&'a mut Vec<u8>);
 
-impl Writer {
-    pub fn new() -> Self {
-        let mut buf = Vec::with_capacity(96);
+impl<'a> Writer<'a> {
+    /// Starts a side-car in `buf`, replacing whatever it held.
+    pub fn over(buf: &'a mut Vec<u8>) -> Self {
+        buf.clear();
         buf.push(FORMAT);
         Writer(buf)
     }
@@ -78,10 +81,6 @@ impl Writer {
         for &x in v {
             self.opt_f64(x);
         }
-    }
-
-    pub fn finish(self) -> Vec<u8> {
-        self.0
     }
 }
 
@@ -172,7 +171,8 @@ mod tests {
 
     #[test]
     fn primitives_roundtrip() {
-        let mut w = Writer::new();
+        let mut bytes = Vec::new();
+        let mut w = Writer::over(&mut bytes);
         w.u64(42);
         w.f64(-1.5);
         w.bool(true);
@@ -184,7 +184,6 @@ mod tests {
         }));
         w.pairs(&[(1, 2), (3, 4)]);
         w.opt_f64_list(&[None, Some(0.5)]);
-        let bytes = w.finish();
 
         let mut r = Reader::new(&bytes).unwrap();
         assert_eq!(r.u64().unwrap(), 42);
@@ -207,18 +206,17 @@ mod tests {
     fn wrong_format_and_truncation_reject() {
         assert!(Reader::new(&[]).is_err());
         assert!(Reader::new(&[0xFF, 0, 0]).is_err());
-        let mut w = Writer::new();
-        w.u64(1);
-        let bytes = w.finish();
+        let mut bytes = vec![0xEE; 3]; // stale contents are replaced
+        Writer::over(&mut bytes).u64(1);
+        assert_eq!(bytes.len(), 9);
         let mut r = Reader::new(&bytes[..bytes.len() - 1]).unwrap();
         assert!(r.u64().is_err());
     }
 
     #[test]
     fn corrupt_length_prefix_rejects_without_allocating() {
-        let mut w = Writer::new();
-        w.u64(u64::MAX); // absurd pair-count
-        let bytes = w.finish();
+        let mut bytes = Vec::new();
+        Writer::over(&mut bytes).u64(u64::MAX); // absurd pair-count
         let mut r = Reader::new(&bytes).unwrap();
         assert!(r.pairs().is_err());
     }

@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use aodb_runtime::{Actor, ActorContext, Handler};
+use aodb_runtime::{Actor, ActorContext, ActorRef, Handler};
 use aodb_store::tseries::SeriesStore;
 use serde::{Deserialize, Serialize};
 
@@ -20,7 +20,7 @@ use crate::messages::{
     ChannelStats, ConfigureVirtual, GetChannelStats, GetLatest, PushDerived, QueryRange,
     RecordSamples,
 };
-use crate::physical::{channel_series_key, query_window};
+use crate::physical::{query_window, stage_points, ChannelCache};
 use crate::sidecar;
 use crate::types::{AggregateLevel, DataPoint, Equation};
 use aodb_core::Persisted;
@@ -71,16 +71,16 @@ pub(crate) struct VirtualSideCar {
 }
 
 impl VirtualSideCar {
-    /// Compact fixed-layout encoding — same hot-path rationale as
-    /// `ChannelSideCar::encode` (see `sidecar.rs`).
-    fn encode(&self) -> Vec<u8> {
-        let mut w = sidecar::Writer::new();
-        w.u64(self.total_points);
-        w.f64(self.accumulated_change);
-        w.opt_f64(self.first_value);
-        w.opt_point(self.last);
-        w.opt_f64_list(&self.latest_inputs);
-        w.finish()
+    /// Compact fixed-layout encoding of `s`'s data-plane fields into
+    /// `out` — same hot-path rationale as `ChannelSideCar::encode_from`
+    /// (see `sidecar.rs`).
+    fn encode_from(s: &VirtualState, out: &mut Vec<u8>) {
+        let mut w = sidecar::Writer::over(out);
+        w.u64(s.total_points);
+        w.f64(s.accumulated_change);
+        w.opt_f64(s.first_value);
+        w.opt_point(s.last);
+        w.opt_f64_list(&s.latest_inputs);
     }
 
     fn decode(bytes: &[u8]) -> Result<Self, sidecar::SideCarDecodeError> {
@@ -92,16 +92,6 @@ impl VirtualSideCar {
             last: r.opt_point()?,
             latest_inputs: r.opt_f64_list()?,
         })
-    }
-
-    fn capture(s: &VirtualState) -> Self {
-        VirtualSideCar {
-            total_points: s.total_points,
-            accumulated_change: s.accumulated_change,
-            first_value: s.first_value,
-            last: s.last,
-            latest_inputs: s.latest_inputs.clone(),
-        }
     }
 
     fn apply(self, s: &mut VirtualState) {
@@ -161,6 +151,9 @@ pub struct VirtualSensorChannel {
     window_capacity: usize,
     /// Columnar point-stream engine; `None` = KV-blob mode.
     series: Option<Arc<dyn SeriesStore>>,
+    cache: ChannelCache,
+    /// The hour aggregator derived points feed, resolved on first use.
+    hour_aggregator: Option<ActorRef<Aggregator>>,
 }
 
 impl VirtualSensorChannel {
@@ -170,6 +163,8 @@ impl VirtualSensorChannel {
             state: env.persisted_data(Self::TYPE_NAME, &id.key),
             window_capacity: env.window_capacity,
             series: env.series.clone(),
+            cache: ChannelCache::new(Self::TYPE_NAME, &id.key),
+            hour_aggregator: None,
         });
     }
 }
@@ -182,11 +177,10 @@ impl Actor for VirtualSensorChannel {
         CALLS
     }
 
-    fn on_activate(&mut self, ctx: &mut ActorContext<'_>) {
+    fn on_activate(&mut self, _ctx: &mut ActorContext<'_>) {
         self.state.load_or_default();
         if let Some(series) = &self.series {
-            let key = channel_series_key(Self::TYPE_NAME, &ctx.key().to_string());
-            if let Ok(rec) = series.recover(&key) {
+            if let Ok(rec) = series.recover(&self.cache.series_key) {
                 // Empty meta: the series committed nothing, so reset
                 // the KV blob's data-plane fields, which may be ahead
                 // of the store after a crash wiped an in-flight append
@@ -228,20 +222,20 @@ impl Handler<PushDerived> for VirtualSensorChannel {
             // points and the sidecar (stats + operands) in one append.
             let s = self.state.get_mut_untracked();
             let derived = derive_points(s, &msg, 0);
-            let meta = VirtualSideCar::capture(s).encode();
-            let points: Vec<(u64, f64)> = derived.iter().map(|p| (p.ts_ms, p.value)).collect();
-            let _ = series.append_batch(
-                &channel_series_key(Self::TYPE_NAME, &ctx.key().to_string()),
-                &points,
-                &meta,
-            );
+            let cache = &mut self.cache;
+            VirtualSideCar::encode_from(s, &mut cache.meta);
+            stage_points(&mut cache.points, &derived);
+            let _ = series.append_batch(&cache.series_key, &cache.points, &cache.meta);
             derived
         } else {
             self.state.mutate(|s| derive_points(s, &msg, capacity))
         };
         if !derived.is_empty() && self.state.get().aggregates {
-            let key = aggregator_key(&ctx.key().to_string(), AggregateLevel::Hour);
-            let _ = ctx.actor_ref::<Aggregator>(key).tell(RecordSamples {
+            let channel_key = &self.cache.channel_key;
+            let agg = self.hour_aggregator.get_or_insert_with(|| {
+                ctx.actor_ref::<Aggregator>(aggregator_key(channel_key, AggregateLevel::Hour))
+            });
+            let _ = agg.tell(RecordSamples {
                 points: derived.into(),
             });
         }
@@ -255,11 +249,10 @@ impl Handler<GetLatest> for VirtualSensorChannel {
 }
 
 impl Handler<QueryRange> for VirtualSensorChannel {
-    fn handle(&mut self, msg: QueryRange, ctx: &mut ActorContext<'_>) -> Vec<DataPoint> {
+    fn handle(&mut self, msg: QueryRange, _ctx: &mut ActorContext<'_>) -> Vec<DataPoint> {
         if let Some(series) = &self.series {
-            let key = channel_series_key(Self::TYPE_NAME, &ctx.key().to_string());
             return series
-                .scan_range(&key, msg.from_ms, msg.to_ms, msg.limit)
+                .scan_range(&self.cache.series_key, msg.from_ms, msg.to_ms, msg.limit)
                 .map(|points| {
                     points
                         .into_iter()

@@ -1,0 +1,253 @@
+//! Allocation budget of one acked channel ingest, as a count.
+//!
+//! A counting `#[global_allocator]` tallies allocator calls per thread;
+//! the test drives acked ingests through the real stack — channel turn,
+//! side-car encode, `TsStore::with_wal` delta append, deferred ack from
+//! the WAL committer, aggregator turn — and reads the tally of the silo
+//! worker threads only (the client and the committer have their own
+//! costs, which are not what a turn costs a worker). A count, unlike a
+//! timing, is the same on every host and every run — the test checks
+//! that by measuring two fresh stacks — so the budget is an exact
+//! assertion: it fails the moment a per-message allocation creeps back
+//! into the hot path.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+use aodb_runtime::{Actor, ActorContext, Handler, Message, Runtime};
+use aodb_shm::messages::Ingest;
+use aodb_shm::types::DataPoint;
+use aodb_shm::{provision, register_all, PhysicalSensorChannel, ShmEnv, Topology, TopologySpec};
+use aodb_store::{FsyncPolicy, MemStore, StateStore, WalConfig};
+
+const MAX_THREADS: usize = 64;
+
+/// Allocator calls (alloc, alloc_zeroed, realloc) per thread slot.
+static CALLS: [AtomicU64; MAX_THREADS] = [const { AtomicU64::new(0) }; MAX_THREADS];
+static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
+/// Bit `i` set: slot `i` ran an actor turn, i.e. is a silo worker.
+static WORKER_SLOTS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's slot in `CALLS`; const-initialised and without a
+    /// destructor, so reading it inside the allocator allocates nothing.
+    static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+fn slot() -> Option<usize> {
+    SLOT.try_with(|s| {
+        if s.get() == usize::MAX {
+            s.set(NEXT_SLOT.fetch_add(1, Ordering::Relaxed));
+        }
+        s.get()
+    })
+    .ok()
+    .filter(|&i| i < MAX_THREADS)
+}
+
+struct Counting;
+
+impl Counting {
+    fn note() {
+        if let Some(i) = slot() {
+            CALLS[i].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+// SAFETY: every method forwards to `System` unchanged; the bookkeeping
+// touches only atomics and a const-initialised thread-local `Cell`, so it
+// neither allocates nor re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::note();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::note();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::note();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: same contract as the caller's.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocator calls made so far by the threads known to be workers.
+fn worker_calls() -> u64 {
+    let workers = WORKER_SLOTS.load(Ordering::Relaxed);
+    (0..MAX_THREADS)
+        .filter(|i| workers >> i & 1 == 1)
+        .map(|i| CALLS[i].load(Ordering::Relaxed))
+        .sum()
+}
+
+/// Handlers run on silo workers and nowhere else: whichever thread runs
+/// this one is a worker.
+struct Marker;
+
+impl Actor for Marker {
+    const TYPE_NAME: &'static str = "test.marker";
+}
+
+struct Mark;
+
+impl Message for Mark {
+    type Reply = ();
+}
+
+impl Handler<Mark> for Marker {
+    fn handle(&mut self, _msg: Mark, _ctx: &mut ActorContext<'_>) {
+        if let Some(i) = slot() {
+            WORKER_SLOTS.fetch_or(1 << i, Ordering::Relaxed);
+        }
+    }
+}
+
+/// One worker: with a sibling, whether it happens to be awake to steal
+/// the aggregator's turn (a steal batch is one more allocation) is
+/// timing, and the count below must not be.
+const WORKERS: usize = 1;
+const POINTS_PER_INGEST: u64 = 10;
+/// Ingests per channel: warm-up, then the measured ones. Together they
+/// stay under the engine's 512-point seal threshold and inside one hour
+/// bucket, so every measured ingest takes the same path: delta append,
+/// one aggregator bucket.
+const WARM_UP: u64 = 10;
+const MEASURED: u64 = 40;
+/// Worker-thread allocator calls one acked channel ingest may cost
+/// (channel turn + aggregator turn), growth of the series' compressed
+/// tail included. Today it is 4 and a fraction: the boxed ack, the WAL
+/// record, the aggregator's envelope, and the run queue's steal batch.
+/// This same test counted 20 before the reply sink, the keys, the
+/// scratch buffers and the dirty-set entry stopped being rebuilt per
+/// message.
+const BUDGET: u64 = 6;
+
+/// Drives `rounds` ingests into every channel, each acked before the
+/// next is sent, and returns with the runtime quiescent.
+fn ingest_rounds(
+    rt: &Runtime,
+    channels: &[aodb_runtime::ActorRef<PhysicalSensorChannel>],
+    next_batch: &mut u64,
+    rounds: u64,
+) {
+    for _ in 0..rounds {
+        let t0 = 3_600_000 + *next_batch * POINTS_PER_INGEST * 100;
+        for channel in channels {
+            let points: Vec<DataPoint> = (0..POINTS_PER_INGEST)
+                .map(|i| DataPoint {
+                    ts_ms: t0 + i * 100,
+                    value: (t0 + i) as f64 * 0.25,
+                })
+                .collect();
+            let accepted = channel
+                .ask(Ingest::new(points))
+                .unwrap()
+                .wait_for(Duration::from_secs(10))
+                .expect("ingest acked");
+            assert_eq!(u64::from(accepted), POINTS_PER_INGEST);
+        }
+        *next_batch += 1;
+    }
+    // The ack comes from the committer; the aggregator turn the ingest
+    // triggered may still be running.
+    assert!(rt.quiesce(Duration::from_secs(10)));
+}
+
+/// Builds a fresh stack, warms it up and returns the worker-thread
+/// allocator calls of `MEASURED` acked ingests into each of 8 channels.
+fn measure(tag: &str) -> u64 {
+    let wal_dir =
+        std::env::temp_dir().join(format!("aodb-alloc-budget-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
+    let (env, engine) = ShmEnv::tseries_wal_default(
+        Arc::clone(&store),
+        wal_dir.join("ingest.wal"),
+        WalConfig {
+            fsync_policy: FsyncPolicy::OnDemand,
+            ..WalConfig::default()
+        },
+    )
+    .unwrap();
+    let rt = Runtime::builder().silos(1, WORKERS).build();
+    register_all(&rt, env);
+    rt.register(|_id| Marker);
+    // Plain sensors feeding the aggregate pyramid, as in the benchmark's
+    // ingest workloads.
+    let spec = TopologySpec {
+        virtual_every: 0,
+        ..TopologySpec::default()
+    };
+    let topology = Topology::layout(4, spec);
+    provision(&rt, &topology, |_| None).unwrap();
+    let channels: Vec<_> = topology
+        .physical_channels()
+        .map(|key| rt.actor_ref::<PhysicalSensorChannel>(key))
+        .collect();
+    assert_eq!(channels.len(), 8);
+
+    // Find this stack's worker thread(s): bursts of turns until each
+    // has run one.
+    let known = WORKER_SLOTS.load(Ordering::Relaxed).count_ones();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while WORKER_SLOTS.load(Ordering::Relaxed).count_ones() < known + WORKERS as u32 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "not every worker ran a turn"
+        );
+        for n in 0..256u64 {
+            rt.actor_ref::<Marker>(n).tell(Mark).unwrap();
+        }
+        assert!(rt.quiesce(Duration::from_secs(10)));
+    }
+
+    let mut next_batch = 0u64;
+    ingest_rounds(&rt, &channels, &mut next_batch, WARM_UP);
+    let before = worker_calls();
+    ingest_rounds(&rt, &channels, &mut next_batch, MEASURED);
+    let calls = worker_calls() - before;
+    assert_eq!(
+        engine.wal_stats().frames,
+        (WARM_UP + MEASURED) * channels.len() as u64,
+        "every ingest must have taken the delta path"
+    );
+
+    rt.shutdown();
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    calls
+}
+
+#[test]
+fn acked_channel_ingest_stays_within_its_allocation_budget() {
+    let ingests = MEASURED * 8;
+    let calls = measure("a");
+    assert!(
+        calls <= BUDGET * ingests,
+        "{calls} worker-thread allocator calls for {ingests} acked ingests, budget {BUDGET} each"
+    );
+    println!(
+        "worker-thread allocator calls per acked channel ingest: {:.2}",
+        calls as f64 / ingests as f64
+    );
+    assert_eq!(
+        measure("b"),
+        calls,
+        "the same ingests must cost the same allocator calls on every run"
+    );
+}

@@ -247,6 +247,57 @@ fn aggregation_cascade_rolls_hours_into_days() {
 }
 
 #[test]
+fn batch_order_does_not_change_the_aggregates() {
+    let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
+    let (rt, topology) = small_platform(&store, 1, TopologySpec::default());
+    let client = ShmClient::new(rt.handle());
+    let mut channels = topology.physical_channels();
+    let (in_order, stepping_back) = (channels.next().unwrap(), channels.next().unwrap());
+
+    const HOUR: u64 = 3_600_000;
+    // One batch across three hour buckets. In time order it folds as
+    // three runs; with a point out of place the aggregator has to merge
+    // and order the buckets first. Both must land on the same pyramid.
+    let sorted = vec![
+        dp(10, 1.0),
+        dp(HOUR - 1, 2.0),
+        dp(HOUR, 10.0),
+        dp(HOUR + 7, 20.0),
+        dp(2 * HOUR + 1, 100.0),
+    ];
+    let mut shuffled = sorted.clone();
+    shuffled.swap(1, 3);
+    client.ingest(in_order, sorted).unwrap().wait().unwrap();
+    client
+        .ingest(stepping_back, shuffled)
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert!(rt.quiesce(Duration::from_secs(5)));
+
+    for level in [AggregateLevel::Hour, AggregateLevel::Day] {
+        let of = |channel| {
+            client
+                .aggregates(channel, level, 0, 3 * HOUR)
+                .unwrap()
+                .wait()
+                .unwrap()
+        };
+        let expected = of(in_order);
+        assert!(!expected.is_empty() || level == AggregateLevel::Day);
+        assert_eq!(of(stepping_back), expected, "{level:?}");
+    }
+    let hours = client
+        .aggregates(in_order, AggregateLevel::Hour, 0, 3 * HOUR)
+        .unwrap()
+        .wait()
+        .unwrap();
+    let counts: Vec<(u64, u64)> = hours.iter().map(|(b, a)| (*b, a.count)).collect();
+    assert_eq!(counts, [(0, 2), (HOUR, 2), (2 * HOUR, 1)]);
+    rt.shutdown();
+}
+
+#[test]
 fn sensor_relocation_persists() {
     let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
     let (rt, topology) = small_platform(&store, 1, TopologySpec::default());

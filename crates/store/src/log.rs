@@ -25,7 +25,7 @@ use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
 use crate::api::{Key, StateStore, StoreError, StoreResult};
-use crate::codec::{crc32, parse_record};
+use crate::codec::{frame_record_with, parse_record};
 use crate::wal::{GroupWal, WalConfig, WalCounters, WalStatsSnapshot};
 
 const OP_PUT: u8 = 1;
@@ -112,23 +112,16 @@ pub struct LogStore {
 }
 
 /// Encodes one mutation as a framed record (`len | crc | payload`)
-/// directly into `out`: the payload bytes are written once, in place,
-/// with the CRC computed over the written slice and patched into its
-/// placeholder afterwards — no intermediate payload `Vec` copied a
-/// second time through `frame_record`.
+/// directly into `out` (see [`frame_record_with`]).
 fn encode_mutation(op: u8, key: &[u8], value: &[u8], out: &mut Vec<u8>) {
-    let payload_len = 9 + key.len() + value.len();
-    out.reserve(8 + payload_len);
-    let frame_start = out.len();
-    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    out.extend_from_slice(&[0u8; 4]); // CRC placeholder, patched below
-    out.push(op);
-    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    out.extend_from_slice(key);
-    out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-    out.extend_from_slice(value);
-    let crc = crc32(&out[frame_start + 8..]);
-    out[frame_start + 4..frame_start + 8].copy_from_slice(&crc.to_le_bytes());
+    out.reserve(8 + 9 + key.len() + value.len());
+    frame_record_with(out, |out| {
+        out.push(op);
+        out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        out.extend_from_slice(key);
+        out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+        out.extend_from_slice(value);
+    });
 }
 
 fn decode_mutation(payload: &[u8]) -> StoreResult<(u8, &[u8], &[u8])> {

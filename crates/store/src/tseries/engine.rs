@@ -47,7 +47,7 @@ use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
 use crate::api::{Key, StateStore, StoreError, StoreResult};
-use crate::codec::crc32;
+use crate::codec::{crc32, FramedRecord};
 use crate::tseries::codec::{decode_block, decode_index, BlockIndex, PointCompressor};
 use crate::tseries::SeriesError;
 use crate::wal::{FsyncPolicy, GroupWal, WalConfig, WalCounters, WalStatsSnapshot};
@@ -243,11 +243,27 @@ struct Series {
     tail: PointCompressor,
     sealed: Vec<SealedBlock>,
     sealed_points: u64,
-    meta: Bytes,
+    /// The caller's metadata blob of the last append. A plain buffer,
+    /// overwritten in place: it changes on every append.
+    meta: Vec<u8>,
     /// Sealed blocks committed via the tail record whose own block
     /// record is not yet confirmed written; they ride every tail record
     /// until unpinned.
     pending: Vec<(u64, Bytes)>,
+    /// Group-commit mode: this series is in [`WalState::dirty`]. Lets a
+    /// delta append skip the global set (a mutex and a `String`) unless
+    /// it is the first since the last tail record. Changed only under
+    /// this entry's lock; whoever sets it inserts into the set before
+    /// releasing that lock, so a set bit always has its set entry — the
+    /// direction a checkpoint depends on.
+    dirty: bool,
+}
+
+impl Series {
+    fn set_meta(&mut self, meta: &[u8]) {
+        self.meta.clear();
+        self.meta.extend_from_slice(meta);
+    }
 }
 
 /// Writes staged under the series lock, executed after it drops.
@@ -274,6 +290,8 @@ struct WalState {
     rotation: RwLock<()>,
     /// Series with WAL deltas not yet covered by a durable tail record;
     /// the checkpoint writes their tail records before resetting.
+    /// Mirrored per series in [`Series::dirty`]. Lock order: a series'
+    /// entry lock, then this.
     dirty: Mutex<HashSet<String>>,
     /// Deltas recovered from the WAL, consumed on each series' first
     /// touch (under its entry lock, so a racing discarded load can
@@ -307,14 +325,15 @@ impl TsStore {
         TsStore::new(backing, TsConfig::default())
     }
 
-    /// Engine in **group-commit mode**: appends that do not seal a block
-    /// write a compact delta frame to a [`GroupWal`] at `wal_path`
-    /// instead of rewriting the whole tail record, and their acks
-    /// resolve when the delta's group commits — one coalesced write +
-    /// one fsync amortized over every concurrently-appending series.
-    /// Tail records are still written at seal time and at checkpoints
-    /// (when the WAL outgrows its threshold it is reset after a
-    /// tail-record sweep over the dirty series), so the backing store
+    /// Engine in **group-commit mode**: appends write a compact delta
+    /// frame to a [`GroupWal`] at `wal_path` instead of rewriting the
+    /// whole tail record, and their acks resolve when the delta's group
+    /// commits — one coalesced write + one fsync amortized over every
+    /// concurrently-appending series. Tail records are still written at
+    /// seal time (unsynced: the sealing append's delta is what its ack
+    /// waits for) and at checkpoints (when the WAL outgrows its
+    /// threshold it is reset after a tail-record sweep over the dirty
+    /// series and a sync of the backing store), so the backing store
     /// remains the source of truth and the WAL stays short.
     ///
     /// Recovery replays WAL deltas on top of the backing store, using
@@ -399,6 +418,8 @@ impl TsStore {
             // loses the install race cannot eat them.
             if let Some(ws) = &self.wal {
                 if let Some(deltas) = ws.replay.lock().remove(series) {
+                    // `with_wal` put every replayed series in the set.
+                    s.dirty = true;
                     apply_wal_deltas(series, &mut s, deltas)?;
                 }
             }
@@ -492,7 +513,7 @@ impl TsStore {
                 outcome.sealed += 1;
             }
             if let Some(meta) = meta {
-                s.meta = Bytes::copy_from_slice(meta);
+                s.set_meta(meta);
             }
 
             let mut staged = StagedWrites::default();
@@ -525,13 +546,19 @@ impl TsStore {
         Ok(outcome)
     }
 
-    /// Group-commit append. The fast path (no seal) stages the points
-    /// into the tail under the series lock and queues one delta frame to
-    /// the WAL committer; `ack` resolves when the delta's group commits.
-    /// Appends that seal a block (and force-seals) take the full
-    /// tail-record path synchronously — the tail record then covers
-    /// every queued delta of this series, so the ack⇒durable invariant
-    /// holds regardless of where the WAL fsync horizon sits.
+    /// Group-commit append. Stages the points into the tail under the
+    /// series lock and queues one delta frame to the WAL committer;
+    /// `ack` resolves when the delta's group commits. An append that
+    /// seals a block is no exception: its durability is its delta's, so
+    /// the thread that ran it never waits for the device. The tail and
+    /// block records the seal produces are written at once but not
+    /// synced — an early checkpoint of this one series. Until a sync of
+    /// the backing store reaches them (every checkpoint syncs before it
+    /// resets the WAL) recovery gets the same points from the WAL, whose
+    /// deltas a surviving tail record makes it skip.
+    ///
+    /// Only a force-seal with nothing to log has no delta to ride: it
+    /// writes and syncs the tail record before acking.
     fn append_via_wal(
         &self,
         series: &str,
@@ -552,11 +579,12 @@ impl TsStore {
             sealed: 0,
         };
         enum Plan {
-            /// Ack handed to the WAL committer.
-            Deferred,
+            /// Ack handed to the WAL committer; the records of a seal, if
+            /// there was one, are still to be written.
+            Deferred(Option<StagedWrites>),
             /// Nothing to persist (empty append).
             Noop,
-            /// Full tail-record path.
+            /// Force-seal without a delta: synchronous tail-record path.
             Full(StagedWrites),
         }
         let mut ack = Some(ack);
@@ -576,58 +604,73 @@ impl TsStore {
                 outcome.sealed += 1;
             }
             if let Some(meta) = meta {
-                s.meta = Bytes::copy_from_slice(meta);
+                s.set_meta(meta);
             }
-            if outcome.sealed > 0 {
-                let mut staged = StagedWrites {
-                    tail: Some((tail_key(series), Bytes::from(encode_tail_record(&s)))),
-                    ..StagedWrites::default()
-                };
-                for (seq, bytes) in &s.pending {
-                    staged
-                        .blocks
-                        .push((*seq, block_key(series, *seq), bytes.clone()));
-                }
-                Plan::Full(staged)
-            } else if points.is_empty() && meta.is_none() {
-                Plan::Noop
+            let sealed = (outcome.sealed > 0).then(|| StagedWrites {
+                tail: Some((tail_key(series), Bytes::from(encode_tail_record(&s)))),
+                blocks: s
+                    .pending
+                    .iter()
+                    .map(|(seq, bytes)| (*seq, block_key(series, *seq), bytes.clone()))
+                    .collect(),
+            });
+            if points.is_empty() && meta.is_none() {
+                sealed.map_or(Plan::Noop, Plan::Full)
             } else {
-                // Delta fast path: submitted under the series lock (so
-                // same-series deltas enqueue in apply order) and the
-                // rotation read guard (so a checkpoint can't reset the
-                // WAL between the tail mutation and the queue slot).
-                let frame = encode_wal_delta(series, base, &s.meta, points);
-                ws.dirty.lock().insert(series.to_string());
+                // Submitted under the series lock (so same-series deltas
+                // enqueue in apply order) and the rotation read guard
+                // (so a checkpoint can't reset the WAL between the tail
+                // mutation and the queue slot).
+                let record = encode_wal_delta(series, base, &s.meta, points);
+                if !s.dirty {
+                    s.dirty = true;
+                    ws.dirty.lock().insert(series.to_string());
+                }
                 let ack = ack.take().expect("ack consumed once");
-                ws.wal.submit_with(frame, move |result| {
-                    ack(result.map(|_| outcome));
-                });
-                Plan::Deferred
+                ws.wal.submit_append(record, ack, outcome);
+                Plan::Deferred(sealed)
             }
         };
 
+        // A seal's records: the tail record first (it carries the block
+        // as pending), block records after. Once they are written the
+        // tail record covers every queued delta of this series and the
+        // checkpoint no longer needs to sweep it.
+        let write_sealed = |staged: StagedWrites| -> StoreResult<()> {
+            if let Some((key, record)) = staged.tail {
+                self.backing.put(&key, record)?;
+            }
+            for (seq, key, bytes) in staged.blocks {
+                self.backing.put(&key, bytes)?;
+                entry.lock().pending.retain(|(s2, _)| *s2 != seq);
+            }
+            let mut s = entry.lock();
+            if s.dirty {
+                s.dirty = false;
+                ws.dirty.lock().remove(series);
+            }
+            Ok(())
+        };
         match plan {
-            Plan::Deferred => {}
+            Plan::Deferred(None) => {}
+            Plan::Deferred(Some(staged)) => {
+                // A failed write costs nothing but the shortcut: the
+                // delta is in the WAL, the series is still marked dirty
+                // and the next checkpoint writes its tail record.
+                let _rotation = ws.rotation.read();
+                let _ = write_sealed(staged);
+            }
             Plan::Noop => (ack.take().expect("ack consumed once"))(Ok(outcome)),
             Plan::Full(staged) => {
-                let result = (|| {
+                let commit = || {
                     let _rotation = ws.rotation.read();
-                    if let Some((key, record)) = staged.tail {
-                        self.backing.put(&key, record)?;
-                    }
-                    for (seq, key, bytes) in staged.blocks {
-                        self.backing.put(&key, bytes)?;
-                        entry.lock().pending.retain(|(s2, _)| *s2 != seq);
-                    }
-                    // The tail record covers every queued delta of this
-                    // series; the checkpoint no longer needs to sweep it.
-                    ws.dirty.lock().remove(series);
+                    write_sealed(staged)?;
                     if ws.fsync == FsyncPolicy::PerGroup {
                         self.backing.sync()?;
                     }
                     Ok(outcome)
-                })();
-                (ack.take().expect("ack consumed once"))(result);
+                };
+                (ack.take().expect("ack consumed once"))(commit());
             }
         }
 
@@ -673,11 +716,14 @@ impl TsStore {
             if let Err(e) = self.backing.put(&tail_key(name), record) {
                 // Restore the unswept remainder (this series included)
                 // so the next checkpoint retries them; the WAL is not
-                // reset, so nothing is lost.
+                // reset, so nothing is lost. Their bits are still set.
                 ws.dirty.lock().extend(names[i..].iter().cloned());
                 result = Err(e);
                 break;
             }
+            // No append runs under the rotation write guard, so the bit
+            // cannot have been re-set since the record was encoded.
+            entry.lock().dirty = false;
         }
         result?;
         if ws.fsync == FsyncPolicy::PerGroup {
@@ -859,7 +905,7 @@ impl SeriesStore for TsStore {
         self.ensure_recovered(series, &entry)?;
         let s = entry.lock();
         Ok(SeriesRecovery {
-            meta: s.meta.clone(),
+            meta: Bytes::copy_from_slice(&s.meta),
             points: s.sealed_points + s.tail.count() as u64,
         })
     }
@@ -870,7 +916,7 @@ impl SeriesStore for TsStore {
 struct TailRecord {
     sealed_blocks: u64,
     sealed_points: u64,
-    meta: Bytes,
+    meta: Vec<u8>,
     pending: Vec<(u64, Bytes)>,
     tail_block: Bytes,
 }
@@ -935,7 +981,7 @@ fn decode_tail_record(buf: &[u8]) -> StoreResult<TailRecord> {
     let sealed_blocks = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
     let sealed_points = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
     let meta_len = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
-    let meta = Bytes::copy_from_slice(take(meta_len)?);
+    let meta = take(meta_len)?.to_vec();
     let pending_count = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
     let mut pending = Vec::with_capacity(pending_count);
     for _ in 0..pending_count {
@@ -961,22 +1007,29 @@ fn decode_tail_record(buf: &[u8]) -> StoreResult<TailRecord> {
 
 /// `TSW1 | base_points u64 | series_len u32 | series | meta_len u32 |
 /// meta | count u32 | (ts u64, value_bits u64)*` — no CRC of its own;
-/// the enclosing [`GroupWal`] record frame carries one.
-fn encode_wal_delta(series: &str, base_points: u64, meta: &[u8], points: &[(u64, f64)]) -> Bytes {
-    let mut out =
-        Vec::with_capacity(4 + 8 + 4 + series.len() + 4 + meta.len() + 4 + 16 * points.len());
-    out.extend_from_slice(TS_WAL_MAGIC);
-    out.extend_from_slice(&base_points.to_le_bytes());
-    out.extend_from_slice(&(series.len() as u32).to_le_bytes());
-    out.extend_from_slice(series.as_bytes());
-    out.extend_from_slice(&(meta.len() as u32).to_le_bytes());
-    out.extend_from_slice(meta);
-    out.extend_from_slice(&(points.len() as u32).to_le_bytes());
-    for &(ts, v) in points {
-        out.extend_from_slice(&ts.to_le_bytes());
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    Bytes::from(out)
+/// the enclosing [`GroupWal`] record frame carries one. Encoded straight
+/// into that frame, on the appending thread: one buffer, written once,
+/// is what the committer later writes to the log.
+fn encode_wal_delta(
+    series: &str,
+    base_points: u64,
+    meta: &[u8],
+    points: &[(u64, f64)],
+) -> FramedRecord {
+    let payload_len = 4 + 8 + 4 + series.len() + 4 + meta.len() + 4 + 16 * points.len();
+    FramedRecord::build(payload_len, |out| {
+        out.extend_from_slice(TS_WAL_MAGIC);
+        out.extend_from_slice(&base_points.to_le_bytes());
+        out.extend_from_slice(&(series.len() as u32).to_le_bytes());
+        out.extend_from_slice(series.as_bytes());
+        out.extend_from_slice(&(meta.len() as u32).to_le_bytes());
+        out.extend_from_slice(meta);
+        out.extend_from_slice(&(points.len() as u32).to_le_bytes());
+        for &(ts, v) in points {
+            out.extend_from_slice(&ts.to_le_bytes());
+            out.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+    })
 }
 
 fn decode_wal_delta(buf: &[u8]) -> StoreResult<(String, WalDelta)> {
@@ -1052,7 +1105,7 @@ fn apply_wal_deltas(series: &str, s: &mut Series, deltas: Vec<WalDelta>) -> Stor
         for &(ts, v) in &delta.points {
             s.tail.append(ts, v);
         }
-        s.meta = delta.meta;
+        s.set_meta(&delta.meta);
     }
     Ok(())
 }
@@ -1135,7 +1188,7 @@ mod tests {
             series.tail.append(ts_ms, v);
         }
         seal_tail(&mut series);
-        series.meta = Bytes::from_static(b"pending-meta");
+        series.set_meta(b"pending-meta");
         let record = encode_tail_record(&series);
         backing
             .put(&tail_key("crashy"), Bytes::from(record))
@@ -1306,7 +1359,8 @@ mod tests {
                 WalConfig::default(),
             )
             .unwrap();
-            // 12 points: 8 seal (full tail-record path), 4 ride deltas.
+            // 12 points: the append that reaches 8 also writes the tail
+            // record, which covers every delta up to there.
             for chunk in pts(0..12).chunks(2) {
                 ts.append_batch("s", chunk, b"m").unwrap();
             }
@@ -1395,10 +1449,252 @@ mod tests {
         assert_eq!(ts.recover("s").unwrap().points, 5);
     }
 
+    /// A `MemStore` whose `put` starts failing after a set number of
+    /// successes (until re-armed), to interrupt a checkpoint sweep — or,
+    /// with `lose` set, reports success and keeps nothing, which is what
+    /// a crash makes of a write that was never synced.
+    struct FailingPuts {
+        inner: MemStore,
+        puts_left: std::sync::atomic::AtomicI64,
+        lose: std::sync::atomic::AtomicBool,
+    }
+
+    impl FailingPuts {
+        fn new() -> Arc<Self> {
+            Arc::new(FailingPuts {
+                inner: MemStore::new(),
+                puts_left: std::sync::atomic::AtomicI64::new(i64::MAX),
+                lose: std::sync::atomic::AtomicBool::new(false),
+            })
+        }
+    }
+
+    impl StateStore for FailingPuts {
+        fn get(&self, key: &Key) -> StoreResult<Option<Bytes>> {
+            self.inner.get(key)
+        }
+        fn put(&self, key: &Key, value: Bytes) -> StoreResult<()> {
+            if self.lose.load(std::sync::atomic::Ordering::Relaxed) {
+                return Ok(());
+            }
+            if self
+                .puts_left
+                .fetch_sub(1, std::sync::atomic::Ordering::Relaxed)
+                <= 0
+            {
+                return Err(StoreError::Io("injected put failure".into()));
+            }
+            self.inner.put(key, value)
+        }
+        fn delete(&self, key: &Key) -> StoreResult<()> {
+            self.inner.delete(key)
+        }
+        fn scan_prefix(&self, prefix: &[u8]) -> StoreResult<Vec<(Key, Bytes)>> {
+            self.inner.scan_prefix(prefix)
+        }
+    }
+
+    /// The per-series bit and the global set, which must agree whenever
+    /// no append or checkpoint is in flight.
+    fn dirty_view(ts: &TsStore, names: &[&str]) -> (Vec<String>, Vec<String>) {
+        let mut bits: Vec<String> = names
+            .iter()
+            .filter(|n| ts.entry(n).lock().dirty)
+            .map(|n| n.to_string())
+            .collect();
+        let mut set: Vec<String> = ts
+            .wal
+            .as_ref()
+            .unwrap()
+            .dirty
+            .lock()
+            .iter()
+            .cloned()
+            .collect();
+        bits.sort();
+        set.sort();
+        (bits, set)
+    }
+
+    #[test]
+    fn failed_checkpoint_remarks_exactly_the_unswept_series() {
+        const NAMES: [&str; 4] = ["a", "b", "c", "d"];
+        let backing = FailingPuts::new();
+        let ts = TsStore::with_wal(
+            Arc::clone(&backing) as Arc<dyn StateStore>,
+            TsConfig::default(),
+            temp_wal("dirty-bit"),
+            WalConfig::default(),
+        )
+        .unwrap();
+        for name in NAMES {
+            // Two delta appends each: only the first touches the set.
+            ts.append_batch(name, &pts(0..5), b"m1").unwrap();
+            ts.append_batch(name, &pts(5..10), b"m2").unwrap();
+        }
+        let (bits, set) = dirty_view(&ts, &NAMES);
+        assert_eq!(bits, NAMES);
+        assert_eq!(set, NAMES);
+
+        // The sweep persists two series, then the third put fails.
+        backing
+            .puts_left
+            .store(2, std::sync::atomic::Ordering::Relaxed);
+        assert!(ts.checkpoint().is_err());
+        assert!(
+            !ts.wal().unwrap().is_empty(),
+            "a failed checkpoint must not reset the wal"
+        );
+        let swept: Vec<&str> = NAMES
+            .into_iter()
+            .filter(|n| backing.inner.get(&tail_key(n)).unwrap().is_some())
+            .collect();
+        assert_eq!(swept.len(), 2);
+        let unswept: Vec<String> = NAMES
+            .into_iter()
+            .filter(|n| !swept.contains(n))
+            .map(str::to_string)
+            .collect();
+        let (bits, set) = dirty_view(&ts, &NAMES);
+        assert_eq!(bits, unswept, "bits of exactly the unswept series stay set");
+        assert_eq!(
+            set, unswept,
+            "the set is restored to exactly the unswept series"
+        );
+
+        // The next checkpoint persists the remainder and resets the WAL.
+        backing
+            .puts_left
+            .store(i64::MAX, std::sync::atomic::Ordering::Relaxed);
+        ts.checkpoint().unwrap();
+        assert_eq!(ts.wal().unwrap().len(), 0);
+        for name in NAMES {
+            assert!(backing.inner.get(&tail_key(name)).unwrap().is_some());
+        }
+        assert_eq!(dirty_view(&ts, &NAMES), (Vec::new(), Vec::new()));
+
+        // A fresh engine over the same files sees every point.
+        drop(ts);
+        let reopened = TsStore::new(
+            Arc::clone(&backing) as Arc<dyn StateStore>,
+            TsConfig::default(),
+        );
+        for name in NAMES {
+            assert_eq!(reopened.recover(name).unwrap().points, 10);
+        }
+    }
+
+    #[test]
+    fn sealing_append_clears_the_dirty_bit() {
+        let backing: Arc<dyn StateStore> = Arc::new(MemStore::new());
+        let ts = TsStore::with_wal(
+            Arc::clone(&backing),
+            TsConfig::sealing_every(8),
+            temp_wal("dirty-seal"),
+            WalConfig::default(),
+        )
+        .unwrap();
+        ts.append_batch("s", &pts(0..6), b"m").unwrap();
+        assert_eq!(dirty_view(&ts, &["s"]).0, ["s"]);
+        // Crosses the 8-point seal: the tail record now covers the delta.
+        ts.append_batch("s", &pts(6..9), b"m").unwrap();
+        assert_eq!(dirty_view(&ts, &["s"]), (Vec::new(), Vec::new()));
+        // The next delta marks it again.
+        ts.append_batch("s", &pts(9..10), b"m").unwrap();
+        let (bits, set) = dirty_view(&ts, &["s"]);
+        assert_eq!((bits, set), (vec!["s".to_string()], vec!["s".to_string()]));
+    }
+
+    #[test]
+    fn sealing_append_is_durable_through_its_wal_delta() {
+        let backing = FailingPuts::new();
+        let path = temp_wal("seal-delta");
+        let open = || {
+            TsStore::with_wal(
+                Arc::clone(&backing) as Arc<dyn StateStore>,
+                TsConfig::sealing_every(8),
+                &path,
+                WalConfig::default(),
+            )
+            .unwrap()
+        };
+        {
+            let ts = open();
+            ts.append_batch("s", &pts(0..6), b"m1").unwrap();
+            // The append that seals is acked on its delta's group. Its
+            // tail and block records are written but not synced: a crash
+            // may take them, and here it does.
+            backing
+                .lose
+                .store(true, std::sync::atomic::Ordering::Relaxed);
+            let outcome = ts.append_batch("s", &pts(6..10), b"m2").unwrap();
+            assert_eq!(outcome.sealed, 1);
+            ts.append_batch("s", &pts(10..13), b"m3").unwrap();
+            backing
+                .lose
+                .store(false, std::sync::atomic::Ordering::Relaxed);
+            assert!(backing.inner.get(&tail_key("s")).unwrap().is_none());
+        }
+        // Every acked point comes back from the WAL alone, the sealing
+        // append's included, and the series carries on from there.
+        let ts = open();
+        let rec = ts.recover("s").unwrap();
+        assert_eq!(rec.points, 13);
+        assert_eq!(rec.meta.as_ref(), b"m3");
+        ts.append_batch("s", &pts(13..20), b"m4").unwrap();
+        assert_eq!(ts.scan_range("s", 0, u64::MAX, 0).unwrap(), pts(0..20));
+        // A checkpoint moves it all into the backing store for good.
+        ts.checkpoint().unwrap();
+        drop(ts);
+        let cold = TsStore::new(
+            Arc::clone(&backing) as Arc<dyn StateStore>,
+            TsConfig::sealing_every(8),
+        );
+        assert_eq!(cold.scan_range("s", 0, u64::MAX, 0).unwrap(), pts(0..20));
+    }
+
+    #[test]
+    fn failed_seal_write_leaves_the_series_to_the_checkpoint() {
+        let backing = FailingPuts::new();
+        let ts = TsStore::with_wal(
+            Arc::clone(&backing) as Arc<dyn StateStore>,
+            TsConfig::sealing_every(8),
+            temp_wal("seal-put-fails"),
+            WalConfig::default(),
+        )
+        .unwrap();
+        ts.append_batch("s", &pts(0..6), b"m").unwrap();
+        // The seal's tail-record write fails. The ack does not depend on
+        // it — the delta is in the WAL — but the series must stay marked
+        // so that the next checkpoint writes the record.
+        backing
+            .puts_left
+            .store(0, std::sync::atomic::Ordering::Relaxed);
+        let outcome = ts.append_batch("s", &pts(6..10), b"m").unwrap();
+        assert_eq!(outcome.sealed, 1);
+        assert!(backing.inner.get(&tail_key("s")).unwrap().is_none());
+        let (bits, set) = dirty_view(&ts, &["s"]);
+        assert_eq!((bits, set), (vec!["s".to_string()], vec!["s".to_string()]));
+
+        backing
+            .puts_left
+            .store(i64::MAX, std::sync::atomic::Ordering::Relaxed);
+        ts.checkpoint().unwrap();
+        assert_eq!(ts.wal().unwrap().len(), 0);
+        assert_eq!(dirty_view(&ts, &["s"]), (Vec::new(), Vec::new()));
+        drop(ts);
+        let cold = TsStore::new(
+            Arc::clone(&backing) as Arc<dyn StateStore>,
+            TsConfig::sealing_every(8),
+        );
+        assert_eq!(cold.scan_range("s", 0, u64::MAX, 0).unwrap(), pts(0..10));
+    }
+
     #[test]
     fn wal_delta_codec_roundtrip_and_version_gate() {
-        let frame = encode_wal_delta("sensor-1", 42, b"meta", &pts(0..7));
-        let (series, delta) = decode_wal_delta(&frame).unwrap();
+        let record = encode_wal_delta("sensor-1", 42, b"meta", &pts(0..7));
+        let frame = record.payload();
+        let (series, delta) = decode_wal_delta(frame).unwrap();
         assert_eq!(series, "sensor-1");
         assert_eq!(delta.base_points, 42);
         assert_eq!(delta.meta.as_ref(), b"meta");

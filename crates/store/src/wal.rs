@@ -21,6 +21,15 @@
 //! single `write_all`, a crash can only tear the *last* group, and the
 //! recovered frames are always a prefix of the submission order.
 //!
+//! ## Who frames
+//!
+//! A frame submitted as a bare payload ([`GroupWal::submit`],
+//! [`GroupWal::submit_with`]) is framed and checksummed by the
+//! committer. A [`FramedRecord`] ([`GroupWal::submit_framed`]) arrives
+//! already framed by the submitting thread, so the one thread every ack
+//! waits on only concatenates, writes, fsyncs and acks. Both produce the
+//! same bytes; a log may mix them freely.
+//!
 //! ## Batching policy
 //!
 //! The committer takes whatever is queued the moment it becomes free
@@ -68,7 +77,8 @@ use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
 use crate::api::{StoreError, StoreResult};
-use crate::codec::{frame_record, parse_record};
+use crate::codec::{frame_record, parse_record, FramedRecord};
+use crate::tseries::engine::{AppendAck, AppendOutcome};
 
 /// When the committer issues fsync.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -251,17 +261,16 @@ impl WalTicket {
         }
         state.take().expect("ticket resolved")
     }
-
-    fn failed(err: StoreError) -> WalTicket {
-        let cell = TicketCell::new();
-        cell.resolve(Err(err));
-        WalTicket(cell)
-    }
 }
 
 enum DoneKind {
     Ticket(Arc<TicketCell>),
     Callback(Box<dyn FnOnce(StoreResult<()>) + Send>),
+    /// The tseries engine's ack, carried as it arrived with the outcome
+    /// it resolves to: wrapping the already-boxed [`AppendAck`] in a
+    /// `Callback` closure would cost a second allocation per frame,
+    /// freed on the committer thread.
+    Append(AppendAck, AppendOutcome),
 }
 
 /// A pending acknowledgement. Resolving consumes it; if one is ever
@@ -280,12 +289,23 @@ impl Done {
         Done(Some(DoneKind::Callback(Box::new(f))))
     }
 
+    fn append(ack: AppendAck, outcome: AppendOutcome) -> Done {
+        Done(Some(DoneKind::Append(ack, outcome)))
+    }
+
     fn resolve(mut self, result: &StoreResult<()>) {
         if let Some(kind) = self.0.take() {
-            match kind {
-                DoneKind::Ticket(cell) => cell.resolve(result.clone()),
-                DoneKind::Callback(f) => f(result.clone()),
-            }
+            kind.resolve(result.clone());
+        }
+    }
+}
+
+impl DoneKind {
+    fn resolve(self, result: StoreResult<()>) {
+        match self {
+            DoneKind::Ticket(cell) => cell.resolve(result),
+            DoneKind::Callback(f) => f(result),
+            DoneKind::Append(ack, outcome) => ack(result.map(|()| outcome)),
         }
     }
 }
@@ -293,13 +313,28 @@ impl Done {
 impl Drop for Done {
     fn drop(&mut self) {
         if let Some(kind) = self.0.take() {
-            let lost = Err(StoreError::Io(
+            kind.resolve(Err(StoreError::Io(
                 "wal committer died before resolving this ack".into(),
-            ));
-            match kind {
-                DoneKind::Ticket(cell) => cell.resolve(lost),
-                DoneKind::Callback(f) => f(lost),
-            }
+            )));
+        }
+    }
+}
+
+/// What a frame carries to the committer.
+enum Body {
+    /// A bare payload; the committer frames it. Empty = pure barrier.
+    Payload(Bytes),
+    /// Framed by the submitter; written as is. An empty payload is a
+    /// barrier here too, so nothing is written for it.
+    Framed(FramedRecord),
+}
+
+impl Body {
+    /// True for a pure barrier: resolves in order, writes nothing.
+    fn is_barrier(&self) -> bool {
+        match self {
+            Body::Payload(payload) => payload.is_empty(),
+            Body::Framed(record) => record.payload().is_empty(),
         }
     }
 }
@@ -308,7 +343,7 @@ enum Op {
     /// A frame (empty payload = pure barrier). `force_sync` makes the
     /// group fsync regardless of policy.
     Frame {
-        payload: Bytes,
+        body: Body,
         force_sync: bool,
         done: Done,
     },
@@ -321,6 +356,13 @@ enum Op {
 
 struct Queue {
     items: VecDeque<Op>,
+    /// True while the committer is parked on `work` (idle, or holding a
+    /// group open under `max_delay`). Set by the committer before it
+    /// waits and cleared by whoever wakes it — the submitter that
+    /// notifies, or the committer itself after a timeout — always under
+    /// this lock. A submitter therefore pays the wake-up syscall only
+    /// when there is a parked thread to wake, and at most once per park.
+    waiting: bool,
     shutdown: bool,
     /// Set when the committer died (I/O error or injected crash); every
     /// queued and future submission resolves with a clone of this.
@@ -524,6 +566,7 @@ impl GroupWal {
         let shared = Arc::new(Shared {
             q: Mutex::new(Queue {
                 items: VecDeque::new(),
+                waiting: false,
                 shutdown: false,
                 dead: None,
                 injected: None,
@@ -552,10 +595,11 @@ impl GroupWal {
 
     fn enqueue(&self, op: Op) {
         let mut q = self.shared.q.lock();
-        // Re-check under the same lock that will publish the op: the
-        // committer can die between a caller's fail-fast check and this
-        // push, and an op pushed onto a dead queue strands its waiter
-        // forever (no drain will ever run). Found by the model checker
+        // The liveness check must sit under the same lock that
+        // publishes the op: an op pushed onto a dead queue strands its
+        // waiter forever (no drain will ever run), and a check made
+        // under an earlier lock acquisition leaves a window for the
+        // committer to die in between. Found by the model checker
         // (`wal_committer_panic`).
         if let Some(err) = Self::dead_error(&q) {
             drop(q);
@@ -564,13 +608,22 @@ impl GroupWal {
             return;
         }
         q.items.push_back(op);
-        if q.items.len() == 1 {
-            self.shared.work.notify_one();
-        } else {
-            // The committer may be holding a group open under
-            // `max_delay`; any arrival should be allowed to fill it.
+        // No wake-up can be lost: the committer sets `waiting` and
+        // releases this lock in one step (`Condvar::wait`), so either it
+        // is parked and we see the flag, or it is running and will look
+        // at `items` under this lock before it parks again.
+        if q.waiting {
+            q.waiting = false;
             self.shared.work.notify_one();
         }
+    }
+
+    fn enqueue_frame(&self, body: Body, force_sync: bool, done: Done) {
+        self.enqueue(Op::Frame {
+            body,
+            force_sync,
+            done,
+        });
     }
 
     fn dead_error(q: &Queue) -> Option<StoreError> {
@@ -586,18 +639,12 @@ impl GroupWal {
     /// Queues `payload` for the next group; the returned ticket resolves
     /// when the group commits.
     pub fn submit(&self, payload: Bytes) -> WalTicket {
-        {
-            let q = self.shared.q.lock();
-            if let Some(err) = Self::dead_error(&q) {
-                return WalTicket::failed(err);
-            }
-        }
         let cell = TicketCell::new();
-        self.enqueue(Op::Frame {
-            payload,
-            force_sync: false,
-            done: Done::ticket(Arc::clone(&cell)),
-        });
+        self.enqueue_frame(
+            Body::Payload(payload),
+            false,
+            Done::ticket(Arc::clone(&cell)),
+        );
         WalTicket(cell)
     }
 
@@ -606,19 +653,30 @@ impl GroupWal {
     /// commits, in submission order — it must be cheap and non-blocking
     /// (the same contract as a `ReplyTo` callback).
     pub fn submit_with(&self, payload: Bytes, done: impl FnOnce(StoreResult<()>) + Send + 'static) {
-        {
-            let q = self.shared.q.lock();
-            if let Some(err) = Self::dead_error(&q) {
-                drop(q);
-                done(Err(err));
-                return;
-            }
-        }
-        self.enqueue(Op::Frame {
-            payload,
-            force_sync: false,
-            done: Done::callback(done),
-        });
+        self.enqueue_frame(Body::Payload(payload), false, Done::callback(done));
+    }
+
+    /// [`GroupWal::submit_with`] for a record the caller framed itself
+    /// (see [`FramedRecord`]): the committer writes it as is, without
+    /// copying or checksumming it again. The log bytes are identical to
+    /// submitting the record's payload through `submit_with`.
+    pub fn submit_framed(
+        &self,
+        record: FramedRecord,
+        done: impl FnOnce(StoreResult<()>) + Send + 'static,
+    ) {
+        self.enqueue_frame(Body::Framed(record), false, Done::callback(done));
+    }
+
+    /// [`GroupWal::submit_framed`] for the tseries engine: `ack` resolves
+    /// to `outcome` once the record's group commits.
+    pub(crate) fn submit_append(
+        &self,
+        record: FramedRecord,
+        ack: AppendAck,
+        outcome: AppendOutcome,
+    ) {
+        self.enqueue_frame(Body::Framed(record), false, Done::append(ack, outcome));
     }
 
     /// Submits `payload` and blocks until its group commits.
@@ -630,18 +688,12 @@ impl GroupWal {
     /// call is on durable media (forces an fsync even under
     /// [`FsyncPolicy::OnDemand`]).
     pub fn sync(&self) -> StoreResult<()> {
-        {
-            let q = self.shared.q.lock();
-            if let Some(err) = Self::dead_error(&q) {
-                return Err(err);
-            }
-        }
         let cell = TicketCell::new();
-        self.enqueue(Op::Frame {
-            payload: Bytes::new(),
-            force_sync: true,
-            done: Done::ticket(Arc::clone(&cell)),
-        });
+        self.enqueue_frame(
+            Body::Payload(Bytes::new()),
+            true,
+            Done::ticket(Arc::clone(&cell)),
+        );
         WalTicket(cell).wait()
     }
 
@@ -650,12 +702,6 @@ impl GroupWal {
     /// and then wiped, so the caller must have checkpointed their
     /// effects elsewhere; frames submitted after land in the fresh log.
     pub fn reset(&self) -> StoreResult<()> {
-        {
-            let q = self.shared.q.lock();
-            if let Some(err) = Self::dead_error(&q) {
-                return Err(err);
-            }
-        }
         let cell = TicketCell::new();
         self.enqueue(Op::Reset {
             done: Done::ticket(Arc::clone(&cell)),
@@ -732,9 +778,27 @@ impl Drop for GroupWal {
 
 // --------------------------------------------------------------- committer
 
+/// The group being assembled. `frames` and `buf` keep their capacity
+/// from group to group.
+#[derive(Default)]
 struct Group {
-    frames: Vec<(Bytes, Done)>,
+    frames: Vec<(Body, Done)>,
     force_sync: bool,
+    /// The coalesced bytes of the group's records.
+    buf: Vec<u8>,
+}
+
+impl Group {
+    /// True when any frame carries bytes (the crash/panic plans count
+    /// only such groups).
+    fn has_payload(&self) -> bool {
+        self.frames.iter().any(|(body, _)| !body.is_barrier())
+    }
+
+    /// Takes the pending acks out, e.g. to fail them.
+    fn take_pending(&mut self) -> Vec<Done> {
+        self.frames.drain(..).map(|(_, done)| done).collect()
+    }
 }
 
 /// Committer thread entry: runs the commit loop, and if it panics
@@ -773,13 +837,12 @@ fn committer_loop<M: WalMedia>(
 ) {
     let config = shared.config;
     let mut group_seq: u64 = 0;
+    let mut group = Group::default();
     loop {
         // ---- assemble the next group (or reset op) under the queue lock
         let mut reset: Option<Done> = None;
-        let mut group = Group {
-            frames: Vec::new(),
-            force_sync: false,
-        };
+        group.force_sync = false;
+        group.buf.clear();
         let mut crash: Option<CrashPoint> = None;
         {
             let mut q = shared.q.lock();
@@ -790,7 +853,11 @@ fn committer_loop<M: WalMedia>(
                 if q.shutdown {
                     return;
                 }
+                q.waiting = true;
                 q = shared.work.wait(q);
+                // Whoever notified cleared it already; a spurious
+                // wake-up did not.
+                q.waiting = false;
             }
             if let Some(Op::Reset { .. }) = q.items.front() {
                 let Some(Op::Reset { done }) = q.items.pop_front() else {
@@ -804,7 +871,7 @@ fn committer_loop<M: WalMedia>(
                         match q.items.front() {
                             Some(Op::Frame { .. }) => {
                                 let Some(Op::Frame {
-                                    payload,
+                                    body,
                                     force_sync,
                                     done,
                                 }) = q.items.pop_front()
@@ -812,7 +879,7 @@ fn committer_loop<M: WalMedia>(
                                     unreachable!()
                                 };
                                 group.force_sync |= force_sync;
-                                group.frames.push((payload, done));
+                                group.frames.push((body, done));
                             }
                             // A reset boundary ends the group; None ends
                             // the drain.
@@ -834,8 +901,10 @@ fn committer_loop<M: WalMedia>(
                     if left.is_zero() {
                         break;
                     }
+                    q.waiting = true;
                     let (guard, timed_out) = shared.work.wait_for(q, left);
                     q = guard;
+                    q.waiting = false;
                     if timed_out {
                         break;
                     }
@@ -845,16 +914,12 @@ fn committer_loop<M: WalMedia>(
                     // of pure barrier frames is not the armed group —
                     // consuming the plan on one would silently skip
                     // points that need bytes in flight (MidGroupWrite).
-                    if plan.at_group == group_seq
-                        && group.frames.iter().any(|(payload, _)| !payload.is_empty())
-                    {
+                    if plan.at_group == group_seq && group.has_payload() {
                         crash = Some(plan.point);
                         q.crash_plan = None;
                     }
                 }
-                if q.panic_plan == Some(group_seq)
-                    && group.frames.iter().any(|(payload, _)| !payload.is_empty())
-                {
+                if q.panic_plan == Some(group_seq) && group.has_payload() {
                     // Injected committer death (see `arm_panic`): unwind
                     // with the group in hand. The queue guard unlocks on
                     // the way out; `run_committer` wakes everyone else.
@@ -887,14 +952,18 @@ fn committer_loop<M: WalMedia>(
         }
 
         // ---- coalesce
-        let mut buf = Vec::new();
         let mut frame_count = 0u64;
-        for (payload, _) in &group.frames {
-            if !payload.is_empty() {
-                frame_record(payload, &mut buf);
-                frame_count += 1;
+        for (body, _) in &group.frames {
+            if body.is_barrier() {
+                continue;
             }
+            match body {
+                Body::Payload(payload) => frame_record(payload, &mut group.buf),
+                Body::Framed(record) => group.buf.extend_from_slice(record.as_bytes()),
+            }
+            frame_count += 1;
         }
+        let buf = &group.buf;
 
         // ---- write (crash points 1–3)
         let io = (|| -> Result<(), (StoreError, Option<CrashPoint>)> {
@@ -910,7 +979,7 @@ fn committer_loop<M: WalMedia>(
                 emulate_kill(&mut file, durable, Some(&buf[..keep]));
                 return Err(injected(CrashPoint::MidGroupWrite));
             }
-            file.write_all(&buf).map_err(|e| (e.into(), None))?;
+            file.write_all(buf).map_err(|e| (e.into(), None))?;
             written += buf.len() as u64;
             shared.written_len.store(written, Ordering::Relaxed);
             if shared.ack_early.load(Ordering::Relaxed) {
@@ -949,7 +1018,7 @@ fn committer_loop<M: WalMedia>(
                     emulate_kill(&mut file, durable, None);
                 }
             }
-            let pending: Vec<Done> = group.frames.into_iter().map(|(_, d)| d).collect();
+            let pending = group.take_pending();
             die(&shared, &mut file, durable, point, err, pending);
             return;
         }
@@ -963,7 +1032,7 @@ fn committer_loop<M: WalMedia>(
             // the bytes survived — the allowed direction.
             emulate_kill(&mut file, durable, None);
             let err = StoreError::Io("injected crash at AfterFsyncBeforeAck".into());
-            let pending: Vec<Done> = group.frames.into_iter().map(|(_, d)| d).collect();
+            let pending = group.take_pending();
             die(
                 &shared,
                 &mut file,
@@ -974,7 +1043,7 @@ fn committer_loop<M: WalMedia>(
             );
             return;
         }
-        for (_, done) in group.frames {
+        for (_, done) in group.frames.drain(..) {
             done.resolve(&Ok(()));
         }
         if crash == Some(CrashPoint::AfterAck) {
@@ -1283,6 +1352,29 @@ mod tests {
         wal.sync().unwrap();
         let got = order.lock().clone();
         assert_eq!(got, (0..20).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn empty_framed_record_is_a_barrier_like_an_empty_payload() {
+        let path = temp_wal("framed-barrier");
+        let (wal, _) = open(&path);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let note = |tag: &'static str| {
+            let order = Arc::clone(&order);
+            move |r: StoreResult<()>| {
+                r.unwrap();
+                order.lock().push(tag);
+            }
+        };
+        wal.submit_framed(FramedRecord::build(1, |out| out.push(b'x')), note("frame"));
+        wal.submit_framed(FramedRecord::build(0, |_| {}), note("barrier"));
+        wal.sync().unwrap();
+        assert_eq!(*order.lock(), ["frame", "barrier"]);
+        assert_eq!(wal.len(), 9, "the barrier leaves no record");
+        assert_eq!(wal.stats().frames, 1);
+        drop(wal);
+        let (_, recovered) = open(&path);
+        assert_eq!(recovered.len(), 1);
     }
 
     #[test]

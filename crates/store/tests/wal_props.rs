@@ -3,11 +3,14 @@
 //! truncation at **every byte offset of the last group** must recover
 //! exactly the committed frame prefix and never report an error for a
 //! clean prefix (torn ≠ corrupt; only a checksum mismatch before the
-//! tail is corruption).
+//! tail is corruption). Frames reach the log either as bare payloads the
+//! committer frames or as records the submitter framed; the two must be
+//! indistinguishable on disk.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use aodb_store::codec::FramedRecord;
 use aodb_store::{Bytes, FsyncPolicy, GroupWal, StoreError, WalConfig};
 use proptest::prelude::*;
 
@@ -41,8 +44,51 @@ fn payloads(max_len: usize, max_count: usize) -> impl Strategy<Value = Vec<Vec<u
     )
 }
 
+/// Writes `payloads` to a fresh log at `path`, frame `i` pre-framed by
+/// the submitter when `framed(i)` and framed by the committer otherwise,
+/// and returns the file's bytes.
+fn write_log(path: &PathBuf, payloads: &[Vec<u8>], framed: impl Fn(usize) -> bool) -> Vec<u8> {
+    let (wal, recovered) = GroupWal::open(path, config()).unwrap();
+    assert!(recovered.is_empty());
+    for (i, p) in payloads.iter().enumerate() {
+        if framed(i) {
+            let record = FramedRecord::build(p.len(), |out| out.extend_from_slice(p));
+            wal.submit_framed(record, |r| r.unwrap());
+        } else {
+            wal.submit_with(Bytes::from(p.clone()), |r| r.unwrap());
+        }
+    }
+    wal.sync().unwrap();
+    drop(wal);
+    std::fs::read(path).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The same frames give the same file bytes whoever frames them —
+    /// all by the committer, all by the submitter, or any mix — and each
+    /// file recovers to the submitted payloads.
+    #[test]
+    fn submitter_framed_records_are_byte_identical(
+        payloads in payloads(64, 40),
+        mix in any::<u64>(),
+    ) {
+        let reference = write_log(&temp_wal(), &payloads, |_| false);
+        for framed in [
+            Box::new(|_| true) as Box<dyn Fn(usize) -> bool>,
+            Box::new(move |i| mix >> (i % 64) & 1 == 1),
+        ] {
+            let path = temp_wal();
+            prop_assert_eq!(&write_log(&path, &payloads, framed), &reference);
+            let (_, recovered) = GroupWal::open(&path, config()).unwrap();
+            prop_assert_eq!(recovered.len(), payloads.len());
+            for (frame, expected) in recovered.iter().zip(&payloads) {
+                prop_assert_eq!(frame.as_ref(), expected.as_slice());
+            }
+            let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        }
+    }
 
     /// Submit → close → recover is the identity on any frame batch, in
     /// submission order.
@@ -71,15 +117,10 @@ proptest! {
     #[test]
     fn truncation_at_every_offset_recovers_committed_prefix(
         payloads in payloads(48, 10),
+        framed in any::<bool>(),
     ) {
         let path = temp_wal();
-        {
-            let (wal, _) = GroupWal::open(&path, config()).unwrap();
-            for p in &payloads {
-                wal.append(Bytes::from(p.clone())).unwrap();
-            }
-        }
-        let bytes = std::fs::read(&path).unwrap();
+        let bytes = write_log(&path, &payloads, |_| framed);
         // Record boundaries: each frame is 8 bytes of header + payload.
         let mut ends = Vec::with_capacity(payloads.len());
         let mut off = 0usize;
