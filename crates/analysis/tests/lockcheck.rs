@@ -143,10 +143,8 @@ fn lint_binary_dumps_the_workspace_lock_graph() {
         "workspace lockcheck must be clean under its baseline:\n{text}"
     );
     assert!(text.contains("digraph lock_order"), "{text}");
-    // The writer mutex reaches `append_and_apply` as a parameter (the
-    // store's backend enum owns it), so the class is function-scoped.
     assert!(
-        text.contains("\"LogStore::append_and_apply(writer)\" -> \"LogStore.index\""),
+        text.contains("\"LogStore.writer\" -> \"LogStore.index\""),
         "canonical writer-over-index edge missing:\n{text}"
     );
 }

@@ -112,7 +112,7 @@ pub fn build_single_silo(sensors: usize, workers: usize, hw: SimHw) -> Testbed {
 /// Single-silo testbed on the *durable* store stack: a [`LogStore`]
 /// backing in `dir`, the tseries engine in group-commit WAL mode
 /// (`FsyncPolicy::PerGroup` — every ingest ack means its WAL group
-/// fsynced), and deferred ingest acks. The durability-on counterpart of
+/// fsynced). The durability-on counterpart of
 /// [`build_single_silo`]; the caller owns `dir` and removes it after
 /// [`teardown`].
 pub fn build_single_silo_durable(
@@ -126,7 +126,6 @@ pub fn build_single_silo_durable(
             dir: dir.to_path_buf(),
             compact_threshold: 16 * 1024 * 1024,
             sync: SyncPolicy::OnDemand,
-            group_commit: None,
         })
         .expect("open durable bench store"),
     );

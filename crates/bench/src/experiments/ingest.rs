@@ -90,7 +90,7 @@ pub struct IngestResult {
     /// fsync), but appends write compact delta frames through the
     /// committer and acks defer onto the group commit instead of
     /// blocking the turn. The acceptance row for the group-commit
-    /// speedup at `EveryAppend`-equivalent durability.
+    /// speedup at equal durability.
     pub tseries_wal: BackendResult,
     /// Group-commit WAL with `FsyncPolicy::PerGroup`: real fsync per
     /// group — durability *on*. One fsync is amortized over every frame
@@ -123,7 +123,6 @@ fn temp_store(tag: &str) -> (std::path::PathBuf, Arc<dyn StateStore>) {
             dir: dir.clone(),
             compact_threshold: 16 * 1024 * 1024,
             sync: SyncPolicy::OnDemand,
-            group_commit: None,
         })
         .expect("open bench log store"),
     );
@@ -270,7 +269,7 @@ fn run_tseries(channels: usize, points_per_channel: u64) -> BackendResult {
 
 /// Group-commit WAL run: same workload, engine in WAL mode. Appends
 /// write delta frames through the committer thread and ingest acks ride
-/// the group commit ([`ShmEnv::deferred_acks`]).
+/// the group commit.
 fn run_tseries_wal(
     channels: usize,
     points_per_channel: u64,
@@ -278,10 +277,7 @@ fn run_tseries_wal(
     backend: &str,
 ) -> BackendResult {
     let (dir, store) = temp_store(backend);
-    let wal_config = WalConfig {
-        fsync_policy,
-        ..WalConfig::default()
-    };
+    let wal_config = WalConfig { fsync_policy };
     let (env, engine) =
         ShmEnv::tseries_wal_default(Arc::clone(&store), dir.join("ingest.wal"), wal_config)
             .expect("open bench wal");

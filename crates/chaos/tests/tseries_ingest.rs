@@ -45,8 +45,8 @@ fn build(seed: u64, store: Arc<dyn StateStore>) -> Runtime {
         Arc::clone(&store),
         TsConfig::sealing_every(SEAL_POINTS),
     ));
-    // Default tail durability (EveryAppend): an acked batch is durable
-    // before the reply leaves the actor, watermark included.
+    // No WAL: every append writes its tail record, so an acked batch is
+    // durable before the reply leaves the actor, watermark included.
     register_all(
         &rt,
         ShmEnv::paper_default(store).with_series_store(engine as Arc<dyn SeriesStore>),

@@ -15,8 +15,7 @@
 //!   `Ok` ack still implies durability, and every waiter resolves;
 //! * **no lost wake-up** — submitters notify the committer only when its
 //!   `waiting` flag says it is parked; no interleaving of a submit with
-//!   the committer going to sleep (idle, or holding a group open under
-//!   `max_delay`) may strand a frame or its ack.
+//!   the committer going to sleep may strand a frame or its ack.
 //!
 //! The teeth test flips `ack_before_fsync_for_test` and requires the
 //! checker to *find* the contract violation and print a replayable
@@ -25,7 +24,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64 as StdU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use aodb_store::codec::FramedRecord;
 use aodb_store::{Bytes, CrashPlan, CrashPoint, FsyncPolicy, GroupWal, MemMedia, WalConfig};
@@ -76,7 +74,6 @@ fn barrier_resolves_behind_inflight_originals() {
         // the sole source of durability — exactly the edge under test.
         let config = WalConfig {
             fsync_policy: FsyncPolicy::OnDemand,
-            ..WalConfig::default()
         };
         let media = MemMedia::new();
         let wal = Arc::new(GroupWal::open_with_media(media.clone(), config).unwrap());
@@ -154,65 +151,52 @@ fn injected_crash_never_acks_lost_frames() {
 
 #[test]
 fn parked_only_notify_strands_no_frame_and_no_ack() {
-    // Zero: the committer parks only when idle. Non-zero: it also parks
-    // with a group in hand, waiting for stragglers or the timeout.
-    for max_delay_ms in [0u64, 5] {
-        let name: &'static str = if max_delay_ms == 0 {
-            "wal_parked_notify_no_delay"
-        } else {
-            "wal_parked_notify_max_delay"
-        };
-        model(name, move || {
-            let config = WalConfig {
-                max_delay: Duration::from_millis(max_delay_ms),
-                ..WalConfig::default()
-            };
-            let media = MemMedia::new();
-            let wal = Arc::new(GroupWal::open_with_media(media.clone(), config).unwrap());
-            // Each submitter waits for its first ack before it submits
-            // again, so the committer gets to park between frames and
-            // every submit races a park. One thread hands over bare
-            // payloads, the other records it framed itself. A frame the
-            // committer never hears about leaves its waiter blocked for
-            // good — a deadlock, which the checker reports as a failure.
-            let submitters: Vec<_> = (0..2u8)
-                .map(|t| {
-                    let wal = Arc::clone(&wal);
-                    thread::spawn(move || {
-                        for round in 0..2u8 {
-                            let payload = [b'a' + t, b'0' + round, b'-', b'p', b'a', b'r', b'k'];
-                            if t == 0 {
-                                wal.submit(Bytes::copy_from_slice(&payload))
-                                    .wait()
-                                    .expect("frame acked");
-                            } else {
-                                let (tx, rx) = std::sync::mpsc::channel();
-                                let record = FramedRecord::build(payload.len(), |out| {
-                                    out.extend_from_slice(&payload)
-                                });
-                                wal.submit_framed(record, move |r| tx.send(r).unwrap());
-                                // `sync` queues behind the frame and parks
-                                // this thread on a modeled ticket until
-                                // the committer has been through both.
-                                wal.sync().expect("barrier acked");
-                                rx.try_recv()
-                                    .expect("callbacks resolve in submission order")
-                                    .expect("frame acked");
-                            }
+    model("wal_parked_notify_no_delay", || {
+        let media = MemMedia::new();
+        let wal = Arc::new(GroupWal::open_with_media(media.clone(), WalConfig::default()).unwrap());
+        // Each submitter waits for its first ack before it submits
+        // again, so the committer gets to park between frames and
+        // every submit races a park. One thread hands over bare
+        // payloads, the other records it framed itself. A frame the
+        // committer never hears about leaves its waiter blocked for
+        // good — a deadlock, which the checker reports as a failure.
+        let submitters: Vec<_> = (0..2u8)
+            .map(|t| {
+                let wal = Arc::clone(&wal);
+                thread::spawn(move || {
+                    for round in 0..2u8 {
+                        let payload = [b'a' + t, b'0' + round, b'-', b'p', b'a', b'r', b'k'];
+                        if t == 0 {
+                            wal.submit(Bytes::copy_from_slice(&payload))
+                                .wait()
+                                .expect("frame acked");
+                        } else {
+                            let (tx, rx) = std::sync::mpsc::channel();
+                            let record = FramedRecord::build(payload.len(), |out| {
+                                out.extend_from_slice(&payload)
+                            });
+                            wal.submit_framed(record, move |r| tx.send(r).unwrap());
+                            // `sync` queues behind the frame and parks
+                            // this thread on a modeled ticket until
+                            // the committer has been through both.
+                            wal.sync().expect("barrier acked");
+                            rx.try_recv()
+                                .expect("callbacks resolve in submission order")
+                                .expect("frame acked");
                         }
-                    })
+                    }
                 })
-                .collect();
-            for h in submitters {
-                h.join().unwrap();
-            }
-            drop(wal);
-            let written = media.written();
-            for payload in [b"a0-park", b"a1-park", b"b0-park", b"b1-park"] {
-                assert!(contains(&written, payload), "acked frame never written");
-            }
-        });
-    }
+            })
+            .collect();
+        for h in submitters {
+            h.join().unwrap();
+        }
+        drop(wal);
+        let written = media.written();
+        for payload in [b"a0-park", b"a1-park", b"b0-park", b"b1-park"] {
+            assert!(contains(&written, payload), "acked frame never written");
+        }
+    });
 }
 
 #[test]

@@ -39,15 +39,18 @@ pub struct ShmEnv {
     /// blob; `Some` routes `Ingest` appends and range queries through
     /// the compressed [`SeriesStore`] instead, with the channel's dedup
     /// watermarks and running stats committing atomically alongside the
-    /// points as series metadata.
+    /// points as series metadata. Physical channels always hand their
+    /// `Ingest` reply to the engine
+    /// ([`SeriesStore::append_batch_async`]), which resolves it when the
+    /// append is durable: inside the call for an engine that commits on
+    /// append, on the WAL committer thread for a [`TsStore::with_wal`]
+    /// instance.
     pub series: Option<Arc<dyn SeriesStore>>,
-    /// When true, `Ingest` handlers hand their reply off to the series
-    /// engine ([`SeriesStore::append_batch_async`]) instead of blocking
-    /// the turn on durability — the ack then rides the engine's group
-    /// commit and resolves on the WAL committer thread. Only set this
-    /// when `series` is an engine that actually defers (a
-    /// [`TsStore::with_wal`] instance); with the default synchronous
-    /// engines it is harmless but pointless.
+    /// Read by nothing: whether acks are deferred is the engine's
+    /// decision (see [`ShmEnv::series`]). The field survives only
+    /// because `benchmark/src/system.rs` assigns it; delete both
+    /// together.
+    #[doc(hidden)]
     pub deferred_acks: bool,
 }
 
@@ -67,20 +70,14 @@ impl ShmEnv {
         }
     }
 
-    /// [`ShmEnv::paper_default`] plus a [`TsStore`] columnar engine over
-    /// the same backing store: point streams go to compressed sealed
-    /// blocks, state blobs stay on the KV path.
-    pub fn tseries_default(store: Arc<dyn StateStore>) -> Self {
-        let series = Arc::new(TsStore::with_defaults(Arc::clone(&store)));
-        ShmEnv::paper_default(store).with_series_store(series)
-    }
-
-    /// [`ShmEnv::tseries_default`] with the engine in group-commit mode
-    /// (see [`TsStore::with_wal`]): appends write compact delta frames
-    /// to a group-commit WAL at `wal_path`, ingest acks defer onto the
-    /// committer thread, and one fsync covers every concurrently
-    /// appending channel. Returns the engine alongside the env so the
-    /// platform can wire checkpoints, metric mirroring, and
+    /// [`ShmEnv::paper_default`] plus a [`TsStore`] columnar engine in
+    /// group-commit mode over the same backing store (see
+    /// [`TsStore::with_wal`]): point streams go to compressed sealed
+    /// blocks, state blobs stay on the KV path, appends write compact
+    /// delta frames to a group-commit WAL at `wal_path`, ingest acks
+    /// resolve on the committer thread, and one fsync covers every
+    /// concurrently appending channel. Returns the engine alongside the
+    /// env so the platform can wire checkpoints, metric mirroring, and
     /// deactivation-sweep sync barriers.
     pub fn tseries_wal_default(
         store: Arc<dyn StateStore>,
@@ -93,8 +90,7 @@ impl ShmEnv {
             wal_path,
             wal_config,
         )?);
-        let mut env = ShmEnv::paper_default(store).with_series_store(Arc::clone(&ts) as _);
-        env.deferred_acks = true;
+        let env = ShmEnv::paper_default(store).with_series_store(Arc::clone(&ts) as _);
         Ok((env, ts))
     }
 

@@ -9,6 +9,7 @@
 //! (FR 5), feeds subscribed virtual channels, and forwards batches to its
 //! hourly aggregator.
 
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -24,7 +25,9 @@ use crate::messages::{
     QueryRange, RecordSamples,
 };
 use crate::sidecar;
-use crate::types::{AggregateLevel, Alert, AlertKind, AlertSeverity, DataPoint, Threshold};
+use crate::types::{
+    AggregateLevel, Alert, AlertKind, AlertSeverity, DataPoint, PointBatch, Threshold,
+};
 use crate::virtual_channel::VirtualSensorChannel;
 use aodb_core::Persisted;
 
@@ -143,8 +146,8 @@ pub(crate) fn channel_series_key(type_name: &str, channel_key: &str) -> String {
 /// that its hot turns stop re-deriving it per message: the strings its
 /// identity fixes for good and the buffers an append reuses. (Each
 /// actor also keeps its hour aggregator's reference next to this; the
-/// send site stays in the actor's own handler, where the topology
-/// checks look for it.) Actor-struct data, not persisted state.
+/// send site stays in the actor's own code, where the topology checks
+/// look for it.) Actor-struct data, not persisted state.
 pub(crate) struct ChannelCache {
     /// The actor key as text.
     pub channel_key: String,
@@ -181,12 +184,9 @@ pub struct PhysicalSensorChannel {
     service_time: Option<std::time::Duration>,
     /// Columnar point-stream engine; `None` = KV-blob mode.
     series: Option<Arc<dyn SeriesStore>>,
-    /// Hand ingest acks to the series engine's group commit instead of
-    /// blocking the turn on durability (see `ShmEnv::deferred_acks`).
-    deferred_acks: bool,
     cache: ChannelCache,
     /// The hour aggregator ingests feed, resolved on first use.
-    hour_aggregator: Option<ActorRef<Aggregator>>,
+    hour_aggregator: OnceCell<ActorRef<Aggregator>>,
 }
 
 impl PhysicalSensorChannel {
@@ -197,9 +197,8 @@ impl PhysicalSensorChannel {
             window_capacity: env.window_capacity,
             service_time: env.ingest_service_time,
             series: env.series.clone(),
-            deferred_acks: env.deferred_acks,
             cache: ChannelCache::new(Self::TYPE_NAME, &id.key),
-            hour_aggregator: None,
+            hour_aggregator: OnceCell::new(),
         });
     }
 
@@ -371,15 +370,16 @@ impl Handler<Ingest> for PhysicalSensorChannel {
                 // Duplicate redelivery: drop it before the state mutation
                 // *and* before the downstream fan-out, so subscribers and
                 // aggregators see each batch exactly once too.
-                if self.deferred_acks {
-                    // A duplicate-reject ack asserts "this batch is
-                    // already durable" — under group commit the original
-                    // append may still be in flight, so the reject must
-                    // queue *behind* it and resolve only at the current
-                    // durability horizon. A barrier failure (e.g. dead
-                    // WAL) aborts instead: the safe direction is a
-                    // retransmit, never a false duplicate ack.
-                    if let (Some(reply), Some(series)) = (ctx.defer_reply::<u32>(), &self.series) {
+                //
+                // A duplicate-reject ack asserts "this batch is already
+                // durable" — under group commit the original append may
+                // still be in flight, so on the series path the reject
+                // queues *behind* it and resolves only at the engine's
+                // current durability horizon. A barrier failure (e.g.
+                // dead WAL) aborts instead: the safe direction is a
+                // retransmit, never a false duplicate ack.
+                if let Some(series) = &self.series {
+                    if let Some(reply) = ctx.defer_reply::<u32>() {
                         series.barrier_async(Box::new(move |result| match result {
                             Ok(_) => reply.deliver(0),
                             Err(_) => reply.abort(aodb_runtime::PromiseError::Lost),
@@ -395,13 +395,12 @@ impl Handler<Ingest> for PhysicalSensorChannel {
             std::thread::sleep(service);
         }
         let channel_key = self.cache.channel_key.as_str();
-        let capacity = self.window_capacity;
         let mut alerts = Vec::new();
-        let accepted = if let Some(series) = &self.series {
+        if let Some(series) = &self.series {
             // Columnar path: stats and watermarks mutate in memory only;
-            // the single durable write is the series append, whose tail
-            // record commits the compressed points and the sidecar
-            // (watermarks + stats) atomically.
+            // the single durable write is the series append, which
+            // commits the compressed points and the sidecar (watermarks
+            // + stats) atomically.
             let s = self.state.get_mut_untracked();
             if let Some((source, seq)) = msg.dedup {
                 s.admit_dedup(source, seq);
@@ -409,37 +408,33 @@ impl Handler<Ingest> for PhysicalSensorChannel {
             let accepted = Self::apply_points(s, &msg.points, 0, &mut alerts, channel_key);
             ChannelSideCar::encode_from(s, &mut self.cache.meta);
             stage_points(&mut self.cache.points, &msg.points);
-            let (points, meta) = (&self.cache.points, &self.cache.meta);
-            // A failed append mirrors `Persisted`'s failed-save stance:
-            // absorbed, with the points held in the in-memory tail until
-            // the next committed tail record carries them.
-            let series_key = self.cache.series_key.as_str();
-            if self.deferred_acks {
-                // Group-commit path: hand the reply to the engine so the
-                // ack resolves when the append's WAL group fsyncs —
-                // acked ⇒ durable, without parking this worker on the
-                // fsync. An append error drops the sink (caller sees
-                // the turn abort, not a false ack).
-                let ack = ctx.defer_reply::<u32>();
-                series.append_batch_async(
-                    series_key,
-                    points,
-                    meta,
-                    Box::new(move |result| {
-                        if let Some(reply) = ack {
-                            match result {
-                                Ok(_) => reply.deliver(accepted),
-                                Err(_) => reply.abort(aodb_runtime::PromiseError::Lost),
-                            }
+            self.fan_out(alerts, msg.points, ctx);
+            // The engine owns the ack: it resolves when the append is
+            // durable — inside this call for an engine that commits on
+            // append, at group commit (off this worker) for one with a
+            // WAL. Last in the turn, so no ack is visible before the
+            // fan-out is enqueued. A failed append aborts the reply,
+            // never a false ack; the points stay in the engine's
+            // in-memory tail until its next committed record carries
+            // them.
+            let ack = ctx.defer_reply::<u32>();
+            series.append_batch_async(
+                &self.cache.series_key,
+                &self.cache.points,
+                &self.cache.meta,
+                Box::new(move |result| {
+                    if let Some(reply) = ack {
+                        match result {
+                            Ok(_) => reply.deliver(accepted),
+                            Err(_) => reply.abort(aodb_runtime::PromiseError::Lost),
                         }
-                    }),
-                );
-            } else {
-                let _ = series.append_batch(series_key, points, meta);
-            }
+                    }
+                }),
+            );
             accepted
         } else {
-            self.state.mutate(|s| {
+            let capacity = self.window_capacity;
+            let accepted = self.state.mutate(|s| {
                 if let Some((source, seq)) = msg.dedup {
                     // Advance the watermark in the same mutation (and
                     // hence the same durable write) as the points it
@@ -447,10 +442,19 @@ impl Handler<Ingest> for PhysicalSensorChannel {
                     s.admit_dedup(source, seq);
                 }
                 Self::apply_points(s, &msg.points, capacity, &mut alerts, channel_key)
-            })
-        };
+            });
+            self.fan_out(alerts, msg.points, ctx);
+            accepted
+        }
+    }
+}
 
+impl PhysicalSensorChannel {
+    /// An ingest turn's downstream sends: raised alerts, derived-channel
+    /// pushes, and the aggregate pyramid.
+    fn fan_out(&self, alerts: Vec<Alert>, points: PointBatch, ctx: &ActorContext<'_>) {
         let s = self.state.get();
+        let channel_key = self.cache.channel_key.as_str();
         if !alerts.is_empty() {
             let log = ctx.actor_ref::<AlertLog>(s.org.as_str());
             for alert in alerts {
@@ -462,16 +466,15 @@ impl Handler<Ingest> for PhysicalSensorChannel {
                 .actor_ref::<VirtualSensorChannel>(subscriber.as_str())
                 .tell(PushDerived {
                     source: channel_key.to_string(),
-                    points: msg.points.clone(),
+                    points: points.clone(),
                 });
         }
         if s.aggregates {
-            let agg = self.hour_aggregator.get_or_insert_with(|| {
+            let agg = self.hour_aggregator.get_or_init(|| {
                 ctx.actor_ref::<Aggregator>(aggregator_key(channel_key, AggregateLevel::Hour))
             });
-            let _ = agg.tell(RecordSamples { points: msg.points });
+            let _ = agg.tell(RecordSamples { points });
         }
-        accepted
     }
 }
 

@@ -180,7 +180,6 @@ fn measure(tag: &str) -> u64 {
         wal_dir.join("ingest.wal"),
         WalConfig {
             fsync_policy: FsyncPolicy::OnDemand,
-            ..WalConfig::default()
         },
     )
     .unwrap();

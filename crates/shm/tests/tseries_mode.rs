@@ -1,7 +1,13 @@
 //! End-to-end behavior of the SHM platform in columnar (tseries) mode:
 //! the same actor API as KV mode, but `Ingest` appends compressed points
 //! through the `SeriesStore` seam and range queries scan sealed blocks.
+//! The channel handler has one ack route for every engine, so the
+//! ingest, duplicate-reject and restart-recovery checks run against
+//! both: one that commits on append (`TsStore::new`) and one that
+//! commits on its WAL's group (`TsStore::with_wal`).
 
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -10,20 +16,40 @@ use aodb_shm::messages::Ingest;
 use aodb_shm::types::{DataPoint, Threshold};
 use aodb_shm::{provision, register_all, ShmClient, ShmEnv, Topology, TopologySpec};
 use aodb_store::tseries::{SeriesStore, TsConfig, TsStore};
-use aodb_store::{MemStore, StateStore};
+use aodb_store::{Bytes, Key, MemStore, StateStore, StoreError, StoreResult, WalConfig};
 
 fn dp(ts_ms: u64, value: f64) -> DataPoint {
     DataPoint { ts_ms, value }
 }
 
-/// Platform over `store` with a small-block tseries engine (seals every
-/// 32 points so block boundaries get exercised quickly).
+/// A fresh WAL path for the test `tag`.
+fn temp_wal(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("aodb-shm-ts-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir.join("shm.wal")
+}
+
+/// A small-block engine over `backing` (seals every 32 points so block
+/// boundaries get exercised quickly): one that commits on append, or,
+/// given a `wal` path, one that commits on its WAL's group.
+fn engine(backing: &Arc<dyn StateStore>, wal: Option<&Path>) -> TsStore {
+    let config = TsConfig::sealing_every(32);
+    match wal {
+        None => TsStore::new(Arc::clone(backing), config),
+        Some(path) => {
+            TsStore::with_wal(Arc::clone(backing), config, path, WalConfig::default()).unwrap()
+        }
+    }
+}
+
+/// Platform over `store` whose channels append through `engine`.
 fn tseries_platform(
     store: &Arc<dyn StateStore>,
+    engine: TsStore,
     sensors: usize,
     spec: TopologySpec,
 ) -> (Runtime, Topology, Arc<TsStore>) {
-    let engine = Arc::new(TsStore::new(Arc::clone(store), TsConfig::sealing_every(32)));
+    let engine = Arc::new(engine);
     let rt = Runtime::single(4);
     register_all(
         &rt,
@@ -35,10 +61,10 @@ fn tseries_platform(
     (rt, topology, engine)
 }
 
-#[test]
-fn ingest_compresses_points_and_serves_range_queries() {
+fn check_ingest_and_range_queries(wal: Option<&Path>) {
     let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-    let (rt, topology, engine) = tseries_platform(&store, 1, TopologySpec::default());
+    let (rt, topology, engine) =
+        tseries_platform(&store, engine(&store, wal), 1, TopologySpec::default());
     let client = ShmClient::new(rt.handle());
     let channel = topology.physical_channels().next().unwrap();
 
@@ -82,12 +108,21 @@ fn ingest_compresses_points_and_serves_range_queries() {
 }
 
 #[test]
-fn restart_recovers_stats_watermarks_and_points_from_series_store() {
+fn ingest_compresses_points_and_serves_range_queries() {
+    check_ingest_and_range_queries(None);
+}
+
+#[test]
+fn ingest_compresses_points_and_serves_range_queries_with_wal() {
+    check_ingest_and_range_queries(Some(&temp_wal("ingest")));
+}
+
+fn check_restart_recovery(wal: Option<&Path>) {
     let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
     let spec = TopologySpec::default();
     let channel;
     {
-        let (rt, topology, _) = tseries_platform(&store, 1, spec);
+        let (rt, topology, _) = tseries_platform(&store, engine(&store, wal), 1, spec);
         channel = topology.physical_channels().next().unwrap().to_string();
         let client = ShmClient::new(rt.handle());
         let points: Vec<DataPoint> = (0..50).map(|i| dp(i * 10, i as f64)).collect();
@@ -98,12 +133,13 @@ fn restart_recovers_stats_watermarks_and_points_from_series_store() {
             .wait_for(Duration::from_secs(5))
             .unwrap();
         assert_eq!(r, 50);
-        // Kill without graceful deactivation: durability must come from
-        // the per-append tail records, not the on-deactivate blob flush.
+        // Kill without graceful deactivation: the ack above must mean
+        // the engine committed the batch (its tail record, or the WAL
+        // group carrying its delta) — not the on-deactivate blob flush.
         drop(rt);
     }
 
-    let (rt, _, _) = tseries_platform(&store, 1, spec);
+    let (rt, _, _) = tseries_platform(&store, engine(&store, wal), 1, spec);
     let client = ShmClient::new(rt.handle());
     let stats = client
         .channel_stats(&channel)
@@ -113,7 +149,8 @@ fn restart_recovers_stats_watermarks_and_points_from_series_store() {
     assert_eq!(stats.total_points, 50, "stats recovered from sidecar");
     assert_eq!(stats.last, Some(dp(490, 49.0)));
 
-    // The dedup watermark recovered too: a replayed batch is rejected...
+    // The dedup watermark committed with the points it admitted, so it
+    // recovered too: a replayed batch is rejected...
     let replay: Vec<DataPoint> = (0..50).map(|i| dp(i * 10, i as f64)).collect();
     let r = client
         .channel(&channel)
@@ -133,9 +170,86 @@ fn restart_recovers_stats_watermarks_and_points_from_series_store() {
 }
 
 #[test]
+fn restart_recovers_stats_watermarks_and_points_from_series_store() {
+    check_restart_recovery(None);
+}
+
+#[test]
+fn acked_ingest_survives_ungraceful_restart_with_wal() {
+    check_restart_recovery(Some(&temp_wal("restart")));
+}
+
+/// A store whose next `put` fails once `fail_next_put` is set.
+struct FailOnce {
+    inner: MemStore,
+    fail_next_put: AtomicBool,
+}
+
+impl StateStore for FailOnce {
+    fn get(&self, key: &Key) -> StoreResult<Option<Bytes>> {
+        self.inner.get(key)
+    }
+    fn put(&self, key: &Key, value: Bytes) -> StoreResult<()> {
+        if self.fail_next_put.swap(false, Ordering::SeqCst) {
+            return Err(StoreError::Io("injected put failure".into()));
+        }
+        self.inner.put(key, value)
+    }
+    fn delete(&self, key: &Key) -> StoreResult<()> {
+        self.inner.delete(key)
+    }
+    fn scan_prefix(&self, prefix: &[u8]) -> StoreResult<Vec<(Key, Bytes)>> {
+        self.inner.scan_prefix(prefix)
+    }
+}
+
+#[test]
+fn failed_append_aborts_the_ack_instead_of_counting_points() {
+    let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
+    let backing = Arc::new(FailOnce {
+        inner: MemStore::new(),
+        fail_next_put: AtomicBool::new(false),
+    });
+    let (rt, topology, _) = tseries_platform(
+        &store,
+        engine(&(Arc::clone(&backing) as Arc<dyn StateStore>), None),
+        1,
+        TopologySpec::default(),
+    );
+    let client = ShmClient::new(rt.handle());
+    let channel = topology.physical_channels().next().unwrap();
+
+    backing.fail_next_put.store(true, Ordering::SeqCst);
+    let failed = client
+        .ingest(channel, vec![dp(0, 1.0), dp(10, 2.0)])
+        .unwrap()
+        .wait_for(Duration::from_secs(5));
+    assert!(
+        failed.is_err(),
+        "the engine's tail-record put failed, yet the batch was acked: {failed:?}"
+    );
+    // The store is healthy again: the next batch is acked, and its tail
+    // record carries the earlier points the engine still held in memory.
+    let accepted = client
+        .ingest(channel, vec![dp(20, 3.0)])
+        .unwrap()
+        .wait_for(Duration::from_secs(5))
+        .unwrap();
+    assert_eq!(accepted, 1);
+    let hits = client
+        .raw_range(channel, 0, u64::MAX, 0)
+        .unwrap()
+        .wait_for(Duration::from_secs(5))
+        .unwrap();
+    assert_eq!(hits.len(), 3);
+    rt.shutdown();
+}
+
+#[test]
 fn virtual_channels_derive_and_persist_through_series_store() {
     let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-    let (rt, topology, _) = tseries_platform(&store, 1, TopologySpec::default());
+    let (rt, topology, _) =
+        tseries_platform(&store, engine(&store, None), 1, TopologySpec::default());
     let client = ShmClient::new(rt.handle());
     let sensor = &topology.orgs[0].sensors[0];
     let vkey = sensor.virtual_channel.as_ref().unwrap().to_string();
@@ -181,7 +295,7 @@ fn threshold_alerts_fire_in_columnar_mode() {
         },
         ..Default::default()
     };
-    let (rt, topology, _) = tseries_platform(&store, 1, spec);
+    let (rt, topology, _) = tseries_platform(&store, engine(&store, None), 1, spec);
     let client = ShmClient::new(rt.handle());
     let channel = topology.physical_channels().next().unwrap();
     let org = &topology.orgs[0].key;

@@ -1,13 +1,13 @@
-//! End-to-end behavior of the SHM platform with the tseries engine in
-//! group-commit WAL mode: ingest acks defer onto the WAL committer
-//! (acked ⇒ durable), survive an ungraceful restart, and the runtime's
-//! WAL metrics mirror the engine's group counters.
+//! The SHM platform with the tseries engine in group-commit WAL mode,
+//! wired the way the platform glue does it: the runtime's WAL metrics
+//! mirror the engine's group counters. (Ingest, duplicate-reject and
+//! ungraceful-restart behaviour is checked for this engine and the
+//! WAL-less one alike in `tseries_mode.rs`.)
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use aodb_runtime::Runtime;
-use aodb_shm::messages::Ingest;
 use aodb_shm::types::DataPoint;
 use aodb_shm::{provision, register_all, ShmClient, ShmEnv, Topology, TopologySpec};
 use aodb_store::tseries::TsStore;
@@ -43,58 +43,6 @@ fn wal_platform(
     let topology = Topology::layout(sensors, TopologySpec::default());
     provision(&rt, &topology, |_| None).unwrap();
     (rt, topology, engine)
-}
-
-#[test]
-fn acked_ingest_survives_ungraceful_restart() {
-    let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-    let wal = temp_wal("restart");
-    let channel;
-    {
-        let (rt, topology, _) = wal_platform(&store, &wal, 1);
-        channel = topology.physical_channels().next().unwrap().to_string();
-        let client = ShmClient::new(rt.handle());
-        let points: Vec<DataPoint> = (0..50).map(|i| dp(i * 10, i as f64)).collect();
-        let r = client
-            .channel(&channel)
-            .ask(Ingest::deduped(points, 7, 3))
-            .unwrap()
-            .wait_for(Duration::from_secs(5))
-            .unwrap();
-        assert_eq!(r, 50);
-        // Kill without graceful deactivation: the ack above must mean
-        // the WAL group carrying these points already fsynced.
-        drop(rt);
-    }
-
-    let (rt, _, _) = wal_platform(&store, &wal, 1);
-    let client = ShmClient::new(rt.handle());
-    let stats = client
-        .channel_stats(&channel)
-        .unwrap()
-        .wait_for(Duration::from_secs(5))
-        .unwrap();
-    assert_eq!(stats.total_points, 50, "acked points recovered from WAL");
-    assert_eq!(stats.last, Some(dp(490, 49.0)));
-
-    // The dedup watermark rode the same WAL delta as the points, so a
-    // replayed batch is still rejected after the crash (exactly-once).
-    let replay: Vec<DataPoint> = (0..50).map(|i| dp(i * 10, i as f64)).collect();
-    let r = client
-        .channel(&channel)
-        .ask(Ingest::deduped(replay, 7, 3))
-        .unwrap()
-        .wait_for(Duration::from_secs(5))
-        .unwrap();
-    assert_eq!(r, 0, "dedup watermark must survive the crash");
-    let hits = client
-        .raw_range(&channel, 0, u64::MAX, 0)
-        .unwrap()
-        .wait_for(Duration::from_secs(5))
-        .unwrap();
-    assert_eq!(hits.len(), 50);
-    rt.shutdown();
-    let _ = std::fs::remove_dir_all(wal.parent().unwrap());
 }
 
 #[test]

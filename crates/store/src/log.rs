@@ -20,13 +20,13 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
 use crate::api::{Key, StateStore, StoreError, StoreResult};
 use crate::codec::{frame_record_with, parse_record};
-use crate::wal::{GroupWal, WalConfig, WalCounters, WalStatsSnapshot};
 
 const OP_PUT: u8 = 1;
 const OP_DELETE: u8 = 2;
@@ -50,64 +50,32 @@ pub struct LogStoreConfig {
     pub dir: PathBuf,
     /// WAL size that triggers snapshot compaction.
     pub compact_threshold: u64,
-    /// Append durability (plain mode only; group-commit mode takes its
-    /// fsync policy from the [`WalConfig`]).
+    /// Append durability.
     pub sync: SyncPolicy,
-    /// When set, appends go through a [`GroupWal`]: a committer thread
-    /// coalesces mutations from concurrent writers into one write + one
-    /// fsync per group, and `put` returns only after the mutation's
-    /// group commits. The on-disk `wal.log` format is identical to
-    /// plain mode, so a store can switch modes between opens.
-    pub group_commit: Option<WalConfig>,
 }
 
 impl LogStoreConfig {
-    /// Defaults: 16 MiB compaction threshold, on-demand sync, no group
-    /// commit.
+    /// Defaults: 16 MiB compaction threshold, on-demand sync.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         LogStoreConfig {
             dir: dir.into(),
             compact_threshold: 16 * 1024 * 1024,
             sync: SyncPolicy::OnDemand,
-            group_commit: None,
         }
-    }
-
-    /// Enables group-commit mode (see [`LogStoreConfig::group_commit`]).
-    pub fn with_group_commit(mut self, wal: WalConfig) -> Self {
-        self.group_commit = Some(wal);
-        self
     }
 }
 
 struct Writer {
-    wal: File,
+    /// Shared so that [`StateStore::sync`] can fsync without holding the
+    /// writer lock.
+    wal: Arc<File>,
     wal_len: u64,
-}
-
-enum Backend {
-    /// Synchronous appends under the writer lock.
-    Plain(Mutex<Writer>),
-    /// Appends queued to the group-commit committer thread.
-    Group {
-        wal: GroupWal,
-        /// Serializes "apply to index" with "take a WAL queue slot" so
-        /// replay order always matches index state: without it two
-        /// racing writers to one key could apply in one order and
-        /// enqueue in the other, and recovery would resurrect the
-        /// loser.
-        order: Mutex<()>,
-        /// Appends hold this for read; compaction holds it for write so
-        /// the snapshot + WAL reset happen with no append in flight
-        /// between its index-apply and its queue slot.
-        rotation: RwLock<()>,
-    },
 }
 
 /// The log-structured store.
 pub struct LogStore {
     index: RwLock<BTreeMap<Vec<u8>, Bytes>>,
-    backend: Backend,
+    writer: Mutex<Writer>,
     config: LogStoreConfig,
 }
 
@@ -189,18 +157,6 @@ fn apply_mutation(index: &mut BTreeMap<Vec<u8>, Bytes>, payload: &[u8]) -> Store
     Ok(())
 }
 
-/// Encodes the unframed mutation payload (`op | klen | key | vlen |
-/// value`) for group-commit mode, where the [`GroupWal`] adds the frame.
-fn mutation_payload(op: u8, key: &[u8], value: &[u8]) -> Bytes {
-    let mut out = Vec::with_capacity(9 + key.len() + value.len());
-    out.push(op);
-    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    out.extend_from_slice(key);
-    out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-    out.extend_from_slice(value);
-    Bytes::from(out)
-}
-
 impl LogStore {
     /// Opens (or creates) the store, performing crash recovery.
     pub fn open(config: LogStoreConfig) -> StoreResult<Self> {
@@ -208,40 +164,28 @@ impl LogStore {
         let mut index = BTreeMap::new();
         load_records(&config.dir.join("snapshot.db"), &mut index, false)?;
         let wal_path = config.dir.join("wal.log");
-        let backend = if let Some(wal_config) = config.group_commit {
-            // GroupWal::open replays the same frame format and truncates
-            // any torn tail itself.
-            let (wal, frames) = GroupWal::open(&wal_path, wal_config)?;
-            for frame in frames {
-                apply_mutation(&mut index, &frame)?;
-            }
-            Backend::Group {
-                wal,
-                order: Mutex::new(()),
-                rotation: RwLock::new(()),
-            }
-        } else {
-            let valid = load_records(&wal_path, &mut index, true)?;
-            // Physically drop a torn tail: without this, appends land
-            // after the garbage bytes and the *next* recovery reports
-            // mid-log corruption.
-            let on_disk = std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0);
-            if valid < on_disk {
-                OpenOptions::new()
-                    .write(true)
-                    .open(&wal_path)?
-                    .set_len(valid)?;
-            }
-            let wal = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&wal_path)?;
-            let wal_len = wal.metadata()?.len();
-            Backend::Plain(Mutex::new(Writer { wal, wal_len }))
-        };
+        let valid = load_records(&wal_path, &mut index, true)?;
+        // Physically drop a torn tail: without this, appends land
+        // after the garbage bytes and the *next* recovery reports
+        // mid-log corruption.
+        let on_disk = std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0);
+        if valid < on_disk {
+            OpenOptions::new()
+                .write(true)
+                .open(&wal_path)?
+                .set_len(valid)?;
+        }
+        let wal = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&wal_path)?;
+        let wal_len = wal.metadata()?.len();
         Ok(LogStore {
             index: RwLock::new(index),
-            backend,
+            writer: Mutex::new(Writer {
+                wal: Arc::new(wal),
+                wal_len,
+            }),
             config,
         })
     }
@@ -258,26 +202,7 @@ impl LogStore {
 
     /// Current WAL size in bytes (observability / compaction tests).
     pub fn wal_len(&self) -> u64 {
-        match &self.backend {
-            Backend::Plain(writer) => writer.lock().wal_len,
-            Backend::Group { wal, .. } => wal.len(),
-        }
-    }
-
-    /// Group-commit counters (zero in plain mode).
-    pub fn wal_stats(&self) -> WalStatsSnapshot {
-        match &self.backend {
-            Backend::Plain(_) => WalStatsSnapshot::default(),
-            Backend::Group { wal, .. } => wal.stats(),
-        }
-    }
-
-    /// Mirrors group-commit counters into `counters` (no-op in plain
-    /// mode). See [`GroupWal::mirror_counters`].
-    pub fn mirror_wal_counters(&self, counters: WalCounters) {
-        if let Backend::Group { wal, .. } = &self.backend {
-            wal.mirror_counters(counters);
-        }
+        self.writer.lock().wal_len
     }
 
     /// Appends one mutation and applies it to the index, atomically with
@@ -289,16 +214,15 @@ impl LogStore {
     /// skip the per-append fsync and rely on [`StateStore::sync`].
     fn append_and_apply(
         &self,
-        writer: &Mutex<Writer>,
         framed: Vec<u8>,
         durable: bool,
         apply: impl FnOnce(&mut BTreeMap<Vec<u8>, Bytes>),
     ) -> StoreResult<()> {
-        let mut w = writer.lock();
+        let mut w = self.writer.lock();
         if w.wal_len + framed.len() as u64 >= self.config.compact_threshold {
-            self.compact_plain_locked(&mut w)?;
+            self.compact_locked(&mut w)?;
         }
-        w.wal.write_all(&framed)?;
+        (&*w.wal).write_all(&framed)?;
         if durable && self.config.sync == SyncPolicy::Always {
             w.wal.sync_data()?;
         }
@@ -307,48 +231,9 @@ impl LogStore {
         Ok(())
     }
 
-    /// Group-commit append: the mutation is applied to the index eagerly
-    /// (so the index is always ≥ the WAL — a snapshot cut from it can
-    /// only be *ahead* of the log, never behind) and queued to the
-    /// committer; with `wait` the call blocks until the mutation's group
-    /// commits, without it durability is deferred to the next `sync()`.
-    fn append_group(
-        &self,
-        payload: Bytes,
-        wait: bool,
-        apply: impl FnOnce(&mut BTreeMap<Vec<u8>, Bytes>),
-    ) -> StoreResult<()> {
-        let Backend::Group {
-            wal,
-            order,
-            rotation,
-        } = &self.backend
-        else {
-            unreachable!("append_group on plain backend");
-        };
-        let ticket = {
-            let _rotation = rotation.read();
-            let _order = order.lock();
-            apply(&mut self.index.write());
-            if wait {
-                Some(wal.submit(payload))
-            } else {
-                wal.submit_with(payload, |_| {});
-                None
-            }
-        };
-        if let Some(ticket) = ticket {
-            ticket.wait()?;
-        }
-        if wal.len() >= self.config.compact_threshold {
-            self.try_compact_group()?;
-        }
-        Ok(())
-    }
-
     /// Rewrites the snapshot from the in-memory index and truncates the
     /// WAL. Called with the writer lock held so no appends interleave.
-    fn compact_plain_locked(&self, w: &mut Writer) -> StoreResult<()> {
+    fn compact_locked(&self, w: &mut Writer) -> StoreResult<()> {
         let buf = {
             // Serialize under the index read guard, but do the file I/O
             // with the guard dropped: the writer lock (held by every
@@ -364,45 +249,15 @@ impl LogStore {
         };
         self.write_snapshot(&buf)?;
         // Truncate the WAL now that the snapshot covers everything.
-        w.wal = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(self.config.dir.join("wal.log"))?;
+        w.wal = Arc::new(
+            OpenOptions::new()
+                .create(true)
+                .write(true)
+                .truncate(true)
+                .open(self.config.dir.join("wal.log"))?,
+        );
         w.wal_len = 0;
         Ok(())
-    }
-
-    /// Group-mode compaction. The rotation write lock excludes appenders;
-    /// frames already queued to the committer are covered by the snapshot
-    /// (the index is always ≥ the WAL), and the reset is itself a queued
-    /// op, so it lands *after* them in WAL order.
-    fn compact_group_locked(&self, wal: &GroupWal) -> StoreResult<()> {
-        let buf = {
-            let index = self.index.read();
-            let mut buf = Vec::new();
-            for (key, value) in index.iter() {
-                encode_mutation(OP_PUT, key, value, &mut buf);
-            }
-            buf
-        };
-        self.write_snapshot(&buf)?;
-        wal.reset()
-    }
-
-    /// Opportunistic group-mode compaction: skips (rather than queues
-    /// behind) a compaction already in flight.
-    fn try_compact_group(&self) -> StoreResult<()> {
-        let Backend::Group { wal, rotation, .. } = &self.backend else {
-            return Ok(());
-        };
-        let Some(_guard) = rotation.try_write() else {
-            return Ok(());
-        };
-        if wal.len() < self.config.compact_threshold {
-            return Ok(()); // raced: someone else already compacted
-        }
-        self.compact_group_locked(wal)
     }
 
     fn write_snapshot(&self, buf: &[u8]) -> StoreResult<()> {
@@ -417,16 +272,8 @@ impl LogStore {
 
     /// Forces a compaction regardless of WAL size.
     pub fn compact(&self) -> StoreResult<()> {
-        match &self.backend {
-            Backend::Plain(writer) => {
-                let mut w = writer.lock();
-                self.compact_plain_locked(&mut w)
-            }
-            Backend::Group { wal, rotation, .. } => {
-                let _guard = rotation.write();
-                self.compact_group_locked(wal)
-            }
-        }
+        let mut w = self.writer.lock();
+        self.compact_locked(&mut w)
     }
 }
 
@@ -436,60 +283,30 @@ impl StateStore for LogStore {
     }
 
     fn put(&self, key: &Key, value: Bytes) -> StoreResult<()> {
-        match &self.backend {
-            Backend::Plain(writer) => {
-                // Encode first (borrowing `value`), then move the same
-                // handle into the index — no refcount churn, no byte
-                // copies beyond the frame.
-                let mut framed = Vec::new();
-                encode_mutation(OP_PUT, key.as_bytes(), &value, &mut framed);
-                self.append_and_apply(writer, framed, true, move |index| {
-                    index.insert(key.as_bytes().to_vec(), value);
-                })
-            }
-            Backend::Group { .. } => {
-                let payload = mutation_payload(OP_PUT, key.as_bytes(), &value);
-                self.append_group(payload, true, move |index| {
-                    index.insert(key.as_bytes().to_vec(), value);
-                })
-            }
-        }
+        // Encode first (borrowing `value`), then move the same handle
+        // into the index — no refcount churn, no byte copies beyond the
+        // frame.
+        let mut framed = Vec::new();
+        encode_mutation(OP_PUT, key.as_bytes(), &value, &mut framed);
+        self.append_and_apply(framed, true, move |index| {
+            index.insert(key.as_bytes().to_vec(), value);
+        })
     }
 
     fn put_deferred(&self, key: &Key, value: Bytes) -> StoreResult<()> {
-        match &self.backend {
-            Backend::Plain(writer) => {
-                let mut framed = Vec::new();
-                encode_mutation(OP_PUT, key.as_bytes(), &value, &mut framed);
-                self.append_and_apply(writer, framed, false, move |index| {
-                    index.insert(key.as_bytes().to_vec(), value);
-                })
-            }
-            Backend::Group { .. } => {
-                let payload = mutation_payload(OP_PUT, key.as_bytes(), &value);
-                self.append_group(payload, false, move |index| {
-                    index.insert(key.as_bytes().to_vec(), value);
-                })
-            }
-        }
+        let mut framed = Vec::new();
+        encode_mutation(OP_PUT, key.as_bytes(), &value, &mut framed);
+        self.append_and_apply(framed, false, move |index| {
+            index.insert(key.as_bytes().to_vec(), value);
+        })
     }
 
     fn delete(&self, key: &Key) -> StoreResult<()> {
-        match &self.backend {
-            Backend::Plain(writer) => {
-                let mut framed = Vec::new();
-                encode_mutation(OP_DELETE, key.as_bytes(), &[], &mut framed);
-                self.append_and_apply(writer, framed, true, |index| {
-                    index.remove(key.as_bytes());
-                })
-            }
-            Backend::Group { .. } => {
-                let payload = mutation_payload(OP_DELETE, key.as_bytes(), &[]);
-                self.append_group(payload, true, |index| {
-                    index.remove(key.as_bytes());
-                })
-            }
-        }
+        let mut framed = Vec::new();
+        encode_mutation(OP_DELETE, key.as_bytes(), &[], &mut framed);
+        self.append_and_apply(framed, true, |index| {
+            index.remove(key.as_bytes());
+        })
     }
 
     fn scan_prefix(&self, prefix: &[u8]) -> StoreResult<Vec<(Key, Bytes)>> {
@@ -502,13 +319,17 @@ impl StateStore for LogStore {
     }
 
     fn sync(&self) -> StoreResult<()> {
-        match &self.backend {
-            Backend::Plain(writer) => {
-                writer.lock().wal.sync_data()?;
-                Ok(())
-            }
-            Backend::Group { wal, .. } => wal.sync(),
-        }
+        // Every put that returned before this call has written its
+        // bytes; the fsync itself runs with the writer lock released, so
+        // appenders do not stall behind the device. A compaction in
+        // between truncates this same file after syncing a snapshot that
+        // covers it.
+        let wal = {
+            let w = self.writer.lock();
+            Arc::clone(&w.wal)
+        };
+        wal.sync_data()?;
+        Ok(())
     }
 }
 
@@ -656,113 +477,6 @@ mod tests {
         let hits = store.scan_prefix(&Key::partition_prefix("t", "p")).unwrap();
         assert_eq!(hits.len(), 6);
         assert_eq!(hits.last().unwrap().1, Bytes::from_static(b"9"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn group_config(dir: &Path) -> LogStoreConfig {
-        LogStoreConfig::new(dir).with_group_commit(WalConfig::default())
-    }
-
-    #[test]
-    fn group_mode_roundtrip_and_reopen_plain() {
-        let dir = temp_dir("group-roundtrip");
-        {
-            let store = LogStore::open(group_config(&dir)).unwrap();
-            store.put(&k("a"), Bytes::from_static(b"1")).unwrap();
-            store.put(&k("b"), Bytes::from_static(b"2")).unwrap();
-            store.delete(&k("a")).unwrap();
-            assert_eq!(store.get(&k("a")).unwrap(), None);
-            assert!(store.wal_stats().groups >= 1);
-        }
-        // The on-disk format is shared: a plain-mode open replays a
-        // group-mode log (and vice versa).
-        let store = LogStore::open(LogStoreConfig::new(&dir)).unwrap();
-        assert_eq!(store.get(&k("a")).unwrap(), None);
-        assert_eq!(store.get(&k("b")).unwrap(), Some(Bytes::from_static(b"2")));
-        drop(store);
-        let store = LogStore::open(group_config(&dir)).unwrap();
-        assert_eq!(store.get(&k("b")).unwrap(), Some(Bytes::from_static(b"2")));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn group_mode_concurrent_writers_coalesce() {
-        use std::sync::Arc;
-        let dir = temp_dir("group-concurrent");
-        let store = Arc::new(LogStore::open(group_config(&dir)).unwrap());
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let store = Arc::clone(&store);
-                std::thread::spawn(move || {
-                    for i in 0..250 {
-                        store
-                            .put(
-                                &Key::with_sort("t", &format!("w{t}"), &format!("{i:04}")),
-                                Bytes::from_static(b"x"),
-                            )
-                            .unwrap();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(store.len(), 1000);
-        let stats = store.wal_stats();
-        assert_eq!(stats.frames, 1000);
-        assert_eq!(stats.fsyncs, stats.groups, "one fsync per group");
-        drop(store);
-        let store = LogStore::open(group_config(&dir)).unwrap();
-        assert_eq!(store.len(), 1000);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn group_mode_compaction_preserves_data() {
-        let dir = temp_dir("group-compact");
-        let mut config = group_config(&dir);
-        config.compact_threshold = 4 * 1024;
-        let store = LogStore::open(config).unwrap();
-        for round in 0..200 {
-            for i in 0..10 {
-                store
-                    .put(&k(&format!("{i}")), Bytes::from(format!("round-{round}")))
-                    .unwrap();
-            }
-        }
-        assert!(
-            store.wal_len() < 64 * 1024,
-            "wal should have been compacted (len {})",
-            store.wal_len()
-        );
-        drop(store);
-        let store = LogStore::open(group_config(&dir)).unwrap();
-        assert_eq!(store.len(), 10);
-        assert_eq!(
-            store.get(&k("3")).unwrap(),
-            Some(Bytes::from_static(b"round-199"))
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn group_mode_deferred_put_is_visible_and_synced() {
-        let dir = temp_dir("group-deferred");
-        {
-            let store = LogStore::open(group_config(&dir)).unwrap();
-            for i in 0..50 {
-                store
-                    .put_deferred(&k(&format!("{i:02}")), Bytes::from(format!("v{i}")))
-                    .unwrap();
-            }
-            // Deferred writes are immediately readable...
-            assert_eq!(store.len(), 50);
-            // ...and one sync makes the whole batch durable.
-            store.sync().unwrap();
-        }
-        let store = LogStore::open(LogStoreConfig::new(&dir)).unwrap();
-        assert_eq!(store.len(), 50);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

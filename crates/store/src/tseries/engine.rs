@@ -80,19 +80,6 @@ fn tail_key(series: &str) -> Key {
     Key::with_sort(SERIES_NAMESPACE, series, TAIL_SORT)
 }
 
-/// When the tail record is written back.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum TailDurability {
-    /// After every append — an acknowledged batch is durable, and the
-    /// caller's metadata commits atomically with it. The default.
-    #[default]
-    EveryAppend,
-    /// Only when an append seals a block (or [`SeriesStore::seal`] is
-    /// called). Unsealed tail points are lost on crash; for workloads
-    /// that tolerate it (and for measuring the durability cost).
-    OnSeal,
-}
-
 /// Configuration of a [`TsStore`].
 #[derive(Clone, Copy, Debug)]
 pub struct TsConfig {
@@ -104,24 +91,21 @@ pub struct TsConfig {
     /// block — age is measured on the points' own clock, never the wall
     /// clock, so sealing stays deterministic under replay.
     pub seal_age_ms: u64,
-    /// Tail write-back policy.
-    pub durability: TailDurability,
 }
 
 impl Default for TsConfig {
-    /// 512-point / 16 KiB / 1-hour seal triggers, durable every append.
+    /// 512-point / 16 KiB / 1-hour seal triggers.
     ///
-    /// With [`TailDurability::EveryAppend`] each append rewrites the
-    /// whole tail record, so per-append cost is O(tail bytes) — a small
-    /// seal threshold keeps that rewrite cheap, while the fixed
-    /// per-block overhead (44-byte header + CRC) stays under
-    /// 0.1 bytes/point even at 512 points per block.
+    /// Without a WAL each append rewrites the whole tail record, so
+    /// per-append cost is O(tail bytes) — a small seal threshold keeps
+    /// that rewrite cheap, while the fixed per-block overhead (44-byte
+    /// header + CRC) stays under 0.1 bytes/point even at 512 points per
+    /// block.
     fn default() -> Self {
         TsConfig {
             seal_points: 512,
             seal_bytes: 16 * 1024,
             seal_age_ms: 3_600_000,
-            durability: TailDurability::EveryAppend,
         }
     }
 }
@@ -266,11 +250,25 @@ impl Series {
     }
 }
 
-/// Writes staged under the series lock, executed after it drops.
-#[derive(Default)]
+/// Records staged under the series lock, written after it drops (see
+/// [`TsStore::write_staged`]).
 struct StagedWrites {
-    tail: Option<(Key, Bytes)>,
+    tail: (Key, Bytes),
     blocks: Vec<(u64, Key, Bytes)>,
+}
+
+impl StagedWrites {
+    /// The tail record of `s` and the records of its pending blocks.
+    fn of(series: &str, s: &Series) -> StagedWrites {
+        StagedWrites {
+            tail: (tail_key(series), Bytes::from(encode_tail_record(s))),
+            blocks: s
+                .pending
+                .iter()
+                .map(|(seq, bytes)| (*seq, block_key(series, *seq), bytes.clone()))
+                .collect(),
+        }
+    }
 }
 
 /// A recovered (or in-flight) WAL delta: one append's points + meta,
@@ -482,9 +480,54 @@ impl TsStore {
         Ok(s)
     }
 
-    /// Shared append/seal path. Stages every mutation under the series
-    /// lock, drops it, then performs the backing writes: tail record
-    /// (the commit point) first, block records after.
+    /// Applies one append to `s`, whose lock the caller holds: the
+    /// points (sealing a block whenever one is due), the forced seal,
+    /// the metadata.
+    fn stage(
+        &self,
+        s: &mut Series,
+        points: &[(u64, f64)],
+        meta: Option<&[u8]>,
+        force_seal: bool,
+    ) -> AppendOutcome {
+        let mut outcome = AppendOutcome {
+            appended: points.len() as u32,
+            sealed: 0,
+        };
+        for &(ts, v) in points {
+            s.tail.append(ts, v);
+            if self.should_seal(&s.tail) {
+                seal_tail(s);
+                outcome.sealed += 1;
+            }
+        }
+        if force_seal && s.tail.count() > 0 {
+            seal_tail(s);
+            outcome.sealed += 1;
+        }
+        if let Some(meta) = meta {
+            s.set_meta(meta);
+        }
+        outcome
+    }
+
+    /// Backing I/O for staged records — no guard held. The tail record
+    /// goes first (it carries the blocks as pending); pending blocks are
+    /// unpinned only once their own records land (a failed block write
+    /// stays pending and rides the next tail record, so it can never be
+    /// lost).
+    fn write_staged(&self, entry: &Mutex<Series>, staged: StagedWrites) -> StoreResult<()> {
+        let (key, record) = staged.tail;
+        self.backing.put(&key, record)?;
+        for (seq, key, bytes) in staged.blocks {
+            self.backing.put(&key, bytes)?;
+            entry.lock().pending.retain(|(s, _)| *s != seq);
+        }
+        Ok(())
+    }
+
+    /// Append/seal without a WAL: stages under the series lock, drops
+    /// it, then writes the tail record, which commits the append.
     fn append_inner(
         &self,
         series: &str,
@@ -494,55 +537,12 @@ impl TsStore {
     ) -> StoreResult<AppendOutcome> {
         let entry = self.entry(series);
         self.ensure_recovered(series, &entry)?;
-
-        let mut outcome = AppendOutcome {
-            appended: points.len() as u32,
-            sealed: 0,
-        };
-        let staged = {
+        let (outcome, staged) = {
             let mut s = entry.lock();
-            for &(ts, v) in points {
-                s.tail.append(ts, v);
-                if self.should_seal(&s.tail) {
-                    seal_tail(&mut s);
-                    outcome.sealed += 1;
-                }
-            }
-            if force_seal && s.tail.count() > 0 {
-                seal_tail(&mut s);
-                outcome.sealed += 1;
-            }
-            if let Some(meta) = meta {
-                s.set_meta(meta);
-            }
-
-            let mut staged = StagedWrites::default();
-            let commit_tail = match self.config.durability {
-                TailDurability::EveryAppend => true,
-                TailDurability::OnSeal => outcome.sealed > 0 || force_seal,
-            };
-            if commit_tail {
-                staged.tail = Some((tail_key(series), Bytes::from(encode_tail_record(&s))));
-            }
-            for (seq, bytes) in &s.pending {
-                staged
-                    .blocks
-                    .push((*seq, block_key(series, *seq), bytes.clone()));
-            }
-            staged
+            let outcome = self.stage(&mut s, points, meta, force_seal);
+            (outcome, StagedWrites::of(series, &s))
         };
-
-        // Backing I/O — no guard held. The tail record commits the
-        // append; pending blocks are unpinned only once their own
-        // records land (a failed block write stays pending and rides the
-        // next tail record, so it can never be lost).
-        if let Some((key, record)) = staged.tail {
-            self.backing.put(&key, record)?;
-        }
-        for (seq, key, bytes) in staged.blocks {
-            self.backing.put(&key, bytes)?;
-            entry.lock().pending.retain(|(s, _)| *s != seq);
-        }
+        self.write_staged(&entry, staged)?;
         Ok(outcome)
     }
 
@@ -574,10 +574,6 @@ impl TsStore {
             return;
         }
 
-        let mut outcome = AppendOutcome {
-            appended: points.len() as u32,
-            sealed: 0,
-        };
         enum Plan {
             /// Ack handed to the WAL committer; the records of a seal, if
             /// there was one, are still to be written.
@@ -588,33 +584,13 @@ impl TsStore {
             Full(StagedWrites),
         }
         let mut ack = Some(ack);
-        let plan = {
+        let (outcome, plan) = {
             let _rotation = ws.rotation.read();
             let mut s = entry.lock();
             let base = s.sealed_points + s.tail.count() as u64;
-            for &(ts, v) in points {
-                s.tail.append(ts, v);
-                if self.should_seal(&s.tail) {
-                    seal_tail(&mut s);
-                    outcome.sealed += 1;
-                }
-            }
-            if force_seal && s.tail.count() > 0 {
-                seal_tail(&mut s);
-                outcome.sealed += 1;
-            }
-            if let Some(meta) = meta {
-                s.set_meta(meta);
-            }
-            let sealed = (outcome.sealed > 0).then(|| StagedWrites {
-                tail: Some((tail_key(series), Bytes::from(encode_tail_record(&s)))),
-                blocks: s
-                    .pending
-                    .iter()
-                    .map(|(seq, bytes)| (*seq, block_key(series, *seq), bytes.clone()))
-                    .collect(),
-            });
-            if points.is_empty() && meta.is_none() {
+            let outcome = self.stage(&mut s, points, meta, force_seal);
+            let sealed = (outcome.sealed > 0).then(|| StagedWrites::of(series, &s));
+            let plan = if points.is_empty() && meta.is_none() {
                 sealed.map_or(Plan::Noop, Plan::Full)
             } else {
                 // Submitted under the series lock (so same-series deltas
@@ -629,21 +605,15 @@ impl TsStore {
                 let ack = ack.take().expect("ack consumed once");
                 ws.wal.submit_append(record, ack, outcome);
                 Plan::Deferred(sealed)
-            }
+            };
+            (outcome, plan)
         };
 
-        // A seal's records: the tail record first (it carries the block
-        // as pending), block records after. Once they are written the
-        // tail record covers every queued delta of this series and the
-        // checkpoint no longer needs to sweep it.
+        // Once a seal's records are written the tail record covers every
+        // queued delta of this series and the checkpoint no longer needs
+        // to sweep it.
         let write_sealed = |staged: StagedWrites| -> StoreResult<()> {
-            if let Some((key, record)) = staged.tail {
-                self.backing.put(&key, record)?;
-            }
-            for (seq, key, bytes) in staged.blocks {
-                self.backing.put(&key, bytes)?;
-                entry.lock().pending.retain(|(s2, _)| *s2 != seq);
-            }
+            self.write_staged(&entry, staged)?;
             let mut s = entry.lock();
             if s.dirty {
                 s.dirty = false;
@@ -783,11 +753,6 @@ fn seal_tail(s: &mut Series) {
 }
 
 impl TsStore {
-    /// True when appends should take the group-commit delta path.
-    fn wal_appends(&self) -> bool {
-        self.wal.is_some() && self.config.durability == TailDurability::EveryAppend
-    }
-
     /// Runs a WAL append synchronously (blocks on the group commit).
     fn append_wal_blocking(
         &self,
@@ -818,7 +783,7 @@ impl SeriesStore for TsStore {
         points: &[(u64, f64)],
         meta: &[u8],
     ) -> StoreResult<AppendOutcome> {
-        if self.wal_appends() {
+        if self.wal.is_some() {
             self.append_wal_blocking(series, points, Some(meta), false)
         } else {
             self.append_inner(series, points, Some(meta), false)
@@ -826,7 +791,7 @@ impl SeriesStore for TsStore {
     }
 
     fn append_batch_async(&self, series: &str, points: &[(u64, f64)], meta: &[u8], ack: AppendAck) {
-        if self.wal_appends() {
+        if self.wal.is_some() {
             self.append_via_wal(series, points, Some(meta), false, ack);
         } else {
             ack(self.append_inner(series, points, Some(meta), false));
@@ -838,10 +803,10 @@ impl SeriesStore for TsStore {
             // Empty payloads are never written; the callback still
             // resolves in submission order, after every frame queued
             // ahead of it commits — the barrier contract.
-            Some(ws) if self.wal_appends() => ws.wal.submit_with(Bytes::new(), move |r| {
+            Some(ws) => ws.wal.submit_with(Bytes::new(), move |r| {
                 ack(r.map(|_| AppendOutcome::default()))
             }),
-            _ => ack(Ok(AppendOutcome::default())),
+            None => ack(Ok(AppendOutcome::default())),
         }
     }
 
@@ -892,7 +857,7 @@ impl SeriesStore for TsStore {
     }
 
     fn seal(&self, series: &str) -> StoreResult<()> {
-        if self.wal_appends() {
+        if self.wal.is_some() {
             self.append_wal_blocking(series, &[], None, true)?;
         } else {
             self.append_inner(series, &[], None, true)?;
@@ -1270,28 +1235,6 @@ mod tests {
         let rec = fresh.recover("s").unwrap();
         assert_eq!(rec.meta.as_ref(), b"seq=2");
         assert_eq!(rec.points, 10);
-    }
-
-    #[test]
-    fn on_seal_durability_skips_tail_writes() {
-        let backing: Arc<dyn StateStore> = Arc::new(MemStore::new());
-        let config = TsConfig {
-            durability: TailDurability::OnSeal,
-            ..TsConfig::sealing_every(8)
-        };
-        let ts = TsStore::new(Arc::clone(&backing), config);
-        ts.append_batch("s", &pts(0..4), b"m").unwrap();
-        // No seal yet → nothing durable.
-        assert!(backing.get(&tail_key("s")).unwrap().is_none());
-        ts.append_batch("s", &pts(4..10), b"m").unwrap();
-        // Seal fired → tail record + block record durable.
-        assert!(backing.get(&tail_key("s")).unwrap().is_some());
-        let fresh = TsStore::new(Arc::clone(&backing), config);
-        let rec = fresh.recover("s").unwrap();
-        assert_eq!(
-            rec.points, 10,
-            "sealed 8 + tail 2 all committed by the seal-time tail write"
-        );
     }
 
     #[test]

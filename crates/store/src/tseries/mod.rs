@@ -25,9 +25,7 @@ pub mod codec;
 pub mod engine;
 
 pub use codec::{decode_block, decode_index, BlockIndex, PointCompressor};
-pub use engine::{
-    AppendOutcome, SeriesRecovery, SeriesStats, SeriesStore, TailDurability, TsConfig, TsStore,
-};
+pub use engine::{AppendOutcome, SeriesRecovery, SeriesStats, SeriesStore, TsConfig, TsStore};
 
 use crate::api::StoreError;
 

@@ -12,7 +12,7 @@
 //!
 //! ## On-disk format
 //!
-//! The file is a flat sequence of [`frame_record`]-framed records
+//! The file is a flat sequence of [`FramedRecord`]s
 //! (`len | crc32 | payload`) — grouping is purely a *write batching*
 //! concern and leaves no trace on disk. Recovery parses records from the
 //! front; a torn tail (crash mid-group-write) ends the committed prefix
@@ -23,22 +23,19 @@
 //!
 //! ## Who frames
 //!
-//! A frame submitted as a bare payload ([`GroupWal::submit`],
-//! [`GroupWal::submit_with`]) is framed and checksummed by the
-//! committer. A [`FramedRecord`] ([`GroupWal::submit_framed`]) arrives
-//! already framed by the submitting thread, so the one thread every ack
-//! waits on only concatenates, writes, fsyncs and acks. Both produce the
-//! same bytes; a log may mix them freely.
+//! The submitting thread, always: every record reaches the queue as a
+//! [`FramedRecord`], so the one thread every ack waits on only
+//! concatenates, writes, fsyncs and acks. [`GroupWal::submit`] and
+//! [`GroupWal::submit_with`] frame the payload they are given before
+//! queueing it; [`GroupWal::submit_framed`] takes a record the caller
+//! encoded straight into its frame. The log bytes are the same.
 //!
 //! ## Batching policy
 //!
-//! The committer takes whatever is queued the moment it becomes free
-//! (natural batching: the previous group's flush *is* the accumulation
-//! window). [`WalConfig::max_delay`] optionally stretches assembly —
-//! the committer waits up to that long for more frames before flushing
-//! a group smaller than [`WalConfig::max_batch`] — and also *bounds* it:
-//! no frame ever waits in an open group for longer than `max_delay`, so
-//! a waiter's ack latency is at most `max_delay` plus one group flush.
+//! The committer takes whatever is queued the moment it becomes free,
+//! up to 256 frames (natural batching: the previous group's flush *is*
+//! the accumulation window), and never holds a group open waiting for
+//! more.
 //!
 //! ## Crash injection
 //!
@@ -58,7 +55,6 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 // Under the `model` feature the committer thread routes through the model
 // checker's shims, so spawn/join on the group-commit path are schedule
@@ -77,7 +73,7 @@ use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
 use crate::api::{StoreError, StoreResult};
-use crate::codec::{frame_record, parse_record, FramedRecord};
+use crate::codec::{parse_record, FramedRecord};
 use crate::tseries::engine::{AppendAck, AppendOutcome};
 
 /// When the committer issues fsync.
@@ -93,29 +89,14 @@ pub enum FsyncPolicy {
     OnDemand,
 }
 
+/// Largest number of frames coalesced into one group.
+const MAX_GROUP_FRAMES: usize = 256;
+
 /// Tuning of a [`GroupWal`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct WalConfig {
-    /// Largest number of frames coalesced into one group.
-    pub max_batch: usize,
-    /// How long the committer may hold a group open waiting for more
-    /// frames. Zero (the default) is pure natural batching: commit
-    /// whatever is queued, immediately. Non-zero trades ack latency for
-    /// larger groups; it is a *cap*, so the fairness bound
-    /// `ack wait ≤ max_delay + one group flush` always holds.
-    pub max_delay: Duration,
     /// Fsync policy.
     pub fsync_policy: FsyncPolicy,
-}
-
-impl Default for WalConfig {
-    fn default() -> Self {
-        WalConfig {
-            max_batch: 256,
-            max_delay: Duration::ZERO,
-            fsync_policy: FsyncPolicy::PerGroup,
-        }
-    }
 }
 
 /// The write/fsync/ack boundaries of the group-commit path, for fault
@@ -320,30 +301,22 @@ impl Drop for Done {
     }
 }
 
-/// What a frame carries to the committer.
-enum Body {
-    /// A bare payload; the committer frames it. Empty = pure barrier.
-    Payload(Bytes),
-    /// Framed by the submitter; written as is. An empty payload is a
-    /// barrier here too, so nothing is written for it.
-    Framed(FramedRecord),
+/// Frames `payload` on the calling thread.
+fn framed(payload: &[u8]) -> FramedRecord {
+    FramedRecord::build(payload.len(), |out| out.extend_from_slice(payload))
 }
 
-impl Body {
-    /// True for a pure barrier: resolves in order, writes nothing.
-    fn is_barrier(&self) -> bool {
-        match self {
-            Body::Payload(payload) => payload.is_empty(),
-            Body::Framed(record) => record.payload().is_empty(),
-        }
-    }
+/// True for a pure barrier — a record with an empty payload: it resolves
+/// in submission order and nothing is written for it.
+fn is_barrier(record: &FramedRecord) -> bool {
+    record.payload().is_empty()
 }
 
 enum Op {
     /// A frame (empty payload = pure barrier). `force_sync` makes the
     /// group fsync regardless of policy.
     Frame {
-        body: Body,
+        record: FramedRecord,
         force_sync: bool,
         done: Done,
     },
@@ -356,12 +329,12 @@ enum Op {
 
 struct Queue {
     items: VecDeque<Op>,
-    /// True while the committer is parked on `work` (idle, or holding a
-    /// group open under `max_delay`). Set by the committer before it
-    /// waits and cleared by whoever wakes it — the submitter that
-    /// notifies, or the committer itself after a timeout — always under
-    /// this lock. A submitter therefore pays the wake-up syscall only
-    /// when there is a parked thread to wake, and at most once per park.
+    /// True while the committer is parked on `work` with nothing to do.
+    /// Set by the committer before it waits and cleared by the submitter
+    /// that notifies it (or by the committer itself after a spurious
+    /// wake-up) — always under this lock. A submitter therefore pays the
+    /// wake-up syscall only when there is a parked thread to wake, and
+    /// at most once per park.
     waiting: bool,
     shutdown: bool,
     /// Set when the committer died (I/O error or injected crash); every
@@ -618,9 +591,9 @@ impl GroupWal {
         }
     }
 
-    fn enqueue_frame(&self, body: Body, force_sync: bool, done: Done) {
+    fn enqueue_frame(&self, record: FramedRecord, force_sync: bool, done: Done) {
         self.enqueue(Op::Frame {
-            body,
+            record,
             force_sync,
             done,
         });
@@ -640,11 +613,7 @@ impl GroupWal {
     /// when the group commits.
     pub fn submit(&self, payload: Bytes) -> WalTicket {
         let cell = TicketCell::new();
-        self.enqueue_frame(
-            Body::Payload(payload),
-            false,
-            Done::ticket(Arc::clone(&cell)),
-        );
+        self.enqueue_frame(framed(&payload), false, Done::ticket(Arc::clone(&cell)));
         WalTicket(cell)
     }
 
@@ -653,19 +622,19 @@ impl GroupWal {
     /// commits, in submission order — it must be cheap and non-blocking
     /// (the same contract as a `ReplyTo` callback).
     pub fn submit_with(&self, payload: Bytes, done: impl FnOnce(StoreResult<()>) + Send + 'static) {
-        self.enqueue_frame(Body::Payload(payload), false, Done::callback(done));
+        self.enqueue_frame(framed(&payload), false, Done::callback(done));
     }
 
-    /// [`GroupWal::submit_with`] for a record the caller framed itself
-    /// (see [`FramedRecord`]): the committer writes it as is, without
-    /// copying or checksumming it again. The log bytes are identical to
-    /// submitting the record's payload through `submit_with`.
+    /// [`GroupWal::submit_with`] for a record the caller encoded straight
+    /// into its frame (see [`FramedRecord`]), saving the copy. The log
+    /// bytes are identical to submitting the record's payload through
+    /// `submit_with`.
     pub fn submit_framed(
         &self,
         record: FramedRecord,
         done: impl FnOnce(StoreResult<()>) + Send + 'static,
     ) {
-        self.enqueue_frame(Body::Framed(record), false, Done::callback(done));
+        self.enqueue_frame(record, false, Done::callback(done));
     }
 
     /// [`GroupWal::submit_framed`] for the tseries engine: `ack` resolves
@@ -676,7 +645,7 @@ impl GroupWal {
         ack: AppendAck,
         outcome: AppendOutcome,
     ) {
-        self.enqueue_frame(Body::Framed(record), false, Done::append(ack, outcome));
+        self.enqueue_frame(record, false, Done::append(ack, outcome));
     }
 
     /// Submits `payload` and blocks until its group commits.
@@ -689,11 +658,7 @@ impl GroupWal {
     /// [`FsyncPolicy::OnDemand`]).
     pub fn sync(&self) -> StoreResult<()> {
         let cell = TicketCell::new();
-        self.enqueue_frame(
-            Body::Payload(Bytes::new()),
-            true,
-            Done::ticket(Arc::clone(&cell)),
-        );
+        self.enqueue_frame(framed(&[]), true, Done::ticket(Arc::clone(&cell)));
         WalTicket(cell).wait()
     }
 
@@ -727,7 +692,7 @@ impl GroupWal {
     /// Arms an injected committer *panic* when it assembles non-empty
     /// group `at_group` — the crashed-committer path, where every
     /// pending ack must resolve with an error rather than hang (test
-    /// instrumentation; the model and fairness suites drive this).
+    /// instrumentation; the model suite and `wal_panic.rs` drive this).
     #[doc(hidden)]
     pub fn arm_panic(&self, at_group: u64) {
         self.shared.q.lock().panic_plan = Some(at_group);
@@ -782,7 +747,7 @@ impl Drop for GroupWal {
 /// from group to group.
 #[derive(Default)]
 struct Group {
-    frames: Vec<(Body, Done)>,
+    frames: Vec<(FramedRecord, Done)>,
     force_sync: bool,
     /// The coalesced bytes of the group's records.
     buf: Vec<u8>,
@@ -792,7 +757,7 @@ impl Group {
     /// True when any frame carries bytes (the crash/panic plans count
     /// only such groups).
     fn has_payload(&self) -> bool {
-        self.frames.iter().any(|(body, _)| !body.is_barrier())
+        self.frames.iter().any(|(record, _)| !is_barrier(record))
     }
 
     /// Takes the pending acks out, e.g. to fail them.
@@ -835,7 +800,7 @@ fn committer_loop<M: WalMedia>(
     mut written: u64,
     mut durable: u64,
 ) {
-    let config = shared.config;
+    let fsync_policy = shared.config.fsync_policy;
     let mut group_seq: u64 = 0;
     let mut group = Group::default();
     loop {
@@ -865,48 +830,23 @@ fn committer_loop<M: WalMedia>(
                 };
                 reset = Some(done);
             } else {
-                let opened = Instant::now();
-                loop {
-                    while group.frames.len() < config.max_batch {
-                        match q.items.front() {
-                            Some(Op::Frame { .. }) => {
-                                let Some(Op::Frame {
-                                    body,
-                                    force_sync,
-                                    done,
-                                }) = q.items.pop_front()
-                                else {
-                                    unreachable!()
-                                };
-                                group.force_sync |= force_sync;
-                                group.frames.push((body, done));
-                            }
-                            // A reset boundary ends the group; None ends
-                            // the drain.
-                            Some(Op::Reset { .. }) | None => break,
+                while group.frames.len() < MAX_GROUP_FRAMES {
+                    match q.items.front() {
+                        Some(Op::Frame { .. }) => {
+                            let Some(Op::Frame {
+                                record,
+                                force_sync,
+                                done,
+                            }) = q.items.pop_front()
+                            else {
+                                unreachable!()
+                            };
+                            group.force_sync |= force_sync;
+                            group.frames.push((record, done));
                         }
-                    }
-                    if group.frames.len() >= config.max_batch
-                        || !q.items.is_empty()
-                        || q.shutdown
-                        || config.max_delay.is_zero()
-                    {
-                        break;
-                    }
-                    // Hold the group open for stragglers, never past
-                    // max_delay (the fairness bound).
-                    let Some(left) = config.max_delay.checked_sub(opened.elapsed()) else {
-                        break;
-                    };
-                    if left.is_zero() {
-                        break;
-                    }
-                    q.waiting = true;
-                    let (guard, timed_out) = shared.work.wait_for(q, left);
-                    q = guard;
-                    q.waiting = false;
-                    if timed_out {
-                        break;
+                        // A reset boundary ends the group; None ends
+                        // the drain.
+                        Some(Op::Reset { .. }) | None => break,
                     }
                 }
                 if let Some(plan) = q.crash_plan {
@@ -953,14 +893,11 @@ fn committer_loop<M: WalMedia>(
 
         // ---- coalesce
         let mut frame_count = 0u64;
-        for (body, _) in &group.frames {
-            if body.is_barrier() {
+        for (record, _) in &group.frames {
+            if is_barrier(record) {
                 continue;
             }
-            match body {
-                Body::Payload(payload) => frame_record(payload, &mut group.buf),
-                Body::Framed(record) => group.buf.extend_from_slice(record.as_bytes()),
-            }
+            group.buf.extend_from_slice(record.as_bytes());
             frame_count += 1;
         }
         let buf = &group.buf;
@@ -994,7 +931,7 @@ fn committer_loop<M: WalMedia>(
                 emulate_kill(&mut file, durable, None);
                 return Err(injected(CrashPoint::AfterWriteBeforeFsync));
             }
-            let want_sync = (config.fsync_policy == FsyncPolicy::PerGroup && !buf.is_empty())
+            let want_sync = (fsync_policy == FsyncPolicy::PerGroup && !buf.is_empty())
                 || (group.force_sync && durable < written);
             let mut fsyncs = 0;
             if want_sync {
@@ -1107,6 +1044,7 @@ fn die<M: WalMedia>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn temp_wal(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1177,7 +1115,6 @@ mod tests {
         let path = temp_wal("ondemand");
         let config = WalConfig {
             fsync_policy: FsyncPolicy::OnDemand,
-            ..WalConfig::default()
         };
         let (wal, _) = GroupWal::open(&path, config).unwrap();
         for _ in 0..10 {
@@ -1302,39 +1239,6 @@ mod tests {
                 _ => assert!(acked.is_empty(), "{point:?} must not ack its group"),
             }
         }
-    }
-
-    #[test]
-    fn max_delay_holds_group_open_for_stragglers() {
-        let path = temp_wal("delay");
-        let config = WalConfig {
-            max_batch: 64,
-            max_delay: Duration::from_millis(30),
-            ..WalConfig::default()
-        };
-        let (wal, _) = GroupWal::open(&path, config).unwrap();
-        let wal = Arc::new(wal);
-        // Two frames submitted a few ms apart should usually coalesce
-        // into one group thanks to the assembly window.
-        let w = Arc::clone(&wal);
-        let t1 = std::thread::spawn(move || w.append(Bytes::from_static(b"a")).unwrap());
-        std::thread::sleep(Duration::from_millis(5));
-        let w = Arc::clone(&wal);
-        let t2 = std::thread::spawn(move || w.append(Bytes::from_static(b"b")).unwrap());
-        t1.join().unwrap();
-        t2.join().unwrap();
-        let stats = wal.stats();
-        assert_eq!(stats.frames, 2);
-        // Not asserting groups == 1 (scheduling may split them), but the
-        // ack latency bound must hold: both appends returned, so the
-        // waiters were not held past the window. Sanity-check the bound
-        // directly with a lone frame:
-        let start = Instant::now();
-        wal.append(Bytes::from_static(b"lone")).unwrap();
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "single append must not wait for a full batch"
-        );
     }
 
     #[test]

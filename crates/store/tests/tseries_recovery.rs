@@ -24,7 +24,6 @@ fn open_backing(dir: &Path, compact_threshold: u64) -> Arc<dyn StateStore> {
             dir: dir.to_path_buf(),
             compact_threshold,
             sync: SyncPolicy::OnDemand,
-            group_commit: None,
         })
         .unwrap(),
     )

@@ -3,12 +3,15 @@
 //! truncation at **every byte offset of the last group** must recover
 //! exactly the committed frame prefix and never report an error for a
 //! clean prefix (torn ≠ corrupt; only a checksum mismatch before the
-//! tail is corruption). Frames reach the log either as bare payloads the
-//! committer frames or as records the submitter framed; the two must be
-//! indistinguishable on disk.
+//! tail is corruption). Frames reach the log either as bare payloads
+//! (`submit`/`submit_with` frame them on the way in) or as records the
+//! caller encoded into its own frame; the two must be indistinguishable
+//! on disk, and an empty record of either kind is a barrier that leaves
+//! no bytes.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use aodb_store::codec::FramedRecord;
 use aodb_store::{Bytes, FsyncPolicy, GroupWal, StoreError, WalConfig};
@@ -31,7 +34,6 @@ fn temp_wal() -> PathBuf {
 fn config() -> WalConfig {
     WalConfig {
         fsync_policy: FsyncPolicy::OnDemand,
-        ..WalConfig::default()
     }
 }
 
@@ -44,21 +46,48 @@ fn payloads(max_len: usize, max_count: usize) -> impl Strategy<Value = Vec<Vec<u
     )
 }
 
-/// Writes `payloads` to a fresh log at `path`, frame `i` pre-framed by
-/// the submitter when `framed(i)` and framed by the committer otherwise,
-/// and returns the file's bytes.
-fn write_log(path: &PathBuf, payloads: &[Vec<u8>], framed: impl Fn(usize) -> bool) -> Vec<u8> {
+/// Writes `payloads` to a fresh log at `path` and returns the file's
+/// bytes. Frame `i` goes in as a record framed here when `framed(i)` and
+/// as a bare payload otherwise; when `barrier(i)`, an empty record of
+/// the same kind goes in ahead of it. Every callback, barriers' included,
+/// must have run in submission order by the time the closing `sync`
+/// returns.
+fn write_log(
+    path: &PathBuf,
+    payloads: &[Vec<u8>],
+    framed: impl Fn(usize) -> bool,
+    barrier: impl Fn(usize) -> bool,
+) -> Vec<u8> {
     let (wal, recovered) = GroupWal::open(path, config()).unwrap();
     assert!(recovered.is_empty());
-    for (i, p) in payloads.iter().enumerate() {
-        if framed(i) {
-            let record = FramedRecord::build(p.len(), |out| out.extend_from_slice(p));
-            wal.submit_framed(record, |r| r.unwrap());
+    let resolved = Arc::new(Mutex::new(Vec::new()));
+    let mut submitted = 0usize;
+    let mut submit = |payload: &[u8], framed: bool| {
+        let (resolved, n) = (Arc::clone(&resolved), submitted);
+        let done = move |r: Result<(), StoreError>| {
+            r.unwrap();
+            resolved.lock().unwrap().push(n);
+        };
+        if framed {
+            let record = FramedRecord::build(payload.len(), |out| out.extend_from_slice(payload));
+            wal.submit_framed(record, done);
         } else {
-            wal.submit_with(Bytes::from(p.clone()), |r| r.unwrap());
+            wal.submit_with(Bytes::copy_from_slice(payload), done);
         }
+        submitted += 1;
+    };
+    for (i, p) in payloads.iter().enumerate() {
+        if barrier(i) {
+            submit(&[], framed(i));
+        }
+        submit(p, framed(i));
     }
     wal.sync().unwrap();
+    assert_eq!(
+        *resolved.lock().unwrap(),
+        (0..submitted).collect::<Vec<_>>(),
+        "acks out of submission order"
+    );
     drop(wal);
     std::fs::read(path).unwrap()
 }
@@ -66,21 +95,24 @@ fn write_log(path: &PathBuf, payloads: &[Vec<u8>], framed: impl Fn(usize) -> boo
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The same frames give the same file bytes whoever frames them —
-    /// all by the committer, all by the submitter, or any mix — and each
-    /// file recovers to the submitted payloads.
+    /// The same frames give the same file bytes however they go in —
+    /// all as bare payloads, all as caller-framed records, or any mix,
+    /// with or without barriers (which write nothing) in between — and
+    /// each file recovers to the submitted payloads.
     #[test]
     fn submitter_framed_records_are_byte_identical(
         payloads in payloads(64, 40),
         mix in any::<u64>(),
+        barriers in any::<u64>(),
     ) {
-        let reference = write_log(&temp_wal(), &payloads, |_| false);
+        let reference = write_log(&temp_wal(), &payloads, |_| false, |_| false);
         for framed in [
             Box::new(|_| true) as Box<dyn Fn(usize) -> bool>,
             Box::new(move |i| mix >> (i % 64) & 1 == 1),
         ] {
             let path = temp_wal();
-            prop_assert_eq!(&write_log(&path, &payloads, framed), &reference);
+            let barrier = |i: usize| barriers >> (i % 64) & 1 == 1;
+            prop_assert_eq!(&write_log(&path, &payloads, framed, barrier), &reference);
             let (_, recovered) = GroupWal::open(&path, config()).unwrap();
             prop_assert_eq!(recovered.len(), payloads.len());
             for (frame, expected) in recovered.iter().zip(&payloads) {
@@ -120,7 +152,7 @@ proptest! {
         framed in any::<bool>(),
     ) {
         let path = temp_wal();
-        let bytes = write_log(&path, &payloads, |_| framed);
+        let bytes = write_log(&path, &payloads, |_| framed, |_| false);
         // Record boundaries: each frame is 8 bytes of header + payload.
         let mut ends = Vec::with_capacity(payloads.len());
         let mut off = 0usize;
