@@ -3,26 +3,16 @@
 //! ```text
 //! aodb-lint [--graph <edge-list>] [--dot <path>] [--src <dir>]
 //!           [--baseline <file>] [--json] [--lock-dot <path>]
-//!           [--no-lint] [--no-verify] [--no-lockcheck]
-//!           [--no-replaycheck] [--no-schemacheck] [--emit-baseline]
+//!           [--pass <name>[,<name>...]] [--emit-baseline]
 //!           [--schema-lock <file>] [--write-schema-lock <path>]
 //! ```
 //!
 //! With no arguments: builds the whole-workspace call graph from the
-//! crates' declared topologies, rejects synchronous-call cycles, runs
-//! the turn-discipline source lint, runs the aodb-verify dataflow
-//! passes (declaration drift, persistence hazards, reply obligations)
-//! over the whole workspace tree — `src/`, `tests/`, `examples/` and
-//! `benches/` alike — runs the aodb-lockcheck passes (lock-order
-//! cycles, guards held across blocking work) over the runtime substrate
-//! (`crates/{runtime,store,chaos}/src`), runs the aodb-replaycheck
-//! determinism passes (nondet-in-turn, unordered-persisted-state,
-//! ambient-clock) over the actor crates (`crates/{shm,cattle,core}/src`
-//! — bench and test harness code is deliberately outside those roots),
-//! and runs the aodb-schemacheck passes (schema-drift against the
-//! committed `schema.lock`, schema-unversioned, ack-before-commit) over
-//! the persisted-state crates (`crates/{shm,cattle,core,store}/src`).
-//! Exits nonzero on any violation.
+//! crates' declared topologies, rejects synchronous-call cycles, then
+//! reads and parses the workspace tree once — `src/`, `tests/`,
+//! `examples/` and `benches/` alike — and runs the five source passes
+//! of [`PASSES`] over it, each on the crates it audits. Exits nonzero
+//! on any violation.
 //!
 //! * `--graph <file>` — analyze a fixture edge list (`FROM call|send TO`
 //!   per line) instead of the compiled-in workspace topology.
@@ -37,28 +27,26 @@
 //!   the same `{rule, file, line, class, message}` record shape.
 //! * `--lock-dot <path>` — write the lock-order graph as DOT (`-` for
 //!   stdout).
-//! * `--no-lint` — skip the turn-discipline source lint.
-//! * `--no-verify` — skip the dataflow verify passes.
-//! * `--no-lockcheck` — skip the lock-order/blocking passes.
-//! * `--no-replaycheck` — skip the determinism passes.
-//! * `--no-schemacheck` — skip the persisted-format / ack-durability
-//!   passes.
+//! * `--pass <name>[,<name>...]` — run only the named source passes
+//!   (`turn`, `verify`, `lock`, `replay`, `schema`; default: all; `none`
+//!   runs the call-graph check alone).
 //! * `--schema-lock <file>` — lockfile for the schema-drift check
 //!   (default: `schema.lock` at the workspace root, when present; with
 //!   no lockfile the drift check is skipped and only the unversioned
 //!   and ack rules run).
-//! * `--write-schema-lock <path>` — regenerate the lockfile from the
-//!   current corpus (the layout-change workflow), then continue.
+//! * `--write-schema-lock <path>` — the `schema` pass first regenerates
+//!   the lockfile from the current corpus (the layout-change workflow),
+//!   then checks against it.
 //! * `--emit-baseline` — after the summary, print ready-to-paste
 //!   `[[suppress]]` TOML skeletons (with empty `reason = ""`) for every
 //!   active finding, so accepting a finding into the baseline is a
 //!   paste-plus-justify edit instead of hand transcription.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use aodb_analysis::{
-    lint_tree, lockcheck_tree, replaycheck_tree, schema, schemacheck_corpus, verify_tree,
+    lockcheck_corpus, replaycheck_corpus, schema, schemacheck_corpus, turn_findings, verify_corpus,
     workspace_graph, Baseline, CallGraph, Corpus, Finding, SchemaLock,
 };
 
@@ -66,18 +54,81 @@ struct Options {
     graph_file: Option<PathBuf>,
     dot: Option<PathBuf>,
     lock_dot: Option<PathBuf>,
+    /// Roots of the source passes (the workspace root when no `--src`).
     src: Vec<PathBuf>,
     baseline: Option<PathBuf>,
     json: bool,
-    run_lint: bool,
-    run_verify: bool,
-    run_lockcheck: bool,
-    run_replaycheck: bool,
-    run_schemacheck: bool,
+    /// Names of the source passes to run, in [`PASSES`] order.
+    passes: Vec<&'static str>,
     schema_lock: Option<PathBuf>,
     write_schema_lock: Option<PathBuf>,
     emit_baseline: bool,
 }
+
+/// A pass's findings, or a usage/IO failure (exit 2).
+type PassResult = Result<Vec<Finding>, String>;
+
+/// One source pass: what it is called on the command line, which crates'
+/// `src/` trees of a workspace root it audits (empty = the whole root),
+/// and how to run it over that scope of the corpus. A pass prints its
+/// own summary line.
+struct Pass {
+    name: &'static str,
+    scope: &'static [&'static str],
+    run: fn(&Corpus, &Options) -> PassResult,
+}
+
+/// The source passes, in run (and report) order. The scopes are part of
+/// each pass's meaning — name resolution is corpus-relative:
+///
+/// * `turn`, `verify` — turn discipline and declaration drift /
+///   persistence hazards / reply obligations hold everywhere, test and
+///   example code included;
+/// * `lock` — lock order and guards across blocking work are a
+///   discipline of the runtime substrate (application handlers and test
+///   code follow different ones);
+/// * `replay` — turn determinism is an actor-code discipline (bench and
+///   test harnesses may freely read clocks and RNG);
+/// * `schema` — the crates that define persisted state or on-disk
+///   formats: the actors plus the store engine.
+const PASSES: &[Pass] = &[
+    Pass {
+        name: "turn",
+        scope: &[],
+        run: |corpus, _| Ok(turn_findings(corpus)),
+    },
+    Pass {
+        name: "verify",
+        scope: &[],
+        run: |corpus, _| {
+            let f = verify_corpus(corpus);
+            println!("aodb-verify: {} raw finding(s) across the corpus", f.len());
+            Ok(f)
+        },
+    },
+    Pass {
+        name: "lock",
+        scope: &["runtime", "store", "chaos"],
+        run: run_lock,
+    },
+    Pass {
+        name: "replay",
+        scope: &["shm", "cattle", "core"],
+        run: |corpus, _| {
+            let f = replaycheck_corpus(corpus);
+            println!(
+                "aodb-replaycheck: {} raw finding(s) across the actor crates",
+                f.len()
+            );
+            Ok(f)
+        },
+    },
+    Pass {
+        name: "schema",
+        scope: &["shm", "cattle", "core", "store"],
+        run: run_schema,
+    },
+];
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
@@ -87,61 +138,40 @@ fn parse_args() -> Result<Options, String> {
         src: Vec::new(),
         baseline: None,
         json: false,
-        run_lint: true,
-        run_verify: true,
-        run_lockcheck: true,
-        run_replaycheck: true,
-        run_schemacheck: true,
+        passes: PASSES.iter().map(|p| p.name).collect(),
         schema_lock: None,
         write_schema_lock: None,
         emit_baseline: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        // The path (or list) operand of the flag being parsed.
+        let mut value = || args.next().ok_or(format!("{arg} needs an argument"));
         match arg.as_str() {
-            "--graph" => {
-                let v = args.next().ok_or("--graph needs a file argument")?;
-                opts.graph_file = Some(PathBuf::from(v));
-            }
-            "--dot" => {
-                let v = args.next().ok_or("--dot needs a path argument")?;
-                opts.dot = Some(PathBuf::from(v));
-            }
-            "--lock-dot" => {
-                let v = args.next().ok_or("--lock-dot needs a path argument")?;
-                opts.lock_dot = Some(PathBuf::from(v));
-            }
-            "--src" => {
-                let v = args.next().ok_or("--src needs a directory argument")?;
-                opts.src.push(PathBuf::from(v));
-            }
-            "--baseline" => {
-                let v = args.next().ok_or("--baseline needs a file argument")?;
-                opts.baseline = Some(PathBuf::from(v));
-            }
+            "--graph" => opts.graph_file = Some(value()?.into()),
+            "--dot" => opts.dot = Some(value()?.into()),
+            "--lock-dot" => opts.lock_dot = Some(value()?.into()),
+            "--src" => opts.src.push(value()?.into()),
+            "--baseline" => opts.baseline = Some(value()?.into()),
+            "--schema-lock" => opts.schema_lock = Some(value()?.into()),
+            "--write-schema-lock" => opts.write_schema_lock = Some(value()?.into()),
             "--json" => opts.json = true,
-            "--no-lint" => opts.run_lint = false,
-            "--no-verify" => opts.run_verify = false,
-            "--no-lockcheck" => opts.run_lockcheck = false,
-            "--no-replaycheck" => opts.run_replaycheck = false,
-            "--no-schemacheck" => opts.run_schemacheck = false,
-            "--schema-lock" => {
-                let v = args.next().ok_or("--schema-lock needs a file argument")?;
-                opts.schema_lock = Some(PathBuf::from(v));
-            }
-            "--write-schema-lock" => {
-                let v = args
-                    .next()
-                    .ok_or("--write-schema-lock needs a path argument")?;
-                opts.write_schema_lock = Some(PathBuf::from(v));
+            "--pass" => {
+                opts.passes.clear();
+                for name in value()?.split(',').filter(|n| *n != "none") {
+                    let pass = PASSES.iter().find(|p| p.name == name).ok_or_else(|| {
+                        let known: Vec<_> = PASSES.iter().map(|p| p.name).collect();
+                        format!("unknown pass `{name}` (known: {}, none)", known.join(", "))
+                    })?;
+                    opts.passes.push(pass.name);
+                }
             }
             "--emit-baseline" => opts.emit_baseline = true,
             "--help" | "-h" => {
                 println!(
                     "aodb-lint [--graph <edge-list>] [--dot <path>] [--src <dir>] \
                      [--baseline <file>] [--json] [--lock-dot <path>] \
-                     [--no-lint] [--no-verify] [--no-lockcheck] \
-                     [--no-replaycheck] [--no-schemacheck] [--emit-baseline] \
+                     [--pass <name>[,<name>...]] [--emit-baseline] \
                      [--schema-lock <file>] [--write-schema-lock <path>]"
                 );
                 std::process::exit(0);
@@ -149,71 +179,80 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
+    if opts.src.is_empty() {
+        let root = default_src_root().ok_or("cannot locate the workspace root (pass --src)")?;
+        opts.src.push(root);
+    }
+    if opts.write_schema_lock.is_some() && !opts.passes.contains(&"schema") {
+        return Err("--write-schema-lock needs the `schema` pass".into());
+    }
     Ok(opts)
 }
 
-/// The roots the lockcheck passes audit. A workspace root is narrowed to
-/// the runtime-substrate crates' `src/` trees (application handlers and
-/// test code follow different disciplines, checked by the other passes);
-/// any other root — a fixture directory in the analyzer's own tests — is
-/// audited as-is.
-fn lockcheck_roots(roots: &[PathBuf]) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    for root in roots {
-        if root.join("crates/runtime").is_dir() {
-            for krate in ["runtime", "store", "chaos"] {
-                let src = root.join("crates").join(krate).join("src");
-                if src.is_dir() {
-                    out.push(src);
-                }
-            }
-        } else {
-            out.push(root.clone());
-        }
+/// Writes a DOT dump to `path` (`-` for stdout).
+fn write_dot(path: &Path, dot: String) -> Result<(), String> {
+    if path.as_os_str() == "-" {
+        print!("{dot}");
+        Ok(())
+    } else {
+        std::fs::write(path, dot).map_err(|e| format!("cannot write {}: {e}", path.display()))
     }
-    out
 }
 
-/// The roots the replaycheck passes audit. A workspace root is narrowed
-/// to the actor crates' `src/` trees — turn determinism is an actor-code
-/// discipline; bench and test harnesses may freely read clocks and RNG —
-/// while any other root (fixture directories) is audited as-is.
-fn replaycheck_roots(roots: &[PathBuf]) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    for root in roots {
-        if root.join("crates/runtime").is_dir() {
-            for krate in ["shm", "cattle", "core"] {
-                let src = root.join("crates").join(krate).join("src");
-                if src.is_dir() {
-                    out.push(src);
-                }
-            }
-        } else {
-            out.push(root.clone());
-        }
+fn run_lock(corpus: &Corpus, opts: &Options) -> PassResult {
+    let analysis = lockcheck_corpus(corpus);
+    println!(
+        "aodb-lockcheck: {} lock class(es), {} held-while-acquiring edge(s), \
+         {} raw finding(s)",
+        analysis.graph.nodes().len(),
+        analysis.graph.edges().len(),
+        analysis.findings.len()
+    );
+    if let Some(path) = &opts.lock_dot {
+        write_dot(path, analysis.graph.to_dot())?;
     }
-    out
+    Ok(analysis.findings)
 }
 
-/// The roots the schemacheck passes audit. A workspace root is narrowed
-/// to the crates that define persisted state or on-disk formats —
-/// actors plus the store engine; any other root (fixture directories)
-/// is audited as-is.
-fn schemacheck_roots(roots: &[PathBuf]) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    for root in roots {
-        if root.join("crates/runtime").is_dir() {
-            for krate in ["shm", "cattle", "core", "store"] {
-                let src = root.join("crates").join(krate).join("src");
-                if src.is_dir() {
-                    out.push(src);
-                }
-            }
-        } else {
-            out.push(root.clone());
-        }
+fn run_schema(corpus: &Corpus, opts: &Options) -> PassResult {
+    if let Some(path) = &opts.write_schema_lock {
+        let lock = schema::compute_lock(corpus);
+        std::fs::write(path, lock.render())
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        println!(
+            "aodb-schemacheck: wrote {} layout fingerprint(s) to {}",
+            lock.entries.len(),
+            path.display()
+        );
     }
-    out
+    // Lock resolution: explicit flag, else the file just written, else
+    // `schema.lock` at a source root when one exists. With no lockfile
+    // the drift check is skipped (fixture trees); the unversioned and
+    // ack rules always run.
+    let lock_path = opts
+        .schema_lock
+        .clone()
+        .or_else(|| opts.write_schema_lock.clone())
+        .or_else(|| {
+            opts.src.iter().find_map(|r| {
+                let p = r.join("schema.lock");
+                p.is_file().then_some(p)
+            })
+        });
+    let lock = match &lock_path {
+        Some(path) => Some(SchemaLock::load(path).map_err(|e| e.to_string())?),
+        None => {
+            println!("aodb-schemacheck: no schema.lock found — drift check skipped");
+            None
+        }
+    };
+    let f = schemacheck_corpus(corpus, lock.as_ref());
+    println!(
+        "aodb-schemacheck: {} layout(s) fingerprinted, {} raw finding(s)",
+        schema::extract_entries(corpus).len(),
+        f.len()
+    );
+    Ok(f)
 }
 
 /// The workspace root, resolved relative to this crate's build-time
@@ -294,11 +333,8 @@ fn main() -> ExitCode {
     };
 
     if let Some(dot_path) = &opts.dot {
-        let dot = graph.to_dot();
-        if dot_path.as_os_str() == "-" {
-            print!("{dot}");
-        } else if let Err(e) = std::fs::write(dot_path, dot) {
-            eprintln!("aodb-lint: cannot write {}: {e}", dot_path.display());
+        if let Err(e) = write_dot(dot_path, graph.to_dot()) {
+            eprintln!("aodb-lint: {e}");
             return ExitCode::from(2);
         }
     }
@@ -335,146 +371,26 @@ fn main() -> ExitCode {
         }
     }
 
-    let roots = if opts.src.is_empty() {
-        match default_src_root() {
-            Some(r) => vec![r],
-            None => {
-                eprintln!("aodb-lint: cannot locate the workspace root (pass --src)");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        opts.src.clone()
-    };
-
-    // Collect source-pass findings, then apply the baseline once across
-    // all of them so one file can suppress any pass's finding.
+    // One read + lex + parse of the tree; every pass takes its scope of
+    // it. Findings are collected across passes and the baseline applied
+    // once, so one file can suppress any pass's finding.
     let mut findings: Vec<Finding> = Vec::new();
-
-    if opts.run_lint {
-        for root in &roots {
-            match lint_tree(root) {
-                Ok(f) => findings.extend(f),
-                Err(e) => {
-                    eprintln!("aodb-lint: lint failed under {}: {e}", root.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
-    }
-
-    if opts.run_verify {
-        match verify_tree(&roots) {
-            Ok(f) => {
-                println!("aodb-verify: {} raw finding(s) across the corpus", f.len());
-                findings.extend(f);
-            }
-            Err(e) => {
-                eprintln!("aodb-lint: verify failed: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    if opts.run_lockcheck {
-        match lockcheck_tree(&lockcheck_roots(&roots)) {
-            Ok(analysis) => {
-                println!(
-                    "aodb-lockcheck: {} lock class(es), {} held-while-acquiring edge(s), \
-                     {} raw finding(s)",
-                    analysis.graph.nodes().len(),
-                    analysis.graph.edges().len(),
-                    analysis.findings.len()
-                );
-                if let Some(path) = &opts.lock_dot {
-                    let dot = analysis.graph.to_dot();
-                    if path.as_os_str() == "-" {
-                        print!("{dot}");
-                    } else if let Err(e) = std::fs::write(path, dot) {
-                        eprintln!("aodb-lint: cannot write {}: {e}", path.display());
-                        return ExitCode::from(2);
-                    }
-                }
-                findings.extend(analysis.findings);
-            }
-            Err(e) => {
-                eprintln!("aodb-lint: lockcheck failed: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    if opts.run_replaycheck {
-        match replaycheck_tree(&replaycheck_roots(&roots)) {
-            Ok(f) => {
-                println!(
-                    "aodb-replaycheck: {} raw finding(s) across the actor crates",
-                    f.len()
-                );
-                findings.extend(f);
-            }
-            Err(e) => {
-                eprintln!("aodb-lint: replaycheck failed: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    if opts.run_schemacheck || opts.write_schema_lock.is_some() {
-        let corpus = match Corpus::load(&schemacheck_roots(&roots)) {
+    if !opts.passes.is_empty() {
+        let corpus = match Corpus::load(&opts.src) {
             Ok(c) => c,
             Err(e) => {
-                eprintln!("aodb-lint: schemacheck failed: {e}");
+                eprintln!("aodb-lint: cannot read the source tree: {e}");
                 return ExitCode::from(2);
             }
         };
-        if let Some(path) = &opts.write_schema_lock {
-            let lock = schema::compute_lock(&corpus);
-            if let Err(e) = std::fs::write(path, lock.render()) {
-                eprintln!("aodb-lint: cannot write {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-            println!(
-                "aodb-schemacheck: wrote {} layout fingerprint(s) to {}",
-                lock.entries.len(),
-                path.display()
-            );
-        }
-        if opts.run_schemacheck {
-            // Lock resolution: explicit flag, else the file just written,
-            // else `schema.lock` at a source root when one exists. With
-            // no lockfile the drift check is skipped (fixture trees);
-            // the unversioned and ack rules always run.
-            let lock_path = opts
-                .schema_lock
-                .clone()
-                .or_else(|| opts.write_schema_lock.clone())
-                .or_else(|| {
-                    roots.iter().find_map(|r| {
-                        let p = r.join("schema.lock");
-                        p.is_file().then_some(p)
-                    })
-                });
-            let lock = match &lock_path {
-                Some(path) => match SchemaLock::load(path) {
-                    Ok(l) => Some(l),
-                    Err(e) => {
-                        eprintln!("aodb-lint: {e}");
-                        return ExitCode::from(2);
-                    }
-                },
-                None => {
-                    println!("aodb-schemacheck: no schema.lock found — drift check skipped");
-                    None
+        for pass in PASSES.iter().filter(|p| opts.passes.contains(&p.name)) {
+            match (pass.run)(&corpus.scope(pass.scope), &opts) {
+                Ok(f) => findings.extend(f),
+                Err(e) => {
+                    eprintln!("aodb-lint: {e}");
+                    return ExitCode::from(2);
                 }
-            };
-            let f = schemacheck_corpus(&corpus, lock.as_ref());
-            println!(
-                "aodb-schemacheck: {} layout(s) fingerprinted, {} raw finding(s)",
-                schema::extract_entries(&corpus).len(),
-                f.len()
-            );
-            findings.extend(f);
+            }
         }
     }
 

@@ -6,9 +6,11 @@
 //! * **Item model** ([`FileModel`]) — every `impl` block (with its self
 //!   type, trait, and trait argument), every `fn` (with its owner, `&mut
 //!   self`-ness, and parameter roles), every `Actor` impl's `TYPE_NAME`
-//!   and `declared_calls()` entries, and every struct carrying `ReplyTo`
-//!   fields. Items are found anywhere, including impls nested inside
-//!   test functions.
+//!   and `declared_calls()` entries, and every `struct`/`enum` with its
+//!   body split into field segments ([`TypeDef`]) — the one struct
+//!   scanner the reply, lock-class, unordered-class and layout passes
+//!   all filter. Items are found anywhere, including impls nested
+//!   inside test functions.
 //! * **Flow tree** ([`Flow`]) — each function body parsed into
 //!   sequences, branches (`if`/`else` chains, `match`, `let..else`),
 //!   loops, `return`s, and `?` exits. Closure bodies are flattened into
@@ -16,7 +18,11 @@
 //!   matters, its exits do not.
 //! * **Evaluator** ([`eval_flow`]) — propagates a small state set over
 //!   the tree (branches fork and re-merge, loops run zero-or-once) and
-//!   reports the state at every function exit.
+//!   reports the state at every function exit. It is the only flow
+//!   walk in the crate: an analysis supplies a [`Transfer`] — a closure
+//!   over token runs, or a context that also wants the scope-exit hook
+//!   (guard liveness in [`crate::locks`]) or the `return` hook (reply
+//!   values in [`crate::effects`]).
 //!
 //! Two analyses live here because they are pure per-function dataflow:
 //! the **persistence hazard** check (a `Persisted::get_mut_untracked()`
@@ -32,15 +38,12 @@
 //! code, which errs toward *missing* findings, never toward crashing.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 
-use crate::lexer::{lex, Tok, TokKind};
+use crate::lexer::{lex, skip_group, Tok, TokKind};
 use crate::lint::{Finding, Rule};
-
-/// Method names that mark `Persisted` state as durably captured. Shared
-/// with the replaycheck effect walk, where the same calls are the
-/// "persisted write" sinks a tainted value must not reach.
-pub(crate) const PERSIST_METHODS: &[&str] = &["mutate", "save", "flush", "persist", "save_state"];
 
 // ---------------------------------------------------------------- model
 
@@ -56,8 +59,8 @@ pub struct FileModel {
     pub fns: Vec<FnItem>,
     /// Every `impl Actor for T` found, with name and declarations.
     pub actors: Vec<ActorInfo>,
-    /// Struct name → names of its `ReplyTo<_>` fields.
-    pub reply_structs: HashMap<String, Vec<String>>,
+    /// Every `struct`/`enum` definition, in source order.
+    pub types: Vec<TypeDef>,
     /// Line → `aodb-lint: allow(...)` rule names on that line.
     pub allows: HashMap<u32, Vec<String>>,
 }
@@ -83,6 +86,22 @@ pub struct Decl {
     pub line: u32,
 }
 
+/// One `struct` or `enum` definition with its body split into fields.
+pub struct TypeDef {
+    /// Type identifier.
+    pub name: String,
+    /// Line of the name.
+    pub line: u32,
+    /// True for an `enum` (the segments are variants, not fields).
+    pub is_enum: bool,
+    /// True for a tuple struct (the segments are positional).
+    pub tuple: bool,
+    /// Token range of each top-level comma-separated body segment — one
+    /// per field or variant, attributes and visibility included. Unit
+    /// structs have no body and are not recorded at all.
+    pub fields: Vec<Range<usize>>,
+}
+
 /// The impl block owning a method.
 #[derive(Clone, Debug)]
 pub struct Owner {
@@ -105,17 +124,112 @@ pub struct FnItem {
     pub owner: Option<Owner>,
     /// Whether the receiver is `&mut self`.
     pub has_mut_self: bool,
+    /// The non-`self` parameters: name and type token range.
+    pub params: Vec<(String, Range<usize>)>,
     /// Names of parameters whose type mentions `ActorContext`.
     pub ctx_params: Vec<String>,
-    /// First parameter that is neither `self` nor a context (the message
-    /// in a `Handler::handle`).
-    pub msg_param: Option<String>,
     /// Parsed body.
     pub body: Flow,
     /// Token index range of the body's interior.
     pub body_range: (usize, usize),
     /// Line of the body's closing brace (fall-through exit line).
     pub end_line: u32,
+}
+
+/// Where one field class was declared.
+pub struct ClassDef {
+    /// Owning struct identifier (`static` for a static item).
+    pub owner: String,
+    /// Field name.
+    pub field: String,
+    /// Index into the corpus' file list.
+    pub file: usize,
+    /// Line of the declaration.
+    pub line: u32,
+}
+
+/// A corpus-wide registry of the struct fields of one kind — lock sites
+/// for lockcheck, unordered collections for replaycheck — each a *class*
+/// named `Owner.field`. Receivers resolve against it by owner-qualified
+/// field first and corpus-unique field name second.
+#[derive(Default)]
+pub struct FieldClasses {
+    /// Class id → display name (`Owner.field`). A pass may append
+    /// display-only classes that have no declaration in `defs`.
+    pub names: Vec<String>,
+    /// Declarations of the interned classes, id-indexed.
+    pub defs: Vec<ClassDef>,
+    by_owner_field: HashMap<(String, String), u16>,
+    by_field: HashMap<String, Vec<u16>>,
+}
+
+impl FieldClasses {
+    /// Interns a class for every named struct field in `files` whose
+    /// type mentions one of `type_idents`.
+    pub fn of_fields(files: &[Rc<FileModel>], type_idents: &[&str]) -> FieldClasses {
+        let mut classes = FieldClasses::default();
+        for (fi, model) in files.iter().enumerate() {
+            for def in &model.types {
+                for (field, ty) in model.named_fields(def) {
+                    if model.mentions(ty, type_idents) {
+                        classes.intern(&def.name, &field.text, fi, field.line);
+                    }
+                }
+            }
+        }
+        classes
+    }
+
+    /// The id of class `owner.field`, registering it on first sight.
+    pub fn intern(&mut self, owner: &str, field: &str, file: usize, line: u32) -> u16 {
+        if let Some(id) = self.by_owner_field(owner, field) {
+            return id;
+        }
+        let id = self.names.len() as u16;
+        self.names.push(format!("{owner}.{field}"));
+        self.defs.push(ClassDef {
+            owner: owner.to_string(),
+            field: field.to_string(),
+            file,
+            line,
+        });
+        self.by_owner_field
+            .insert((owner.to_string(), field.to_string()), id);
+        self.by_field.entry(field.to_string()).or_default().push(id);
+        id
+    }
+
+    /// `(owner, field)` lookup.
+    pub fn by_owner_field(&self, owner: &str, field: &str) -> Option<u16> {
+        self.by_owner_field
+            .get(&(owner.to_string(), field.to_string()))
+            .copied()
+    }
+
+    /// The unique class with this field name, if unambiguous.
+    pub fn unique_field(&self, field: &str) -> Option<u16> {
+        match self.by_field.get(field).map(Vec::as_slice) {
+            Some([one]) => Some(*one),
+            _ => None,
+        }
+    }
+}
+
+/// A corpus-wide function-name index: name → every `(file, fn)` index
+/// pair defining it.
+pub(crate) type FnIndex = HashMap<String, Vec<(usize, usize)>>;
+
+/// Name-based callee resolution, the same envelope for every pass that
+/// follows a call: a single candidate in the calling file wins;
+/// otherwise the name must be corpus-unique.
+pub(crate) fn resolve_callee(index: &FnIndex, file: usize, name: &str) -> Option<(usize, usize)> {
+    let candidates = index.get(name)?;
+    let mut same_file = candidates.iter().filter(|(cf, _)| *cf == file);
+    match (same_file.next(), same_file.next()) {
+        (Some(one), None) => Some(*one),
+        (None, _) if candidates.len() == 1 => Some(candidates[0]),
+        _ => None,
+    }
 }
 
 // ------------------------------------------------------------ flow tree
@@ -182,17 +296,39 @@ pub struct Exit<S> {
 /// dropped (the analyses stay linting-sound: they may miss, not crash).
 const MAX_STATES: usize = 32;
 
-/// Evaluates `flow` with the given transfer function over every path,
-/// returning the state at each exit. `transfer` mutates a state with the
-/// effects of a straight-line token run.
+/// The analysis-specific half of [`eval_flow`]: how a path state changes
+/// along the tree. A plain `FnMut(&mut S, &[usize])` closure is a
+/// `Transfer` that only looks at token runs.
+pub trait Transfer<S> {
+    /// Applies a straight-line token run to one path state. `depth` is
+    /// the nesting of blocks, branch arms and loop bodies around it.
+    fn run(&mut self, state: &mut S, toks: &[usize], depth: u16);
+
+    /// A block, branch arm or loop body nested in `depth` has ended on
+    /// this path (locals bound inside it are gone).
+    fn exit_scope(&mut self, _state: &mut S, _depth: u16) {}
+
+    /// The path leaves through `return <toks>`; called after
+    /// [`Transfer::run`] has seen the expression.
+    fn on_return(&mut self, _state: &mut S, _toks: &[usize]) {}
+}
+
+impl<S, F: FnMut(&mut S, &[usize])> Transfer<S> for F {
+    fn run(&mut self, state: &mut S, toks: &[usize], _depth: u16) {
+        self(state, toks)
+    }
+}
+
+/// Evaluates `flow` with the given transfer over every path, returning
+/// the state at each exit.
 pub fn eval_flow<S: Clone + PartialEq>(
     flow: &Flow,
     init: S,
     end_line: u32,
-    transfer: &mut impl FnMut(&mut S, &[usize]),
+    transfer: &mut impl Transfer<S>,
 ) -> Vec<Exit<S>> {
     let mut exits = Vec::new();
-    let finals = eval_seq(flow, vec![init], &mut exits, transfer);
+    let finals = eval_seq(flow, vec![init], 0, &mut exits, transfer);
     for state in finals {
         exits.push(Exit {
             state,
@@ -206,22 +342,24 @@ pub fn eval_flow<S: Clone + PartialEq>(
 fn eval_seq<S: Clone + PartialEq>(
     flow: &Flow,
     mut states: Vec<S>,
+    depth: u16,
     exits: &mut Vec<Exit<S>>,
-    transfer: &mut impl FnMut(&mut S, &[usize]),
+    transfer: &mut impl Transfer<S>,
 ) -> Vec<S> {
     for step in &flow.0 {
         match step {
             Step::Run(idxs) => {
                 for s in &mut states {
-                    transfer(s, idxs);
+                    transfer.run(s, idxs, depth);
                 }
             }
             Step::Scope(body) => {
-                states = eval_seq(body, states, exits, transfer);
+                states = eval_nested(body, states, depth, exits, transfer);
             }
             Step::Return { toks, line } => {
                 for mut s in states.drain(..) {
-                    transfer(&mut s, toks);
+                    transfer.run(&mut s, toks, depth);
+                    transfer.on_return(&mut s, toks);
                     exits.push(Exit {
                         state: s,
                         kind: ExitKind::Return,
@@ -245,7 +383,7 @@ fn eval_seq<S: Clone + PartialEq>(
                     states.clone()
                 };
                 for arm in arms {
-                    for s in eval_seq(arm, states.clone(), exits, transfer) {
+                    for s in eval_nested(arm, states.clone(), depth, exits, transfer) {
                         if !out.contains(&s) {
                             out.push(s);
                         }
@@ -254,7 +392,7 @@ fn eval_seq<S: Clone + PartialEq>(
                 states = out;
             }
             Step::Loop(body) => {
-                for s in eval_seq(body, states.clone(), exits, transfer) {
+                for s in eval_nested(body, states.clone(), depth, exits, transfer) {
                     if !states.contains(&s) {
                         states.push(s);
                     }
@@ -270,6 +408,22 @@ fn eval_seq<S: Clone + PartialEq>(
     states
 }
 
+/// Runs a body nested in `depth` (block, branch arm, loop body) and
+/// closes its scope on every path that falls out of it.
+fn eval_nested<S: Clone + PartialEq>(
+    body: &Flow,
+    from: Vec<S>,
+    depth: u16,
+    exits: &mut Vec<Exit<S>>,
+    transfer: &mut impl Transfer<S>,
+) -> Vec<S> {
+    let mut out = eval_seq(body, from, depth + 1, exits, transfer);
+    for s in &mut out {
+        transfer.exit_scope(s, depth);
+    }
+    out
+}
+
 // --------------------------------------------------------------- parser
 
 impl FileModel {
@@ -281,7 +435,7 @@ impl FileModel {
             lines: src.lines().map(str::to_string).collect(),
             fns: Vec::new(),
             actors: Vec::new(),
-            reply_structs: HashMap::new(),
+            types: Vec::new(),
             allows: HashMap::new(),
         };
         for (idx, raw) in src.lines().enumerate() {
@@ -370,6 +524,59 @@ impl FileModel {
         })
     }
 
+    /// The `name: Type` fields of a braced struct, as (name token, type
+    /// token range). The name is the last identifier before the
+    /// segment's first `:`; a segment whose first colon belongs to a
+    /// `::` path (`pub(in a::b) f: T`) is skipped rather than misnamed.
+    pub fn named_fields<'a>(
+        &'a self,
+        def: &'a TypeDef,
+    ) -> impl Iterator<Item = (&'a Tok, Range<usize>)> + 'a {
+        let plain = !def.is_enum && !def.tuple;
+        def.fields.iter().filter(move |_| plain).filter_map(|seg| {
+            let colon = seg.clone().find(|&k| self.toks[k].is_punct(':'))?;
+            if self.toks.get(colon + 1).is_some_and(|t| t.is_punct(':')) {
+                return None;
+            }
+            let name = self.toks[seg.start..colon]
+                .iter()
+                .rev()
+                .find(|t| t.kind == TokKind::Ident)?;
+            Some((name, colon + 1..seg.end))
+        })
+    }
+
+    /// True when the token range mentions one of these identifiers
+    /// (`Mutex`, `HashMap`, `ReplyTo`, ... in a type position).
+    pub fn mentions(&self, range: Range<usize>, idents: &[&str]) -> bool {
+        self.toks[range.start..range.end.min(self.toks.len())]
+            .iter()
+            .any(|t| t.kind == TokKind::Ident && idents.contains(&t.text.as_str()))
+    }
+
+    /// The innermost function whose body contains token `idx` — the
+    /// `item` key of findings that come from a plain token scan.
+    pub fn enclosing_fn(&self, idx: usize) -> Option<&FnItem> {
+        self.fns
+            .iter()
+            .filter(|f| f.body_range.0 <= idx && idx < f.body_range.1)
+            .max_by_key(|f| f.body_range.0)
+    }
+
+    /// A finding of `rule` at `line` of this file, keyed to `item` for
+    /// the baseline (lockcheck and replaycheck add a `class`).
+    pub fn finding(&self, rule: Rule, line: u32, item: Option<String>, detail: String) -> Finding {
+        Finding {
+            rule,
+            file: self.path.clone(),
+            line,
+            excerpt: self.excerpt(line),
+            detail,
+            item,
+            class: None,
+        }
+    }
+
     /// The raw source line (trimmed) for an excerpt, if in range.
     pub fn excerpt(&self, line: u32) -> String {
         self.lines
@@ -377,6 +584,33 @@ impl FileModel {
             .map(|l| l.trim().to_string())
             .unwrap_or_default()
     }
+}
+
+/// Last path segment of the first generic argument of the first `<..>`
+/// group in `[start, end)` — `Handler<aodb_core::ReminderFired>` →
+/// `ReminderFired` — and the index where the scan stopped (the group's
+/// `>`, or the `,` that ends the first argument).
+pub(crate) fn first_generic_arg(toks: &[Tok], start: usize, end: usize) -> (Option<String>, usize) {
+    let Some(open) = (start..end).find(|&i| toks[i].is_punct('<')) else {
+        return (None, end);
+    };
+    let mut angle = 1i32;
+    let mut found = None;
+    let mut i = open + 1;
+    while i < end && angle > 0 {
+        let t = &toks[i];
+        if t.is_punct('<') {
+            angle += 1;
+        } else if t.is_punct('>') {
+            angle -= 1;
+        } else if angle == 1 && t.is_punct(',') {
+            break;
+        } else if angle == 1 && t.kind == TokKind::Ident {
+            found = Some(t.text.clone());
+        }
+        i += 1;
+    }
+    (found, i)
 }
 
 struct Parser<'m> {
@@ -399,7 +633,7 @@ impl Parser<'_> {
             match t.text.as_str() {
                 "impl" => i = self.parse_impl(i, end),
                 "fn" => i = self.parse_fn(i, end, owner),
-                "struct" => i = self.parse_struct(i, end),
+                "struct" | "enum" => i = self.parse_type_def(i, end),
                 "mod" => {
                     // `mod name { ... }` → recurse; `mod name;` → skip.
                     let mut j = i + 1;
@@ -420,22 +654,9 @@ impl Parser<'_> {
         }
     }
 
-    /// Index just past the `}` matching the `{` at `open`.
+    /// Index of the `}` matching the `{` at `open`.
     fn match_brace(&self, open: usize, end: usize) -> usize {
-        let mut depth = 0i32;
-        let mut i = open;
-        while i < end {
-            if self.tok(i).is_punct('{') {
-                depth += 1;
-            } else if self.tok(i).is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
-            }
-            i += 1;
-        }
-        end.saturating_sub(1)
+        skip_group(&self.model.toks, open, end, '{', '}').saturating_sub(1)
     }
 
     /// Skips a balanced `<...>` generics group starting at `i` (which
@@ -500,34 +721,18 @@ impl Parser<'_> {
     /// Splits an impl header into (trait, self type): `Handler<M> for X`.
     fn impl_owner(&self, start: usize, mut end: usize) -> Owner {
         // A trailing `where` clause is not part of either type.
-        if let Some(w) = self.depth0_where(start, end) {
+        let at_depth0 = |kw: &str, end: usize| {
+            let outside = self.depth0(start, end);
+            outside.into_iter().find(|&i| self.tok(i).is_ident(kw))
+        };
+        if let Some(w) = at_depth0("where", end) {
             end = w;
         }
-        // Find ` for ` at angle depth 0.
-        let mut angle = 0i32;
-        let mut for_at = None;
-        let mut i = start;
-        while i < end {
-            let t = self.tok(i);
-            if t.is_punct('-') && i + 1 < end && self.tok(i + 1).is_punct('>') {
-                i += 2;
-                continue;
-            }
-            if t.is_punct('<') {
-                angle += 1;
-            } else if t.is_punct('>') {
-                angle -= 1;
-            } else if angle == 0 && t.is_ident("for") {
-                for_at = Some(i);
-                break;
-            }
-            i += 1;
-        }
-        match for_at {
+        match at_depth0("for", end) {
             Some(f) => Owner {
                 type_ident: self.last_depth0_ident(f + 1, end).unwrap_or_default(),
                 trait_ident: self.last_depth0_ident(start, f),
-                trait_arg: self.first_generic_arg(start, f),
+                trait_arg: first_generic_arg(&self.model.toks, start, f).0,
             },
             None => Owner {
                 type_ident: self.last_depth0_ident(start, end).unwrap_or_default(),
@@ -537,9 +742,11 @@ impl Parser<'_> {
         }
     }
 
-    /// Index of a `where` keyword at angle depth 0, if any.
-    fn depth0_where(&self, start: usize, end: usize) -> Option<usize> {
+    /// The token indices of `[start, end)` outside every `<..>` group
+    /// (`->` arrows are not closers).
+    fn depth0(&self, start: usize, end: usize) -> Vec<usize> {
         let mut angle = 0i32;
+        let mut out = Vec::new();
         let mut i = start;
         while i < end {
             let t = self.tok(i);
@@ -551,59 +758,22 @@ impl Parser<'_> {
                 angle += 1;
             } else if t.is_punct('>') {
                 angle -= 1;
-            } else if angle == 0 && t.is_ident("where") {
-                return Some(i);
+            } else if angle == 0 {
+                out.push(i);
             }
             i += 1;
         }
-        None
+        out
     }
 
     /// Last identifier at angle depth 0 in `[start, end)` (the final
     /// path segment of a possibly-generic type).
     fn last_depth0_ident(&self, start: usize, end: usize) -> Option<String> {
-        let mut angle = 0i32;
-        let mut found = None;
-        let mut i = start;
-        while i < end {
-            let t = self.tok(i);
-            if t.is_punct('-') && i + 1 < end && self.tok(i + 1).is_punct('>') {
-                i += 2;
-                continue;
-            }
-            if t.is_punct('<') {
-                angle += 1;
-            } else if t.is_punct('>') {
-                angle -= 1;
-            } else if angle == 0 && t.kind == TokKind::Ident {
-                found = Some(t.text.clone());
-            }
-            i += 1;
-        }
-        found
-    }
-
-    /// Last path segment of the first generic argument in `[start, end)`:
-    /// `Handler<aodb_core::ReminderFired>` → `ReminderFired`.
-    fn first_generic_arg(&self, start: usize, end: usize) -> Option<String> {
-        let open = (start..end).find(|&i| self.tok(i).is_punct('<'))?;
-        let mut angle = 1i32;
-        let mut found = None;
-        let mut i = open + 1;
-        while i < end && angle > 0 {
-            let t = self.tok(i);
-            if t.is_punct('<') {
-                angle += 1;
-            } else if t.is_punct('>') {
-                angle -= 1;
-            } else if angle == 1 && t.is_punct(',') {
-                break;
-            } else if angle == 1 && t.kind == TokKind::Ident {
-                found = Some(t.text.clone());
-            }
-            i += 1;
-        }
-        found
+        let outside = self.depth0(start, end);
+        let last = outside
+            .into_iter()
+            .rfind(|&i| self.tok(i).kind == TokKind::Ident)?;
+        Some(self.tok(last).text.clone())
     }
 
     /// `const TYPE_NAME .. = "x";` and `declared_calls` bodies are the
@@ -644,67 +814,69 @@ impl Parser<'_> {
         i + 1
     }
 
-    fn parse_struct(&mut self, kw: usize, end: usize) -> usize {
+    /// Records the `struct`/`enum` at `kw` with its body split on
+    /// top-level commas. Bracket kinds nest, and angle depth is tracked
+    /// outside them, so the commas in `Vec<(u64, u64)>` or in a variant's
+    /// `{ a: u8, b: u8 }` don't split a field.
+    fn parse_type_def(&mut self, kw: usize, end: usize) -> usize {
         let mut i = kw + 1;
-        let Some(name) =
-            (i < end && self.tok(i).kind == TokKind::Ident).then(|| self.tok(i).text.clone())
-        else {
+        if i >= end || self.tok(i).kind != TokKind::Ident {
             return i;
-        };
-        i += 1;
-        if i < end && self.tok(i).is_punct('<') {
-            i = self.skip_angles(i, end);
         }
-        // Unit / tuple structs carry no named ReplyTo fields we track.
-        while i < end
-            && !self.tok(i).is_punct('{')
-            && !self.tok(i).is_punct(';')
-            && !self.tok(i).is_punct('(')
-        {
+        let (name, line) = (self.tok(i).text.clone(), self.tok(i).line);
+        // Skip generics / where clause to the body opener.
+        let mut angle = 0i32;
+        while i < end {
+            let t = self.tok(i);
+            if t.is_punct('<') {
+                angle += 1;
+            } else if t.is_punct('>') {
+                angle -= 1;
+            } else if angle <= 0 && (t.is_punct('{') || t.is_punct('(') || t.is_punct(';')) {
+                break;
+            }
             i += 1;
         }
-        if i >= end || !self.tok(i).is_punct('{') {
-            return i + 1;
+        let mut def = TypeDef {
+            name,
+            line,
+            is_enum: self.tok(kw).is_ident("enum"),
+            tuple: i < end && self.tok(i).is_punct('('),
+            fields: Vec::new(),
+        };
+        if i >= end || self.tok(i).is_punct(';') {
+            return i + 1; // unit struct: no body to record
         }
-        let close = self.match_brace(i, end);
-        let mut fields = Vec::new();
-        // Split body on top-level commas; a field whose type mentions
-        // ReplyTo is a reply sink.
+        let close = if def.tuple {
+            skip_group(&self.model.toks, i, end, '(', ')').saturating_sub(1)
+        } else {
+            self.match_brace(i, end)
+        };
         let mut seg_start = i + 1;
-        let mut depth = 0i32;
+        let (mut depth, mut angle) = (0i32, 0i32);
         for j in i + 1..=close {
             let t = self.tok(j);
-            let top_comma = depth == 0 && t.is_punct(',');
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('>') {
-                depth -= 1;
-            }
-            if top_comma || j == close {
-                if let Some(field) = self.reply_field(seg_start, j) {
-                    fields.push(field);
+            if j < close {
+                if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+                    depth += 1;
+                } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+                    depth -= 1;
+                } else if depth == 0 && t.is_punct('<') {
+                    angle += 1;
+                } else if depth == 0 && t.is_punct('>') {
+                    angle -= 1;
                 }
-                seg_start = j + 1;
+                if !(depth == 0 && angle == 0 && t.is_punct(',')) {
+                    continue;
+                }
             }
+            if seg_start < j {
+                def.fields.push(seg_start..j);
+            }
+            seg_start = j + 1;
         }
-        if !fields.is_empty() {
-            self.model.reply_structs.insert(name, fields);
-        }
+        self.model.types.push(def);
         close + 1
-    }
-
-    /// In a field segment `pub name: Type`, returns the field name when
-    /// the type mentions `ReplyTo`.
-    fn reply_field(&self, start: usize, end: usize) -> Option<String> {
-        let colon = (start..end).find(|&i| self.tok(i).is_punct(':'))?;
-        if !(colon..end).any(|i| self.tok(i).is_ident("ReplyTo")) {
-            return None;
-        }
-        (start..colon)
-            .rev()
-            .map(|i| self.tok(i))
-            .find(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text.clone())
     }
 
     fn parse_fn(&mut self, kw: usize, end: usize, owner: Option<&Owner>) -> usize {
@@ -739,8 +911,12 @@ impl Parser<'_> {
             }
             i += 1;
         }
-        let (has_mut_self, ctx_params, msg_param) =
-            self.parse_params(params_open + 1, params_close);
+        let (has_mut_self, params) = self.parse_params(params_open + 1, params_close);
+        let ctx_params = params
+            .iter()
+            .filter(|(_, ty)| self.model.mentions(ty.clone(), &["ActorContext"]))
+            .map(|(name, _)| name.clone())
+            .collect();
         // Return type / where clause: up to the body `{` or a `;`.
         i = params_close + 1;
         let mut depth = 0i32;
@@ -773,8 +949,8 @@ impl Parser<'_> {
             line: fn_line,
             owner: owner.cloned(),
             has_mut_self,
+            params,
             ctx_params,
-            msg_param,
             body,
             body_range: (open + 1, close),
             end_line: self.tok(close).line,
@@ -784,42 +960,27 @@ impl Parser<'_> {
         close + 1
     }
 
-    /// Returns (`&mut self` present, ctx param names, message param).
-    fn parse_params(&self, start: usize, end: usize) -> (bool, Vec<String>, Option<String>) {
+    /// Returns (`&mut self` present, the non-`self` parameters as name
+    /// and type token range).
+    fn parse_params(&self, start: usize, end: usize) -> (bool, Vec<(String, Range<usize>)>) {
         let mut has_mut_self = false;
-        let mut ctx = Vec::new();
-        let mut msg = None;
+        let mut params = Vec::new();
         let mut depth = 0i32;
         let mut seg_start = start;
         let mut handle_seg = |s: usize, e: usize| {
-            if s >= e {
-                return;
-            }
-            let idents: Vec<&str> = (s..e)
-                .map(|i| self.tok(i))
-                .filter(|t| t.kind == TokKind::Ident)
-                .map(|t| t.text.as_str())
-                .collect();
-            if idents.contains(&"self") {
-                if idents.contains(&"mut") {
-                    has_mut_self = true;
-                }
+            let is_ident = |kw| (s..e).any(|i| self.tok(i).is_ident(kw));
+            if is_ident("self") {
+                has_mut_self |= is_ident("mut");
                 return;
             }
             let Some(colon) = (s..e).find(|&i| self.tok(i).is_punct(':')) else {
                 return;
             };
-            let Some(name) = (s..colon)
+            let name = (s..colon)
                 .map(|i| self.tok(i))
-                .find(|t| t.kind == TokKind::Ident && t.text != "mut")
-                .map(|t| t.text.clone())
-            else {
-                return;
-            };
-            if (colon..e).any(|i| self.tok(i).is_ident("ActorContext")) {
-                ctx.push(name);
-            } else if msg.is_none() {
-                msg = Some(name);
+                .find(|t| t.kind == TokKind::Ident && t.text != "mut");
+            if let Some(name) = name {
+                params.push((name.text.clone(), colon + 1..e));
             }
         };
         let mut i = start;
@@ -840,7 +1001,7 @@ impl Parser<'_> {
             i += 1;
         }
         handle_seg(seg_start, end);
-        (has_mut_self, ctx, msg)
+        (has_mut_self, params)
     }
 }
 
@@ -1161,7 +1322,7 @@ pub fn reply_findings(
         };
         // Bitmask of still-unconsumed sinks.
         let all: u32 = (1u32 << fields.len().min(31)) - 1;
-        let exits = eval_flow(&f.body, all, f.end_line, &mut |mask, idxs| {
+        let mut transfer = |mask: &mut u32, idxs: &[usize]| {
             for &j in idxs {
                 let t = &model.toks[j];
                 if t.kind != TokKind::Ident {
@@ -1171,7 +1332,8 @@ pub fn reply_findings(
                     *mask &= !(1u32 << k);
                 }
             }
-        });
+        };
+        let exits = eval_flow(&f.body, all, f.end_line, &mut transfer);
         let mut reported: Vec<u32> = Vec::new();
         for exit in exits {
             if exit.kind == ExitKind::Try || exit.state == 0 {
@@ -1190,12 +1352,11 @@ pub fn reply_findings(
                 .filter(|(k, _)| exit.state & (1 << k) != 0)
                 .map(|(_, n)| n.as_str())
                 .collect();
-            findings.push(Finding {
-                rule: Rule::ReplyLeak,
-                file: model.path.clone(),
-                line: exit.line,
-                excerpt: model.excerpt(exit.line),
-                detail: format!(
+            findings.push(model.finding(
+                Rule::ReplyLeak,
+                exit.line,
+                Some(f.name.clone()),
+                format!(
                     "handler of `{msg_type}` for `{}` can exit here without delivering or \
                      forwarding reply sink(s) {} — the caller's promise is lost",
                     owner.type_ident,
@@ -1205,9 +1366,7 @@ pub fn reply_findings(
                         .collect::<Vec<_>>()
                         .join(", "),
                 ),
-                item: Some(f.name.clone()),
-                class: None,
-            });
+            ));
         }
     }
     findings
@@ -1234,7 +1393,8 @@ mod tests {
         assert_eq!(h.name, "handle");
         assert!(h.has_mut_self);
         assert_eq!(h.ctx_params, ["ctx"]);
-        assert_eq!(h.msg_param.as_deref(), Some("msg"));
+        let names: Vec<&str> = h.params.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["msg", "ctx"]);
         let o = h.owner.as_ref().unwrap();
         assert_eq!(o.type_ident, "Gateway");
         assert_eq!(o.trait_ident.as_deref(), Some("Handler"));
@@ -1260,15 +1420,15 @@ mod tests {
 
     #[test]
     fn reply_struct_fields() {
-        let m = model(
-            "pub struct Slaughter {\n\
+        let src = "pub struct Slaughter {\n\
              pub cow: String,\n\
              pub reply: ReplyTo<Option<Vec<String>>>,\n\
              }\n\
-             struct Plain { x: u32 }\n",
-        );
-        assert_eq!(m.reply_structs.get("Slaughter").unwrap(), &["reply"]);
-        assert!(!m.reply_structs.contains_key("Plain"));
+             struct Plain { x: u32 }\n";
+        let corpus = crate::Corpus::from_sources(vec![("test.rs".into(), src.into())]);
+        let replies = corpus.reply_structs();
+        assert_eq!(replies.get("Slaughter").unwrap(), &["reply"]);
+        assert!(!replies.contains_key("Plain"));
     }
 
     #[test]

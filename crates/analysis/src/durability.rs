@@ -32,23 +32,10 @@
 //! `persistence-hazard` alone (an exit with uncommitted state *is* the
 //! ack-before-commit of the sync path).
 
-use crate::dataflow::{eval_flow, FileModel, FnItem, PERSIST_METHODS};
-use crate::lexer::TokKind;
+use crate::dataflow::{eval_flow, FileModel, FnItem};
+use crate::lexer::{is_method_call, skip_group, TokKind};
 use crate::lint::{Finding, Rule};
-
-/// Store-write methods that commit state durably beyond the `Persisted`
-/// capture methods: the tseries seam commits points + sidecar in one
-/// atomic tail record. `append_batch_async` is the group-commit form of
-/// the same seam — the captured sidecar rides the WAL frame and the
-/// deferred reply resolves only after the group fsyncs, so a handler
-/// that mutates untracked state and then calls it has committed (the
-/// ack is gated on the durability of exactly this write).
-pub(crate) const COMMIT_METHODS: &[&str] = &["append_batch", "append_batch_async"];
-
-/// True when a method name is a commit-point store write.
-fn is_commit_method(name: &str) -> bool {
-    PERSIST_METHODS.contains(&name) || COMMIT_METHODS.contains(&name)
-}
+use crate::taxonomy::is_commit_method;
 
 /// Persistence-hazard findings for one file: a `&mut self` method where
 /// a `get_mut_untracked()` mutation reaches an exit with no intervening
@@ -65,16 +52,11 @@ pub fn persistence_findings(model: &FileModel) -> Vec<Finding> {
             continue;
         }
         let exempt = overlay_exempt_positions(model, f);
-        let exits = eval_flow(&f.body, None::<u32>, f.end_line, &mut |pending, idxs| {
+        // Path state: line of a mutation no commit point has covered yet.
+        let mut transfer = |pending: &mut Option<u32>, idxs: &[usize]| {
             for &j in idxs {
                 let t = &model.toks[j];
-                if t.kind != TokKind::Ident {
-                    continue;
-                }
-                let method_call = j > 0
-                    && model.toks[j - 1].is_punct('.')
-                    && model.toks.get(j + 1).is_some_and(|n| n.is_punct('('));
-                if !method_call {
+                if !is_method_call(&model.toks, j) {
                     continue;
                 }
                 if t.text == "get_mut_untracked" {
@@ -85,7 +67,8 @@ pub fn persistence_findings(model: &FileModel) -> Vec<Finding> {
                     *pending = None;
                 }
             }
-        });
+        };
+        let exits = eval_flow(&f.body, None, f.end_line, &mut transfer);
         let mut reported: Vec<u32> = Vec::new();
         for exit in exits {
             let Some(mutation_line) = exit.state else {
@@ -100,20 +83,17 @@ pub fn persistence_findings(model: &FileModel) -> Vec<Finding> {
             {
                 continue;
             }
-            findings.push(Finding {
-                rule: Rule::PersistenceHazard,
-                file: model.path.clone(),
-                line: exit.line,
-                excerpt: model.excerpt(exit.line),
-                detail: format!(
+            findings.push(model.finding(
+                Rule::PersistenceHazard,
+                exit.line,
+                Some(f.name.clone()),
+                format!(
                     "`{}` mutates state via get_mut_untracked() on line {mutation_line} but \
                      this exit is reached with no commit-point write \
                      (mutate/save/flush/append_batch) — the store never sees the change",
                     f.name
                 ),
-                item: Some(f.name.clone()),
-                class: None,
-            });
+            ));
         }
     }
     findings
@@ -139,16 +119,10 @@ pub fn ack_findings(model: &FileModel) -> Vec<Finding> {
         // Violations (ack line, commit line) are collected as they are
         // crossed, so one path yields one pair per offending write.
         let mut pairs: Vec<(u32, u32)> = Vec::new();
-        let _ = eval_flow(&f.body, None::<u32>, f.end_line, &mut |ack, idxs| {
+        let mut transfer = |ack: &mut Option<u32>, idxs: &[usize]| {
             for &j in idxs {
                 let t = &model.toks[j];
-                if t.kind != TokKind::Ident {
-                    continue;
-                }
-                let method_call = j > 0
-                    && model.toks[j - 1].is_punct('.')
-                    && model.toks.get(j + 1).is_some_and(|n| n.is_punct('('));
-                if !method_call {
+                if !is_method_call(&model.toks, j) {
                     continue;
                 }
                 if t.text == "deliver" {
@@ -164,7 +138,8 @@ pub fn ack_findings(model: &FileModel) -> Vec<Finding> {
                     }
                 }
             }
-        });
+        };
+        eval_flow(&f.body, None, f.end_line, &mut transfer);
         let msg_type = f
             .owner
             .as_ref()
@@ -176,19 +151,16 @@ pub fn ack_findings(model: &FileModel) -> Vec<Finding> {
             {
                 continue;
             }
-            findings.push(Finding {
-                rule: Rule::AckBeforeCommit,
-                file: model.path.clone(),
-                line: commit_line,
-                excerpt: model.excerpt(commit_line),
-                detail: format!(
+            findings.push(model.finding(
+                Rule::AckBeforeCommit,
+                commit_line,
+                Some(f.name.clone()),
+                format!(
                     "handler of `{msg_type}` delivers its reply on line {ack_line} and then \
                      touches durable state here — the caller can observe the ack while \
                      the turn's effects are still volatile; commit before delivering",
                 ),
-                item: Some(f.name.clone()),
-                class: None,
-            });
+            ));
         }
     }
     findings
@@ -211,19 +183,7 @@ fn closure_regions(model: &FileModel, f: &FnItem) -> Vec<(usize, usize)> {
         if !prev.is_some_and(|t| t.is_punct('|')) {
             continue;
         }
-        let mut depth = 0i32;
-        let mut k = j;
-        while k < end {
-            if toks[k].is_punct('{') {
-                depth += 1;
-            } else if toks[k].is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            k += 1;
-        }
+        let k = skip_group(toks, j, end, '{', '}').saturating_sub(1);
         out.push((j, k));
     }
     out

@@ -33,203 +33,13 @@
 //! owner-qualified field first, then corpus-unique field name; an
 //! unresolvable receiver is skipped (may miss, never crashes).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use crate::dataflow::{FileModel, Flow, FnItem, Step, PERSIST_METHODS};
-use crate::lexer::{Tok, TokKind};
-
-/// Type identifiers whose iteration (and serde serialization) order is
-/// arbitrary.
-pub(crate) const UNORDERED_TYPES: &[&str] = &["HashMap", "HashSet"];
-
-/// Iteration methods whose visit order leaks the collection's internal
-/// order. Keyed accessors (`get`, `insert`, `remove`, `contains_key`,
-/// `entry`, `len`) are deterministic and deliberately absent.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-    "into_keys",
-    "into_values",
-];
-
-/// Reply-delivery methods beyond the plain send set.
-const REPLY_METHODS: &[&str] = &["deliver"];
-
-/// Extra send methods not in [`crate::sendsites::SITE_METHODS`] (the
-/// chaos-replay variant used by retry loops).
-const EXTRA_SEND_METHODS: &[&str] = &["ask_replayable"];
-
-// ------------------------------------------------------------- classes
-
-/// Where one unordered class was declared.
-pub struct ClassDef {
-    /// Owning struct identifier.
-    pub owner: String,
-    /// Field name.
-    pub field: String,
-    /// Index into the corpus' file list.
-    pub file: usize,
-    /// Line of the field declaration.
-    pub line: u32,
-}
-
-/// Corpus-wide registry of unordered-collection classes (`Owner.field`
-/// for every struct field whose type mentions `HashMap`/`HashSet`).
-#[derive(Default)]
-pub struct UnorderedClasses {
-    /// Class id → display name (`Owner.field`).
-    pub names: Vec<String>,
-    /// Declarations, id-indexed in parallel with `names`.
-    pub defs: Vec<ClassDef>,
-    by_owner_field: HashMap<(String, String), u16>,
-    by_field: HashMap<String, Vec<u16>>,
-}
-
-impl UnorderedClasses {
-    fn intern(&mut self, owner: &str, field: &str, file: usize, line: u32) -> u16 {
-        if let Some(&id) = self
-            .by_owner_field
-            .get(&(owner.to_string(), field.to_string()))
-        {
-            return id;
-        }
-        let id = self.names.len() as u16;
-        self.names.push(format!("{owner}.{field}"));
-        self.defs.push(ClassDef {
-            owner: owner.to_string(),
-            field: field.to_string(),
-            file,
-            line,
-        });
-        self.by_owner_field
-            .insert((owner.to_string(), field.to_string()), id);
-        self.by_field.entry(field.to_string()).or_default().push(id);
-        id
-    }
-
-    /// `(owner, field)` lookup.
-    pub fn by_owner_field(&self, owner: &str, field: &str) -> Option<u16> {
-        self.by_owner_field
-            .get(&(owner.to_string(), field.to_string()))
-            .copied()
-    }
-
-    /// The unique class with this field name, if unambiguous.
-    pub fn unique_field(&self, field: &str) -> Option<u16> {
-        match self.by_field.get(field).map(Vec::as_slice) {
-            Some([one]) => Some(*one),
-            _ => None,
-        }
-    }
-}
-
-/// True when the token range `[start, end)` mentions an unordered type.
-fn mentions_unordered(toks: &[Tok], start: usize, end: usize) -> bool {
-    toks[start..end.min(toks.len())]
-        .iter()
-        .any(|t| t.kind == TokKind::Ident && UNORDERED_TYPES.contains(&t.text.as_str()))
-}
-
-/// Scans one file for struct fields of unordered type, interning a
-/// class for each. `file_idx` tags the declarations for reporting.
-pub fn collect_unordered_classes(
-    model: &FileModel,
-    file_idx: usize,
-    classes: &mut UnorderedClasses,
-) {
-    let toks = &model.toks;
-    let mut i = 0usize;
-    while i < toks.len() {
-        if toks[i].is_ident("struct") {
-            i = collect_struct_fields(toks, i, file_idx, classes);
-            continue;
-        }
-        i += 1;
-    }
-}
-
-/// Parses `struct Name { .. }` at the `struct` keyword, interning a
-/// class for each unordered-typed named field. Returns the next index.
-fn collect_struct_fields(
-    toks: &[Tok],
-    kw: usize,
-    file_idx: usize,
-    classes: &mut UnorderedClasses,
-) -> usize {
-    let mut i = kw + 1;
-    let Some(name) =
-        (i < toks.len() && toks[i].kind == TokKind::Ident).then(|| toks[i].text.clone())
-    else {
-        return i;
-    };
-    i += 1;
-    // Skip to the body `{`; unit (`;`) and tuple (`(`) structs carry no
-    // named fields we can address as `owner.field`.
-    let mut angle = 0i32;
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.is_punct('<') {
-            angle += 1;
-        } else if t.is_punct('>') {
-            angle -= 1;
-        } else if angle <= 0 && (t.is_punct('{') || t.is_punct(';') || t.is_punct('(')) {
-            break;
-        }
-        i += 1;
-    }
-    if i >= toks.len() || !toks[i].is_punct('{') {
-        return i + 1;
-    }
-    let open = i;
-    let mut depth = 0i32;
-    let mut close = toks.len() - 1;
-    while i < toks.len() {
-        if toks[i].is_punct('{') {
-            depth += 1;
-        } else if toks[i].is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                close = i;
-                break;
-            }
-        }
-        i += 1;
-    }
-    // Split the body on top-level commas; each `field: Type` segment
-    // whose type mentions an unordered type becomes a class.
-    let mut seg_start = open + 1;
-    let mut nest = 0i32;
-    for j in open + 1..=close {
-        let t = &toks[j];
-        let top_comma = nest == 0 && t.is_punct(',');
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
-            nest += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('>') {
-            nest -= 1;
-        }
-        if top_comma || j == close {
-            if let Some(colon) = (seg_start..j).find(|&k| toks[k].is_punct(':')) {
-                let is_path = colon < j && toks.get(colon + 1).is_some_and(|t| t.is_punct(':'));
-                if !is_path && mentions_unordered(toks, colon + 1, j) {
-                    if let Some(field) = (seg_start..colon)
-                        .rev()
-                        .map(|k| &toks[k])
-                        .find(|t| t.kind == TokKind::Ident)
-                    {
-                        classes.intern(&name, &field.text.clone(), file_idx, field.line);
-                    }
-                }
-            }
-            seg_start = j + 1;
-        }
-    }
-    close + 1
-}
+use crate::dataflow::{eval_flow, FieldClasses, FileModel, FnItem, Transfer};
+use crate::lexer::{is_method_call, Tok, TokKind};
+use crate::taxonomy::{
+    is_keywordish, is_send_method, ITER_METHODS, PERSIST_METHODS, REPLY_METHODS,
+};
 
 // ------------------------------------------------------------- helpers
 
@@ -252,30 +62,15 @@ impl EffectFacts {
     }
 }
 
-/// True when `name` is a send-site method (including the replayable
-/// variant).
-fn is_send_method(name: &str) -> bool {
-    crate::sendsites::SITE_METHODS
-        .iter()
-        .any(|(m, _)| *m == name)
-        || EXTRA_SEND_METHODS.contains(&name)
-}
-
 /// Scans a function body's raw tokens for effect facts.
 pub fn effect_facts(model: &FileModel, f: &FnItem) -> EffectFacts {
     let toks = &model.toks;
     let mut facts = EffectFacts::default();
     for j in f.body_range.0..f.body_range.1 {
-        let t = &toks[j];
-        if t.kind != TokKind::Ident {
+        if !is_method_call(toks, j) {
             continue;
         }
-        let method =
-            j >= 1 && toks[j - 1].is_punct('.') && toks.get(j + 1).is_some_and(|n| n.is_punct('('));
-        if !method {
-            continue;
-        }
-        let name = t.text.as_str();
+        let name = toks[j].text.as_str();
         if is_send_method(name) {
             facts.sends = true;
         } else if REPLY_METHODS.contains(&name) {
@@ -320,7 +115,7 @@ struct TState {
 pub(crate) struct EffectCx<'a> {
     pub model: &'a FileModel,
     pub owner: Option<&'a str>,
-    pub classes: &'a UnorderedClasses,
+    pub classes: &'a FieldClasses,
     /// Callee name → effect facts (same-file-first resolved in
     /// [`crate::replay`]; here just a flat map for this file's view).
     pub callee_effects: &'a dyn Fn(&str) -> Option<EffectFacts>,
@@ -335,8 +130,6 @@ pub(crate) struct EffectCx<'a> {
     /// reply check, which runs after the path-sensitive walk).
     all_tainted: Vec<(String, String, Option<u16>)>,
 }
-
-const MAX_STATES: usize = 32;
 
 /// What one statement scan observed.
 #[derive(Default)]
@@ -354,7 +147,7 @@ impl EffectCx<'_> {
     pub(crate) fn new<'a>(
         model: &'a FileModel,
         owner: Option<&'a str>,
-        classes: &'a UnorderedClasses,
+        classes: &'a FieldClasses,
         callee_effects: &'a dyn Fn(&str) -> Option<EffectFacts>,
         is_handler: bool,
     ) -> EffectCx<'a> {
@@ -374,7 +167,7 @@ impl EffectCx<'_> {
     /// Runs the walk over a function body and (for handlers) checks the
     /// tail expression against the union of tainted names.
     pub(crate) fn walk_fn(&mut self, f: &FnItem) {
-        walk_seq(self, &f.body, vec![TState::default()]);
+        eval_flow(&f.body, TState::default(), f.end_line, self);
         if self.is_handler {
             self.check_tail(f);
         }
@@ -456,7 +249,7 @@ impl EffectCx<'_> {
             }
         }
 
-        for (pos, &j) in idxs.iter().enumerate() {
+        for &j in idxs {
             let t = &toks[j];
             if t.kind != TokKind::Ident {
                 continue;
@@ -563,8 +356,6 @@ impl EffectCx<'_> {
                     }
                 }
             }
-
-            let _ = pos;
         }
         scan
     }
@@ -655,76 +446,33 @@ impl EffectCx<'_> {
     }
 }
 
-/// Walks a flow, splitting runs into statements at top-level `;`.
-fn walk_seq(cx: &mut EffectCx<'_>, flow: &Flow, mut states: Vec<TState>) -> Vec<TState> {
-    for step in &flow.0 {
-        match step {
-            Step::Run(idxs) => {
-                for s in &mut states {
-                    run_tokens(cx, s, idxs);
-                }
-            }
-            Step::Scope(body) => {
-                states = walk_seq(cx, body, states);
-            }
-            Step::Branch { arms, exhaustive } => {
-                let mut out: Vec<TState> = if *exhaustive {
-                    Vec::new()
-                } else {
-                    states.clone()
-                };
-                for arm in arms {
-                    for s in walk_seq(cx, arm, states.clone()) {
-                        if !out.contains(&s) {
-                            out.push(s);
-                        }
-                    }
-                }
-                states = out;
-            }
-            Step::Loop(body) => {
-                for s in walk_seq(cx, body, states.clone()) {
-                    if !states.contains(&s) {
-                        states.push(s);
-                    }
-                }
-            }
-            Step::Return { toks, .. } => {
-                for s in &mut states {
-                    run_tokens(cx, s, toks);
-                    // An explicit `return expr` of a handler is a reply.
-                    if cx.is_handler && !toks.is_empty() {
-                        let scan = cx.scan_stmt(s, toks);
-                        if let Some((src, class)) = scan.sources.first() {
-                            let line = cx.model.toks[toks[0]].line;
-                            if cx.seen.insert((line, "reply value".into())) {
-                                let class_name =
-                                    class.map(|id| cx.classes.names[id as usize].clone());
-                                cx.findings.push(EffectFinding {
-                                    line,
-                                    sink: "reply value".into(),
-                                    source: src.clone(),
-                                    class: class_name,
-                                });
-                            }
-                        }
-                    }
-                }
-                states.clear();
-            }
-            Step::Try { .. } => {}
+impl Transfer<TState> for EffectCx<'_> {
+    fn run(&mut self, s: &mut TState, idxs: &[usize], _depth: u16) {
+        run_tokens(self, s, idxs);
+    }
+
+    /// An explicit `return expr` of a handler is a reply value.
+    fn on_return(&mut self, s: &mut TState, toks: &[usize]) {
+        if !self.is_handler || toks.is_empty() {
+            return;
         }
-        states.dedup_by(|a, b| a == b);
-        states.truncate(MAX_STATES);
-        if states.is_empty() {
-            break;
+        let scan = self.scan_stmt(s, toks);
+        if let Some((src, class)) = scan.sources.first() {
+            let line = self.model.toks[toks[0]].line;
+            if self.seen.insert((line, "reply value".into())) {
+                self.findings.push(EffectFinding {
+                    line,
+                    sink: "reply value".into(),
+                    source: src.clone(),
+                    class: class.map(|id| self.classes.names[id as usize].clone()),
+                });
+            }
         }
     }
-    states
 }
 
-/// Applies one straight-line run: split into statements, handle `for
-/// pat in expr` heads, scan each statement.
+/// Applies one straight-line run: split into statements at top-level
+/// `;`, handle `for pat in expr` heads, scan each statement.
 fn run_tokens(cx: &mut EffectCx<'_>, s: &mut TState, idxs: &[usize]) {
     let toks = &cx.model.toks;
 
@@ -789,25 +537,4 @@ fn for_head_in(toks: &[Tok], idxs: &[usize]) -> Option<usize> {
         }
     }
     None
-}
-
-/// Idents that look like calls but are control flow or constructors.
-pub(crate) fn is_keywordish(name: &str) -> bool {
-    matches!(
-        name,
-        "if" | "while"
-            | "match"
-            | "for"
-            | "return"
-            | "Some"
-            | "Ok"
-            | "Err"
-            | "None"
-            | "assert"
-            | "debug_assert"
-            | "panic"
-            | "vec"
-            | "format"
-            | "new"
-    ) || name.chars().next().is_some_and(char::is_uppercase)
 }

@@ -212,7 +212,7 @@ fn normalize(name: &str) -> String {
 
 /// Iterative Tarjan SCC. Returns components in reverse topological order;
 /// node order inside a component follows the DFS stack.
-fn tarjan(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
+pub(crate) fn tarjan(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
     #[derive(Clone, Copy)]
     struct NodeState {
         index: usize,

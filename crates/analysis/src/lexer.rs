@@ -1,12 +1,11 @@
 //! A hand-rolled Rust token scanner.
 //!
-//! The verification passes ([`crate::dataflow`], [`crate::sendsites`])
-//! need to see source *structure* — brace nesting, `impl` headers,
-//! statement boundaries — which the line-oriented lint cannot recover
-//! once a expression spans lines. A full parser (`syn`) is overkill and
-//! off-limits (no new dependencies); a lexer is enough, because Rust's
-//! brace/paren/bracket structure is unambiguous at the token level once
-//! comments and literals are out of the way.
+//! Every pass needs to see source *structure* — brace nesting, `impl`
+//! headers, statement boundaries — which no line-oriented scan can
+//! recover once an expression spans lines. A full parser (`syn`) is
+//! overkill and off-limits (no new dependencies); a lexer is enough,
+//! because Rust's brace/paren/bracket structure is unambiguous at the
+//! token level once comments and literals are out of the way.
 //!
 //! The scanner handles exactly the hard parts: nested block comments,
 //! string/char/byte literals with escapes, raw strings with `#` fences,
@@ -162,6 +161,41 @@ pub fn lex(src: &str) -> Vec<Tok> {
         }
     }
     toks
+}
+
+// ------------------------------------------------- token-stream helpers
+//
+// The two questions every pass asks of a token stream, answered once:
+// "is this identifier a method call?" and "where does this bracket
+// group end?".
+
+/// True when token `j` is the name of a method call (`.name(`).
+pub(crate) fn is_method_call(toks: &[Tok], j: usize) -> bool {
+    j > 0
+        && toks[j].kind == TokKind::Ident
+        && toks[j - 1].is_punct('.')
+        && toks.get(j + 1).is_some_and(|n| n.is_punct('('))
+}
+
+/// Index just past the closer `c` matching the opener `o` at `open`
+/// (`end` when the group is unterminated). Only the one bracket kind is
+/// counted: literals and comments are already gone, so the other kinds
+/// nest inside it without confusing the depth.
+pub(crate) fn skip_group(toks: &[Tok], open: usize, end: usize, o: char, c: char) -> usize {
+    let mut depth = 0i32;
+    let mut i = open;
+    while i < end {
+        if toks[i].is_punct(o) {
+            depth += 1;
+        } else if toks[i].is_punct(c) {
+            depth -= 1;
+            if depth == 0 {
+                return i + 1;
+            }
+        }
+        i += 1;
+    }
+    end
 }
 
 /// Scans an ordinary string body starting just after the opening quote;

@@ -1,57 +1,67 @@
 //! # aodb-analysis — static analysis for the actor workspace
 //!
-//! Three checks, all derived from the turn-based execution model (an
-//! actor handles one message at a time and must never block its turn on
-//! another actor that might, transitively, be waiting on it):
+//! The platform is only deadlock-free and recoverable because every
+//! actor follows the turn discipline: one message at a time, no
+//! blocking on another actor that might be waiting on it, state
+//! persisted before the ack. This crate checks that discipline — one
+//! declared-topology check plus **one core under five source passes**.
 //!
-//! * **Call-graph extraction** — every actor type declares its outbound
-//!   edges ([`aodb_runtime::Actor::declared_calls`]); the application
-//!   crates export them via `call_topology()` and [`workspace_graph`]
-//!   assembles the whole-workspace [`CallGraph`], renderable as Graphviz
-//!   DOT.
-//! * **Reentrancy-deadlock lint** — Tarjan SCC over the synchronous
-//!   `Call` edges ([`CallGraph::call_cycles`]): any cycle means every
-//!   actor on it can end up blocking its only turn on the next one, the
-//!   classic deadlock of non-reentrant virtual-actor systems.
-//! * **Turn-discipline lint** — a source scan ([`lint::lint_tree`]) for
-//!   guards held across blocking points, blocking requests inside
-//!   `Collector` fan-ins, and `std::sync` locks where `parking_lot` is
-//!   the convention.
-//! * **aodb-verify dataflow passes** — a hand-rolled lexer
-//!   ([`lexer`]) plus per-function control-flow evaluation ([`dataflow`])
-//!   powering three source-level checks: declaration drift between send
+//! **Call graph.** Every actor type declares its outbound edges
+//! ([`aodb_runtime::Actor::declared_calls`]); [`workspace_graph`]
+//! assembles the whole-workspace [`CallGraph`] (renderable as DOT) and
+//! Tarjan SCC over the synchronous `Call` edges
+//! ([`CallGraph::call_cycles`]) finds the reentrancy deadlocks of
+//! non-reentrant virtual-actor systems.
+//!
+//! **The core.** A tree is read, lexed and parsed once into a
+//! [`Corpus`]; a crate-scoped pass takes a [`Corpus::scope`] of it.
+//!
+//! * [`lexer`] — the hand-rolled token scanner (comments, raw strings
+//!   and nested block comments out of the way);
+//! * [`dataflow`] — the per-file item model (`impl`s, `fn`s, `Actor`
+//!   impls, every `struct`/`enum` with its fields), the control-flow
+//!   tree of each function body, and [`dataflow::eval_flow`], the one
+//!   path-sensitive evaluator every flow-walking rule runs on;
+//! * [`taxonomy`] — the one table module: what blocks, what sends, what
+//!   commits, what is nondeterministic.
+//!
+//! **The passes**, each a thin set of rules over that core:
+//!
+//! * **turn** ([`lint::turn_findings`]) — `guard-across-wait` (the
+//!   guard-liveness walk of [`locks`] over the whole tree, reporting
+//!   blocking *requests*), `blocking-in-collector` and
+//!   `std-sync-primitive` (token scans).
+//! * **verify** ([`verify_corpus`]) — declaration drift between send
 //!   sites and `declared_calls()` ([`sendsites`]), untracked state
-//!   mutations that can exit a turn unpersisted, and sync-handler paths
-//!   that leak their reply obligation. Accepted findings live in a
-//!   [`baseline`] file with per-entry justifications; entries that stop
-//!   firing fail the lint, so the baseline can only ratchet down.
-//! * **aodb-replaycheck determinism passes** — a nondeterminism-source
-//!   taxonomy and per-turn effect walk ([`effects`], [`replay`]) over
-//!   the same corpus: values from unordered-collection iteration, RNG,
-//!   thread identity, or env/FS reads that flow into a send payload, a
-//!   reply, or a persisted write are `nondet-in-turn` findings;
+//!   mutations that can exit a turn unpersisted ([`durability`]), and
+//!   sync-handler paths that leak their reply obligation ([`dataflow`]).
+//! * **lock** ([`lockcheck_corpus`]) — lock-class extraction and
+//!   guard-liveness dataflow over the runtime substrate ([`locks`]):
+//!   every held-while-acquiring pair feeds a [`lockgraph::LockGraph`]
+//!   whose SCCs are `lock-order-cycle` findings, and any guard live
+//!   across blocking work (store I/O, parks, waits, channel ops,
+//!   dispatch into actor code) is a `lock-across-blocking` finding.
+//! * **replay** ([`replaycheck_corpus`]) — turn determinism
+//!   ([`effects`], [`replay`]): values from unordered-collection
+//!   iteration, RNG, thread identity, or env/FS reads that flow into a
+//!   send payload, a reply, or a persisted write are `nondet-in-turn`;
 //!   `Persisted<T>` state types carrying `HashMap`/`HashSet` fields are
 //!   `unordered-persisted-state`; `Instant::now`/`SystemTime::now`
-//!   inside a turn is `ambient-clock` (actor code uses
-//!   `ActorContext::now()` instead).
-//! * **aodb-schemacheck persisted-format passes** — layout
-//!   fingerprinting over every `Persisted<T>` state type and binary
-//!   on-disk format ([`schema`], [`schemalock`]) checked against a
-//!   committed `schema.lock` (`schema-drift`, `schema-unversioned`),
-//!   plus an ack-durability dataflow ([`durability`]) proving no
-//!   handler path resolves a `ReplyTo` before its commit-point store
-//!   write (`ack-before-commit`).
-//! * **aodb-lockcheck runtime-internal passes** — lock-class extraction
-//!   and guard-liveness dataflow over the runtime substrate itself
-//!   ([`locks`]): every held-while-acquiring pair feeds a
-//!   [`lockgraph::LockGraph`] whose SCCs are `lock-order-cycle`
-//!   findings, and any guard live across blocking work (store I/O,
-//!   parks, waits, channel ops, dispatch into actor code) is a
-//!   `lock-across-blocking` finding.
+//!   inside a turn is `ambient-clock`.
+//! * **schema** ([`schemacheck_corpus`]) — layout fingerprints of every
+//!   `Persisted<T>` state type and binary on-disk format ([`schema`],
+//!   [`schemalock`]) against the committed `schema.lock`
+//!   (`schema-drift`, `schema-unversioned`), plus the ack-durability
+//!   dataflow ([`durability`]) proving no handler path resolves a
+//!   `ReplyTo` before its commit-point store write
+//!   (`ack-before-commit`).
 //!
-//! The `aodb-lint` binary drives all of it and exits nonzero on any
-//! violation; debug builds of the runtime enforce the declarations at
-//! dispatch time, so graph and code cannot silently drift apart.
+//! Accepted findings live in a [`baseline`] file with per-entry
+//! justifications; entries that stop firing fail the lint, so the
+//! baseline can only ratchet down. The `aodb-lint` binary drives all of
+//! it and exits nonzero on any violation; debug builds of the runtime
+//! enforce the declarations at dispatch time, so graph and code cannot
+//! silently drift apart.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -69,13 +79,14 @@ pub mod replay;
 pub mod schema;
 pub mod schemalock;
 pub mod sendsites;
+pub mod taxonomy;
 
 pub use baseline::{Baseline, Suppression};
 pub use graph::{CallGraph, Edge, ANY_NODE};
-pub use lint::{lint_source, lint_tree, Finding, Rule};
+pub use lint::{turn_findings, Finding, Rule};
 pub use lockgraph::{LockEdge, LockGraph};
-pub use locks::{lockcheck_corpus, lockcheck_tree, LockAnalysis};
-pub use replay::{replaycheck_corpus, replaycheck_tree};
+pub use locks::{lockcheck_corpus, LockAnalysis};
+pub use replay::replaycheck_corpus;
 pub use schemalock::{EntryKind, LockEntry, SchemaLock, SchemaLockError};
 pub use sendsites::Corpus;
 
@@ -88,16 +99,8 @@ pub fn verify_corpus(corpus: &Corpus) -> Vec<Finding> {
         findings.extend(durability::persistence_findings(file));
         findings.extend(dataflow::reply_findings(file, &replies));
     }
+    crate::lint::sort_findings(&mut findings);
     findings
-        .sort_by(|a, b| (&a.file, a.line, a.rule.name()).cmp(&(&b.file, b.line, b.rule.name())));
-    findings
-}
-
-/// Loads every `.rs` file under the given roots as one corpus and runs
-/// the verify passes. Files are parsed together so actor type names
-/// resolve across crates.
-pub fn verify_tree(roots: &[std::path::PathBuf]) -> std::io::Result<Vec<Finding>> {
-    Ok(verify_corpus(&Corpus::load(roots)?))
 }
 
 /// Runs the aodb-schemacheck passes over one parsed corpus: persisted
@@ -109,18 +112,8 @@ pub fn schemacheck_corpus(corpus: &Corpus, lock: Option<&SchemaLock>) -> Vec<Fin
     for file in &corpus.files {
         findings.extend(durability::ack_findings(file));
     }
+    crate::lint::sort_findings(&mut findings);
     findings
-        .sort_by(|a, b| (&a.file, a.line, a.rule.name()).cmp(&(&b.file, b.line, b.rule.name())));
-    findings
-}
-
-/// Loads every `.rs` file under the given roots and runs the
-/// schemacheck passes against an optional lockfile.
-pub fn schemacheck_tree(
-    roots: &[std::path::PathBuf],
-    lock: Option<&SchemaLock>,
-) -> std::io::Result<Vec<Finding>> {
-    Ok(schemacheck_corpus(&Corpus::load(roots)?, lock))
 }
 
 /// The whole-workspace call graph: every actor type registered by the

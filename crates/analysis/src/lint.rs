@@ -1,26 +1,37 @@
-//! Turn-discipline lint: a source-level scan for patterns that break the
-//! runtime's turn contract.
+//! Rules, findings, and the turn-discipline lint.
 //!
-//! Turn-based execution only stays deadlock-free if handlers follow three
-//! disciplines, none of which the type system can express:
+//! [`Rule`] and [`Finding`] are the vocabulary every pass reports in.
+//! The three rules that live here are the turn contract's own — handlers
+//! only stay deadlock-free if they follow disciplines the type system
+//! cannot express:
 //!
-//! 1. **No guard across a blocking point** — holding a `parking_lot`
-//!    guard (`.lock()` / `.read()` / `.write()`) across a blocking
-//!    request (`.call(...)`, `.wait()`, `.wait_for(...)`) keeps the lock
-//!    pinned while the thread sleeps on another actor's turn.
-//! 2. **No blocking inside a `Collector` fan-in** — the completion
-//!    closure runs on whichever worker delivers the final reply; blocking
-//!    there stalls a silo worker that other activations need.
-//! 3. **`parking_lot`, not `std::sync`** — workspace convention: the
-//!    `std` primitives are poisonable and slower under contention.
+//! 1. **`guard-across-wait`** — holding a guard (`.lock()` / `.read()` /
+//!    `.write()`) across a blocking request (`.call(...)`, `.wait()`,
+//!    `.wait_for(...)`) keeps the lock pinned while the thread sleeps on
+//!    another actor's turn. This is the guard-liveness walk of
+//!    [`crate::locks`] with a second reporting rule: same scope exit,
+//!    `drop(g)` and statement-temporary handling, run over the whole
+//!    tree with every receiver admitted.
+//! 2. **`blocking-in-collector`** — a blocking request inside the
+//!    argument list of `Collector::new(..)`: the completion closure runs
+//!    on whichever worker delivers the final reply; blocking there stalls
+//!    a silo worker that other activations need.
+//! 3. **`std-sync-primitive`** — a `std::sync` lock where `parking_lot`
+//!    is the workspace convention (the `std` primitives are poisonable
+//!    and slower under contention).
 //!
-//! The scan is a line-oriented heuristic, not a type-checked analysis:
-//! it strips comments, tracks brace depth for guard liveness, and errs on
-//! the side of reporting. A finding can be suppressed by putting
-//! `aodb-lint: allow(<rule>)` on the offending line or the line above.
+//! 2 and 3 are token scans over the lexed corpus, so comments, strings
+//! (raw ones included) and nested block comments never match. A finding
+//! can be suppressed by putting `aodb-lint: allow(<rule>)` on the
+//! offending line or the line above.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+
+use crate::dataflow::FileModel;
+use crate::lexer::{is_method_call, skip_group, Tok};
+use crate::sendsites::Corpus;
+use crate::taxonomy::{STD_SYNC_PRIMITIVES, TURN_BLOCKERS};
 
 /// Lint rule identifiers (used in reports and `allow(...)` markers).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -153,6 +164,14 @@ pub struct Finding {
     pub class: Option<String>,
 }
 
+impl Finding {
+    /// The same finding carrying its lock / unordered-collection class.
+    pub fn with_class(mut self, class: Option<String>) -> Finding {
+        self.class = class;
+        self
+    }
+}
+
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -167,143 +186,94 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Lints one source text. `file` is used only for reporting.
-pub fn lint_source(file: &Path, text: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    // Live parking_lot guards: (binding name, brace depth at binding,
-    // binding line).
-    let mut guards: Vec<(String, i32, u32)> = Vec::new();
-    // Open Collector::new(...) regions: paren depth *before* the call;
-    // the region ends when depth returns to it.
-    let mut collector_regions: Vec<i32> = Vec::new();
-    let mut brace_depth: i32 = 0;
-    let mut paren_depth: i32 = 0;
-    let mut in_string = false;
-    let mut prev_allows: Vec<&str> = Vec::new();
-    // Enclosing-fn stack: (name, brace depth at the `fn` line), so each
-    // finding can carry its enclosing item as a stable baseline key.
-    let mut fn_stack: Vec<(String, i32)> = Vec::new();
+/// The report order of every pass: by file, then line, then rule name.
+pub(crate) fn sort_findings(findings: &mut [Finding]) {
+    findings
+        .sort_by(|a, b| (&a.file, a.line, a.rule.name()).cmp(&(&b.file, b.line, b.rule.name())));
+}
 
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx as u32 + 1;
-        let code = strip_code(raw, &mut in_string);
-        let code = code.trim_end();
-
-        if let Some(name) = fn_decl_name(code) {
-            fn_stack.push((name, brace_depth));
-        }
-        let item = fn_stack.last().map(|(n, _)| n.clone());
-        let allows = {
-            let mut a = parse_allows(raw);
-            a.extend(prev_allows.iter().copied());
-            a
-        };
-
-        if code.contains("Collector::new(") || code.contains("Collector::<") {
-            collector_regions.push(paren_depth);
-        }
-
-        if let Some(name) = guard_binding(code) {
-            guards.push((name, brace_depth, lineno));
-        }
-
-        if let Some(point) = blocking_point(code) {
-            if let Some((guard, _, gline)) =
-                guards.iter().find(|(_, d, _)| *d <= brace_depth).cloned()
-            {
-                if !allows.contains(&Rule::GuardAcrossWait.name()) {
-                    findings.push(Finding {
-                        rule: Rule::GuardAcrossWait,
-                        file: file.to_path_buf(),
-                        line: lineno,
-                        excerpt: code.trim().to_string(),
-                        detail: format!(
-                            "`{point}` while guard `{guard}` (bound on line {gline}) is live; \
-                             drop the guard before blocking"
-                        ),
-                        item: item.clone(),
-                        class: None,
-                    });
-                }
-            }
-            if !collector_regions.is_empty() && !allows.contains(&Rule::BlockingInCollector.name())
-            {
-                findings.push(Finding {
-                    rule: Rule::BlockingInCollector,
-                    file: file.to_path_buf(),
-                    line: lineno,
-                    excerpt: code.trim().to_string(),
-                    detail: format!(
-                        "`{point}` inside a `Collector` fan-in; completion closures run on \
-                         worker threads and must stay non-blocking (post a continuation \
-                         message instead)"
-                    ),
-                    item: item.clone(),
-                    class: None,
-                });
-            }
-        }
-
-        if let Some(prim) = std_sync_primitive(code) {
-            if !allows.contains(&Rule::StdSyncPrimitive.name()) {
-                findings.push(Finding {
-                    rule: Rule::StdSyncPrimitive,
-                    file: file.to_path_buf(),
-                    line: lineno,
-                    excerpt: code.trim().to_string(),
-                    detail: format!(
-                        "`{prim}` used where `parking_lot` is the workspace convention"
-                    ),
-                    item: item.clone(),
-                    class: None,
-                });
-            }
-        }
-
-        // Depth bookkeeping (after the checks so a guard bound and used on
-        // one line is still seen at its own depth).
-        for ch in code.chars() {
-            match ch {
-                '{' => brace_depth += 1,
-                '}' => {
-                    brace_depth -= 1;
-                    guards.retain(|(_, d, _)| *d <= brace_depth);
-                    fn_stack.retain(|(_, d)| *d < brace_depth);
-                }
-                '(' => paren_depth += 1,
-                ')' => {
-                    paren_depth -= 1;
-                    // A region ends when depth returns to its pre-call level.
-                    collector_regions.retain(|d| *d < paren_depth);
-                }
-                _ => {}
-            }
-        }
-        // `drop(guard)` ends liveness early.
-        if let Some(rest) = code.split("drop(").nth(1) {
-            if let Some(dropped) = rest.split(')').next() {
-                let dropped = dropped.trim();
-                guards.retain(|(g, _, _)| g != dropped);
-            }
-        }
-
-        prev_allows = parse_allows(raw);
+/// Runs the three turn-discipline rules over a parsed corpus. Each rule
+/// reports a line once, however many requests or primitives it holds.
+pub fn turn_findings(corpus: &Corpus) -> Vec<Finding> {
+    let mut findings = crate::locks::guard_wait_findings(corpus);
+    for file in &corpus.files {
+        collector_findings(file, &mut findings);
+        std_sync_findings(file, &mut findings);
     }
+    sort_findings(&mut findings);
+    findings.dedup_by(|a, b| (&a.file, a.line, a.rule) == (&b.file, b.line, b.rule));
     findings
 }
 
-/// Lints every `.rs` file under `dir`, recursively. `vendor/` and
-/// `target/` subtrees are skipped.
-pub fn lint_tree(dir: &Path) -> std::io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
-    let mut files = Vec::new();
-    collect_rs_files(dir, &mut files)?;
-    files.sort();
-    for file in files {
-        let text = std::fs::read_to_string(&file)?;
-        findings.extend(lint_source(&file, &text));
+/// The blocking-request pattern (`.call(`, `.wait()`, `.wait_for(`) that
+/// the method call at token `j` matches, if any.
+pub(crate) fn turn_request(toks: &[Tok], j: usize) -> Option<&'static str> {
+    if !is_method_call(toks, j) {
+        return None;
     }
-    Ok(findings)
+    let zero_arg = toks.get(j + 2).is_some_and(|t| t.is_punct(')'));
+    TURN_BLOCKERS
+        .iter()
+        .find(|(m, pattern)| toks[j].is_ident(m) && (zero_arg || !pattern.ends_with("()")))
+        .map(|(_, pattern)| *pattern)
+}
+
+/// A finding of a token-scan rule at token `j`, unless allowed there.
+fn scan_finding(model: &FileModel, j: usize, rule: Rule, detail: String) -> Option<Finding> {
+    let line = model.toks[j].line;
+    let item = model.enclosing_fn(j).map(|f| f.name.clone());
+    (!model.allowed(line, rule)).then(|| model.finding(rule, line, item, detail))
+}
+
+/// `blocking-in-collector`: blocking requests between the parentheses of
+/// a `Collector::new(..)` / `Collector::<T>::new(..)` call.
+fn collector_findings(model: &FileModel, out: &mut Vec<Finding>) {
+    let toks = &model.toks;
+    for i in 0..toks.len().saturating_sub(3) {
+        let ctor = toks[i].is_ident("Collector")
+            && toks[i + 1].is_punct(':')
+            && toks[i + 2].is_punct(':')
+            && (toks[i + 3].is_ident("new") || toks[i + 3].is_punct('<'));
+        if !ctor {
+            continue;
+        }
+        let Some(open) = (i + 3..toks.len()).find(|&k| toks[k].is_punct('(')) else {
+            continue;
+        };
+        for j in open..skip_group(toks, open, toks.len(), '(', ')') {
+            let Some(point) = turn_request(toks, j) else {
+                continue;
+            };
+            let detail = format!(
+                "`{point}` inside a `Collector` fan-in; completion closures run on \
+                 worker threads and must stay non-blocking (post a continuation \
+                 message instead)"
+            );
+            out.extend(scan_finding(model, j, Rule::BlockingInCollector, detail));
+        }
+    }
+}
+
+/// `std-sync-primitive`: `std::sync::{Mutex,RwLock,Condvar,Barrier}`
+/// paths, in `use` items and expressions alike.
+fn std_sync_findings(model: &FileModel, out: &mut Vec<Finding>) {
+    let toks = &model.toks;
+    let sep = |i: usize| toks[i].is_punct(':') && toks[i + 1].is_punct(':');
+    for i in 0..toks.len().saturating_sub(6) {
+        let prim = &toks[i + 6];
+        if toks[i].is_ident("std")
+            && sep(i + 1)
+            && toks[i + 3].is_ident("sync")
+            && sep(i + 4)
+            && STD_SYNC_PRIMITIVES.iter().any(|p| prim.is_ident(p))
+        {
+            let detail = format!(
+                "`std::sync::{}` used where `parking_lot` is the workspace convention",
+                prim.text
+            );
+            out.extend(scan_finding(model, i + 6, Rule::StdSyncPrimitive, detail));
+        }
+    }
 }
 
 /// Collects `.rs` files under `dir`, skipping `vendor/`, `target/`,
@@ -327,89 +297,6 @@ pub(crate) fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::R
     Ok(())
 }
 
-/// Removes string-literal contents and `//` line comments, carrying
-/// string state across lines (a line ending inside a multi-line literal
-/// leaves the next line starting in-string). Escaped quotes are handled;
-/// raw strings are treated like ordinary ones, which is close enough for
-/// a heuristic lint.
-fn strip_code(line: &str, in_string: &mut bool) -> String {
-    let mut out = String::with_capacity(line.len());
-    let mut chars = line.chars().peekable();
-    while let Some(c) = chars.next() {
-        if *in_string {
-            match c {
-                '\\' => {
-                    chars.next(); // skip the escaped character
-                }
-                '"' => *in_string = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => *in_string = true,
-            '\'' => {
-                // Char literal (possibly escaped): consume through the
-                // closing quote so `'"'` doesn't toggle string state.
-                // Lifetime ticks (`'a`) have no closing quote within a
-                // couple of characters and fall through harmlessly.
-                let mut consumed = String::new();
-                let mut closed = false;
-                for _ in 0..3 {
-                    match chars.peek() {
-                        Some('\\') => {
-                            consumed.push(chars.next().unwrap());
-                            if let Some(e) = chars.next() {
-                                consumed.push(e);
-                            }
-                        }
-                        Some('\'') => {
-                            chars.next();
-                            closed = true;
-                            break;
-                        }
-                        Some(_) => consumed.push(chars.next().unwrap()),
-                        None => break,
-                    }
-                }
-                if !closed {
-                    // Not a char literal (lifetime); keep what we read.
-                    out.push('\'');
-                    out.push_str(&consumed);
-                }
-            }
-            '/' if chars.peek() == Some(&'/') => break,
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// Extracts the function name from a `fn name(..)` declaration line.
-fn fn_decl_name(code: &str) -> Option<String> {
-    let mut rest = code;
-    loop {
-        let at = rest.find("fn ")?;
-        // Require a word boundary before `fn` so `often ` doesn't match.
-        let boundary = at == 0
-            || rest[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| !(c.is_alphanumeric() || c == '_'));
-        if boundary {
-            rest = &rest[at + 3..];
-            break;
-        }
-        rest = &rest[at + 3..];
-    }
-    let name: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect();
-    (!name.is_empty()).then_some(name)
-}
-
 /// `aodb-lint: allow(a, b)` markers on a raw (pre-comment-strip) line.
 pub(crate) fn parse_allows(raw: &str) -> Vec<&str> {
     let Some(i) = raw.find("aodb-lint: allow(") else {
@@ -422,56 +309,12 @@ pub(crate) fn parse_allows(raw: &str) -> Vec<&str> {
     rest[..end].split(',').map(str::trim).collect()
 }
 
-/// Detects `let g = ....lock()` / `.read()` / `.write()` bindings of
-/// parking_lot-style guards.
-fn guard_binding(code: &str) -> Option<String> {
-    let let_pos = code.find("let ")?;
-    let rest = &code[let_pos + 4..];
-    let eq = rest.find('=')?;
-    let (lhs, rhs) = rest.split_at(eq);
-    for acquire in [".lock()", ".read()", ".write()"] {
-        if rhs.contains(acquire) {
-            let name = lhs
-                .trim()
-                .trim_start_matches("mut ")
-                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
-                .next()
-                .unwrap_or("")
-                .to_string();
-            if !name.is_empty() && name != "_" {
-                return Some(name);
-            }
-        }
-    }
-    None
-}
-
-/// Detects a blocking request point; returns the matched pattern.
-fn blocking_point(code: &str) -> Option<&'static str> {
-    [".call(", ".wait()", ".wait_for("]
-        .into_iter()
-        .find(|pat| code.contains(pat))
-}
-
-/// Detects `std::sync` lock primitives (atomics, `Arc`, and channels are
-/// fine — only the poisonable locks are off-convention).
-fn std_sync_primitive(code: &str) -> Option<&'static str> {
-    [
-        "std::sync::Mutex",
-        "std::sync::RwLock",
-        "std::sync::Condvar",
-        "std::sync::Barrier",
-    ]
-    .into_iter()
-    .find(|prim| code.contains(prim))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn lint_str(text: &str) -> Vec<Finding> {
-        lint_source(Path::new("test.rs"), text)
+        turn_findings(&Corpus::from_sources(vec![("test.rs".into(), text.into())]))
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! self-loop — is a potential ABBA deadlock: two threads entering the
 //! component from different sides can each hold the lock the other
 //! wants. This mirrors the actor call graph in [`crate::graph`], one
-//! layer down the stack.
+//! layer down the stack, and shares its SCC routine.
 
 use std::path::PathBuf;
 
+use crate::graph::tarjan;
 use crate::lint::{Finding, Rule};
 
 /// One held-while-acquiring edge, with provenance for diagnostics.
@@ -135,74 +136,6 @@ impl LockGraph {
         out.push_str("}\n");
         out
     }
-}
-
-/// Iterative Tarjan SCC (same shape as the actor call graph's; kept
-/// local so the two graphs stay independently evolvable).
-fn tarjan(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    #[derive(Clone, Copy)]
-    struct NodeState {
-        index: usize,
-        lowlink: usize,
-        on_stack: bool,
-        visited: bool,
-    }
-    let mut state = vec![
-        NodeState {
-            index: 0,
-            lowlink: 0,
-            on_stack: false,
-            visited: false
-        };
-        n
-    ];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-    let mut counter = 0usize;
-
-    for start in 0..n {
-        if state[start].visited {
-            continue;
-        }
-        let mut frames: Vec<(usize, usize)> = vec![(start, 0)];
-        while let Some(&mut (v, ref mut cursor)) = frames.last_mut() {
-            if *cursor == 0 {
-                state[v].visited = true;
-                state[v].index = counter;
-                state[v].lowlink = counter;
-                counter += 1;
-                stack.push(v);
-                state[v].on_stack = true;
-            }
-            if let Some(&w) = adj[v].get(*cursor) {
-                *cursor += 1;
-                if !state[w].visited {
-                    frames.push((w, 0));
-                } else if state[w].on_stack {
-                    state[v].lowlink = state[v].lowlink.min(state[w].index);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    state[parent].lowlink = state[parent].lowlink.min(state[v].lowlink);
-                }
-                if state[v].lowlink == state[v].index {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        state[w].on_stack = false;
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    scc.reverse();
-                    sccs.push(scc);
-                }
-            }
-        }
-    }
-    sccs
 }
 
 #[cfg(test)]

@@ -6,10 +6,11 @@
 //!
 //! * **Lock classes** — every struct field or `static` whose type
 //!   mentions `Mutex`/`RwLock`/`Condvar` (parking_lot or `std::sync`
-//!   alike) becomes a class named `OwningType.field`; a function
-//!   parameter of lock type becomes `Owner::fn(param)`.
-//! * **Guard liveness** — each function's control-flow tree
-//!   ([`crate::dataflow::Flow`]) is walked with a state of live guards:
+//!   alike) becomes a class named `OwningType.field` (the struct list
+//!   and the [`FieldClasses`] registry are the shared core's); a
+//!   function parameter of lock type becomes `Owner::fn(param)`.
+//! * **Guard liveness** — each function's control-flow tree is walked
+//!   by [`crate::dataflow::eval_flow`] with a state of live guards:
 //!   `let`-bound guards live to scope exit or `drop(g)`, temporaries
 //!   (`self.crashed.lock().insert(..)`) die at the end of their
 //!   statement, branch/loop/block scopes prune guards bound inside.
@@ -25,7 +26,16 @@
 //!   group fsync), or a dispatch into user actor code (`env.run(..)`,
 //!   lifecycle `activate`/`deactivate`, reply `deliver`) pins the lock
 //!   while the thread does unbounded work — every other thread touching
-//!   that class stalls behind it.
+//!   that class stalls behind it. What blocks is a table in
+//!   [`crate::taxonomy`]. Two idioms are understood rather than
+//!   baselined: a condvar wait that takes the guard *by value*
+//!   (`q = cv.wait(q)`) hands that guard off — the wait releases it —
+//!   so only the *other* live guards are held across it; and `.append`
+//!   blocks only on a receiver named `wal` (`PointCompressor::append`
+//!   is in-memory bit packing).
+//! * **`guard-across-wait`** ([`guard_wait_findings`]) — the same walk
+//!   run for the turn lint over the whole tree: no class registry, every
+//!   `let`-bound guard admitted, only blocking *requests* reported.
 //!
 //! Soundness limits (documented in DESIGN.md §11): receivers are
 //! resolved by owner field, local binding, accessor method, or
@@ -37,139 +47,40 @@
 //! head (in Rust they live through the arms).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::io;
-use std::path::PathBuf;
 
-use crate::dataflow::{FileModel, Flow, FnItem, Step};
-use crate::lexer::{Tok, TokKind};
-use crate::lint::{collect_rs_files, Finding, Rule};
+use crate::dataflow::{
+    eval_flow, resolve_callee, FieldClasses, FileModel, FnIndex, FnItem, Transfer,
+};
+use crate::lexer::TokKind;
+use crate::lint::{turn_request, Finding, Rule};
 use crate::lockgraph::{LockEdge, LockGraph};
 use crate::sendsites::Corpus;
-
-/// Type identifiers that make a field a lock site.
-const LOCK_TYPES: &[&str] = &["Mutex", "RwLock", "Condvar"];
-
-/// Zero-argument acquisition methods on lock types.
-const ACQUIRE_METHODS: &[&str] = &["lock", "read", "write"];
-
-/// Method calls (`.name(..)`) that block or dispatch into user code.
-const METHOD_BLOCKERS: &[(&str, &str)] = &[
-    ("wait", "condvar/promise wait"),
-    ("wait_for", "bounded promise wait"),
-    ("wait_timeout", "condvar wait"),
-    ("wait_while", "condvar wait"),
-    ("recv", "channel receive"),
-    ("recv_timeout", "channel receive"),
-    ("send", "channel send"),
-    ("call", "synchronous actor call"),
-    ("call_timeout", "synchronous actor call"),
-    ("join", "thread join"),
-    ("write_all", "file I/O"),
-    ("sync_data", "file sync"),
-    ("sync_all", "file sync"),
-    ("flush", "file flush"),
-    ("read_exact", "file I/O"),
-    ("read_to_end", "file I/O"),
-    ("read_to_string", "file I/O"),
-    ("put", "store I/O"),
-    ("delete", "store I/O"),
-    ("scan_prefix", "store I/O"),
-    ("sync", "store sync"),
-    ("run", "dispatch into actor code"),
-    ("activate", "actor lifecycle dispatch"),
-    ("deactivate", "actor lifecycle dispatch"),
-    ("deliver", "reply dispatch"),
-    // Group-commit WAL seams (DESIGN.md §15). `submit`/`submit_with`
-    // take the committer's queue mutex (a cross-thread handoff: holding
-    // another lock across them creates a lock-order edge against the
-    // committer), and `append`/`reset` additionally block the caller
-    // until the group's fsync resolves the ack.
-    ("submit", "wal queue handoff"),
-    ("submit_with", "wal queue handoff"),
-    ("append", "wal group-commit append (blocks for fsync)"),
-    ("reset", "wal reset barrier"),
-];
-
-/// Free/path calls (`sleep(..)`, `std::thread::park()`) that block.
-const FREE_BLOCKERS: &[(&str, &str)] = &[
-    ("sleep", "thread sleep"),
-    ("park", "thread park"),
-    ("park_timeout", "thread park"),
-];
-
-/// `File::create` / `fs::rename`-style path calls that do file I/O.
-const FS_BLOCKERS: &[&str] = &["create", "rename", "remove_file", "copy"];
-const FS_OWNERS: &[&str] = &["File", "fs", "OpenOptions"];
+use crate::taxonomy::{
+    is_keywordish, ACQUIRE_METHODS, FREE_BLOCKERS, FS_BLOCKERS, FS_OWNERS, GUARD_HANDOFF_WAITS,
+    LOCK_TYPES, METHOD_BLOCKERS, RECEIVER_QUALIFIED_BLOCKERS, ZERO_ARG_BLOCKERS,
+};
 
 // ------------------------------------------------------------- classes
 
-/// The corpus-wide lock-class registry.
-struct Classes {
-    /// Class id → display name (`Owner.field`).
-    names: Vec<String>,
-    /// (owner type, field) → class id.
-    by_owner_field: HashMap<(String, String), u16>,
-    /// Field name → ids (for receivers whose owner is unknown).
-    by_field: HashMap<String, Vec<u16>>,
-}
-
-impl Classes {
-    fn intern(&mut self, owner: &str, field: &str) -> u16 {
-        if let Some(&id) = self
-            .by_owner_field
-            .get(&(owner.to_string(), field.to_string()))
-        {
-            return id;
-        }
-        let id = self.names.len() as u16;
-        self.names.push(format!("{owner}.{field}"));
-        self.by_owner_field
-            .insert((owner.to_string(), field.to_string()), id);
-        self.by_field.entry(field.to_string()).or_default().push(id);
-        id
-    }
-
-    /// The unique class with this field name, if unambiguous.
-    fn unique_field(&self, field: &str) -> Option<u16> {
-        match self.by_field.get(field).map(Vec::as_slice) {
-            Some([one]) => Some(*one),
-            _ => None,
-        }
-    }
-}
-
-/// True when the token range `[start, end)` mentions a lock type.
-fn mentions_lock_type(toks: &[Tok], start: usize, end: usize) -> bool {
-    toks[start..end.min(toks.len())]
-        .iter()
-        .any(|t| t.kind == TokKind::Ident && LOCK_TYPES.contains(&t.text.as_str()))
-}
-
-/// Scans one file for struct fields and statics of lock type,
-/// interning a class for each.
-fn collect_classes(model: &FileModel, classes: &mut Classes) {
+/// Interns a class (`static.NAME`) for every `static` of one file whose
+/// type mentions a lock type.
+fn collect_static_classes(model: &FileModel, file_idx: usize, classes: &mut FieldClasses) {
     let toks = &model.toks;
     let mut i = 0usize;
     while i < toks.len() {
-        let t = &toks[i];
-        if t.is_ident("struct") {
-            i = collect_struct_fields(toks, i, classes);
-            continue;
-        }
-        if t.is_ident("static") {
+        if toks[i].is_ident("static") {
             // `static NAME: <type with lock> = ..;`
             let mut j = i + 1;
             if j < toks.len() && toks[j].is_ident("mut") {
                 j += 1;
             }
             if j + 1 < toks.len() && toks[j].kind == TokKind::Ident && toks[j + 1].is_punct(':') {
-                let name = toks[j].text.clone();
                 let mut k = j + 2;
                 while k < toks.len() && !toks[k].is_punct('=') && !toks[k].is_punct(';') {
                     k += 1;
                 }
-                if mentions_lock_type(toks, j + 2, k) {
-                    classes.intern("static", &name);
+                if model.mentions(j + 2..k, LOCK_TYPES) {
+                    classes.intern("static", &toks[j].text, file_idx, toks[j].line);
                 }
                 i = k;
                 continue;
@@ -179,165 +90,25 @@ fn collect_classes(model: &FileModel, classes: &mut Classes) {
     }
 }
 
-/// Parses `struct Name { .. }` at the `struct` keyword, interning a
-/// class for each lock-typed named field. Returns the next index.
-fn collect_struct_fields(toks: &[Tok], kw: usize, classes: &mut Classes) -> usize {
-    let mut i = kw + 1;
-    let Some(name) =
-        (i < toks.len() && toks[i].kind == TokKind::Ident).then(|| toks[i].text.clone())
-    else {
-        return i;
-    };
-    i += 1;
-    // Skip to the body `{`; unit (`;`) and tuple (`(`) structs carry no
-    // named lock fields we can address as `owner.field`.
-    let mut angle = 0i32;
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.is_punct('<') {
-            angle += 1;
-        } else if t.is_punct('>') {
-            angle -= 1;
-        } else if angle <= 0 && (t.is_punct('{') || t.is_punct(';') || t.is_punct('(')) {
-            break;
-        }
-        i += 1;
-    }
-    if i >= toks.len() || !toks[i].is_punct('{') {
-        return i + 1;
-    }
-    // Split the body on top-level commas; each `field: Type` segment
-    // whose type mentions a lock type becomes a class.
-    let open = i;
-    let mut depth = 0i32;
-    let mut close = toks.len() - 1;
-    while i < toks.len() {
-        if toks[i].is_punct('{') {
-            depth += 1;
-        } else if toks[i].is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                close = i;
-                break;
-            }
-        }
-        i += 1;
-    }
-    let mut seg_start = open + 1;
-    let mut nest = 0i32;
-    for j in open + 1..=close {
-        let t = &toks[j];
-        let top_comma = nest == 0 && t.is_punct(',');
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
-            nest += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('>') {
-            nest -= 1;
-        }
-        if top_comma || j == close {
-            if let Some(colon) = (seg_start..j).find(|&k| toks[k].is_punct(':')) {
-                let is_path = colon < j && colon > 0 && toks[colon + 1].is_punct(':');
-                if !is_path && mentions_lock_type(toks, colon + 1, j) {
-                    if let Some(field) = (seg_start..colon)
-                        .rev()
-                        .map(|k| &toks[k])
-                        .find(|t| t.kind == TokKind::Ident)
-                    {
-                        classes.intern(&name, &field.text.clone());
-                    }
-                }
-            }
-            seg_start = j + 1;
-        }
-    }
-    close + 1
-}
-
 /// Lock-typed parameters of one function (`consume(&self, bucket:
 /// &Mutex<TokenBucket>, ..)`), as (param name, class id) pairs.
-fn param_classes(model: &FileModel, f: &FnItem, classes: &mut Classes) -> Vec<(String, u16)> {
-    let toks = &model.toks;
-    // The signature sits between the `fn` keyword and the body; walk
-    // back from the body to the opening paren of the parameter list.
-    let mut open = None;
-    let mut depth = 0i32;
-    let mut i = f.body_range.0.saturating_sub(2);
-    while i > 0 {
-        let t = &toks[i];
-        if t.is_punct(')') {
-            depth += 1;
-        } else if t.is_punct('(') {
-            depth -= 1;
-            if depth < 0 {
-                // Unbalanced close: signature had no parens before here.
-                break;
-            }
-            if depth == 0 {
-                open = Some(i);
-            }
-        } else if t.is_ident("fn") {
-            break;
-        }
-        i -= 1;
-    }
-    let Some(open) = open else {
-        return Vec::new();
-    };
-    let close = skip_group(toks, open, toks.len(), '(', ')');
+fn param_classes(model: &FileModel, f: &FnItem, classes: &mut FieldClasses) -> Vec<(String, u16)> {
     let owner = f
         .owner
         .as_ref()
         .map(|o| o.type_ident.as_str())
         .unwrap_or("fn");
     let mut out = Vec::new();
-    let mut seg_start = open + 1;
-    let mut nest = 0i32;
-    for j in open + 1..close.min(toks.len()) {
-        let t = &toks[j];
-        let top_comma = nest == 0 && t.is_punct(',');
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
-            nest += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('>') {
-            nest -= 1;
-        }
-        if top_comma || j + 1 == close.min(toks.len()) {
-            let seg_end = if top_comma { j } else { j + 1 };
-            if let Some(colon) = (seg_start..seg_end).find(|&k| toks[k].is_punct(':')) {
-                if mentions_lock_type(toks, colon + 1, seg_end) {
-                    if let Some(name) = (seg_start..colon)
-                        .map(|k| &toks[k])
-                        .find(|t| t.kind == TokKind::Ident && t.text != "mut")
-                    {
-                        let class = format!("{owner}::{}({})", f.name, name.text);
-                        let id = classes.names.len() as u16;
-                        // Param classes are positional, not field-addressed;
-                        // register the display name only.
-                        classes.names.push(class);
-                        out.push((name.text.clone(), id));
-                    }
-                }
-            }
-            seg_start = j + 1;
+    for (name, ty) in &f.params {
+        if model.mentions(ty.clone(), LOCK_TYPES) {
+            // Param classes are positional, not field-addressed;
+            // register the display name only.
+            let id = classes.names.len() as u16;
+            classes.names.push(format!("{owner}::{}({name})", f.name));
+            out.push((name.clone(), id));
         }
     }
     out
-}
-
-/// Index just past the closer matching the opener at `open`.
-pub(crate) fn skip_group(toks: &[Tok], open: usize, end: usize, o: char, c: char) -> usize {
-    let mut depth = 0i32;
-    let mut i = open;
-    while i < end {
-        if toks[i].is_punct(o) {
-            depth += 1;
-        } else if toks[i].is_punct(c) {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    end
 }
 
 // ----------------------------------------------------------- fn walker
@@ -345,7 +116,9 @@ pub(crate) fn skip_group(toks: &[Tok], open: usize, end: usize, o: char, c: char
 /// One live guard.
 #[derive(Clone, PartialEq)]
 struct HeldGuard {
-    class: u16,
+    /// `None` = the receiver resolved to no known class (only tracked
+    /// when the walk admits unresolved receivers, for `guard-across-wait`).
+    class: Option<u16>,
     /// Binding name for `let`-bound guards; `None` = statement temporary.
     name: Option<String>,
     line: u32,
@@ -369,6 +142,7 @@ struct CallSite {
 }
 
 /// Per-function facts produced by the walk.
+#[derive(Default)]
 struct FnFacts {
     /// Classes this function acquires anywhere (for propagation).
     acquires: BTreeSet<u16>,
@@ -378,6 +152,9 @@ struct FnFacts {
     edges: Vec<(u16, u16, u32)>,
     /// (guard class, guard line, blocking label, blocking line).
     blocked_holds: Vec<(u16, u32, String, u32)>,
+    /// Blocking *requests* under a `let`-bound guard, keyed by the
+    /// request's token: (guard name, guard line, request pattern).
+    guard_waits: BTreeMap<usize, (String, u32, &'static str)>,
     /// Calls made while holding at least one guard.
     calls: Vec<CallSite>,
 }
@@ -387,11 +164,34 @@ struct FnCx<'a> {
     owner: Option<&'a str>,
     params: &'a [(String, u16)],
     accessors: &'a HashMap<String, u16>,
-    classes: &'a Classes,
+    classes: &'a FieldClasses,
+    /// Track guards whose receiver resolves to no class. Lockcheck
+    /// skips them (its findings name a class); the turn rule admits
+    /// them (any guard across a blocking request is a finding).
+    admit_unresolved: bool,
     facts: FnFacts,
 }
 
-const MAX_STATES: usize = 32;
+impl<'a> FnCx<'a> {
+    fn new(
+        model: &'a FileModel,
+        f: &'a FnItem,
+        params: &'a [(String, u16)],
+        accessors: &'a HashMap<String, u16>,
+        classes: &'a FieldClasses,
+        admit_unresolved: bool,
+    ) -> FnCx<'a> {
+        FnCx {
+            model,
+            owner: f.owner.as_ref().map(|o| o.type_ident.as_str()),
+            params,
+            accessors,
+            classes,
+            admit_unresolved,
+            facts: FnFacts::default(),
+        }
+    }
+}
 
 impl FnCx<'_> {
     fn resolve_receiver(&self, s: &LState, j: usize) -> Option<u16> {
@@ -436,11 +236,7 @@ impl FnCx<'_> {
         // `inner` resolves by the enclosing impl).
         if base_self {
             if let Some(owner) = self.owner {
-                if let Some(&id) = self
-                    .classes
-                    .by_owner_field
-                    .get(&(owner.to_string(), field.to_string()))
-                {
+                if let Some(id) = self.classes.by_owner_field(owner, field) {
                     return Some(id);
                 }
             }
@@ -472,11 +268,7 @@ impl FnCx<'_> {
         let preceded_by_self = j >= 2 && toks[j - 1].is_punct('.') && toks[j - 2].is_ident("self");
         if preceded_by_self {
             if let Some(owner) = self.owner {
-                if let Some(&id) = self
-                    .classes
-                    .by_owner_field
-                    .get(&(owner.to_string(), name.to_string()))
-                {
+                if let Some(id) = self.classes.by_owner_field(owner, name) {
                     return Some(id);
                 }
             }
@@ -492,65 +284,17 @@ impl FnCx<'_> {
     }
 }
 
-fn walk_seq(cx: &mut FnCx<'_>, flow: &Flow, mut states: Vec<LState>, depth: u16) -> Vec<LState> {
-    for step in &flow.0 {
-        match step {
-            Step::Run(idxs) => {
-                for s in &mut states {
-                    run_tokens(cx, s, idxs, depth);
-                }
-            }
-            Step::Scope(body) => {
-                states = walk_seq(cx, body, states, depth + 1);
-                for s in &mut states {
-                    close_scope(s, depth);
-                }
-            }
-            Step::Branch { arms, exhaustive } => {
-                let mut out: Vec<LState> = if *exhaustive {
-                    Vec::new()
-                } else {
-                    states.clone()
-                };
-                for arm in arms {
-                    for mut s in walk_seq(cx, arm, states.clone(), depth + 1) {
-                        close_scope(&mut s, depth);
-                        if !out.contains(&s) {
-                            out.push(s);
-                        }
-                    }
-                }
-                states = out;
-            }
-            Step::Loop(body) => {
-                let extra: Vec<LState> = walk_seq(cx, body, states.clone(), depth + 1);
-                for mut s in extra {
-                    close_scope(&mut s, depth);
-                    if !states.contains(&s) {
-                        states.push(s);
-                    }
-                }
-            }
-            Step::Return { toks, .. } => {
-                for mut s in states.drain(..) {
-                    run_tokens(cx, &mut s, toks, depth);
-                }
-            }
-            Step::Try { .. } => {}
-        }
-        states.dedup_by(|a, b| a == b);
-        states.truncate(MAX_STATES);
-        if states.is_empty() {
-            break;
-        }
+/// The guard-liveness walk is [`eval_flow`] with two hooks: token runs
+/// acquire, release and block; a scope exit drops the guards bound
+/// inside it and ends any statement in flight.
+impl Transfer<LState> for FnCx<'_> {
+    fn run(&mut self, s: &mut LState, idxs: &[usize], depth: u16) {
+        run_tokens(self, s, idxs, depth);
     }
-    states
-}
 
-fn close_scope(s: &mut LState, depth: u16) {
-    s.held.retain(|g| g.depth <= depth);
-    // Scope exit also ends any statement in flight.
-    s.held.retain(|g| g.name.is_some());
+    fn exit_scope(&mut self, s: &mut LState, depth: u16) {
+        s.held.retain(|g| g.depth <= depth && g.name.is_some());
+    }
 }
 
 /// Applies one straight-line token run to a state, recording
@@ -638,14 +382,17 @@ fn run_tokens(cx: &mut FnCx<'_>, s: &mut LState, idxs: &[usize], depth: u16) {
             && toks[j + 2].is_punct(')')
             && ACQUIRE_METHODS.contains(&t.text.as_str())
         {
-            if let Some(class) = cx.resolve_receiver(s, j) {
+            let class = cx.resolve_receiver(s, j);
+            if let Some(class) = class {
                 cx.facts.acquires.insert(class);
                 let mut seen = BTreeSet::new();
-                for g in &s.held {
-                    if seen.insert(g.class) {
-                        cx.facts.edges.push((g.class, class, t.line));
+                for held in s.held.iter().filter_map(|g| g.class) {
+                    if seen.insert(held) {
+                        cx.facts.edges.push((held, class, t.line));
                     }
                 }
+            }
+            if class.is_some() || cx.admit_unresolved {
                 s.held.push(HeldGuard {
                     class,
                     name: pending_let.take(),
@@ -668,17 +415,19 @@ fn run_tokens(cx: &mut FnCx<'_>, s: &mut LState, idxs: &[usize], depth: u16) {
 
         // Blocking points.
         let mut blocked: Option<(String, &'static str)> = None;
+        let zero_arg = j + 2 < toks.len() && toks[j + 2].is_punct(')');
         if next_paren {
             if prev_dot {
-                // `join` doubles as `Path::join`; only the zero-arg
-                // thread/handle form blocks.
-                let zero_arg = j + 2 < toks.len() && toks[j + 2].is_punct(')');
+                let name = t.text.as_str();
+                let receiver_ok = RECEIVER_QUALIFIED_BLOCKERS
+                    .iter()
+                    .all(|(m, recv)| *m != name || (j >= 2 && toks[j - 2].is_ident(recv)));
+                let arity_ok = zero_arg || !ZERO_ARG_BLOCKERS.contains(&name);
                 if let Some((_, label)) = METHOD_BLOCKERS
                     .iter()
-                    .filter(|(m, _)| *m != "join" || zero_arg)
-                    .find(|(m, _)| *m == t.text.as_str())
+                    .find(|(m, _)| *m == name && receiver_ok && arity_ok)
                 {
-                    blocked = Some((format!(".{}(..)", t.text), label));
+                    blocked = Some((format!(".{name}(..)"), label));
                 }
             } else {
                 let path_sep = j >= 1 && toks[j - 1].is_punct(':');
@@ -701,15 +450,31 @@ fn run_tokens(cx: &mut FnCx<'_>, s: &mut LState, idxs: &[usize], depth: u16) {
             if cx.facts.blocks.is_none() {
                 cx.facts.blocks = Some((format!("{what} — {label}"), t.line));
             }
+            // `q = cv.wait(q)`: the wait consumes the guard it is given
+            // and releases that mutex while parked — a hand-off, not a
+            // hold-across. Every *other* live guard is still held.
+            let handed_off = (prev_dot
+                && GUARD_HANDOFF_WAITS.contains(&t.text.as_str())
+                && j + 3 < toks.len()
+                && toks[j + 2].kind == TokKind::Ident
+                && (toks[j + 3].is_punct(',') || toks[j + 3].is_punct(')')))
+            .then(|| toks[j + 2].text.as_str());
+            let held = s
+                .held
+                .iter()
+                .filter(|g| handed_off.is_none() || g.name.as_deref() != handed_off);
             let mut seen = BTreeSet::new();
-            for g in &s.held {
-                if seen.insert(g.class) {
-                    cx.facts.blocked_holds.push((
-                        g.class,
-                        g.line,
-                        format!("{what} ({label})"),
-                        t.line,
-                    ));
+            for g in held.clone() {
+                if let Some(class) = g.class.filter(|c| seen.insert(*c)) {
+                    let what = format!("{what} ({label})");
+                    cx.facts.blocked_holds.push((class, g.line, what, t.line));
+                }
+            }
+            // The turn rule: a blocking *request* under a `let`-bound
+            // guard, reported once against the first such guard.
+            if let Some(pattern) = turn_request(toks, j) {
+                if let Some((name, g)) = held.clone().find_map(|g| Some((g.name.clone()?, g))) {
+                    cx.facts.guard_waits.insert(j, (name, g.line, pattern));
                 }
             }
             k += 1;
@@ -725,8 +490,8 @@ fn run_tokens(cx: &mut FnCx<'_>, s: &mut LState, idxs: &[usize], depth: u16) {
                 let mut held = Vec::new();
                 let mut seen = BTreeSet::new();
                 for g in &s.held {
-                    if seen.insert(g.class) {
-                        held.push((g.class, g.line));
+                    if let Some(class) = g.class.filter(|c| seen.insert(*c)) {
+                        held.push((class, g.line));
                     }
                 }
                 cx.facts.calls.push(CallSite {
@@ -747,27 +512,6 @@ fn run_tokens(cx: &mut FnCx<'_>, s: &mut LState, idxs: &[usize], depth: u16) {
     }
 }
 
-/// Idents that look like calls but are control flow or constructors.
-fn is_keywordish(name: &str) -> bool {
-    matches!(
-        name,
-        "if" | "while"
-            | "match"
-            | "for"
-            | "return"
-            | "Some"
-            | "Ok"
-            | "Err"
-            | "None"
-            | "assert"
-            | "debug_assert"
-            | "panic"
-            | "vec"
-            | "format"
-            | "new"
-    ) || name.chars().next().is_some_and(char::is_uppercase)
-}
-
 // ------------------------------------------------------------ analysis
 
 /// The result of a lockcheck pass: findings plus the lock-order graph.
@@ -780,13 +524,9 @@ pub struct LockAnalysis {
 
 /// Runs lockcheck over a parsed corpus.
 pub fn lockcheck_corpus(corpus: &Corpus) -> LockAnalysis {
-    let mut classes = Classes {
-        names: Vec::new(),
-        by_owner_field: HashMap::new(),
-        by_field: HashMap::new(),
-    };
-    for file in &corpus.files {
-        collect_classes(file, &mut classes);
+    let mut classes = FieldClasses::of_fields(&corpus.files, LOCK_TYPES);
+    for (fi, file) in corpus.files.iter().enumerate() {
+        collect_static_classes(file, fi, &mut classes);
     }
 
     // Accessor methods: a fn whose body mentions exactly one of its
@@ -801,10 +541,7 @@ pub fn lockcheck_corpus(corpus: &Corpus) -> LockAnalysis {
             for j in f.body_range.0..f.body_range.1 {
                 let t = &file.toks[j];
                 if t.kind == TokKind::Ident && j >= 2 && file.toks[j - 1].is_punct('.') {
-                    if let Some(&id) = classes
-                        .by_owner_field
-                        .get(&(owner.type_ident.clone(), t.text.clone()))
-                    {
+                    if let Some(id) = classes.by_owner_field(&owner.type_ident, &t.text) {
                         found.insert(id);
                     }
                 }
@@ -818,26 +555,13 @@ pub fn lockcheck_corpus(corpus: &Corpus) -> LockAnalysis {
 
     // Pass 1: walk every function.
     let mut all_facts: Vec<Vec<FnFacts>> = Vec::new();
-    let mut fn_index: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
+    let mut fn_index = FnIndex::new();
     for (fi, file) in corpus.files.iter().enumerate() {
         let mut per_fn = Vec::new();
         for (gi, f) in file.fns.iter().enumerate() {
             let params = param_classes(file, f, &mut classes);
-            let mut cx = FnCx {
-                model: file,
-                owner: f.owner.as_ref().map(|o| o.type_ident.as_str()),
-                params: &params,
-                accessors: &accessors_by_file[fi],
-                classes: &classes,
-                facts: FnFacts {
-                    acquires: BTreeSet::new(),
-                    blocks: None,
-                    edges: Vec::new(),
-                    blocked_holds: Vec::new(),
-                    calls: Vec::new(),
-                },
-            };
-            walk_seq(&mut cx, &f.body, vec![LState::default()], 0);
+            let mut cx = FnCx::new(file, f, &params, &accessors_by_file[fi], &classes, false);
+            eval_flow(&f.body, LState::default(), f.end_line, &mut cx);
             per_fn.push(cx.facts);
             fn_index.entry(f.name.clone()).or_default().push((fi, gi));
         }
@@ -860,20 +584,21 @@ pub fn lockcheck_corpus(corpus: &Corpus) -> LockAnalysis {
                 {
                     continue;
                 }
-                let class_name = classes.names[*class as usize].clone();
-                findings.push(Finding {
-                    rule: Rule::LockAcrossBlocking,
-                    file: file.path.clone(),
-                    line: *bline,
-                    excerpt: file.excerpt(*bline),
-                    detail: format!(
-                        "`{}` holds `{class_name}` (acquired line {gline}) across {what} — \
-                         every thread contending on that lock stalls behind this operation",
-                        f.name
-                    ),
-                    item: Some(f.name.clone()),
-                    class: Some(class_name),
-                });
+                let class_name = &classes.names[*class as usize];
+                let detail = format!(
+                    "`{}` holds `{class_name}` (acquired line {gline}) across {what} — \
+                     every thread contending on that lock stalls behind this operation",
+                    f.name
+                );
+                findings.push(
+                    file.finding(
+                        Rule::LockAcrossBlocking,
+                        *bline,
+                        Some(f.name.clone()),
+                        detail,
+                    )
+                    .with_class(Some(class_name.clone())),
+                );
             }
             for (from, to, line) in &facts.edges {
                 edges.entry((*from, *to)).or_insert_with(|| LockEdge {
@@ -886,15 +611,7 @@ pub fn lockcheck_corpus(corpus: &Corpus) -> LockAnalysis {
             }
             // Propagated effects of calls made under a guard.
             for call in &facts.calls {
-                let Some(cands) = fn_index.get(&call.callee) else {
-                    continue;
-                };
-                let same_file: Vec<_> = cands.iter().filter(|(cf, _)| *cf == fi).collect();
-                let chosen = match (same_file.len(), cands.len()) {
-                    (1, _) => Some(*same_file[0]),
-                    (0, 1) => Some(cands[0]),
-                    _ => None,
-                };
+                let chosen = resolve_callee(&fn_index, fi, &call.callee);
                 let Some((cf, cg)) = chosen else { continue };
                 if (cf, cg) == (fi, gi) {
                     continue; // self-recursion adds nothing
@@ -919,20 +636,17 @@ pub fn lockcheck_corpus(corpus: &Corpus) -> LockAnalysis {
                         {
                             continue;
                         }
-                        let class_name = classes.names[held as usize].clone();
-                        findings.push(Finding {
-                            rule: Rule::LockAcrossBlocking,
-                            file: file.path.clone(),
-                            line: call.line,
-                            excerpt: file.excerpt(call.line),
-                            detail: format!(
-                                "`{}` holds `{class_name}` (acquired line {gline}) across a \
-                                 call to `{}`, which blocks ({what} at line {bline})",
-                                f.name, call.callee
-                            ),
-                            item: Some(f.name.clone()),
-                            class: Some(class_name),
-                        });
+                        let class_name = &classes.names[held as usize];
+                        let detail = format!(
+                            "`{}` holds `{class_name}` (acquired line {gline}) across a \
+                             call to `{}`, which blocks ({what} at line {bline})",
+                            f.name, call.callee
+                        );
+                        let item = Some(f.name.clone());
+                        findings.push(
+                            file.finding(Rule::LockAcrossBlocking, call.line, item, detail)
+                                .with_class(Some(class_name.clone())),
+                        );
                     }
                 }
             }
@@ -941,25 +655,45 @@ pub fn lockcheck_corpus(corpus: &Corpus) -> LockAnalysis {
 
     let graph = LockGraph::new(classes.names.clone(), edges.into_values().collect());
     findings.extend(graph.cycle_findings());
-    findings
-        .sort_by(|a, b| (&a.file, a.line, a.rule.name()).cmp(&(&b.file, b.line, b.rule.name())));
+    crate::lint::sort_findings(&mut findings);
     LockAnalysis { findings, graph }
 }
 
-/// Loads every `.rs` file under the given roots and runs lockcheck.
-pub fn lockcheck_tree(roots: &[PathBuf]) -> io::Result<LockAnalysis> {
-    let mut files = Vec::new();
-    for root in roots {
-        collect_rs_files(root, &mut files)?;
+/// The `guard-across-wait` turn rule: the same guard-liveness walk over
+/// every function of the corpus, with no class registry — any `let`-bound
+/// `.lock()`/`.read()`/`.write()` guard counts, whatever it guards — and
+/// only the blocking *requests* (`.call(`, `.wait()`, `.wait_for(`)
+/// reported. A finding is keyed to the innermost enclosing function.
+pub fn guard_wait_findings(corpus: &Corpus) -> Vec<Finding> {
+    let (classes, accessors) = (FieldClasses::default(), HashMap::new());
+    let mut findings = Vec::new();
+    for file in &corpus.files {
+        let mut waits = BTreeMap::new();
+        for f in &file.fns {
+            let mut cx = FnCx::new(file, f, &[], &accessors, &classes, true);
+            eval_flow(&f.body, LState::default(), f.end_line, &mut cx);
+            waits.append(&mut cx.facts.guard_waits);
+        }
+        for (tok, (guard, gline, pattern)) in waits {
+            let line = file.toks[tok].line;
+            if file.allowed(line, Rule::GuardAcrossWait) {
+                continue;
+            }
+            findings.push(Finding {
+                rule: Rule::GuardAcrossWait,
+                file: file.path.clone(),
+                line,
+                excerpt: file.excerpt(line),
+                detail: format!(
+                    "`{pattern}` while guard `{guard}` (bound on line {gline}) is live; \
+                     drop the guard before blocking"
+                ),
+                item: file.enclosing_fn(tok).map(|f| f.name.clone()),
+                class: None,
+            });
+        }
     }
-    files.sort();
-    files.dedup();
-    let mut sources = Vec::new();
-    for f in files {
-        let text = std::fs::read_to_string(&f)?;
-        sources.push((f, text));
-    }
-    Ok(lockcheck_corpus(&Corpus::from_sources(sources)))
+    findings
 }
 
 #[cfg(test)]
@@ -968,7 +702,7 @@ mod tests {
 
     fn analyze(src: &str) -> LockAnalysis {
         lockcheck_corpus(&Corpus::from_sources(vec![(
-            PathBuf::from("test.rs"),
+            "test.rs".into(),
             src.to_string(),
         )]))
     }

@@ -29,38 +29,28 @@
 //! (match-scrutinee rebinding, two-hop helpers); it does not crash, and
 //! what it flags is reviewable at the line it names.
 
-use std::collections::HashMap;
-use std::io;
-use std::path::PathBuf;
-
-use crate::dataflow::{FileModel, FnItem};
-use crate::effects::{
-    collect_unordered_classes, effect_facts, is_keywordish, EffectCx, EffectFacts, UnorderedClasses,
-};
+use crate::dataflow::{resolve_callee, FieldClasses, FileModel, FnIndex, FnItem};
+use crate::effects::{effect_facts, EffectCx, EffectFacts};
 use crate::lexer::TokKind;
 use crate::lint::{Finding, Rule};
+use crate::schema::persisted_type_args;
 use crate::sendsites::Corpus;
+use crate::taxonomy::{is_keywordish, UNORDERED_TYPES};
 
 /// Runs the replaycheck pass over a parsed corpus.
 pub fn replaycheck_corpus(corpus: &Corpus) -> Vec<Finding> {
     // Corpus-wide unordered-collection classes (`Owner.field`).
-    let mut classes = UnorderedClasses::default();
-    for (fi, file) in corpus.files.iter().enumerate() {
-        collect_unordered_classes(file, fi, &mut classes);
-    }
+    let classes = FieldClasses::of_fields(&corpus.files, UNORDERED_TYPES);
 
     // Every type name used as a `Persisted<T>` state argument.
     let persisted = persisted_type_args(corpus);
 
-    // Per-function effect facts and locations, for helper resolution.
-    let mut facts_by_name: HashMap<String, Vec<(usize, EffectFacts)>> = HashMap::new();
-    let mut fns_by_name: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
+    // Per-function effect facts and a name index, for helper resolution.
+    let mut facts: Vec<Vec<EffectFacts>> = Vec::new();
+    let mut fns_by_name = FnIndex::new();
     for (fi, file) in corpus.files.iter().enumerate() {
+        facts.push(file.fns.iter().map(|f| effect_facts(file, f)).collect());
         for (gi, f) in file.fns.iter().enumerate() {
-            facts_by_name
-                .entry(f.name.clone())
-                .or_default()
-                .push((fi, effect_facts(file, f)));
             fns_by_name
                 .entry(f.name.clone())
                 .or_default()
@@ -80,22 +70,24 @@ pub fn replaycheck_corpus(corpus: &Corpus) -> Vec<Finding> {
             continue;
         }
         let class = classes.names[id].clone();
-        findings.push(Finding {
-            rule: Rule::UnorderedPersistedState,
-            file: model.path.clone(),
-            line: def.line,
-            excerpt: model.excerpt(def.line),
-            detail: format!(
-                "`{owner}` is `Persisted<{owner}>` state but field `{field}` is an \
-                 unordered collection — serde serializes it in arbitrary order, so \
-                 identical logical state produces different blobs; use `BTreeMap`/\
-                 `BTreeSet` for canonical bytes",
-                owner = def.owner,
-                field = def.field,
-            ),
-            item: Some(class.clone()),
-            class: Some(class),
-        });
+        let detail = format!(
+            "`{owner}` is `Persisted<{owner}>` state but field `{field}` is an \
+             unordered collection — serde serializes it in arbitrary order, so \
+             identical logical state produces different blobs; use `BTreeMap`/\
+             `BTreeSet` for canonical bytes",
+            owner = def.owner,
+            field = def.field,
+        );
+        findings.push(
+            model
+                .finding(
+                    Rule::UnorderedPersistedState,
+                    def.line,
+                    Some(class.clone()),
+                    detail,
+                )
+                .with_class(Some(class)),
+        );
     }
 
     // Rules: nondet-in-turn + ambient-clock, over turn functions and
@@ -116,7 +108,7 @@ pub fn replaycheck_corpus(corpus: &Corpus) -> Vec<Finding> {
     for &(fi, gi, _) in &work {
         let file = &corpus.files[fi];
         for callee in callee_names(file, &file.fns[gi]) {
-            if let Some(target) = resolve_fn(&fns_by_name, fi, &callee) {
+            if let Some(target) = resolve_callee(&fns_by_name, fi, &callee) {
                 if !visited.contains(&target) {
                     visited.push(target);
                     helpers.push(target);
@@ -131,14 +123,7 @@ pub fn replaycheck_corpus(corpus: &Corpus) -> Vec<Finding> {
         let f = &model.fns[gi];
         let owner = f.owner.as_ref().map(|o| o.type_ident.as_str());
         let resolver = |name: &str| -> Option<EffectFacts> {
-            let candidates = facts_by_name.get(name)?;
-            let same_file: Vec<&(usize, EffectFacts)> =
-                candidates.iter().filter(|(cf, _)| *cf == fi).collect();
-            match (same_file.len(), candidates.len()) {
-                (1, _) => Some(same_file[0].1),
-                (0, 1) => Some(candidates[0].1),
-                _ => None,
-            }
+            resolve_callee(&fns_by_name, fi, name).map(|(cf, cg)| facts[cf][cg])
         };
         let mut cx = EffectCx::new(model, owner, &classes, &resolver, is_handler);
         cx.walk_fn(f);
@@ -146,49 +131,36 @@ pub fn replaycheck_corpus(corpus: &Corpus) -> Vec<Finding> {
             if model.allowed(ef.line, Rule::NondetInTurn) {
                 continue;
             }
-            findings.push(Finding {
-                rule: Rule::NondetInTurn,
-                file: model.path.clone(),
-                line: ef.line,
-                excerpt: model.excerpt(ef.line),
-                detail: format!(
-                    "`{}`: {} flows into a {} — the same state and message can \
-                     produce different observable effects on replay",
-                    f.name, ef.source, ef.sink,
-                ),
-                item: Some(f.name.clone()),
-                class: ef.class.clone(),
-            });
+            let detail = format!(
+                "`{}`: {} flows into a {} — the same state and message can \
+                 produce different observable effects on replay",
+                f.name, ef.source, ef.sink,
+            );
+            findings.push(
+                model
+                    .finding(Rule::NondetInTurn, ef.line, Some(f.name.clone()), detail)
+                    .with_class(ef.class.clone()),
+            );
         }
         for ck in &cx.clocks {
             if model.allowed(ck.line, Rule::AmbientClock) {
                 continue;
             }
-            findings.push(Finding {
-                rule: Rule::AmbientClock,
-                file: model.path.clone(),
-                line: ck.line,
-                excerpt: model.excerpt(ck.line),
-                detail: format!(
+            findings.push(model.finding(
+                Rule::AmbientClock,
+                ck.line,
+                Some(f.name.clone()),
+                format!(
                     "`{}` reads the ambient wall clock via `{}()` — actor code must \
                      use `ActorContext::now()` so replayed turns observe the same time",
                     f.name, ck.what,
                 ),
-                item: Some(f.name.clone()),
-                class: None,
-            });
+            ));
         }
     }
 
+    crate::lint::sort_findings(&mut findings);
     findings
-        .sort_by(|a, b| (&a.file, a.line, a.rule.name()).cmp(&(&b.file, b.line, b.rule.name())));
-    findings
-}
-
-/// Loads every `.rs` file under the given roots as one corpus and runs
-/// the replaycheck pass.
-pub fn replaycheck_tree(roots: &[PathBuf]) -> io::Result<Vec<Finding>> {
-    Ok(replaycheck_corpus(&Corpus::load(roots)?))
 }
 
 /// True for functions the runtime invokes as (part of) a turn.
@@ -233,32 +205,12 @@ fn callee_names(model: &FileModel, f: &FnItem) -> Vec<String> {
     out
 }
 
-/// Same-file-unique first, then corpus-unique — the lockcheck envelope.
-fn resolve_fn(
-    index: &HashMap<String, Vec<(usize, usize)>>,
-    file: usize,
-    name: &str,
-) -> Option<(usize, usize)> {
-    let candidates = index.get(name)?;
-    let same_file: Vec<&(usize, usize)> = candidates.iter().filter(|(cf, _)| *cf == file).collect();
-    match (same_file.len(), candidates.len()) {
-        (1, _) => Some(*same_file[0]),
-        (0, 1) => Some(candidates[0]),
-        _ => None,
-    }
-}
-
-// `persisted_type_args` — the corpus-wide walk collecting `Persisted<T>`
-// type arguments — moved to [`crate::schema`], which shares it with the
-// fingerprinting pass.
-use crate::schema::persisted_type_args;
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn corpus(src: &str) -> Corpus {
-        Corpus::from_sources(vec![(PathBuf::from("fixture.rs"), src.to_string())])
+        Corpus::from_sources(vec![("fixture.rs".into(), src.to_string())])
     }
 
     fn rules(findings: &[Finding]) -> Vec<&'static str> {

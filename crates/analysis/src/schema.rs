@@ -32,10 +32,14 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-use crate::lexer::TokKind;
+use std::ops::Range;
+
+use crate::dataflow::{first_generic_arg, FileModel};
+use crate::lexer::{skip_group, TokKind};
 use crate::lint::{Finding, Rule};
 use crate::schemalock::{fnv1a, EntryKind, LockEntry, SchemaLock};
 use crate::sendsites::Corpus;
+use crate::taxonomy::UNORDERED_TYPES;
 
 /// One extracted layout with its fingerprint and source location.
 #[derive(Clone, Debug)]
@@ -76,127 +80,47 @@ pub(crate) fn persisted_type_args(corpus: &Corpus) -> Vec<String> {
                 i += 1;
                 continue;
             }
-            // Last ident of the first generic argument.
-            let mut angle = 0i32;
-            let mut found: Option<String> = None;
-            while j < toks.len() {
-                let t = &toks[j];
-                if t.is_punct('<') {
-                    angle += 1;
-                } else if t.is_punct('>') {
-                    angle -= 1;
-                    if angle == 0 {
-                        break;
-                    }
-                } else if angle == 1 && t.is_punct(',') {
-                    break;
-                } else if angle == 1 && t.kind == TokKind::Ident {
-                    found = Some(t.text.clone());
-                }
-                j += 1;
-            }
+            let (found, stop) = first_generic_arg(toks, j, toks.len());
             if let Some(name) = found {
                 if !out.contains(&name) {
                     out.push(name);
                 }
             }
-            i = j.max(i + 1);
+            i = stop.max(i + 1);
         }
     }
     out
 }
 
 /// The field-layout description of one type definition.
-struct TypeDef {
+struct Layout {
     file: usize,
     line: u32,
     desc: Vec<String>,
 }
 
-/// Scans one file for `struct`/`enum` definitions of the given names,
-/// appending layout descriptions. Tracks all bracket kinds plus angle
-/// depth so commas inside `Vec<(u64, u64)>` don't split fields.
-fn collect_type_defs(
+/// Describes the layout of every `struct`/`enum` of one file whose name
+/// is wanted (the file's [`FileModel::types`] already carry the body
+/// split into fields).
+fn collect_layouts(
     corpus: &Corpus,
     file_idx: usize,
     wanted: &[String],
-    out: &mut HashMap<String, Vec<TypeDef>>,
+    out: &mut HashMap<String, Vec<Layout>>,
 ) {
-    let toks = &corpus.files[file_idx].toks;
-    let mut i = 0usize;
-    while i + 1 < toks.len() {
-        let is_struct = toks[i].is_ident("struct");
-        let is_enum = toks[i].is_ident("enum");
-        if (!is_struct && !is_enum) || toks[i + 1].kind != TokKind::Ident {
-            i += 1;
-            continue;
-        }
-        let name = toks[i + 1].text.clone();
-        if !wanted.contains(&name) {
-            i += 1;
-            continue;
-        }
-        let line = toks[i + 1].line;
-        // Skip generics / where clause to the body opener.
-        let mut j = i + 2;
-        let mut angle = 0i32;
-        while j < toks.len() {
-            let t = &toks[j];
-            if t.is_punct('<') {
-                angle += 1;
-            } else if t.is_punct('>') {
-                angle -= 1;
-            } else if angle == 0 && (t.is_punct('{') || t.is_punct('(') || t.is_punct(';')) {
-                break;
-            }
-            j += 1;
-        }
-        if j >= toks.len() || toks[j].is_punct(';') {
-            i = j;
-            continue; // unit struct: no layout to fingerprint
-        }
-        let tuple = toks[j].is_punct('(');
-        let close = if tuple { ')' } else { '}' };
-        let open_ch = if tuple { '(' } else { '{' };
-        // Split the body into top-level comma-separated segments.
-        let mut segments: Vec<Vec<usize>> = vec![Vec::new()];
-        let mut depth = 0i32;
-        let mut angle = 0i32;
-        let mut k = j + 1;
-        while k < toks.len() {
-            let t = &toks[k];
-            if depth == 0 && angle == 0 && t.is_punct(close) {
-                break;
-            }
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                depth -= 1;
-            } else if depth == 0 && t.is_punct('<') {
-                angle += 1;
-            } else if depth == 0 && t.is_punct('>') {
-                angle -= 1;
-            } else if depth == 0 && angle == 0 && t.is_punct(',') {
-                segments.push(Vec::new());
-                k += 1;
-                continue;
-            }
-            segments.last_mut().expect("nonempty").push(k);
-            k += 1;
-        }
-        let _ = open_ch;
-        let mut desc = Vec::new();
-        for (n, seg) in segments.iter().enumerate() {
-            if let Some(d) = describe_segment(corpus, file_idx, seg, is_enum, tuple, n) {
-                desc.push(d);
-            }
-        }
-        out.entry(name).or_default().push(TypeDef {
+    let model = &corpus.files[file_idx];
+    for def in model.types.iter().filter(|d| wanted.contains(&d.name)) {
+        let desc = def
+            .fields
+            .iter()
+            .enumerate()
+            .filter_map(|(n, seg)| describe_segment(model, seg.clone(), def.is_enum, def.tuple, n))
+            .collect();
+        out.entry(def.name.clone()).or_default().push(Layout {
             file: file_idx,
-            line,
+            line: def.line,
             desc,
         });
-        i = k + 1;
     }
 }
 
@@ -208,60 +132,28 @@ fn collect_type_defs(
 /// lockfile catches the common structural drift, not every serde
 /// subtlety).
 fn describe_segment(
-    corpus: &Corpus,
-    file_idx: usize,
-    seg: &[usize],
+    model: &FileModel,
+    seg: Range<usize>,
     is_enum: bool,
     tuple: bool,
     ordinal: usize,
 ) -> Option<String> {
-    let toks = &corpus.files[file_idx].toks;
+    let toks = &model.toks;
     // Strip `#[...]` attributes and visibility qualifiers.
     let mut idxs: Vec<usize> = Vec::new();
-    let mut p = 0usize;
-    while p < seg.len() {
-        let t = &toks[seg[p]];
-        if t.is_punct('#') {
-            // Skip to the matching `]`.
-            let mut depth = 0i32;
+    let mut p = seg.start;
+    while p < seg.end {
+        if toks[p].is_punct('#') {
+            p = skip_group(toks, p + 1, seg.end, '[', ']');
+        } else if toks[p].is_ident("pub") {
             p += 1;
-            while p < seg.len() {
-                let u = &toks[seg[p]];
-                if u.is_punct('[') {
-                    depth += 1;
-                } else if u.is_punct(']') {
-                    depth -= 1;
-                    if depth == 0 {
-                        p += 1;
-                        break;
-                    }
-                }
-                p += 1;
+            if p < seg.end && toks[p].is_punct('(') {
+                p = skip_group(toks, p, seg.end, '(', ')');
             }
-            continue;
-        }
-        if t.is_ident("pub") {
+        } else {
+            idxs.push(p);
             p += 1;
-            if p < seg.len() && toks[seg[p]].is_punct('(') {
-                let mut depth = 0i32;
-                while p < seg.len() {
-                    let u = &toks[seg[p]];
-                    if u.is_punct('(') {
-                        depth += 1;
-                    } else if u.is_punct(')') {
-                        depth -= 1;
-                        if depth == 0 {
-                            p += 1;
-                            break;
-                        }
-                    }
-                    p += 1;
-                }
-            }
-            continue;
         }
-        idxs.push(seg[p]);
-        p += 1;
     }
     if idxs.is_empty() {
         return None;
@@ -275,7 +167,7 @@ fn describe_segment(
     };
     let unordered = idxs
         .iter()
-        .any(|&j| toks[j].is_ident("HashMap") || toks[j].is_ident("HashSet"));
+        .any(|&j| UNORDERED_TYPES.iter().any(|u| toks[j].is_ident(u)));
     let tag = if unordered { " [unordered]" } else { "" };
     if is_enum {
         // Whole variant, tokens joined: `Name`, `Name ( u32 )`, ...
@@ -389,9 +281,9 @@ pub fn extract_entries(corpus: &Corpus) -> Vec<SchemaEntry> {
         .into_iter()
         .filter(|n| n.chars().count() > 1)
         .collect();
-    let mut defs: HashMap<String, Vec<TypeDef>> = HashMap::new();
+    let mut defs: HashMap<String, Vec<Layout>> = HashMap::new();
     for fi in 0..corpus.files.len() {
-        collect_type_defs(corpus, fi, &persisted, &mut defs);
+        collect_layouts(corpus, fi, &persisted, &mut defs);
     }
     let mut out = Vec::new();
     let mut names: Vec<&String> = defs.keys().collect();
@@ -400,7 +292,7 @@ pub fn extract_entries(corpus: &Corpus) -> Vec<SchemaEntry> {
         let typedefs = &defs[name];
         // Identical re-definitions (cfg variants) collapse; genuinely
         // different layouts under one name get file-qualified entries.
-        let mut distinct: Vec<&TypeDef> = Vec::new();
+        let mut distinct: Vec<&Layout> = Vec::new();
         for d in typedefs {
             if !distinct.iter().any(|e| e.desc == d.desc) {
                 distinct.push(d);
@@ -473,51 +365,44 @@ pub fn schema_findings(corpus: &Corpus, lock: Option<&SchemaLock>) -> Vec<Findin
             && !e.versioned
             && !model.allowed(e.line, Rule::SchemaUnversioned)
         {
-            findings.push(Finding {
-                rule: Rule::SchemaUnversioned,
-                file: e.file.clone(),
-                line: e.line,
-                excerpt: model.excerpt(e.line),
-                detail: format!(
+            findings.push(model.finding(
+                Rule::SchemaUnversioned,
+                e.line,
+                Some(e.name.clone()),
+                format!(
                     "binary format `{}` has no version dispatch: the magic must end \
                      in a version digit and the decoder must reject unknown versions \
                      with a typed `UnsupportedVersion` error — otherwise a layout \
                      bump can only surface as CRC corruption",
                     e.name
                 ),
-                item: Some(e.name.clone()),
-                class: None,
-            });
+            ));
         }
         let Some(lock) = lock else { continue };
         match lock.get(e.kind, &e.name) {
             None => {
                 if !model.allowed(e.line, Rule::SchemaDrift) {
-                    findings.push(Finding {
-                        rule: Rule::SchemaDrift,
-                        file: e.file.clone(),
-                        line: e.line,
-                        excerpt: model.excerpt(e.line),
-                        detail: format!(
+                    findings.push(model.finding(
+                        Rule::SchemaDrift,
+                        e.line,
+                        Some(e.name.clone()),
+                        format!(
                             "{} layout `{}` has no entry in {} — a new persisted layout \
                              must be acknowledged: regenerate with --write-schema-lock",
                             e.kind.keyword(),
                             e.name,
                             lock.path.display(),
                         ),
-                        item: Some(e.name.clone()),
-                        class: None,
-                    });
+                    ));
                 }
             }
             Some(locked) if locked.fingerprint != e.fingerprint => {
                 if !model.allowed(e.line, Rule::SchemaDrift) {
-                    findings.push(Finding {
-                        rule: Rule::SchemaDrift,
-                        file: e.file.clone(),
-                        line: e.line,
-                        excerpt: model.excerpt(e.line),
-                        detail: format!(
+                    findings.push(model.finding(
+                        Rule::SchemaDrift,
+                        e.line,
+                        Some(e.name.clone()),
+                        format!(
                             "{} layout `{}` changed without a lockfile update \
                              (code {:016x}, locked {:016x}); current layout:\n    {}\n\
                              review the migration story, then regenerate with \
@@ -528,9 +413,7 @@ pub fn schema_findings(corpus: &Corpus, lock: Option<&SchemaLock>) -> Vec<Findin
                             locked.fingerprint,
                             e.desc.join("\n    "),
                         ),
-                        item: Some(e.name.clone()),
-                        class: None,
-                    });
+                    ));
                 }
             }
             Some(_) => {}
@@ -568,8 +451,7 @@ pub fn schema_findings(corpus: &Corpus, lock: Option<&SchemaLock>) -> Vec<Findin
         }
     }
 
-    findings
-        .sort_by(|a, b| (&a.file, a.line, a.rule.name()).cmp(&(&b.file, b.line, b.rule.name())));
+    crate::lint::sort_findings(&mut findings);
     findings
 }
 

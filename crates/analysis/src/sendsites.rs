@@ -33,30 +33,26 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
+use std::rc::Rc;
 
-use crate::dataflow::FileModel;
-use crate::lexer::TokKind;
+use crate::dataflow::{resolve_callee, FileModel, FnIndex};
+use crate::lexer::{skip_group, TokKind};
 use crate::lint::{collect_rs_files, Finding, Rule};
-
-/// Consuming methods on an actor ref / recipient, and their call kind.
-/// Shared with the replaycheck effect walk, where the same calls are the
-/// "send payload" sinks a tainted value must not reach.
-pub(crate) const SITE_METHODS: &[(&str, bool)] = &[
-    ("tell", false),
-    ("ask", false),
-    ("ask_with", false),
-    ("call", true),
-    ("call_timeout", true),
-];
+use crate::taxonomy::SITE_METHODS;
 
 /// Wildcard target in declarations (`CallDecl::send_any()`).
 const ANY: &str = "*";
 
 /// A set of parsed source files analyzed together (type names resolve
 /// across files, so fixtures and the workspace both load as one corpus).
+/// Files are parsed once and shared: [`Corpus::scope`] hands a pass the
+/// subset it audits without lexing anything again.
 pub struct Corpus {
-    /// Parsed files.
-    pub files: Vec<FileModel>,
+    /// Parsed files, sorted by path.
+    pub files: Vec<Rc<FileModel>>,
+    /// The roots the files were loaded from (empty for
+    /// [`Corpus::from_sources`]).
+    roots: Vec<PathBuf>,
 }
 
 /// Where a send site points.
@@ -86,8 +82,9 @@ impl Corpus {
         Corpus {
             files: sources
                 .iter()
-                .map(|(p, s)| FileModel::parse(p, s))
+                .map(|(p, s)| Rc::new(FileModel::parse(p, s)))
                 .collect(),
+            roots: Vec::new(),
         }
     }
 
@@ -105,15 +102,57 @@ impl Corpus {
             let text = std::fs::read_to_string(&f)?;
             sources.push((f, text));
         }
-        Ok(Corpus::from_sources(sources))
+        Ok(Corpus {
+            roots: roots.to_vec(),
+            ..Corpus::from_sources(sources)
+        })
+    }
+
+    /// The sub-corpus a crate-scoped pass audits. A workspace root (one
+    /// with `crates/runtime`) is narrowed to the `src/` trees of the
+    /// named crates — the substrate, actor or persisted-state crates,
+    /// whose disciplines differ from application and test code; any
+    /// other root (a fixture directory in the analyzer's own tests) is
+    /// audited as is, and so is everything when `crates` is empty. Name
+    /// resolution is corpus-relative, so a pass must always be given the
+    /// same scope.
+    pub fn scope(&self, crates: &[&str]) -> Corpus {
+        let mut prefixes = Vec::new();
+        for root in &self.roots {
+            if !crates.is_empty() && root.join("crates/runtime").is_dir() {
+                prefixes.extend(
+                    crates
+                        .iter()
+                        .map(|k| root.join("crates").join(k).join("src")),
+                );
+            } else {
+                prefixes.push(root.clone());
+            }
+        }
+        Corpus {
+            files: self
+                .files
+                .iter()
+                .filter(|f| prefixes.iter().any(|p| f.path.starts_with(p)))
+                .cloned()
+                .collect(),
+            roots: self.roots.clone(),
+        }
     }
 
     /// Merged message-struct → `ReplyTo` field names map.
     pub fn reply_structs(&self) -> HashMap<String, Vec<String>> {
         let mut map = HashMap::new();
         for file in &self.files {
-            for (name, fields) in &file.reply_structs {
-                map.entry(name.clone()).or_insert_with(|| fields.clone());
+            for def in &file.types {
+                let sinks: Vec<String> = file
+                    .named_fields(def)
+                    .filter(|(_, ty)| file.mentions(ty.clone(), &["ReplyTo"]))
+                    .map(|(name, _)| name.text.clone())
+                    .collect();
+                if !sinks.is_empty() {
+                    map.entry(def.name.clone()).or_insert(sinks);
+                }
             }
         }
         map
@@ -167,7 +206,7 @@ pub fn drift_findings(corpus: &Corpus) -> Vec<Finding> {
     // Per-function extraction, plus a name index of context-threading
     // functions for helper attribution.
     let mut extracted: Vec<Vec<(Vec<Site>, Vec<String>)>> = Vec::new();
-    let mut ctx_fns: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
+    let mut ctx_fns = FnIndex::new();
     for (fi, file) in corpus.files.iter().enumerate() {
         let mut per_fn = Vec::new();
         for (gi, f) in file.fns.iter().enumerate() {
@@ -206,17 +245,7 @@ pub fn drift_findings(corpus: &Corpus) -> Vec<Finding> {
                 let (fn_sites, callees) = &extracted[qf][qg];
                 sites.extend(fn_sites.iter().cloned());
                 for callee in callees {
-                    let Some(candidates) = ctx_fns.get(callee) else {
-                        continue;
-                    };
-                    // Same-file candidates win; otherwise the name must
-                    // be corpus-unique to attribute.
-                    let same_file: Vec<_> = candidates.iter().filter(|(cf, _)| *cf == qf).collect();
-                    let chosen = match (same_file.len(), candidates.len()) {
-                        (1, _) => Some(*same_file[0]),
-                        (0, 1) => Some(candidates[0]),
-                        _ => None,
-                    };
+                    let chosen = resolve_callee(&ctx_fns, qf, callee);
                     if let Some(c) = chosen {
                         queue.push(c);
                     }
@@ -290,19 +319,16 @@ pub fn drift_findings(corpus: &Corpus) -> Vec<Finding> {
                 }
                 let kind = if site.is_call { "call" } else { "send" };
                 let shown = site.name.as_deref().unwrap_or("(dynamic recipient)");
-                findings.push(Finding {
-                    rule: Rule::DeclarationDriftMissing,
-                    file: site_model.path.clone(),
-                    line: site.line,
-                    excerpt: site_model.excerpt(site.line),
-                    detail: format!(
+                findings.push(site_model.finding(
+                    Rule::DeclarationDriftMissing,
+                    site.line,
+                    Some(site.in_fn.clone()),
+                    format!(
                         "`{actor_name}` {kind}s `{shown}` (in fn `{}`) but declared_calls() \
                          has no covering entry — debug builds will panic at dispatch",
                         site.in_fn
                     ),
-                    item: Some(site.in_fn.clone()),
-                    class: None,
-                });
+                ));
             }
 
             // Stale declarations: every declared edge needs a site.
@@ -325,18 +351,15 @@ pub fn drift_findings(corpus: &Corpus) -> Vec<Finding> {
                 } else {
                     format!("`{}`", decl.to)
                 };
-                findings.push(Finding {
-                    rule: Rule::DeclarationDriftStale,
-                    file: file.path.clone(),
-                    line: decl.line,
-                    excerpt: file.excerpt(decl.line),
-                    detail: format!(
+                findings.push(file.finding(
+                    Rule::DeclarationDriftStale,
+                    decl.line,
+                    Some("declared_calls".to_string()),
+                    format!(
                         "`{actor_name}` declares {shown} but no send site in its methods or \
                          context-threaded helpers reaches it — remove the stale entry",
                     ),
-                    item: Some("declared_calls".to_string()),
-                    class: None,
-                });
+                ));
             }
         }
     }
@@ -509,7 +532,7 @@ fn extract_fn_sites(
         // arguments mention a context parameter can reach send sites,
         // which is what keeps ordinary method calls out of the index.
         if punct_at(i + 1, '(') && t.text != f.name {
-            let close = skip_parens(toks, i + 1, end);
+            let close = skip_group(toks, i + 1, end, '(', ')');
             let passes_ctx =
                 (i + 2..close).any(|j| f.ctx_params.iter().any(|p| toks[j].is_ident(p)));
             if passes_ctx && !callees.contains(&t.text) {
@@ -573,25 +596,7 @@ fn parse_turbofish_call(
     if !(j < end && toks[j].is_punct('(')) {
         return None;
     }
-    Some((type_ident, skip_parens(toks, j, end)))
-}
-
-/// Index just past the `)` matching the `(` at `open`.
-fn skip_parens(toks: &[crate::lexer::Tok], open: usize, end: usize) -> usize {
-    let mut depth = 0i32;
-    let mut i = open;
-    while i < end {
-        if toks[i].is_punct('(') {
-            depth += 1;
-        } else if toks[i].is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    end
+    Some((type_ident, skip_group(toks, j, end, '(', ')')))
 }
 
 #[cfg(test)]

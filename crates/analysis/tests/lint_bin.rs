@@ -43,14 +43,7 @@ fn workspace_is_clean() {
 #[test]
 fn sync_cycle_fixture_is_rejected_with_path() {
     let out = lint()
-        .args([
-            "--graph",
-            &fixture("sync_cycle.edges"),
-            "--no-lint",
-            "--no-verify",
-            "--no-lockcheck",
-            "--no-replaycheck",
-        ])
+        .args(["--graph", &fixture("sync_cycle.edges"), "--pass", "none"])
         .output()
         .expect("spawn aodb-lint");
     assert!(
@@ -73,19 +66,57 @@ fn sync_cycle_fixture_is_rejected_with_path() {
 #[test]
 fn acyclic_fixture_passes() {
     let out = lint()
-        .args([
-            "--graph",
-            &fixture("acyclic.edges"),
-            "--no-lint",
-            "--no-verify",
-            "--no-lockcheck",
-            "--no-replaycheck",
-        ])
+        .args(["--graph", &fixture("acyclic.edges"), "--pass", "none"])
         .output()
         .expect("spawn aodb-lint");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
     assert!(stdout.contains("aodb-lint: clean"), "{stdout}");
+}
+
+/// The string value of `"key":"..."` in one `--json` record.
+fn json_field<'a>(line: &'a str, key: &str) -> &'a str {
+    let start = line.find(&format!("\"{key}\":\"")).expect("key present") + key.len() + 4;
+    &line[start..start + line[start..].find('"').expect("closing quote")]
+}
+
+#[test]
+fn turn_rules_fire_on_the_dirty_fixture_and_nowhere_else() {
+    // Run from the crate root so finding paths are stable relative ones.
+    let out = lint()
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .args(["--src", "tests/fixtures", "--pass", "turn", "--json"])
+        .output()
+        .expect("spawn aodb-lint");
+    assert!(!out.status.success(), "seeded turn fixture must fail");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let got: Vec<(&str, &str, &str)> = stdout
+        .lines()
+        .filter(|l| l.starts_with('{'))
+        .map(|l| {
+            (
+                json_field(l, "file"),
+                json_field(l, "rule"),
+                json_field(l, "class"),
+            )
+        })
+        .collect();
+    // Every seeded rule with its enclosing item as the baseline key. The
+    // clean fixture is silent: scoped and dropped guards, a `tell` in a
+    // fan-in, `allow` markers on the line and on the line above, and
+    // `.call(` / `std::sync::` text inside a raw string and a nested
+    // block comment (which only a lexer gets right) all stay quiet.
+    let dirty = "tests/fixtures/turn_dirty.rs";
+    assert_eq!(
+        got,
+        [
+            (dirty, "std-sync-primitive", ""),
+            (dirty, "guard-across-wait", "lookup_under_guard"),
+            (dirty, "guard-across-wait", "await_under_guard"),
+            (dirty, "blocking-in-collector", "fan_in"),
+        ],
+        "{stdout}"
+    );
 }
 
 #[test]
@@ -98,7 +129,7 @@ fn dot_output_matches_golden_file() {
         "workspace call graph drifted from tests/golden/call_graph.dot — \
          if the topology change is intentional, regenerate with \
          `cargo run -p aodb-analysis --bin aodb-lint -- --dot \
-         crates/analysis/tests/golden/call_graph.dot --no-lint` and update \
+         crates/analysis/tests/golden/call_graph.dot --pass none` and update \
          the DESIGN.md embedding"
     );
 }

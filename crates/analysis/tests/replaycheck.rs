@@ -133,15 +133,7 @@ fn json_findings_dump_matches_golden_file() {
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let (ok, text) = run_lint_in(
         &manifest,
-        &[
-            "--src",
-            "tests/fixtures",
-            "--no-lint",
-            "--no-verify",
-            "--no-lockcheck",
-            "--no-schemacheck",
-            "--json",
-        ],
+        &["--src", "tests/fixtures", "--pass", "replay", "--json"],
     );
     assert!(!ok, "seeded replay fixtures must fail the lint:\n{text}");
     let got: Vec<&str> = text.lines().filter(|l| l.starts_with('{')).collect();
@@ -159,10 +151,7 @@ fn json_findings_dump_matches_golden_file() {
 #[test]
 fn lint_binary_reports_all_three_replay_rules_on_fixtures() {
     let dir = fixtures_dir();
-    let (ok, text) = run_lint_in(
-        &dir,
-        &["--src", ".", "--no-lint", "--no-verify", "--no-lockcheck"],
-    );
+    let (ok, text) = run_lint_in(&dir, &["--src", ".", "--pass", "replay,schema"]);
     assert!(!ok, "seeded replay fixtures must fail the lint:\n{text}");
     assert!(text.contains("nondet-in-turn"), "{text}");
     assert!(text.contains("ambient-clock"), "{text}");
@@ -170,23 +159,12 @@ fn lint_binary_reports_all_three_replay_rules_on_fixtures() {
 }
 
 #[test]
-fn no_replaycheck_flag_releases_the_gate() {
-    // Same dirty tree, replaycheck switched off alongside the other
-    // passes: nothing left to fire, so the run is clean.
+fn deselecting_replay_releases_the_gate() {
+    // Same dirty tree with no source pass selected: nothing left to
+    // fire, so the run is clean.
     let dir = fixtures_dir();
-    let (ok, text) = run_lint_in(
-        &dir,
-        &[
-            "--src",
-            ".",
-            "--no-lint",
-            "--no-verify",
-            "--no-lockcheck",
-            "--no-replaycheck",
-            "--no-schemacheck",
-        ],
-    );
-    assert!(ok, "--no-replaycheck must release the gate:\n{text}");
+    let (ok, text) = run_lint_in(&dir, &["--src", ".", "--pass", "none"]);
+    assert!(ok, "`--pass none` must release the gate:\n{text}");
     assert!(text.contains("aodb-lint: clean"), "{text}");
 }
 
@@ -195,14 +173,7 @@ fn emit_baseline_prints_paste_ready_skeletons() {
     let dir = fixtures_dir();
     let (ok, text) = run_lint_in(
         &dir,
-        &[
-            "--src",
-            ".",
-            "--no-lint",
-            "--no-verify",
-            "--no-lockcheck",
-            "--emit-baseline",
-        ],
+        &["--src", ".", "--pass", "replay,schema", "--emit-baseline"],
     );
     assert!(!ok, "dirty fixtures still fail even when emitting:\n{text}");
     assert!(text.contains("[[suppress]]"), "{text}");

@@ -134,10 +134,8 @@ fn lint_binary_fails_on_stale_or_drifted_lock() {
         dir.to_str().unwrap(),
         "--schema-lock",
         golden_lock_path().to_str().unwrap(),
-        "--no-lint",
-        "--no-verify",
-        "--no-lockcheck",
-        "--no-replaycheck",
+        "--pass",
+        "schema",
     ]);
     assert!(!ok, "drifted lock must fail the lint:\n{text}");
     assert!(text.contains("schema-drift"), "{text}");
@@ -155,10 +153,8 @@ fn write_schema_lock_then_check_is_drift_free() {
         dir.to_str().unwrap(),
         "--write-schema-lock",
         tmp.to_str().unwrap(),
-        "--no-lint",
-        "--no-verify",
-        "--no-lockcheck",
-        "--no-replaycheck",
+        "--pass",
+        "schema",
     ]);
     // The freshly written lock is used for the same run's check: the
     // seeded unversioned/ack findings still fire, but nothing drifts.
@@ -181,27 +177,17 @@ fn missing_lock_file_is_a_hard_error() {
         dir.to_str().unwrap(),
         "--schema-lock",
         "/nonexistent/schema.lock",
-        "--no-lint",
-        "--no-verify",
-        "--no-lockcheck",
-        "--no-replaycheck",
+        "--pass",
+        "schema",
     ]);
     assert!(!ok);
     assert!(text.contains("cannot read"), "{text}");
 }
 
 #[test]
-fn no_schemacheck_gates_the_passes_off() {
+fn deselecting_schema_gates_the_passes_off() {
     let dir = fixtures_dir();
-    let (_, text) = run_lint(&[
-        "--src",
-        dir.to_str().unwrap(),
-        "--no-lint",
-        "--no-verify",
-        "--no-lockcheck",
-        "--no-replaycheck",
-        "--no-schemacheck",
-    ]);
+    let (_, text) = run_lint(&["--src", dir.to_str().unwrap(), "--pass", "none"]);
     assert!(!text.contains("aodb-schemacheck:"), "{text}");
     assert!(!text.contains("ack-before-commit"), "{text}");
     assert!(!text.contains("schema-unversioned"), "{text}");

@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use aodb_analysis::{verify_corpus, verify_tree, Corpus, Rule};
+use aodb_analysis::{verify_corpus, Corpus, Rule};
 
 fn fixtures_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -30,7 +30,7 @@ fn fixture_corpus(names: &[&str]) -> Corpus {
 
 #[test]
 fn seeded_bugs_are_each_detected() {
-    let findings = verify_tree(&[fixtures_dir()]).expect("fixtures walkable");
+    let findings = verify_corpus(&Corpus::load(&[fixtures_dir()]).expect("fixtures walkable"));
     let by_rule = |rule: Rule, file: &str| {
         findings
             .iter()
@@ -109,6 +109,9 @@ fn lint_binary_fails_on_seeded_fixtures() {
         "ambient-clock",
         "ack-before-commit",
         "schema-unversioned",
+        "guard-across-wait",
+        "blocking-in-collector",
+        "std-sync-primitive",
     ] {
         assert!(text.contains(rule), "missing {rule} in:\n{text}");
     }
@@ -164,7 +167,20 @@ fn lint_binary_baseline_suppresses_and_goes_stale() {
          [[suppress]]\n\
          rule = \"schema-unversioned\"\n\
          reason = \"seeded fixture\"\n\
-         file = \"schema_unversioned.rs\"\n",
+         file = \"schema_unversioned.rs\"\n\
+         [[suppress]]\n\
+         rule = \"guard-across-wait\"\n\
+         reason = \"seeded fixture\"\n\
+         file = \"turn_dirty.rs\"\n\
+         [[suppress]]\n\
+         rule = \"blocking-in-collector\"\n\
+         reason = \"seeded fixture\"\n\
+         file = \"turn_dirty.rs\"\n\
+         item = \"fan_in\"\n\
+         [[suppress]]\n\
+         rule = \"std-sync-primitive\"\n\
+         reason = \"seeded fixture\"\n\
+         file = \"turn_dirty.rs\"\n",
     )
     .unwrap();
     let (ok, text) = run_lint(&[
@@ -174,7 +190,7 @@ fn lint_binary_baseline_suppresses_and_goes_stale() {
         tmp.to_str().unwrap(),
     ]);
     assert!(ok, "fully-baselined fixtures must pass:\n{text}");
-    assert!(text.contains("11 suppressed"), "{text}");
+    assert!(text.contains("14 suppressed"), "{text}");
 
     // An entry that matches nothing is stale and fails the run even
     // when every finding is suppressed.
@@ -194,7 +210,8 @@ fn lint_binary_baseline_suppresses_and_goes_stale() {
          reason = \"seeded fixture\"\n\
          [[suppress]]\n\
          rule = \"guard-across-wait\"\n\
-         reason = \"this never fires and must be reported stale\"\n",
+         reason = \"this never fires and must be reported stale\"\n\
+         file = \"turn_clean.rs\"\n",
     )
     .unwrap();
     let (ok, text) = run_lint(&[

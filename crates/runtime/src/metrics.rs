@@ -266,19 +266,6 @@ pub struct RuntimeMetrics {
     /// `RetryPolicy` (shared with the persistence layer by `Arc`: the cell
     /// lives in application crates that cannot see this struct).
     pub persist_retries: std::sync::Arc<AtomicU64>,
-    /// Group-commit WAL: groups flushed (shared with the store layer's
-    /// committer thread by `Arc`, like `persist_retries` — the store crate
-    /// cannot see this struct, so the platform wires these cells into the
-    /// WAL's counter mirror).
-    pub wal_groups: std::sync::Arc<AtomicU64>,
-    /// Group-commit WAL: frames coalesced into those groups.
-    /// `wal_grouped_frames / wal_groups` is the mean group size — the
-    /// direct measure of how much write coalescing the ingest path gets.
-    pub wal_grouped_frames: std::sync::Arc<AtomicU64>,
-    /// Group-commit WAL: fsyncs issued. Under `FsyncPolicy::PerGroup` this
-    /// tracks `wal_groups`; the gap to `wal_grouped_frames` is the number
-    /// of fsyncs group commit *saved* versus sync-per-append.
-    pub wal_fsyncs: std::sync::Arc<AtomicU64>,
 }
 
 impl RuntimeMetrics {
@@ -299,9 +286,6 @@ impl RuntimeMetrics {
             reactivations: self.reactivations.load(Ordering::Relaxed),
             lost_turns: self.lost_turns.load(Ordering::Relaxed),
             persist_retries: self.persist_retries.load(Ordering::Relaxed),
-            wal_groups: self.wal_groups.load(Ordering::Relaxed),
-            wal_grouped_frames: self.wal_grouped_frames.load(Ordering::Relaxed),
-            wal_fsyncs: self.wal_fsyncs.load(Ordering::Relaxed),
             parked_workers: 0,
         }
     }
@@ -338,28 +322,10 @@ pub struct RuntimeMetricsSnapshot {
     pub lost_turns: u64,
     /// Persistence write retries performed under a `RetryPolicy`.
     pub persist_retries: u64,
-    /// Group-commit WAL groups flushed.
-    pub wal_groups: u64,
-    /// Frames coalesced into those WAL groups.
-    pub wal_grouped_frames: u64,
-    /// Fsyncs issued by the WAL committer.
-    pub wal_fsyncs: u64,
     /// Gauge: workers parked at snapshot time ([`RuntimeMetrics::read`]
     /// itself cannot see the silos, so it reports 0 here; the runtime's
     /// `metrics()` accessor fills it in).
     pub parked_workers: u64,
-}
-
-impl RuntimeMetricsSnapshot {
-    /// Mean frames per WAL group (0 when no groups were flushed) — the
-    /// coalescing factor achieved by group commit.
-    pub fn wal_group_size(&self) -> f64 {
-        if self.wal_groups == 0 {
-            0.0
-        } else {
-            self.wal_grouped_frames as f64 / self.wal_groups as f64
-        }
-    }
 }
 
 #[cfg(test)]

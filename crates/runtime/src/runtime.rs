@@ -954,27 +954,6 @@ impl Runtime {
         self.core.directory.len()
     }
 
-    /// The shared WAL metric cells `(groups, grouped_frames, fsyncs)`.
-    ///
-    /// The store crate cannot see [`RuntimeMetrics`](crate::metrics), so
-    /// platform code clones these `Arc`s into the WAL's counter mirror
-    /// (`mirror_wal_counters`) and the committer thread bumps them
-    /// directly — the same share-an-`Arc` pattern as `persist_retries`.
-    #[allow(clippy::type_complexity)]
-    pub fn wal_metric_cells(
-        &self,
-    ) -> (
-        Arc<std::sync::atomic::AtomicU64>,
-        Arc<std::sync::atomic::AtomicU64>,
-        Arc<std::sync::atomic::AtomicU64>,
-    ) {
-        (
-            Arc::clone(&self.core.metrics.wal_groups),
-            Arc::clone(&self.core.metrics.wal_grouped_frames),
-            Arc::clone(&self.core.metrics.wal_fsyncs),
-        )
-    }
-
     /// Runtime counter snapshot, including the parked-workers gauge.
     pub fn metrics(&self) -> RuntimeMetricsSnapshot {
         let mut snap = self.core.metrics.read();

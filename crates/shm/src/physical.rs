@@ -302,6 +302,32 @@ pub(crate) fn query_window(window: &VecDeque<DataPoint>, q: QueryRange) -> Vec<D
     out
 }
 
+/// Answers a range query on the columnar path: scans the compressed
+/// blocks, skipping any whose sparse index misses the range, instead of
+/// replaying the in-memory window. A failed scan (a backing read error
+/// while the series recovers, a CRC-corrupt block, an unsupported block
+/// version) aborts the reply: "no points" would be a wrong answer, not
+/// a degraded one.
+pub(crate) fn scan_series(
+    series: &dyn SeriesStore,
+    series_key: &str,
+    q: QueryRange,
+    ctx: &mut ActorContext<'_>,
+) -> Vec<DataPoint> {
+    match series.scan_range(series_key, q.from_ms, q.to_ms, q.limit) {
+        Ok(points) => points
+            .into_iter()
+            .map(|(ts_ms, value)| DataPoint { ts_ms, value })
+            .collect(),
+        Err(_) => {
+            if let Some(reply) = ctx.defer_reply::<Vec<DataPoint>>() {
+                reply.abort(aodb_runtime::PromiseError::Lost);
+            }
+            Vec::new()
+        }
+    }
+}
+
 impl Actor for PhysicalSensorChannel {
     const TYPE_NAME: &'static str = "shm.channel";
     fn declared_calls() -> &'static [aodb_runtime::CallDecl] {
@@ -485,20 +511,9 @@ impl Handler<GetLatest> for PhysicalSensorChannel {
 }
 
 impl Handler<QueryRange> for PhysicalSensorChannel {
-    fn handle(&mut self, msg: QueryRange, _ctx: &mut ActorContext<'_>) -> Vec<DataPoint> {
+    fn handle(&mut self, msg: QueryRange, ctx: &mut ActorContext<'_>) -> Vec<DataPoint> {
         if let Some(series) = &self.series {
-            // Columnar path: scan compressed blocks, skipping any whose
-            // sparse index misses the range, instead of replaying the
-            // in-memory window.
-            return series
-                .scan_range(&self.cache.series_key, msg.from_ms, msg.to_ms, msg.limit)
-                .map(|points| {
-                    points
-                        .into_iter()
-                        .map(|(ts_ms, value)| DataPoint { ts_ms, value })
-                        .collect()
-                })
-                .unwrap_or_default();
+            return scan_series(series.as_ref(), &self.cache.series_key, msg, ctx);
         }
         query_window(&self.state.get().window, msg)
     }

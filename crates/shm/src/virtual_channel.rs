@@ -20,7 +20,7 @@ use crate::messages::{
     ChannelStats, ConfigureVirtual, GetChannelStats, GetLatest, PushDerived, QueryRange,
     RecordSamples,
 };
-use crate::physical::{query_window, stage_points, ChannelCache};
+use crate::physical::{query_window, scan_series, stage_points, ChannelCache};
 use crate::sidecar;
 use crate::types::{AggregateLevel, DataPoint, Equation};
 use aodb_core::Persisted;
@@ -249,17 +249,9 @@ impl Handler<GetLatest> for VirtualSensorChannel {
 }
 
 impl Handler<QueryRange> for VirtualSensorChannel {
-    fn handle(&mut self, msg: QueryRange, _ctx: &mut ActorContext<'_>) -> Vec<DataPoint> {
+    fn handle(&mut self, msg: QueryRange, ctx: &mut ActorContext<'_>) -> Vec<DataPoint> {
         if let Some(series) = &self.series {
-            return series
-                .scan_range(&self.cache.series_key, msg.from_ms, msg.to_ms, msg.limit)
-                .map(|points| {
-                    points
-                        .into_iter()
-                        .map(|(ts_ms, value)| DataPoint { ts_ms, value })
-                        .collect()
-                })
-                .unwrap_or_default();
+            return scan_series(series.as_ref(), &self.cache.series_key, msg, ctx);
         }
         query_window(&self.state.get().window, msg)
     }

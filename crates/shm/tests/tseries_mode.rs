@@ -179,14 +179,19 @@ fn acked_ingest_survives_ungraceful_restart_with_wal() {
     check_restart_recovery(Some(&temp_wal("restart")));
 }
 
-/// A store whose next `put` fails once `fail_next_put` is set.
+/// A store whose next `put` fails once `fail_next_put` is set, and
+/// whose every `get` fails while `fail_gets` is.
 struct FailOnce {
     inner: MemStore,
     fail_next_put: AtomicBool,
+    fail_gets: AtomicBool,
 }
 
 impl StateStore for FailOnce {
     fn get(&self, key: &Key) -> StoreResult<Option<Bytes>> {
+        if self.fail_gets.load(Ordering::SeqCst) {
+            return Err(StoreError::Io("injected get failure".into()));
+        }
         self.inner.get(key)
     }
     fn put(&self, key: &Key, value: Bytes) -> StoreResult<()> {
@@ -209,12 +214,19 @@ fn failed_append_aborts_the_ack_instead_of_counting_points() {
     let backing = Arc::new(FailOnce {
         inner: MemStore::new(),
         fail_next_put: AtomicBool::new(false),
+        fail_gets: AtomicBool::new(false),
     });
+    // No virtual channel: its derived append writes through the same
+    // backing store and could consume the injected failure first.
+    let spec = TopologySpec {
+        virtual_every: 0,
+        ..TopologySpec::default()
+    };
     let (rt, topology, _) = tseries_platform(
         &store,
         engine(&(Arc::clone(&backing) as Arc<dyn StateStore>), None),
         1,
-        TopologySpec::default(),
+        spec,
     );
     let client = ShmClient::new(rt.handle());
     let channel = topology.physical_channels().next().unwrap();
@@ -242,6 +254,56 @@ fn failed_append_aborts_the_ack_instead_of_counting_points() {
         .wait_for(Duration::from_secs(5))
         .unwrap();
     assert_eq!(hits.len(), 3);
+    rt.shutdown();
+}
+
+#[test]
+fn failed_scan_aborts_the_query_instead_of_answering_no_points() {
+    let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
+    let backing = Arc::new(FailOnce {
+        inner: MemStore::new(),
+        fail_next_put: AtomicBool::new(false),
+        fail_gets: AtomicBool::new(false),
+    });
+    let engine_over_backing = || engine(&(Arc::clone(&backing) as Arc<dyn StateStore>), None);
+    let spec = TopologySpec::default();
+    let channel;
+    {
+        let (rt, topology, _) = tseries_platform(&store, engine_over_backing(), 1, spec);
+        channel = topology.physical_channels().next().unwrap().to_string();
+        let points: Vec<DataPoint> = (0..40).map(|i| dp(i * 10, i as f64)).collect();
+        let accepted = ShmClient::new(rt.handle())
+            .ingest(&channel, points)
+            .unwrap()
+            .wait_for(Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(accepted, 40);
+        rt.shutdown();
+    }
+
+    // A fresh engine has to read the series back from a store that
+    // cannot be read: the channel's recovery overlay is skipped, and the
+    // query's own lazy recovery fails.
+    backing.fail_gets.store(true, Ordering::SeqCst);
+    let (rt, _, _) = tseries_platform(&store, engine_over_backing(), 1, spec);
+    let client = ShmClient::new(rt.handle());
+    let failed = client
+        .raw_range(&channel, 0, u64::MAX, 0)
+        .unwrap()
+        .wait_for(Duration::from_secs(5));
+    assert!(
+        failed.is_err(),
+        "the scan could not read the series, yet the query was answered: {failed:?}"
+    );
+    // The store is readable again: the same query recovers the series
+    // and returns every acked point.
+    backing.fail_gets.store(false, Ordering::SeqCst);
+    let hits = client
+        .raw_range(&channel, 0, u64::MAX, 0)
+        .unwrap()
+        .wait_for(Duration::from_secs(5))
+        .unwrap();
+    assert_eq!(hits.len(), 40);
     rt.shutdown();
 }
 

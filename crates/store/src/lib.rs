@@ -42,8 +42,8 @@ pub use log::{LogStore, LogStoreConfig, SyncPolicy};
 pub use mem::MemStore;
 pub use tseries::{AppendOutcome, SeriesRecovery, SeriesStats, SeriesStore, TsConfig, TsStore};
 pub use wal::{
-    CrashPlan, CrashPoint, FsyncPolicy, GroupWal, MemMedia, WalConfig, WalCounters, WalMedia,
-    WalStatsSnapshot, WalTicket,
+    CrashPlan, CrashPoint, FsyncPolicy, GroupWal, MemMedia, WalConfig, WalMedia, WalStatsSnapshot,
+    WalTicket,
 };
 
 pub use provisioned::{

@@ -50,7 +50,7 @@ use crate::api::{Key, StateStore, StoreError, StoreResult};
 use crate::codec::{crc32, FramedRecord};
 use crate::tseries::codec::{decode_block, decode_index, BlockIndex, PointCompressor};
 use crate::tseries::SeriesError;
-use crate::wal::{FsyncPolicy, GroupWal, WalConfig, WalCounters, WalStatsSnapshot};
+use crate::wal::{FsyncPolicy, GroupWal, WalConfig, WalStatsSnapshot};
 
 /// Storage namespace of every series record.
 const SERIES_NAMESPACE: &str = "tseries";
@@ -382,14 +382,6 @@ impl TsStore {
             .as_ref()
             .map(|ws| ws.wal.stats())
             .unwrap_or_default()
-    }
-
-    /// Mirrors group-commit counters into `counters` (no-op without a
-    /// WAL). See [`GroupWal::mirror_counters`].
-    pub fn mirror_wal_counters(&self, counters: WalCounters) {
-        if let Some(ws) = &self.wal {
-            ws.wal.mirror_counters(counters);
-        }
     }
 
     fn entry(&self, series: &str) -> Arc<Mutex<Series>> {

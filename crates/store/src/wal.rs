@@ -61,8 +61,7 @@ use std::sync::Arc;
 // points. Off the feature this is exactly `std`. The WAL's `AtomicU64`s
 // stay on std in both modes: per the ordering policy on [`WalCounters`]
 // they are Relaxed monotonic statistics with no control-flow role, so
-// they would only inflate the schedule space — and `WalCounters` cells
-// are shared with the runtime's metrics registry, which is std-atomic.
+// they would only inflate the schedule space.
 #[cfg(feature = "model")]
 use modelcheck::thread as mthread;
 use std::sync::atomic::AtomicU64;
@@ -148,9 +147,7 @@ pub struct CrashPlan {
     pub at_group: u64,
 }
 
-/// Live counters mirrored into by the committer, for wiring WAL
-/// observability into a metrics registry that cannot see this crate
-/// (the same share-an-`Arc` pattern as the runtime's `persist_retries`).
+/// The committer's live counters, read through [`GroupWal::stats`].
 ///
 /// # Atomic-ordering policy
 ///
@@ -162,27 +159,17 @@ pub struct CrashPlan {
 /// each ticket's `Mutex`/`Condvar` pair, so a waiter that has observed
 /// its ack is already happens-after the group's write and fsync without
 /// any help from the counters. A snapshot taken mid-group may therefore
-/// be internally skewed (e.g. `frames` bumped, mirror not yet) — that is
-/// the accepted cost, as with the runtime histograms.
-#[derive(Clone)]
-pub struct WalCounters {
+/// be internally skewed (e.g. `groups` bumped, `frames` not yet) — that
+/// is the accepted cost, as with the runtime histograms.
+#[derive(Default)]
+struct WalCounters {
     /// Groups committed (one coalesced write each).
-    pub groups: Arc<AtomicU64>,
+    groups: AtomicU64,
     /// Frames across all groups; `frames / groups` is the mean group
     /// size.
-    pub frames: Arc<AtomicU64>,
+    frames: AtomicU64,
     /// Fsyncs issued.
-    pub fsyncs: Arc<AtomicU64>,
-}
-
-impl Default for WalCounters {
-    fn default() -> Self {
-        WalCounters {
-            groups: Arc::new(AtomicU64::new(0)),
-            frames: Arc::new(AtomicU64::new(0)),
-            fsyncs: Arc::new(AtomicU64::new(0)),
-        }
-    }
+    fsyncs: AtomicU64,
 }
 
 /// Point-in-time copy of the WAL's own counters.
@@ -357,7 +344,6 @@ struct Shared {
     /// durability decision).
     written_len: AtomicU64,
     counters: WalCounters,
-    mirror: Mutex<Option<WalCounters>>,
     /// Teeth flag for the model suite: ack groups *before* the fsync,
     /// deliberately breaking ack ⇒ durable. Plain `std` atomic on
     /// purpose — it is test configuration, not a modeled sync point.
@@ -369,11 +355,6 @@ impl Shared {
         self.counters.groups.fetch_add(1, Ordering::Relaxed);
         self.counters.frames.fetch_add(frames, Ordering::Relaxed);
         self.counters.fsyncs.fetch_add(fsyncs, Ordering::Relaxed);
-        if let Some(m) = &*self.mirror.lock() {
-            m.groups.fetch_add(1, Ordering::Relaxed);
-            m.frames.fetch_add(frames, Ordering::Relaxed);
-            m.fsyncs.fetch_add(fsyncs, Ordering::Relaxed);
-        }
     }
 }
 
@@ -550,7 +531,6 @@ impl GroupWal {
             config,
             written_len: AtomicU64::new(durable),
             counters: WalCounters::default(),
-            mirror: Mutex::new(None),
             ack_early: AtomicBool::new(false),
         });
         let committer = {
@@ -719,12 +699,6 @@ impl GroupWal {
             frames: self.shared.counters.frames.load(Ordering::Relaxed),
             fsyncs: self.shared.counters.fsyncs.load(Ordering::Relaxed),
         }
-    }
-
-    /// Mirrors every future counter increment into `counters` (e.g. the
-    /// runtime's `wal_*` metrics).
-    pub fn mirror_counters(&self, counters: WalCounters) {
-        *self.shared.mirror.lock() = Some(counters);
     }
 }
 
@@ -1282,19 +1256,15 @@ mod tests {
     }
 
     #[test]
-    fn counters_mirror_into_external_cells() {
-        let path = temp_wal("mirror");
+    fn stats_count_groups_frames_and_fsyncs() {
+        let path = temp_wal("stats");
         let (wal, _) = open(&path);
-        let mirror = WalCounters::default();
-        wal.mirror_counters(mirror.clone());
         for _ in 0..5 {
             wal.append(Bytes::from_static(b"x")).unwrap();
         }
-        assert_eq!(mirror.frames.load(Ordering::Relaxed), 5);
-        assert!(mirror.groups.load(Ordering::Relaxed) >= 1);
-        assert_eq!(
-            mirror.fsyncs.load(Ordering::Relaxed),
-            mirror.groups.load(Ordering::Relaxed)
-        );
+        let stats = wal.stats();
+        assert_eq!(stats.frames, 5);
+        assert!(stats.groups >= 1);
+        assert_eq!(stats.fsyncs, stats.groups);
     }
 }
