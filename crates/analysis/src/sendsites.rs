@@ -16,7 +16,9 @@
 //!   `.call(..)`/`.call_timeout(..)` — `Call` kind; `.recipient()` mints
 //!   a forwardable handle and counts as `Send`.
 //! * `let r = ctx.actor_ref::<T>(key); ... r.tell(..)` — bindings are
-//!   tracked function-locally.
+//!   tracked function-locally; `for r in &refs { r.tell(..) }` over a
+//!   binding that holds minted references (`let refs = cell.get_or_init(||
+//!   keys.map(|k| ctx.actor_ref::<T>(k)).collect())`) sends to the same `T`.
 //! * `ctx.recipient::<A, M>(key)` — `Send` to `A`.
 //! * `x.tell(..)` where `x` is not a tracked binding — a *dynamic* send
 //!   (a `Recipient` carried in a message); covered only by `send_any()`.
@@ -411,6 +413,20 @@ fn extract_fn_sites(
             continue;
         }
 
+        // `for r in refs {` / `for r in &refs {`: the loop variable is an
+        // element of a tracked binding.
+        if t.text == "for" && ident_at(i + 2) == Some("in") {
+            let src = if punct_at(i + 3, '&') { i + 4 } else { i + 3 };
+            let target = ident_at(src).and_then(|name| bindings.get(name)).cloned();
+            if let (Some(var), Some(target), true) =
+                (ident_at(i + 1), target, punct_at(src + 1, '{'))
+            {
+                bindings.insert(var.to_string(), target);
+            }
+            i += 1;
+            continue;
+        }
+
         // `recv.actor_ref::<T>(key)` / `recv.try_actor_ref::<T>(key)`.
         if (t.text == "actor_ref" || t.text == "try_actor_ref")
             && i >= 2
@@ -708,6 +724,44 @@ mod tests {
         );
         // Self-send: no declaration required.
         assert!(drift_findings(&c).is_empty());
+    }
+
+    #[test]
+    fn loop_over_minted_refs_sends_to_their_type() {
+        let handler = "impl Handler<Ping> for Source {\n\
+             fn handle(&mut self, msg: Ping, ctx: &mut ActorContext<'_>) {\n\
+             let targets = self.targets.get_or_init(|| {\n\
+             self.keys.iter().map(|k| ctx.actor_ref::<Target>(k.as_str())).collect()\n\
+             });\n\
+             for target in targets {\n\
+             let _ = target.tell(Ping);\n\
+             }\n\
+             }\n\
+             }\n";
+        let declared = corpus(&format!(
+            "{ACTOR_PAIR_PRELUDE}\
+             impl Actor for Source {{\n\
+             const TYPE_NAME: &'static str = \"t.source\";\n\
+             fn declared_calls() -> &'static [CallDecl] {{\n\
+             const CALLS: &[CallDecl] = &[CallDecl::send(\"t.target\")];\n\
+             CALLS\n\
+             }}\n\
+             }}\n\
+             {handler}"
+        ));
+        assert!(drift_findings(&declared).is_empty());
+
+        let undeclared = corpus(&format!(
+            "{ACTOR_PAIR_PRELUDE}\
+             impl Actor for Source {{\n\
+             const TYPE_NAME: &'static str = \"t.source\";\n\
+             }}\n\
+             {handler}"
+        ));
+        let f = drift_findings(&undeclared);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, Rule::DeclarationDriftMissing);
+        assert!(f[0].detail.contains("t.target"), "{f:?}");
     }
 
     #[test]

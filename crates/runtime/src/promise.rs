@@ -24,6 +24,12 @@ pub enum ReplyTo<R> {
     /// Invoke this callback with the reply, on the worker thread that
     /// produced it. Callbacks must be cheap and non-blocking.
     Callback(Box<dyn FnOnce(R) + Send>),
+    /// Store the reply in one numbered slot of a [`Collector`] (from
+    /// [`Collector::slot`]): the collector's shared handle and an index,
+    /// so a fan-out allocates nothing per target. Delivered like a
+    /// callback; dropped or aborted undelivered, its gather can only
+    /// resolve as [`PromiseError::Lost`].
+    Slot(SlotRef<R>),
     /// Resolve a [`Promise`]. A dedicated variant (rather than a callback
     /// closing over the sender) so the runtime can *abort* the promise with
     /// a typed error — e.g. [`PromiseError::SiloLost`] when the hosting
@@ -43,6 +49,12 @@ impl<R> ReplyTo<R> {
                 let _not_a_turn = crate::topology::TurnGuard::suspend();
                 f(value)
             }
+            ReplyTo::Slot(slot) => {
+                // As for a callback: the last slot runs the gatherer's
+                // completion closure on this thread.
+                let _not_a_turn = crate::topology::TurnGuard::suspend();
+                slot.sink.fill(slot.index, value)
+            }
             ReplyTo::Promise(tx) => {
                 let _ = tx.send(Ok(value));
             }
@@ -57,6 +69,7 @@ impl<R> ReplyTo<R> {
         match self {
             ReplyTo::Ignore => {}
             ReplyTo::Callback(f) => drop(f),
+            ReplyTo::Slot(slot) => drop(slot),
             ReplyTo::Promise(tx) => {
                 let _ = tx.send(Err(err));
             }
@@ -120,10 +133,51 @@ pub fn resolved<T: Send + 'static>(value: T) -> Promise<T> {
     promise
 }
 
-struct CollectorInner<T, F: FnOnce(Vec<T>)> {
-    items: Vec<T>,
-    expected: usize,
+/// The type-erased face of a collector's shared state: what a
+/// [`ReplyTo::Slot`] needs of it, whatever its completion closure is.
+trait SlotSink<T>: Send + Sync {
+    fn fill(&self, index: usize, value: T);
+}
+
+/// One numbered slot of a [`Collector`]; only [`Collector::slot`] makes
+/// them, one per index.
+pub struct SlotRef<T> {
+    sink: Arc<dyn SlotSink<T>>,
+    index: usize,
+}
+
+struct Slots<T, F: FnOnce(Vec<T>)> {
+    /// Replies by slot number, `None` until delivered; its length is the
+    /// number of replies expected.
+    items: Vec<Option<T>>,
+    /// Slots handed out so far — the next slot's number.
+    issued: usize,
+    /// Slots not yet delivered.
+    missing: usize,
     on_complete: Option<F>,
+}
+
+impl<T: Send, F: FnOnce(Vec<T>) + Send> SlotSink<T> for Mutex<Slots<T, F>> {
+    fn fill(&self, index: usize, value: T) {
+        let complete = {
+            let mut guard = self.lock();
+            // A slot is consumed by its one delivery, so this is always
+            // `None` -> `Some`.
+            guard.items[index] = Some(value);
+            guard.missing -= 1;
+            if guard.missing == 0 {
+                guard
+                    .on_complete
+                    .take()
+                    .map(|f| (f, std::mem::take(&mut guard.items)))
+            } else {
+                None
+            }
+        };
+        if let Some((f, items)) = complete {
+            f(items.into_iter().flatten().collect());
+        }
+    }
 }
 
 /// Deadlock-free fan-in for scatter/gather queries.
@@ -131,7 +185,14 @@ struct CollectorInner<T, F: FnOnce(Vec<T>)> {
 /// Create a collector expecting `n` replies with a completion closure, hand
 /// each target a [`ReplyTo`] obtained from [`Collector::slot`], and the
 /// closure runs (exactly once, on whichever worker thread delivers the
-/// final reply) once all `n` replies have arrived.
+/// final reply) once all `n` replies have arrived. Slots are numbered in
+/// the order they are handed out and the closure receives the replies in
+/// that order, whatever order they arrived in. A slot costs no allocation:
+/// it is this collector's shared handle and an index.
+///
+/// A slot dropped undelivered (its target panicked, or the runtime aborted
+/// the request) means the closure never runs; it is dropped with the last
+/// slot, so a [`gather`] promise resolves as [`PromiseError::Lost`].
 ///
 /// The canonical use, from the SHM platform's live-data query: an
 /// `Organization` actor receives `GetLiveData` with a reply sink, creates a
@@ -139,7 +200,7 @@ struct CollectorInner<T, F: FnOnce(Vec<T>)> {
 /// aggregate into the original sink, and fans out `GetLatest` to every
 /// channel actor with collector slots as reply sinks. No actor ever blocks.
 pub struct Collector<T, F: FnOnce(Vec<T>)> {
-    inner: Arc<Mutex<CollectorInner<T, F>>>,
+    inner: Arc<Mutex<Slots<T, F>>>,
 }
 
 impl<T, F: FnOnce(Vec<T>)> Clone for Collector<T, F> {
@@ -157,48 +218,46 @@ impl<T: Send + 'static, F: FnOnce(Vec<T>) + Send + 'static> Collector<T, F> {
     /// empty vector (an organization with no sensors still answers live-data
     /// queries).
     pub fn new(expected: usize, on_complete: F) -> Self {
-        if expected == 0 {
+        let on_complete = if expected == 0 {
             on_complete(Vec::new());
-            return Collector {
-                inner: Arc::new(Mutex::new(CollectorInner {
-                    items: Vec::new(),
-                    expected: 0,
-                    on_complete: None,
-                })),
-            };
-        }
+            None
+        } else {
+            Some(on_complete)
+        };
         Collector {
-            inner: Arc::new(Mutex::new(CollectorInner {
-                items: Vec::with_capacity(expected),
-                expected,
-                on_complete: Some(on_complete),
+            inner: Arc::new(Mutex::new(Slots {
+                items: std::iter::repeat_with(|| None).take(expected).collect(),
+                issued: 0,
+                missing: expected,
+                on_complete,
             })),
         }
     }
 
-    /// Produces a reply sink feeding this collector.
+    /// Produces the reply sink of the next slot. Asking for more slots
+    /// than the collector expects is a bug in the caller: a debug build
+    /// panics, a release build hands out a sink that discards its
+    /// delivery (the expected slots still complete the gather).
     pub fn slot(&self) -> ReplyTo<T> {
-        let inner = Arc::clone(&self.inner);
-        ReplyTo::Callback(Box::new(move |value| {
-            let complete = {
-                let mut guard = inner.lock();
-                guard.items.push(value);
-                if guard.items.len() >= guard.expected {
-                    guard
-                        .on_complete
-                        .take()
-                        .map(|f| (f, std::mem::take(&mut guard.items)))
-                } else {
-                    None
-                }
-            };
-            if let Some((f, items)) = complete {
-                f(items);
+        let index = {
+            let mut guard = self.inner.lock();
+            let index = guard.issued;
+            // (`items` is empty once the gather completed.)
+            if index >= guard.items.len() {
+                debug_assert!(false, "collector asked for more slots than it expects");
+                return ReplyTo::Ignore;
             }
-        }))
+            guard.issued += 1;
+            index
+        };
+        ReplyTo::Slot(SlotRef {
+            sink: Arc::clone(&self.inner) as Arc<dyn SlotSink<T>>,
+            index,
+        })
     }
 
-    /// Feeds a value directly (for mixed local/remote gathers).
+    /// Feeds a value directly into the next slot (for mixed local/remote
+    /// gathers).
     pub fn push(&self, value: T) {
         self.slot().deliver(value);
     }
@@ -280,9 +339,7 @@ mod tests {
         collector.slot().deliver(2);
         assert!(promise.try_take().is_none());
         collector.slot().deliver(3);
-        let mut got = promise.wait().unwrap();
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 2, 3]);
+        assert_eq!(promise.wait().unwrap(), vec![1, 2, 3]);
     }
 
     #[test]
@@ -307,6 +364,73 @@ mod tests {
         let mut got = promise.wait().unwrap();
         got.sort_unstable();
         assert_eq!(got, (0..n).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn completion_is_in_slot_order_whatever_the_arrival_order() {
+        let n = 48;
+        let (collector, promise) = gather::<usize>(n);
+        let slots: Vec<_> = (0..n).map(|_| collector.slot()).collect();
+        drop(collector);
+        // Four threads, each delivering an interleaved quarter of the
+        // slots from the highest number down.
+        let mut quarters: Vec<Vec<(usize, ReplyTo<usize>)>> = (0..4).map(|_| Vec::new()).collect();
+        for (i, slot) in slots.into_iter().enumerate().rev() {
+            quarters[i % 4].push((i, slot));
+        }
+        let handles: Vec<_> = quarters
+            .into_iter()
+            .map(|quarter| {
+                std::thread::spawn(move || {
+                    for (i, slot) in quarter {
+                        slot.deliver(i * 10);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let expected: Vec<usize> = (0..n).map(|i| i * 10).collect();
+        assert_eq!(promise.wait().unwrap(), expected);
+    }
+
+    #[test]
+    fn dropped_slot_loses_the_gather() {
+        let (collector, promise) = gather::<u32>(2);
+        collector.slot().deliver(1);
+        collector.slot().abort(PromiseError::SiloLost);
+        drop(collector);
+        assert_eq!(promise.wait(), Err(PromiseError::Lost));
+    }
+
+    /// A slot beyond `expected`: a caller bug, so a debug build panics.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "more slots than it expects")]
+    fn over_subscribed_slot_panics_in_debug() {
+        let (collector, _promise) = gather::<u32>(1);
+        let _first = collector.slot();
+        let _second = collector.slot();
+    }
+
+    /// In a release build the extra slot is a sink that discards its
+    /// delivery, before and after the gather completed; the expected
+    /// slots complete it as if the extra ones had never been asked for.
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn over_subscribed_slot_discards_its_delivery_in_release() {
+        let (collector, promise) = gather::<u32>(2);
+        let first = collector.slot();
+        let second = collector.slot();
+        let extra = collector.slot();
+        assert!(!extra.is_wanted());
+        extra.deliver(99);
+        assert!(promise.try_take().is_none());
+        second.deliver(2);
+        first.deliver(1);
+        collector.push(98);
+        assert_eq!(promise.wait().unwrap(), vec![1, 2]);
     }
 
     #[test]

@@ -237,8 +237,8 @@ impl Message for Ingest {
 /// Derived-stream push from a physical channel to a subscribed virtual
 /// channel.
 pub struct PushDerived {
-    /// The source physical channel.
-    pub source: String,
+    /// The source physical channel (its key, shared across pushes).
+    pub source: std::sync::Arc<str>,
     /// Its new points (shared with the originating ingest batch).
     pub points: PointBatch,
 }

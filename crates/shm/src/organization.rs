@@ -5,7 +5,9 @@
 //! encapsulated in organization state — projects are passive structural
 //! schemes, so separate actors would only add messaging overhead.
 
-use aodb_runtime::{Actor, ActorContext, ActorKey, Collector, Handler};
+use std::cell::OnceCell;
+
+use aodb_runtime::{Actor, ActorContext, ActorRef, Collector, Handler};
 use serde::{Deserialize, Serialize};
 
 use crate::env::ShmEnv;
@@ -29,13 +31,20 @@ pub(crate) struct OrgState {
     channels: Vec<(String, bool)>,
 }
 
+/// A channel's actor reference, resolved by the first live-data fan-out
+/// that addresses it.
+enum ChannelRef {
+    Physical(OnceCell<ActorRef<PhysicalSensorChannel>>),
+    Virtual(OnceCell<ActorRef<VirtualSensorChannel>>),
+}
+
 /// The organization (tenant) actor.
 pub struct Organization {
     state: Persisted<OrgState>,
-    /// Actor keys of `state.channels`, index for index, minted once
-    /// (the live-data fan-out addresses every channel on every request)
-    /// and caught up at the start of each fan-out.
-    channel_keys: Vec<ActorKey>,
+    /// References to `state.channels`, index for index, minted once (the
+    /// live-data fan-out addresses every channel on every request) and
+    /// caught up at the start of each fan-out.
+    channel_refs: Vec<ChannelRef>,
 }
 
 impl Organization {
@@ -43,21 +52,24 @@ impl Organization {
     pub fn register(rt: &aodb_runtime::Runtime, env: ShmEnv) {
         rt.register(move |id| Organization {
             state: env.persisted_structural(Self::TYPE_NAME, &id.key),
-            channel_keys: Vec::new(),
+            channel_refs: Vec::new(),
         });
     }
 
-    /// Mints keys for channels registered since the last call (channels
-    /// are only ever appended), so `channel_keys` lines up with
-    /// `state.channels` again.
-    fn mint_channel_keys(&mut self) {
+    /// Adds a cell for every channel registered since the last call
+    /// (channels are only ever appended), so `channel_refs` lines up
+    /// with `state.channels` again.
+    fn catch_up_channel_refs(&mut self) {
         let channels = &self.state.get().channels;
-        let minted = self.channel_keys.len();
-        self.channel_keys.extend(
-            channels[minted..]
-                .iter()
-                .map(|(c, _)| ActorKey::from(c.as_str())),
-        );
+        let known = self.channel_refs.len();
+        self.channel_refs
+            .extend(channels[known..].iter().map(|(_, is_virtual)| {
+                if *is_virtual {
+                    ChannelRef::Virtual(OnceCell::new())
+                } else {
+                    ChannelRef::Physical(OnceCell::new())
+                }
+            }));
     }
 }
 
@@ -144,40 +156,36 @@ impl Handler<GetLiveData> for Organization {
     /// resolves the caller's promise from whichever worker thread delivers
     /// the last one.
     fn handle(&mut self, msg: GetLiveData, ctx: &mut ActorContext<'_>) {
-        self.mint_channel_keys();
+        self.catch_up_channel_refs();
         let channels = &self.state.get().channels;
         // The report owns its channel names: one copy per request, moved
-        // (not copied again) into the report as the replies are matched
-        // up. Every index arrives once — one collector slot per channel.
-        let mut names: Vec<String> = channels.iter().map(|(c, _)| c.clone()).collect();
+        // into the report beside the replies, which the collector hands
+        // over in slot order — the order of `channels`.
+        let names: Vec<String> = channels.iter().map(|(c, _)| c.clone()).collect();
         let collector = Collector::new(
             channels.len(),
-            move |hits: Vec<(usize, Option<crate::types::DataPoint>)>| {
-                let channels = hits
-                    .into_iter()
-                    .map(|(idx, point)| (std::mem::take(&mut names[idx]), point))
-                    .collect();
+            move |latest: Vec<Option<crate::types::DataPoint>>| {
+                let channels = names.into_iter().zip(latest).collect();
                 msg.reply.deliver(LiveDataReport { channels });
             },
         );
-        let targets = channels.iter().zip(&self.channel_keys);
-        for (idx, ((_, is_virtual), key)) in targets.enumerate() {
+        for ((name, _), target) in channels.iter().zip(&self.channel_refs) {
             let slot = collector.slot();
-            let tagged = aodb_runtime::ReplyTo::Callback(Box::new(move |point| {
-                slot.deliver((idx, point));
-            }));
-            let sent = if *is_virtual {
-                ctx.actor_ref::<VirtualSensorChannel>(key.clone())
-                    .ask_with(GetLatest, tagged)
-            } else {
-                ctx.actor_ref::<PhysicalSensorChannel>(key.clone())
-                    .ask_with(GetLatest, tagged)
+            // A send refused in a shutdown race takes this channel's
+            // slot down with it, so the overall reply resolves as Lost,
+            // which is correct.
+            let _ = match target {
+                ChannelRef::Physical(cell) => {
+                    let channel =
+                        cell.get_or_init(|| ctx.actor_ref::<PhysicalSensorChannel>(name.as_str()));
+                    channel.ask_with(GetLatest, slot)
+                }
+                ChannelRef::Virtual(cell) => {
+                    let channel =
+                        cell.get_or_init(|| ctx.actor_ref::<VirtualSensorChannel>(name.as_str()));
+                    channel.ask_with(GetLatest, slot)
+                }
             };
-            if sent.is_err() {
-                // Shutdown race: the collector slot for this channel was
-                // consumed by the tagged callback, which is now dropped —
-                // the overall reply resolves as Lost, which is correct.
-            }
         }
     }
 }

@@ -149,8 +149,9 @@ pub(crate) fn channel_series_key(type_name: &str, channel_key: &str) -> String {
 /// send site stays in the actor's own code, where the topology checks
 /// look for it.) Actor-struct data, not persisted state.
 pub(crate) struct ChannelCache {
-    /// The actor key as text.
-    pub channel_key: String,
+    /// The actor key as text (shared: a physical channel names itself as
+    /// the `source` of every derived-stream push).
+    pub channel_key: Arc<str>,
     /// The channel's series name in the engine.
     pub series_key: String,
     /// Scratch: the batch being appended, in the engine's point type.
@@ -161,7 +162,7 @@ pub(crate) struct ChannelCache {
 
 impl ChannelCache {
     pub fn new(type_name: &str, key: &ActorKey) -> Self {
-        let channel_key = key.to_string();
+        let channel_key: Arc<str> = key.to_string().into();
         ChannelCache {
             series_key: channel_series_key(type_name, &channel_key),
             channel_key,
@@ -187,6 +188,9 @@ pub struct PhysicalSensorChannel {
     cache: ChannelCache,
     /// The hour aggregator ingests feed, resolved on first use.
     hour_aggregator: OnceCell<ActorRef<Aggregator>>,
+    /// The subscribed virtual channels, resolved on first use;
+    /// `ConfigureChannel` drops them with the list they were made from.
+    subscribers: OnceCell<Vec<ActorRef<VirtualSensorChannel>>>,
 }
 
 impl PhysicalSensorChannel {
@@ -199,6 +203,7 @@ impl PhysicalSensorChannel {
             series: env.series.clone(),
             cache: ChannelCache::new(Self::TYPE_NAME, &id.key),
             hour_aggregator: OnceCell::new(),
+            subscribers: OnceCell::new(),
         });
     }
 
@@ -380,6 +385,7 @@ impl Handler<ConfigureChannel> for PhysicalSensorChannel {
             s.subscribers = msg.subscribers;
             s.aggregates = msg.aggregates;
         });
+        self.subscribers.take();
     }
 }
 
@@ -420,7 +426,7 @@ impl Handler<Ingest> for PhysicalSensorChannel {
             // `ShmEnv::ingest_service_time`).
             std::thread::sleep(service);
         }
-        let channel_key = self.cache.channel_key.as_str();
+        let channel_key = &*self.cache.channel_key;
         let mut alerts = Vec::new();
         if let Some(series) = &self.series {
             // Columnar path: stats and watermarks mutate in memory only;
@@ -480,20 +486,24 @@ impl PhysicalSensorChannel {
     /// pushes, and the aggregate pyramid.
     fn fan_out(&self, alerts: Vec<Alert>, points: PointBatch, ctx: &ActorContext<'_>) {
         let s = self.state.get();
-        let channel_key = self.cache.channel_key.as_str();
+        let channel_key = &*self.cache.channel_key;
         if !alerts.is_empty() {
             let log = ctx.actor_ref::<AlertLog>(s.org.as_str());
             for alert in alerts {
                 let _ = log.tell(PushAlert(alert));
             }
         }
-        for subscriber in &s.subscribers {
-            let _ = ctx
-                .actor_ref::<VirtualSensorChannel>(subscriber.as_str())
-                .tell(PushDerived {
-                    source: channel_key.to_string(),
-                    points: points.clone(),
-                });
+        let subscribers = self.subscribers.get_or_init(|| {
+            s.subscribers
+                .iter()
+                .map(|key| ctx.actor_ref::<VirtualSensorChannel>(key.as_str()))
+                .collect()
+        });
+        for subscriber in subscribers {
+            let _ = subscriber.tell(PushDerived {
+                source: Arc::clone(&self.cache.channel_key),
+                points: points.clone(),
+            });
         }
         if s.aggregates {
             let agg = self.hour_aggregator.get_or_init(|| {

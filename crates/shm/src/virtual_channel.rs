@@ -7,6 +7,7 @@
 //! push their fresh points here, and each incoming point yields one
 //! derived point computed from the latest value of every input.
 
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -114,7 +115,7 @@ fn derive_points(
     msg: &PushDerived,
     window_capacity: usize,
 ) -> Vec<DataPoint> {
-    let Some(idx) = s.inputs.iter().position(|i| i == &msg.source) else {
+    let Some(idx) = s.inputs.iter().position(|i| **i == *msg.source) else {
         return Vec::new(); // unknown source: configuration race; drop
     };
     let mut derived = Vec::with_capacity(msg.points.len());
@@ -153,7 +154,7 @@ pub struct VirtualSensorChannel {
     series: Option<Arc<dyn SeriesStore>>,
     cache: ChannelCache,
     /// The hour aggregator derived points feed, resolved on first use.
-    hour_aggregator: Option<ActorRef<Aggregator>>,
+    hour_aggregator: OnceCell<ActorRef<Aggregator>>,
 }
 
 impl VirtualSensorChannel {
@@ -164,7 +165,7 @@ impl VirtualSensorChannel {
             window_capacity: env.window_capacity,
             series: env.series.clone(),
             cache: ChannelCache::new(Self::TYPE_NAME, &id.key),
-            hour_aggregator: None,
+            hour_aggregator: OnceCell::new(),
         });
     }
 }
@@ -216,23 +217,44 @@ impl Handler<ConfigureVirtual> for VirtualSensorChannel {
 
 impl Handler<PushDerived> for VirtualSensorChannel {
     fn handle(&mut self, msg: PushDerived, ctx: &mut ActorContext<'_>) {
-        let capacity = self.window_capacity;
-        let derived: Vec<DataPoint> = if let Some(series) = &self.series {
+        if let Some(series) = &self.series {
             // Columnar path: derive in memory, then commit the derived
             // points and the sidecar (stats + operands) in one append.
             let s = self.state.get_mut_untracked();
             let derived = derive_points(s, &msg, 0);
-            let cache = &mut self.cache;
-            VirtualSideCar::encode_from(s, &mut cache.meta);
-            stage_points(&mut cache.points, &derived);
-            let _ = series.append_batch(&cache.series_key, &cache.points, &cache.meta);
-            derived
+            VirtualSideCar::encode_from(s, &mut self.cache.meta);
+            stage_points(&mut self.cache.points, &derived);
+            self.fan_out(derived, ctx);
+            // The physical channel's pattern: the engine makes the append
+            // durable at group commit, off this worker, and the turn ends
+            // without waiting for it — so the derived points are visible
+            // to `GetLatest` and `QueryRange` before they are durable.
+            // Last in the turn, after the fan-out is enqueued. The push
+            // is a `tell`: a failed append has no caller to abort, and
+            // as on the physical path the points stay in the engine's
+            // in-memory tail until its next committed record carries
+            // them.
+            series.append_batch_async(
+                &self.cache.series_key,
+                &self.cache.points,
+                &self.cache.meta,
+                Box::new(|_result| {}),
+            );
         } else {
-            self.state.mutate(|s| derive_points(s, &msg, capacity))
-        };
+            let capacity = self.window_capacity;
+            let derived = self.state.mutate(|s| derive_points(s, &msg, capacity));
+            self.fan_out(derived, ctx);
+        }
+    }
+}
+
+impl VirtualSensorChannel {
+    /// A push turn's downstream send: the derived points cascade into
+    /// this channel's aggregate pyramid.
+    fn fan_out(&self, derived: Vec<DataPoint>, ctx: &ActorContext<'_>) {
         if !derived.is_empty() && self.state.get().aggregates {
-            let channel_key = &self.cache.channel_key;
-            let agg = self.hour_aggregator.get_or_insert_with(|| {
+            let channel_key = &*self.cache.channel_key;
+            let agg = self.hour_aggregator.get_or_init(|| {
                 ctx.actor_ref::<Aggregator>(aggregator_key(channel_key, AggregateLevel::Hour))
             });
             let _ = agg.tell(RecordSamples {

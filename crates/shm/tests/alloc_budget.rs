@@ -1,13 +1,15 @@
-//! Allocation budget of one acked channel ingest, as a count.
+//! Allocation budgets of one acked channel ingest and of one live-data
+//! fan-out, as counts.
 //!
 //! A counting `#[global_allocator]` tallies allocator calls per thread;
-//! the test drives acked ingests through the real stack — channel turn,
+//! the tests drive requests through the real stack — channel turn,
 //! side-car encode, `TsStore::with_wal` delta append, deferred ack from
-//! the WAL committer, aggregator turn — and reads the tally of the silo
-//! worker threads only (the client and the committer have their own
+//! the WAL committer, aggregator turn; organization turn, one `GetLatest`
+//! turn per channel, collector completion — and read the tally of the
+//! silo worker threads only (the client and the committer have their own
 //! costs, which are not what a turn costs a worker). A count, unlike a
-//! timing, is the same on every host and every run — the test checks
-//! that by measuring two fresh stacks — so the budget is an exact
+//! timing, is the same on every host and every run — the tests check
+//! that by measuring two fresh stacks — so a budget is an exact
 //! assertion: it fails the moment a per-message allocation creeps back
 //! into the hot path.
 
@@ -20,7 +22,10 @@ use std::time::Duration;
 use aodb_runtime::{Actor, ActorContext, Handler, Message, Runtime};
 use aodb_shm::messages::Ingest;
 use aodb_shm::types::DataPoint;
-use aodb_shm::{provision, register_all, PhysicalSensorChannel, ShmEnv, Topology, TopologySpec};
+use aodb_shm::{
+    provision, register_all, PhysicalSensorChannel, ShmClient, ShmEnv, Topology, TopologySpec,
+};
+use aodb_store::tseries::TsStore;
 use aodb_store::{FsyncPolicy, MemStore, StateStore, WalConfig};
 
 const MAX_THREADS: usize = 64;
@@ -136,6 +141,17 @@ const MEASURED: u64 = 40;
 /// scratch buffers and the dirty-set entry stopped being rebuilt per
 /// message.
 const BUDGET: u64 = 6;
+/// Worker-thread allocator calls one live-data request may cost per
+/// channel of the organization — the `GetLatest` envelope and the name
+/// the report owns; a collector slot and a channel reference cost none —
+/// and per request whatever the channel count: the organization's and
+/// the collector's vectors, the collector's shared state, the report.
+const LIVE_BUDGET_PER_CHANNEL: u64 = 2;
+const LIVE_BUDGET_PER_REQUEST: u64 = 8;
+const LIVE_REQUESTS: u64 = 20;
+
+/// The tallies are process-wide: one measurement at a time.
+static ONE_AT_A_TIME: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
 /// Drives `rounds` ingests into every channel, each acked before the
 /// next is sent, and returns with the runtime quiescent.
@@ -168,72 +184,131 @@ fn ingest_rounds(
     assert!(rt.quiesce(Duration::from_secs(10)));
 }
 
+/// A fresh stack over 8 plain channels of one organization, its worker
+/// thread(s) known to `worker_calls`.
+struct Stack {
+    rt: Runtime,
+    engine: Arc<TsStore>,
+    topology: Topology,
+    channels: Vec<aodb_runtime::ActorRef<PhysicalSensorChannel>>,
+    wal_dir: std::path::PathBuf,
+}
+
+impl Stack {
+    fn build(tag: &str) -> Stack {
+        let wal_dir =
+            std::env::temp_dir().join(format!("aodb-alloc-budget-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&wal_dir);
+        let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
+        let (env, engine) = ShmEnv::tseries_wal_default(
+            Arc::clone(&store),
+            wal_dir.join("ingest.wal"),
+            WalConfig {
+                fsync_policy: FsyncPolicy::OnDemand,
+            },
+        )
+        .unwrap();
+        let rt = Runtime::builder().silos(1, WORKERS).build();
+        register_all(&rt, env);
+        rt.register(|_id| Marker);
+        // Plain sensors feeding the aggregate pyramid, as in the
+        // benchmark's ingest workloads.
+        let spec = TopologySpec {
+            virtual_every: 0,
+            ..TopologySpec::default()
+        };
+        let topology = Topology::layout(4, spec);
+        provision(&rt, &topology, |_| None).unwrap();
+        let channels: Vec<_> = topology
+            .physical_channels()
+            .map(|key| rt.actor_ref::<PhysicalSensorChannel>(key))
+            .collect();
+        assert_eq!(channels.len(), 8);
+        assert_eq!(topology.orgs.len(), 1);
+
+        // Find this stack's worker thread(s): bursts of turns until each
+        // has run one.
+        let known = WORKER_SLOTS.load(Ordering::Relaxed).count_ones();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while WORKER_SLOTS.load(Ordering::Relaxed).count_ones() < known + WORKERS as u32 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "not every worker ran a turn"
+            );
+            for n in 0..256u64 {
+                rt.actor_ref::<Marker>(n).tell(Mark).unwrap();
+            }
+            assert!(rt.quiesce(Duration::from_secs(10)));
+        }
+        Stack {
+            rt,
+            engine,
+            topology,
+            channels,
+            wal_dir,
+        }
+    }
+
+    fn tear_down(self) {
+        self.rt.shutdown();
+        drop(self.engine);
+        let _ = std::fs::remove_dir_all(&self.wal_dir);
+    }
+}
+
 /// Builds a fresh stack, warms it up and returns the worker-thread
 /// allocator calls of `MEASURED` acked ingests into each of 8 channels.
 fn measure(tag: &str) -> u64 {
-    let wal_dir =
-        std::env::temp_dir().join(format!("aodb-alloc-budget-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-    let (env, engine) = ShmEnv::tseries_wal_default(
-        Arc::clone(&store),
-        wal_dir.join("ingest.wal"),
-        WalConfig {
-            fsync_policy: FsyncPolicy::OnDemand,
-        },
-    )
-    .unwrap();
-    let rt = Runtime::builder().silos(1, WORKERS).build();
-    register_all(&rt, env);
-    rt.register(|_id| Marker);
-    // Plain sensors feeding the aggregate pyramid, as in the benchmark's
-    // ingest workloads.
-    let spec = TopologySpec {
-        virtual_every: 0,
-        ..TopologySpec::default()
-    };
-    let topology = Topology::layout(4, spec);
-    provision(&rt, &topology, |_| None).unwrap();
-    let channels: Vec<_> = topology
-        .physical_channels()
-        .map(|key| rt.actor_ref::<PhysicalSensorChannel>(key))
-        .collect();
-    assert_eq!(channels.len(), 8);
-
-    // Find this stack's worker thread(s): bursts of turns until each
-    // has run one.
-    let known = WORKER_SLOTS.load(Ordering::Relaxed).count_ones();
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while WORKER_SLOTS.load(Ordering::Relaxed).count_ones() < known + WORKERS as u32 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "not every worker ran a turn"
-        );
-        for n in 0..256u64 {
-            rt.actor_ref::<Marker>(n).tell(Mark).unwrap();
-        }
-        assert!(rt.quiesce(Duration::from_secs(10)));
-    }
-
+    let stack = Stack::build(tag);
     let mut next_batch = 0u64;
-    ingest_rounds(&rt, &channels, &mut next_batch, WARM_UP);
+    ingest_rounds(&stack.rt, &stack.channels, &mut next_batch, WARM_UP);
     let before = worker_calls();
-    ingest_rounds(&rt, &channels, &mut next_batch, MEASURED);
+    ingest_rounds(&stack.rt, &stack.channels, &mut next_batch, MEASURED);
     let calls = worker_calls() - before;
     assert_eq!(
-        engine.wal_stats().frames,
-        (WARM_UP + MEASURED) * channels.len() as u64,
+        stack.engine.wal_stats().frames,
+        (WARM_UP + MEASURED) * stack.channels.len() as u64,
         "every ingest must have taken the delta path"
     );
+    stack.tear_down();
+    calls
+}
 
-    rt.shutdown();
-    drop(engine);
-    let _ = std::fs::remove_dir_all(&wal_dir);
+/// Drives `requests` live-data requests at the stack's organization, each
+/// answered (and checked) before the next is sent.
+fn live_requests(stack: &Stack, requests: u64) {
+    let client = ShmClient::new(stack.rt.handle());
+    for _ in 0..requests {
+        let report = client
+            .live_data(&stack.topology.orgs[0].key)
+            .unwrap()
+            .wait_for(Duration::from_secs(10))
+            .expect("live data answered");
+        // Registration order, every channel with its last ingested point.
+        let names = report.channels.iter().map(|(name, _)| name.as_str());
+        assert!(names.eq(stack.topology.physical_channels()));
+        assert!(report.channels.iter().all(|(_, latest)| latest.is_some()));
+    }
+    assert!(stack.rt.quiesce(Duration::from_secs(10)));
+}
+
+/// Builds a fresh stack with one point batch in every channel and
+/// returns the worker-thread allocator calls of `LIVE_REQUESTS`
+/// live-data requests over its 8 channels, after a first one.
+fn measure_live(tag: &str) -> u64 {
+    let stack = Stack::build(tag);
+    ingest_rounds(&stack.rt, &stack.channels, &mut 0, 1);
+    live_requests(&stack, 1);
+    let before = worker_calls();
+    live_requests(&stack, LIVE_REQUESTS);
+    let calls = worker_calls() - before;
+    stack.tear_down();
     calls
 }
 
 #[test]
 fn acked_channel_ingest_stays_within_its_allocation_budget() {
+    let _one = ONE_AT_A_TIME.lock();
     let ingests = MEASURED * 8;
     let calls = measure("a");
     assert!(
@@ -248,5 +323,26 @@ fn acked_channel_ingest_stays_within_its_allocation_budget() {
         measure("b"),
         calls,
         "the same ingests must cost the same allocator calls on every run"
+    );
+}
+
+#[test]
+fn live_data_fan_out_stays_within_its_allocation_budget() {
+    let _one = ONE_AT_A_TIME.lock();
+    let calls = measure_live("live-a");
+    let budget = LIVE_REQUESTS * (LIVE_BUDGET_PER_CHANNEL * 8 + LIVE_BUDGET_PER_REQUEST);
+    println!(
+        "worker-thread allocator calls per live-data request over 8 channels: {:.2}",
+        calls as f64 / LIVE_REQUESTS as f64
+    );
+    assert!(
+        calls <= budget,
+        "{calls} worker-thread allocator calls for {LIVE_REQUESTS} live-data requests over 8 \
+         channels, budget {LIVE_BUDGET_PER_CHANNEL} per channel + {LIVE_BUDGET_PER_REQUEST} each"
+    );
+    assert_eq!(
+        measure_live("live-b"),
+        calls,
+        "the same requests must cost the same allocator calls on every run"
     );
 }

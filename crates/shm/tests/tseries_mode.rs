@@ -15,8 +15,10 @@ use aodb_runtime::Runtime;
 use aodb_shm::messages::Ingest;
 use aodb_shm::types::{DataPoint, Threshold};
 use aodb_shm::{provision, register_all, ShmClient, ShmEnv, Topology, TopologySpec};
-use aodb_store::tseries::{SeriesStore, TsConfig, TsStore};
+use aodb_store::tseries::engine::AppendAck;
+use aodb_store::tseries::{AppendOutcome, SeriesRecovery, SeriesStore, TsConfig, TsStore};
 use aodb_store::{Bytes, Key, MemStore, StateStore, StoreError, StoreResult, WalConfig};
+use parking_lot::Mutex;
 
 fn dp(ts_ms: u64, value: f64) -> DataPoint {
     DataPoint { ts_ms, value }
@@ -341,6 +343,153 @@ fn virtual_channels_derive_and_persist_through_series_store() {
         .raw_range_virtual(&vkey, 0, u64::MAX, 0)
         .unwrap()
         .wait_for(Duration::from_secs(5))
+        .unwrap();
+    assert_eq!(hits.len(), 2);
+    assert_eq!(hits[1].value, 42.0);
+    rt.shutdown();
+}
+
+/// `Some(acks withheld so far)` until the release, `None` after.
+type Withheld = Option<Vec<Box<dyn FnOnce() + Send>>>;
+
+/// An engine whose commits of `shm.virtual-channel/…` series take as
+/// long as the test says: the ack of every append to such a series is
+/// withheld until [`WithheldVirtualAcks::release`]. Other series pass
+/// through.
+struct WithheldVirtualAcks {
+    inner: TsStore,
+    withheld: Arc<Mutex<Withheld>>,
+}
+
+impl WithheldVirtualAcks {
+    fn withheld(&self) -> usize {
+        self.withheld.lock().as_ref().map_or(0, Vec::len)
+    }
+
+    fn release(&self) {
+        let acks = self.withheld.lock().take();
+        for ack in acks.into_iter().flatten() {
+            ack();
+        }
+    }
+}
+
+impl SeriesStore for WithheldVirtualAcks {
+    /// Async, then wait for the ack — as an engine with a WAL blocks
+    /// for its group commit.
+    fn append_batch(
+        &self,
+        series: &str,
+        points: &[(u64, f64)],
+        meta: &[u8],
+    ) -> StoreResult<AppendOutcome> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        self.append_batch_async(
+            series,
+            points,
+            meta,
+            Box::new(move |result| {
+                let _ = tx.send(result);
+            }),
+        );
+        rx.recv().expect("ack resolved")
+    }
+
+    fn append_batch_async(&self, series: &str, points: &[(u64, f64)], meta: &[u8], ack: AppendAck) {
+        if !series.starts_with("shm.virtual-channel/") {
+            return self.inner.append_batch_async(series, points, meta, ack);
+        }
+        let withheld = Arc::clone(&self.withheld);
+        self.inner.append_batch_async(
+            series,
+            points,
+            meta,
+            Box::new(move |result| {
+                let mut withheld = withheld.lock();
+                match withheld.as_mut() {
+                    Some(acks) => acks.push(Box::new(move || ack(result))),
+                    None => {
+                        drop(withheld);
+                        ack(result)
+                    }
+                }
+            }),
+        );
+    }
+
+    fn scan_range(
+        &self,
+        series: &str,
+        from_ms: u64,
+        to_ms: u64,
+        limit: usize,
+    ) -> StoreResult<Vec<(u64, f64)>> {
+        self.inner.scan_range(series, from_ms, to_ms, limit)
+    }
+
+    fn seal(&self, series: &str) -> StoreResult<()> {
+        self.inner.seal(series)
+    }
+
+    fn recover(&self, series: &str) -> StoreResult<SeriesRecovery> {
+        self.inner.recover(series)
+    }
+}
+
+#[test]
+fn derived_append_never_parks_the_worker() {
+    let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
+    let series = Arc::new(WithheldVirtualAcks {
+        inner: engine(&store, None),
+        withheld: Arc::new(Mutex::new(Some(Vec::new()))),
+    });
+    // One worker: if a turn waits for a derived append's commit, nothing
+    // else runs until the release.
+    let rt = Runtime::single(1);
+    register_all(
+        &rt,
+        ShmEnv::paper_default(Arc::clone(&store))
+            .with_series_store(Arc::clone(&series) as Arc<dyn SeriesStore>),
+    );
+    let topology = Topology::layout(1, TopologySpec::default());
+    provision(&rt, &topology, |_| None).unwrap();
+    let client = ShmClient::new(rt.handle());
+    let org = &topology.orgs[0];
+    let sensor = &org.sensors[0];
+    let vkey = sensor.virtual_channel.as_ref().unwrap().to_string();
+
+    let timeout = Duration::from_secs(3);
+    let acks = [(0, dp(0, 10.0)), (1, dp(5, 32.0))].map(|(channel, point)| {
+        client
+            .ingest(&sensor.physical[channel], vec![point])
+            .unwrap()
+            .wait_for(timeout)
+    });
+    // Both pushes are in the virtual channel's mailbox ahead of these.
+    let live = client.live_data(&org.key).unwrap().wait_for(timeout);
+    let stats = client
+        .virtual_channel_stats(&vkey)
+        .unwrap()
+        .wait_for(timeout);
+    let withheld = series.withheld();
+    // Released before anything is asserted, so a failure ends the test
+    // instead of leaving the worker parked.
+    series.release();
+
+    assert_eq!(acks, [Ok(1), Ok(1)], "physical acks are not withheld");
+    let live = live.expect("live data answered while the derived commits were still pending");
+    let stats = stats.expect("virtual channel answered while its commits were still pending");
+    assert_eq!(withheld, 2, "one withheld commit per push");
+    // Visible before durable: both derived points are already counted.
+    assert_eq!(stats.total_points, 2);
+    assert_eq!(stats.last.unwrap().value, 42.0);
+    let latest_virtual = live.channels.iter().find(|(name, _)| *name == vkey);
+    assert_eq!(latest_virtual.unwrap().1.unwrap().value, 42.0);
+
+    let hits = client
+        .raw_range_virtual(&vkey, 0, u64::MAX, 0)
+        .unwrap()
+        .wait_for(timeout)
         .unwrap();
     assert_eq!(hits.len(), 2);
     assert_eq!(hits[1].value, 42.0);
