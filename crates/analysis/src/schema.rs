@@ -7,11 +7,11 @@
 //!   Their layout is the ordered field list: names, types, and container
 //!   canonicality. Reordering fields, changing a type, or swapping an
 //!   ordered container for an unordered one changes the stored bytes.
-//! * **Binary on-disk formats** — hand-rolled byte layouts identified by
-//!   a magic constant (`TSB1` sealed blocks, `TST1` tail records). Their
-//!   layout is declared next to the encoder as an `aodb-schema:
-//!   layout(..)` marker line, which this pass fingerprints together
-//!   with the magic bytes.
+//! * **Binary on-disk formats** — byte layouts identified by a magic
+//!   constant (`TSB1` sealed blocks, `TST1` tail records, `TSW1` WAL
+//!   deltas). Their layout is declared next to the encoder as an
+//!   `aodb-schema: layout(..)` marker line, which this pass fingerprints
+//!   together with the magic bytes.
 //!
 //! Every layout gets a stable FNV-1a fingerprint checked against the
 //! committed `schema.lock` ([`crate::schemalock`]). Rule `schema-drift`
@@ -35,7 +35,7 @@ use std::path::PathBuf;
 use std::ops::Range;
 
 use crate::dataflow::{first_generic_arg, FileModel};
-use crate::lexer::{skip_group, TokKind};
+use crate::lexer::{is_method_call, skip_group, TokKind};
 use crate::lint::{Finding, Rule};
 use crate::schemalock::{fnv1a, EntryKind, LockEntry, SchemaLock};
 use crate::sendsites::Corpus;
@@ -192,7 +192,15 @@ fn describe_segment(
 fn collect_format_entries(corpus: &Corpus, out: &mut Vec<SchemaEntry>) {
     for file in &corpus.files {
         let toks = &file.toks;
-        let has_dispatch = toks.iter().any(|t| t.is_ident("UnsupportedVersion"));
+        // A file dispatches on the version when it names the typed error,
+        // or hands a magic constant to the store's one version gate
+        // (`codec::Reader::magic`), which returns that error.
+        let has_dispatch = toks.iter().enumerate().any(|(j, t)| {
+            t.is_ident("UnsupportedVersion")
+                || (t.is_ident("magic")
+                    && is_method_call(toks, j)
+                    && toks.get(j + 2).is_some_and(|a| a.text.contains("MAGIC")))
+        });
         // Layout markers from the raw lines (they live in comments).
         let mut layouts: Vec<(String, String)> = Vec::new();
         for raw in &file.lines {
@@ -570,6 +578,16 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, Rule::SchemaUnversioned);
         assert_eq!(f[0].item.as_deref(), Some("RAW0"));
+    }
+
+    #[test]
+    fn format_decoded_through_the_shared_gate_is_versioned() {
+        let src = "pub const XYZ_MAGIC: &[u8; 4] = b\"XYZ1\";\n\
+             fn decode(r: &mut Reader) -> StoreResult<()> { r.magic(XYZ_MAGIC) }\n";
+        assert!(schema_findings(&corpus(src), None).is_empty());
+        // A `magic` call on anything but a magic constant is no gate.
+        let src = src.replace("r.magic(XYZ_MAGIC)", "r.magic(other)");
+        assert_eq!(schema_findings(&corpus(&src), None).len(), 1);
     }
 
     #[test]

@@ -307,17 +307,12 @@ pub(crate) fn run_activation_slice(
     // Envelopes salvaged from a faulted slice, re-dispatched to a fresh
     // activation below.
     let mut leftover: Vec<Envelope> = Vec::new();
-    {
+    let ran = 'turns: {
         let mut guard = act.actor.lock();
-        let actor = match guard.as_mut() {
-            Some(a) => a,
-            // Deactivated between scheduling and execution (shutdown path);
-            // drop the messages — their reply sinks resolve as Lost.
-            None => {
-                #[cfg(debug_assertions)]
-                act.running.store(false, Ordering::SeqCst);
-                return;
-            }
+        // Deactivated between scheduling and execution (shutdown path):
+        // drop the messages — their reply sinks resolve as Lost.
+        let Some(actor) = guard.as_mut() else {
+            break 'turns false;
         };
         // Mark this thread as running turns of this actor type so debug
         // builds can check outgoing dispatches against its declared edges.
@@ -345,6 +340,15 @@ pub(crate) fn run_activation_slice(
             // handler panicked on resolves as `Lost` only now.
         }
         killed = killed || !unit.is_alive();
+        true
+    };
+    // This worker is done with the actor. The flag clears before any
+    // mailbox transition below: once `finish_turn` makes the mailbox idle,
+    // another worker may legitimately pick the activation up.
+    #[cfg(debug_assertions)]
+    act.running.store(false, Ordering::SeqCst);
+    if !ran {
+        return;
     }
     if processed > 0 {
         core.metrics
@@ -360,8 +364,6 @@ pub(crate) fn run_activation_slice(
         // lost, exactly like a process kill), and evict the identity so
         // the next message reactivates it from durable state elsewhere.
         leftover.extend(act.mailbox.retire_and_drain());
-        #[cfg(debug_assertions)]
-        act.running.store(false, Ordering::SeqCst);
         core.crash_finish(act, leftover);
         return;
     }
@@ -372,18 +374,13 @@ pub(crate) fn run_activation_slice(
         // from the last durable state.
         leftover.extend(act.mailbox.retire_and_drain());
         core.discard_faulted(act);
-        #[cfg(debug_assertions)]
-        act.running.store(false, Ordering::SeqCst);
         for env in leftover {
             let _ =
                 core.dispatch_free(act.id.clone(), env, crate::identity::Origin::Silo(act.silo));
         }
         return;
     }
-    let outcome = act.mailbox.finish_turn(deactivate);
-    #[cfg(debug_assertions)]
-    act.running.store(false, Ordering::SeqCst);
-    match outcome {
+    match act.mailbox.finish_turn(deactivate) {
         TurnOutcome::Drained => {}
         TurnOutcome::MorePending => core.silos[act.silo.index()].enqueue_yielded(Arc::clone(act)),
         TurnOutcome::RetiredForDeactivation => core.deactivate(act),

@@ -77,8 +77,9 @@ impl ShmEnv {
     /// delta frames to a group-commit WAL at `wal_path`, ingest acks
     /// resolve on the committer thread, and one fsync covers every
     /// concurrently appending channel. Returns the engine alongside the
-    /// env so the platform can wire checkpoints, metric mirroring, and
-    /// deactivation-sweep sync barriers.
+    /// env so the platform can wire checkpoints and deactivation-sweep
+    /// sync barriers, and read the WAL's group counters
+    /// ([`TsStore::wal_stats`]).
     pub fn tseries_wal_default(
         store: Arc<dyn StateStore>,
         wal_path: impl Into<std::path::PathBuf>,

@@ -14,7 +14,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use aodb_runtime::{Actor, ActorContext, ActorKey, ActorRef, Handler};
+use aodb_store::codec::{Reader, Writer};
 use aodb_store::tseries::SeriesStore;
+use aodb_store::StoreResult;
 use serde::{Deserialize, Serialize};
 
 use crate::aggregator::{aggregator_key, Aggregator};
@@ -99,28 +101,36 @@ impl ChannelSideCar {
     /// the ingest hot path — see `sidecar.rs` — and encodes straight from
     /// the state into the channel's reused buffer).
     fn encode_from(s: &ChannelState, out: &mut Vec<u8>) {
-        let mut w = sidecar::Writer::over(out);
+        out.clear();
+        let mut w = Writer::over(out);
+        w.u8(sidecar::FORMAT);
         w.u64(s.total_points);
         w.f64(s.accumulated_change);
-        w.opt_f64(s.first_value);
-        w.opt_point(s.last);
+        w.opt(s.first_value, Writer::f64);
+        w.opt(s.last, write_point);
         w.bool(s.breaching_high);
         w.bool(s.breaching_low);
         w.bool(s.accumulated_alerted);
-        w.pairs(&s.ingest_watermarks);
+        w.u64(s.ingest_watermarks.len() as u64);
+        for &(source, seq) in &s.ingest_watermarks {
+            w.u64(source);
+            w.u64(seq);
+        }
     }
 
-    fn decode(bytes: &[u8]) -> Result<Self, sidecar::SideCarDecodeError> {
-        let mut r = sidecar::Reader::new(bytes)?;
-        Ok(ChannelSideCar {
-            total_points: r.u64()?,
-            accumulated_change: r.f64()?,
-            first_value: r.opt_f64()?,
-            last: r.opt_point()?,
-            breaching_high: r.bool()?,
-            breaching_low: r.bool()?,
-            accumulated_alerted: r.bool()?,
-            ingest_watermarks: r.pairs()?,
+    fn decode(bytes: &[u8]) -> StoreResult<Self> {
+        Reader::whole(bytes, "channel side-car", |r| {
+            r.tag(sidecar::FORMAT)?;
+            Ok(ChannelSideCar {
+                total_points: r.u64()?,
+                accumulated_change: r.f64()?,
+                first_value: r.opt(Reader::f64)?,
+                last: r.opt(read_point)?,
+                breaching_high: r.bool()?,
+                breaching_low: r.bool()?,
+                accumulated_alerted: r.bool()?,
+                ingest_watermarks: r.u64_list(|r| Ok((r.u64()?, r.u64()?)))?,
+            })
         })
     }
 
@@ -134,6 +144,19 @@ impl ChannelSideCar {
         s.accumulated_alerted = self.accumulated_alerted;
         s.ingest_watermarks = self.ingest_watermarks;
     }
+}
+
+/// A side-car's `DataPoint` field: `ts_ms u64 | value f64`.
+pub(crate) fn write_point(w: &mut Writer<'_>, p: DataPoint) {
+    w.u64(p.ts_ms);
+    w.f64(p.value);
+}
+
+pub(crate) fn read_point(r: &mut Reader<'_>) -> StoreResult<DataPoint> {
+    Ok(DataPoint {
+        ts_ms: r.u64()?,
+        value: r.f64()?,
+    })
 }
 
 /// Series name of a channel's point stream: type-prefixed so physical
@@ -792,6 +815,54 @@ mod codec_tests {
             prop_assert_eq!(decoded.breaching_low, state.breaching_low);
             prop_assert_eq!(decoded.accumulated_alerted, state.accumulated_alerted);
             prop_assert_eq!(decoded.ingest_watermarks, state.ingest_watermarks);
+            // Every strict prefix is refused, never read as a side-car.
+            for cut in 0..bytes.len() {
+                prop_assert!(ChannelSideCar::decode(&bytes[..cut]).is_err(), "cut at {}", cut);
+            }
         }
+    }
+
+    /// Golden fixture: the exact bytes of one channel side-car (it is
+    /// the series metadata every committed append carries).
+    #[test]
+    fn golden_channel_sidecar_bytes() {
+        let state = ChannelState {
+            total_points: 3,
+            accumulated_change: 1.5,
+            first_value: Some(20.0),
+            last: Some(DataPoint {
+                ts_ms: 1000,
+                value: 21.5,
+            }),
+            breaching_high: true,
+            ingest_watermarks: vec![(7, 2)],
+            ..ChannelState::default()
+        };
+        let mut bytes = vec![0xEE; 5]; // stale contents are replaced
+        ChannelSideCar::encode_from(&state, &mut bytes);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            concat!(
+                // format byte | total_points=3 | accumulated_change=1.5
+                "01",
+                "0300000000000000",
+                "000000000000f83f",
+                // first_value: present, 20.0
+                "01",
+                "0000000000003440",
+                // last: present, ts=1000, value=21.5
+                "01",
+                "e803000000000000",
+                "0000000000803540",
+                // breaching_high | breaching_low | accumulated_alerted
+                "010000",
+                // ingest_watermarks: count=1, (source=7, seq=2)
+                "0100000000000000",
+                "0700000000000000",
+                "0200000000000000",
+            ),
+            "channel side-car format drifted — bump sidecar::FORMAT"
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! Compact binary codec for the channel side-cars.
+//! The channel side-cars' binary layout.
 //!
 //! Side-cars ride *every* columnar append as series metadata (see
 //! `ChannelSideCar`), which puts their encoding on the ingest hot path —
@@ -9,215 +9,13 @@
 //! Layout: one format byte (`FORMAT`), then the struct's fields in
 //! declaration order — integers and floats as little-endian, `bool` as
 //! one byte, `Option<T>` as a presence byte + payload, `Vec<T>` as a
-//! `u32` length + elements. Decoders reject unknown format bytes and
-//! short buffers; callers treat that as "no side-car" (fresh state),
-//! the same stance as a missing meta blob.
-
-use crate::types::DataPoint;
+//! `u64` length + elements. Each side-car's encoder and decoder is that
+//! field list over `aodb_store::codec::{Writer, Reader}`, which own every
+//! check: decoders reject an unknown format byte, a short buffer, a list
+//! length larger than the bytes left, and trailing bytes; callers treat
+//! that as "no side-car" (fresh state), the same stance as a missing meta
+//! blob.
 
 /// Format byte of the current side-car layout. Bump on any field
 /// change; old blobs then read as absent rather than misparsed.
 pub(crate) const FORMAT: u8 = 1;
-
-/// Decode failure: wrong format byte or truncated buffer.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) struct SideCarDecodeError;
-
-/// Encodes into a caller-owned buffer, so a channel can reuse one
-/// buffer for the side-car of every append.
-pub(crate) struct Writer<'a>(&'a mut Vec<u8>);
-
-impl<'a> Writer<'a> {
-    /// Starts a side-car in `buf`, replacing whatever it held.
-    pub fn over(buf: &'a mut Vec<u8>) -> Self {
-        buf.clear();
-        buf.push(FORMAT);
-        Writer(buf)
-    }
-
-    pub fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn f64(&mut self, v: f64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn bool(&mut self, v: bool) {
-        self.0.push(v as u8);
-    }
-
-    pub fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.0.push(1);
-                self.f64(x);
-            }
-            None => self.0.push(0),
-        }
-    }
-
-    pub fn opt_point(&mut self, v: Option<DataPoint>) {
-        match v {
-            Some(p) => {
-                self.0.push(1);
-                self.u64(p.ts_ms);
-                self.f64(p.value);
-            }
-            None => self.0.push(0),
-        }
-    }
-
-    pub fn pairs(&mut self, v: &[(u64, u64)]) {
-        self.u64(v.len() as u64);
-        for &(a, b) in v {
-            self.u64(a);
-            self.u64(b);
-        }
-    }
-
-    pub fn opt_f64_list(&mut self, v: &[Option<f64>]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.opt_f64(x);
-        }
-    }
-}
-
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// Checks the format byte and positions the reader after it.
-    pub fn new(buf: &'a [u8]) -> Result<Self, SideCarDecodeError> {
-        if buf.first() != Some(&FORMAT) {
-            return Err(SideCarDecodeError);
-        }
-        Ok(Reader { buf, pos: 1 })
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SideCarDecodeError> {
-        let end = self.pos.checked_add(n).ok_or(SideCarDecodeError)?;
-        let slice = self.buf.get(self.pos..end).ok_or(SideCarDecodeError)?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    pub fn u64(&mut self) -> Result<u64, SideCarDecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub fn f64(&mut self) -> Result<f64, SideCarDecodeError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub fn bool(&mut self) -> Result<bool, SideCarDecodeError> {
-        Ok(self.take(1)?[0] != 0)
-    }
-
-    pub fn opt_f64(&mut self) -> Result<Option<f64>, SideCarDecodeError> {
-        if self.bool()? {
-            Ok(Some(self.f64()?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    pub fn opt_point(&mut self) -> Result<Option<DataPoint>, SideCarDecodeError> {
-        if self.bool()? {
-            Ok(Some(DataPoint {
-                ts_ms: self.u64()?,
-                value: self.f64()?,
-            }))
-        } else {
-            Ok(None)
-        }
-    }
-
-    pub fn pairs(&mut self) -> Result<Vec<(u64, u64)>, SideCarDecodeError> {
-        let n = self.len_prefix()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push((self.u64()?, self.u64()?));
-        }
-        Ok(out)
-    }
-
-    pub fn opt_f64_list(&mut self) -> Result<Vec<Option<f64>>, SideCarDecodeError> {
-        let n = self.len_prefix()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.opt_f64()?);
-        }
-        Ok(out)
-    }
-
-    /// Length prefix, sanity-capped by the bytes actually remaining so a
-    /// corrupt length cannot trigger a huge allocation.
-    fn len_prefix(&mut self) -> Result<usize, SideCarDecodeError> {
-        let n = self.u64()? as usize;
-        if n > self.buf.len().saturating_sub(self.pos) {
-            return Err(SideCarDecodeError);
-        }
-        Ok(n)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn primitives_roundtrip() {
-        let mut bytes = Vec::new();
-        let mut w = Writer::over(&mut bytes);
-        w.u64(42);
-        w.f64(-1.5);
-        w.bool(true);
-        w.opt_f64(None);
-        w.opt_f64(Some(7.25));
-        w.opt_point(Some(DataPoint {
-            ts_ms: 99,
-            value: 3.0,
-        }));
-        w.pairs(&[(1, 2), (3, 4)]);
-        w.opt_f64_list(&[None, Some(0.5)]);
-
-        let mut r = Reader::new(&bytes).unwrap();
-        assert_eq!(r.u64().unwrap(), 42);
-        assert_eq!(r.f64().unwrap(), -1.5);
-        assert!(r.bool().unwrap());
-        assert_eq!(r.opt_f64().unwrap(), None);
-        assert_eq!(r.opt_f64().unwrap(), Some(7.25));
-        assert_eq!(
-            r.opt_point().unwrap(),
-            Some(DataPoint {
-                ts_ms: 99,
-                value: 3.0
-            })
-        );
-        assert_eq!(r.pairs().unwrap(), vec![(1, 2), (3, 4)]);
-        assert_eq!(r.opt_f64_list().unwrap(), vec![None, Some(0.5)]);
-    }
-
-    #[test]
-    fn wrong_format_and_truncation_reject() {
-        assert!(Reader::new(&[]).is_err());
-        assert!(Reader::new(&[0xFF, 0, 0]).is_err());
-        let mut bytes = vec![0xEE; 3]; // stale contents are replaced
-        Writer::over(&mut bytes).u64(1);
-        assert_eq!(bytes.len(), 9);
-        let mut r = Reader::new(&bytes[..bytes.len() - 1]).unwrap();
-        assert!(r.u64().is_err());
-    }
-
-    #[test]
-    fn corrupt_length_prefix_rejects_without_allocating() {
-        let mut bytes = Vec::new();
-        Writer::over(&mut bytes).u64(u64::MAX); // absurd pair-count
-        let mut r = Reader::new(&bytes).unwrap();
-        assert!(r.pairs().is_err());
-    }
-}

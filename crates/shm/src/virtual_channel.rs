@@ -12,7 +12,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use aodb_runtime::{Actor, ActorContext, ActorRef, Handler};
+use aodb_store::codec::{Reader, Writer};
 use aodb_store::tseries::SeriesStore;
+use aodb_store::StoreResult;
 use serde::{Deserialize, Serialize};
 
 use crate::aggregator::{aggregator_key, Aggregator};
@@ -21,7 +23,9 @@ use crate::messages::{
     ChannelStats, ConfigureVirtual, GetChannelStats, GetLatest, PushDerived, QueryRange,
     RecordSamples,
 };
-use crate::physical::{query_window, scan_series, stage_points, ChannelCache};
+use crate::physical::{
+    query_window, read_point, scan_series, stage_points, write_point, ChannelCache,
+};
 use crate::sidecar;
 use crate::types::{AggregateLevel, DataPoint, Equation};
 use aodb_core::Persisted;
@@ -76,22 +80,29 @@ impl VirtualSideCar {
     /// `out` — same hot-path rationale as `ChannelSideCar::encode_from`
     /// (see `sidecar.rs`).
     fn encode_from(s: &VirtualState, out: &mut Vec<u8>) {
-        let mut w = sidecar::Writer::over(out);
+        out.clear();
+        let mut w = Writer::over(out);
+        w.u8(sidecar::FORMAT);
         w.u64(s.total_points);
         w.f64(s.accumulated_change);
-        w.opt_f64(s.first_value);
-        w.opt_point(s.last);
-        w.opt_f64_list(&s.latest_inputs);
+        w.opt(s.first_value, Writer::f64);
+        w.opt(s.last, write_point);
+        w.u64(s.latest_inputs.len() as u64);
+        for &input in &s.latest_inputs {
+            w.opt(input, Writer::f64);
+        }
     }
 
-    fn decode(bytes: &[u8]) -> Result<Self, sidecar::SideCarDecodeError> {
-        let mut r = sidecar::Reader::new(bytes)?;
-        Ok(VirtualSideCar {
-            total_points: r.u64()?,
-            accumulated_change: r.f64()?,
-            first_value: r.opt_f64()?,
-            last: r.opt_point()?,
-            latest_inputs: r.opt_f64_list()?,
+    fn decode(bytes: &[u8]) -> StoreResult<Self> {
+        Reader::whole(bytes, "virtual side-car", |r| {
+            r.tag(sidecar::FORMAT)?;
+            Ok(VirtualSideCar {
+                total_points: r.u64()?,
+                accumulated_change: r.f64()?,
+                first_value: r.opt(Reader::f64)?,
+                last: r.opt(read_point)?,
+                latest_inputs: r.u64_list(|r| r.opt(Reader::f64))?,
+            })
         })
     }
 
@@ -336,5 +347,78 @@ mod codec_tests {
                 last,
             });
         }
+
+        /// The side-car's binary codec round-trips every field, and every
+        /// strict prefix of an encoding is refused.
+        #[test]
+        fn virtual_sidecar_roundtrips_and_rejects_every_prefix(
+            (total_points, accumulated_change, first_value, last, latest_inputs) in (
+                any::<u64>(),
+                -1e12f64..1e12,
+                proptest::option::of(-1e300f64..1e300),
+                proptest::option::of(data_point()),
+                proptest::collection::vec(proptest::option::of(-1e9f64..1e9), 0..4),
+            ),
+        ) {
+            let state = VirtualState {
+                total_points,
+                accumulated_change,
+                first_value,
+                last,
+                latest_inputs,
+                ..VirtualState::default()
+            };
+            let mut bytes = Vec::new();
+            VirtualSideCar::encode_from(&state, &mut bytes);
+            let decoded = VirtualSideCar::decode(&bytes).unwrap();
+            prop_assert_eq!(decoded.total_points, state.total_points);
+            prop_assert_eq!(decoded.accumulated_change.to_bits(), state.accumulated_change.to_bits());
+            prop_assert_eq!(decoded.first_value.map(f64::to_bits), state.first_value.map(f64::to_bits));
+            prop_assert_eq!(decoded.last, state.last);
+            prop_assert_eq!(decoded.latest_inputs, state.latest_inputs);
+            for cut in 0..bytes.len() {
+                prop_assert!(VirtualSideCar::decode(&bytes[..cut]).is_err(), "cut at {}", cut);
+            }
+        }
+    }
+
+    /// Golden fixture: the exact bytes of one virtual-channel side-car.
+    #[test]
+    fn golden_virtual_sidecar_bytes() {
+        let state = VirtualState {
+            total_points: 2,
+            accumulated_change: 0.5,
+            first_value: None,
+            last: Some(DataPoint {
+                ts_ms: 1000,
+                value: -1.0,
+            }),
+            latest_inputs: vec![Some(1.0), None],
+            ..VirtualState::default()
+        };
+        let mut bytes = Vec::new();
+        VirtualSideCar::encode_from(&state, &mut bytes);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            concat!(
+                // format byte | total_points=2 | accumulated_change=0.5
+                "01",
+                "0200000000000000",
+                "000000000000e03f",
+                // first_value: absent
+                "00",
+                // last: present, ts=1000, value=-1.0
+                "01",
+                "e803000000000000",
+                "000000000000f0bf",
+                // latest_inputs: count=2, Some(1.0), None
+                "0200000000000000",
+                "01",
+                "000000000000f03f",
+                "00",
+            ),
+            "virtual side-car format drifted — bump sidecar::FORMAT"
+        );
     }
 }

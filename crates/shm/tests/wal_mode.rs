@@ -39,7 +39,7 @@ fn wal_platform(
 }
 
 #[test]
-fn wal_metrics_mirror_group_commit_counters() {
+fn wal_stats_count_the_platforms_group_commits() {
     let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
     let wal = temp_wal("metrics");
     let (rt, topology, engine) = wal_platform(&store, &wal, 4);

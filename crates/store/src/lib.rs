@@ -19,7 +19,8 @@
 //!   thread coalesces frames from concurrent turns into one write + one
 //!   fsync per group and resolves acks post-durability, with injectable
 //!   [`CrashPoint`]s at every write/fsync/ack boundary.
-//! * [`codec`] — value serialization and record framing helpers.
+//! * [`codec`] — value serialization, the byte codec every binary record
+//!   is written and read with, and record framing.
 //! * [`tseries`] — columnar time-series engine for the ingest hot path:
 //!   delta-of-delta + Gorilla-XOR compressed sealed blocks behind the
 //!   [`SeriesStore`] seam, durable through any [`StateStore`] backing.

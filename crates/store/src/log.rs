@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -26,7 +26,7 @@ use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
 use crate::api::{Key, StateStore, StoreError, StoreResult};
-use crate::codec::{frame_record_with, parse_record};
+use crate::codec::{self, frame_record_with, replay_framed, Reader};
 
 const OP_PUT: u8 = 1;
 const OP_DELETE: u8 = 2;
@@ -80,71 +80,42 @@ pub struct LogStore {
 }
 
 /// Encodes one mutation as a framed record (`len | crc | payload`)
-/// directly into `out` (see [`frame_record_with`]).
+/// directly into `out` (see [`frame_record_with`]): `op u8 | key_len u32
+/// | key | value_len u32 | value`.
 fn encode_mutation(op: u8, key: &[u8], value: &[u8], out: &mut Vec<u8>) {
     out.reserve(8 + 9 + key.len() + value.len());
     frame_record_with(out, |out| {
-        out.push(op);
-        out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        out.extend_from_slice(key);
-        out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-        out.extend_from_slice(value);
+        let mut w = codec::Writer::over(out);
+        w.u8(op);
+        w.u32_prefixed(key);
+        w.u32_prefixed(value);
     });
 }
 
-fn decode_mutation(payload: &[u8]) -> StoreResult<(u8, &[u8], &[u8])> {
-    let fail = || StoreError::Corrupt("truncated mutation payload".into());
-    if payload.len() < 9 {
-        return Err(fail());
-    }
-    let op = payload[0];
-    let klen = u32::from_le_bytes(payload[1..5].try_into().expect("4 bytes")) as usize;
-    let rest = &payload[5..];
-    if rest.len() < klen + 4 {
-        return Err(fail());
-    }
-    let key = &rest[..klen];
-    let vlen = u32::from_le_bytes(rest[klen..klen + 4].try_into().expect("4 bytes")) as usize;
-    let value = &rest[klen + 4..];
-    if value.len() != vlen {
-        return Err(fail());
-    }
-    Ok((op, key, value))
-}
-
-/// Replays framed mutation records from `path` into `index`, returning
-/// the byte offset of the last cleanly-parsed record's end (so a torn
-/// tail can be physically truncated by the caller).
+/// Replays the framed mutation records of `path` into `index`, returning
+/// the length of the file's clean prefix (so a torn tail can be
+/// physically truncated by the caller). A missing file is empty.
 fn load_records(
     path: &Path,
     index: &mut BTreeMap<Vec<u8>, Bytes>,
     allow_torn_tail: bool,
 ) -> StoreResult<u64> {
-    let mut buf = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut buf)?;
-        }
+    let buf = match std::fs::read(path) {
+        Ok(buf) => buf,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
         Err(e) => return Err(e.into()),
+    };
+    let clean = replay_framed(&buf, |payload| apply_mutation(index, payload))?;
+    if clean < buf.len() && !allow_torn_tail {
+        return Err(StoreError::Corrupt("truncated snapshot record".into()));
     }
-    let mut offset = 0;
-    while offset < buf.len() {
-        match parse_record(&buf[offset..]) {
-            Ok(Some((payload, consumed))) => {
-                apply_mutation(index, payload)?;
-                offset += consumed;
-            }
-            Ok(None) if allow_torn_tail => break, // crash mid-append: discard tail
-            Ok(None) => return Err(StoreError::Corrupt("truncated snapshot record".into())),
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(offset as u64)
+    Ok(clean as u64)
 }
 
 fn apply_mutation(index: &mut BTreeMap<Vec<u8>, Bytes>, payload: &[u8]) -> StoreResult<()> {
-    let (op, key, value) = decode_mutation(payload)?;
+    let (op, key, value) = Reader::whole(payload, "log mutation record", |r| {
+        Ok((r.u8()?, r.u32_prefixed()?, r.u32_prefixed()?))
+    })?;
     match op {
         OP_PUT => {
             index.insert(key.to_vec(), Bytes::copy_from_slice(value));
@@ -165,26 +136,21 @@ impl LogStore {
         load_records(&config.dir.join("snapshot.db"), &mut index, false)?;
         let wal_path = config.dir.join("wal.log");
         let valid = load_records(&wal_path, &mut index, true)?;
-        // Physically drop a torn tail: without this, appends land
-        // after the garbage bytes and the *next* recovery reports
-        // mid-log corruption.
-        let on_disk = std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0);
-        if valid < on_disk {
-            OpenOptions::new()
-                .write(true)
-                .open(&wal_path)?
-                .set_len(valid)?;
-        }
         let wal = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&wal_path)?;
-        let wal_len = wal.metadata()?.len();
+        // Physically drop a torn tail: without this, appends land
+        // after the garbage bytes and the *next* recovery reports
+        // mid-log corruption.
+        if valid < wal.metadata()?.len() {
+            wal.set_len(valid)?;
+        }
         Ok(LogStore {
             index: RwLock::new(index),
             writer: Mutex::new(Writer {
                 wal: Arc::new(wal),
-                wal_len,
+                wal_len: valid,
             }),
             config,
         })

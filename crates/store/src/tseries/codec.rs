@@ -49,9 +49,8 @@
 //! nothing — exactly right for value pruning).
 
 use crate::api::{StoreError, StoreResult};
-use crate::codec::crc32;
+use crate::codec::{Reader, Writer};
 use crate::tseries::bits::{unzigzag, zigzag, BitReader, BitWriter};
-use crate::tseries::SeriesError;
 
 /// Magic prefix of a sealed block; the last byte is the format version.
 // aodb-schema: layout(TSB1) = magic[4] count:u32 min_ts:u64 max_ts:u64 min_val:f64 max_val:f64 payload_bits:u32 payload crc32:u32
@@ -232,57 +231,41 @@ impl PointCompressor {
 
 fn encode_block_parts(index: &BlockIndex, payload: &[u8], payload_bits: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(BLOCK_HEADER_LEN + payload.len() + 4);
-    out.extend_from_slice(BLOCK_MAGIC);
-    out.extend_from_slice(&index.count.to_le_bytes());
-    out.extend_from_slice(&index.min_ts.to_le_bytes());
-    out.extend_from_slice(&index.max_ts.to_le_bytes());
-    out.extend_from_slice(&index.min_val.to_bits().to_le_bytes());
-    out.extend_from_slice(&index.max_val.to_bits().to_le_bytes());
-    out.extend_from_slice(&(payload_bits as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    let mut w = Writer::over(&mut out);
+    w.bytes(BLOCK_MAGIC);
+    w.u32(index.count);
+    w.u64(index.min_ts);
+    w.u64(index.max_ts);
+    w.f64(index.min_val);
+    w.f64(index.max_val);
+    w.u32(payload_bits as u32);
+    w.bytes(payload);
+    w.crc_trailer();
     out
+}
+
+/// Verifies a block and splits it into its sparse index, its payload and
+/// the payload's length in bits.
+fn parse_block(block: &[u8]) -> StoreResult<(BlockIndex, &[u8], usize)> {
+    Reader::whole(block, "tseries block", |r| {
+        r.magic(BLOCK_MAGIC)?;
+        r.crc_trailer()?;
+        let index = BlockIndex {
+            count: r.u32()?,
+            min_ts: r.u64()?,
+            max_ts: r.u64()?,
+            min_val: r.f64()?,
+            max_val: r.f64()?,
+        };
+        let payload_bits = r.u32()? as usize;
+        Ok((index, r.take(payload_bits.div_ceil(8))?, payload_bits))
+    })
 }
 
 /// Parses and verifies a block's header, returning its sparse index
 /// without decompressing the payload (the block-skip fast path).
 pub fn decode_index(block: &[u8]) -> StoreResult<BlockIndex> {
-    let fail = |m: &str| StoreError::Corrupt(format!("tseries block: {m}"));
-    if block.len() < BLOCK_HEADER_LEN + 4 {
-        return Err(fail("truncated header"));
-    }
-    if block[0..3] != BLOCK_MAGIC[0..3] {
-        return Err(fail("bad magic"));
-    }
-    // Version dispatch happens before the CRC check: a newer layout
-    // keeps its CRC somewhere else, so checking it first would report
-    // every future-version block as corruption.
-    if block[3] != BLOCK_MAGIC[3] {
-        return Err(SeriesError::UnsupportedVersion {
-            format: "TSB",
-            found: block[3],
-            supported: BLOCK_MAGIC[3],
-        }
-        .into());
-    }
-    let stored_crc = u32::from_le_bytes(block[block.len() - 4..].try_into().expect("4 bytes"));
-    if crc32(&block[..block.len() - 4]) != stored_crc {
-        return Err(fail("crc mismatch"));
-    }
-    let u32_at = |o: usize| u32::from_le_bytes(block[o..o + 4].try_into().expect("4 bytes"));
-    let u64_at = |o: usize| u64::from_le_bytes(block[o..o + 8].try_into().expect("8 bytes"));
-    let payload_bits = u32_at(40) as usize;
-    if block.len() != BLOCK_HEADER_LEN + payload_bits.div_ceil(8) + 4 {
-        return Err(fail("length mismatch"));
-    }
-    Ok(BlockIndex {
-        count: u32_at(4),
-        min_ts: u64_at(8),
-        max_ts: u64_at(16),
-        min_val: f64::from_bits(u64_at(24)),
-        max_val: f64::from_bits(u64_at(32)),
-    })
+    parse_block(block).map(|(index, ..)| index)
 }
 
 /// Decompresses every point of a block, in append order.
@@ -290,9 +273,7 @@ pub fn decode_block(block: &[u8]) -> StoreResult<Vec<(u64, f64)>> {
     if block.is_empty() {
         return Ok(Vec::new());
     }
-    let index = decode_index(block)?;
-    let payload_bits = u32::from_le_bytes(block[40..44].try_into().expect("4 bytes")) as usize;
-    let payload = &block[BLOCK_HEADER_LEN..block.len() - 4];
+    let (index, payload, payload_bits) = parse_block(block)?;
     decode_points(payload, payload_bits, index.count)
 }
 
@@ -304,7 +285,9 @@ pub fn decode_points(
 ) -> StoreResult<Vec<(u64, f64)>> {
     let fail = |m: &str| StoreError::Corrupt(format!("tseries payload: {m}"));
     let mut r = BitReader::new(payload, payload_bits);
-    let mut out = Vec::with_capacity(count as usize);
+    // Every point takes at least one payload bit, so the header's count
+    // sizes nothing beyond what the payload can hold.
+    let mut out = Vec::with_capacity((count as usize).min(payload_bits));
     let mut prev_ts = 0u64;
     let mut prev_delta = 0i64;
     let mut prev_val_bits = 0u64;
@@ -506,6 +489,22 @@ mod tests {
             decode_index(&garbled),
             Err(StoreError::Corrupt(_))
         ));
+    }
+
+    /// A CRC-valid block whose header claims `u32::MAX` points sizes its
+    /// output by the payload, not by the claim: it fails as corrupt
+    /// instead of asking for tens of gigabytes.
+    #[test]
+    fn huge_point_count_is_corrupt_not_an_allocation() {
+        let mut c = PointCompressor::new();
+        c.append(1, 1.0);
+        let index = BlockIndex {
+            count: u32::MAX,
+            ..*c.index()
+        };
+        let block = encode_block_parts(&index, c.bits.as_bytes(), c.bits.len_bits());
+        assert!(decode_index(&block).is_ok());
+        assert!(matches!(decode_block(&block), Err(StoreError::Corrupt(_))));
     }
 
     #[test]

@@ -47,9 +47,8 @@ use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
 use crate::api::{Key, StateStore, StoreError, StoreResult};
-use crate::codec::{crc32, FramedRecord};
+use crate::codec::{FramedRecord, Reader, Writer};
 use crate::tseries::codec::{decode_block, decode_index, BlockIndex, PointCompressor};
-use crate::tseries::SeriesError;
 use crate::wal::{FsyncPolicy, GroupWal, WalConfig, WalStatsSnapshot};
 
 /// Storage namespace of every series record.
@@ -363,11 +362,6 @@ impl TsStore {
                 fsync: wal_config.fsync_policy,
             }),
         })
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> TsConfig {
-        self.config
     }
 
     /// The group-commit WAL, when enabled (chaos tests use this to arm
@@ -884,79 +878,32 @@ struct TailRecord {
 fn encode_tail_record(s: &Series) -> Vec<u8> {
     let tail_block = s.tail.encode_block();
     let mut out = Vec::with_capacity(4 + 8 + 8 + 4 + s.meta.len() + 4 + tail_block.len() + 4);
-    out.extend_from_slice(TAIL_MAGIC);
-    out.extend_from_slice(&(s.sealed.len() as u64).to_le_bytes());
-    out.extend_from_slice(&s.sealed_points.to_le_bytes());
-    out.extend_from_slice(&(s.meta.len() as u32).to_le_bytes());
-    out.extend_from_slice(&s.meta);
-    out.extend_from_slice(&(s.pending.len() as u32).to_le_bytes());
+    let mut w = Writer::over(&mut out);
+    w.bytes(TAIL_MAGIC);
+    w.u64(s.sealed.len() as u64);
+    w.u64(s.sealed_points);
+    w.u32_prefixed(&s.meta);
+    w.u32(s.pending.len() as u32);
     for (seq, bytes) in &s.pending {
-        out.extend_from_slice(&seq.to_le_bytes());
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(bytes);
+        w.u64(*seq);
+        w.u32_prefixed(bytes);
     }
-    out.extend_from_slice(&(tail_block.len() as u32).to_le_bytes());
-    out.extend_from_slice(&tail_block);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    w.u32_prefixed(&tail_block);
+    w.crc_trailer();
     out
 }
 
 fn decode_tail_record(buf: &[u8]) -> StoreResult<TailRecord> {
-    let fail = |m: &str| StoreError::Corrupt(format!("tseries tail record: {m}"));
-    if buf.len() < 4 + 8 + 8 + 4 + 4 + 4 + 4 {
-        return Err(fail("truncated"));
-    }
-    if buf[0..3] != TAIL_MAGIC[0..3] {
-        return Err(fail("bad magic"));
-    }
-    // Version dispatch before the CRC check — see `SeriesError`: a
-    // future tail layout moves the CRC, so checking it first would
-    // misreport a version skew as corruption.
-    if buf[3] != TAIL_MAGIC[3] {
-        return Err(SeriesError::UnsupportedVersion {
-            format: "TST",
-            found: buf[3],
-            supported: TAIL_MAGIC[3],
-        }
-        .into());
-    }
-    let stored_crc = u32::from_le_bytes(buf[buf.len() - 4..].try_into().expect("4 bytes"));
-    if crc32(&buf[..buf.len() - 4]) != stored_crc {
-        return Err(fail("crc mismatch"));
-    }
-    let body = &buf[..buf.len() - 4];
-    let mut pos = 4usize;
-    let mut take = |n: usize| -> StoreResult<&[u8]> {
-        if body.len() - pos < n {
-            return Err(fail("truncated field"));
-        }
-        let slice = &body[pos..pos + n];
-        pos += n;
-        Ok(slice)
-    };
-    let sealed_blocks = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
-    let sealed_points = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
-    let meta_len = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
-    let meta = take(meta_len)?.to_vec();
-    let pending_count = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
-    let mut pending = Vec::with_capacity(pending_count);
-    for _ in 0..pending_count {
-        let seq = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
-        let len = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
-        pending.push((seq, Bytes::copy_from_slice(take(len)?)));
-    }
-    let tail_len = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
-    let tail_block = Bytes::copy_from_slice(take(tail_len)?);
-    if pos != body.len() {
-        return Err(fail("trailing garbage"));
-    }
-    Ok(TailRecord {
-        sealed_blocks,
-        sealed_points,
-        meta,
-        pending,
-        tail_block,
+    Reader::whole(buf, "tseries tail record", |r| {
+        r.magic(TAIL_MAGIC)?;
+        r.crc_trailer()?;
+        Ok(TailRecord {
+            sealed_blocks: r.u64()?,
+            sealed_points: r.u64()?,
+            meta: r.u32_prefixed()?.to_vec(),
+            pending: r.u32_list(|r| Ok((r.u64()?, Bytes::copy_from_slice(r.u32_prefixed()?))))?,
+            tail_block: Bytes::copy_from_slice(r.u32_prefixed()?),
+        })
     })
 }
 
@@ -975,69 +922,33 @@ fn encode_wal_delta(
 ) -> FramedRecord {
     let payload_len = 4 + 8 + 4 + series.len() + 4 + meta.len() + 4 + 16 * points.len();
     FramedRecord::build(payload_len, |out| {
-        out.extend_from_slice(TS_WAL_MAGIC);
-        out.extend_from_slice(&base_points.to_le_bytes());
-        out.extend_from_slice(&(series.len() as u32).to_le_bytes());
-        out.extend_from_slice(series.as_bytes());
-        out.extend_from_slice(&(meta.len() as u32).to_le_bytes());
-        out.extend_from_slice(meta);
-        out.extend_from_slice(&(points.len() as u32).to_le_bytes());
+        let mut w = Writer::over(out);
+        w.bytes(TS_WAL_MAGIC);
+        w.u64(base_points);
+        w.u32_prefixed(series.as_bytes());
+        w.u32_prefixed(meta);
+        w.u32(points.len() as u32);
         for &(ts, v) in points {
-            out.extend_from_slice(&ts.to_le_bytes());
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
+            w.u64(ts);
+            w.f64(v);
         }
     })
 }
 
 fn decode_wal_delta(buf: &[u8]) -> StoreResult<(String, WalDelta)> {
-    let fail = |m: &str| StoreError::Corrupt(format!("tseries wal delta: {m}"));
-    if buf.len() < 4 + 8 + 4 {
-        return Err(fail("truncated"));
-    }
-    if buf[0..3] != TS_WAL_MAGIC[0..3] {
-        return Err(fail("bad magic"));
-    }
-    if buf[3] != TS_WAL_MAGIC[3] {
-        return Err(SeriesError::UnsupportedVersion {
-            format: "TSW",
-            found: buf[3],
-            supported: TS_WAL_MAGIC[3],
-        }
-        .into());
-    }
-    let mut pos = 4usize;
-    let mut take = |n: usize| -> StoreResult<&[u8]> {
-        if buf.len() - pos < n {
-            return Err(fail("truncated field"));
-        }
-        let slice = &buf[pos..pos + n];
-        pos += n;
-        Ok(slice)
-    };
-    let base_points = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
-    let series_len = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
-    let series = String::from_utf8(take(series_len)?.to_vec())
-        .map_err(|_| fail("series name is not utf-8"))?;
-    let meta_len = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
-    let meta = Bytes::copy_from_slice(take(meta_len)?);
-    let count = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
-    let mut points = Vec::with_capacity(count);
-    for _ in 0..count {
-        let ts = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
-        let bits = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
-        points.push((ts, f64::from_bits(bits)));
-    }
-    if pos != buf.len() {
-        return Err(fail("trailing garbage"));
-    }
-    Ok((
-        series,
-        WalDelta {
+    Reader::whole(buf, "tseries wal delta", |r| {
+        r.magic(TS_WAL_MAGIC)?;
+        let base_points = r.u64()?;
+        let series = String::from_utf8(r.u32_prefixed()?.to_vec()).map_err(|_| {
+            StoreError::Corrupt("tseries wal delta: series name is not utf-8".into())
+        })?;
+        let delta = WalDelta {
             base_points,
-            meta,
-            points,
-        },
-    ))
+            meta: Bytes::copy_from_slice(r.u32_prefixed()?),
+            points: r.u32_list(|r| Ok((r.u64()?, r.f64()?)))?,
+        };
+        Ok((series, delta))
+    })
 }
 
 /// Folds recovered WAL deltas into a freshly-loaded series image. Each
@@ -1676,6 +1587,39 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.appended, 5);
         assert!(ts.wal_stats().groups >= 1);
+    }
+
+    /// An on-disk element count is bounded by the bytes that follow it
+    /// before it sizes anything: a CRC-valid `TST1` record and a `TSW1`
+    /// delta claiming `u32::MAX` elements are corrupt, not a request for
+    /// tens of gigabytes that aborts the process.
+    #[test]
+    fn huge_on_disk_counts_are_corrupt_not_allocations() {
+        use crate::codec::crc32;
+        let mut tail = TAIL_MAGIC.to_vec();
+        tail.extend_from_slice(&0u64.to_le_bytes()); // sealed_blocks
+        tail.extend_from_slice(&0u64.to_le_bytes()); // sealed_points
+        tail.extend_from_slice(&0u32.to_le_bytes()); // meta_len
+        tail.extend_from_slice(&u32::MAX.to_le_bytes()); // pending_count
+        tail.extend_from_slice(&0u32.to_le_bytes()); // tail_len
+        let crc = crc32(&tail);
+        tail.extend_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            decode_tail_record(&tail),
+            Err(StoreError::Corrupt(_))
+        ));
+
+        let mut delta = TS_WAL_MAGIC.to_vec();
+        delta.extend_from_slice(&0u64.to_le_bytes()); // base_points
+        delta.extend_from_slice(&1u32.to_le_bytes()); // series_len
+        delta.push(b's');
+        delta.extend_from_slice(&0u32.to_le_bytes()); // meta_len
+        delta.extend_from_slice(&u32::MAX.to_le_bytes()); // count
+        delta.extend_from_slice(&[0; 16]); // one point of the 2^32 − 1
+        assert!(matches!(
+            decode_wal_delta(&delta),
+            Err(StoreError::Corrupt(_))
+        ));
     }
 
     #[test]

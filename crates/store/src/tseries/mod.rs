@@ -31,8 +31,9 @@ use crate::api::StoreError;
 
 /// Typed decode failures of the tseries on-disk formats.
 ///
-/// Both formats carry a version digit as the last magic byte (`TSB1`,
-/// `TST1`). Decoders dispatch on it *before* the CRC check: a record
+/// Every format carries a version digit as the last magic byte (`TSB1`,
+/// `TST1`, `TSW1`). Decoders dispatch on it *before* the CRC check
+/// ([`crate::codec::Reader::magic`], the one gate): a record
 /// written by a newer layout has its CRC in a different place, so
 /// without the dispatch a version bump could only ever surface as
 /// "crc mismatch" — indistinguishable from real corruption, and
@@ -41,7 +42,8 @@ use crate::api::StoreError;
 pub enum SeriesError {
     /// The record's magic names a known format at an unknown version.
     UnsupportedVersion {
-        /// Format family (`"TSB"` sealed block, `"TST"` tail record).
+        /// Format family (`"TSB"` sealed block, `"TST"` tail record,
+        /// `"TSW"` WAL delta).
         format: &'static str,
         /// The version byte found in the record.
         found: u8,

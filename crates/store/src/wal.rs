@@ -72,7 +72,7 @@ use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
 use crate::api::{StoreError, StoreResult};
-use crate::codec::{parse_record, FramedRecord};
+use crate::codec::{replay_framed, FramedRecord};
 use crate::tseries::engine::{AppendAck, AppendOutcome};
 
 /// When the committer issues fsync.
@@ -492,20 +492,18 @@ impl GroupWal {
         let mut buf = Vec::new();
         file.read_to_end(&mut buf)?;
         let mut frames = Vec::new();
-        let mut offset = 0usize;
-        // `parse_record` returns None at end of file or on a torn tail.
-        while let Some((payload, consumed)) = parse_record(&buf[offset..])? {
+        let clean = replay_framed(&buf, |payload| {
             frames.push(Bytes::copy_from_slice(payload));
-            offset += consumed;
-        }
-        if offset < buf.len() {
+            Ok(())
+        })? as u64;
+        if clean < buf.len() as u64 {
             // Torn tail from a crash mid-group: drop it physically so
             // new appends never land after garbage bytes.
-            file.set_len(offset as u64)?;
+            file.set_len(clean)?;
         }
-        file.seek(SeekFrom::Start(offset as u64))?;
+        file.seek(SeekFrom::Start(clean))?;
 
-        Ok((Self::launch(file, config, offset as u64)?, frames))
+        Ok((Self::launch(file, config, clean)?, frames))
     }
 
     /// Opens a WAL over caller-provided media with no recovery pass (the

@@ -1,14 +1,14 @@
 //! Property-based tests of the time-series codec and engine: round-trip
 //! identity over adversarial streams, sparse-index correctness, reopen
-//! equivalence, and a golden sealed-block byte fixture pinning the
-//! on-disk format.
+//! equivalence, and golden byte fixtures pinning the on-disk formats
+//! (`TSB1` sealed block, `TST1` tail record, `TSW1` WAL delta).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use aodb_store::tseries::{
     decode_block, decode_index, PointCompressor, SeriesStore, TsConfig, TsStore,
 };
-use aodb_store::{MemStore, StateStore};
+use aodb_store::{Bytes, Key, MemStore, StateStore, StoreResult, WalConfig};
 use proptest::prelude::*;
 
 /// One generated point: a signed timestamp step from its predecessor and
@@ -208,4 +208,139 @@ fn golden_sealed_block_bytes() {
         assert_eq!(a.0, e.0);
         assert_eq!(a.1.to_bits(), e.1.to_bits());
     }
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// A `MemStore` that also keeps every value `put` through it, in order.
+#[derive(Default)]
+struct Recorder {
+    inner: MemStore,
+    puts: Mutex<Vec<(Key, Bytes)>>,
+}
+
+impl StateStore for Recorder {
+    fn get(&self, key: &Key) -> StoreResult<Option<Bytes>> {
+        self.inner.get(key)
+    }
+    fn put(&self, key: &Key, value: Bytes) -> StoreResult<()> {
+        self.puts.lock().unwrap().push((key.clone(), value.clone()));
+        self.inner.put(key, value)
+    }
+    fn delete(&self, key: &Key) -> StoreResult<()> {
+        self.inner.delete(key)
+    }
+    fn scan_prefix(&self, prefix: &[u8]) -> StoreResult<Vec<(Key, Bytes)>> {
+        self.inner.scan_prefix(prefix)
+    }
+}
+
+/// Golden fixture: the exact bytes of a `TST1` tail record that carries
+/// a pending sealed block — the record written at the moment a block
+/// seals, before the block's own record lands.
+#[test]
+fn golden_tail_record_with_pending_block_bytes() {
+    let backing = Arc::new(Recorder::default());
+    let ts = TsStore::new(
+        Arc::clone(&backing) as Arc<dyn StateStore>,
+        TsConfig::sealing_every(2),
+    );
+    let points = [
+        (1_546_300_800_000u64, 20.0f64),
+        (1_546_300_800_100, 20.5),
+        (1_546_300_800_200, 20.5),
+    ];
+    ts.append_batch("s", &points, b"meta").unwrap();
+    let puts = backing.puts.lock().unwrap();
+    let (key, record) = &puts[0];
+    assert_eq!(key, &Key::with_sort("tseries", "s", "tail"));
+    assert_eq!(
+        hex(record),
+        concat!(
+            // magic "TST1" | sealed_blocks=1 | sealed_points=2
+            "54535431",
+            "0100000000000000",
+            "0200000000000000",
+            // meta_len=4 | meta "meta"
+            "04000000",
+            "6d657461",
+            // pending_count=1 | seq=0 | len=68
+            "01000000",
+            "0000000000000000",
+            "44000000",
+            // the sealed two-point TSB1 block: header (count=2, ts and
+            // value range, 155 payload bits), payload, block crc32
+            "54534231",
+            "02000000",
+            "00bcb50668010000",
+            "64bcb50668010000",
+            "0000000000003440",
+            "0000000000803440",
+            "9b000000",
+            "0000016806b5bc004034000000000000cc8d0020",
+            "492f9d02",
+            // tail_len=64 | the open tail as a one-point TSB1 block
+            "40000000",
+            "54534231",
+            "01000000",
+            "c8bcb50668010000",
+            "c8bcb50668010000",
+            "0000000000803440",
+            "0000000000803440",
+            "80000000",
+            "0000016806b5bcc84034800000000000",
+            "12a9e651",
+            // crc32 over everything above
+            "d605f274",
+        ),
+        "TST1 tail-record format drifted"
+    );
+    // The block's own record follows the tail record that pins it.
+    assert_eq!(puts[1].0, Key::with_sort("tseries", "s", "b00000000"));
+    assert_eq!(puts[1].1.as_ref(), &record[44..112]);
+}
+
+/// Golden fixture: the exact bytes of a group-commit WAL holding one
+/// `TSW1` delta — the `len | crc32` frame and the delta it carries.
+#[test]
+fn golden_wal_delta_bytes() {
+    let dir = std::env::temp_dir().join(format!("aodb-tsw-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("ts.wal");
+    {
+        let ts = TsStore::with_wal(
+            Arc::new(MemStore::new()) as Arc<dyn StateStore>,
+            TsConfig::default(),
+            &path,
+            WalConfig::default(),
+        )
+        .unwrap();
+        let points = [(1_546_300_800_000u64, 20.0f64), (1_546_300_800_100, -0.5)];
+        ts.append_batch("s", &points, b"m").unwrap();
+    }
+    let log = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        hex(&log),
+        concat!(
+            // frame: payload len=58 | crc32 of the payload
+            "3a000000",
+            "4279df19",
+            // magic "TSW1" | base_points=0 | series_len=1 | series "s"
+            "54535731",
+            "0000000000000000",
+            "01000000",
+            "73",
+            // meta_len=1 | meta "m" | count=2
+            "01000000",
+            "6d",
+            "02000000",
+            // (ts u64, value bits u64) per point
+            "00bcb506680100000000000000003440",
+            "64bcb50668010000000000000000e0bf",
+        ),
+        "TSW1 delta / WAL frame format drifted"
+    );
 }
