@@ -338,7 +338,7 @@ mod tests {
     fn stale_entries_are_reported() {
         let b = Baseline::parse(
             "[[suppress]]\n\
-             rule = \"persistence-hazard\"\n\
+             rule = \"reply-leak\"\n\
              reason = \"was fixed long ago\"\n",
         )
         .unwrap();

@@ -81,9 +81,8 @@ struct Pass {
 /// The source passes, in run (and report) order. The scopes are part of
 /// each pass's meaning — name resolution is corpus-relative:
 ///
-/// * `turn`, `verify` — turn discipline and declaration drift /
-///   persistence hazards / reply obligations hold everywhere, test and
-///   example code included;
+/// * `turn`, `verify` — turn discipline and declaration drift / reply
+///   obligations hold everywhere, test and example code included;
 /// * `lock` — lock order and guards across blocking work are a
 ///   discipline of the runtime substrate (application handlers and test
 ///   code follow different ones);

@@ -24,12 +24,10 @@
 //!   (guard liveness in [`crate::locks`]) or the `return` hook (reply
 //!   values in [`crate::effects`]).
 //!
-//! Two analyses live here because they are pure per-function dataflow:
-//! the **persistence hazard** check (a `Persisted::get_mut_untracked()`
-//! mutation that can reach an exit before any `mutate`/`save`/`flush`)
-//! and the **reply obligation** check (a handler of a message carrying
-//! `ReplyTo` sinks with a path that never touches the sink). Send-site
-//! extraction builds on the same model in [`crate::sendsites`].
+//! One analysis lives here because it is pure per-function dataflow: the
+//! **reply obligation** check (a handler of a message carrying `ReplyTo`
+//! sinks with a path that never touches the sink). Send-site extraction
+//! builds on the same model in [`crate::sendsites`].
 //!
 //! Soundness limits (by design — see DESIGN.md §9): intra-procedural
 //! only, no macro expansion, no type inference. The parser is a
@@ -1295,9 +1293,7 @@ fn flatten_into(flow: &Flow, out: &mut Vec<usize>) {
 
 // ------------------------------------------------------------- analyses
 //
-// The persistence-hazard analysis lives in [`crate::durability`], which
-// also owns the ack-before-commit rule — both walk the same
-// commit-point seam.
+// The ack-before-commit analysis lives in [`crate::durability`].
 
 /// Reply-obligation findings for one file. `reply_structs` maps message
 /// struct names to their `ReplyTo` field names, corpus-wide.

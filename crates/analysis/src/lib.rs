@@ -32,9 +32,8 @@
 //!   blocking *requests*), `blocking-in-collector` and
 //!   `std-sync-primitive` (token scans).
 //! * **verify** ([`verify_corpus`]) — declaration drift between send
-//!   sites and `declared_calls()` ([`sendsites`]), untracked state
-//!   mutations that can exit a turn unpersisted ([`durability`]), and
-//!   sync-handler paths that leak their reply obligation ([`dataflow`]).
+//!   sites and `declared_calls()` ([`sendsites`]) and sync-handler paths
+//!   that leak their reply obligation ([`dataflow`]).
 //! * **lock** ([`lockcheck_corpus`]) — lock-class extraction and
 //!   guard-liveness dataflow over the runtime substrate ([`locks`]):
 //!   every held-while-acquiring pair feeds a [`lockgraph::LockGraph`]
@@ -90,13 +89,12 @@ pub use replay::replaycheck_corpus;
 pub use schemalock::{EntryKind, LockEntry, SchemaLock, SchemaLockError};
 pub use sendsites::Corpus;
 
-/// Runs the aodb-verify dataflow passes (declaration drift, persistence
-/// hazards, reply obligations) over one parsed corpus.
+/// Runs the aodb-verify dataflow passes (declaration drift, reply
+/// obligations) over one parsed corpus.
 pub fn verify_corpus(corpus: &Corpus) -> Vec<Finding> {
     let replies = corpus.reply_structs();
     let mut findings = sendsites::drift_findings(corpus);
     for file in &corpus.files {
-        findings.extend(durability::persistence_findings(file));
         findings.extend(dataflow::reply_findings(file, &replies));
     }
     crate::lint::sort_findings(&mut findings);

@@ -47,9 +47,6 @@ pub enum Rule {
     DeclarationDriftMissing,
     /// A `declared_calls()` entry no send site exercises anymore.
     DeclarationDriftStale,
-    /// A `&mut self` handler path that mutates untracked state and exits
-    /// without persisting it.
-    PersistenceHazard,
     /// A sync-handler path that neither consumes its `ReplyTo` sink nor
     /// propagates an error.
     ReplyLeak,
@@ -94,7 +91,6 @@ impl Rule {
         Rule::StdSyncPrimitive,
         Rule::DeclarationDriftMissing,
         Rule::DeclarationDriftStale,
-        Rule::PersistenceHazard,
         Rule::ReplyLeak,
         Rule::LockOrderCycle,
         Rule::LockAcrossBlocking,
@@ -114,7 +110,6 @@ impl Rule {
             Rule::StdSyncPrimitive => "std-sync-primitive",
             Rule::DeclarationDriftMissing => "declaration-drift-missing",
             Rule::DeclarationDriftStale => "declaration-drift-stale",
-            Rule::PersistenceHazard => "persistence-hazard",
             Rule::ReplyLeak => "reply-leak",
             Rule::LockOrderCycle => "lock-order-cycle",
             Rule::LockAcrossBlocking => "lock-across-blocking",

@@ -1,6 +1,6 @@
 //! aodb-lockcheck — lock-class extraction and guard-liveness dataflow.
 //!
-//! The application-level passes (drift, persistence, reply) trust the
+//! The application-level passes (drift, reply, ack durability) trust the
 //! runtime substrate to be correct; this pass checks the substrate
 //! itself, in the spirit of kernel lockdep:
 //!

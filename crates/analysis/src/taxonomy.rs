@@ -135,12 +135,11 @@ pub(crate) const REPLY_METHODS: &[&str] = &["deliver"];
 pub(crate) const PERSIST_METHODS: &[&str] = &["mutate", "save", "flush", "persist", "save_state"];
 
 /// Store-write methods that commit state durably beyond the `Persisted`
-/// capture methods: the tseries seam commits points + sidecar in one
+/// capture methods: the tseries seam commits points + side-car in one
 /// atomic tail record. `append_batch_async` is the group-commit form of
-/// the same seam — the captured sidecar rides the WAL frame and the
-/// deferred reply resolves only after the group fsyncs, so a handler
-/// that mutates untracked state and then calls it has committed (the
-/// ack is gated on the durability of exactly this write).
+/// the same seam — the side-car rides the WAL frame and the deferred
+/// reply resolves only after the group fsyncs (the ack is gated on the
+/// durability of exactly this write).
 pub(crate) const COMMIT_METHODS: &[&str] = &["append_batch", "append_batch_async"];
 
 /// True when a method name is a commit-point store write.

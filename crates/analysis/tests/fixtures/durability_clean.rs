@@ -1,6 +1,6 @@
 //! Clean ack-durability fixture: the commit-point write happens before
 //! the reply resolves on every path — including the columnar seam,
-//! where `append_batch` (points + sidecar in one atomic tail record) is
+//! where `append_batch` (points + side-car in one atomic tail record) is
 //! the commit point rather than a KV `mutate`.
 
 impl Actor for Gauge {
@@ -9,11 +9,10 @@ impl Actor for Gauge {
 
 impl Handler<Record> for Gauge {
     fn handle(&mut self, msg: Record, _ctx: &mut ActorContext<'_>) {
-        let s = self.state.get_mut_untracked();
-        s.total += msg.points.len() as u64;
-        let meta = encode_state(&GaugeSideCar::capture(s)).unwrap_or_default();
-        let _ = self.series.append_batch(&self.key, &msg.points, &meta);
-        msg.reply.deliver(s.total);
+        self.data.total += msg.points.len() as u64;
+        self.data.encode(&mut self.meta);
+        let _ = self.series.append_batch(&self.key, &msg.points, &self.meta);
+        msg.reply.deliver(self.data.total);
     }
 }
 

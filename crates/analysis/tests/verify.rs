@@ -48,11 +48,6 @@ fn seeded_bugs_are_each_detected() {
         "{findings:#?}"
     );
     assert_eq!(
-        by_rule(Rule::PersistenceHazard, "persist_hazard.rs"),
-        1,
-        "{findings:#?}"
-    );
-    assert_eq!(
         by_rule(Rule::ReplyLeak, "reply_leak.rs"),
         1,
         "{findings:#?}"
@@ -60,12 +55,12 @@ fn seeded_bugs_are_each_detected() {
     // The stale fixture's declared send edge is exercised; only the
     // retired call edge fires. The missing fixture's empty declaration
     // list has nothing to go stale. No cross-contamination.
-    assert_eq!(findings.len(), 5, "{findings:#?}");
+    assert_eq!(findings.len(), 4, "{findings:#?}");
 }
 
 #[test]
 fn clean_fixtures_are_silent() {
-    let corpus = fixture_corpus(&["drift_clean.rs", "persist_clean.rs", "reply_clean.rs"]);
+    let corpus = fixture_corpus(&["drift_clean.rs", "reply_clean.rs"]);
     let findings = verify_corpus(&corpus);
     assert!(findings.is_empty(), "{findings:#?}");
 }
@@ -103,7 +98,6 @@ fn lint_binary_fails_on_seeded_fixtures() {
     for rule in [
         "declaration-drift-missing",
         "declaration-drift-stale",
-        "persistence-hazard",
         "reply-leak",
         "lock-order-cycle",
         "lock-across-blocking",
@@ -136,9 +130,6 @@ fn lint_binary_baseline_suppresses_and_goes_stale() {
          rule = \"declaration-drift-stale\"\n\
          reason = \"seeded fixture\"\n\
          file = \"drift_stale.rs\"\n\
-         [[suppress]]\n\
-         rule = \"persistence-hazard\"\n\
-         reason = \"seeded fixture\"\n\
          [[suppress]]\n\
          rule = \"reply-leak\"\n\
          reason = \"seeded fixture\"\n\
@@ -193,7 +184,7 @@ fn lint_binary_baseline_suppresses_and_goes_stale() {
         tmp.to_str().unwrap(),
     ]);
     assert!(ok, "fully-baselined fixtures must pass:\n{text}");
-    assert!(text.contains("14 suppressed"), "{text}");
+    assert!(text.contains("13 suppressed"), "{text}");
 
     // An entry that matches nothing is stale and fails the run even
     // when every finding is suppressed.
@@ -204,9 +195,6 @@ fn lint_binary_baseline_suppresses_and_goes_stale() {
          reason = \"seeded fixture\"\n\
          [[suppress]]\n\
          rule = \"declaration-drift-stale\"\n\
-         reason = \"seeded fixture\"\n\
-         [[suppress]]\n\
-         rule = \"persistence-hazard\"\n\
          reason = \"seeded fixture\"\n\
          [[suppress]]\n\
          rule = \"reply-leak\"\n\

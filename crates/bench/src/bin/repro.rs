@@ -5,14 +5,11 @@
 //! repro [EXPERIMENTS...] [--quick] [--json DIR] [--label NAME] [--bench-out PATH]
 //!
 //! EXPERIMENTS: all (default) | fig6 | fig7 | fig8 | fig9 | fig89
-//!            | dispatch | ingest | placement | durability | granularity
-//!            | constraints
+//!            | dispatch | ingest | placement | granularity | constraints
 //! --quick           shorter sweeps and durations (CI-friendly)
 //! --json DIR        additionally write each experiment's raw results as JSON
-//! --label NAME      record the dispatch microbench under this key in the
-//!                   bench trajectory file (default: "after"); for the
-//!                   ingest experiment a non-default label prefixes its
-//!                   "before"/"after" entries ("NAME-before", "NAME-after")
+//! --label NAME      record the dispatch and ingest benches under this key
+//!                   in their trajectory files (default: "after")
 //! --bench-out PATH  dispatch trajectory file (default: BENCH_dispatch.json);
 //!                   the ingest experiment always writes BENCH_ingest.json
 //! ```
@@ -77,23 +74,6 @@ fn record_bench_entry<T: serde::Serialize>(path: &str, label: &str, result: &T) 
     }
 }
 
-/// Records one ingest-experiment run as a before/after pair in
-/// `BENCH_ingest.json`: the KV baseline under `"{prefix}before"`, the
-/// full result (tseries numbers, speedup, engine ceiling) under
-/// `"{prefix}after"`. The default label ("after") maps to the bare
-/// `before`/`after` keys; any other label becomes a prefix so e.g. CI
-/// smoke runs don't clobber the checked-in full-workload numbers.
-fn record_ingest_bench(label: &str, result: &ingest::IngestResult) {
-    const PATH: &str = "BENCH_ingest.json";
-    let prefix = if label == "after" {
-        String::new()
-    } else {
-        format!("{label}-")
-    };
-    record_bench_entry(PATH, &format!("{prefix}before"), &result.kv);
-    record_bench_entry(PATH, &format!("{prefix}after"), result);
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -154,15 +134,11 @@ fn main() {
     if wants("ingest") {
         let result = ingest::run(quick);
         write_json(&json_dir, "ingest", &result);
-        record_ingest_bench(&label, &result);
+        record_bench_entry("BENCH_ingest.json", &label, &result);
     }
     if wants("placement") {
         let points = ablations::run_placement(quick);
         write_json(&json_dir, "placement", &points);
-    }
-    if wants("durability") {
-        let points = ablations::run_durability(quick);
-        write_json(&json_dir, "durability", &points);
     }
     if wants("granularity") {
         let points = ablations::run_granularity(quick);

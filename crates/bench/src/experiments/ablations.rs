@@ -1,7 +1,7 @@
 //! Ablation experiments for the design choices the paper calls out:
-//! placement strategy (§5), durability policy (§5), actor vs. non-actor
-//! granularity for frequently accessed entities (§4.3), and constraint
-//! enforcement mechanism (§4.4).
+//! placement strategy (§5), actor vs. non-actor granularity for
+//! frequently accessed entities (§4.3), and constraint enforcement
+//! mechanism (§4.4).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -10,13 +10,13 @@ use aodb_cattle::meatcut::{AddItinerary, GetCutInfo, InitMeatCut, MeatCut};
 use aodb_cattle::model_b::{CreateCutB, SnapshotCuts, TransferCutB};
 use aodb_cattle::types::{Breed, ItineraryEntry, MeatCutData};
 use aodb_cattle::{register_all as register_cattle, CattleClient, CattleEnv, CutHolder};
-use aodb_core::{TxnOutcome, WorkflowOutcome, WritePolicy};
+use aodb_core::{TxnOutcome, WorkflowOutcome};
 use aodb_runtime::{
     gather, ConsistentHashPlacement, NetConfig, Placement, PreferLocalPlacement, RandomPlacement,
     Runtime,
 };
 use aodb_shm::{provision, register_all as register_shm, ShmEnv, Topology, TopologySpec};
-use aodb_store::{ExhaustionBehavior, MemStore, ProvisionedConfig, ProvisionedStore, StateStore};
+use aodb_store::{MemStore, StateStore};
 use serde::Serialize;
 
 use crate::experiments::common::SimHw;
@@ -109,140 +109,6 @@ pub fn run_placement(quick: bool) -> Vec<PlacementPoint> {
             "p50 ms",
             "p99 ms",
             "remote msgs",
-        ],
-        &rows,
-    );
-    points
-}
-
-// --------------------------------------------------------------- durability
-
-/// One durability-policy measurement.
-#[derive(Clone, Debug, Serialize)]
-pub struct DurabilityPoint {
-    /// Policy label.
-    pub policy: String,
-    /// Sustained throughput.
-    pub throughput: WindowedThroughput,
-    /// Ingest latency.
-    pub ingest: LatencyRow,
-    /// Store writes issued during the run.
-    pub store_writes: u64,
-}
-
-fn run_durability_one(
-    label: &str,
-    policy: WritePolicy,
-    provisioned: Option<ProvisionedConfig>,
-    quick: bool,
-) -> DurabilityPoint {
-    let hw = SimHw::default();
-    let sensors = 300;
-    let mem = MemStore::new();
-    let (store, counter): (Arc<dyn StateStore>, Option<Arc<ProvisionedStore<MemStore>>>) =
-        match provisioned {
-            Some(config) => {
-                let s = Arc::new(ProvisionedStore::new(mem, config));
-                (Arc::clone(&s) as Arc<dyn StateStore>, Some(s))
-            }
-            None => {
-                let s = Arc::new(ProvisionedStore::new(
-                    mem,
-                    ProvisionedConfig {
-                        read_units: u32::MAX,
-                        write_units: u32::MAX,
-                        burst_seconds: 1.0,
-                        on_exhausted: ExhaustionBehavior::Block,
-                        request_latency: Duration::ZERO,
-                    },
-                ));
-                (Arc::clone(&s) as Arc<dyn StateStore>, Some(s))
-            }
-        };
-    let rt = Runtime::single(hw.large_workers);
-    let mut env = ShmEnv::paper_default(Arc::clone(&store)).with_service_time(hw.service_time);
-    env.data_policy = policy;
-    env.window_capacity = 200; // bound the serialized state size
-    register_shm(&rt, env);
-    let topology = Topology::layout(
-        sensors,
-        TopologySpec {
-            aggregates: false,
-            ..Default::default()
-        },
-    );
-    provision(&rt, &topology, |_| None).expect("provision");
-    let fleet = FleetRefs::build(&rt, &topology, |_| None);
-
-    let writes_before = counter.as_ref().map(|c| c.stats().writes).unwrap_or(0);
-    let report = run_load(
-        &fleet,
-        LoadConfig::sensors(sensors, if quick { 5 } else { 8 }),
-    );
-    let writes_after = counter.as_ref().map(|c| c.stats().writes).unwrap_or(0);
-    let point = DurabilityPoint {
-        policy: label.to_string(),
-        throughput: report.throughput,
-        ingest: report.ingest,
-        store_writes: writes_after - writes_before,
-    };
-    rt.shutdown_with_drain(Duration::from_secs(10));
-    point
-}
-
-/// Durability ablation: the paper's write-policy spectrum, plus the same
-/// policy against a DynamoDB-provisioned (200 WCU) store to show why the
-/// paper defers uploads.
-pub fn run_durability(quick: bool) -> Vec<DurabilityPoint> {
-    println!("\nAblation: durability policy — 1 silo, 300 sensors, window 200 points");
-    let paper_dynamo = ProvisionedConfig {
-        read_units: 200,
-        write_units: 200,
-        burst_seconds: 5.0,
-        on_exhausted: ExhaustionBehavior::Block,
-        request_latency: Duration::from_micros(500),
-    };
-    let points = vec![
-        run_durability_one(
-            "on-deactivate (paper)",
-            WritePolicy::OnDeactivate,
-            None,
-            quick,
-        ),
-        run_durability_one("every-100", WritePolicy::EveryN(100), None, quick),
-        run_durability_one("every-10", WritePolicy::EveryN(10), None, quick),
-        run_durability_one("every-change", WritePolicy::EveryChange, None, quick),
-        run_durability_one(
-            "every-change + 200 WCU dynamo",
-            WritePolicy::EveryChange,
-            Some(paper_dynamo),
-            quick,
-        ),
-    ];
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.policy.clone(),
-                format!(
-                    "{} ± {}",
-                    fmt_f(p.throughput.mean),
-                    fmt_f(p.throughput.std_dev)
-                ),
-                fmt_f(p.ingest.p50_ms),
-                fmt_f(p.ingest.p99_ms),
-                p.store_writes.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "Durability ablation (§5)",
-        &[
-            "policy",
-            "throughput req/s",
-            "p50 ms",
-            "p99 ms",
-            "store writes",
         ],
         &rows,
     );

@@ -1,31 +1,24 @@
-//! **Ingest-path storage benchmark: KV-blob rewriting vs the columnar
-//! time-series engine.**
+//! **Ingest-path storage benchmark: the columnar time-series engine,
+//! with and without its group-commit WAL.**
 //!
-//! The paper's platform persists each channel as one KV state blob, so
-//! every `Ingest` rewrites the channel's entire serialized state — cost
-//! per point grows with history, and at-rest storage pays full JSON
-//! framing per sample. The `tseries` engine replaces that hot path with
-//! delta-of-delta + XOR compression into sealed blocks behind the
-//! [`SeriesStore`] seam. This experiment measures both backends on the
-//! same workload and records the before/after pair into
-//! `BENCH_ingest.json`.
+//! Every channel appends its points, compressed (delta-of-delta + XOR)
+//! into sealed blocks, through the [`SeriesStore`] seam. This experiment
+//! measures that path on one workload, once per durability mode, and
+//! records the result into `BENCH_ingest.json`.
 //!
-//! Two numbers per backend, plus one engine-only figure:
+//! Two numbers per mode, plus one engine-only figure:
 //!
-//! * **points/s** — acked actor-path ingest throughput at equal
-//!   durability: ack ⇒ durable on both sides (KV runs
-//!   `WritePolicy::EveryChange`; the tseries tail record commits per
-//!   append). Channels are configured bare (no subscribers, no
-//!   aggregation, no simulated service time) so the measurement isolates
-//!   the storage path: dispatch + state mutation + durable append. The
-//!   backing store is a [`LogStore`] in both runs (`SyncPolicy::OnDemand`,
-//!   i.e. no per-write fsync — the comparison is the write *path*, not
-//!   the disk).
-//! * **bytes/point** — at-rest footprint of the ingested stream. For the
-//!   KV backend that is the final channel state blob (the window holds
-//!   every ingested point; JSON framing per `DataPoint`). For tseries it
-//!   is every record under the `tseries` namespace after a final seal —
-//!   sealed blocks plus the (empty) tail record.
+//! * **points/s** — acked actor-path ingest throughput (ack ⇒ the tail
+//!   record or the WAL group carrying the batch is written). Channels
+//!   are configured bare (no subscribers, no aggregation, no simulated
+//!   service time) so the measurement isolates the storage path:
+//!   dispatch + side-car encode + durable append. The backing store is a
+//!   [`LogStore`] (`SyncPolicy::OnDemand`, i.e. no per-write fsync — the
+//!   rows compare write *paths*, not the disk, except the one with a
+//!   per-group fsync).
+//! * **bytes/point** — at-rest footprint of the ingested stream: every
+//!   record under the `tseries` namespace after a final seal — sealed
+//!   blocks plus the (empty) tail record.
 //! * **engine points/s** — direct `append_batch` throughput of the
 //!   engine with no actor layer, the ceiling the actor path sits under.
 //!
@@ -58,7 +51,7 @@ const BATCH: usize = 10;
 /// One backend's measurement.
 #[derive(Serialize, Clone)]
 pub struct BackendResult {
-    /// `"kv-log"` or `"tseries"`.
+    /// `"tseries"`, `"tseries-wal"` or `"tseries-wal-fsync"`.
     pub backend: String,
     /// Total points acked through the actor path.
     pub points: u64,
@@ -81,9 +74,8 @@ pub struct IngestResult {
     pub points_per_channel: u64,
     /// Points per `Ingest` message.
     pub batch: usize,
-    /// Baseline: per-ingest KV state-blob rewrite (the paper's model).
-    pub kv: BackendResult,
-    /// Columnar engine behind the `SeriesStore` seam.
+    /// Columnar engine behind the `SeriesStore` seam, a tail record per
+    /// append.
     pub tseries: BackendResult,
     /// Columnar engine in group-commit WAL mode, `FsyncPolicy::OnDemand`
     /// — the same durability class as the `tseries` row (no per-write
@@ -97,8 +89,6 @@ pub struct IngestResult {
     /// in the group, which is what keeps this row in the same decade as
     /// the no-fsync rows instead of collapsing to disk latency.
     pub tseries_wal_fsync: BackendResult,
-    /// `tseries.points_per_sec / kv.points_per_sec`.
-    pub speedup_points_per_sec: f64,
     /// `tseries_wal.points_per_sec / tseries.points_per_sec` — the
     /// group-commit win at equal durability.
     pub wal_speedup_points_per_sec: f64,
@@ -199,48 +189,13 @@ fn stored_bytes(store: &Arc<dyn StateStore>, prefix: &[u8]) -> u64 {
         .sum()
 }
 
-/// Baseline run: the KV model with per-ingest durability — every ingest
-/// rewrites the channel's full state blob (`WritePolicy::EveryChange`,
-/// matching the tseries path's ack ⇒ durable guarantee; the paper's
-/// `OnDeactivate` default keeps acked points only in memory). The window
-/// retains every point (capacity = points_per_channel) so both backends
-/// store the same stream.
-fn run_kv(channels: usize, points_per_channel: u64) -> BackendResult {
-    let (dir, store) = temp_store("kv");
-    let rt = Runtime::single(WORKERS);
-    let mut env = ShmEnv::paper_default(Arc::clone(&store));
-    env.window_capacity = points_per_channel as usize;
-    env.data_policy = aodb_core::WritePolicy::EveryChange;
-    register_all(&rt, env);
-    let keys: Vec<String> = (0..channels)
-        .map(|i| format!("org-bench/s-{i}/c-0"))
-        .collect();
-    let elapsed = drive_ingest(&rt, &keys, points_per_channel);
-    rt.shutdown();
-    let bytes = stored_bytes(&store, &Key::partition_prefix("actor-state", "shm.channel"));
-    drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
-    let points = channels as u64 * points_per_channel;
-    BackendResult {
-        backend: "kv-log".into(),
-        points,
-        elapsed_s: elapsed,
-        points_per_sec: points as f64 / elapsed,
-        bytes_at_rest: bytes,
-        bytes_per_point: bytes as f64 / points as f64,
-    }
-}
-
-/// Columnar run: same workload through the `SeriesStore` seam.
+/// Columnar run: a tail record per append.
 fn run_tseries(channels: usize, points_per_channel: u64) -> BackendResult {
     let (dir, store) = temp_store("ts");
-    let engine = Arc::new(TsStore::with_defaults(Arc::clone(&store)));
+    let env = ShmEnv::paper_default(Arc::clone(&store));
+    let engine = Arc::clone(&env.series);
     let rt = Runtime::single(WORKERS);
-    register_all(
-        &rt,
-        ShmEnv::paper_default(Arc::clone(&store))
-            .with_series_store(Arc::clone(&engine) as Arc<dyn SeriesStore>),
-    );
+    register_all(&rt, env);
     let keys: Vec<String> = (0..channels)
         .map(|i| format!("org-bench/s-{i}/c-0"))
         .collect();
@@ -342,13 +297,12 @@ pub fn run(quick: bool) -> IngestResult {
     } else {
         (8usize, 5_000u64, 1_000_000u64)
     };
-    println!("\n== ingest: KV-blob rewrite vs columnar tseries engine ==");
+    println!("\n== ingest: columnar tseries engine, with and without its WAL ==");
     println!(
         "   {channels} channels × {points_per_channel} points, {BATCH}-point batches, \
          quantized 10 Hz sensor signal, LogStore backing (no per-write fsync)"
     );
 
-    let kv = run_kv(channels, points_per_channel);
     let tseries = run_tseries(channels, points_per_channel);
     let tseries_wal = run_tseries_wal(
         channels,
@@ -363,10 +317,9 @@ pub fn run(quick: bool) -> IngestResult {
         "tseries-wal-fsync",
     );
     let engine_points_per_sec = run_engine_direct(engine_points);
-    let speedup = tseries.points_per_sec / kv.points_per_sec;
     let wal_speedup = tseries_wal.points_per_sec / tseries.points_per_sec;
 
-    let rows: Vec<Vec<String>> = [&kv, &tseries, &tseries_wal, &tseries_wal_fsync]
+    let rows: Vec<Vec<String>> = [&tseries, &tseries_wal, &tseries_wal_fsync]
         .iter()
         .map(|r| {
             vec![
@@ -383,8 +336,8 @@ pub fn run(quick: bool) -> IngestResult {
         &rows,
     );
     println!(
-        "   speedup ×{speedup:.1} (tseries/kv), ×{wal_speedup:.1} (wal/tseries, equal \
-         durability); direct engine append: {} points/s",
+        "   speedup ×{wal_speedup:.1} (wal/tseries, equal durability); direct engine \
+         append: {} points/s",
         fmt_f(engine_points_per_sec)
     );
 
@@ -392,11 +345,9 @@ pub fn run(quick: bool) -> IngestResult {
         channels,
         points_per_channel,
         batch: BATCH,
-        kv,
         tseries,
         tseries_wal,
         tseries_wal_fsync,
-        speedup_points_per_sec: speedup,
         wal_speedup_points_per_sec: wal_speedup,
         engine_points_per_sec,
     }

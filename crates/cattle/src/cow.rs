@@ -340,10 +340,10 @@ impl Handler<WorkStep> for Cow {
             return StepResult::Failed("malformed step: missing new_owner".into());
         };
         let key = ctx.key().to_string();
-        // The idempotence-token insertion must itself be durable: if it
-        // went through get_mut_untracked() and the guard rejected the
-        // replay, the turn could end with the token unpersisted and a
-        // later replay would double-apply.
+        // The idempotence-token insertion is a `mutate` of its own, so
+        // the token reaches the store under the write policy even on a
+        // turn that changes nothing else: a token that never did would
+        // let a replay after reactivation double-apply.
         let fresh = self
             .state
             .mutate(|s| s.transfer_guard.first_time(&msg.idempotence));

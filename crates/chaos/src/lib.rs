@@ -12,6 +12,8 @@
 //!   actor runs turns at any instant).
 //! * **[`SpreadPlacement`]** — deterministic hash-modulo placement so
 //!   tests can compute which silo hosts which actor and aim the kill.
+//! * **[`ReferenceSeries`]** — the plainest `SeriesStore`, the oracle
+//!   the differential test compares the real engine against.
 //!
 //! The fault *injection* itself lives next to the components it breaks:
 //! [`aodb_runtime::FaultPlan`] for message drop/duplicate/delay and
@@ -26,8 +28,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
+mod reference;
+
 pub use aodb_runtime::{ChaosNetConfig, CrashEvent, FaultPlan, SiloCrashReport};
 pub use aodb_store::{BurstWindow, ChaosStore, ChaosStoreConfig};
+pub use reference::ReferenceSeries;
 
 /// Reads the chaos seed from the `CHAOS_SEED` environment variable
 /// (decimal, or hex with a `0x` prefix), falling back to `default`.

@@ -2,18 +2,17 @@
 //! channels are ingesting, and every *acknowledged* batch must survive
 //! into the reactivated channels on the surviving silos.
 //!
-//! The durability argument: channel data runs under
-//! `WritePolicy::EveryChange`, so the state write happens inside the
-//! turn, before the reply is delivered — an `Ok` reply therefore implies
-//! the batch is already in the store, and crash eviction can only lose
-//! turns that never replied (those resolve as `SiloLost` and are
-//! retried).
+//! The durability argument: a channel's points, stats and watermarks
+//! commit through its series store, and the default one writes each
+//! append's tail record before the reply is delivered — an `Ok` reply
+//! therefore implies the batch is already in the store, and crash
+//! eviction can only lose turns that never replied (those resolve as
+//! `SiloLost` and are retried).
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use aodb_chaos::{AckLedger, SeedReport, SpreadPlacement};
-use aodb_core::WritePolicy;
 use aodb_runtime::{ActorError, CallError, Runtime, RuntimeBuilder, SiloId};
 use aodb_shm::messages::{ConfigureChannel, GetChannelStats, Ingest};
 use aodb_shm::types::{DataPoint, Threshold};
@@ -27,10 +26,7 @@ fn build() -> Runtime {
         .silos(SILOS, 2)
         .placement(SpreadPlacement)
         .build();
-    let mut env = ShmEnv::paper_default(Arc::new(MemStore::new()));
-    // Ack ⇒ durable: data writes must not be deferred to deactivation.
-    env.data_policy = WritePolicy::EveryChange;
-    register_all(&rt, env);
+    register_all(&rt, ShmEnv::paper_default(Arc::new(MemStore::new())));
     rt
 }
 
@@ -143,7 +139,6 @@ fn crash_mid_turn_loses_only_unacknowledged_work() {
         .placement(SpreadPlacement)
         .build();
     let mut env = ShmEnv::paper_default(Arc::new(MemStore::new()));
-    env.data_policy = WritePolicy::EveryChange;
     // Slow turns keep the mailbox busy so the kill lands mid-stream.
     env.ingest_service_time = Some(Duration::from_micros(300));
     register_all(&rt, env);
@@ -181,8 +176,8 @@ fn crash_mid_turn_loses_only_unacknowledged_work() {
     assert!(lost > 0, "kill never interfered — test proves nothing");
 
     // The reactivated channel (on a surviving silo) holds exactly the
-    // acknowledged prefix: EveryChange persisted each acked batch before
-    // its reply, and the lost tail never ran.
+    // acknowledged prefix: each acked batch was appended before its
+    // reply, and the lost tail never ran.
     assert!(rt.quiesce(Duration::from_secs(5)));
     let verdict = ledger.verify_exact(|c| {
         rt.actor_ref::<PhysicalSensorChannel>(c)

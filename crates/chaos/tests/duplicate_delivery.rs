@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use aodb_chaos::{ChaosNetConfig, FaultPlan, SeedReport};
-use aodb_core::{WorkflowOutcome, WritePolicy};
+use aodb_core::WorkflowOutcome;
 use aodb_runtime::{LatencyModel, NetConfig, Runtime, RuntimeBuilder};
 use aodb_shm::messages::{ConfigureChannel, GetChannelStats, Ingest};
 use aodb_shm::types::{DataPoint, Threshold};
@@ -45,9 +45,7 @@ proptest! {
     fn shm_ingest_applies_once_under_duplication(seed in any::<u64>()) {
         let _report = SeedReport::new(seed);
         let rt = duplicating_runtime(seed);
-        let mut env = ShmEnv::paper_default(Arc::new(MemStore::new()));
-        env.data_policy = WritePolicy::EveryChange;
-        aodb_shm::register_all(&rt, env);
+        aodb_shm::register_all(&rt, ShmEnv::paper_default(Arc::new(MemStore::new())));
 
         let r = rt.actor_ref::<PhysicalSensorChannel>("org-0/s-0/c-0");
         r.call(ConfigureChannel {

@@ -64,7 +64,9 @@ fn run_fleet(seed: u64) -> (Vec<(String, u64)>, Vec<(Vec<u8>, Vec<u8>)>) {
         .chaos(plan)
         .build();
     let mut env = ShmEnv::paper_default(store.clone());
-    // Ack ⇒ durable, so an acked batch is in the store before its reply.
+    // Channel configuration is written when it is set: deferred to
+    // deactivation, a silo kill would decide by timing which channels'
+    // blobs make it into the dump.
     env.data_policy = WritePolicy::EveryChange;
     register_all(&rt, env);
 

@@ -10,7 +10,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use aodb_chaos::{AckLedger, FaultPlan, SeedReport, SpreadPlacement};
-use aodb_core::WritePolicy;
 use aodb_runtime::{ActorError, LatencyModel, NetConfig, Runtime, RuntimeBuilder};
 use aodb_shm::messages::{ConfigureChannel, GetChannelStats, Ingest, QueryRange};
 use aodb_shm::types::{DataPoint, Threshold};
@@ -55,11 +54,9 @@ fn build(seed: u64) -> Runtime {
         })
         .chaos(plan)
         .build();
-    let mut env = ShmEnv::paper_default(Arc::new(MemStore::new()));
-    // Ack ⇒ durable, and the ingest dedup watermarks persist with the
+    // Ack ⇒ durable, and the ingest dedup watermarks commit with the
     // points they admit, so post-crash retries stay exactly-once.
-    env.data_policy = WritePolicy::EveryChange;
-    register_all(&rt, env);
+    register_all(&rt, ShmEnv::paper_default(Arc::new(MemStore::new())));
     rt
 }
 

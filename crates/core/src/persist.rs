@@ -198,13 +198,6 @@ impl<S: PersistentState> Persisted<S> {
         out
     }
 
-    /// Mutable access *without* marking dirty or applying policy; for
-    /// transient fields inside otherwise-persistent state. Prefer
-    /// [`Persisted::mutate`].
-    pub fn get_mut_untracked(&mut self) -> &mut S {
-        &mut self.state
-    }
-
     fn apply_policy(&mut self) {
         let should_save = match self.policy {
             WritePolicy::EveryChange => true,

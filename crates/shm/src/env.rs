@@ -7,22 +7,24 @@ use aodb_runtime::ActorKey;
 use aodb_store::tseries::{SeriesStore, TsConfig, TsStore};
 use aodb_store::{StateStore, StoreResult, WalConfig};
 
-/// Everything an SHM actor factory needs: the state store and the write
-/// policies of the two durability classes the paper distinguishes in
-/// Section 5 — structural entities (organizations, sensors, channel
-/// configuration) want immediate durability, while sensor *data* collects
-/// a window of updates before being forced to storage.
+/// Everything an SHM actor factory needs: the state store, the series
+/// store that holds every channel's data, and the write policies of the
+/// two durability classes the paper distinguishes in Section 5 —
+/// structural entities (organizations, sensors) want immediate
+/// durability, while the state of the data-bearing actors collects
+/// updates before being forced to storage.
 #[derive(Clone)]
 pub struct ShmEnv {
     /// The grain-state store (the DynamoDB role).
     pub store: Arc<dyn StateStore>,
     /// Policy for structural entity state.
     pub structural_policy: WritePolicy,
-    /// Policy for sensor data state (the paper's benchmark sets this to
-    /// [`WritePolicy::OnDeactivate`]).
+    /// Policy for the state blobs of the data-bearing actors: channel
+    /// configuration, aggregate buckets and alert logs (the paper's
+    /// benchmark sets this to [`WritePolicy::OnDeactivate`]). A
+    /// channel's points, stats and dedup watermarks are not among them:
+    /// they commit through [`ShmEnv::series`].
     pub data_policy: WritePolicy,
-    /// Ring-buffer capacity of each channel's in-memory data window.
-    pub window_capacity: usize,
     /// Simulated per-ingest service time.
     ///
     /// The reproduction's stand-in for server CPU capacity: the paper's
@@ -34,18 +36,16 @@ pub struct ShmEnv {
     /// behaves like the paper's cluster. `None` (the default) disables the
     /// simulation; the benchmark harness enables it.
     pub ingest_service_time: Option<std::time::Duration>,
-    /// Columnar time-series engine for channel point streams. `None`
-    /// (the paper-faithful default) keeps points inside the KV state
-    /// blob; `Some` routes `Ingest` appends and range queries through
-    /// the compressed [`SeriesStore`] instead, with the channel's dedup
-    /// watermarks and running stats committing atomically alongside the
-    /// points as series metadata. Physical channels always hand their
-    /// `Ingest` reply to the engine
+    /// The one home of every channel's data: each `Ingest` (and each
+    /// derived batch of a virtual channel) appends its points together
+    /// with the channel's side-car — running stats, alert hysteresis,
+    /// dedup watermarks — as series metadata, and range queries scan the
+    /// series. Physical channels hand their `Ingest` reply to the engine
     /// ([`SeriesStore::append_batch_async`]), which resolves it when the
     /// append is durable: inside the call for an engine that commits on
     /// append, on the WAL committer thread for a [`TsStore::with_wal`]
     /// instance.
-    pub series: Option<Arc<dyn SeriesStore>>,
+    pub series: Arc<dyn SeriesStore>,
     /// Read by nothing: whether acks are deferred is the engine's
     /// decision (see [`ShmEnv::series`]). The field survives only
     /// because `benchmark/src/system.rs` assigns it; delete both
@@ -56,30 +56,29 @@ pub struct ShmEnv {
 
 impl ShmEnv {
     /// The configuration used by the paper's experiments: immediate
-    /// durability for structure, deactivation-time persistence for data,
-    /// and an hour of 10 Hz data in the window.
+    /// durability for structure, deactivation-time persistence for the
+    /// data-bearing actors' state blobs, and channel data in a
+    /// [`TsStore`] over the same store that commits every append as it
+    /// is made (see [`TsStore::new`]).
     pub fn paper_default(store: Arc<dyn StateStore>) -> Self {
         ShmEnv {
+            series: Arc::new(TsStore::new(Arc::clone(&store), TsConfig::default())),
             store,
             structural_policy: WritePolicy::EveryChange,
             data_policy: WritePolicy::OnDeactivate,
-            window_capacity: 36_000,
             ingest_service_time: None,
-            series: None,
             deferred_acks: false,
         }
     }
 
-    /// [`ShmEnv::paper_default`] plus a [`TsStore`] columnar engine in
-    /// group-commit mode over the same backing store (see
-    /// [`TsStore::with_wal`]): point streams go to compressed sealed
-    /// blocks, state blobs stay on the KV path, appends write compact
-    /// delta frames to a group-commit WAL at `wal_path`, ingest acks
-    /// resolve on the committer thread, and one fsync covers every
-    /// concurrently appending channel. Returns the engine alongside the
-    /// env so the platform can wire checkpoints and deactivation-sweep
-    /// sync barriers, and read the WAL's group counters
-    /// ([`TsStore::wal_stats`]).
+    /// [`ShmEnv::paper_default`] with the [`TsStore`] in group-commit
+    /// mode over the same backing store (see [`TsStore::with_wal`]):
+    /// appends write compact delta frames to a group-commit WAL at
+    /// `wal_path`, ingest acks resolve on the committer thread, and one
+    /// fsync covers every concurrently appending channel. Returns the
+    /// engine alongside the env so the platform can wire checkpoints and
+    /// deactivation-sweep sync barriers, and read the WAL's group
+    /// counters ([`TsStore::wal_stats`]).
     pub fn tseries_wal_default(
         store: Arc<dyn StateStore>,
         wal_path: impl Into<std::path::PathBuf>,
@@ -95,10 +94,9 @@ impl ShmEnv {
         Ok((env, ts))
     }
 
-    /// Routes channel point streams through `series` (see
-    /// [`ShmEnv::series`]).
+    /// Keeps channel data in `series` (see [`ShmEnv::series`]).
     pub fn with_series_store(mut self, series: Arc<dyn SeriesStore>) -> Self {
-        self.series = Some(series);
+        self.series = series;
         self
     }
 

@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | [`Organization`] | Tenant; structural registry; live-data fan-out | `Project`, `User` |
 //! | [`Sensor`] | Relocatable device metadata | position |
-//! | [`PhysicalSensorChannel`] | One raw data stream: window, accumulated change, thresholds | `DataPoint`s |
+//! | [`PhysicalSensorChannel`] | One raw data stream: series, accumulated change, thresholds | `DataPoint`s |
 //! | [`VirtualSensorChannel`] | Equation over physical channels | derived `DataPoint`s |
 //! | [`Aggregator`] | Hour→day→month statistical cascade | `Aggregate` buckets |
 //! | [`AlertLog`] | Per-tenant alert feed | `Alert`s |

@@ -253,8 +253,8 @@ impl Message for GetLatest {
     type Reply = Option<DataPoint>;
 }
 
-/// Raw time-range query over a channel's in-memory window (the paper's
-/// "raw data request" in Figure 8).
+/// Raw time-range query over a channel's series, points in the order
+/// they were ingested (the paper's "raw data request" in Figure 8).
 #[derive(Clone, Copy)]
 pub struct QueryRange {
     /// Inclusive start (ms).
@@ -280,8 +280,6 @@ impl Message for GetChannelStats {
 pub struct ChannelStats {
     /// Points ever ingested.
     pub total_points: u64,
-    /// Points currently held in the window.
-    pub window_len: usize,
     /// Sum of |Δvalue| over consecutive points (how far the element has
     /// moved in total).
     pub accumulated_change: f64,

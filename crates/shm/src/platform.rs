@@ -277,7 +277,7 @@ impl ShmClient {
     }
 
     /// The paper's "raw data request": a time range from one channel's
-    /// window.
+    /// series.
     pub fn raw_range(
         &self,
         channel: &str,

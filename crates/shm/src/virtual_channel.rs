@@ -8,12 +8,9 @@
 //! derived point computed from the latest value of every input.
 
 use std::cell::OnceCell;
-use std::collections::VecDeque;
-use std::sync::Arc;
 
 use aodb_runtime::{Actor, ActorContext, ActorRef, Handler};
 use aodb_store::codec::{Reader, Writer};
-use aodb_store::tseries::SeriesStore;
 use aodb_store::StoreResult;
 use serde::{Deserialize, Serialize};
 
@@ -23,26 +20,18 @@ use crate::messages::{
     ChannelStats, ConfigureVirtual, GetChannelStats, GetLatest, PushDerived, QueryRange,
     RecordSamples,
 };
-use crate::physical::{
-    query_window, read_point, scan_series, stage_points, write_point, ChannelCache,
-};
+use crate::physical::{abort_reply, ChannelCache, RunningStats};
 use crate::sidecar;
 use crate::types::{AggregateLevel, DataPoint, Equation};
 use aodb_core::Persisted;
 
+/// A virtual channel's configuration: all it keeps in its state blob.
 #[derive(Serialize, Deserialize)]
 pub(crate) struct VirtualState {
     org: String,
     inputs: Vec<String>,
     equation: Equation,
     aggregates: bool,
-    /// Latest value seen per input (equation operands).
-    latest_inputs: Vec<Option<f64>>,
-    window: VecDeque<DataPoint>,
-    total_points: u64,
-    accumulated_change: f64,
-    first_value: Option<f64>,
-    last: Option<DataPoint>,
 }
 
 impl Default for VirtualState {
@@ -52,43 +41,31 @@ impl Default for VirtualState {
             inputs: Vec::new(),
             equation: Equation::Sum,
             aggregates: false,
-            latest_inputs: Vec::new(),
-            window: VecDeque::new(),
-            total_points: 0,
-            accumulated_change: 0.0,
-            first_value: None,
-            last: None,
         }
     }
 }
 
-/// The virtual channel's data-plane fields, shipped as series metadata
-/// on the columnar path (see `ChannelSideCar` in `physical.rs`).
+/// The virtual channel's data plane, kept and committed like the
+/// physical channel's (see `ChannelSideCar` in `physical.rs`).
 /// `latest_inputs` rides along so the equation operands survive a
 /// restart with the derived points they produced.
-#[derive(Default, Serialize, Deserialize)]
+#[derive(Default)]
 pub(crate) struct VirtualSideCar {
-    total_points: u64,
-    accumulated_change: f64,
-    first_value: Option<f64>,
-    last: Option<DataPoint>,
+    stats: RunningStats,
+    /// Latest value seen per input (equation operands).
     latest_inputs: Vec<Option<f64>>,
 }
 
 impl VirtualSideCar {
-    /// Compact fixed-layout encoding of `s`'s data-plane fields into
-    /// `out` — same hot-path rationale as `ChannelSideCar::encode_from`
-    /// (see `sidecar.rs`).
-    fn encode_from(s: &VirtualState, out: &mut Vec<u8>) {
+    /// Compact fixed-layout encoding into `out` — same hot-path
+    /// rationale as `ChannelSideCar::encode` (see `sidecar.rs`).
+    fn encode(&self, out: &mut Vec<u8>) {
         out.clear();
         let mut w = Writer::over(out);
         w.u8(sidecar::FORMAT);
-        w.u64(s.total_points);
-        w.f64(s.accumulated_change);
-        w.opt(s.first_value, Writer::f64);
-        w.opt(s.last, write_point);
-        w.u64(s.latest_inputs.len() as u64);
-        for &input in &s.latest_inputs {
+        self.stats.write(&mut w);
+        w.u64(self.latest_inputs.len() as u64);
+        for &input in &self.latest_inputs {
             w.opt(input, Writer::f64);
         }
     }
@@ -97,61 +74,38 @@ impl VirtualSideCar {
         Reader::whole(bytes, "virtual side-car", |r| {
             r.tag(sidecar::FORMAT)?;
             Ok(VirtualSideCar {
-                total_points: r.u64()?,
-                accumulated_change: r.f64()?,
-                first_value: r.opt(Reader::f64)?,
-                last: r.opt(read_point)?,
+                stats: RunningStats::read(r)?,
                 latest_inputs: r.u64_list(|r| r.opt(Reader::f64))?,
             })
         })
     }
-
-    fn apply(self, s: &mut VirtualState) {
-        s.total_points = self.total_points;
-        s.accumulated_change = self.accumulated_change;
-        s.first_value = self.first_value;
-        s.last = self.last;
-        // Only overlay operands when the shape matches the configured
-        // inputs (a reconfiguration may have changed the arity).
-        if self.latest_inputs.len() == s.latest_inputs.len() {
-            s.latest_inputs = self.latest_inputs;
-        }
-    }
 }
 
 /// Applies one pushed batch: updates the matching operand and derives
-/// one point per input point. `window_capacity` 0 = keep no window.
+/// one point per input point. Operands recovered for a different number
+/// of inputs than configured start over.
 fn derive_points(
-    s: &mut VirtualState,
+    config: &VirtualState,
+    data: &mut VirtualSideCar,
     msg: &PushDerived,
-    window_capacity: usize,
 ) -> Vec<DataPoint> {
-    let Some(idx) = s.inputs.iter().position(|i| **i == *msg.source) else {
+    let Some(idx) = config.inputs.iter().position(|i| **i == *msg.source) else {
         return Vec::new(); // unknown source: configuration race; drop
     };
+    if data.latest_inputs.len() != config.inputs.len() {
+        data.latest_inputs = vec![None; config.inputs.len()];
+    }
     let mut derived = Vec::with_capacity(msg.points.len());
     for p in &msg.points {
-        s.latest_inputs[idx] = Some(p.value);
-        let Some(value) = s.equation.apply(&s.latest_inputs) else {
+        data.latest_inputs[idx] = Some(p.value);
+        let Some(value) = config.equation.apply(&data.latest_inputs) else {
             continue;
         };
         let dp = DataPoint {
             ts_ms: p.ts_ms,
             value,
         };
-        if let Some(last) = s.last {
-            s.accumulated_change += (value - last.value).abs();
-        } else {
-            s.first_value = Some(value);
-        }
-        s.last = Some(dp);
-        if window_capacity > 0 {
-            s.window.push_back(dp);
-            if s.window.len() > window_capacity {
-                s.window.pop_front();
-            }
-        }
-        s.total_points += 1;
+        data.stats.record(dp);
         derived.push(dp);
     }
     derived
@@ -160,9 +114,8 @@ fn derive_points(
 /// The virtual sensor channel actor.
 pub struct VirtualSensorChannel {
     state: Persisted<VirtualState>,
-    window_capacity: usize,
-    /// Columnar point-stream engine; `None` = KV-blob mode.
-    series: Option<Arc<dyn SeriesStore>>,
+    /// `None` until recovered (see `ChannelCache::recovered`).
+    data: Option<VirtualSideCar>,
     cache: ChannelCache,
     /// The hour aggregator derived points feed, resolved on first use.
     hour_aggregator: OnceCell<ActorRef<Aggregator>>,
@@ -173,9 +126,8 @@ impl VirtualSensorChannel {
     pub fn register(rt: &aodb_runtime::Runtime, env: ShmEnv) {
         rt.register(move |id| VirtualSensorChannel {
             state: env.persisted_data(Self::TYPE_NAME, &id.key),
-            window_capacity: env.window_capacity,
-            series: env.series.clone(),
-            cache: ChannelCache::new(Self::TYPE_NAME, &id.key),
+            data: None,
+            cache: ChannelCache::new(&env, Self::TYPE_NAME, &id.key),
             hour_aggregator: OnceCell::new(),
         });
     }
@@ -191,22 +143,7 @@ impl Actor for VirtualSensorChannel {
 
     fn on_activate(&mut self, _ctx: &mut ActorContext<'_>) {
         self.state.load_or_default();
-        if let Some(series) = &self.series {
-            if let Ok(rec) = series.recover(&self.cache.series_key) {
-                // Empty meta: the series committed nothing, so reset
-                // the KV blob's data-plane fields, which may be ahead
-                // of the store after a crash wiped an in-flight append
-                // (see the physical channel's on_activate).
-                let overlay = if rec.meta.is_empty() {
-                    Some(VirtualSideCar::default())
-                } else {
-                    VirtualSideCar::decode(&rec.meta).ok()
-                };
-                if let Some(sidecar) = overlay {
-                    sidecar.apply(self.state.get_mut_untracked());
-                }
-            }
-        }
+        self.cache.recovered(&mut self.data, VirtualSideCar::decode);
     }
 
     fn on_deactivate(&mut self, _ctx: &mut ActorContext<'_>) {
@@ -216,9 +153,11 @@ impl Actor for VirtualSensorChannel {
 
 impl Handler<ConfigureVirtual> for VirtualSensorChannel {
     fn handle(&mut self, msg: ConfigureVirtual, _ctx: &mut ActorContext<'_>) {
+        if let Some(data) = self.cache.recovered(&mut self.data, VirtualSideCar::decode) {
+            data.latest_inputs = vec![None; msg.inputs.len()];
+        }
         self.state.mutate(|s| {
             s.org = msg.org;
-            s.latest_inputs = vec![None; msg.inputs.len()];
             s.inputs = msg.inputs;
             s.equation = msg.equation;
             s.aggregates = msg.aggregates;
@@ -228,34 +167,32 @@ impl Handler<ConfigureVirtual> for VirtualSensorChannel {
 
 impl Handler<PushDerived> for VirtualSensorChannel {
     fn handle(&mut self, msg: PushDerived, ctx: &mut ActorContext<'_>) {
-        if let Some(series) = &self.series {
-            // Columnar path: derive in memory, then commit the derived
-            // points and the sidecar (stats + operands) in one append.
-            let s = self.state.get_mut_untracked();
-            let derived = derive_points(s, &msg, 0);
-            VirtualSideCar::encode_from(s, &mut self.cache.meta);
-            stage_points(&mut self.cache.points, &derived);
-            self.fan_out(derived, ctx);
-            // The physical channel's pattern: the engine makes the append
-            // durable at group commit, off this worker, and the turn ends
-            // without waiting for it — so the derived points are visible
-            // to `GetLatest` and `QueryRange` before they are durable.
-            // Last in the turn, after the fan-out is enqueued. The push
-            // is a `tell`: a failed append has no caller to abort, and
-            // as on the physical path the points stay in the engine's
-            // in-memory tail until its next committed record carries
-            // them.
-            series.append_batch_async(
-                &self.cache.series_key,
-                &self.cache.points,
-                &self.cache.meta,
-                Box::new(|_result| {}),
-            );
-        } else {
-            let capacity = self.window_capacity;
-            let derived = self.state.mutate(|s| derive_points(s, &msg, capacity));
-            self.fan_out(derived, ctx);
-        }
+        // A push that finds the data plane unrecovered is dropped, as a
+        // push whose derived append fails is.
+        let Some(data) = self.cache.recovered(&mut self.data, VirtualSideCar::decode) else {
+            return;
+        };
+        // Derive in memory, then commit the derived points and the
+        // side-car (stats + operands) in one append.
+        let derived = derive_points(self.state.get(), data, &msg);
+        data.encode(&mut self.cache.meta);
+        self.cache.stage(&derived);
+        self.fan_out(derived, ctx);
+        // The physical channel's pattern: the engine makes the append
+        // durable at group commit, off this worker, and the turn ends
+        // without waiting for it — so the derived points are visible to
+        // `GetLatest` and `QueryRange` before they are durable. Last in
+        // the turn, after the fan-out is enqueued. The push is a `tell`:
+        // a failed append has no caller to abort, and as on the physical
+        // path the points stay in the engine's in-memory tail until its
+        // next committed record carries them.
+        let cache = &self.cache;
+        cache.series.append_batch_async(
+            &cache.series_key,
+            &cache.points,
+            &cache.meta,
+            Box::new(|_result| {}),
+        );
     }
 }
 
@@ -276,32 +213,28 @@ impl VirtualSensorChannel {
 }
 
 impl Handler<GetLatest> for VirtualSensorChannel {
-    fn handle(&mut self, _msg: GetLatest, _ctx: &mut ActorContext<'_>) -> Option<DataPoint> {
-        self.state.get().last
+    fn handle(&mut self, _msg: GetLatest, ctx: &mut ActorContext<'_>) -> Option<DataPoint> {
+        match self.cache.recovered(&mut self.data, VirtualSideCar::decode) {
+            Some(data) => data.stats.last,
+            None => abort_reply(ctx),
+        }
     }
 }
 
 impl Handler<QueryRange> for VirtualSensorChannel {
     fn handle(&mut self, msg: QueryRange, ctx: &mut ActorContext<'_>) -> Vec<DataPoint> {
-        if let Some(series) = &self.series {
-            return scan_series(series.as_ref(), &self.cache.series_key, msg, ctx);
+        match self.cache.recovered(&mut self.data, VirtualSideCar::decode) {
+            Some(_) => self.cache.scan(msg, ctx),
+            None => abort_reply(ctx),
         }
-        query_window(&self.state.get().window, msg)
     }
 }
 
 impl Handler<GetChannelStats> for VirtualSensorChannel {
-    fn handle(&mut self, _msg: GetChannelStats, _ctx: &mut ActorContext<'_>) -> ChannelStats {
-        let s = self.state.get();
-        ChannelStats {
-            total_points: s.total_points,
-            window_len: s.window.len(),
-            accumulated_change: s.accumulated_change,
-            net_change: match (s.first_value, s.last) {
-                (Some(first), Some(last)) => last.value - first,
-                _ => 0.0,
-            },
-            last: s.last,
+    fn handle(&mut self, _msg: GetChannelStats, ctx: &mut ActorContext<'_>) -> ChannelStats {
+        match self.cache.recovered(&mut self.data, VirtualSideCar::decode) {
+            Some(data) => data.stats.reply(),
+            None => abort_reply(ctx),
         }
     }
 }
@@ -315,23 +248,15 @@ mod codec_tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Any virtual-channel state survives the persistence codec
-        /// unchanged.
+        /// Any virtual-channel configuration survives the persistence
+        /// codec unchanged.
         #[test]
         fn virtual_state_roundtrips(
-            (org, inputs, equation, aggregates, latest_inputs) in (
+            (org, inputs, equation, aggregates) in (
                 key(),
                 proptest::collection::vec(key(), 0..4),
                 equation(),
                 any::<bool>(),
-                proptest::collection::vec(proptest::option::of(-1e9f64..1e9), 0..4),
-            ),
-            (window, total_points, accumulated_change, first_value, last) in (
-                proptest::collection::vec(data_point(), 0..6),
-                any::<u64>(),
-                0.0f64..1e9,
-                proptest::option::of(-1e9f64..1e9),
-                proptest::option::of(data_point()),
             ),
         ) {
             assert_codec_roundtrip(&VirtualState {
@@ -339,12 +264,6 @@ mod codec_tests {
                 inputs,
                 equation,
                 aggregates,
-                latest_inputs,
-                window: window.into(),
-                total_points,
-                accumulated_change,
-                first_value,
-                last,
             });
         }
 
@@ -360,22 +279,18 @@ mod codec_tests {
                 proptest::collection::vec(proptest::option::of(-1e9f64..1e9), 0..4),
             ),
         ) {
-            let state = VirtualState {
-                total_points,
-                accumulated_change,
-                first_value,
-                last,
+            let data = VirtualSideCar {
+                stats: RunningStats { total_points, accumulated_change, first_value, last },
                 latest_inputs,
-                ..VirtualState::default()
             };
             let mut bytes = Vec::new();
-            VirtualSideCar::encode_from(&state, &mut bytes);
+            data.encode(&mut bytes);
             let decoded = VirtualSideCar::decode(&bytes).unwrap();
-            prop_assert_eq!(decoded.total_points, state.total_points);
-            prop_assert_eq!(decoded.accumulated_change.to_bits(), state.accumulated_change.to_bits());
-            prop_assert_eq!(decoded.first_value.map(f64::to_bits), state.first_value.map(f64::to_bits));
-            prop_assert_eq!(decoded.last, state.last);
-            prop_assert_eq!(decoded.latest_inputs, state.latest_inputs);
+            prop_assert_eq!(decoded.stats.total_points, total_points);
+            prop_assert_eq!(decoded.stats.accumulated_change.to_bits(), accumulated_change.to_bits());
+            prop_assert_eq!(decoded.stats.first_value.map(f64::to_bits), first_value.map(f64::to_bits));
+            prop_assert_eq!(decoded.stats.last, last);
+            prop_assert_eq!(decoded.latest_inputs, data.latest_inputs);
             for cut in 0..bytes.len() {
                 prop_assert!(VirtualSideCar::decode(&bytes[..cut]).is_err(), "cut at {}", cut);
             }
@@ -385,19 +300,20 @@ mod codec_tests {
     /// Golden fixture: the exact bytes of one virtual-channel side-car.
     #[test]
     fn golden_virtual_sidecar_bytes() {
-        let state = VirtualState {
-            total_points: 2,
-            accumulated_change: 0.5,
-            first_value: None,
-            last: Some(DataPoint {
-                ts_ms: 1000,
-                value: -1.0,
-            }),
+        let data = VirtualSideCar {
+            stats: RunningStats {
+                total_points: 2,
+                accumulated_change: 0.5,
+                first_value: None,
+                last: Some(DataPoint {
+                    ts_ms: 1000,
+                    value: -1.0,
+                }),
+            },
             latest_inputs: vec![Some(1.0), None],
-            ..VirtualState::default()
         };
         let mut bytes = Vec::new();
-        VirtualSideCar::encode_from(&state, &mut bytes);
+        data.encode(&mut bytes);
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(
             hex,

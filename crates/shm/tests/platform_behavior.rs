@@ -1,18 +1,73 @@
 //! End-to-end tests of the SHM platform: ingest, derived streams, alerts,
 //! aggregation cascade, online queries, persistence, and multi-silo
-//! deployment.
+//! deployment. The checks of a channel's data plane run against each
+//! series store a platform is built with (see [`Series`]).
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
 use aodb_runtime::{NetConfig, PreferLocalPlacement, Runtime, SiloId};
-use aodb_shm::messages::{GetSensorInfo, UpdatePosition};
+use aodb_shm::messages::{GetSensorInfo, Ingest, UpdatePosition};
 use aodb_shm::types::{AggregateLevel, AlertKind, DataPoint, Position, Threshold};
 use aodb_shm::{provision, register_all, Sensor, ShmClient, ShmEnv, Topology, TopologySpec};
-use aodb_store::{MemStore, StateStore};
+use aodb_store::tseries::{TsConfig, TsStore};
+use aodb_store::{MemStore, StateStore, WalConfig};
 
 fn dp(ts_ms: u64, value: f64) -> DataPoint {
     DataPoint { ts_ms, value }
+}
+
+/// The series stores the data-plane checks run against.
+#[derive(Clone, Copy, Debug)]
+enum Series {
+    /// `ShmEnv::paper_default` as is: a `TsStore` over the env's store.
+    PaperDefault,
+    /// A block sealed every 32 points, so reads cross block boundaries.
+    SmallBlocks,
+    /// Small blocks behind a group-commit WAL: acks resolve on its
+    /// committer thread.
+    Wal,
+}
+
+impl Series {
+    const ALL: [Series; 3] = [Series::PaperDefault, Series::SmallBlocks, Series::Wal];
+
+    /// The env over `store`; the WAL variant keeps its log at `wal`.
+    fn env(self, store: &Arc<dyn StateStore>, wal: &Path) -> ShmEnv {
+        let env = ShmEnv::paper_default(Arc::clone(store));
+        let small = TsConfig::sealing_every(32);
+        match self {
+            Series::PaperDefault => env,
+            Series::SmallBlocks => {
+                env.with_series_store(Arc::new(TsStore::new(Arc::clone(store), small)))
+            }
+            Series::Wal => env.with_series_store(Arc::new(
+                TsStore::with_wal(Arc::clone(store), small, wal, WalConfig::default()).unwrap(),
+            )),
+        }
+    }
+}
+
+/// A WAL path no earlier run has used, for the test `tag`.
+fn fresh_wal(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("aodb-shm-platform-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir.join("shm.wal")
+}
+
+fn platform(
+    series: Series,
+    store: &Arc<dyn StateStore>,
+    wal: &Path,
+    sensors: usize,
+    spec: TopologySpec,
+) -> (Runtime, Topology) {
+    let rt = Runtime::single(4);
+    register_all(&rt, series.env(store, wal));
+    let topology = Topology::layout(sensors, spec);
+    provision(&rt, &topology, |_| None).unwrap();
+    (rt, topology)
 }
 
 fn small_platform(
@@ -20,131 +75,171 @@ fn small_platform(
     sensors: usize,
     spec: TopologySpec,
 ) -> (Runtime, Topology) {
-    let rt = Runtime::single(4);
-    register_all(&rt, ShmEnv::paper_default(Arc::clone(store)));
-    let topology = Topology::layout(sensors, spec);
-    provision(&rt, &topology, |_| None).unwrap();
-    (rt, topology)
+    platform(Series::PaperDefault, store, Path::new(""), sensors, spec)
 }
 
 #[test]
-fn ingest_updates_window_and_accumulated_change() {
-    let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-    let (rt, topology) = small_platform(&store, 1, TopologySpec::default());
-    let client = ShmClient::new(rt.handle());
-    let channel = topology.physical_channels().next().unwrap();
+fn ingest_updates_stats_and_accumulated_change() {
+    for series in Series::ALL {
+        let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
+        let wal = fresh_wal("stats");
+        let (rt, topology) = platform(series, &store, &wal, 1, TopologySpec::default());
+        let client = ShmClient::new(rt.handle());
+        let channel = topology.physical_channels().next().unwrap();
 
-    let accepted = client
-        .ingest(channel, vec![dp(0, 1.0), dp(100, 3.0), dp(200, 2.0)])
-        .unwrap()
-        .wait_for(Duration::from_secs(5))
-        .unwrap();
-    assert_eq!(accepted, 3);
+        let accepted = client
+            .ingest(channel, vec![dp(0, 1.0), dp(100, 3.0), dp(200, 2.0)])
+            .unwrap()
+            .wait_for(Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(accepted, 3, "{series:?}");
 
-    let stats = client
-        .channel_stats(channel)
-        .unwrap()
-        .wait_for(Duration::from_secs(5))
-        .unwrap();
-    assert_eq!(stats.total_points, 3);
-    assert_eq!(stats.window_len, 3);
-    assert_eq!(stats.accumulated_change, 3.0); // |3-1| + |2-3|
-    assert_eq!(stats.net_change, 1.0); // 2 - 1
-    assert_eq!(stats.last, Some(dp(200, 2.0)));
-    rt.shutdown();
+        let stats = client
+            .channel_stats(channel)
+            .unwrap()
+            .wait_for(Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(stats.total_points, 3, "{series:?}");
+        assert_eq!(stats.accumulated_change, 3.0); // |3-1| + |2-3|
+        assert_eq!(stats.net_change, 1.0); // 2 - 1
+        assert_eq!(stats.last, Some(dp(200, 2.0)));
+        rt.shutdown();
+    }
 }
 
 #[test]
 fn raw_range_query_returns_requested_window() {
+    for series in Series::ALL {
+        let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
+        let wal = fresh_wal("range");
+        let (rt, topology) = platform(series, &store, &wal, 1, TopologySpec::default());
+        let client = ShmClient::new(rt.handle());
+        let channel = topology.physical_channels().next().unwrap();
+
+        let points: Vec<DataPoint> = (0..100).map(|i| dp(i * 100, i as f64)).collect();
+        client.ingest(channel, points).unwrap().wait().unwrap();
+
+        let hits = client
+            .raw_range(channel, 2_000, 4_000, 0)
+            .unwrap()
+            .wait_for(Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(hits.len(), 21, "{series:?}");
+        assert_eq!(hits.first().unwrap().ts_ms, 2_000);
+        assert_eq!(hits.last().unwrap().ts_ms, 4_000);
+        let capped = client
+            .raw_range(channel, 2_000, 4_000, 5)
+            .unwrap()
+            .wait_for(Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(capped, hits[..5], "{series:?}");
+        rt.shutdown();
+    }
+}
+
+/// A range over points ingested out of time order returns every point in
+/// the range, in the order they were ingested.
+#[test]
+fn raw_range_over_out_of_order_ingest_returns_every_point_in_range() {
     let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
     let (rt, topology) = small_platform(&store, 1, TopologySpec::default());
     let client = ShmClient::new(rt.handle());
     let channel = topology.physical_channels().next().unwrap();
 
-    let points: Vec<DataPoint> = (0..100).map(|i| dp(i * 100, i as f64)).collect();
+    let points = vec![dp(0, 0.0), dp(300, 3.0), dp(100, 1.0), dp(200, 2.0)];
     client.ingest(channel, points).unwrap().wait().unwrap();
-
     let hits = client
-        .raw_range(channel, 2_000, 4_000, 0)
+        .raw_range(channel, 100, 200, 0)
         .unwrap()
         .wait_for(Duration::from_secs(5))
         .unwrap();
-    assert_eq!(hits.len(), 21);
-    assert_eq!(hits.first().unwrap().ts_ms, 2_000);
-    assert_eq!(hits.last().unwrap().ts_ms, 4_000);
+    assert_eq!(hits, [dp(100, 1.0), dp(200, 2.0)]);
     rt.shutdown();
 }
 
 #[test]
 fn virtual_channel_derives_sum_of_inputs() {
-    let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-    let (rt, topology) = small_platform(&store, 1, TopologySpec::default());
-    let client = ShmClient::new(rt.handle());
-    let sensor = &topology.orgs[0].sensors[0];
-    let vkey = sensor
-        .virtual_channel
-        .as_ref()
-        .expect("sensor 0 has a virtual channel");
+    for series in Series::ALL {
+        let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
+        let wal = fresh_wal("virtual");
+        let (rt, topology) = platform(series, &store, &wal, 1, TopologySpec::default());
+        let client = ShmClient::new(rt.handle());
+        let sensor = &topology.orgs[0].sensors[0];
+        let vkey = sensor
+            .virtual_channel
+            .as_ref()
+            .expect("sensor 0 has a virtual channel");
 
-    client
-        .ingest(&sensor.physical[0], vec![dp(0, 10.0)])
-        .unwrap()
-        .wait()
-        .unwrap();
-    client
-        .ingest(&sensor.physical[1], vec![dp(5, 32.0)])
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert!(rt.quiesce(Duration::from_secs(5)));
+        client
+            .ingest(&sensor.physical[0], vec![dp(0, 10.0)])
+            .unwrap()
+            .wait()
+            .unwrap();
+        client
+            .ingest(&sensor.physical[1], vec![dp(5, 32.0)])
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert!(rt.quiesce(Duration::from_secs(5)));
 
-    let stats = client
-        .virtual_channel_stats(vkey)
-        .unwrap()
-        .wait_for(Duration::from_secs(5))
-        .unwrap();
-    // Two derived points: 10 (only input 0 known) then 42 (both known).
-    assert_eq!(stats.total_points, 2);
-    assert_eq!(stats.last.unwrap().value, 42.0);
-    rt.shutdown();
+        let stats = client
+            .virtual_channel_stats(vkey)
+            .unwrap()
+            .wait_for(Duration::from_secs(5))
+            .unwrap();
+        // Two derived points: 10 (only input 0 known) then 42 (both known).
+        assert_eq!(stats.total_points, 2, "{series:?}");
+        assert_eq!(stats.last.unwrap().value, 42.0);
+        // Derived points are range-queryable from the virtual series.
+        let hits = client
+            .raw_range_virtual(vkey, 0, u64::MAX, 0)
+            .unwrap()
+            .wait_for(Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(hits, [dp(0, 10.0), dp(5, 42.0)], "{series:?}");
+        rt.shutdown();
+    }
 }
 
 #[test]
 fn threshold_breach_raises_alert_in_org_log() {
-    let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-    let spec = TopologySpec {
-        threshold: Threshold {
-            high: Some(100.0),
+    for series in Series::ALL {
+        let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
+        let wal = fresh_wal("alert");
+        let spec = TopologySpec {
+            threshold: Threshold {
+                high: Some(100.0),
+                ..Default::default()
+            },
             ..Default::default()
-        },
-        ..Default::default()
-    };
-    let (rt, topology) = small_platform(&store, 1, spec);
-    let client = ShmClient::new(rt.handle());
-    let channel = topology.physical_channels().next().unwrap();
-    let org = topology.orgs[0].key.as_str();
+        };
+        let (rt, topology) = platform(series, &store, &wal, 1, spec);
+        let client = ShmClient::new(rt.handle());
+        let channel = topology.physical_channels().next().unwrap();
+        let org = topology.orgs[0].key.as_str();
 
-    client
-        .ingest(
-            channel,
-            vec![dp(0, 50.0), dp(1, 150.0), dp(2, 160.0), dp(3, 40.0)],
-        )
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert!(rt.quiesce(Duration::from_secs(5)));
+        client
+            .ingest(
+                channel,
+                vec![dp(0, 50.0), dp(1, 150.0), dp(2, 160.0), dp(3, 40.0)],
+            )
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert!(rt.quiesce(Duration::from_secs(5)));
 
-    let alerts = client
-        .recent_alerts(org, 10)
-        .unwrap()
-        .wait_for(Duration::from_secs(5))
-        .unwrap();
-    assert_eq!(alerts.len(), 1, "hysteresis: one alert per breach episode");
-    assert_eq!(alerts[0].kind, AlertKind::AboveHigh);
-    assert_eq!(alerts[0].value, 150.0);
-    assert_eq!(&alerts[0].channel, channel);
-    assert_eq!(client.alert_count(org).unwrap().wait().unwrap(), 1);
-    rt.shutdown();
+        let alerts = client
+            .recent_alerts(org, 10)
+            .unwrap()
+            .wait_for(Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(alerts.len(), 1, "hysteresis: one alert per breach episode");
+        assert_eq!(alerts[0].kind, AlertKind::AboveHigh);
+        assert_eq!(alerts[0].value, 150.0);
+        assert_eq!(&alerts[0].channel, channel);
+        assert_eq!(client.alert_count(org).unwrap().wait().unwrap(), 1);
+        rt.shutdown();
+    }
 }
 
 #[test]
@@ -331,28 +426,53 @@ fn sensor_relocation_persists() {
     rt.shutdown();
 }
 
+/// A silo that dies without deactivating anything loses no acked point,
+/// stat or dedup watermark: a new runtime over the same store sees them
+/// all.
 #[test]
-fn channel_data_survives_restart_via_deactivation_flush() {
-    let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-    let channel_key;
-    {
-        let (rt, topology) = small_platform(&store, 1, TopologySpec::default());
-        channel_key = topology.physical_channels().next().unwrap().to_string();
+fn channel_data_survives_a_silo_kill() {
+    for series in Series::ALL {
+        let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
+        let wal = fresh_wal("kill");
+        let channel;
+        {
+            let (rt, topology) = platform(series, &store, &wal, 1, TopologySpec::default());
+            channel = topology.physical_channels().next().unwrap().to_string();
+            let points: Vec<DataPoint> = (0..50).map(|i| dp(i * 10, i as f64)).collect();
+            let accepted = ShmClient::new(rt.handle())
+                .channel(&channel)
+                .ask(Ingest::deduped(points, 7, 3))
+                .unwrap()
+                .wait_for(Duration::from_secs(5))
+                .unwrap();
+            assert_eq!(accepted, 50, "{series:?}");
+            rt.kill_silo(SiloId(0));
+        }
+
+        let rt = Runtime::single(2);
+        register_all(&rt, series.env(&store, &wal));
         let client = ShmClient::new(rt.handle());
-        client
-            .ingest(&channel_key, (0..50).map(|i| dp(i, i as f64)).collect())
+        let stats = client.channel_stats(&channel).unwrap().wait().unwrap();
+        assert_eq!(stats.total_points, 50, "{series:?}");
+        assert_eq!(stats.accumulated_change, 49.0);
+        assert_eq!(stats.last, Some(dp(490, 49.0)));
+        let hits = client
+            .raw_range(&channel, 0, u64::MAX, 0)
             .unwrap()
             .wait()
             .unwrap();
-        rt.shutdown(); // write-on-deactivate flushes the window
+        assert_eq!(hits.len(), 50, "{series:?}");
+        // The watermark committed with the points it admitted: a replay
+        // is rejected.
+        let replayed = client
+            .channel(&channel)
+            .ask(Ingest::deduped(vec![dp(0, 0.0)], 7, 3))
+            .unwrap()
+            .wait_for(Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(replayed, 0, "{series:?}: watermark lost with the silo");
+        rt.shutdown();
     }
-    let rt = Runtime::single(2);
-    register_all(&rt, ShmEnv::paper_default(Arc::clone(&store)));
-    let client = ShmClient::new(rt.handle());
-    let stats = client.channel_stats(&channel_key).unwrap().wait().unwrap();
-    assert_eq!(stats.total_points, 50);
-    assert_eq!(stats.window_len, 50);
-    rt.shutdown();
 }
 
 #[test]

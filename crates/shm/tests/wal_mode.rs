@@ -2,7 +2,7 @@
 //! the engine's group counters (`TsStore::wal_stats`) see the platform's
 //! ingest coalesced into groups. (Ingest, duplicate-reject and
 //! ungraceful-restart behaviour is checked for this engine and the
-//! WAL-less one alike in `tseries_mode.rs`.)
+//! WAL-less ones alike in `platform_behavior.rs`.)
 
 use std::sync::Arc;
 use std::time::Duration;
