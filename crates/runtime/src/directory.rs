@@ -171,7 +171,15 @@ impl Directory {
     /// The pointer check matters: between a sender observing a retired
     /// mailbox and calling this, a fresh activation may already have been
     /// installed, and blindly removing it would orphan live state.
+    ///
+    /// Only a retired activation leaves the directory. References rely on
+    /// it: an activation they remember is current for as long as its
+    /// mailbox takes pushes.
     pub fn remove_entry(&self, id: &ActorId, act: &Arc<Activation>) {
+        debug_assert!(
+            act.mailbox.is_retired(),
+            "activation {id} unlinked before its mailbox retired"
+        );
         let (shard, hash) = self.shard(id);
         let probe = &(hash, id) as &dyn Probe;
         let mut guard = shard.write();

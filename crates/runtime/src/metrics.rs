@@ -2,6 +2,15 @@
 //! percentile machinery behind Figures 8 and 9) and coarse runtime
 //! counters.
 //!
+//! The counters a message or a turn slice touches (`local_messages`,
+//! `messages_processed`, the scheduler's pop/steal/park counts,
+//! `directory_lookups`) live in cells, one per silo worker plus one that
+//! every other thread shares, each padded to its own cache lines: a
+//! worker counts into its own cell and never writes a line another
+//! thread writes. [`RuntimeMetrics::read`] sums the cells. The counters
+//! of rarer events (activations, crashes, panics, remote hops) stay
+//! single runtime-wide atomics.
+//!
 //! The histogram uses HdrHistogram-style bucketing: exact counts below
 //! 64 µs, then 64 linear sub-buckets per power of two, giving a relative
 //! error below 1.6 % across the full range while staying allocation-free
@@ -13,7 +22,10 @@
 //! and read side — deliberately and uniformly. These are *statistical*
 //! counters: each is independently meaningful, per-counter monotonicity
 //! is all the RMW operations need, and no code path derives a
-//! happens-before relationship from them. Consequently snapshots
+//! happens-before relationship from them. A cell is still written with
+//! `fetch_add`, not a load and a store: the shared cell has many writers,
+//! and a worker's own cell may be written by another runtime's worker
+//! that sends into this one. Consequently snapshots
 //! ([`Histogram::snapshot`], [`RuntimeMetrics::read`]) may tear across
 //! counters (e.g. `sum` momentarily ahead of `count`); consumers must
 //! tolerate that, and tests only assert on quiesced values. An atomic
@@ -21,6 +33,7 @@
 //! belong here — put it next to the state it orders, with the stronger
 //! ordering written at the use site.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const SUB_BUCKETS: u64 = 64;
@@ -228,11 +241,39 @@ pub struct Percentiles {
     pub count: u64,
 }
 
-/// Coarse counters maintained by the runtime itself.
+thread_local! {
+    /// Index of this thread's counter cell: set on a silo worker, left at
+    /// `usize::MAX` on every other thread, which all count into the last
+    /// (shared) cell.
+    static CELL: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// The per-message counters of one thread (see the module docs). Aligned
+/// to 128 bytes so that neither a cell's line nor the adjacent line the
+/// prefetcher pairs with it is shared with another cell.
 #[derive(Default)]
-pub struct RuntimeMetrics {
-    /// Application messages processed across all silos.
+#[repr(align(128))]
+pub(crate) struct Counters {
+    /// Envelopes pushed into a mailbox: one per accepted push.
+    pub local_messages: AtomicU64,
+    /// User turns run.
     pub messages_processed: AtomicU64,
+    /// Tasks a worker popped off its own LIFO deque.
+    pub scheduler_local_pops: AtomicU64,
+    /// Tasks taken from a silo's shared injector queue.
+    pub scheduler_injector_pops: AtomicU64,
+    /// Tasks stolen from a sibling worker's deque.
+    pub scheduler_steals: AtomicU64,
+    /// Times a worker parked after finding no work anywhere.
+    pub worker_parks: AtomicU64,
+    /// Times dispatch consulted the directory.
+    pub directory_lookups: AtomicU64,
+}
+
+/// Coarse counters maintained by the runtime itself.
+pub struct RuntimeMetrics {
+    /// One cell per silo worker, then the cell every other thread shares.
+    cells: Box<[Counters]>,
     /// Activations created.
     pub activations: AtomicU64,
     /// Activations reclaimed (idle, explicit, or shutdown).
@@ -241,18 +282,6 @@ pub struct RuntimeMetrics {
     pub handler_panics: AtomicU64,
     /// Envelopes that crossed silos (paid simulated network latency).
     pub remote_messages: AtomicU64,
-    /// Envelopes delivered silo-locally.
-    pub local_messages: AtomicU64,
-    /// Scheduler: tasks a worker popped off its own LIFO deque.
-    pub scheduler_local_pops: AtomicU64,
-    /// Scheduler: tasks taken from a silo's shared injector queue.
-    pub scheduler_injector_pops: AtomicU64,
-    /// Scheduler: tasks stolen from a sibling worker's deque.
-    pub scheduler_steals: AtomicU64,
-    /// Scheduler: times a worker parked after finding no work anywhere.
-    /// Stable across an idle window — workers park once and stay parked
-    /// (no periodic polling), which tests assert on.
-    pub worker_parks: AtomicU64,
     /// Silos killed via [`kill_silo`](crate::Runtime::kill_silo).
     pub silo_crashes: AtomicU64,
     /// Activations re-created for an identity previously evicted by a silo
@@ -269,19 +298,54 @@ pub struct RuntimeMetrics {
 }
 
 impl RuntimeMetrics {
-    /// Cheap copy of all counter values.
+    /// Counters for a runtime with `workers` silo workers in all.
+    pub(crate) fn new(workers: usize) -> Self {
+        RuntimeMetrics {
+            cells: (0..=workers).map(|_| Counters::default()).collect(),
+            activations: AtomicU64::new(0),
+            deactivations: AtomicU64::new(0),
+            handler_panics: AtomicU64::new(0),
+            remote_messages: AtomicU64::new(0),
+            silo_crashes: AtomicU64::new(0),
+            reactivations: AtomicU64::new(0),
+            lost_turns: AtomicU64::new(0),
+            persist_retries: Default::default(),
+        }
+    }
+
+    /// Makes the calling thread count into cell `index` (a silo worker's
+    /// position among all workers of its runtime).
+    pub(crate) fn bind_worker_cell(index: usize) {
+        CELL.with(|c| c.set(index));
+    }
+
+    /// The calling thread's cell. A worker of another runtime whose index
+    /// is out of range here counts into the shared cell.
+    pub(crate) fn here(&self) -> &Counters {
+        let index = CELL.with(Cell::get);
+        &self.cells[index.min(self.cells.len() - 1)]
+    }
+
+    /// Cheap copy of all counter values; the per-thread cells are summed.
     pub fn read(&self) -> RuntimeMetricsSnapshot {
+        let sum = |counter: fn(&Counters) -> &AtomicU64| -> u64 {
+            self.cells
+                .iter()
+                .map(|cell| counter(cell).load(Ordering::Relaxed))
+                .sum()
+        };
         RuntimeMetricsSnapshot {
-            messages_processed: self.messages_processed.load(Ordering::Relaxed),
+            messages_processed: sum(|c| &c.messages_processed),
             activations: self.activations.load(Ordering::Relaxed),
             deactivations: self.deactivations.load(Ordering::Relaxed),
             handler_panics: self.handler_panics.load(Ordering::Relaxed),
             remote_messages: self.remote_messages.load(Ordering::Relaxed),
-            local_messages: self.local_messages.load(Ordering::Relaxed),
-            scheduler_local_pops: self.scheduler_local_pops.load(Ordering::Relaxed),
-            scheduler_injector_pops: self.scheduler_injector_pops.load(Ordering::Relaxed),
-            scheduler_steals: self.scheduler_steals.load(Ordering::Relaxed),
-            worker_parks: self.worker_parks.load(Ordering::Relaxed),
+            local_messages: sum(|c| &c.local_messages),
+            scheduler_local_pops: sum(|c| &c.scheduler_local_pops),
+            scheduler_injector_pops: sum(|c| &c.scheduler_injector_pops),
+            scheduler_steals: sum(|c| &c.scheduler_steals),
+            worker_parks: sum(|c| &c.worker_parks),
+            directory_lookups: sum(|c| &c.directory_lookups),
             silo_crashes: self.silo_crashes.load(Ordering::Relaxed),
             reactivations: self.reactivations.load(Ordering::Relaxed),
             lost_turns: self.lost_turns.load(Ordering::Relaxed),
@@ -304,7 +368,8 @@ pub struct RuntimeMetricsSnapshot {
     pub handler_panics: u64,
     /// Envelopes that crossed silos.
     pub remote_messages: u64,
-    /// Envelopes delivered silo-locally.
+    /// Envelopes delivered silo-locally: one per accepted mailbox push,
+    /// however many activations the send had to try.
     pub local_messages: u64,
     /// Tasks workers popped off their own LIFO deques.
     pub scheduler_local_pops: u64,
@@ -314,6 +379,10 @@ pub struct RuntimeMetricsSnapshot {
     pub scheduler_steals: u64,
     /// Times a worker parked (idle workers park once; no periodic polling).
     pub worker_parks: u64,
+    /// Times dispatch consulted the directory: a reference's first send,
+    /// a send after its remembered activation retired or crashed, and
+    /// every delivery without a reference (timers, network hops).
+    pub directory_lookups: u64,
     /// Silos killed via `kill_silo`.
     pub silo_crashes: u64,
     /// Activations re-created after a crash evicted their identity.

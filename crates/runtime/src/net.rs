@@ -170,15 +170,19 @@ pub(crate) struct ClockHandle {
 }
 
 impl ClockHandle {
-    /// Latency to charge for a hop from `origin` to `target`, if any.
-    pub fn hop_delay(&self, origin: Origin, target: SiloId) -> Option<Duration> {
+    /// The latency model of a hop from `origin` to `target`, if that hop
+    /// is charged. Draws nothing; [`ClockHandle::sample`] does.
+    pub fn hop(&self, origin: Origin, target: SiloId) -> Option<LatencyModel> {
         match origin {
-            Origin::Client => self.config.client.map(|m| m.sample(&self.rng_seed)),
-            Origin::Silo(s) if s != target => {
-                self.config.cross_silo.map(|m| m.sample(&self.rng_seed))
-            }
+            Origin::Client => self.config.client,
+            Origin::Silo(s) if s != target => self.config.cross_silo,
             Origin::Silo(_) => None,
         }
+    }
+
+    /// One latency draw for a charged hop.
+    pub fn sample(&self, hop: LatencyModel) -> Duration {
+        hop.sample(&self.rng_seed)
     }
 
     pub fn deliver_after(&self, target: ActorId, origin: Origin, env: Envelope, delay: Duration) {
@@ -293,7 +297,7 @@ pub(crate) fn clock_loop(core: Weak<RuntimeCore>, rx: Receiver<HeapItem>) {
                     // scheduled; delivery itself is free. Failure means
                     // shutdown or a persistent race; replies resolve as
                     // Lost, which is the contract.
-                    let _ = core.dispatch_free(target, env, origin);
+                    let _ = core.dispatch_free(&target, env, origin);
                 }
                 ClockJob::Repeat {
                     target,
@@ -305,7 +309,7 @@ pub(crate) fn clock_loop(core: Weak<RuntimeCore>, rx: Receiver<HeapItem>) {
                         continue;
                     }
                     let env = make();
-                    let _ = core.dispatch_free(target.clone(), env, Origin::Client);
+                    let _ = core.dispatch_free(&target, env, Origin::Client);
                     heap.push(HeapItem {
                         due: item.due + every,
                         seq: item.seq,

@@ -253,34 +253,46 @@ impl RuntimeCore {
             core: Arc::clone(self),
             id: ActorId::new(type_id, key),
             origin,
+            last: ActivationCell::default(),
             _marker: PhantomData,
         })
     }
 
-    /// Dispatch with network-latency accounting.
+    /// Dispatch through a reference, with network-latency accounting:
+    /// `last` is the activation the reference's previous send reached.
     pub(crate) fn dispatch(
         self: &Arc<Self>,
-        id: ActorId,
+        id: &ActorId,
+        last: &ActivationCell,
         env: Envelope,
         origin: Origin,
     ) -> Result<(), SendError> {
-        self.dispatch_inner(id, env, origin, true)
+        self.dispatch_inner(id, Some(last), env, origin, true)
     }
 
     /// Dispatch that never charges latency (deliveries whose latency was
-    /// already paid, timers, self-notifications).
+    /// already paid, timers, self-notifications). Nothing remembers
+    /// where these go, so each consults the directory.
     pub(crate) fn dispatch_free(
         self: &Arc<Self>,
-        id: ActorId,
+        id: &ActorId,
         env: Envelope,
         origin: Origin,
     ) -> Result<(), SendError> {
-        self.dispatch_inner(id, env, origin, false)
+        self.dispatch_inner(id, None, env, origin, false)
     }
 
+    /// The one dispatch routine. Its first candidate is the activation
+    /// `last` remembers, if any, and the directory's answer after that; a
+    /// remembered activation takes every check a directory hit takes. It
+    /// is sound because every path that unlinks an activation retires its
+    /// mailbox first (`Directory::remove_entry` asserts it), so a mailbox
+    /// that accepts the push belongs to the identity's current activation;
+    /// a retired one hands the envelope back and the directory answers.
     fn dispatch_inner(
         self: &Arc<Self>,
-        id: ActorId,
+        id: &ActorId,
+        last: Option<&ActivationCell>,
         mut env: Envelope,
         origin: Origin,
         charge_latency: bool,
@@ -292,9 +304,13 @@ impl RuntimeCore {
             return Err(SendError::RuntimeShutdown);
         }
         #[cfg(debug_assertions)]
-        self.enforce_declared_edge(&id);
+        self.enforce_declared_edge(id);
+        let mut remembered = last.and_then(ActivationCell::take);
         for _ in 0..DISPATCH_RETRIES {
-            let act = self.lookup_or_activate(&id, origin)?;
+            let (act, from_memory) = match remembered.take() {
+                Some(act) => (act, true),
+                None => (self.lookup_or_activate(id, origin)?, false),
+            };
             if !self.silos[act.silo.index()].is_alive() {
                 // The hosting silo crashed between placement and now. If
                 // the mailbox is quiescent we can evict it here and retry,
@@ -308,7 +324,16 @@ impl RuntimeCore {
                 }
             }
             if charge_latency {
-                if let Some(mut delay) = self.clock.hop_delay(origin, act.silo) {
+                if let Some(hop) = self.clock.hop(origin, act.silo) {
+                    // The clock redelivers from `act.silo`, the origin
+                    // that places a fresh activation if this one is gone:
+                    // a retired one must not choose it, so it defers to
+                    // the directory before any draw, as a fresh
+                    // reference would.
+                    if from_memory && act.mailbox.is_retired() {
+                        continue;
+                    }
+                    let mut delay = self.clock.sample(hop);
                     self.metrics.remote_messages.fetch_add(1, Ordering::Relaxed);
                     // The message is on the simulated wire: this is where
                     // the chaos layer gets to lose, double, or stall it.
@@ -341,24 +366,35 @@ impl RuntimeCore {
                     // Redeliver as if originating on the target silo so the
                     // hop is charged exactly once.
                     self.clock
-                        .deliver_after(id, Origin::Silo(act.silo), env, delay);
+                        .deliver_after(id.clone(), Origin::Silo(act.silo), env, delay);
+                    if let Some(last) = last {
+                        last.put(act);
+                    }
                     return Ok(());
                 }
             }
-            self.metrics.local_messages.fetch_add(1, Ordering::Relaxed);
             match act.mailbox.push(env) {
-                PushOutcome::Enqueued => return Ok(()),
+                PushOutcome::Enqueued => {}
                 PushOutcome::EnqueuedNeedsSchedule => {
                     self.silos[act.silo.index()].enqueue_run(Arc::clone(&act));
-                    return Ok(());
                 }
                 PushOutcome::Retired(back) => {
-                    // Lost the race with deactivation: unlink the corpse and
+                    // Lost the race with deactivation (or remembered an
+                    // activation since retired): unlink the corpse and
                     // retry, which re-activates.
-                    self.directory.remove_entry(&id, &act);
+                    self.directory.remove_entry(id, &act);
                     env = back;
+                    continue;
                 }
             }
+            self.metrics
+                .here()
+                .local_messages
+                .fetch_add(1, Ordering::Relaxed);
+            if let Some(last) = last {
+                last.put(act);
+            }
+            return Ok(());
         }
         Err(SendError::ActivationRace)
     }
@@ -401,6 +437,10 @@ impl RuntimeCore {
         id: &ActorId,
         origin: Origin,
     ) -> Result<Arc<Activation>, SendError> {
+        self.metrics
+            .here()
+            .directory_lookups
+            .fetch_add(1, Ordering::Relaxed);
         if let Some(act) = self.directory.get(id) {
             return Ok(act);
         }
@@ -603,7 +643,15 @@ impl RuntimeCore {
 /// periodic janitor wakeups at all.
 fn janitor_loop(core: Arc<RuntimeCore>) {
     let _ = core.janitor_thread.set(std::thread::current());
+    // Pairs with the fence in `shutdown_impl`: either shutdown sees the
+    // handle above and unparks us, or we see its flag below. A shutdown
+    // that ran before this thread got going would otherwise leave it
+    // parked for good, and the join with it.
+    std::sync::atomic::fence(Ordering::SeqCst);
     loop {
+        if core.is_shutdown() {
+            return;
+        }
         if core.config.idle_timeout.is_some() {
             std::thread::park_timeout(core.config.janitor_interval);
         } else {
@@ -758,7 +806,7 @@ impl RuntimeBuilder {
                 panic_policy: self.panic_policy,
                 on_deactivation_sweep: self.on_deactivation_sweep,
             },
-            metrics: RuntimeMetrics::default(),
+            metrics: RuntimeMetrics::new(self.silos.iter().map(|s| s.workers).sum()),
             chaos: chaos_dice,
             crashed: Mutex::new(HashSet::new()),
             accepting: AtomicBool::new(true),
@@ -1070,6 +1118,7 @@ impl Runtime {
         }
 
         self.core.shutdown.store(true, Ordering::Release);
+        std::sync::atomic::fence(Ordering::SeqCst);
         // Wake everything that may be parked or blocked so the joins below
         // complete promptly: workers (parked in the idle set), the janitor
         // (parked between scans), and the clock (blocked on its channel).
@@ -1119,15 +1168,47 @@ impl RuntimeHandle {
     }
 }
 
+/// The activation a reference's last send reached, the first candidate
+/// of its next one (see `RuntimeCore::dispatch_inner`). A send takes it
+/// out and puts it back after the push, so the lock is a leaf: it is
+/// never held while anything else is acquired, the mailbox push
+/// included. Two threads sending through one reference at once cost the
+/// loser a directory lookup, nothing more.
+#[derive(Default)]
+pub(crate) struct ActivationCell {
+    slot: Mutex<Option<Arc<Activation>>>,
+}
+
+impl ActivationCell {
+    fn take(&self) -> Option<Arc<Activation>> {
+        self.slot.lock().take()
+    }
+
+    fn put(&self, act: Arc<Activation>) {
+        // Bound, so that a replaced activation drops after the guard.
+        let _replaced = self.slot.lock().replace(act);
+    }
+
+    fn copy(&self) -> ActivationCell {
+        ActivationCell {
+            slot: Mutex::new(self.slot.lock().clone()),
+        }
+    }
+}
+
 /// Typed reference to a virtual actor.
 ///
 /// References are cheap to clone and never dangle: the target is an
 /// *identity*, not an activation, so a reference made before the actor's
-/// first activation (or after a deactivation) works transparently.
+/// first activation (or after a deactivation) works transparently. A
+/// reference remembers the activation its last send reached, so sending
+/// through one it holds again is a mailbox push: hold references that
+/// are used repeatedly rather than minting one per send.
 pub struct ActorRef<A: Actor> {
     core: Arc<RuntimeCore>,
     id: ActorId,
     origin: Origin,
+    last: ActivationCell,
     _marker: PhantomData<fn(A)>,
 }
 
@@ -1137,6 +1218,7 @@ impl<A: Actor> Clone for ActorRef<A> {
             core: Arc::clone(&self.core),
             id: self.id.clone(),
             origin: self.origin,
+            last: self.last.copy(),
             _marker: PhantomData,
         }
     }
@@ -1159,17 +1241,17 @@ impl<A: Actor> ActorRef<A> {
         &self.id.key
     }
 
+    fn send(&self, env: Envelope) -> Result<(), SendError> {
+        self.core.dispatch(&self.id, &self.last, env, self.origin)
+    }
+
     /// One-way send; the reply (if the handler produces one) is discarded.
     pub fn tell<M>(&self, msg: M) -> Result<(), SendError>
     where
         A: Handler<M>,
         M: Message,
     {
-        self.core.dispatch(
-            self.id.clone(),
-            Envelope::of::<A, M>(msg, ReplyTo::Ignore),
-            self.origin,
-        )
+        self.send(Envelope::of::<A, M>(msg, ReplyTo::Ignore))
     }
 
     /// Request/response: returns a promise for the reply.
@@ -1179,11 +1261,7 @@ impl<A: Actor> ActorRef<A> {
         M: Message,
     {
         let (sink, promise) = ReplyTo::promise();
-        self.core.dispatch(
-            self.id.clone(),
-            Envelope::of::<A, M>(msg, sink),
-            self.origin,
-        )?;
+        self.send(Envelope::of::<A, M>(msg, sink))?;
         Ok(promise)
     }
 
@@ -1194,11 +1272,7 @@ impl<A: Actor> ActorRef<A> {
         A: Handler<M>,
         M: Message,
     {
-        self.core.dispatch(
-            self.id.clone(),
-            Envelope::of::<A, M>(msg, reply),
-            self.origin,
-        )
+        self.send(Envelope::of::<A, M>(msg, reply))
     }
 
     /// Like [`ActorRef::tell`], but the message can be re-delivered by the
@@ -1209,11 +1283,7 @@ impl<A: Actor> ActorRef<A> {
         A: Handler<M>,
         M: Message + Clone,
     {
-        self.core.dispatch(
-            self.id.clone(),
-            Envelope::replayable::<A, M>(msg, ReplyTo::Ignore),
-            self.origin,
-        )
+        self.send(Envelope::replayable::<A, M>(msg, ReplyTo::Ignore))
     }
 
     /// Like [`ActorRef::ask`], but duplicable by the chaos layer; the
@@ -1224,11 +1294,7 @@ impl<A: Actor> ActorRef<A> {
         M: Message + Clone,
     {
         let (sink, promise) = ReplyTo::promise();
-        self.core.dispatch(
-            self.id.clone(),
-            Envelope::replayable::<A, M>(msg, sink),
-            self.origin,
-        )?;
+        self.send(Envelope::replayable::<A, M>(msg, sink))?;
         Ok(promise)
     }
 
@@ -1264,6 +1330,7 @@ impl<A: Actor> ActorRef<A> {
             core: Arc::clone(&self.core),
             id: self.id.clone(),
             origin: self.origin,
+            last: self.last.copy(),
             make: Envelope::of::<A, M>,
         }
     }
@@ -1277,6 +1344,7 @@ pub struct Recipient<M: Message> {
     core: Arc<RuntimeCore>,
     id: ActorId,
     origin: Origin,
+    last: ActivationCell,
     make: fn(M, ReplyTo<M::Reply>) -> Envelope,
 }
 
@@ -1286,6 +1354,7 @@ impl<M: Message> Clone for Recipient<M> {
             core: Arc::clone(&self.core),
             id: self.id.clone(),
             origin: self.origin,
+            last: self.last.copy(),
             make: self.make,
         }
     }
@@ -1303,26 +1372,24 @@ impl<M: Message> Recipient<M> {
         &self.id
     }
 
+    fn send(&self, env: Envelope) -> Result<(), SendError> {
+        self.core.dispatch(&self.id, &self.last, env, self.origin)
+    }
+
     /// One-way send.
     pub fn tell(&self, msg: M) -> Result<(), SendError> {
-        self.core.dispatch(
-            self.id.clone(),
-            (self.make)(msg, ReplyTo::Ignore),
-            self.origin,
-        )
+        self.send((self.make)(msg, ReplyTo::Ignore))
     }
 
     /// Request/response.
     pub fn ask(&self, msg: M) -> Result<Promise<M::Reply>, SendError> {
         let (sink, promise) = ReplyTo::promise();
-        self.core
-            .dispatch(self.id.clone(), (self.make)(msg, sink), self.origin)?;
+        self.send((self.make)(msg, sink))?;
         Ok(promise)
     }
 
     /// Request/response with an explicit reply sink.
     pub fn ask_with(&self, msg: M, reply: ReplyTo<M::Reply>) -> Result<(), SendError> {
-        self.core
-            .dispatch(self.id.clone(), (self.make)(msg, reply), self.origin)
+        self.send((self.make)(msg, reply))
     }
 }

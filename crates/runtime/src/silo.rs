@@ -36,6 +36,7 @@ use crate::actor::{ActorContext, AnyActor};
 use crate::envelope::{Envelope, EnvelopeKind};
 use crate::identity::{ActorId, SiloId};
 use crate::mailbox::{Mailbox, TurnOutcome};
+use crate::metrics::{Counters, RuntimeMetrics};
 use crate::runq::{IdleSet, RunQueues, TaskSource, INJECTOR_FIRST_INTERVAL};
 use crate::runtime::RuntimeCore;
 
@@ -67,6 +68,8 @@ pub(crate) struct Activation {
     /// the mailbox state machine ensures a single worker runs the actor —
     /// but protects the worker/janitor handoff during deactivation.
     actor: Mutex<Option<Box<dyn AnyActor>>>,
+    /// When a turn slice last ended; kept only with idle deactivation on,
+    /// for the janitor, its only reader.
     last_activity_ms: AtomicU64,
     /// Debug-build watchdog for the single-threaded-per-activation
     /// invariant: set for the duration of a turn slice; two workers ever
@@ -226,13 +229,13 @@ impl SiloUnit {
         &self,
         worker: usize,
         injector_first: bool,
-        metrics: &crate::metrics::RuntimeMetrics,
+        counters: &Counters,
     ) -> Option<Arc<Activation>> {
         let (act, source) = self.queues.find_task(worker, injector_first)?;
         let counter = match source {
-            TaskSource::Local => &metrics.scheduler_local_pops,
-            TaskSource::Injector => &metrics.scheduler_injector_pops,
-            TaskSource::Steal => &metrics.scheduler_steals,
+            TaskSource::Local => &counters.scheduler_local_pops,
+            TaskSource::Injector => &counters.scheduler_injector_pops,
+            TaskSource::Steal => &counters.scheduler_steals,
         };
         counter.fetch_add(1, Ordering::Relaxed);
         Some(act)
@@ -244,13 +247,20 @@ pub(crate) fn worker_loop(core: Arc<RuntimeCore>, silo: SiloId, worker: usize) {
     let unit = &core.silos[silo.index()];
     unit.idle.register_thread(worker);
     CURRENT_WORKER.with(|cw| cw.set(Some((silo, worker))));
+    // Workers are numbered across silos in silo order.
+    let earlier: usize = core.silos[..silo.index()]
+        .iter()
+        .map(|s| s.config.workers)
+        .sum();
+    RuntimeMetrics::bind_worker_cell(earlier + worker);
+    let counters = core.metrics.here();
     let mut batch: std::collections::VecDeque<Envelope> =
         std::collections::VecDeque::with_capacity(core.config.max_batch);
     let mut tick: u64 = 0;
     loop {
         tick = tick.wrapping_add(1);
         let injector_first = tick.is_multiple_of(INJECTOR_FIRST_INTERVAL);
-        if let Some(act) = unit.find_task(worker, injector_first, &core.metrics) {
+        if let Some(act) = unit.find_task(worker, injector_first, counters) {
             if !unit.is_alive() {
                 // The silo died with this activation still reaching the run
                 // queue (a racing dispatch slipped past the kill's drain).
@@ -259,7 +269,7 @@ pub(crate) fn worker_loop(core: Arc<RuntimeCore>, silo: SiloId, worker: usize) {
                 core.crash_evict_owned(&act);
                 continue;
             }
-            run_activation_slice(&core, &act, &mut batch);
+            run_activation_slice(&core, &act, &mut batch, counters);
             continue;
         }
         if core.is_shutdown() {
@@ -274,7 +284,7 @@ pub(crate) fn worker_loop(core: Arc<RuntimeCore>, silo: SiloId, worker: usize) {
             }
             continue;
         }
-        core.metrics.worker_parks.fetch_add(1, Ordering::Relaxed);
+        counters.worker_parks.fetch_add(1, Ordering::Relaxed);
         unit.idle.park_current();
         unit.idle.cancel_park(worker);
     }
@@ -285,6 +295,7 @@ pub(crate) fn run_activation_slice(
     core: &Arc<RuntimeCore>,
     act: &Arc<Activation>,
     batch: &mut std::collections::VecDeque<Envelope>,
+    counters: &Counters,
 ) {
     #[cfg(debug_assertions)]
     {
@@ -351,11 +362,14 @@ pub(crate) fn run_activation_slice(
         return;
     }
     if processed > 0 {
-        core.metrics
+        counters
             .messages_processed
             .fetch_add(processed, Ordering::Relaxed);
     }
-    act.touch(core.now_ms());
+    // Only the janitor reads the activity stamp.
+    if core.config.idle_timeout.is_some() {
+        act.touch(core.now_ms());
+    }
     if killed {
         // The silo died under this slice. The in-flight turn(s) already ran
         // — indistinguishable from completing just before the crash — but
@@ -375,8 +389,7 @@ pub(crate) fn run_activation_slice(
         leftover.extend(act.mailbox.retire_and_drain());
         core.discard_faulted(act);
         for env in leftover {
-            let _ =
-                core.dispatch_free(act.id.clone(), env, crate::identity::Origin::Silo(act.silo));
+            let _ = core.dispatch_free(&act.id, env, crate::identity::Origin::Silo(act.silo));
         }
         return;
     }

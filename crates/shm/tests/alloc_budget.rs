@@ -12,6 +12,10 @@
 //! that by measuring two fresh stacks — so a budget is an exact
 //! assertion: it fails the moment a per-message allocation creeps back
 //! into the hot path.
+//!
+//! Next to them, the runtime's `directory_lookups` counter checks that
+//! those requests travel through held references: none of their sends
+//! consults the directory once the references have been used.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,11 +23,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use aodb_runtime::{Actor, ActorContext, Handler, Message, Runtime};
-use aodb_shm::messages::Ingest;
+use aodb_runtime::{Actor, ActorContext, ActorRef, CallDecl, Handler, Message, ReplyTo, Runtime};
+use aodb_shm::messages::{GetLiveData, Ingest};
 use aodb_shm::types::DataPoint;
 use aodb_shm::{
-    provision, register_all, PhysicalSensorChannel, ShmClient, ShmEnv, Topology, TopologySpec,
+    provision, register_all, Organization, PhysicalSensorChannel, ShmEnv, Topology, TopologySpec,
 };
 use aodb_store::tseries::TsStore;
 use aodb_store::{FsyncPolicy, MemStore, StateStore, WalConfig};
@@ -157,7 +161,7 @@ static ONE_AT_A_TIME: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 /// next is sent, and returns with the runtime quiescent.
 fn ingest_rounds(
     rt: &Runtime,
-    channels: &[aodb_runtime::ActorRef<PhysicalSensorChannel>],
+    channels: &[ActorRef<PhysicalSensorChannel>],
     next_batch: &mut u64,
     rounds: u64,
 ) {
@@ -190,7 +194,8 @@ struct Stack {
     rt: Runtime,
     engine: Arc<TsStore>,
     topology: Topology,
-    channels: Vec<aodb_runtime::ActorRef<PhysicalSensorChannel>>,
+    channels: Vec<ActorRef<PhysicalSensorChannel>>,
+    org: ActorRef<Organization>,
     wal_dir: std::path::PathBuf,
 }
 
@@ -225,6 +230,7 @@ impl Stack {
             .collect();
         assert_eq!(channels.len(), 8);
         assert_eq!(topology.orgs.len(), 1);
+        let org = rt.actor_ref::<Organization>(topology.orgs[0].key.as_str());
 
         // Find this stack's worker thread(s): bursts of turns until each
         // has run one.
@@ -245,6 +251,7 @@ impl Stack {
             engine,
             topology,
             channels,
+            org,
             wal_dir,
         }
     }
@@ -256,32 +263,38 @@ impl Stack {
     }
 }
 
+/// Directory lookups the runtime has made so far, on every thread.
+fn lookups(rt: &Runtime) -> u64 {
+    rt.metrics().directory_lookups
+}
+
 /// Builds a fresh stack, warms it up and returns the worker-thread
-/// allocator calls of `MEASURED` acked ingests into each of 8 channels.
-fn measure(tag: &str) -> u64 {
+/// allocator calls of `MEASURED` acked ingests into each of 8 channels,
+/// and the directory lookups they made.
+fn measure(tag: &str) -> (u64, u64) {
     let stack = Stack::build(tag);
     let mut next_batch = 0u64;
     ingest_rounds(&stack.rt, &stack.channels, &mut next_batch, WARM_UP);
-    let before = worker_calls();
+    let (before, looked_up) = (worker_calls(), lookups(&stack.rt));
     ingest_rounds(&stack.rt, &stack.channels, &mut next_batch, MEASURED);
     let calls = worker_calls() - before;
+    let looked_up = lookups(&stack.rt) - looked_up;
     assert_eq!(
         stack.engine.wal_stats().frames,
         (WARM_UP + MEASURED) * stack.channels.len() as u64,
         "every ingest must have taken the delta path"
     );
     stack.tear_down();
-    calls
+    (calls, looked_up)
 }
 
 /// Drives `requests` live-data requests at the stack's organization, each
 /// answered (and checked) before the next is sent.
 fn live_requests(stack: &Stack, requests: u64) {
-    let client = ShmClient::new(stack.rt.handle());
     for _ in 0..requests {
-        let report = client
-            .live_data(&stack.topology.orgs[0].key)
-            .unwrap()
+        let (reply, report) = ReplyTo::promise();
+        stack.org.tell(GetLiveData { reply }).unwrap();
+        let report = report
             .wait_for(Duration::from_secs(10))
             .expect("live data answered");
         // Registration order, every channel with its last ingested point.
@@ -294,23 +307,25 @@ fn live_requests(stack: &Stack, requests: u64) {
 
 /// Builds a fresh stack with one point batch in every channel and
 /// returns the worker-thread allocator calls of `LIVE_REQUESTS`
-/// live-data requests over its 8 channels, after a first one.
-fn measure_live(tag: &str) -> u64 {
+/// live-data requests over its 8 channels, after a first one, and the
+/// directory lookups they made.
+fn measure_live(tag: &str) -> (u64, u64) {
     let stack = Stack::build(tag);
     ingest_rounds(&stack.rt, &stack.channels, &mut 0, 1);
     live_requests(&stack, 1);
-    let before = worker_calls();
+    let (before, looked_up) = (worker_calls(), lookups(&stack.rt));
     live_requests(&stack, LIVE_REQUESTS);
     let calls = worker_calls() - before;
+    let looked_up = lookups(&stack.rt) - looked_up;
     stack.tear_down();
-    calls
+    (calls, looked_up)
 }
 
 #[test]
 fn acked_channel_ingest_stays_within_its_allocation_budget() {
     let _one = ONE_AT_A_TIME.lock();
     let ingests = MEASURED * 8;
-    let calls = measure("a");
+    let (calls, looked_up) = measure("a");
     assert!(
         calls <= BUDGET * ingests,
         "{calls} worker-thread allocator calls for {ingests} acked ingests, budget {BUDGET} each"
@@ -320,16 +335,22 @@ fn acked_channel_ingest_stays_within_its_allocation_budget() {
         calls as f64 / ingests as f64
     );
     assert_eq!(
-        measure("b"),
+        measure("b").0,
         calls,
         "the same ingests must cost the same allocator calls on every run"
+    );
+    // The client's held channel reference, then the channel's held
+    // hour-aggregator reference.
+    assert_eq!(
+        looked_up, 0,
+        "directory lookups for {ingests} acked ingests"
     );
 }
 
 #[test]
 fn live_data_fan_out_stays_within_its_allocation_budget() {
     let _one = ONE_AT_A_TIME.lock();
-    let calls = measure_live("live-a");
+    let (calls, looked_up) = measure_live("live-a");
     let budget = LIVE_REQUESTS * (LIVE_BUDGET_PER_CHANNEL * 8 + LIVE_BUDGET_PER_REQUEST);
     println!(
         "worker-thread allocator calls per live-data request over 8 channels: {:.2}",
@@ -341,8 +362,57 @@ fn live_data_fan_out_stays_within_its_allocation_budget() {
          channels, budget {LIVE_BUDGET_PER_CHANNEL} per channel + {LIVE_BUDGET_PER_REQUEST} each"
     );
     assert_eq!(
-        measure_live("live-b"),
+        measure_live("live-b").0,
         calls,
         "the same requests must cost the same allocator calls on every run"
     );
+    // The held organization reference, then the organization's held
+    // channel references.
+    assert_eq!(
+        looked_up, 0,
+        "directory lookups for {LIVE_REQUESTS} live-data requests"
+    );
+}
+
+/// Sends `Mark` to marker 0 through a reference minted for the send.
+struct Minter;
+
+impl Actor for Minter {
+    const TYPE_NAME: &'static str = "test.minter";
+    fn declared_calls() -> &'static [CallDecl] {
+        const CALLS: &[CallDecl] = &[CallDecl::send("test.marker")];
+        CALLS
+    }
+}
+
+struct Mint;
+
+impl Message for Mint {
+    type Reply = ();
+}
+
+impl Handler<Mint> for Minter {
+    fn handle(&mut self, _msg: Mint, ctx: &mut ActorContext<'_>) {
+        ctx.actor_ref::<Marker>(0u64).tell(Mark).unwrap();
+    }
+}
+
+#[test]
+fn a_freshly_minted_reference_consults_the_directory_once() {
+    // `Mark` turns make their worker count as one in the other tests.
+    let _one = ONE_AT_A_TIME.lock();
+    let rt = Runtime::builder().silos(1, WORKERS).build();
+    rt.register(|_id| Marker);
+    rt.register(|_id| Minter);
+    let minter = rt.actor_ref::<Minter>(0u64);
+    minter.tell(Mint).unwrap();
+    assert!(rt.quiesce(Duration::from_secs(10)));
+    const SENDS: u64 = 10;
+    let before = lookups(&rt);
+    for _ in 0..SENDS {
+        minter.tell(Mint).unwrap();
+    }
+    assert!(rt.quiesce(Duration::from_secs(10)));
+    assert_eq!(lookups(&rt) - before, SENDS);
+    rt.shutdown();
 }
