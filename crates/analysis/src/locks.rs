@@ -21,18 +21,17 @@
 //!   [`crate::lockgraph::LockGraph`] for cycle detection and DOT dumps.
 //! * **`lock-across-blocking`** — a guard live across store/file I/O,
 //!   `park`/`sleep`, a condvar or promise wait, a channel `send`/`recv`,
-//!   a group-commit WAL seam (`submit`/`submit_with` hand off through
-//!   the committer's queue mutex; `append`/`reset` block until the
-//!   group fsync), or a dispatch into user actor code (`env.run(..)`,
-//!   lifecycle `activate`/`deactivate`, reply `deliver`) pins the lock
-//!   while the thread does unbounded work — every other thread touching
-//!   that class stalls behind it. What blocks is a table in
-//!   [`crate::taxonomy`]. Two idioms are understood rather than
-//!   baselined: a condvar wait that takes the guard *by value*
-//!   (`q = cv.wait(q)`) hands that guard off — the wait releases it —
-//!   so only the *other* live guards are held across it; and `.append`
-//!   blocks only on a receiver named `wal` (`PointCompressor::append`
-//!   is in-memory bit packing).
+//!   a group-commit WAL seam (`submit`, `submit_with`, `submit_framed`
+//!   and `submit_append` hand off through the committer's queue mutex;
+//!   a ticket's `.wait()` and `reset` block until the committer answers),
+//!   or a dispatch into user actor code (`env.run(..)`, lifecycle
+//!   `activate`/`deactivate`, reply `deliver`) pins the lock while the
+//!   thread does unbounded work — every other thread touching that class
+//!   stalls behind it. What blocks is a table in [`crate::taxonomy`].
+//!   One idiom is understood rather than baselined: a condvar wait that
+//!   takes the guard *by value* (`q = cv.wait(q)`) hands that guard off
+//!   — the wait releases it — so only the *other* live guards are held
+//!   across it.
 //! * **`guard-across-wait`** ([`guard_wait_findings`]) — the same walk
 //!   run for the turn lint over the whole tree: no class registry, every
 //!   `let`-bound guard admitted, only blocking *requests* reported.
@@ -57,7 +56,7 @@ use crate::lockgraph::{LockEdge, LockGraph};
 use crate::sendsites::Corpus;
 use crate::taxonomy::{
     is_keywordish, ACQUIRE_METHODS, FREE_BLOCKERS, FS_BLOCKERS, FS_OWNERS, GUARD_HANDOFF_WAITS,
-    LOCK_TYPES, METHOD_BLOCKERS, RECEIVER_QUALIFIED_BLOCKERS, ZERO_ARG_BLOCKERS,
+    LOCK_TYPES, METHOD_BLOCKERS, ZERO_ARG_BLOCKERS,
 };
 
 // ------------------------------------------------------------- classes
@@ -419,13 +418,9 @@ fn run_tokens(cx: &mut FnCx<'_>, s: &mut LState, idxs: &[usize], depth: u16) {
         if next_paren {
             if prev_dot {
                 let name = t.text.as_str();
-                let receiver_ok = RECEIVER_QUALIFIED_BLOCKERS
-                    .iter()
-                    .all(|(m, recv)| *m != name || (j >= 2 && toks[j - 2].is_ident(recv)));
                 let arity_ok = zero_arg || !ZERO_ARG_BLOCKERS.contains(&name);
-                if let Some((_, label)) = METHOD_BLOCKERS
-                    .iter()
-                    .find(|(m, _)| *m == name && receiver_ok && arity_ok)
+                if let Some((_, label)) =
+                    METHOD_BLOCKERS.iter().find(|(m, _)| *m == name && arity_ok)
                 {
                     blocked = Some((format!(".{name}(..)"), label));
                 }
@@ -895,30 +890,49 @@ mod tests {
     #[test]
     fn wal_seams_under_guard_are_flagged() {
         // Known-dirty fixture for the WAL blocking taxonomy: an index
-        // lock held across the blocking append (waits for the group
-        // fsync) and across the non-blocking-but-handoff submit (takes
-        // the committer's queue mutex) must both fire.
+        // lock held across a submit and its ticket wait (blocks for the
+        // group fsync) and across the non-blocking-but-handoff submits
+        // (take the committer's queue mutex) must fire; an in-memory
+        // `append` on the series tail must not.
         let a = analyze(
             "struct Idx { index: Mutex<u32> }\n\
              impl Idx {\n\
              fn durable_insert(&self) {\n\
              let g = self.index.lock();\n\
-             self.wal.append(payload);\n\
+             self.wal.submit(payload).wait();\n\
              }\n\
              fn queued_insert(&self) {\n\
              let g = self.index.lock();\n\
              self.wal.submit(payload);\n\
              }\n\
+             fn engine_insert(&self) {\n\
+             let g = self.index.lock();\n\
+             wal.submit_append(record, ack, outcome);\n\
+             }\n\
+             fn pack(&self) {\n\
+             let g = self.index.lock();\n\
+             s.tail.append(ts, v);\n\
+             }\n\
              }\n",
         );
-        let walish: Vec<_> = a
-            .findings
-            .iter()
-            .filter(|f| f.rule == Rule::LockAcrossBlocking && f.detail.contains("wal"))
-            .collect();
-        assert_eq!(walish.len(), 2, "{:#?}", a.findings);
-        assert!(walish.iter().any(|f| f.detail.contains("append")));
-        assert!(walish.iter().any(|f| f.detail.contains("handoff")));
+        let held = |item: &str, what: &str| {
+            let hit = a.findings.iter().any(|f| {
+                f.rule == Rule::LockAcrossBlocking
+                    && f.item.as_deref() == Some(item)
+                    && f.detail.contains(what)
+            });
+            assert!(hit, "`{item}` across {what}: {:#?}", a.findings);
+        };
+        // One finding per statement: the handoff is the first blocker of
+        // `submit(..).wait()`.
+        held("durable_insert", ".submit(..) (wal queue handoff)");
+        held("queued_insert", ".submit(..) (wal queue handoff)");
+        held("engine_insert", ".submit_append(..) (wal queue handoff)");
+        assert!(
+            !a.findings.iter().any(|f| f.item.as_deref() == Some("pack")),
+            "{:#?}",
+            a.findings
+        );
     }
 
     #[test]

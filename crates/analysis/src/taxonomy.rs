@@ -3,9 +3,12 @@
 //! Every pass classifies source by *name* — there is no type inference —
 //! so the names are the analysis. They live here, and only here, so a
 //! new blocking seam, send method or commit point is taught to every
-//! pass in one edit. Tables only: the walks that consume them are in
-//! [`crate::locks`], [`crate::effects`], [`crate::durability`],
-//! [`crate::sendsites`] and [`crate::lint`].
+//! pass in one edit. A name is a blocker wherever it appears: there is
+//! no per-receiver exception, so a blocking seam must not share its
+//! name with an in-memory method (the WAL has no `append` for that
+//! reason; `s.tail.append` is bit packing). Tables only: the walks
+//! that consume them are in [`crate::locks`], [`crate::effects`],
+//! [`crate::durability`], [`crate::sendsites`] and [`crate::lint`].
 
 // ------------------------------------------------------- locks and guards
 
@@ -51,26 +54,22 @@ pub(crate) const METHOD_BLOCKERS: &[(&str, &str)] = &[
     ("activate", "actor lifecycle dispatch"),
     ("deactivate", "actor lifecycle dispatch"),
     ("deliver", "reply dispatch"),
-    // Group-commit WAL seams (DESIGN.md §15). `submit`/`submit_with`
-    // take the committer's queue mutex (a cross-thread handoff: holding
-    // another lock across them creates a lock-order edge against the
-    // committer), and `append`/`reset` additionally block the caller
-    // until the group's fsync resolves the ack.
+    // Group-commit WAL seams (DESIGN.md §15). Every `submit*` entry
+    // point takes the committer's queue mutex (a cross-thread handoff:
+    // holding another lock across it creates a lock-order edge against
+    // the committer); `reset` additionally blocks the caller until the
+    // committer has truncated the log. Waiting for a group's fsync is
+    // the ticket's `.wait()`, listed above.
     ("submit", "wal queue handoff"),
     ("submit_with", "wal queue handoff"),
-    ("append", "wal group-commit append (blocks for fsync)"),
+    ("submit_framed", "wal queue handoff"),
+    ("submit_append", "wal queue handoff"),
     ("reset", "wal reset barrier"),
 ];
 
 /// Blockers that only block in their zero-argument form: `handle.join()`
 /// waits for a thread, `path.join(x)` builds a path.
 pub(crate) const ZERO_ARG_BLOCKERS: &[&str] = &["join"];
-
-/// Blockers whose name is shared with in-memory methods and therefore
-/// only count on a receiver of this name: every `GroupWal::append` call
-/// site is `wal.append(..)` / `self.wal.append(..)`, while
-/// `PointCompressor::append` (bit packing on `s.tail`) never blocks.
-pub(crate) const RECEIVER_QUALIFIED_BLOCKERS: &[(&str, &str)] = &[("append", "wal")];
 
 /// Condvar waits that take the guard *by value* (`q = cv.wait(q)`,
 /// `cv.wait_for(g, d)`): the wait consumes the guard and releases its
@@ -132,7 +131,7 @@ pub(crate) const REPLY_METHODS: &[&str] = &["deliver"];
 
 /// Method names that mark `Persisted` state as durably captured — and
 /// the "persisted write" sinks a tainted value must not reach.
-pub(crate) const PERSIST_METHODS: &[&str] = &["mutate", "save", "flush", "persist", "save_state"];
+pub(crate) const PERSIST_METHODS: &[&str] = &["mutate", "save", "flush"];
 
 /// Store-write methods that commit state durably beyond the `Persisted`
 /// capture methods: the tseries seam commits points + side-car in one

@@ -1,9 +1,9 @@
-//! Known-clean lockcheck fixture for the two refinements of the
-//! blocking taxonomy: a condvar wait that takes its guard *by value*
-//! hands the guard off (the wait releases the mutex while parked), and
-//! `.append(..)` only blocks on a receiver named `wal` — an in-memory
-//! `append` under a guard is not the group-commit seam. Must produce
-//! zero lockcheck findings.
+//! Known-clean lockcheck fixture for the blocking taxonomy: a condvar
+//! wait that takes its guard *by value* hands the guard off (the wait
+//! releases the mutex while parked), and an in-memory `append` under a
+//! guard is not a WAL seam — the WAL's entry points are the `submit*`
+//! handoffs and a ticket's `.wait()`. Must produce zero lockcheck
+//! findings.
 
 use std::sync::{Condvar, Mutex};
 
@@ -26,8 +26,8 @@ impl Inbox {
         }
     }
 
-    /// `Compressor::append` is bit packing in memory; it shares a name
-    /// with `GroupWal::append` and nothing else.
+    /// `Compressor::append` is bit packing in memory, like the series
+    /// engine's `s.tail.append`.
     pub fn pack(&self, v: u64) {
         let mut tail = self.tail.lock().unwrap();
         tail.append(v);

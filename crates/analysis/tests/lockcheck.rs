@@ -86,9 +86,9 @@ fn known_clean_fixture_is_silent_but_witnesses_its_edge() {
 
 #[test]
 fn guard_handoff_and_in_memory_append_are_not_holds() {
-    // `q = ready.wait(q)` hands the guard to the condvar, and `.append`
-    // on a receiver that is not `wal` is not the group-commit seam; the
-    // classes are still extracted, and nothing nests.
+    // `q = ready.wait(q)` hands the guard to the condvar, and an
+    // in-memory `.append` is not a WAL seam; the classes are still
+    // extracted, and nothing nests.
     let analysis = lockcheck_corpus(&fixture_corpus(&["lock_handoff.rs"]));
     assert!(analysis.findings.is_empty(), "{:#?}", analysis.findings);
     assert_eq!(

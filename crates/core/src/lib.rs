@@ -7,7 +7,7 @@
 //!
 //! | Module | Database feature | Paper anchor |
 //! |---|---|---|
-//! | [`persist`] | Durable actor state with write policies (`EveryChange`, `EveryN`, `OnDeactivate`) | §5 durability discussion |
+//! | [`persist`] | Durable actor state with write policies (`EveryChange`, `OnDeactivate`) | §5 durability discussion |
 //! | [`index`] | Hash-partitioned secondary indexes maintained by actors | §1/§7, AODB vision |
 //! | [`txn`] | Multi-actor ACID transactions (2PC, non-blocking coordinator) | §4.4 principle |
 //! | [`workflow`] | Multi-actor update workflows with retries + idempotence | §4.4 fallback |
@@ -29,7 +29,7 @@ pub mod versioned;
 pub mod workflow;
 
 pub use index::{IndexClient, IndexDump, IndexLookup, IndexMode, IndexShard, IndexUpdate};
-pub use persist::{state_key, state_key_for, Persisted, PersistentState, RetryPolicy, WritePolicy};
+pub use persist::{state_key, state_key_for, Persisted, PersistentState, WritePolicy};
 pub use query::{broadcast, CountKeys, KeyRegistry, ListKeys, RegisterKey, UnregisterKey};
 pub use reminders::{
     register_reminder, restore_reminders, unregister_reminder, ReminderFired, ReminderSpec,

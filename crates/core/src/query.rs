@@ -6,7 +6,7 @@
 //! runtime directory only tracks currently-active ones — and (b) fanning a
 //! query out over a set of actors and gathering the replies. [`KeyRegistry`]
 //! actors provide (a) as persistent membership lists; [`broadcast`]
-//! provides (b) on top of [`Collector`].
+//! provides (b) on top of [`aodb_runtime::Collector`].
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

@@ -1,7 +1,8 @@
 //! Atomic shims: every operation is a scheduling point inside a model
 //! execution (and is observed sequentially consistently there — exclusive
 //! virtual-thread execution erases weaker orderings, a documented soundness
-//! limit). Outside a model they are the plain `std` atomics.
+//! limit). Outside a model they are the plain `std` atomics. Only the
+//! types and operations the instrumented crates call are here.
 
 use std::sync::atomic::Ordering;
 
@@ -37,12 +38,6 @@ macro_rules! int_atomic {
                 self.0.store(v, o)
             }
 
-            /// Swaps in `v`, returning the previous value.
-            pub fn swap(&self, v: $prim, o: Ordering) -> $prim {
-                point();
-                self.0.swap(v, o)
-            }
-
             /// Adds `v`, returning the previous value.
             pub fn fetch_add(&self, v: $prim, o: Ordering) -> $prim {
                 point();
@@ -54,109 +49,9 @@ macro_rules! int_atomic {
                 point();
                 self.0.fetch_sub(v, o)
             }
-
-            /// Stores the maximum of the current value and `v`.
-            pub fn fetch_max(&self, v: $prim, o: Ordering) -> $prim {
-                point();
-                self.0.fetch_max(v, o)
-            }
-
-            /// Stores the minimum of the current value and `v`.
-            pub fn fetch_min(&self, v: $prim, o: Ordering) -> $prim {
-                point();
-                self.0.fetch_min(v, o)
-            }
-
-            /// Compare-and-exchange.
-            pub fn compare_exchange(
-                &self,
-                current: $prim,
-                new: $prim,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$prim, $prim> {
-                point();
-                self.0.compare_exchange(current, new, success, failure)
-            }
-
-            /// Weak compare-and-exchange (never fails spuriously here).
-            pub fn compare_exchange_weak(
-                &self,
-                current: $prim,
-                new: $prim,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$prim, $prim> {
-                point();
-                self.0.compare_exchange(current, new, success, failure)
-            }
-
-            /// Returns a mutable reference to the value.
-            pub fn get_mut(&mut self) -> &mut $prim {
-                self.0.get_mut()
-            }
-
-            /// Consumes the atomic, returning the value.
-            pub fn into_inner(self) -> $prim {
-                self.0.into_inner()
-            }
         }
     };
 }
 
 int_atomic!(AtomicU64, std::sync::atomic::AtomicU64, u64);
 int_atomic!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
-int_atomic!(AtomicU32, std::sync::atomic::AtomicU32, u32);
-
-/// Instrumented boolean atomic; see the module docs.
-#[derive(Debug, Default)]
-pub struct AtomicBool(std::sync::atomic::AtomicBool);
-
-impl AtomicBool {
-    /// Creates a new atomic.
-    pub const fn new(v: bool) -> Self {
-        Self(std::sync::atomic::AtomicBool::new(v))
-    }
-
-    /// Loads the value.
-    pub fn load(&self, o: Ordering) -> bool {
-        point();
-        self.0.load(o)
-    }
-
-    /// Stores `v`.
-    pub fn store(&self, v: bool, o: Ordering) {
-        point();
-        self.0.store(v, o)
-    }
-
-    /// Swaps in `v`, returning the previous value.
-    pub fn swap(&self, v: bool, o: Ordering) -> bool {
-        point();
-        self.0.swap(v, o)
-    }
-
-    /// Compare-and-exchange.
-    pub fn compare_exchange(
-        &self,
-        current: bool,
-        new: bool,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<bool, bool> {
-        point();
-        self.0.compare_exchange(current, new, success, failure)
-    }
-
-    /// Logical-or with `v`, returning the previous value.
-    pub fn fetch_or(&self, v: bool, o: Ordering) -> bool {
-        point();
-        self.0.fetch_or(v, o)
-    }
-
-    /// Logical-and with `v`, returning the previous value.
-    pub fn fetch_and(&self, v: bool, o: Ordering) -> bool {
-        point();
-        self.0.fetch_and(v, o)
-    }
-}

@@ -375,18 +375,6 @@ pub(crate) fn mutex_lock(shared: &ExecShared, vid: usize, id: usize) {
     }
 }
 
-pub(crate) fn mutex_try_lock(shared: &ExecShared, vid: usize, id: usize) -> bool {
-    schedule_point(shared, vid);
-    let mut g = lock_exec(shared);
-    let mx = g.mutexes.entry(id).or_default();
-    if mx.locked {
-        false
-    } else {
-        mx.locked = true;
-        true
-    }
-}
-
 pub(crate) fn mutex_unlock(shared: &ExecShared, vid: usize, id: usize) {
     let mut g = lock_exec(shared);
     if g.failure.is_some() || g.done {

@@ -7,7 +7,7 @@
 //! tests), the primitive behaves exactly like the plain shim on top of
 //! `std::sync` — zero behavioral difference, one thread-local read of
 //! overhead. Inside a model execution every acquire/release/wait/notify is
-//! routed through the [`crate::explorer`], which decides the interleaving.
+//! routed through the model's explorer, which decides the interleaving.
 //!
 //! Model objects must stay *closed*: a primitive touched by a virtual
 //! thread must not be concurrently touched by non-model threads.
@@ -77,50 +77,6 @@ impl<T: ?Sized> Mutex<T> {
                 }
             }
         }
-    }
-
-    /// Attempts to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match explorer::sched_ctx() {
-            None => match self.real.try_lock() {
-                Ok(g) => Some(MutexGuard {
-                    real: Some(g),
-                    lock: self,
-                    model: None,
-                }),
-                Err(sync::TryLockError::Poisoned(e)) => Some(MutexGuard {
-                    real: Some(e.into_inner()),
-                    lock: self,
-                    model: None,
-                }),
-                Err(sync::TryLockError::WouldBlock) => None,
-            },
-            Some((ex, vid)) => {
-                if explorer::mutex_try_lock(&ex, vid, self.id.get()) {
-                    let real = match self.real.try_lock() {
-                        Ok(g) => g,
-                        // A vthread that panicked while holding the lock poisons
-                        // it; the model never poisons, so strip it here too.
-                        Err(sync::TryLockError::Poisoned(e)) => e.into_inner(),
-                        Err(sync::TryLockError::WouldBlock) => {
-                            panic!("model mutex integrity: real lock held")
-                        }
-                    };
-                    Some(MutexGuard {
-                        real: Some(real),
-                        lock: self,
-                        model: Some((ex, vid)),
-                    })
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.real.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -393,44 +349,6 @@ impl<T: ?Sized> RwLock<T> {
         }
     }
 
-    /// Attempts to acquire a read guard without blocking.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match explorer::sched_ctx() {
-            None => match self.real.try_read() {
-                Ok(g) => Some(RwLockReadGuard {
-                    real: Some(g),
-                    lock: self,
-                    model: None,
-                }),
-                Err(sync::TryLockError::Poisoned(e)) => Some(RwLockReadGuard {
-                    real: Some(e.into_inner()),
-                    lock: self,
-                    model: None,
-                }),
-                Err(sync::TryLockError::WouldBlock) => None,
-            },
-            Some((ex, vid)) => {
-                if explorer::rw_try_lock(&ex, vid, self.id.get(), false) {
-                    let real = match self.real.try_read() {
-                        Ok(g) => g,
-                        // See `Mutex::lock`: strip poison, only contention is a bug.
-                        Err(sync::TryLockError::Poisoned(e)) => e.into_inner(),
-                        Err(sync::TryLockError::WouldBlock) => {
-                            panic!("model rwlock integrity: writer held")
-                        }
-                    };
-                    Some(RwLockReadGuard {
-                        real: Some(real),
-                        lock: self,
-                        model: Some((ex, vid)),
-                    })
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
     /// Attempts to acquire a write guard without blocking.
     pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
         match explorer::sched_ctx() {
@@ -467,11 +385,6 @@ impl<T: ?Sized> RwLock<T> {
                 }
             }
         }
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.real.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 }
 

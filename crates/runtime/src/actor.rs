@@ -22,7 +22,7 @@ use crate::runtime::{ActorRef, Recipient, RuntimeCore};
 ///
 /// Implementations hold the actor's encapsulated state as plain fields.
 /// The runtime constructs instances on demand through the factory passed to
-/// [`crate::RuntimeBuilder::register`], calls [`Actor::on_activate`] before
+/// [`crate::Runtime::register`], calls [`Actor::on_activate`] before
 /// the first message, and [`Actor::on_deactivate`] when the activation is
 /// reclaimed (idle timeout, explicit request, or shutdown) — the hook where
 /// persistent actors flush state to storage.

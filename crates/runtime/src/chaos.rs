@@ -64,15 +64,15 @@ impl Default for ChaosNetConfig {
     }
 }
 
-/// One scheduled silo crash, with an optional restart.
+/// One scheduled silo crash and its restart.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrashEvent {
     /// When (after runtime start) the silo is killed.
     pub at: Duration,
     /// Which silo dies.
     pub silo: SiloId,
-    /// Delay between the kill and the restart; `None` leaves it dead.
-    pub restart_after: Option<Duration>,
+    /// Delay between the kill and the restart.
+    pub restart_after: Duration,
 }
 
 /// A complete, seed-derived description of one chaos run.
@@ -103,23 +103,13 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules a permanent silo kill at `at`.
-    pub fn crash_at(mut self, at: Duration, silo: SiloId) -> Self {
-        self.crashes.push(CrashEvent {
-            at,
-            silo,
-            restart_after: None,
-        });
-        self
-    }
-
     /// Schedules a silo kill at `at` followed by a restart `restart_after`
     /// later.
     pub fn crash_restart_at(mut self, at: Duration, silo: SiloId, restart_after: Duration) -> Self {
         self.crashes.push(CrashEvent {
             at,
             silo,
-            restart_after: Some(restart_after),
+            restart_after,
         });
         self
     }
@@ -168,10 +158,7 @@ impl FaultPlan {
         for c in &self.crashes {
             fold(c.at.as_nanos() as u64);
             fold(c.silo.index() as u64 + 1);
-            fold(match c.restart_after {
-                None => 0,
-                Some(d) => d.as_nanos() as u64 | 1,
-            });
+            fold(c.restart_after.as_nanos() as u64);
         }
         acc
     }

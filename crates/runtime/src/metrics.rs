@@ -291,10 +291,6 @@ pub struct RuntimeMetrics {
     /// salvaged-but-unrunnable when their silo died. Their reply sinks
     /// resolved as `SiloLost`.
     pub lost_turns: AtomicU64,
-    /// Persistence write attempts that were *retries* under a
-    /// `RetryPolicy` (shared with the persistence layer by `Arc`: the cell
-    /// lives in application crates that cannot see this struct).
-    pub persist_retries: std::sync::Arc<AtomicU64>,
 }
 
 impl RuntimeMetrics {
@@ -309,7 +305,6 @@ impl RuntimeMetrics {
             silo_crashes: AtomicU64::new(0),
             reactivations: AtomicU64::new(0),
             lost_turns: AtomicU64::new(0),
-            persist_retries: Default::default(),
         }
     }
 
@@ -349,7 +344,6 @@ impl RuntimeMetrics {
             silo_crashes: self.silo_crashes.load(Ordering::Relaxed),
             reactivations: self.reactivations.load(Ordering::Relaxed),
             lost_turns: self.lost_turns.load(Ordering::Relaxed),
-            persist_retries: self.persist_retries.load(Ordering::Relaxed),
             parked_workers: 0,
         }
     }
@@ -389,8 +383,6 @@ pub struct RuntimeMetricsSnapshot {
     pub reactivations: u64,
     /// User envelopes aborted (`SiloLost`) by silo crashes.
     pub lost_turns: u64,
-    /// Persistence write retries performed under a `RetryPolicy`.
-    pub persist_retries: u64,
     /// Gauge: workers parked at snapshot time ([`RuntimeMetrics::read`]
     /// itself cannot see the silos, so it reports 0 here; the runtime's
     /// `metrics()` accessor fills it in).

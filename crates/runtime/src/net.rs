@@ -154,11 +154,6 @@ impl TimerHandle {
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::Relaxed);
     }
-
-    /// Whether the timer has been cancelled.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
-    }
 }
 
 /// Sender half of the clock service, embedded in the runtime core.

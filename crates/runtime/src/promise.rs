@@ -278,17 +278,6 @@ pub fn gather<T: Send + 'static>(
     (collector, Promise { rx })
 }
 
-#[allow(dead_code)]
-pub(crate) fn promise_from_channel<T>(rx: Receiver<Result<T, PromiseError>>) -> Promise<T> {
-    Promise { rx }
-}
-
-#[allow(dead_code)]
-pub(crate) fn channel_pair<T>() -> (Sender<Result<T, PromiseError>>, Promise<T>) {
-    let (tx, rx) = bounded(1);
-    (tx, Promise { rx })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -716,14 +716,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Appends one silo with the given worker count (heterogeneous
-    /// clusters).
-    pub fn add_silo(mut self, workers: usize) -> Self {
-        assert!(workers > 0);
-        self.silos.push(SiloConfig { workers });
-        self
-    }
-
     /// Sets the placement strategy.
     pub fn placement(mut self, p: impl Placement) -> Self {
         self.placement = Box::new(p);
@@ -832,10 +824,8 @@ impl RuntimeBuilder {
                         let core = Arc::clone(core);
                         std::thread::spawn(move || {
                             core.kill_silo(silo);
-                            if let Some(after) = restart_after {
-                                std::thread::sleep(after);
-                                core.restart_silo(silo);
-                            }
+                            std::thread::sleep(restart_after);
+                            core.restart_silo(silo);
                         });
                     }),
                 );

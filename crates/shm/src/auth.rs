@@ -9,7 +9,7 @@
 //! and refuses queries whose session token does not belong to the target
 //! organization with a sufficient role.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use aodb_runtime::{Actor, ActorContext, Handler, Message, Runtime};
 use serde::{Deserialize, Serialize};
@@ -86,9 +86,9 @@ impl Message for Revoke {
 #[derive(Default, Serialize, Deserialize)]
 struct GuardState {
     /// user → (secret, level).
-    users: HashMap<String, (String, AccessLevel)>,
+    users: BTreeMap<String, (String, AccessLevel)>,
     /// Live sessions. Persisted so sessions survive guard deactivation.
-    sessions: HashMap<u64, (String, AccessLevel)>,
+    sessions: BTreeMap<u64, (String, AccessLevel)>,
     next_token: u64,
 }
 
@@ -347,6 +347,30 @@ mod codec_tests {
             Just(AccessLevel::Operator),
             Just(AccessLevel::Admin),
         ]
+    }
+
+    /// A guard blob written when both maps were `HashMap`s decodes, and
+    /// re-encodes byte for byte: the JSON object sorts its keys as
+    /// strings, so the map type never reached the stored bytes.
+    #[test]
+    fn hashmap_era_guard_blob_reencodes_identically() {
+        const OLD: &str = concat!(
+            r#"{"next_token":101,"#,
+            r#""sessions":{"10":["root","Admin"],"100":["bob","Operator"],"9":["alice","Viewer"]},"#,
+            r#""users":{"alice":["pw","Viewer"],"bob":["hunter2","Operator"],"root":["s3cret","Admin"]}}"#,
+        );
+        let state: GuardState = aodb_store::codec::decode_state(OLD.as_bytes()).unwrap();
+        assert_eq!(state.next_token, 101);
+        assert_eq!(
+            state.sessions.keys().copied().collect::<Vec<_>>(),
+            [9, 10, 100]
+        );
+        assert_eq!(
+            state.users.get("bob"),
+            Some(&("hunter2".to_string(), AccessLevel::Operator))
+        );
+        let bytes = aodb_store::codec::encode_state(&state).unwrap();
+        assert_eq!(bytes.as_ref(), OLD.as_bytes());
     }
 
     proptest! {

@@ -626,11 +626,6 @@ impl GroupWal {
         self.enqueue_frame(record, false, Done::append(ack, outcome));
     }
 
-    /// Submits `payload` and blocks until its group commits.
-    pub fn append(&self, payload: Bytes) -> StoreResult<()> {
-        self.submit(payload).wait()
-    }
-
     /// Durability barrier: blocks until everything queued before this
     /// call is on durable media (forces an fsync even under
     /// [`FsyncPolicy::OnDemand`]).
@@ -640,10 +635,10 @@ impl GroupWal {
         WalTicket(cell).wait()
     }
 
-    /// Truncates the log to zero bytes, in queue order (see [`Op::Reset`]
-    /// semantics): frames submitted before this call are written first
-    /// and then wiped, so the caller must have checkpointed their
-    /// effects elsewhere; frames submitted after land in the fresh log.
+    /// Truncates the log to zero bytes, in queue order: frames submitted
+    /// before this call are written first and then wiped, so the caller
+    /// must have checkpointed their effects elsewhere; frames submitted
+    /// after land in the fresh log.
     pub fn reset(&self) -> StoreResult<()> {
         let cell = TicketCell::new();
         self.enqueue(Op::Reset {
@@ -1039,7 +1034,9 @@ mod tests {
             let (wal, recovered) = open(&path);
             assert!(recovered.is_empty());
             for i in 0..50u32 {
-                wal.append(Bytes::from(i.to_le_bytes().to_vec())).unwrap();
+                wal.submit(Bytes::from(i.to_le_bytes().to_vec()))
+                    .wait()
+                    .unwrap();
             }
         }
         let (_, recovered) = open(&path);
@@ -1059,7 +1056,7 @@ mod tests {
                 let wal = Arc::clone(&wal);
                 std::thread::spawn(move || {
                     for i in 0..100u32 {
-                        wal.append(Bytes::from(format!("{t}:{i}"))).unwrap();
+                        wal.submit(Bytes::from(format!("{t}:{i}"))).wait().unwrap();
                     }
                 })
             })
@@ -1090,7 +1087,7 @@ mod tests {
         };
         let (wal, _) = GroupWal::open(&path, config).unwrap();
         for _ in 0..10 {
-            wal.append(Bytes::from_static(b"x")).unwrap();
+            wal.submit(Bytes::from_static(b"x")).wait().unwrap();
         }
         assert_eq!(wal.stats().fsyncs, 0);
         wal.sync().unwrap();
@@ -1101,11 +1098,11 @@ mod tests {
     fn reset_truncates_in_queue_order() {
         let path = temp_wal("reset");
         let (wal, _) = open(&path);
-        wal.append(Bytes::from_static(b"before")).unwrap();
+        wal.submit(Bytes::from_static(b"before")).wait().unwrap();
         assert!(!wal.is_empty());
         wal.reset().unwrap();
         assert_eq!(wal.len(), 0);
-        wal.append(Bytes::from_static(b"after")).unwrap();
+        wal.submit(Bytes::from_static(b"after")).wait().unwrap();
         drop(wal);
         let (_, recovered) = open(&path);
         assert_eq!(recovered.len(), 1);
@@ -1117,8 +1114,8 @@ mod tests {
         let path = temp_wal("torn");
         {
             let (wal, _) = open(&path);
-            wal.append(Bytes::from_static(b"committed")).unwrap();
-            wal.append(Bytes::from_static(b"torn-away")).unwrap();
+            wal.submit(Bytes::from_static(b"committed")).wait().unwrap();
+            wal.submit(Bytes::from_static(b"torn-away")).wait().unwrap();
         }
         let data = std::fs::read(&path).unwrap();
         std::fs::write(&path, &data[..data.len() - 5]).unwrap();
@@ -1126,7 +1123,7 @@ mod tests {
         assert_eq!(recovered.len(), 1);
         assert_eq!(recovered[0].as_ref(), b"committed");
         // The torn bytes are physically gone: appends land cleanly.
-        wal.append(Bytes::from_static(b"fresh")).unwrap();
+        wal.submit(Bytes::from_static(b"fresh")).wait().unwrap();
         drop(wal);
         let (_, recovered) = open(&path);
         assert_eq!(recovered.len(), 2);
@@ -1138,8 +1135,8 @@ mod tests {
         let path = temp_wal("corrupt");
         {
             let (wal, _) = open(&path);
-            wal.append(Bytes::from_static(b"aaaa")).unwrap();
-            wal.append(Bytes::from_static(b"bbbb")).unwrap();
+            wal.submit(Bytes::from_static(b"aaaa")).wait().unwrap();
+            wal.submit(Bytes::from_static(b"bbbb")).wait().unwrap();
         }
         let mut data = std::fs::read(&path).unwrap();
         data[9] ^= 0xA5; // payload byte of the first record
@@ -1159,7 +1156,9 @@ mod tests {
                 let (wal, _) = open(&path);
                 // Commit a couple of groups first, then arm the crash.
                 for i in 0..3u32 {
-                    wal.append(Bytes::from(i.to_le_bytes().to_vec())).unwrap();
+                    wal.submit(Bytes::from(i.to_le_bytes().to_vec()))
+                        .wait()
+                        .unwrap();
                 }
                 wal.arm_crash(CrashPlan { point, at_group: 3 });
                 let tickets: Vec<(u32, WalTicket)> = (3..6u32)
@@ -1179,7 +1178,7 @@ mod tests {
                 }
                 assert_eq!(wal.injected_crash(), Some(point));
                 // Post-crash submissions fail fast.
-                assert!(wal.append(Bytes::from_static(b"late")).is_err());
+                assert!(wal.submit(Bytes::from_static(b"late")).wait().is_err());
             }
             let (_, recovered) = open(&path);
             let frames: Vec<u32> = recovered
@@ -1258,7 +1257,7 @@ mod tests {
         let path = temp_wal("stats");
         let (wal, _) = open(&path);
         for _ in 0..5 {
-            wal.append(Bytes::from_static(b"x")).unwrap();
+            wal.submit(Bytes::from_static(b"x")).wait().unwrap();
         }
         let stats = wal.stats();
         assert_eq!(stats.frames, 5);

@@ -29,7 +29,7 @@ fn committer_panic_wakes_all_pending_submitters() {
     let wal = Arc::new(wal);
 
     // Let one real group commit first so the log is mid-life.
-    wal.append(Bytes::from_static(b"warmup")).unwrap();
+    wal.submit(Bytes::from_static(b"warmup")).wait().unwrap();
 
     // Arm the panic on the next non-empty group, then pile on
     // submitters from several threads. Which submissions land in the
@@ -44,7 +44,8 @@ fn committer_panic_wakes_all_pending_submitters() {
             std::thread::spawn(move || {
                 for i in 0..8u32 {
                     let r = wal
-                        .append(Bytes::from(format!("{t}:{i}")))
+                        .submit(Bytes::from(format!("{t}:{i}")))
+                        .wait()
                         .map_err(|e| e.to_string());
                     tx.send(r).unwrap();
                 }
@@ -75,7 +76,7 @@ fn committer_panic_wakes_all_pending_submitters() {
     }
 
     // Post-mortem submissions fail fast rather than queueing forever.
-    assert!(wal.append(Bytes::from_static(b"late")).is_err());
+    assert!(wal.submit(Bytes::from_static(b"late")).wait().is_err());
 
     // Callback-style submissions resolve too (same Done machinery, but
     // pin it explicitly: a leaked callback is a leaked ReplyTo upstream).

@@ -131,7 +131,7 @@ proptest! {
             let (wal, recovered) = GroupWal::open(&path, config()).unwrap();
             prop_assert!(recovered.is_empty());
             for p in &payloads {
-                wal.append(Bytes::from(p.clone())).unwrap();
+                wal.submit(Bytes::from(p.clone())).wait().unwrap();
             }
         }
         let (_, recovered) = GroupWal::open(&path, config()).unwrap();
@@ -200,7 +200,7 @@ proptest! {
         {
             let (wal, _) = GroupWal::open(&path, config()).unwrap();
             for p in &payloads {
-                wal.append(Bytes::from(p.clone())).unwrap();
+                wal.submit(Bytes::from(p.clone())).wait().unwrap();
             }
         }
         let bytes = std::fs::read(&path).unwrap();
@@ -208,7 +208,7 @@ proptest! {
         std::fs::write(&path, &bytes[..cut]).unwrap();
         {
             let (wal, _) = GroupWal::open(&path, config()).unwrap();
-            wal.append(Bytes::from_static(b"post-recovery")).unwrap();
+            wal.submit(Bytes::from_static(b"post-recovery")).wait().unwrap();
         }
         let (_, recovered) = GroupWal::open(&path, config())
             .expect("recovery after torn-tail truncation must stay clean");
@@ -227,7 +227,7 @@ proptest! {
         {
             let (wal, _) = GroupWal::open(&path, config()).unwrap();
             for p in &payloads {
-                wal.append(Bytes::from(p.clone())).unwrap();
+                wal.submit(Bytes::from(p.clone())).wait().unwrap();
             }
         }
         let mut bytes = std::fs::read(&path).unwrap();
