@@ -1,12 +1,12 @@
 //! Criterion micro-benchmarks of the storage substrate: in-memory and
-//! log-structured stores, codec framing, and the provisioned-throughput
-//! decorator's overhead.
+//! log-structured stores, codec framing, the tseries point codec, and
+//! the provisioned-throughput decorator's overhead.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use aodb_store::codec::{crc32, decode_state, encode_state, frame_record, parse_record};
-use aodb_store::tseries::{SeriesStore, TsConfig, TsStore};
+use aodb_store::tseries::{decode_block, PointCompressor, SeriesStore, TsConfig, TsStore};
 use aodb_store::{
     Bytes, ExhaustionBehavior, Key, LogStore, LogStoreConfig, MemStore, ProvisionedConfig,
     ProvisionedStore, StateStore,
@@ -112,6 +112,67 @@ fn bench_codec(c: &mut Criterion) {
     group.finish();
 }
 
+/// One full 512-point tseries block of each stream class: `smooth` is a
+/// 10 Hz quarter-step triangle wave with a dither bit (about 1 B/point),
+/// `noisy` a jittered clock with full-entropy mantissas (about 9 B/point).
+fn codec_streams() -> [(&'static str, Vec<(u64, f64)>); 2] {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let smooth = (0..512u64)
+        .map(|k| {
+            let q = k % 32;
+            let tri = if q < 16 { q } else { 32 - q };
+            (
+                1_700_000_000_000 + k * 100,
+                20.0 + (tri + (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 63)) as f64 * 0.25,
+            )
+        })
+        .collect();
+    let noisy = (0..512u64)
+        .map(|k| {
+            let r = next();
+            (1_700_000_000_000 + k * 100 + r % 7, (r >> 11) as f64 * 1e-3)
+        })
+        .collect();
+    [("smooth", smooth), ("noisy", noisy)]
+}
+
+/// The tseries point codec per stream class: compress a block point by
+/// point, decode it, and resume a compressor from it (what recovery does
+/// with a series' open tail).
+fn bench_point_codec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("point_codec");
+    for (name, points) in codec_streams() {
+        let mut comp = PointCompressor::new();
+        for &(ts, v) in &points {
+            comp.append(ts, v);
+        }
+        let block = comp.encode_block();
+        group.throughput(Throughput::Elements(points.len() as u64));
+        group.bench_function(&format!("append_512pt_{name}"), |b| {
+            b.iter(|| {
+                let mut comp = PointCompressor::new();
+                for &(ts, v) in &points {
+                    comp.append(ts, v);
+                }
+                comp.payload_bytes()
+            })
+        });
+        group.bench_function(&format!("decode_512pt_{name}"), |b| {
+            b.iter(|| decode_block(&block).unwrap().len())
+        });
+        group.bench_function(&format!("resume_512pt_{name}"), |b| {
+            b.iter(|| PointCompressor::resume(&block).unwrap().count())
+        });
+    }
+    group.finish();
+}
+
 /// Range scans over the same 100k-point stream on both storage layouts:
 /// the KV blob (decode the whole state, filter the window) and the
 /// tseries engine (sparse-index block skipping into sealed blocks). The
@@ -209,6 +270,7 @@ criterion_group! {
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_secs(1))
         .sample_size(20);
-    targets = bench_mem, bench_log, bench_codec, bench_scan_range, bench_provisioned
+    targets = bench_mem, bench_log, bench_codec, bench_point_codec, bench_scan_range,
+        bench_provisioned
 }
 criterion_main!(benches);

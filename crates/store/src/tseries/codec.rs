@@ -90,19 +90,30 @@ impl BlockIndex {
     }
 }
 
-/// Incremental compressor: the mutable tail block. Points append one at
-/// a time; the state is exactly what the next point's encoding needs, so
-/// a tail survives process restart by re-appending its decoded points.
-#[derive(Clone)]
-pub struct PointCompressor {
-    bits: BitWriter,
-    index: BlockIndex,
+/// What the next point's codes are relative to: the previous timestamp,
+/// delta and value bits, and the current meaningful-bit window
+/// (`window_len == 0` until the first window is opened). The compressor
+/// carries it forward on append; [`walk_points`] rebuilds it from a
+/// payload for both decoding and [`PointCompressor::resume`].
+#[derive(Clone, Copy, Default)]
+struct CodecState {
     prev_ts: u64,
     prev_delta: i64,
     prev_val_bits: u64,
     window_lead: u8,
     window_len: u8,
-    window_valid: bool,
+}
+
+/// Incremental compressor: the mutable tail block. Points append one at
+/// a time; the state is exactly what the next point's encoding needs, so
+/// a tail survives process restart by [`PointCompressor::resume`]: the
+/// durable block's payload is adopted as is and the state rebuilt by one
+/// decoding walk, without re-compressing a point.
+#[derive(Clone)]
+pub struct PointCompressor {
+    bits: BitWriter,
+    index: BlockIndex,
+    state: CodecState,
 }
 
 impl Default for PointCompressor {
@@ -117,13 +128,29 @@ impl PointCompressor {
         PointCompressor {
             bits: BitWriter::new(),
             index: BlockIndex::empty(),
-            prev_ts: 0,
-            prev_delta: 0,
-            prev_val_bits: 0,
-            window_lead: 0,
-            window_len: 0,
-            window_valid: false,
+            state: CodecState::default(),
         }
+    }
+
+    /// The compressor that appending `block`'s points to an empty one
+    /// would leave behind, without re-compressing them: the block is
+    /// verified as [`decode_block`] does, its header index taken as is,
+    /// its payload copied, and the codec state rebuilt by one walk that
+    /// allocates nothing. An empty `block` resumes an empty tail.
+    pub fn resume(block: &[u8]) -> StoreResult<PointCompressor> {
+        if block.is_empty() {
+            return Ok(PointCompressor::new());
+        }
+        let (index, payload, payload_bits) = parse_block(block)?;
+        let state = walk_points(payload, payload_bits, index.count, |_, _| {})?;
+        if index.count == 0 {
+            return Ok(PointCompressor::new());
+        }
+        Ok(PointCompressor {
+            bits: BitWriter::resume(payload, payload_bits),
+            index,
+            state,
+        })
     }
 
     /// Points appended so far.
@@ -143,66 +170,61 @@ impl PointCompressor {
 
     /// Appends one point.
     pub fn append(&mut self, ts_ms: u64, value: f64) {
+        let st = &mut self.state;
         // Timestamp stream.
         if self.index.count == 0 {
             self.bits.push_bits(ts_ms, 64);
-            self.prev_delta = 0;
+            st.prev_delta = 0;
         } else {
-            let delta = ts_ms.wrapping_sub(self.prev_ts) as i64;
-            let dod = delta.wrapping_sub(self.prev_delta);
+            let delta = ts_ms.wrapping_sub(st.prev_ts) as i64;
+            let dod = delta.wrapping_sub(st.prev_delta);
             let zz = zigzag(dod);
             if zz == 0 {
                 self.bits.push_bit(false);
             } else if zz < (1 << 7) {
-                self.bits.push_bits(0b10, 2);
-                self.bits.push_bits(zz, 7);
+                self.bits.push_bits(0b10 << 7 | zz, 2 + 7);
             } else if zz < (1 << 9) {
-                self.bits.push_bits(0b110, 3);
-                self.bits.push_bits(zz, 9);
+                self.bits.push_bits(0b110 << 9 | zz, 3 + 9);
             } else if zz < (1 << 12) {
-                self.bits.push_bits(0b1110, 4);
-                self.bits.push_bits(zz, 12);
+                self.bits.push_bits(0b1110 << 12 | zz, 4 + 12);
             } else if zz < (1 << 32) {
-                self.bits.push_bits(0b11110, 5);
-                self.bits.push_bits(zz, 32);
+                self.bits.push_bits(0b11110 << 32 | zz, 5 + 32);
             } else {
                 self.bits.push_bits(0b11111, 5);
                 self.bits.push_bits(zz, 64);
             }
-            self.prev_delta = delta;
+            st.prev_delta = delta;
         }
-        self.prev_ts = ts_ms;
+        st.prev_ts = ts_ms;
 
         // Value stream.
         let val_bits = value.to_bits();
         if self.index.count == 0 {
             self.bits.push_bits(val_bits, 64);
         } else {
-            let xor = val_bits ^ self.prev_val_bits;
+            let xor = val_bits ^ st.prev_val_bits;
             if xor == 0 {
                 self.bits.push_bit(false);
             } else {
-                self.bits.push_bit(true);
                 let lead = (xor.leading_zeros() as u8).min(63);
                 let trail = xor.trailing_zeros() as u8;
                 let len = 64 - lead - trail;
-                let window_trail = 64 - self.window_lead - self.window_len;
-                if self.window_valid && lead >= self.window_lead && trail >= window_trail {
-                    // Reuse the previous meaningful-bit window.
-                    self.bits.push_bit(false);
-                    self.bits.push_bits(xor >> window_trail, self.window_len);
+                let window_trail = 64 - st.window_lead - st.window_len;
+                if st.window_len != 0 && lead >= st.window_lead && trail >= window_trail {
+                    // `10`, then the XOR within the previous window.
+                    self.bits.push_bits(0b10, 2);
+                    self.bits.push_bits(xor >> window_trail, st.window_len);
                 } else {
-                    self.bits.push_bit(true);
-                    self.bits.push_bits(lead as u64, 6);
-                    self.bits.push_bits((len - 1) as u64, 6);
+                    // `11`, the new window's lead and length−1, its bits.
+                    self.bits
+                        .push_bits(0b11 << 12 | (lead as u64) << 6 | (len - 1) as u64, 2 + 12);
                     self.bits.push_bits(xor >> trail, len);
-                    self.window_lead = lead;
-                    self.window_len = len;
-                    self.window_valid = true;
+                    st.window_lead = lead;
+                    st.window_len = len;
                 }
             }
         }
-        self.prev_val_bits = val_bits;
+        st.prev_val_bits = val_bits;
 
         // Sparse index.
         self.index.count += 1;
@@ -283,16 +305,36 @@ pub fn decode_points(
     payload_bits: usize,
     count: u32,
 ) -> StoreResult<Vec<(u64, f64)>> {
-    let fail = |m: &str| StoreError::Corrupt(format!("tseries payload: {m}"));
-    let mut r = BitReader::new(payload, payload_bits);
     // Every point takes at least one payload bit, so the header's count
     // sizes nothing beyond what the payload can hold.
     let mut out = Vec::with_capacity((count as usize).min(payload_bits));
-    let mut prev_ts = 0u64;
-    let mut prev_delta = 0i64;
-    let mut prev_val_bits = 0u64;
-    let mut window_lead = 0u8;
-    let mut window_len = 0u8;
+    walk_points(payload, payload_bits, count, |ts, val_bits| {
+        out.push((ts, f64::from_bits(val_bits)))
+    })?;
+    Ok(out)
+}
+
+/// Decodes `count` points from a packed payload in append order, handing
+/// each `(ts, value bits)` to `each`, and returns the codec state after
+/// the last one. The payload must end exactly at its last point: bits
+/// left over, set padding bits, or bytes past `payload_bits` are
+/// corruption — a resumed writer would otherwise append after garbage.
+fn walk_points(
+    payload: &[u8],
+    payload_bits: usize,
+    count: u32,
+    mut each: impl FnMut(u64, u64),
+) -> StoreResult<CodecState> {
+    let fail = |m: &str| StoreError::Corrupt(format!("tseries payload: {m}"));
+    if payload.len() != payload_bits.div_ceil(8) {
+        return Err(fail("length disagrees with its bit count"));
+    }
+    let used = payload_bits % 8;
+    if used != 0 && payload[payload.len() - 1] & (0xFF >> used) != 0 {
+        return Err(fail("padding bits are set"));
+    }
+    let mut r = BitReader::new(payload, payload_bits);
+    let mut st = CodecState::default();
     for n in 0..count {
         // Timestamp.
         let ts = if n == 0 {
@@ -315,43 +357,49 @@ pub fn decode_points(
                     unzigzag(r.read_bits(bits).ok_or_else(|| fail("eof in dod"))?)
                 }
             };
-            let delta = prev_delta.wrapping_add(dod);
-            prev_delta = delta;
-            prev_ts.wrapping_add(delta as u64)
+            let delta = st.prev_delta.wrapping_add(dod);
+            st.prev_delta = delta;
+            st.prev_ts.wrapping_add(delta as u64)
         };
-        prev_ts = ts;
+        st.prev_ts = ts;
 
         // Value.
         let val_bits = if n == 0 {
             r.read_bits(64).ok_or_else(|| fail("eof in first value"))?
         } else if !r.read_bit().ok_or_else(|| fail("eof in value flag"))? {
-            prev_val_bits
+            st.prev_val_bits
         } else if !r.read_bit().ok_or_else(|| fail("eof in window flag"))? {
-            if window_len == 0 {
+            if st.window_len == 0 {
                 return Err(fail("window reuse before any window"));
             }
-            let window_trail = 64 - window_lead - window_len;
+            let window_trail = 64 - st.window_lead - st.window_len;
             let xor = r
-                .read_bits(window_len)
+                .read_bits(st.window_len)
                 .ok_or_else(|| fail("eof in window bits"))?
                 << window_trail;
-            prev_val_bits ^ xor
+            st.prev_val_bits ^ xor
         } else {
-            let lead = r.read_bits(6).ok_or_else(|| fail("eof in lead"))? as u8;
-            let len = r.read_bits(6).ok_or_else(|| fail("eof in len"))? as u8 + 1;
+            let header = r
+                .read_bits(12)
+                .ok_or_else(|| fail("eof in window header"))?;
+            let lead = (header >> 6) as u8;
+            let len = (header & 0x3F) as u8 + 1;
             if lead + len > 64 {
                 return Err(fail("window exceeds 64 bits"));
             }
             let trail = 64 - lead - len;
             let xor = r.read_bits(len).ok_or_else(|| fail("eof in xor bits"))? << trail;
-            window_lead = lead;
-            window_len = len;
-            prev_val_bits ^ xor
+            st.window_lead = lead;
+            st.window_len = len;
+            st.prev_val_bits ^ xor
         };
-        prev_val_bits = val_bits;
-        out.push((ts, f64::from_bits(val_bits)));
+        st.prev_val_bits = val_bits;
+        each(ts, val_bits);
     }
-    Ok(out)
+    if r.remaining() != 0 {
+        return Err(fail("bits left after the last point"));
+    }
+    Ok(st)
 }
 
 #[cfg(test)]
@@ -505,6 +553,45 @@ mod tests {
         let block = encode_block_parts(&index, c.bits.as_bytes(), c.bits.len_bits());
         assert!(decode_index(&block).is_ok());
         assert!(matches!(decode_block(&block), Err(StoreError::Corrupt(_))));
+    }
+
+    /// A CRC-valid block whose payload runs on past its last point — a
+    /// count one short, or a set padding bit — is corrupt for decoding
+    /// and resuming alike: a resumed writer would append after garbage.
+    #[test]
+    fn payload_must_end_at_its_last_point() {
+        let mut c = PointCompressor::new();
+        for i in 0..6 {
+            c.append(i * 10, 1.5);
+        }
+        let (payload, bits) = (c.bits.as_bytes(), c.bits.len_bits());
+        assert_ne!(bits % 8, 0, "the fixture needs padding bits");
+
+        let short = BlockIndex {
+            count: 5,
+            ..*c.index()
+        };
+        let block = encode_block_parts(&short, payload, bits);
+        assert!(decode_index(&block).is_ok());
+        assert!(matches!(decode_block(&block), Err(StoreError::Corrupt(_))));
+        assert!(matches!(
+            PointCompressor::resume(&block),
+            Err(StoreError::Corrupt(_))
+        ));
+
+        let mut padded = payload.to_vec();
+        *padded.last_mut().unwrap() |= 1;
+        let block = encode_block_parts(c.index(), &padded, bits);
+        assert!(decode_index(&block).is_ok());
+        assert!(matches!(decode_block(&block), Err(StoreError::Corrupt(_))));
+        assert!(matches!(
+            PointCompressor::resume(&block),
+            Err(StoreError::Corrupt(_))
+        ));
+
+        let block = encode_block_parts(c.index(), payload, bits);
+        assert_eq!(decode_block(&block).unwrap().len(), 6);
+        assert!(PointCompressor::resume(&block).is_ok());
     }
 
     #[test]

@@ -345,9 +345,16 @@ impl TsStore {
     ) -> StoreResult<Self> {
         let (wal, frames) = GroupWal::open(wal_path, wal_config)?;
         let mut replay: HashMap<String, Vec<WalDelta>> = HashMap::new();
-        for frame in frames {
-            let (series, delta) = decode_wal_delta(&frame)?;
-            replay.entry(series).or_default().push(delta);
+        for frame in &frames {
+            // Probe with the borrowed name: a series' key is allocated
+            // once, on its first frame, not once per frame.
+            let (series, delta) = decode_wal_delta(frame)?;
+            match replay.get_mut(series) {
+                Some(deltas) => deltas.push(delta),
+                None => {
+                    replay.insert(series.to_owned(), vec![delta]);
+                }
+            }
         }
         Ok(TsStore {
             backing,
@@ -451,12 +458,11 @@ impl TsStore {
             s.sealed.push(SealedBlock { index, bytes });
         }
 
-        // Rebuild the open tail by re-appending its decoded points; the
-        // codec is deterministic, so the compressor lands in the exact
-        // pre-crash state.
-        for (ts, v) in decode_block(&tail.tail_block)? {
-            s.tail.append(ts, v);
-        }
+        // Resume the open tail from its compressed image: the payload is
+        // adopted as is and the codec state rebuilt by one decoding walk,
+        // so the compressor lands in the exact pre-crash state without
+        // re-compressing a point.
+        s.tail = PointCompressor::resume(&tail.tail_block)?;
 
         // Finish any interrupted post-commit block writes now, so the
         // next tail record no longer needs to carry them.
@@ -935,11 +941,12 @@ fn encode_wal_delta(
     })
 }
 
-fn decode_wal_delta(buf: &[u8]) -> StoreResult<(String, WalDelta)> {
+/// Decodes one delta frame; the series name borrows from `buf`.
+fn decode_wal_delta(buf: &[u8]) -> StoreResult<(&str, WalDelta)> {
     Reader::whole(buf, "tseries wal delta", |r| {
         r.magic(TS_WAL_MAGIC)?;
         let base_points = r.u64()?;
-        let series = String::from_utf8(r.u32_prefixed()?.to_vec()).map_err(|_| {
+        let series = std::str::from_utf8(r.u32_prefixed()?).map_err(|_| {
             StoreError::Corrupt("tseries wal delta: series name is not utf-8".into())
         })?;
         let delta = WalDelta {

@@ -1,10 +1,12 @@
 //! Property-based tests of the time-series codec and engine: round-trip
-//! identity over adversarial streams, sparse-index correctness, reopen
-//! equivalence, and golden byte fixtures pinning the on-disk formats
-//! (`TSB1` sealed block, `TST1` tail record, `TSW1` WAL delta).
+//! identity over adversarial streams, sparse-index correctness, resume
+//! and reopen equivalence, the byte-wise bit kernels against a
+//! bit-at-a-time reference, and golden byte fixtures pinning the on-disk
+//! formats (`TSB1` sealed block, `TST1` tail record, `TSW1` WAL delta).
 
 use std::sync::{Arc, Mutex};
 
+use aodb_store::tseries::bits::{BitReader, BitWriter};
 use aodb_store::tseries::{
     decode_block, decode_index, PointCompressor, SeriesStore, TsConfig, TsStore,
 };
@@ -49,6 +51,25 @@ fn materialize(start: u64, steps: &[(i64, f64)]) -> Vec<(u64, f64)> {
         .collect()
 }
 
+/// The bit-at-a-time reference the byte-wise kernels must match: one
+/// MSB-first bit per step, the low `count` bits of `value` only.
+fn reference_pack(fields: &[(u64, u8)]) -> (Vec<u8>, usize) {
+    let mut bytes = Vec::new();
+    let mut len_bits = 0usize;
+    for &(value, count) in fields {
+        for i in (0..count).rev() {
+            if len_bits.is_multiple_of(8) {
+                bytes.push(0);
+            }
+            if (value >> i) & 1 == 1 {
+                *bytes.last_mut().unwrap() |= 1 << (7 - len_bits % 8);
+            }
+            len_bits += 1;
+        }
+    }
+    (bytes, len_bits)
+}
+
 /// Bit-exact equality (NaN == NaN, -0.0 != 0.0): the storage engine must
 /// return exactly the bytes it was given.
 fn assert_points_identical(actual: &[(u64, f64)], expected: &[(u64, f64)]) {
@@ -76,6 +97,54 @@ proptest! {
         let block = comp.encode_block();
         let back = decode_block(&block).unwrap();
         assert_points_identical(&back, &points);
+    }
+
+    /// Resuming the durable image of any prefix and appending the rest
+    /// writes the same block as appending everything to one compressor.
+    #[test]
+    fn resumed_tail_continues_like_the_original(
+        start in any::<u64>(),
+        steps in proptest::collection::vec(step_strategy(), 0..120),
+    ) {
+        let points = materialize(start, &steps);
+        let mut whole = PointCompressor::new();
+        for &(ts, v) in &points {
+            whole.append(ts, v);
+        }
+        let expected = whole.encode_block();
+        let mut prefix = PointCompressor::new();
+        for cut in 0..=points.len() {
+            let mut resumed = PointCompressor::resume(&prefix.encode_block()).unwrap();
+            assert_eq!(resumed.index(), prefix.index(), "index at cut {}", cut);
+            for &(ts, v) in &points[cut..] {
+                resumed.append(ts, v);
+            }
+            assert_eq!(resumed.encode_block(), expected, "cut {}", cut);
+            if let Some(&(ts, v)) = points.get(cut) {
+                prefix.append(ts, v);
+            }
+        }
+    }
+
+    /// The byte-wise `push_bits`/`read_bits` kernels against the
+    /// bit-at-a-time reference: same bytes, same bit length, same fields
+    /// back, at every width from 0 to 64 and any alignment.
+    #[test]
+    fn bit_kernels_match_the_bitwise_reference(
+        fields in proptest::collection::vec((any::<u64>(), 0u8..65), 0..64),
+    ) {
+        let mut w = BitWriter::new();
+        for &(value, count) in &fields {
+            w.push_bits(value, count);
+        }
+        let (bytes, len_bits) = w.finish();
+        prop_assert_eq!((bytes.clone(), len_bits), reference_pack(&fields));
+        let mut r = BitReader::new(&bytes, len_bits);
+        for &(value, count) in &fields {
+            let masked = if count == 0 { 0 } else { value & (u64::MAX >> (64 - count)) };
+            prop_assert_eq!(r.read_bits(count), Some(masked));
+        }
+        prop_assert_eq!(r.remaining(), 0);
     }
 
     /// The sparse index must agree with a scalar recomputation — it is
@@ -135,7 +204,9 @@ proptest! {
     }
 
     /// Reopen equivalence: a fresh engine over the same backing store
-    /// sees exactly the committed stream and continues it seamlessly.
+    /// sees exactly the committed stream and continues it seamlessly —
+    /// down to the bytes of the tail record it writes next, which match
+    /// those of an engine that never restarted.
     #[test]
     fn engine_survives_reopen_mid_stream(
         start in any::<u64>(),
@@ -158,6 +229,13 @@ proptest! {
         ts.append_batch("s", &points[split..], b"after").unwrap();
         let back = ts.scan_range("s", 0, u64::MAX, 0).unwrap();
         assert_points_identical(&back, &points);
+
+        let unbroken: Arc<dyn StateStore> = Arc::new(MemStore::new());
+        let ts = TsStore::new(Arc::clone(&unbroken), config);
+        ts.append_batch("s", &points[..split], b"before").unwrap();
+        ts.append_batch("s", &points[split..], b"after").unwrap();
+        let tail = Key::with_sort("tseries", "s", "tail");
+        assert_eq!(backing.get(&tail).unwrap(), unbroken.get(&tail).unwrap());
     }
 }
 
