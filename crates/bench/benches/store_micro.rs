@@ -1,16 +1,13 @@
 //! Criterion micro-benchmarks of the storage substrate: in-memory and
-//! log-structured stores, codec framing, the tseries point codec, and
-//! the provisioned-throughput decorator's overhead.
+//! log-structured stores, codec framing, the tseries point codec and
+//! range scans.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use aodb_store::codec::{crc32, decode_state, encode_state, frame_record, parse_record};
 use aodb_store::tseries::{decode_block, PointCompressor, SeriesStore, TsConfig, TsStore};
-use aodb_store::{
-    Bytes, ExhaustionBehavior, Key, LogStore, LogStoreConfig, MemStore, ProvisionedConfig,
-    ProvisionedStore, StateStore,
-};
+use aodb_store::{Bytes, Key, LogStore, LogStoreConfig, MemStore, StateStore};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use serde::{Deserialize, Serialize};
 
@@ -238,39 +235,12 @@ fn bench_scan_range(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_provisioned(c: &mut Criterion) {
-    let store = ProvisionedStore::new(
-        MemStore::new(),
-        ProvisionedConfig {
-            read_units: u32::MAX,
-            write_units: u32::MAX,
-            burst_seconds: 1.0,
-            on_exhausted: ExhaustionBehavior::Block,
-            request_latency: Duration::ZERO,
-        },
-    );
-    let value = Bytes::from(vec![7u8; 512]);
-    let mut group = c.benchmark_group("provisioned_overhead");
-    group.throughput(Throughput::Elements(1));
-    let mut i = 0u64;
-    group.bench_function("put_512B_uncapped", |b| {
-        b.iter(|| {
-            i += 1;
-            store
-                .put(&Key::with_sort("t", "p", &format!("{i:08}")), value.clone())
-                .unwrap()
-        })
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_secs(1))
         .sample_size(20);
-    targets = bench_mem, bench_log, bench_codec, bench_point_codec, bench_scan_range,
-        bench_provisioned
+    targets = bench_mem, bench_log, bench_codec, bench_point_codec, bench_scan_range
 }
 criterion_main!(benches);

@@ -34,13 +34,13 @@ use aodb_chaos::{ChaosNetConfig, FaultPlan, ReferenceSeries, SeedReport, SpreadP
 use aodb_core::WritePolicy;
 use aodb_runtime::chaos::mix64;
 use aodb_runtime::{
-    ActorError, LatencyModel, NetConfig, Promise, Runtime, RuntimeBuilder, SendError, SiloId,
+    Actor, ActorError, LatencyModel, NetConfig, Promise, Runtime, RuntimeBuilder, SendError, SiloId,
 };
 use aodb_shm::messages::{ChannelStats, GetChannelStats, Ingest, QueryRange};
 use aodb_shm::types::{AggregateLevel, DataPoint, Threshold};
 use aodb_shm::{
-    provision, register_all, PhysicalSensorChannel, ShmClient, ShmEnv, Topology, TopologySpec,
-    VirtualSensorChannel,
+    provision, register_all, series_key, PhysicalSensorChannel, ShmClient, ShmEnv, Topology,
+    TopologySpec, VirtualSensorChannel,
 };
 use aodb_store::tseries::{SeriesStore, TsConfig, TsStore};
 use aodb_store::{FsyncPolicy, LogStore, LogStoreConfig, MemStore, StateStore, WalConfig};
@@ -489,11 +489,13 @@ impl Workload {
                 retry(|| target.ask(q))
             };
             self.note(format!("final range {key}"), digest(&hits));
-            let series = if is_virtual {
-                format!("shm.virtual-channel/{key}")
+            let type_name = if is_virtual {
+                VirtualSensorChannel::TYPE_NAME
             } else {
-                format!("shm.channel/{key}")
+                PhysicalSensorChannel::TYPE_NAME
             };
+            let mut series = String::new();
+            series_key(&mut series, type_name, &key);
             let recovered = p.series.recover(&series).unwrap().points;
             self.note(format!("final recover {series}"), recovered.to_string());
             for level in [AggregateLevel::Hour, AggregateLevel::Day] {

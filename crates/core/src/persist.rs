@@ -189,7 +189,7 @@ impl<S: PersistentState> Persisted<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aodb_store::{ExhaustionBehavior, MemStore, ProvisionedConfig, ProvisionedStore};
+    use aodb_store::{BurstWindow, ChaosStore, ChaosStoreConfig, MemStore};
     use serde::Deserialize;
     use std::time::Duration;
 
@@ -250,25 +250,31 @@ mod tests {
 
     #[test]
     fn throttled_save_is_recorded_not_fatal() {
-        let throttling = ProvisionedStore::new(
+        // Two writes of every three are throttled.
+        let throttling = Arc::new(ChaosStore::seeded(
             MemStore::new(),
-            ProvisionedConfig {
-                read_units: 100,
-                write_units: 1,
-                burst_seconds: 1.0,
-                on_exhausted: ExhaustionBehavior::Throttle,
-                request_latency: Duration::ZERO,
+            ChaosStoreConfig {
+                seed: 0,
+                error_burst: BurstWindow::OFF,
+                throttle_window: BurstWindow { period: 3, len: 2 },
+                error_per_mille: 0,
+                read_latency: Duration::ZERO,
+                write_latency: Duration::ZERO,
             },
-        );
-        let store: Arc<dyn StateStore> = Arc::new(throttling);
+        ));
+        let store: Arc<dyn StateStore> = Arc::clone(&throttling) as _;
         let mut p = cell(&store, WritePolicy::EveryChange);
-        // Burn the burst, then keep mutating: saves fail but state advances.
+        // Saves fail, but the state advances, and the next save that
+        // lands writes all of it.
         for i in 0..30 {
             p.mutate(|s| s.readings.push(i as f64));
         }
         assert_eq!(p.get().readings.len(), 30);
-        assert!(p.save_errors() > 0);
+        assert_eq!(p.save_errors(), 20);
         assert!(matches!(p.last_error(), Some(StoreError::Throttled)));
+        let saved = throttling.inner().get(&Key::new("test", "t1")).unwrap();
+        let saved: Temperature = codec::decode_state(&saved.unwrap()).unwrap();
+        assert_eq!(saved.readings.len(), 30);
     }
 
     #[test]

@@ -194,11 +194,11 @@ impl<T: Send, F: FnOnce(Vec<T>) + Send> SlotSink<T> for Mutex<Slots<T, F>> {
 /// the request) means the closure never runs; it is dropped with the last
 /// slot, so a [`gather`] promise resolves as [`PromiseError::Lost`].
 ///
-/// The canonical use, from the SHM platform's live-data query: an
-/// `Organization` actor receives `GetLiveData` with a reply sink, creates a
-/// collector over its channels whose completion closure forwards the
-/// aggregate into the original sink, and fans out `GetLatest` to every
-/// channel actor with collector slots as reply sinks. No actor ever blocks.
+/// The canonical use, from the cattle platform's geo query: `cows_near`
+/// holds the caller's reply sink, creates a collector over the index
+/// shards of the covered cells whose completion closure merges their
+/// postings into that sink, and asks every shard with a collector slot as
+/// its reply sink. No actor ever blocks.
 pub struct Collector<T, F: FnOnce(Vec<T>)> {
     inner: Arc<Mutex<Slots<T, F>>>,
 }

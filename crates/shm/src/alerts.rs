@@ -3,8 +3,8 @@
 //! requirement 5: customized alerts to users when thresholds are met).
 //!
 //! A separate actor (keyed by the organization key) keeps alert traffic
-//! off the organization actor, which serves structural queries and the
-//! live-data fan-out.
+//! off the organization actor, which serves structural queries and
+//! live-data reports.
 
 use std::collections::VecDeque;
 

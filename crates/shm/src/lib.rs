@@ -8,7 +8,7 @@
 //!
 //! | Actor | Role | Non-actor objects it encapsulates |
 //! |---|---|---|
-//! | [`Organization`] | Tenant; structural registry; live-data fan-out | `Project`, `User` |
+//! | [`Organization`] | Tenant; structural registry; live data from the series store | `Project`, `User` |
 //! | [`Sensor`] | Relocatable device metadata | position |
 //! | [`PhysicalSensorChannel`] | One raw data stream: series, accumulated change, thresholds | `DataPoint`s |
 //! | [`VirtualSensorChannel`] | Equation over physical channels | derived `DataPoint`s |
@@ -71,7 +71,7 @@ pub use auth::{AccessError, AccessLevel, SecureShmClient, SessionToken, TenantGu
 pub use env::ShmEnv;
 pub use gateway::IngestGateway;
 pub use organization::Organization;
-pub use physical::PhysicalSensorChannel;
+pub use physical::{series_key, PhysicalSensorChannel};
 pub use platform::{
     provision, register_all, OrgTopology, SensorTopology, ShmClient, Topology, TopologySpec,
 };

@@ -50,7 +50,7 @@ impl Message for RegisterSensor {
     type Reply = ();
 }
 
-/// Registers a (physical or virtual) channel for live-data fan-out.
+/// Registers a (physical or virtual) channel for live-data reports.
 pub struct RegisterChannel {
     /// Channel actor key.
     pub channel: String,
@@ -64,11 +64,11 @@ impl Message for RegisterChannel {
 /// Live view over all of the organization's channels (functional
 /// requirement 7; the paper's "live data request" in Figure 9).
 ///
-/// The reply is produced by scatter/gather over the channels, so it cannot
-/// be returned synchronously from the handler: the reply sink travels in
-/// the message. Use [`crate::ShmClient::live_data`] for the ergonomic form.
+/// The organization answers in its own turn, reading each channel's last
+/// point from the series store; the reply sink travels in the message.
+/// Use [`crate::ShmClient::live_data`] for the ergonomic form.
 pub struct GetLiveData {
-    /// Where the gathered report goes.
+    /// Where the report goes.
     pub reply: ReplyTo<LiveDataReport>,
 }
 impl Message for GetLiveData {
@@ -244,13 +244,6 @@ pub struct PushDerived {
 }
 impl Message for PushDerived {
     type Reply = ();
-}
-
-/// Most recent data point of a channel (live-data building block).
-#[derive(Clone, Copy)]
-pub struct GetLatest;
-impl Message for GetLatest {
-    type Reply = Option<DataPoint>;
 }
 
 /// Raw time-range query over a channel's series, points in the order

@@ -5,19 +5,21 @@
 //! encapsulated in organization state — projects are passive structural
 //! schemes, so separate actors would only add messaging overhead.
 
-use std::cell::OnceCell;
+use std::sync::Arc;
 
-use aodb_runtime::{Actor, ActorContext, ActorRef, Collector, Handler};
+use aodb_runtime::{Actor, ActorContext, Handler, PromiseError};
+use aodb_store::tseries::SeriesStore;
+use aodb_store::StoreResult;
 use serde::{Deserialize, Serialize};
 
 use crate::env::ShmEnv;
 use crate::messages::{
-    AddProject, AddUser, GetLatest, GetLiveData, GetOrgInfo, InitOrg, LiveDataReport, OrgInfo,
+    AddProject, AddUser, GetLiveData, GetOrgInfo, InitOrg, LiveDataReport, OrgInfo,
     RegisterChannel, RegisterSensor,
 };
-use crate::physical::PhysicalSensorChannel;
-use crate::types::{Project, User};
-use crate::virtual_channel::VirtualSensorChannel;
+use crate::physical::{series_key, sidecar_from_meta, ChannelSideCar, PhysicalSensorChannel};
+use crate::types::{DataPoint, Project, User};
+use crate::virtual_channel::{VirtualSensorChannel, VirtualSideCar};
 use aodb_core::Persisted;
 
 #[derive(Default, Serialize, Deserialize)]
@@ -26,25 +28,18 @@ pub(crate) struct OrgState {
     users: Vec<User>,
     projects: Vec<Project>,
     sensors: Vec<String>,
-    /// `(channel key, is_virtual)` — virtuality decides which actor type
-    /// the live-data fan-out addresses.
+    /// `(channel key, is_virtual)` — virtuality decides which series and
+    /// which side-car layout hold the channel's latest point.
     channels: Vec<(String, bool)>,
-}
-
-/// A channel's actor reference, resolved by the first live-data fan-out
-/// that addresses it.
-enum ChannelRef {
-    Physical(OnceCell<ActorRef<PhysicalSensorChannel>>),
-    Virtual(OnceCell<ActorRef<VirtualSensorChannel>>),
 }
 
 /// The organization (tenant) actor.
 pub struct Organization {
     state: Persisted<OrgState>,
-    /// References to `state.channels`, index for index, minted once (the
-    /// live-data fan-out addresses every channel on every request) and
-    /// caught up at the start of each fan-out.
-    channel_refs: Vec<ChannelRef>,
+    /// The store holding every channel's series.
+    series: Arc<dyn SeriesStore>,
+    /// Scratch: the series name a live-data read is looking up.
+    series_key: String,
 }
 
 impl Organization {
@@ -52,38 +47,38 @@ impl Organization {
     pub fn register(rt: &aodb_runtime::Runtime, env: ShmEnv) {
         rt.register(move |id| Organization {
             state: env.persisted_structural(Self::TYPE_NAME, &id.key),
-            channel_refs: Vec::new(),
+            series: Arc::clone(&env.series),
+            series_key: String::new(),
         });
     }
+}
 
-    /// Adds a cell for every channel registered since the last call
-    /// (channels are only ever appended), so `channel_refs` lines up
-    /// with `state.channels` again.
-    fn catch_up_channel_refs(&mut self) {
-        let channels = &self.state.get().channels;
-        let known = self.channel_refs.len();
-        self.channel_refs
-            .extend(channels[known..].iter().map(|(_, is_virtual)| {
-                if *is_virtual {
-                    ChannelRef::Virtual(OnceCell::new())
-                } else {
-                    ChannelRef::Physical(OnceCell::new())
-                }
-            }));
-    }
+/// The last point of channel `key`, as its series holds it: `stats.last`
+/// of the side-car the series' last applied append carried, decoded with
+/// the channel kind's own decoder. `None` for a channel without points.
+fn last_point(
+    series: &dyn SeriesStore,
+    series_name: &mut String,
+    key: &str,
+    is_virtual: bool,
+) -> StoreResult<Option<DataPoint>> {
+    let type_name = if is_virtual {
+        VirtualSensorChannel::TYPE_NAME
+    } else {
+        PhysicalSensorChannel::TYPE_NAME
+    };
+    let meta = series
+        .recover(series_key(series_name, type_name, key))?
+        .meta;
+    Ok(if is_virtual {
+        sidecar_from_meta(&meta, VirtualSideCar::decode)?.stats.last
+    } else {
+        sidecar_from_meta(&meta, ChannelSideCar::decode)?.stats.last
+    })
 }
 
 impl Actor for Organization {
     const TYPE_NAME: &'static str = "shm.organization";
-    fn declared_calls() -> &'static [aodb_runtime::CallDecl] {
-        // Live-data fan-out over the org's channels (collector slots, so
-        // the turn never blocks).
-        const CALLS: &[aodb_runtime::CallDecl] = &[
-            aodb_runtime::CallDecl::send("shm.virtual-channel"),
-            aodb_runtime::CallDecl::send("shm.channel"),
-        ];
-        CALLS
-    }
 
     fn on_activate(&mut self, _ctx: &mut ActorContext<'_>) {
         self.state.load_or_default();
@@ -149,44 +144,21 @@ impl Handler<RegisterChannel> for Organization {
 }
 
 impl Handler<GetLiveData> for Organization {
-    /// The paper's "live data request": most recent values from **all**
-    /// sensor channels of the organization. Implemented as a non-blocking
-    /// scatter/gather — the organization's turn ends immediately; the
-    /// collector assembles the report as channel replies arrive and
-    /// resolves the caller's promise from whichever worker thread delivers
-    /// the last one.
-    fn handle(&mut self, msg: GetLiveData, ctx: &mut ActorContext<'_>) {
-        self.catch_up_channel_refs();
+    /// The paper's "live data request": the most recent value of **all**
+    /// sensor channels of the organization, read in this turn from the
+    /// series store (DESIGN §13). A channel whose series cannot be
+    /// recovered or whose side-car does not decode aborts the whole
+    /// report with `Lost`: a defaulted point would be a wrong answer.
+    fn handle(&mut self, msg: GetLiveData, _ctx: &mut ActorContext<'_>) {
         let channels = &self.state.get().channels;
-        // The report owns its channel names: one copy per request, moved
-        // into the report beside the replies, which the collector hands
-        // over in slot order — the order of `channels`.
-        let names: Vec<String> = channels.iter().map(|(c, _)| c.clone()).collect();
-        let collector = Collector::new(
-            channels.len(),
-            move |latest: Vec<Option<crate::types::DataPoint>>| {
-                let channels = names.into_iter().zip(latest).collect();
-                msg.reply.deliver(LiveDataReport { channels });
-            },
-        );
-        for ((name, _), target) in channels.iter().zip(&self.channel_refs) {
-            let slot = collector.slot();
-            // A send refused in a shutdown race takes this channel's
-            // slot down with it, so the overall reply resolves as Lost,
-            // which is correct.
-            let _ = match target {
-                ChannelRef::Physical(cell) => {
-                    let channel =
-                        cell.get_or_init(|| ctx.actor_ref::<PhysicalSensorChannel>(name.as_str()));
-                    channel.ask_with(GetLatest, slot)
-                }
-                ChannelRef::Virtual(cell) => {
-                    let channel =
-                        cell.get_or_init(|| ctx.actor_ref::<VirtualSensorChannel>(name.as_str()));
-                    channel.ask_with(GetLatest, slot)
-                }
-            };
+        let mut report = Vec::with_capacity(channels.len());
+        for (key, is_virtual) in channels {
+            match last_point(&*self.series, &mut self.series_key, key, *is_virtual) {
+                Ok(last) => report.push((key.clone(), last)),
+                Err(_) => return msg.reply.abort(PromiseError::Lost),
+            }
         }
+        msg.reply.deliver(LiveDataReport { channels: report });
     }
 }
 

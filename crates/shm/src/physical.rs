@@ -21,8 +21,8 @@ use crate::aggregator::{aggregator_key, Aggregator};
 use crate::alerts::AlertLog;
 use crate::env::ShmEnv;
 use crate::messages::{
-    ChannelStats, ConfigureChannel, GetChannelStats, GetLatest, Ingest, PushAlert, PushDerived,
-    QueryRange, RecordSamples,
+    ChannelStats, ConfigureChannel, GetChannelStats, Ingest, PushAlert, PushDerived, QueryRange,
+    RecordSamples,
 };
 use crate::sidecar;
 use crate::types::{
@@ -91,13 +91,13 @@ impl RunningStats {
 }
 
 /// The channel's data plane. It lives in memory, is recovered from the
-/// series' committed metadata (see [`ChannelCache::recovered`]), and is
+/// series' metadata (see [`ChannelCache::recovered`]), and is
 /// written only as the metadata of the append that carries the points it
 /// describes — so a dedup watermark is never durable without its points,
 /// or ahead of them.
 #[derive(Default)]
 pub(crate) struct ChannelSideCar {
-    stats: RunningStats,
+    pub(crate) stats: RunningStats,
     /// Hysteresis flags so a sustained breach raises one alert, not one
     /// per sample.
     breaching_high: bool,
@@ -211,7 +211,7 @@ impl ChannelSideCar {
         }
     }
 
-    fn decode(bytes: &[u8]) -> StoreResult<Self> {
+    pub(crate) fn decode(bytes: &[u8]) -> StoreResult<Self> {
         Reader::whole(bytes, "channel side-car", |r| {
             r.tag(sidecar::FORMAT)?;
             Ok(ChannelSideCar {
@@ -248,6 +248,33 @@ pub(crate) fn abort_reply<R: Default + Send + 'static>(ctx: &mut ActorContext<'_
     R::default()
 }
 
+/// The name of the series that holds the points and side-car of channel
+/// `channel_key` of actor type `type_name`, written into `out` (replacing
+/// its contents) and returned. Type-prefixed, so physical and virtual
+/// channels with the same key stay isolated.
+pub fn series_key<'a>(out: &'a mut String, type_name: &str, channel_key: &str) -> &'a str {
+    out.clear();
+    out.reserve(type_name.len() + 1 + channel_key.len());
+    out.push_str(type_name);
+    out.push('/');
+    out.push_str(channel_key);
+    out
+}
+
+/// A channel's side-car from the meta its series holds: the fresh side-car
+/// for an empty meta (a series without an append), `decode`'s verdict
+/// otherwise.
+pub(crate) fn sidecar_from_meta<T: Default>(
+    meta: &[u8],
+    decode: fn(&[u8]) -> StoreResult<T>,
+) -> StoreResult<T> {
+    if meta.is_empty() {
+        Ok(T::default())
+    } else {
+        decode(meta)
+    }
+}
+
 /// What a channel actor (physical or virtual) keeps per activation so
 /// that its hot turns stop re-deriving it per message: its series, the
 /// strings its identity fixes for good and the buffers an append reuses.
@@ -260,8 +287,7 @@ pub(crate) struct ChannelCache {
     /// The actor key as text (shared: a physical channel names itself as
     /// the `source` of every derived-stream push).
     pub channel_key: Arc<str>,
-    /// The channel's series name: type-prefixed so physical and virtual
-    /// channels with the same key stay isolated.
+    /// The channel's series name (see [`series_key`]).
     pub series_key: String,
     /// Scratch: the batch being appended, in the engine's point type.
     pub points: Vec<(u64, f64)>,
@@ -272,9 +298,11 @@ pub(crate) struct ChannelCache {
 impl ChannelCache {
     pub fn new(env: &ShmEnv, type_name: &str, key: &ActorKey) -> Self {
         let channel_key: Arc<str> = key.to_string().into();
+        let mut series_name = String::new();
+        series_key(&mut series_name, type_name, &channel_key);
         ChannelCache {
             series: Arc::clone(&env.series),
-            series_key: format!("{type_name}/{channel_key}"),
+            series_key: series_name,
             channel_key,
             points: Vec::new(),
             meta: Vec::new(),
@@ -282,26 +310,22 @@ impl ChannelCache {
     }
 
     /// The data plane in `slot`, recovered first when the slot is empty:
-    /// the side-car committed with the series' last append, or a fresh
-    /// one for a series without any. `None` while the series store cannot
-    /// deliver it (a backing read error, a corrupt or unsupported record):
-    /// a channel never admits, appends or answers against a defaulted data
-    /// plane, and its next turn tries again.
+    /// the side-car of the series' last applied append, or a fresh one
+    /// for a series without any (see [`sidecar_from_meta`]). `None`
+    /// while the series store cannot deliver it (a backing read error, a
+    /// corrupt or unsupported record): a channel never admits, appends or
+    /// answers against a defaulted data plane, and its next turn tries
+    /// again.
     pub fn recovered<'a, T: Default>(
         &self,
         slot: &'a mut Option<T>,
         decode: fn(&[u8]) -> StoreResult<T>,
     ) -> Option<&'a mut T> {
         if slot.is_none() {
-            let recovery = self.series.recover(&self.series_key);
-            *slot = recovery
-                .and_then(|rec| {
-                    if rec.meta.is_empty() {
-                        Ok(T::default())
-                    } else {
-                        decode(&rec.meta)
-                    }
-                })
+            *slot = self
+                .series
+                .recover(&self.series_key)
+                .and_then(|rec| sidecar_from_meta(&rec.meta, decode))
                 .ok();
         }
         slot.as_mut()
@@ -498,15 +522,6 @@ impl PhysicalSensorChannel {
                 ctx.actor_ref::<Aggregator>(aggregator_key(channel_key, AggregateLevel::Hour))
             });
             let _ = agg.tell(RecordSamples { points });
-        }
-    }
-}
-
-impl Handler<GetLatest> for PhysicalSensorChannel {
-    fn handle(&mut self, _msg: GetLatest, ctx: &mut ActorContext<'_>) -> Option<DataPoint> {
-        match self.cache.recovered(&mut self.data, ChannelSideCar::decode) {
-            Some(data) => data.stats.last,
-            None => abort_reply(ctx),
         }
     }
 }

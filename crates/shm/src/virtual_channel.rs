@@ -17,8 +17,7 @@ use serde::{Deserialize, Serialize};
 use crate::aggregator::{aggregator_key, Aggregator};
 use crate::env::ShmEnv;
 use crate::messages::{
-    ChannelStats, ConfigureVirtual, GetChannelStats, GetLatest, PushDerived, QueryRange,
-    RecordSamples,
+    ChannelStats, ConfigureVirtual, GetChannelStats, PushDerived, QueryRange, RecordSamples,
 };
 use crate::physical::{abort_reply, ChannelCache, RunningStats};
 use crate::sidecar;
@@ -51,7 +50,7 @@ impl Default for VirtualState {
 /// restart with the derived points they produced.
 #[derive(Default)]
 pub(crate) struct VirtualSideCar {
-    stats: RunningStats,
+    pub(crate) stats: RunningStats,
     /// Latest value seen per input (equation operands).
     latest_inputs: Vec<Option<f64>>,
 }
@@ -70,7 +69,7 @@ impl VirtualSideCar {
         }
     }
 
-    fn decode(bytes: &[u8]) -> StoreResult<Self> {
+    pub(crate) fn decode(bytes: &[u8]) -> StoreResult<Self> {
         Reader::whole(bytes, "virtual side-car", |r| {
             r.tag(sidecar::FORMAT)?;
             Ok(VirtualSideCar {
@@ -181,8 +180,9 @@ impl Handler<PushDerived> for VirtualSensorChannel {
         // The physical channel's pattern: the engine makes the append
         // durable at group commit, off this worker, and the turn ends
         // without waiting for it — so the derived points are visible to
-        // `GetLatest` and `QueryRange` before they are durable. Last in
-        // the turn, after the fan-out is enqueued. The push is a `tell`:
+        // live data, stats and `QueryRange` once this turn has run, before
+        // they are durable (DESIGN §13). Last in the turn, after the
+        // aggregator send is enqueued. The push is a `tell`:
         // a failed append has no caller to abort, and as on the physical
         // path the points stay in the engine's in-memory tail until its
         // next committed record carries them.
@@ -208,15 +208,6 @@ impl VirtualSensorChannel {
             let _ = agg.tell(RecordSamples {
                 points: derived.into(),
             });
-        }
-    }
-}
-
-impl Handler<GetLatest> for VirtualSensorChannel {
-    fn handle(&mut self, _msg: GetLatest, ctx: &mut ActorContext<'_>) -> Option<DataPoint> {
-        match self.cache.recovered(&mut self.data, VirtualSideCar::decode) {
-            Some(data) => data.stats.last,
-            None => abort_reply(ctx),
         }
     }
 }

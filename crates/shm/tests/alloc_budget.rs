@@ -1,11 +1,11 @@
 //! Allocation budgets of one acked channel ingest and of one live-data
-//! fan-out, as counts.
+//! request, as counts.
 //!
 //! A counting `#[global_allocator]` tallies allocator calls per thread;
 //! the tests drive requests through the real stack — channel turn,
 //! side-car encode, `TsStore::with_wal` delta append, deferred ack from
-//! the WAL committer, aggregator turn; organization turn, one `GetLatest`
-//! turn per channel, collector completion — and read the tally of the
+//! the WAL committer, aggregator turn; organization turn, one series
+//! read and side-car decode per channel — and read the tally of the
 //! silo worker threads only (the client and the committer have their own
 //! costs, which are not what a turn costs a worker). A count, unlike a
 //! timing, is the same on every host and every run — the tests check
@@ -146,12 +146,13 @@ const MEASURED: u64 = 40;
 /// message.
 const BUDGET: u64 = 6;
 /// Worker-thread allocator calls one live-data request may cost per
-/// channel of the organization — the `GetLatest` envelope and the name
-/// the report owns; a collector slot and a channel reference cost none —
-/// and per request whatever the channel count: the organization's and
-/// the collector's vectors, the collector's shared state, the report.
+/// channel of the organization — the meta copy the series read returns
+/// and the name the report owns; the series name is built in the
+/// organization's reused buffer — and per request whatever the channel
+/// count: the report's vector, and the two the request costs outside
+/// the handler (an empty handler measures those).
 const LIVE_BUDGET_PER_CHANNEL: u64 = 2;
-const LIVE_BUDGET_PER_REQUEST: u64 = 8;
+const LIVE_BUDGET_PER_REQUEST: u64 = 3;
 const LIVE_REQUESTS: u64 = 20;
 
 /// The tallies are process-wide: one measurement at a time.
@@ -366,8 +367,7 @@ fn live_data_fan_out_stays_within_its_allocation_budget() {
         calls,
         "the same requests must cost the same allocator calls on every run"
     );
-    // The held organization reference, then the organization's held
-    // channel references.
+    // The held organization reference; the organization sends nothing.
     assert_eq!(
         looked_up, 0,
         "directory lookups for {LIVE_REQUESTS} live-data requests"

@@ -7,10 +7,13 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use aodb_runtime::Runtime;
+use aodb_runtime::{Actor, PromiseError, Runtime};
 use aodb_shm::messages::Ingest;
 use aodb_shm::types::{AggregateLevel, DataPoint};
-use aodb_shm::{provision, register_all, ShmClient, ShmEnv, Topology, TopologySpec};
+use aodb_shm::{
+    provision, register_all, series_key, PhysicalSensorChannel, ShmClient, ShmEnv, Topology,
+    TopologySpec,
+};
 use aodb_store::tseries::engine::AppendAck;
 use aodb_store::tseries::{AppendOutcome, SeriesRecovery, SeriesStore, TsConfig, TsStore};
 use aodb_store::{Bytes, Key, MemStore, StateStore, StoreError, StoreResult};
@@ -262,6 +265,80 @@ fn unrecovered_channel_aborts_until_its_series_is_read() {
         .unwrap();
     let aggregated: u64 = hour.iter().map(|(_, agg)| agg.count).sum();
     assert_eq!(aggregated, 40, "the aborted ingest was fanned out");
+    rt.shutdown();
+}
+
+/// A live-data report shows each channel's last *applied* point: a
+/// batch whose append failed (and whose ack aborted) is in the report
+/// until a reopen from the backing store, which never held it.
+#[test]
+fn live_data_shows_an_applied_point_until_a_reopen_drops_it() {
+    let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
+    let backing = FailOnce::new();
+    // No virtual channel: its derived append writes through the same
+    // backing store and could consume the injected failure first.
+    let spec = TopologySpec {
+        virtual_every: 0,
+        ..TopologySpec::default()
+    };
+    let (rt, topology, _) = tseries_platform(&store, engine(&backing.backing()), 1, spec);
+    let client = ShmClient::new(rt.handle());
+    let org = topology.orgs[0].key.clone();
+    let channel = topology.physical_channels().next().unwrap().to_string();
+    let latest = |client: &ShmClient| {
+        let report = client
+            .live_data(&org)
+            .unwrap()
+            .wait_for(Duration::from_secs(5))
+            .unwrap();
+        let (_, last) = report.channels.iter().find(|(c, _)| *c == channel).unwrap();
+        *last
+    };
+
+    let acked = client.ingest(&channel, vec![dp(0, 1.0)]).unwrap().wait();
+    assert_eq!(acked, Ok(1));
+    backing.fail_next_put.store(true, Ordering::SeqCst);
+    let failed = client
+        .ingest(&channel, vec![dp(10, 2.0), dp(20, 3.0)])
+        .unwrap()
+        .wait_for(Duration::from_secs(5));
+    assert!(failed.is_err(), "the put failed, yet the batch was acked");
+    assert_eq!(latest(&client), Some(dp(20, 3.0)), "applied, not durable");
+    rt.shutdown();
+
+    // A new runtime over a fresh engine reads the series back from the
+    // backing store, whose last committed record is the first batch's.
+    let rt = Runtime::single(4);
+    let series = Arc::new(engine(&backing.backing()));
+    register_all(
+        &rt,
+        ShmEnv::paper_default(Arc::clone(&store)).with_series_store(series),
+    );
+    assert_eq!(latest(&ShmClient::new(rt.handle())), Some(dp(0, 1.0)));
+    rt.shutdown();
+}
+
+/// A side-car that does not decode fails the whole live-data report; it
+/// is never read as a channel without points.
+#[test]
+fn corrupt_side_car_aborts_the_live_data_report() {
+    let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
+    let (rt, topology, engine) =
+        tseries_platform(&store, engine(&store), 1, TopologySpec::default());
+    let client = ShmClient::new(rt.handle());
+    let org = topology.orgs[0].key.as_str();
+    let channel = topology.physical_channels().next().unwrap();
+    let mut name = String::new();
+    let name = series_key(&mut name, PhysicalSensorChannel::TYPE_NAME, channel);
+    engine
+        .append_batch(name, &[(0, 1.0)], b"not a side-car")
+        .unwrap();
+
+    let report = client
+        .live_data(org)
+        .unwrap()
+        .wait_for(Duration::from_secs(5));
+    assert_eq!(report.map(|r| r.channels), Err(PromiseError::Lost));
     rt.shutdown();
 }
 

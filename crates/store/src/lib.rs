@@ -10,11 +10,10 @@
 //! * [`LogStore`] — durable log-structured store: CRC-framed write-ahead
 //!   log, in-memory index, snapshot compaction, crash recovery with
 //!   torn-tail truncation.
-//! * [`ProvisionedStore`] — a decorator reproducing DynamoDB's provisioned
-//!   read/write capacity units, burst credit, throttling, and request
-//!   latency (the paper provisions 200 RCU / 200 WCU).
 //! * [`ChaosStore`] — a seeded fault-injecting decorator (error bursts,
-//!   throttle windows, latency) for crash/recovery testing.
+//!   throttle windows, latency) for crash/recovery testing; its throttle
+//!   windows are the one model of DynamoDB's exhausted capacity
+//!   ([`StoreError::Throttled`]).
 //! * [`GroupWal`] — group-commit write-ahead log: a single committer
 //!   thread coalesces frames from concurrent turns into one write + one
 //!   fsync per group and resolves acks post-durability, with injectable
@@ -33,7 +32,6 @@ mod chaos;
 pub mod codec;
 mod log;
 mod mem;
-mod provisioned;
 pub mod tseries;
 pub mod wal;
 
@@ -45,11 +43,6 @@ pub use tseries::{AppendOutcome, SeriesRecovery, SeriesStats, SeriesStore, TsCon
 pub use wal::{
     CrashPlan, CrashPoint, FsyncPolicy, GroupWal, MemMedia, WalConfig, WalMedia, WalStatsSnapshot,
     WalTicket,
-};
-
-pub use provisioned::{
-    ExhaustionBehavior, ProvisionedConfig, ProvisionedStats, ProvisionedStore, READ_UNIT_BYTES,
-    WRITE_UNIT_BYTES,
 };
 
 pub use bytes::Bytes;

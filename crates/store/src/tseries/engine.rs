@@ -131,10 +131,14 @@ pub struct AppendOutcome {
 /// What recovery found for a series.
 #[derive(Clone, Debug, Default)]
 pub struct SeriesRecovery {
-    /// The caller metadata blob from the last committed append (empty
-    /// for a fresh series).
+    /// The caller metadata blob of the last *applied* append (empty for
+    /// a fresh series). Applied is not durable: an append sets it under
+    /// the series lock before it commits — before the tail-record put
+    /// without a WAL, before its delta's group commit with one — and an
+    /// append whose commit fails leaves it set until a reopen, which
+    /// reads the last committed one back.
     pub meta: Bytes,
-    /// Total durable points (sealed + tail).
+    /// Total applied points (sealed + tail), as of the same append.
     pub points: u64,
 }
 
@@ -210,8 +214,9 @@ pub trait SeriesStore: Send + Sync + 'static {
     fn seal(&self, series: &str) -> StoreResult<()>;
 
     /// Loads the series from the backing store (idempotent; appends and
-    /// scans also recover lazily) and returns the committed metadata and
-    /// point count.
+    /// scans also recover lazily) and returns the metadata of the last
+    /// applied append, which may not be durable yet (see
+    /// [`SeriesRecovery::meta`]), and the point count.
     fn recover(&self, series: &str) -> StoreResult<SeriesRecovery>;
 }
 

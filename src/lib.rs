@@ -13,7 +13,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`runtime`] | `aodb-runtime` | virtual actors, silos, placement, simulated network, metrics |
-//! | [`store`] | `aodb-store` | `MemStore`, `LogStore` (WAL + snapshots), provisioned throughput |
+//! | [`store`] | `aodb-store` | `MemStore`, `LogStore` (WAL + snapshots), group-commit WAL, time series, fault injection |
 //! | [`core`] | `aodb-core` | persistence, indexes, 2PC transactions, workflows, versioned objects |
 //! | [`shm`] | `aodb-shm` | the Structural Health Monitoring platform (paper Figure 4) |
 //! | [`cattle`] | `aodb-cattle` | the beef tracking & tracing platform (paper Figures 3 & 5) |
