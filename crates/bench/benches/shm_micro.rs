@@ -34,10 +34,9 @@ fn bench_ingest(c: &mut Criterion) {
     group.throughput(Throughput::Elements(10)); // points per request
 
     {
-        // Plain channel: no virtual subscriber, no aggregates.
+        // Plain channel: no virtual subscriber.
         let spec = TopologySpec {
             virtual_every: 0,
-            aggregates: false,
             ..Default::default()
         };
         let (rt, topology, client) = build(spec, 2);
@@ -54,7 +53,7 @@ fn bench_ingest(c: &mut Criterion) {
         rt.shutdown();
     }
     {
-        // Full paper path: virtual subscriber + hourly aggregation.
+        // Full paper path: a virtual subscriber.
         let (rt, topology, client) = build(TopologySpec::default(), 2);
         let sensor = &topology.orgs[0].sensors[0];
         assert!(sensor.virtual_channel.is_some());

@@ -174,7 +174,8 @@ fn bench_point_codec(c: &mut Criterion) {
 /// the KV blob (decode the whole state, filter the window) and the
 /// tseries engine (sparse-index block skipping into sealed blocks). The
 /// narrow scans are where the index pays — the KV blob must still decode
-/// everything.
+/// everything. The `scan_from` rows are the append-order reads an
+/// aggregator makes: a cold fold and a tail catch-up.
 fn bench_scan_range(c: &mut Criterion) {
     const N: u64 = 100_000;
     // Quantized 10 Hz sensor signal, same as the ingest experiment.
@@ -210,6 +211,24 @@ fn bench_scan_range(c: &mut Criterion) {
         b.iter(|| {
             let hits = ts.scan_range("s", from, to, 0).unwrap();
             assert_eq!(hits.len(), 1_000);
+            hits
+        })
+    });
+    // An aggregator's reads of its channel's series: the first query
+    // after a restart reads all of it from position 0; a later one only
+    // what was appended since (here the last 100 points, all in the
+    // open tail behind 195 sealed blocks).
+    group.bench_function("tseries_scan_from_cold_100k", |b| {
+        b.iter(|| {
+            let hits = ts.scan_from("s", 0, 0).unwrap();
+            assert_eq!(hits.len(), N as usize);
+            hits
+        })
+    });
+    group.bench_function("tseries_scan_from_tail_100_of_100k", |b| {
+        b.iter(|| {
+            let hits = ts.scan_from("s", N - 100, 0).unwrap();
+            assert_eq!(hits.len(), 100);
             hits
         })
     });

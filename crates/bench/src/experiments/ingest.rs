@@ -140,7 +140,6 @@ fn drive_ingest(rt: &Runtime, channels: &[String], points_per_channel: u64) -> f
                 sensor: "org-bench/s-0".into(),
                 threshold: Threshold::default(),
                 subscribers: Vec::new(),
-                aggregates: false,
             })
             .expect("configure channel");
     }

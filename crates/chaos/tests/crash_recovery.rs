@@ -37,7 +37,6 @@ fn configure(rt: &Runtime, channel: &str) {
             sensor: "org-0/s-0".into(),
             threshold: Threshold::default(),
             subscribers: Vec::new(),
-            aggregates: false,
         })
         .unwrap();
 }

@@ -14,7 +14,10 @@
 //! each leg's stores from what they left behind. Along the way it reads
 //! raw ranges, stats, live data, aggregate buckets and the alert log.
 //! Each leg writes a transcript of every reply; the engine legs must
-//! reproduce the reference's transcript line for line.
+//! reproduce the reference's transcript line for line. Every leg runs
+//! the paper-default environment, and its final sweep checks one
+//! invariant on its own: each hour and day bucket equals the fold of the
+//! channel's points at that width.
 //!
 //! The transcript is a pure function of the seed: one client thread
 //! sends, waits for the reply (retransmitting what the network lost) and
@@ -31,13 +34,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use aodb_chaos::{ChaosNetConfig, FaultPlan, ReferenceSeries, SeedReport, SpreadPlacement};
-use aodb_core::WritePolicy;
 use aodb_runtime::chaos::mix64;
 use aodb_runtime::{
     Actor, ActorError, LatencyModel, NetConfig, Promise, Runtime, RuntimeBuilder, SendError, SiloId,
 };
 use aodb_shm::messages::{ChannelStats, GetChannelStats, Ingest, QueryRange};
-use aodb_shm::types::{AggregateLevel, DataPoint, Threshold};
+use aodb_shm::types::{Aggregate, AggregateLevel, DataPoint, Threshold};
 use aodb_shm::{
     provision, register_all, series_key, PhysicalSensorChannel, ShmClient, ShmEnv, Topology,
     TopologySpec, VirtualSensorChannel,
@@ -94,9 +96,8 @@ impl Disk {
         }
     }
 
-    /// Opens the leg's state and series stores. Channel configuration,
-    /// aggregates and alert logs are written on every change, so they
-    /// survive the kills as the series data does.
+    /// Opens the leg's state and series stores under the paper-default
+    /// environment.
     fn open(&self) -> (ShmEnv, Arc<dyn SeriesStore>) {
         let config = TsConfig::sealing_every(SEAL_POINTS);
         let (store, series): (Arc<dyn StateStore>, Arc<dyn SeriesStore>) = match self.leg {
@@ -115,8 +116,7 @@ impl Disk {
                 (log, Arc::new(ts.unwrap()))
             }
         };
-        let mut env = ShmEnv::paper_default(store).with_series_store(Arc::clone(&series));
-        env.data_policy = WritePolicy::EveryChange;
+        let env = ShmEnv::paper_default(store).with_series_store(Arc::clone(&series));
         (env, series)
     }
 }
@@ -203,6 +203,18 @@ fn digest(points: &[DataPoint]) -> String {
         points.first(),
         points.last()
     )
+}
+
+/// `points`, in order, folded into buckets of `level`'s width.
+fn fold(points: &[DataPoint], level: AggregateLevel) -> Vec<(u64, Aggregate)> {
+    let mut buckets = std::collections::BTreeMap::<u64, Aggregate>::new();
+    for p in points {
+        buckets
+            .entry(level.bucket_start(p.ts_ms))
+            .or_default()
+            .record(p.value);
+    }
+    buckets.into_iter().collect()
 }
 
 fn stats_line(s: ChannelStats) -> String {
@@ -429,7 +441,12 @@ impl Workload {
         self.aggregates_of(p, &key, level);
     }
 
-    fn aggregates_of(&mut self, p: &Platform, key: &str, level: AggregateLevel) {
+    fn aggregates_of(
+        &mut self,
+        p: &Platform,
+        key: &str,
+        level: AggregateLevel,
+    ) -> Vec<(u64, Aggregate)> {
         p.quiesce();
         let client = ShmClient::new(p.rt.handle());
         let buckets = retry(|| client.aggregates(key, level, 0, u64::MAX));
@@ -437,6 +454,7 @@ impl Workload {
             format!("aggregates {key} {level:?}"),
             format!("{buckets:?}"),
         );
+        buckets
     }
 
     fn alerts(&mut self, p: &Platform) {
@@ -464,7 +482,10 @@ impl Workload {
     }
 
     /// Every channel's stats, full range, series recovery and aggregate
-    /// pyramid, then the organization's alerts and live data.
+    /// pyramid, then the organization's alerts and live data. Each hour
+    /// and day bucket must equal the fold of the channel's points in the
+    /// final range at that width: aggregates are a function of the
+    /// series, whatever the kills did.
     fn sweep(&mut self, p: &Platform) {
         p.quiesce();
         let channels: Vec<(String, bool)> = self
@@ -499,7 +520,12 @@ impl Workload {
             let recovered = p.series.recover(&series).unwrap().points;
             self.note(format!("final recover {series}"), recovered.to_string());
             for level in [AggregateLevel::Hour, AggregateLevel::Day] {
-                self.aggregates_of(p, &key, level);
+                let buckets = self.aggregates_of(p, &key, level);
+                assert_eq!(
+                    buckets,
+                    fold(&hits, level),
+                    "{key} {level:?} buckets disagree with the channel's points"
+                );
             }
         }
         self.alerts(p);

@@ -53,7 +53,6 @@ proptest! {
             sensor: "org-0/s-0".into(),
             threshold: Threshold::default(),
             subscribers: Vec::new(),
-            aggregates: false,
         })
         .unwrap();
 

@@ -14,7 +14,6 @@ use aodb_cattle::model_b::{CreateCutB, CutHolder, TransferCutB};
 use aodb_cattle::types::MeatCutData;
 use aodb_cattle::CattleEnv;
 use aodb_chaos::{AckLedger, FaultPlan, SeedReport, SpreadPlacement};
-use aodb_core::WritePolicy;
 use aodb_runtime::{ActorError, Runtime, RuntimeBuilder, SiloId};
 use aodb_shm::messages::{ConfigureChannel, Ingest};
 use aodb_shm::types::{DataPoint, Threshold};
@@ -63,12 +62,9 @@ fn run_fleet(seed: u64) -> (Vec<(String, u64)>, Vec<(Vec<u8>, Vec<u8>)>) {
         .placement(SpreadPlacement)
         .chaos(plan)
         .build();
-    let mut env = ShmEnv::paper_default(store.clone());
-    // Channel configuration is written when it is set: deferred to
-    // deactivation, a silo kill would decide by timing which channels'
-    // blobs make it into the dump.
-    env.data_policy = WritePolicy::EveryChange;
-    register_all(&rt, env);
+    // Every SHM state blob is written when it is set, so no silo kill
+    // decides by timing which channels' blobs make it into the dump.
+    register_all(&rt, ShmEnv::paper_default(store.clone()));
 
     let channels: Vec<String> = (0..CHANNELS).map(|i| format!("org-0/s-{i}/c-0")).collect();
     for c in &channels {
@@ -80,7 +76,6 @@ fn run_fleet(seed: u64) -> (Vec<(String, u64)>, Vec<(Vec<u8>, Vec<u8>)>) {
                         sensor: format!("org-0/s-{c}"),
                         threshold: Threshold::default(),
                         subscribers: Vec::new(),
-                        aggregates: false,
                     });
             match outcome {
                 Ok(()) => break,

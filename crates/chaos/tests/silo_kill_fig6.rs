@@ -88,7 +88,6 @@ fn silo_kill_under_mixed_workload_conserves_acknowledged_writes() {
                         sensor: format!("org-0/s-{c}"),
                         threshold: Threshold::default(),
                         subscribers: Vec::new(),
-                        aggregates: false,
                     });
             match outcome {
                 Ok(()) => break,

@@ -89,7 +89,6 @@ fn silo_kill_with_tseries_backend_conserves_acknowledged_writes() {
                         sensor: format!("org-0/s-{c}"),
                         threshold: Threshold::default(),
                         subscribers: Vec::new(),
-                        aggregates: false,
                     });
             match outcome {
                 Ok(()) => break,

@@ -92,7 +92,6 @@ fn configure(rt: &Runtime, channels: &[String], seed: u64) {
                         sensor: format!("org-0/s-{c}"),
                         threshold: Threshold::default(),
                         subscribers: Vec::new(),
-                        aggregates: false,
                     });
             match outcome {
                 Ok(()) => break,

@@ -1,27 +1,37 @@
-//! The `Aggregator` actor cascade: hour → day → month statistical buckets.
+//! The `Aggregator` actor: one channel's statistical buckets at one
+//! granularity (hour, day or month), a cache of the channel's series.
 //!
 //! Figure 4 introduces aggregator actors because aggregation across levels
-//! of detail is parallelizable ("hourly aggregates serving as input to
-//! daily aggregates"). Each aggregator owns the buckets of one channel at
-//! one granularity; when a bucket closes (time moves past it), its summary
-//! is rolled up to the parent level with a single message.
+//! of detail is parallelizable. Here each level reads the channel's
+//! series itself: on [`QueryAggregates`] it folds the points appended
+//! since its last read, in append order, into its buckets, then answers.
+//! No channel pushes to it and no level feeds another, so a bucket always
+//! counts every point the series has applied in its range — the still-open
+//! hour included — and no message can be lost between levels. Nothing is
+//! persisted: a fresh activation folds the series from its start.
 //!
 //! The aggregator's identity encodes channel and level
 //! (`"{channel}#hour"`), so the factory derives its role from its own key
 //! — no configuration message needed, which keeps provisioning cheap.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use aodb_runtime::{Actor, ActorContext, Handler};
-use serde::{Deserialize, Serialize};
+use aodb_store::tseries::SeriesStore;
+use aodb_store::StoreResult;
 
 use crate::env::ShmEnv;
-use crate::messages::{MergeBucket, QueryAggregates, RecordSamples};
+use crate::messages::QueryAggregates;
+use crate::physical::{abort_reply, series_key, PhysicalSensorChannel};
 use crate::types::{Aggregate, AggregateLevel};
-use aodb_core::Persisted;
+use crate::virtual_channel::VirtualSensorChannel;
 
 /// Bounded bucket retention per aggregator (oldest evicted first).
 const MAX_BUCKETS: usize = 4096;
+/// Points one series read returns at most, so a cold fold of a long
+/// series holds a bounded batch in memory.
+const READ_POINTS: usize = 65_536;
 
 /// Builds the aggregator actor key for a channel and level.
 pub fn aggregator_key(channel: &str, level: AggregateLevel) -> String {
@@ -34,18 +44,15 @@ pub fn parse_aggregator_key(key: &str) -> Option<(&str, AggregateLevel)> {
     Some((channel, AggregateLevel::from_suffix(suffix)?))
 }
 
-#[derive(Default, Serialize, Deserialize)]
-struct AggregatorState {
-    buckets: BTreeMap<u64, Aggregate>,
-    /// Buckets strictly below this start have been rolled up already.
-    forwarded_until: u64,
-}
-
 /// One channel × one granularity of statistical buckets.
 pub struct Aggregator {
-    state: Persisted<AggregatorState>,
-    channel: String,
+    series: Arc<dyn SeriesStore>,
+    /// The series a channel with this key may have — physical and virtual
+    /// (series names are type-prefixed) — each with the count of its
+    /// points folded so far.
+    sources: [(String, u64); 2],
     level: AggregateLevel,
+    buckets: BTreeMap<u64, Aggregate>,
 }
 
 impl Aggregator {
@@ -55,142 +62,69 @@ impl Aggregator {
             let key = id.key.as_display();
             let (channel, level) = parse_aggregator_key(&key)
                 .unwrap_or_else(|| panic!("malformed aggregator key `{key}`"));
+            let source = |type_name| {
+                let mut name = String::new();
+                series_key(&mut name, type_name, channel);
+                (name, 0)
+            };
             Aggregator {
-                state: env.persisted_data(Self::TYPE_NAME, &id.key),
-                channel: channel.to_string(),
+                series: Arc::clone(&env.series),
+                sources: [
+                    source(PhysicalSensorChannel::TYPE_NAME),
+                    source(VirtualSensorChannel::TYPE_NAME),
+                ],
                 level,
+                buckets: BTreeMap::new(),
             }
         });
     }
 
-    /// Merges a value-summary into the bucket containing `ts_ms`, then
-    /// rolls up any buckets that the advancing clock has closed.
-    fn absorb(&mut self, bucket_start: u64, agg: Aggregate, ctx: &mut ActorContext<'_>) {
-        self.state.mutate(|s| {
-            s.buckets.entry(bucket_start).or_default().merge(&agg);
-            while s.buckets.len() > MAX_BUCKETS {
-                let oldest = *s.buckets.keys().next().expect("non-empty");
-                s.buckets.remove(&oldest);
+    /// Folds every point appended to the channel's series since the last
+    /// catch-up into the buckets. A failed read leaves that series'
+    /// position where it was, after whatever the reads before it folded.
+    fn catch_up(&mut self) -> StoreResult<()> {
+        let Aggregator {
+            series,
+            sources,
+            level,
+            buckets,
+        } = self;
+        for (name, folded) in sources {
+            loop {
+                let points = series.scan_from(name, *folded, READ_POINTS)?;
+                for &(ts_ms, value) in &points {
+                    buckets
+                        .entry(level.bucket_start(ts_ms))
+                        .or_default()
+                        .record(value);
+                }
+                while buckets.len() > MAX_BUCKETS {
+                    buckets.pop_first();
+                }
+                *folded += points.len() as u64;
+                if points.len() < READ_POINTS {
+                    break;
+                }
             }
-        });
-        self.roll_up_closed(bucket_start, ctx);
-    }
-
-    /// Forwards every bucket strictly older than `open_bucket` that has
-    /// not been forwarded yet to the parent level.
-    fn roll_up_closed(&mut self, open_bucket: u64, ctx: &mut ActorContext<'_>) {
-        let Some(parent_level) = self.level.parent() else {
-            return;
-        };
-        let to_forward: Vec<(u64, Aggregate)> = {
-            let s = self.state.get();
-            if open_bucket <= s.forwarded_until {
-                return;
-            }
-            s.buckets
-                .range(s.forwarded_until..open_bucket)
-                .map(|(k, v)| (*k, *v))
-                .collect()
-        };
-        if to_forward.is_empty() {
-            // Still advance the watermark so later out-of-order arrivals
-            // below it do not retrigger forwarding of unseen buckets.
-            self.state
-                .mutate(|s| s.forwarded_until = s.forwarded_until.max(open_bucket));
-            return;
         }
-        let parent = ctx.actor_ref::<Aggregator>(aggregator_key(&self.channel, parent_level));
-        for (child_start, agg) in &to_forward {
-            let _ = parent.tell(MergeBucket {
-                bucket_start_ms: parent_level.bucket_start(*child_start),
-                agg: *agg,
-            });
-        }
-        self.state.mutate(|s| s.forwarded_until = open_bucket);
+        Ok(())
     }
 }
 
 impl Actor for Aggregator {
     const TYPE_NAME: &'static str = "shm.aggregator";
-    fn declared_calls() -> &'static [aodb_runtime::CallDecl] {
-        // Closed buckets roll up to the parent-level aggregator (same
-        // type, different key — exempt from runtime enforcement but part
-        // of the extracted graph).
-        const CALLS: &[aodb_runtime::CallDecl] = &[aodb_runtime::CallDecl::send("shm.aggregator")];
-        CALLS
-    }
-
-    fn on_activate(&mut self, _ctx: &mut ActorContext<'_>) {
-        self.state.load_or_default();
-    }
-
-    fn on_deactivate(&mut self, _ctx: &mut ActorContext<'_>) {
-        self.state.flush();
-    }
-}
-
-impl Handler<RecordSamples> for Aggregator {
-    fn handle(&mut self, msg: RecordSamples, ctx: &mut ActorContext<'_>) {
-        // Group the batch by bucket first: one state mutation + one
-        // roll-up check per bucket touched, not per point. Devices
-        // stream in time order, so a batch is normally one run per
-        // bucket, in ascending order — exactly what a map would yield.
-        // Fold those runs in place; only a batch that steps back to an
-        // earlier bucket needs the map to merge and order them.
-        let level = self.level;
-        let bucket_sorted = msg
-            .points
-            .windows(2)
-            .all(|w| level.bucket_start(w[0].ts_ms) <= level.bucket_start(w[1].ts_ms));
-        if !bucket_sorted {
-            let mut per_bucket: BTreeMap<u64, Aggregate> = BTreeMap::new();
-            for p in &msg.points {
-                per_bucket
-                    .entry(level.bucket_start(p.ts_ms))
-                    .or_default()
-                    .record(p.value);
-            }
-            for (bucket_start, agg) in per_bucket {
-                self.absorb(bucket_start, agg, ctx);
-            }
-            return;
-        }
-        let mut run: Option<(u64, Aggregate)> = None;
-        for p in &msg.points {
-            let bucket_start = level.bucket_start(p.ts_ms);
-            match &mut run {
-                Some((start, agg)) if *start == bucket_start => agg.record(p.value),
-                _ => {
-                    if let Some((start, agg)) = run.take() {
-                        self.absorb(start, agg, ctx);
-                    }
-                    let mut agg = Aggregate::default();
-                    agg.record(p.value);
-                    run = Some((bucket_start, agg));
-                }
-            }
-        }
-        if let Some((start, agg)) = run {
-            self.absorb(start, agg, ctx);
-        }
-    }
-}
-
-impl Handler<MergeBucket> for Aggregator {
-    fn handle(&mut self, msg: MergeBucket, ctx: &mut ActorContext<'_>) {
-        self.absorb(msg.bucket_start_ms, msg.agg, ctx);
-    }
 }
 
 impl Handler<QueryAggregates> for Aggregator {
     fn handle(
         &mut self,
         msg: QueryAggregates,
-        _ctx: &mut ActorContext<'_>,
+        ctx: &mut ActorContext<'_>,
     ) -> Vec<(u64, Aggregate)> {
-        self.state
-            .get()
-            .buckets
+        if self.catch_up().is_err() {
+            return abort_reply(ctx);
+        }
+        self.buckets
             .range(self.level.bucket_start(msg.from_ms)..=msg.to_ms)
             .map(|(k, v)| (*k, *v))
             .collect()
@@ -214,30 +148,5 @@ mod tests {
     fn parse_rejects_garbage() {
         assert_eq!(parse_aggregator_key("no-suffix"), None);
         assert_eq!(parse_aggregator_key("chan#fortnight"), None);
-    }
-}
-
-#[cfg(test)]
-mod codec_tests {
-    use super::*;
-    use crate::test_props::{aggregate, assert_codec_roundtrip};
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// Any aggregator state survives the persistence codec unchanged
-        /// (u64 bucket keys included — integer map keys are part of the
-        /// codec's contract).
-        #[test]
-        fn aggregator_state_roundtrips(
-            buckets in proptest::collection::vec((any::<u64>(), aggregate()), 0..8),
-            forwarded_until in any::<u64>(),
-        ) {
-            assert_codec_roundtrip(&AggregatorState {
-                buckets: buckets.into_iter().collect(),
-                forwarded_until,
-            });
-        }
     }
 }

@@ -34,7 +34,7 @@ impl AlertLog {
     /// Registers the actor type. Keys are organization keys.
     pub fn register(rt: &aodb_runtime::Runtime, env: ShmEnv) {
         rt.register(move |id| AlertLog {
-            state: env.persisted_data(Self::TYPE_NAME, &id.key),
+            state: env.persisted(Self::TYPE_NAME, &id.key),
         });
     }
 }

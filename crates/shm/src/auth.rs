@@ -101,7 +101,7 @@ impl TenantGuard {
     /// Registers the guard actor type.
     pub fn register(rt: &Runtime, env: ShmEnv) {
         rt.register(move |id| TenantGuard {
-            state: env.persisted_structural(Self::TYPE_NAME, &id.key),
+            state: env.persisted(Self::TYPE_NAME, &id.key),
         });
     }
 }

@@ -7,24 +7,20 @@ use aodb_runtime::ActorKey;
 use aodb_store::tseries::{SeriesStore, TsConfig, TsStore};
 use aodb_store::{StateStore, StoreResult, WalConfig};
 
-/// Everything an SHM actor factory needs: the state store, the series
-/// store that holds every channel's data, and the write policies of the
-/// two durability classes the paper distinguishes in Section 5 —
-/// structural entities (organizations, sensors) want immediate
-/// durability, while the state of the data-bearing actors collects
-/// updates before being forced to storage.
+/// Everything an SHM actor factory needs: the state store and the series
+/// store that holds every channel's data.
+///
+/// Every SHM state blob is saved on every change
+/// ([`WritePolicy::EveryChange`]). None of them changes per ingest: a
+/// channel's points, stats and dedup watermarks commit through
+/// [`ShmEnv::series`], and aggregate buckets are a cache of the series.
+/// What is left — structure, channel configuration, alert logs — changes
+/// rarely, so the paper's deactivation-time saving (Section 5) would buy
+/// nothing and lose it all to a silo kill.
 #[derive(Clone)]
 pub struct ShmEnv {
     /// The grain-state store (the DynamoDB role).
     pub store: Arc<dyn StateStore>,
-    /// Policy for structural entity state.
-    pub structural_policy: WritePolicy,
-    /// Policy for the state blobs of the data-bearing actors: channel
-    /// configuration, aggregate buckets and alert logs (the paper's
-    /// benchmark sets this to [`WritePolicy::OnDeactivate`]). A
-    /// channel's points, stats and dedup watermarks are not among them:
-    /// they commit through [`ShmEnv::series`].
-    pub data_policy: WritePolicy,
     /// Simulated per-ingest service time.
     ///
     /// The reproduction's stand-in for server CPU capacity: the paper's
@@ -55,17 +51,13 @@ pub struct ShmEnv {
 }
 
 impl ShmEnv {
-    /// The configuration used by the paper's experiments: immediate
-    /// durability for structure, deactivation-time persistence for the
-    /// data-bearing actors' state blobs, and channel data in a
-    /// [`TsStore`] over the same store that commits every append as it
-    /// is made (see [`TsStore::new`]).
+    /// The configuration used by the paper's experiments: channel data
+    /// in a [`TsStore`] over the same store that commits every append as
+    /// it is made (see [`TsStore::new`]).
     pub fn paper_default(store: Arc<dyn StateStore>) -> Self {
         ShmEnv {
             series: Arc::new(TsStore::new(Arc::clone(&store), TsConfig::default())),
             store,
-            structural_policy: WritePolicy::EveryChange,
-            data_policy: WritePolicy::OnDeactivate,
             ingest_service_time: None,
             deferred_acks: false,
         }
@@ -107,26 +99,14 @@ impl ShmEnv {
         self
     }
 
-    /// Persisted cell for a structural actor.
-    pub fn persisted_structural<S: PersistentState>(
-        &self,
-        type_name: &str,
-        key: &ActorKey,
-    ) -> Persisted<S> {
+    /// The state cell of actor `key` of type `type_name`, saved on every
+    /// change.
+    pub fn persisted<S: PersistentState>(&self, type_name: &str, key: &ActorKey) -> Persisted<S> {
         Persisted::for_actor(
             Arc::clone(&self.store),
             type_name,
             key,
-            self.structural_policy,
+            WritePolicy::EveryChange,
         )
-    }
-
-    /// Persisted cell for a data-bearing actor.
-    pub fn persisted_data<S: PersistentState>(
-        &self,
-        type_name: &str,
-        key: &ActorKey,
-    ) -> Persisted<S> {
-        Persisted::for_actor(Arc::clone(&self.store), type_name, key, self.data_policy)
     }
 }

@@ -12,7 +12,7 @@
 //! | [`Sensor`] | Relocatable device metadata | position |
 //! | [`PhysicalSensorChannel`] | One raw data stream: series, accumulated change, thresholds | `DataPoint`s |
 //! | [`VirtualSensorChannel`] | Equation over physical channels | derived `DataPoint`s |
-//! | [`Aggregator`] | Hour→day→month statistical cascade | `Aggregate` buckets |
+//! | [`Aggregator`] | Hour, day or month buckets of one channel, folded from its series on query | `Aggregate` buckets |
 //! | [`AlertLog`] | Per-tenant alert feed | `Alert`s |
 //! | [`TenantGuard`] | Per-tenant authentication & authorization (NFR 7) | users, sessions |
 //! | [`IngestGateway`] | Burst-absorbing device queue (§6.1) | buffered packets |

@@ -164,8 +164,6 @@ pub struct ConfigureChannel {
     pub threshold: Threshold,
     /// Virtual channels subscribed to this channel's stream.
     pub subscribers: Vec<String>,
-    /// Whether to feed the hourly aggregator cascade.
-    pub aggregates: bool,
 }
 impl Message for ConfigureChannel {
     type Reply = ();
@@ -179,8 +177,6 @@ pub struct ConfigureVirtual {
     pub inputs: Vec<String>,
     /// The derivation.
     pub equation: Equation,
-    /// Whether to feed the aggregator cascade.
-    pub aggregates: bool,
 }
 impl Message for ConfigureVirtual {
     type Reply = ();
@@ -284,30 +280,10 @@ pub struct ChannelStats {
 
 // -------------------------------------------------------------- aggregator
 
-/// A batch of samples entering the hourly aggregator (channels forward
-/// whole ingest batches to keep messaging overhead at one hop per
-/// request, not per point).
-pub struct RecordSamples {
-    /// The samples, oldest first (shared with the originating batch).
-    pub points: PointBatch,
-}
-impl Message for RecordSamples {
-    type Reply = ();
-}
-
-/// A closed child bucket rolled up into this (coarser) aggregator.
-pub struct MergeBucket {
-    /// Start of the bucket in *this* aggregator's granularity.
-    pub bucket_start_ms: u64,
-    /// The child summary.
-    pub agg: Aggregate,
-}
-impl Message for MergeBucket {
-    type Reply = ();
-}
-
 /// Statistical buckets in a time range (plot data, functional
-/// requirement 6).
+/// requirement 6). The aggregator first folds what the channel's series
+/// has applied since its last read, so the buckets count every applied
+/// point, as live data shows it.
 #[derive(Clone, Copy)]
 pub struct QueryAggregates {
     /// Inclusive start (ms).

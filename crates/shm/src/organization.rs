@@ -46,7 +46,7 @@ impl Organization {
     /// Registers the actor type.
     pub fn register(rt: &aodb_runtime::Runtime, env: ShmEnv) {
         rt.register(move |id| Organization {
-            state: env.persisted_structural(Self::TYPE_NAME, &id.key),
+            state: env.persisted(Self::TYPE_NAME, &id.key),
             series: Arc::clone(&env.series),
             series_key: String::new(),
         });

@@ -5,8 +5,10 @@
 //! drives 10 data points per second into each of ~thousands of these. A
 //! channel appends its points to its series in the [`SeriesStore`],
 //! maintains the accumulated change required by functional requirement 4,
-//! raises threshold alerts (FR 5), feeds subscribed virtual channels, and
-//! forwards batches to its hourly aggregator.
+//! raises threshold alerts (FR 5) and feeds subscribed virtual channels.
+//! Its aggregate buckets (FR 6) are read from the series by the
+//! aggregators themselves (see `aggregator.rs`), so an ingest sends
+//! nothing for them.
 
 use std::cell::OnceCell;
 use std::sync::Arc;
@@ -17,17 +19,13 @@ use aodb_store::tseries::SeriesStore;
 use aodb_store::StoreResult;
 use serde::{Deserialize, Serialize};
 
-use crate::aggregator::{aggregator_key, Aggregator};
 use crate::alerts::AlertLog;
 use crate::env::ShmEnv;
 use crate::messages::{
     ChannelStats, ConfigureChannel, GetChannelStats, Ingest, PushAlert, PushDerived, QueryRange,
-    RecordSamples,
 };
 use crate::sidecar;
-use crate::types::{
-    AggregateLevel, Alert, AlertKind, AlertSeverity, DataPoint, PointBatch, Threshold,
-};
+use crate::types::{Alert, AlertKind, AlertSeverity, DataPoint, PointBatch, Threshold};
 use crate::virtual_channel::VirtualSensorChannel;
 use aodb_core::Persisted;
 
@@ -38,7 +36,6 @@ pub(crate) struct ChannelState {
     sensor: String,
     threshold: Threshold,
     subscribers: Vec<String>,
-    aggregates: bool,
 }
 
 /// The running stats every channel keeps over its stream, and the common
@@ -278,9 +275,7 @@ pub(crate) fn sidecar_from_meta<T: Default>(
 /// What a channel actor (physical or virtual) keeps per activation so
 /// that its hot turns stop re-deriving it per message: its series, the
 /// strings its identity fixes for good and the buffers an append reuses.
-/// (Each actor also keeps its hour aggregator's reference next to this;
-/// the send site stays in the actor's own code, where the topology
-/// checks look for it.) Actor-struct data, not persisted state.
+/// Actor-struct data, not persisted state.
 pub(crate) struct ChannelCache {
     /// The store holding the channel's points and side-car.
     pub series: Arc<dyn SeriesStore>,
@@ -364,8 +359,6 @@ pub struct PhysicalSensorChannel {
     data: Option<ChannelSideCar>,
     service_time: Option<std::time::Duration>,
     cache: ChannelCache,
-    /// The hour aggregator ingests feed, resolved on first use.
-    hour_aggregator: OnceCell<ActorRef<Aggregator>>,
     /// The subscribed virtual channels, resolved on first use;
     /// `ConfigureChannel` drops them with the list they were made from.
     subscribers: OnceCell<Vec<ActorRef<VirtualSensorChannel>>>,
@@ -375,11 +368,10 @@ impl PhysicalSensorChannel {
     /// Registers the actor type.
     pub fn register(rt: &aodb_runtime::Runtime, env: ShmEnv) {
         rt.register(move |id| PhysicalSensorChannel {
-            state: env.persisted_data(Self::TYPE_NAME, &id.key),
+            state: env.persisted(Self::TYPE_NAME, &id.key),
             data: None,
             service_time: env.ingest_service_time,
             cache: ChannelCache::new(&env, Self::TYPE_NAME, &id.key),
-            hour_aggregator: OnceCell::new(),
             subscribers: OnceCell::new(),
         });
     }
@@ -388,12 +380,10 @@ impl PhysicalSensorChannel {
 impl Actor for PhysicalSensorChannel {
     const TYPE_NAME: &'static str = "shm.channel";
     fn declared_calls() -> &'static [aodb_runtime::CallDecl] {
-        // Ingest side effects: raised alerts, derived-channel pushes, and
-        // the aggregate pyramid.
+        // Ingest side effects: raised alerts and derived-channel pushes.
         const CALLS: &[aodb_runtime::CallDecl] = &[
             aodb_runtime::CallDecl::send("shm.alert-log"),
             aodb_runtime::CallDecl::send("shm.virtual-channel"),
-            aodb_runtime::CallDecl::send("shm.aggregator"),
         ];
         CALLS
     }
@@ -415,7 +405,6 @@ impl Handler<ConfigureChannel> for PhysicalSensorChannel {
             s.sensor = msg.sensor;
             s.threshold = msg.threshold;
             s.subscribers = msg.subscribers;
-            s.aggregates = msg.aggregates;
         });
         self.subscribers.take();
     }
@@ -431,8 +420,8 @@ impl Handler<Ingest> for PhysicalSensorChannel {
         if let Some((source, seq)) = msg.dedup {
             if !data.admit_dedup(source, seq) {
                 // Duplicate redelivery: drop it before the stats and
-                // *before* the downstream fan-out, so subscribers and
-                // aggregators see each batch exactly once too.
+                // *before* the downstream fan-out, so subscribers see
+                // each batch exactly once too.
                 //
                 // A duplicate-reject ack asserts "this batch is already
                 // durable" — under group commit the original append may
@@ -494,11 +483,10 @@ impl Handler<Ingest> for PhysicalSensorChannel {
 }
 
 impl PhysicalSensorChannel {
-    /// An ingest turn's downstream sends: raised alerts, derived-channel
-    /// pushes, and the aggregate pyramid.
+    /// An ingest turn's downstream sends: raised alerts and
+    /// derived-channel pushes.
     fn fan_out(&self, alerts: Vec<Alert>, points: PointBatch, ctx: &ActorContext<'_>) {
         let s = self.state.get();
-        let channel_key = &*self.cache.channel_key;
         if !alerts.is_empty() {
             let log = ctx.actor_ref::<AlertLog>(s.org.as_str());
             for alert in alerts {
@@ -516,12 +504,6 @@ impl PhysicalSensorChannel {
                 source: Arc::clone(&self.cache.channel_key),
                 points: points.clone(),
             });
-        }
-        if s.aggregates {
-            let agg = self.hour_aggregator.get_or_init(|| {
-                ctx.actor_ref::<Aggregator>(aggregator_key(channel_key, AggregateLevel::Hour))
-            });
-            let _ = agg.tell(RecordSamples { points });
         }
     }
 }
@@ -636,8 +618,9 @@ mod tests {
     }
 
     /// A blob written when the state still held the data plane (window,
-    /// stats, watermarks) loads its configuration: the state codec skips
-    /// fields the struct no longer has.
+    /// stats, watermarks) and the `aggregates` switch loads its
+    /// configuration: the state codec skips fields the struct no longer
+    /// has.
     #[test]
     fn blob_with_the_former_data_fields_loads_its_configuration() {
         let blob = br#"{"org":"org-0","sensor":"org-0/s-0","threshold":{"high":55.0,"low":null,"max_accumulated_change":null},"subscribers":["org-0/s-0/v"],"aggregates":true,"window":[{"ts_ms":100,"value":1.5}],"total_points":1,"accumulated_change":0.0,"first_value":1.5,"last":{"ts_ms":100,"value":1.5},"breaching_high":false,"breaching_low":false,"accumulated_alerted":false,"ingest_watermarks":[[7,2]]}"#;
@@ -645,7 +628,6 @@ mod tests {
         assert_eq!((s.org.as_str(), s.sensor.as_str()), ("org-0", "org-0/s-0"));
         assert_eq!(s.threshold.high, Some(55.0));
         assert_eq!(s.subscribers, ["org-0/s-0/v"]);
-        assert!(s.aggregates);
     }
 }
 
@@ -662,12 +644,11 @@ mod codec_tests {
         /// unchanged.
         #[test]
         fn channel_state_roundtrips(
-            (org, sensor, threshold, subscribers, aggregates) in (
+            (org, sensor, threshold, subscribers) in (
                 key(),
                 key(),
                 threshold(),
                 proptest::collection::vec(key(), 0..4),
-                any::<bool>(),
             ),
         ) {
             assert_codec_roundtrip(&ChannelState {
@@ -675,7 +656,6 @@ mod codec_tests {
                 sensor,
                 threshold,
                 subscribers,
-                aggregates,
             });
         }
 

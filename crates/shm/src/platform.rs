@@ -47,8 +47,6 @@ pub struct TopologySpec {
     /// Every n-th sensor carries a virtual channel summing its physical
     /// channels (paper: 10).
     pub virtual_every: usize,
-    /// Whether channels feed the aggregator cascade.
-    pub aggregates: bool,
     /// Threshold installed on every physical channel (default: none).
     pub threshold: Threshold,
 }
@@ -59,7 +57,6 @@ impl Default for TopologySpec {
             sensors_per_org: 100,
             channels_per_sensor: 2,
             virtual_every: 10,
-            aggregates: true,
             threshold: Threshold::default(),
         }
     }
@@ -159,8 +156,8 @@ impl Topology {
     }
 }
 
-/// Creates all actors of `topology`, wiring subscriptions, thresholds, and
-/// aggregators. `silo_of_org` assigns each organization index a home silo
+/// Creates all actors of `topology`, wiring subscriptions and thresholds
+/// (aggregators need no set-up: they read the channels' series). `silo_of_org` assigns each organization index a home silo
 /// (`None` → plain client origin); with prefer-local placement this pins
 /// all of an organization's actors to its silo, the paper's deployment.
 ///
@@ -211,7 +208,6 @@ pub fn provision(
                         sensor: sensor.key.clone(),
                         threshold: topology.spec.threshold,
                         subscribers: subscribers.clone(),
-                        aggregates: topology.spec.aggregates,
                     })?;
                 org_ref.tell(RegisterChannel {
                     channel: channel.clone(),
@@ -228,7 +224,6 @@ pub fn provision(
                         org: org.key.clone(),
                         inputs: sensor.physical.clone(),
                         equation: Equation::Sum,
-                        aggregates: topology.spec.aggregates,
                     })?;
                 org_ref.tell(RegisterChannel {
                     channel: vkey.clone(),

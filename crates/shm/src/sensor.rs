@@ -44,7 +44,7 @@ impl Sensor {
     /// Registers the actor type.
     pub fn register(rt: &aodb_runtime::Runtime, env: ShmEnv) {
         rt.register(move |id| Sensor {
-            state: env.persisted_structural(Self::TYPE_NAME, &id.key),
+            state: env.persisted(Self::TYPE_NAME, &id.key),
         });
     }
 }

@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 
 use crate::types::{
-    Aggregate, Alert, AlertKind, AlertSeverity, DataPoint, Equation, Position, Project, SensorKind,
-    Threshold, User, UserRole,
+    Alert, AlertKind, AlertSeverity, DataPoint, Equation, Position, Project, SensorKind, Threshold,
+    User, UserRole,
 };
 
 /// Encodes with the store codec, decodes, and compares canonically
@@ -124,22 +124,4 @@ pub(crate) fn equation() -> impl Strategy<Value = Equation> {
         Just(Equation::Difference),
         proptest::collection::vec(-10.0f64..10.0, 0..4).prop_map(Equation::WeightedSum),
     ]
-}
-
-/// A populated (finite-statistics) aggregate bucket.
-pub(crate) fn aggregate() -> impl Strategy<Value = Aggregate> {
-    (
-        any::<u64>(),
-        -1e9f64..1e9,
-        -1e9f64..1e9,
-        -1e9f64..1e9,
-        0.0f64..1e12,
-    )
-        .prop_map(|(count, sum, min, max, sum_sq)| Aggregate {
-            count,
-            sum,
-            min,
-            max,
-            sum_sq,
-        })
 }

@@ -22,8 +22,7 @@ pub struct DataPoint {
 /// A shared, immutable batch of data points.
 ///
 /// Ingest batches fan out along the hot path — channel → subscribed
-/// virtual channels → aggregator — and each hop used to deep-copy the
-/// `Vec`. A `PointBatch` is an `Arc`'d slice: cloning is a refcount
+/// virtual channels — and each hop used to deep-copy the `Vec`. A `PointBatch` is an `Arc`'d slice: cloning is a refcount
 /// bump, so one allocation made at the gateway serves every hop (and the
 /// chaos layer's replay copies). Dereferences to `[DataPoint]`;
 /// serializes exactly like a plain sequence of points, so the persisted
@@ -257,15 +256,15 @@ impl Equation {
 }
 
 /// Aggregation granularity for statistical plots (functional
-/// requirement 6: "per hour, day, or month").
+/// requirement 6: "per hour, day, or month"). Every level folds the
+/// channel's series at its own width.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AggregateLevel {
-    /// Hourly buckets; fed directly by channels.
+    /// Hourly buckets.
     Hour,
-    /// Daily buckets; fed by closed hourly buckets.
+    /// Daily buckets.
     Day,
-    /// 30-day buckets (a fixed-width "month" keeps bucket math exact);
-    /// fed by closed daily buckets.
+    /// 30-day buckets (a fixed-width "month" keeps bucket math exact).
     Month,
 }
 
@@ -276,15 +275,6 @@ impl AggregateLevel {
             AggregateLevel::Hour => 3_600_000,
             AggregateLevel::Day => 86_400_000,
             AggregateLevel::Month => 30 * 86_400_000,
-        }
-    }
-
-    /// The next-coarser level, if any.
-    pub fn parent(self) -> Option<AggregateLevel> {
-        match self {
-            AggregateLevel::Hour => Some(AggregateLevel::Day),
-            AggregateLevel::Day => Some(AggregateLevel::Month),
-            AggregateLevel::Month => None,
         }
     }
 
@@ -361,7 +351,7 @@ impl Aggregate {
         self.sum_sq += value * value;
     }
 
-    /// Merges another summary (e.g. an hourly bucket into a daily one).
+    /// Merges another summary (e.g. warehouse rows into a roll-up).
     pub fn merge(&mut self, other: &Aggregate) {
         self.count += other.count;
         self.sum += other.sum;
@@ -431,10 +421,7 @@ mod tests {
     }
 
     #[test]
-    fn level_cascade() {
-        assert_eq!(AggregateLevel::Hour.parent(), Some(AggregateLevel::Day));
-        assert_eq!(AggregateLevel::Day.parent(), Some(AggregateLevel::Month));
-        assert_eq!(AggregateLevel::Month.parent(), None);
+    fn level_suffix_roundtrip() {
         for lvl in [
             AggregateLevel::Hour,
             AggregateLevel::Day,

@@ -5,23 +5,20 @@
 //! physical channels. In the paper's benchmark every tenth sensor carries
 //! a virtual channel summing its two physical channels; physical channels
 //! push their fresh points here, and each incoming point yields one
-//! derived point computed from the latest value of every input.
+//! derived point computed from the latest value of every input. The
+//! derived series feeds the channel's aggregators as a physical series
+//! does: they read it (see `aggregator.rs`), nothing is sent to them.
 
-use std::cell::OnceCell;
-
-use aodb_runtime::{Actor, ActorContext, ActorRef, Handler};
+use aodb_runtime::{Actor, ActorContext, Handler};
 use aodb_store::codec::{Reader, Writer};
 use aodb_store::StoreResult;
 use serde::{Deserialize, Serialize};
 
-use crate::aggregator::{aggregator_key, Aggregator};
 use crate::env::ShmEnv;
-use crate::messages::{
-    ChannelStats, ConfigureVirtual, GetChannelStats, PushDerived, QueryRange, RecordSamples,
-};
+use crate::messages::{ChannelStats, ConfigureVirtual, GetChannelStats, PushDerived, QueryRange};
 use crate::physical::{abort_reply, ChannelCache, RunningStats};
 use crate::sidecar;
-use crate::types::{AggregateLevel, DataPoint, Equation};
+use crate::types::{DataPoint, Equation};
 use aodb_core::Persisted;
 
 /// A virtual channel's configuration: all it keeps in its state blob.
@@ -30,7 +27,6 @@ pub(crate) struct VirtualState {
     org: String,
     inputs: Vec<String>,
     equation: Equation,
-    aggregates: bool,
 }
 
 impl Default for VirtualState {
@@ -39,7 +35,6 @@ impl Default for VirtualState {
             org: String::new(),
             inputs: Vec::new(),
             equation: Equation::Sum,
-            aggregates: false,
         }
     }
 }
@@ -116,29 +111,21 @@ pub struct VirtualSensorChannel {
     /// `None` until recovered (see `ChannelCache::recovered`).
     data: Option<VirtualSideCar>,
     cache: ChannelCache,
-    /// The hour aggregator derived points feed, resolved on first use.
-    hour_aggregator: OnceCell<ActorRef<Aggregator>>,
 }
 
 impl VirtualSensorChannel {
     /// Registers the actor type.
     pub fn register(rt: &aodb_runtime::Runtime, env: ShmEnv) {
         rt.register(move |id| VirtualSensorChannel {
-            state: env.persisted_data(Self::TYPE_NAME, &id.key),
+            state: env.persisted(Self::TYPE_NAME, &id.key),
             data: None,
             cache: ChannelCache::new(&env, Self::TYPE_NAME, &id.key),
-            hour_aggregator: OnceCell::new(),
         });
     }
 }
 
 impl Actor for VirtualSensorChannel {
     const TYPE_NAME: &'static str = "shm.virtual-channel";
-    fn declared_calls() -> &'static [aodb_runtime::CallDecl] {
-        // Derived points cascade into this channel's aggregate pyramid.
-        const CALLS: &[aodb_runtime::CallDecl] = &[aodb_runtime::CallDecl::send("shm.aggregator")];
-        CALLS
-    }
 
     fn on_activate(&mut self, _ctx: &mut ActorContext<'_>) {
         self.state.load_or_default();
@@ -159,13 +146,12 @@ impl Handler<ConfigureVirtual> for VirtualSensorChannel {
             s.org = msg.org;
             s.inputs = msg.inputs;
             s.equation = msg.equation;
-            s.aggregates = msg.aggregates;
         });
     }
 }
 
 impl Handler<PushDerived> for VirtualSensorChannel {
-    fn handle(&mut self, msg: PushDerived, ctx: &mut ActorContext<'_>) {
+    fn handle(&mut self, msg: PushDerived, _ctx: &mut ActorContext<'_>) {
         // A push that finds the data plane unrecovered is dropped, as a
         // push whose derived append fails is.
         let Some(data) = self.cache.recovered(&mut self.data, VirtualSideCar::decode) else {
@@ -176,16 +162,14 @@ impl Handler<PushDerived> for VirtualSensorChannel {
         let derived = derive_points(self.state.get(), data, &msg);
         data.encode(&mut self.cache.meta);
         self.cache.stage(&derived);
-        self.fan_out(derived, ctx);
         // The physical channel's pattern: the engine makes the append
         // durable at group commit, off this worker, and the turn ends
         // without waiting for it — so the derived points are visible to
-        // live data, stats and `QueryRange` once this turn has run, before
-        // they are durable (DESIGN §13). Last in the turn, after the
-        // aggregator send is enqueued. The push is a `tell`:
-        // a failed append has no caller to abort, and as on the physical
-        // path the points stay in the engine's in-memory tail until its
-        // next committed record carries them.
+        // live data, stats, `QueryRange` and aggregates once this turn has
+        // run, before they are durable (DESIGN §13). The push is a
+        // `tell`: a failed append has no caller to abort, and as on the
+        // physical path the points stay in the engine's in-memory tail
+        // until its next committed record carries them.
         let cache = &self.cache;
         cache.series.append_batch_async(
             &cache.series_key,
@@ -193,22 +177,6 @@ impl Handler<PushDerived> for VirtualSensorChannel {
             &cache.meta,
             Box::new(|_result| {}),
         );
-    }
-}
-
-impl VirtualSensorChannel {
-    /// A push turn's downstream send: the derived points cascade into
-    /// this channel's aggregate pyramid.
-    fn fan_out(&self, derived: Vec<DataPoint>, ctx: &ActorContext<'_>) {
-        if !derived.is_empty() && self.state.get().aggregates {
-            let channel_key = &*self.cache.channel_key;
-            let agg = self.hour_aggregator.get_or_init(|| {
-                ctx.actor_ref::<Aggregator>(aggregator_key(channel_key, AggregateLevel::Hour))
-            });
-            let _ = agg.tell(RecordSamples {
-                points: derived.into(),
-            });
-        }
     }
 }
 
@@ -243,18 +211,16 @@ mod codec_tests {
         /// codec unchanged.
         #[test]
         fn virtual_state_roundtrips(
-            (org, inputs, equation, aggregates) in (
+            (org, inputs, equation) in (
                 key(),
                 proptest::collection::vec(key(), 0..4),
                 equation(),
-                any::<bool>(),
             ),
         ) {
             assert_codec_roundtrip(&VirtualState {
                 org,
                 inputs,
                 equation,
-                aggregates,
             });
         }
 

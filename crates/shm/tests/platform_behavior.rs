@@ -1,16 +1,20 @@
 //! End-to-end tests of the SHM platform: ingest, derived streams, alerts,
-//! aggregation cascade, online queries, persistence, and multi-silo
-//! deployment. The checks of a channel's data plane run against each
+//! aggregates, online queries, persistence, and multi-silo deployment. The checks of a channel's data plane run against each
 //! series store a platform is built with (see [`Series`]).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+use aodb_core::state_key;
+use aodb_runtime::Actor;
 use aodb_runtime::{NetConfig, PreferLocalPlacement, Runtime, SiloId};
 use aodb_shm::messages::{GetSensorInfo, Ingest, UpdatePosition};
-use aodb_shm::types::{AggregateLevel, AlertKind, DataPoint, Position, Threshold};
-use aodb_shm::{provision, register_all, Sensor, ShmClient, ShmEnv, Topology, TopologySpec};
+use aodb_shm::types::{Aggregate, AggregateLevel, AlertKind, DataPoint, Position, Threshold};
+use aodb_shm::{
+    aggregator_key, provision, register_all, Aggregator, Sensor, ShmClient, ShmEnv, Topology,
+    TopologySpec,
+};
 use aodb_store::tseries::{TsConfig, TsStore};
 use aodb_store::{MemStore, StateStore, WalConfig};
 
@@ -288,16 +292,16 @@ fn live_data_on_empty_platform_completes() {
 }
 
 #[test]
-fn aggregation_cascade_rolls_hours_into_days() {
+fn day_buckets_count_every_point_of_their_hours() {
     let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
     let (rt, topology) = small_platform(&store, 1, TopologySpec::default());
     let client = ShmClient::new(rt.handle());
     let channel = topology.physical_channels().next().unwrap();
 
     const HOUR: u64 = 3_600_000;
-    // 3 points in hour 0, 2 in hour 1, 1 in hour 25 (day 1) — the arrival
-    // in hour 1 closes hour 0; the arrival in hour 25 closes hour 1 and
-    // day 0.
+    // 3 points in hour 0, 2 in hour 1, 1 in hour 25 (day 1). Every level
+    // folds the series at its own width, so a day counts its open hour
+    // as well as its closed ones.
     for (ts, v) in [
         (0, 1.0),
         (HOUR / 2, 2.0),
@@ -330,14 +334,10 @@ fn aggregation_cascade_rolls_hours_into_days() {
         .unwrap()
         .wait()
         .unwrap();
-    // Day 0 contains the two closed hours (0 and 1): 5 points.
-    let day0 = days
-        .iter()
-        .find(|(b, _)| *b == 0)
-        .expect("day 0 rolled up")
-        .1;
-    assert_eq!(day0.count, 5);
-    assert_eq!(day0.sum, 36.0);
+    // Day 0 holds hours 0 and 1: 5 points. Day 1 holds hour 25, still
+    // open: 1 point.
+    let counts: Vec<(u64, u64, f64)> = days.iter().map(|(b, a)| (*b, a.count, a.sum)).collect();
+    assert_eq!(counts, [(0, 5, 36.0), (24 * HOUR, 1, 100.0)]);
     rt.shutdown();
 }
 
@@ -350,9 +350,9 @@ fn batch_order_does_not_change_the_aggregates() {
     let (in_order, stepping_back) = (channels.next().unwrap(), channels.next().unwrap());
 
     const HOUR: u64 = 3_600_000;
-    // One batch across three hour buckets. In time order it folds as
-    // three runs; with a point out of place the aggregator has to merge
-    // and order the buckets first. Both must land on the same pyramid.
+    // One batch across three hour buckets, once in time order and once
+    // with a point out of place. The aggregators fold each point into
+    // its own bucket, so both land on the same pyramid.
     let sorted = vec![
         dp(10, 1.0),
         dp(HOUR - 1, 2.0),
@@ -379,7 +379,7 @@ fn batch_order_does_not_change_the_aggregates() {
                 .unwrap()
         };
         let expected = of(in_order);
-        assert!(!expected.is_empty() || level == AggregateLevel::Day);
+        assert!(!expected.is_empty());
         assert_eq!(of(stepping_back), expected, "{level:?}");
     }
     let hours = client
@@ -471,6 +471,124 @@ fn channel_data_survives_a_silo_kill() {
             .wait_for(Duration::from_secs(5))
             .unwrap();
         assert_eq!(replayed, 0, "{series:?}: watermark lost with the silo");
+        rt.shutdown();
+    }
+}
+
+/// Channel configuration is saved when it is set, not when the channel
+/// deactivates: a silo killed right after provisioning loses none of it,
+/// so the next ingest still raises its threshold alert and still feeds
+/// its virtual channel.
+#[test]
+fn channel_configuration_survives_a_silo_kill() {
+    let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
+    let rt = Runtime::builder()
+        .silos(2, 2)
+        .placement(PreferLocalPlacement)
+        .build();
+    register_all(&rt, ShmEnv::paper_default(Arc::clone(&store)));
+    let spec = TopologySpec {
+        threshold: Threshold {
+            high: Some(100.0),
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let topology = Topology::layout(1, spec);
+    provision(&rt, &topology, |_| Some(SiloId(1))).unwrap();
+    rt.kill_silo(SiloId(1));
+    assert!(rt.restart_silo(SiloId(1)));
+
+    let client = ShmClient::new(rt.handle_on(SiloId(1)));
+    let org = topology.orgs[0].key.as_str();
+    let sensor = &topology.orgs[0].sensors[0];
+    let vkey = sensor.virtual_channel.as_ref().unwrap();
+    client
+        .ingest(&sensor.physical[0], vec![dp(0, 150.0)])
+        .unwrap()
+        .wait_for(Duration::from_secs(5))
+        .unwrap();
+    assert!(rt.quiesce(Duration::from_secs(5)));
+
+    let alerts = client.alert_count(org).unwrap().wait().unwrap();
+    assert_eq!(alerts, 1, "the threshold died with the silo");
+    let derived = client
+        .raw_range_virtual(vkey, 0, u64::MAX, 0)
+        .unwrap()
+        .wait_for(Duration::from_secs(5))
+        .unwrap();
+    assert_eq!(
+        derived,
+        [dp(0, 150.0)],
+        "the subscribers died with the silo"
+    );
+    rt.shutdown();
+}
+
+/// Aggregates are a cache of the series: after a silo kill they count
+/// exactly the points a raw range returns, and a bucket blob an older
+/// version left in the state store is never read.
+#[test]
+fn aggregates_agree_with_the_series_after_a_silo_kill() {
+    const HOUR: u64 = 3_600_000;
+    for series in Series::ALL {
+        let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
+        let wal = fresh_wal("aggregates-kill");
+        let (rt, topology) = platform(series, &store, &wal, 1, TopologySpec::default());
+        let client = ShmClient::new(rt.handle());
+        let sensor = &topology.orgs[0].sensors[0];
+        let channel = sensor.physical[0].as_str();
+        let points: Vec<DataPoint> = (0..60).map(|i| dp(i * HOUR / 20, i as f64)).collect();
+        let ingest = |points: &[DataPoint]| {
+            client
+                .ingest(channel, points.to_vec())
+                .unwrap()
+                .wait_for(Duration::from_secs(5))
+                .unwrap()
+        };
+        ingest(&points[..30]);
+        let hours = |client: &ShmClient| {
+            client
+                .aggregates(channel, AggregateLevel::Hour, 0, u64::MAX)
+                .unwrap()
+                .wait_for(Duration::from_secs(5))
+                .unwrap()
+        };
+        assert_eq!(hours(&client).len(), 2, "{series:?}");
+        // A bucket blob in the format aggregators once persisted, with a
+        // bucket the series never held.
+        let orphan =
+            br#"{"buckets":{"0":{"count":99,"sum":1.0,"min":1.0,"max":1.0,"sum_sq":1.0}}}"#;
+        let key = aggregator_key(channel, AggregateLevel::Hour);
+        store
+            .put(
+                &state_key(Aggregator::TYPE_NAME, &key.into()),
+                orphan.to_vec().into(),
+            )
+            .unwrap();
+        ingest(&points[30..]);
+        rt.kill_silo(SiloId(0));
+        drop(rt);
+
+        let rt = Runtime::single(2);
+        register_all(&rt, series.env(&store, &wal));
+        let client = ShmClient::new(rt.handle());
+        let mut expected = std::collections::BTreeMap::<u64, Aggregate>::new();
+        for p in &points {
+            expected
+                .entry(AggregateLevel::Hour.bucket_start(p.ts_ms))
+                .or_default()
+                .record(p.value);
+        }
+        let expected: Vec<(u64, Aggregate)> = expected.into_iter().collect();
+        assert_eq!(hours(&client), expected, "{series:?}");
+        let days = client
+            .aggregates(channel, AggregateLevel::Day, 0, u64::MAX)
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(days.len(), 1, "{series:?}");
+        assert_eq!(days[0].1.count, 60, "{series:?}: the open hour is counted");
         rt.shutdown();
     }
 }

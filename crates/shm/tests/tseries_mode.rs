@@ -264,7 +264,7 @@ fn unrecovered_channel_aborts_until_its_series_is_read() {
         .wait()
         .unwrap();
     let aggregated: u64 = hour.iter().map(|(_, agg)| agg.count).sum();
-    assert_eq!(aggregated, 40, "the aborted ingest was fanned out");
+    assert_eq!(aggregated, 40, "the aborted ingest reached the series");
     rt.shutdown();
 }
 

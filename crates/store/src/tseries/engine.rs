@@ -209,6 +209,21 @@ pub trait SeriesStore: Send + Sync + 'static {
         limit: usize,
     ) -> StoreResult<Vec<(u64, f64)>>;
 
+    /// The points at append positions `position..`, in append order, at
+    /// most `limit` of them (0 = unlimited); nothing when `position` is
+    /// at or past the end. A reader that remembers how many points it
+    /// has consumed reads only what was appended since. Default: the
+    /// full append-order scan, skipped to `position`.
+    fn scan_from(&self, series: &str, position: u64, limit: usize) -> StoreResult<Vec<(u64, f64)>> {
+        let mut points = self.scan_range(series, 0, u64::MAX, 0)?;
+        let skip = usize::try_from(position).map_or(points.len(), |p| p.min(points.len()));
+        points.drain(..skip);
+        if limit != 0 {
+            points.truncate(limit);
+        }
+        Ok(points)
+    }
+
     /// Force-seals the open tail into an immutable block (no-op when the
     /// tail is empty).
     fn seal(&self, series: &str) -> StoreResult<()>;
@@ -848,6 +863,63 @@ impl SeriesStore for TsStore {
                         return Ok(out);
                     }
                 }
+            }
+        }
+        Ok(out)
+    }
+
+    fn scan_from(&self, series: &str, position: u64, limit: usize) -> StoreResult<Vec<(u64, f64)>> {
+        let entry = self.entry(series);
+        self.ensure_recovered(series, &entry)?;
+        let end = match limit {
+            0 => u64::MAX,
+            n => position.saturating_add(n as u64),
+        };
+
+        // Snapshot the blocks holding positions `position..end` under the
+        // lock, skipping sealed blocks by the point counts their indexes
+        // hold; decompress after it drops. `start` is the position of the
+        // first point of the first block taken.
+        let (start, blocks, tail_block) = {
+            let s = entry.lock();
+            let mut start = None;
+            let mut blocks = Vec::new();
+            let mut first = 0u64;
+            for b in &s.sealed {
+                let next = first + b.index.count as u64;
+                if next > position && first < end {
+                    start.get_or_insert(first);
+                    blocks.push(b.bytes.clone());
+                }
+                first = next;
+            }
+            let tail = if first + s.tail.count() as u64 > position && first < end {
+                start.get_or_insert(first);
+                s.tail.encode_block()
+            } else {
+                Vec::new()
+            };
+            (start, blocks, tail)
+        };
+        let Some(start) = start else {
+            return Ok(Vec::new());
+        };
+
+        let mut out = Vec::new();
+        let mut skip = (position - start) as usize;
+        for bytes in blocks
+            .iter()
+            .map(|b| b.as_ref())
+            .chain([tail_block.as_slice()])
+        {
+            out.extend(
+                decode_block(bytes)?
+                    .into_iter()
+                    .skip(std::mem::take(&mut skip)),
+            );
+            if limit != 0 && out.len() >= limit {
+                out.truncate(limit);
+                break;
             }
         }
         Ok(out)

@@ -1,11 +1,14 @@
 //! Property-based tests of the time-series codec and engine: round-trip
 //! identity over adversarial streams, sparse-index correctness, resume
-//! and reopen equivalence, the byte-wise bit kernels against a
+//! and reopen equivalence, `scan_from` against the append-order scan on
+//! every store, the byte-wise bit kernels against a
 //! bit-at-a-time reference, and golden byte fixtures pinning the on-disk
 //! formats (`TSB1` sealed block, `TST1` tail record, `TSW1` WAL delta).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use aodb_chaos::ReferenceSeries;
 use aodb_store::tseries::bits::{BitReader, BitWriter};
 use aodb_store::tseries::{
     decode_block, decode_index, PointCompressor, SeriesStore, TsConfig, TsStore,
@@ -236,6 +239,100 @@ proptest! {
         ts.append_batch("s", &points[split..], b"after").unwrap();
         let tail = Key::with_sort("tseries", "s", "tail");
         assert_eq!(backing.get(&tail).unwrap(), unbroken.get(&tail).unwrap());
+    }
+}
+
+/// A directory for one WAL, unique per call.
+fn temp_wal_dir() -> std::path::PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "aodb-tseries-props-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// `scan_from(position, limit)` on series `"s"` of `store` is `points`
+/// sliced `[position..position + limit]` (`limit` 0: to the end), and the
+/// full append-order scan is `points`; a position at or past the end
+/// reads nothing.
+fn assert_scan_from_slices(
+    store: &dyn SeriesStore,
+    points: &[(u64, f64)],
+    probes: &[(u64, usize)],
+) {
+    assert_points_identical(&store.scan_range("s", 0, u64::MAX, 0).unwrap(), points);
+    for &(position, limit) in probes {
+        let from = (position as usize).min(points.len());
+        let to = match limit {
+            0 => points.len(),
+            n => (from + n).min(points.len()),
+        };
+        let got = store.scan_from("s", position, limit).unwrap();
+        assert_points_identical(&got, &points[from..to]);
+    }
+    let end = points.len() as u64;
+    for (position, limit) in [(end, 0), (end, 1), (end + 1, 0), (u64::MAX, 3)] {
+        assert!(store.scan_from("s", position, limit).unwrap().is_empty());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `scan_from` is the append-order scan sliced at a position, on the
+    /// reference store and on both engine modes — across seals, a reopen
+    /// from the backing store, WAL replay and a checkpoint.
+    #[test]
+    fn scan_from_slices_the_append_order_scan(
+        start in any::<u64>(),
+        steps in proptest::collection::vec(step_strategy(), 1..200),
+        batch in 1usize..17,
+        seal_every in 1u32..33,
+        cuts in (0usize..200, 0usize..200),
+        probes in proptest::collection::vec((0u64..210, 0usize..40), 1..12),
+    ) {
+        let points = materialize(start, &steps);
+        let (a, b) = (cuts.0.min(points.len()), cuts.1.min(points.len()));
+        let (reopen_at, checkpoint_at) = (a.min(b), a.max(b));
+        let config = TsConfig { seal_age_ms: u64::MAX, ..TsConfig::sealing_every(seal_every) };
+        let append = |store: &dyn SeriesStore, points: &[(u64, f64)]| {
+            for chunk in points.chunks(batch) {
+                store.append_batch("s", chunk, b"m").unwrap();
+            }
+        };
+
+        let reference = ReferenceSeries::new();
+        append(&reference, &points);
+        assert_scan_from_slices(&reference, &points, &probes);
+
+        // Without a WAL: reopen from the backing store mid-stream.
+        let backing: Arc<dyn StateStore> = Arc::new(MemStore::new());
+        append(&TsStore::new(Arc::clone(&backing), config), &points[..reopen_at]);
+        let ts = TsStore::new(Arc::clone(&backing), config);
+        assert_scan_from_slices(&ts, &points[..reopen_at], &probes);
+        append(&ts, &points[reopen_at..]);
+        assert_scan_from_slices(&ts, &points, &probes);
+
+        // With a WAL: replay mid-stream, then a checkpoint, then more.
+        let dir = temp_wal_dir();
+        let backing: Arc<dyn StateStore> = Arc::new(MemStore::new());
+        let open = || {
+            TsStore::with_wal(Arc::clone(&backing), config, dir.join("s.wal"), WalConfig::default())
+                .unwrap()
+        };
+        append(&open(), &points[..reopen_at]);
+        let ts = open();
+        assert_scan_from_slices(&ts, &points[..reopen_at], &probes);
+        append(&ts, &points[reopen_at..checkpoint_at]);
+        ts.checkpoint().unwrap();
+        append(&ts, &points[checkpoint_at..]);
+        assert_scan_from_slices(&ts, &points, &probes);
+        drop(ts);
+        assert_scan_from_slices(&open(), &points, &probes);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
