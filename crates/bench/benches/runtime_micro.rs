@@ -1,10 +1,10 @@
 //! Criterion micro-benchmarks of the virtual-actor runtime: dispatch
-//! throughput, request/response round trips, activation costs, and
-//! scatter/gather fan-in.
+//! throughput from clients and from inside turns, request/response round
+//! trips, activation costs, and scatter/gather fan-in.
 
 use std::time::Duration;
 
-use aodb_runtime::{gather, Actor, ActorContext, Handler, Message, Runtime};
+use aodb_runtime::{gather, Actor, ActorContext, ActorKey, Handler, Message, Runtime};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
 struct Echo {
@@ -36,9 +36,46 @@ impl Handler<Die> for Echo {
     }
 }
 
+/// One member of a relay ring: forwards each hop to the next key of its
+/// ring, so every hop after the first is dispatched from inside a turn
+/// (the worker-local deque path). Keys are `ring * RING_LEN + index`.
+struct Relay {
+    next: u64,
+}
+
+impl Actor for Relay {
+    const TYPE_NAME: &'static str = "bench.relay";
+}
+
+const RING_LEN: u64 = 64;
+
+/// Hops left to travel; the last hop replies to whoever sent the first.
+struct Hop(u64);
+impl Message for Hop {
+    type Reply = ();
+}
+impl Handler<Hop> for Relay {
+    fn handle(&mut self, msg: Hop, ctx: &mut ActorContext<'_>) {
+        if msg.0 > 1 {
+            let reply = ctx.defer_reply::<()>().expect("hop reply sink");
+            ctx.actor_ref::<Relay>(self.next)
+                .ask_with(Hop(msg.0 - 1), reply)
+                .unwrap();
+        }
+    }
+}
+
 fn runtime_fixture() -> Runtime {
     let rt = Runtime::single(2);
     rt.register(|_id| Echo { value: 0 });
+    rt.register(|id| {
+        let ActorKey::U64(key) = id.key else {
+            unreachable!("relay keys are numeric")
+        };
+        Relay {
+            next: key - key % RING_LEN + (key + 1) % RING_LEN,
+        }
+    });
     rt
 }
 
@@ -78,6 +115,25 @@ fn bench_dispatch(c: &mut Criterion) {
             for a in &actors {
                 a.call(Bump(1)).unwrap();
             }
+        })
+    });
+
+    // Two rings, so both workers have a chain to run, each carrying one
+    // 500-hop chain; the iteration ends when both last hops have replied.
+    group.throughput(Throughput::Elements(1000));
+    group.bench_function("ring_1000_hops_in_turn_2_rings", |b| {
+        let heads: Vec<_> = (0..2)
+            .map(|r| rt.actor_ref::<Relay>(r * RING_LEN))
+            .collect();
+        for head in &heads {
+            head.call(Hop(RING_LEN)).unwrap(); // activate the whole ring
+        }
+        b.iter(|| {
+            let (collector, promise) = gather::<()>(heads.len());
+            for head in &heads {
+                head.ask_with(Hop(500), collector.slot()).unwrap();
+            }
+            promise.wait_for(Duration::from_secs(10)).unwrap()
         })
     });
 

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use aodb_runtime::{NetConfig, Placement, PreferLocalPlacement, Runtime, SiloId};
 use aodb_shm::{provision, register_all, ShmEnv, Topology, TopologySpec};
-use aodb_store::{LogStore, LogStoreConfig, MemStore, StateStore, SyncPolicy, WalConfig};
+use aodb_store::{MemStore, StateStore};
 
 use crate::workload::FleetRefs;
 
@@ -107,46 +107,6 @@ pub fn build_single_silo(sensors: usize, workers: usize, hw: SimHw) -> Testbed {
         PreferLocalPlacement,
         TopologySpec::default(),
     )
-}
-
-/// Single-silo testbed on the *durable* store stack: a [`LogStore`]
-/// backing in `dir`, the tseries engine in group-commit WAL mode
-/// (`FsyncPolicy::PerGroup` — every ingest ack means its WAL group
-/// fsynced). The durability-on counterpart of
-/// [`build_single_silo`]; the caller owns `dir` and removes it after
-/// [`teardown`].
-pub fn build_single_silo_durable(
-    sensors: usize,
-    workers: usize,
-    hw: SimHw,
-    dir: &std::path::Path,
-) -> Testbed {
-    let store: Arc<dyn StateStore> = Arc::new(
-        LogStore::open(LogStoreConfig {
-            dir: dir.to_path_buf(),
-            compact_threshold: 16 * 1024 * 1024,
-            sync: SyncPolicy::OnDemand,
-        })
-        .expect("open durable bench store"),
-    );
-    let (env, _engine) = ShmEnv::tseries_wal_default(
-        Arc::clone(&store),
-        dir.join("ingest.wal"),
-        WalConfig::default(),
-    )
-    .expect("open bench wal");
-    let rt = Runtime::builder().silos(1, workers).max_batch(8).build();
-    register_all(&rt, env.with_service_time(hw.service_time));
-    let topology = Topology::layout(sensors, TopologySpec::default());
-    let silo_of_org = |_org: usize| Some(SiloId(0));
-    provision(&rt, &topology, silo_of_org).expect("provisioning failed");
-    let fleet = FleetRefs::build(&rt, &topology, silo_of_org);
-    Testbed {
-        rt,
-        topology,
-        fleet,
-        store,
-    }
 }
 
 /// Tears a testbed down with a drain budget scaled to possible backlog.

@@ -3,10 +3,8 @@
 
 pub mod ablations;
 pub mod common;
-pub mod dispatch;
 pub mod fig6;
 pub mod fig7;
 pub mod fig89;
-pub mod ingest;
 
 pub use common::{build_single_silo, build_testbed, teardown, SimHw, Testbed};

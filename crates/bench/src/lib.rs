@@ -11,7 +11,7 @@
 //!   method, latency percentile tables.
 //! * [`experiments`] — Figure 6 (single-server saturation), Figure 7
 //!   (scale-out), Figures 8/9 (query latency percentiles), and the
-//!   placement / durability / granularity / constraint ablations.
+//!   placement / granularity / constraint ablations.
 //!
 //! Run everything with:
 //!

@@ -58,9 +58,19 @@ fn wal_platform(seed: u64, store: Arc<dyn StateStore>, wal_path: &Path) -> (Runt
         })
         .chaos(plan)
         .build();
-    let (env, engine) =
-        ShmEnv::tseries_wal_default(store, wal_path.to_path_buf(), WalConfig::default()).unwrap();
-    register_all(&rt, env);
+    let engine = Arc::new(
+        TsStore::with_wal(
+            Arc::clone(&store),
+            TsConfig::default(),
+            wal_path,
+            WalConfig::default(),
+        )
+        .unwrap(),
+    );
+    register_all(
+        &rt,
+        ShmEnv::paper_default(store).with_series_store(Arc::clone(&engine) as _),
+    );
     (rt, engine)
 }
 

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use aodb_core::{Persisted, PersistentState, WritePolicy};
 use aodb_runtime::ActorKey;
 use aodb_store::tseries::{SeriesStore, TsConfig, TsStore};
-use aodb_store::{StateStore, StoreResult, WalConfig};
+use aodb_store::StateStore;
 
 /// Everything an SHM actor factory needs: the state store and the series
 /// store that holds every channel's data.
@@ -63,30 +63,8 @@ impl ShmEnv {
         }
     }
 
-    /// [`ShmEnv::paper_default`] with the [`TsStore`] in group-commit
-    /// mode over the same backing store (see [`TsStore::with_wal`]):
-    /// appends write compact delta frames to a group-commit WAL at
-    /// `wal_path`, ingest acks resolve on the committer thread, and one
-    /// fsync covers every concurrently appending channel. Returns the
-    /// engine alongside the env so the platform can wire checkpoints and
-    /// deactivation-sweep sync barriers, and read the WAL's group
-    /// counters ([`TsStore::wal_stats`]).
-    pub fn tseries_wal_default(
-        store: Arc<dyn StateStore>,
-        wal_path: impl Into<std::path::PathBuf>,
-        wal_config: WalConfig,
-    ) -> StoreResult<(Self, Arc<TsStore>)> {
-        let ts = Arc::new(TsStore::with_wal(
-            Arc::clone(&store),
-            TsConfig::default(),
-            wal_path,
-            wal_config,
-        )?);
-        let env = ShmEnv::paper_default(store).with_series_store(Arc::clone(&ts) as _);
-        Ok((env, ts))
-    }
-
-    /// Keeps channel data in `series` (see [`ShmEnv::series`]).
+    /// Keeps channel data in `series` (see [`ShmEnv::series`]), e.g. a
+    /// [`TsStore::with_wal`] instance for acks on the group-commit clock.
     pub fn with_series_store(mut self, series: Arc<dyn SeriesStore>) -> Self {
         self.series = series;
         self

@@ -29,7 +29,7 @@ use aodb_shm::types::DataPoint;
 use aodb_shm::{
     provision, register_all, Organization, PhysicalSensorChannel, ShmEnv, Topology, TopologySpec,
 };
-use aodb_store::tseries::TsStore;
+use aodb_store::tseries::{TsConfig, TsStore};
 use aodb_store::{FsyncPolicy, MemStore, StateStore, WalConfig};
 
 const MAX_THREADS: usize = 64;
@@ -205,14 +205,18 @@ impl Stack {
             std::env::temp_dir().join(format!("aodb-alloc-budget-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&wal_dir);
         let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-        let (env, engine) = ShmEnv::tseries_wal_default(
-            Arc::clone(&store),
-            wal_dir.join("ingest.wal"),
-            WalConfig {
-                fsync_policy: FsyncPolicy::OnDemand,
-            },
-        )
-        .unwrap();
+        let engine = Arc::new(
+            TsStore::with_wal(
+                Arc::clone(&store),
+                TsConfig::default(),
+                wal_dir.join("ingest.wal"),
+                WalConfig {
+                    fsync_policy: FsyncPolicy::OnDemand,
+                },
+            )
+            .unwrap(),
+        );
+        let env = ShmEnv::paper_default(store).with_series_store(Arc::clone(&engine) as _);
         let rt = Runtime::builder().silos(1, WORKERS).build();
         register_all(&rt, env);
         rt.register(|_id| Marker);

@@ -10,7 +10,7 @@ use std::time::Duration;
 use aodb_runtime::Runtime;
 use aodb_shm::types::DataPoint;
 use aodb_shm::{provision, register_all, ShmClient, ShmEnv, Topology, TopologySpec};
-use aodb_store::tseries::TsStore;
+use aodb_store::tseries::{TsConfig, TsStore};
 use aodb_store::{MemStore, StateStore, WalConfig};
 
 fn dp(ts_ms: u64, value: f64) -> DataPoint {
@@ -29,8 +29,16 @@ fn wal_platform(
     wal_path: &std::path::Path,
     sensors: usize,
 ) -> (Runtime, Topology, Arc<TsStore>) {
-    let (env, engine) =
-        ShmEnv::tseries_wal_default(Arc::clone(store), wal_path, WalConfig::default()).unwrap();
+    let engine = Arc::new(
+        TsStore::with_wal(
+            Arc::clone(store),
+            TsConfig::default(),
+            wal_path,
+            WalConfig::default(),
+        )
+        .unwrap(),
+    );
+    let env = ShmEnv::paper_default(Arc::clone(store)).with_series_store(Arc::clone(&engine) as _);
     let rt = Runtime::single(4);
     register_all(&rt, env);
     let topology = Topology::layout(sensors, TopologySpec::default());
