@@ -78,9 +78,7 @@ pub use metrics::{Histogram, Percentiles, RuntimeMetricsSnapshot, Snapshot};
 pub use net::{LatencyModel, NetConfig, TimerHandle};
 pub use placement::{ConsistentHashPlacement, Placement, PreferLocalPlacement, RandomPlacement};
 pub use promise::{gather, resolved, Collector, Promise, ReplyTo};
-pub use runtime::{
-    ActorRef, PanicPolicy, Recipient, Runtime, RuntimeBuilder, RuntimeHandle, SiloCrashReport,
-};
+pub use runtime::{ActorRef, Recipient, Runtime, RuntimeBuilder, RuntimeHandle, SiloCrashReport};
 pub use silo::SiloConfig;
 pub use topology::{ActorTopology, CallDecl, CallKind};
 

@@ -168,31 +168,13 @@ impl Registry {
     }
 }
 
-/// What happens to an activation whose handler panicked.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum PanicPolicy {
-    /// Keep the activation alive with its in-memory state (the message
-    /// that panicked is lost; its reply resolves as `Lost`).
-    #[default]
-    Keep,
-    /// Deactivate the activation after the faulted turn **without**
-    /// running `on_deactivate` (the in-memory state is suspect, so it is
-    /// not flushed); the next message re-activates from the last durable
-    /// state — Orleans' faulted-grain behaviour.
-    Deactivate,
-}
-
 /// Runtime-wide configuration derived from the builder.
 pub(crate) struct CoreConfig {
     /// Max envelopes one scheduling slice processes before yielding.
     pub max_batch: usize,
     /// Activations idle longer than this are reclaimed; `None` disables
-    /// idle deactivation.
+    /// idle deactivation. The janitor scans every quarter of it.
     pub idle_timeout: Option<Duration>,
-    /// How often the janitor scans for idle activations.
-    pub janitor_interval: Duration,
-    /// Faulted-activation policy.
-    pub panic_policy: PanicPolicy,
     /// Runs once after each deactivation sweep (janitor batch, shutdown
     /// drain, or a single on-idle deactivation). The write-coalescing
     /// seam for deactivation-time state flushes: actors persist via
@@ -636,11 +618,11 @@ impl RuntimeCore {
     }
 }
 
-/// Janitor thread body. Parks between scans — `park_timeout` for the scan
-/// interval when idle deactivation is on, indefinitely when it is off —
-/// so shutdown's unpark is noticed immediately instead of after up to a
-/// full `janitor_interval`, and an idle-timeout-less runtime performs no
-/// periodic janitor wakeups at all.
+/// Janitor thread body. Parks between scans — `park_timeout` for a
+/// quarter of the idle timeout (at least 1 ms) when idle deactivation is
+/// on, indefinitely when it is off — so shutdown's unpark is noticed
+/// immediately instead of after up to a full scan interval, and an
+/// idle-timeout-less runtime performs no periodic janitor wakeups at all.
 fn janitor_loop(core: Arc<RuntimeCore>) {
     let _ = core.janitor_thread.set(std::thread::current());
     // Pairs with the fence in `shutdown_impl`: either shutdown sees the
@@ -652,8 +634,8 @@ fn janitor_loop(core: Arc<RuntimeCore>) {
         if core.is_shutdown() {
             return;
         }
-        if core.config.idle_timeout.is_some() {
-            std::thread::park_timeout(core.config.janitor_interval);
+        if let Some(idle) = core.config.idle_timeout {
+            std::thread::park_timeout((idle / 4).max(Duration::from_millis(1)));
         } else {
             // Nothing to scan for: sleep until shutdown unparks us.
             // (Spurious unparks just loop back here.)
@@ -673,8 +655,6 @@ pub struct RuntimeBuilder {
     net: NetConfig,
     max_batch: usize,
     idle_timeout: Option<Duration>,
-    janitor_interval: Duration,
-    panic_policy: PanicPolicy,
     chaos: Option<FaultPlan>,
     on_deactivation_sweep: Option<Arc<dyn Fn() + Send + Sync>>,
 }
@@ -695,8 +675,6 @@ impl RuntimeBuilder {
             net: NetConfig::disabled(),
             max_batch: 16,
             idle_timeout: None,
-            janitor_interval: Duration::from_millis(100),
-            panic_policy: PanicPolicy::Keep,
             chaos: None,
             on_deactivation_sweep: None,
         }
@@ -728,15 +706,10 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Enables idle deactivation after `timeout` of inactivity.
+    /// Enables idle deactivation after `timeout` of inactivity; the
+    /// janitor scans for idle activations every quarter of it.
     pub fn idle_timeout(mut self, timeout: Duration) -> Self {
         self.idle_timeout = Some(timeout);
-        self
-    }
-
-    /// How often the janitor scans for idle activations.
-    pub fn janitor_interval(mut self, interval: Duration) -> Self {
-        self.janitor_interval = interval;
         self
     }
 
@@ -744,12 +717,6 @@ impl RuntimeBuilder {
     pub fn max_batch(mut self, n: usize) -> Self {
         assert!(n > 0);
         self.max_batch = n;
-        self
-    }
-
-    /// Sets what happens to activations whose handlers panic.
-    pub fn panic_policy(mut self, policy: PanicPolicy) -> Self {
-        self.panic_policy = policy;
         self
     }
 
@@ -794,8 +761,6 @@ impl RuntimeBuilder {
             config: CoreConfig {
                 max_batch: self.max_batch,
                 idle_timeout: self.idle_timeout,
-                janitor_interval: self.janitor_interval,
-                panic_policy: self.panic_policy,
                 on_deactivation_sweep: self.on_deactivation_sweep,
             },
             metrics: RuntimeMetrics::new(self.silos.iter().map(|s| s.workers).sum()),

@@ -309,7 +309,6 @@ pub(crate) fn run_activation_slice(
     }
     batch.clear();
     act.mailbox.drain_batch(core.config.max_batch, batch);
-    let discard_on_panic = core.config.panic_policy == crate::runtime::PanicPolicy::Deactivate;
     let unit = &core.silos[act.silo.index()];
     let mut deactivate = false;
     let mut faulted = false;
@@ -330,7 +329,7 @@ pub(crate) fn run_activation_slice(
         let _turn = crate::topology::TurnGuard::enter(act.id.type_id);
         for mut env in batch.drain(..) {
             killed = killed || !unit.is_alive();
-            if killed || (faulted && discard_on_panic) {
+            if killed || faulted {
                 // Either the silo crashed mid-slice (remaining turns are
                 // lost with it), or an earlier turn corrupted the actor:
                 // run nothing further against it; salvage instead.
@@ -381,7 +380,7 @@ pub(crate) fn run_activation_slice(
         core.crash_finish(act, leftover);
         return;
     }
-    if faulted && discard_on_panic {
+    if faulted {
         // Orleans faulted-grain behaviour: discard this activation right
         // away (without flushing its suspect state) and re-dispatch the
         // salvaged and still-queued messages to a fresh activation built

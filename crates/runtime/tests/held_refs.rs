@@ -200,7 +200,6 @@ fn idle_janitor_races_senders_holding_their_own_references() {
         RuntimeBuilder::new()
             .silos(1, 2)
             .idle_timeout(Duration::from_millis(1))
-            .janitor_interval(Duration::from_millis(1))
             .build(),
     );
     let witness = probed(&rt, SENDERS);

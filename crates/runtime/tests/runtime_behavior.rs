@@ -185,8 +185,10 @@ fn handler_panic_is_isolated_and_reply_is_lost() {
     c.call(Add(5)).unwrap();
     let err = c.call(Boom).unwrap_err();
     assert!(matches!(err, CallError::Reply(PromiseError::Lost)));
-    // The actor survives the panic with state intact.
-    assert_eq!(c.call(Get).unwrap(), 5);
+    // The panicked activation is discarded; the next message builds a
+    // fresh one from durable state (this counter keeps none).
+    assert_eq!(c.call(Get).unwrap(), 0);
+    assert_eq!(probe.activations.load(Ordering::SeqCst), 2);
     assert_eq!(rt.metrics().handler_panics, 1);
     rt.shutdown();
 }
@@ -217,7 +219,6 @@ fn idle_timeout_reclaims_activations() {
     let rt = Runtime::builder()
         .silos(1, 2)
         .idle_timeout(Duration::from_millis(50))
-        .janitor_interval(Duration::from_millis(10))
         .build();
     {
         let probe = Arc::clone(&probe);

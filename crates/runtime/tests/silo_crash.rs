@@ -6,8 +6,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use aodb_runtime::{
-    Actor, ActorContext, ActorError, FaultPlan, Handler, Message, NetConfig, PanicPolicy,
-    Placement, Runtime, RuntimeBuilder, SendError, SiloId,
+    Actor, ActorContext, ActorError, FaultPlan, Handler, Message, NetConfig, Placement, Runtime,
+    RuntimeBuilder, SendError, SiloId,
 };
 
 /// Pins every actor onto the silo named by the low bits of its key hash —
@@ -299,7 +299,6 @@ fn chaos_duplicates_replayable_sends_only() {
             client: Some(aodb_runtime::LatencyModel::fixed(Duration::from_micros(20))),
         })
         .chaos(plan)
-        .panic_policy(PanicPolicy::Keep)
         .build();
     let activations = Arc::new(AtomicU64::new(0));
     let acts = Arc::clone(&activations);

@@ -1,11 +1,11 @@
-//! Supervision tests: faulted-activation policies and recovery semantics
-//! under injected panics.
+//! Supervision tests: a faulted activation is discarded and rebuilt from
+//! durable state under injected panics.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use aodb_runtime::{Actor, ActorContext, Handler, Message, PanicPolicy, Runtime, RuntimeBuilder};
+use aodb_runtime::{Actor, ActorContext, Handler, Message, Runtime, RuntimeBuilder};
 
 /// An actor with in-memory state and a "durable" baseline restored on
 /// activation (a stand-in for Persisted state without a store dependency).
@@ -50,13 +50,10 @@ impl Handler<CorruptAndPanic> for Fragile {
     }
 }
 
-fn build(policy: PanicPolicy) -> (Runtime, Arc<AtomicUsize>, Arc<AtomicUsize>) {
+fn build() -> (Runtime, Arc<AtomicUsize>, Arc<AtomicUsize>) {
     let activations = Arc::new(AtomicUsize::new(0));
     let flushes = Arc::new(AtomicUsize::new(0));
-    let rt = RuntimeBuilder::new()
-        .silos(1, 2)
-        .panic_policy(policy)
-        .build();
+    let rt = RuntimeBuilder::new().silos(1, 2).build();
     {
         let activations = Arc::clone(&activations);
         let flushes = Arc::clone(&flushes);
@@ -70,21 +67,8 @@ fn build(policy: PanicPolicy) -> (Runtime, Arc<AtomicUsize>, Arc<AtomicUsize>) {
 }
 
 #[test]
-fn keep_policy_preserves_corrupted_state() {
-    // The default: the activation survives, corrupted state and all —
-    // the test documents why Deactivate exists.
-    let (rt, activations, _) = build(PanicPolicy::Keep);
-    let actor = rt.actor_ref::<Fragile>("a");
-    assert_eq!(actor.call(Add(1)).unwrap(), 101);
-    let _ = actor.call(CorruptAndPanic);
-    assert_eq!(actor.call(Add(0)).unwrap(), 999_999);
-    assert_eq!(activations.load(Ordering::SeqCst), 1);
-    rt.shutdown();
-}
-
-#[test]
-fn deactivate_policy_discards_corrupted_state() {
-    let (rt, activations, flushes) = build(PanicPolicy::Deactivate);
+fn faulted_turn_discards_corrupted_state() {
+    let (rt, activations, flushes) = build();
     let actor = rt.actor_ref::<Fragile>("a");
     assert_eq!(actor.call(Add(1)).unwrap(), 101);
     let _ = actor.call(CorruptAndPanic);
@@ -100,7 +84,7 @@ fn deactivate_policy_discards_corrupted_state() {
 
 #[test]
 fn queued_messages_survive_a_faulted_turn() {
-    let (rt, _, _) = build(PanicPolicy::Deactivate);
+    let (rt, _, _) = build();
     let actor = rt.actor_ref::<Fragile>("q");
     actor.call(Add(0)).unwrap();
     // Queue a panic followed by a burst of adds in one go; the adds must
@@ -119,7 +103,7 @@ fn queued_messages_survive_a_faulted_turn() {
 
 #[test]
 fn repeated_faults_do_not_wedge_the_actor() {
-    let (rt, activations, _) = build(PanicPolicy::Deactivate);
+    let (rt, activations, _) = build();
     let actor = rt.actor_ref::<Fragile>("r");
     for _ in 0..5 {
         let _ = actor.call(CorruptAndPanic);
@@ -132,7 +116,7 @@ fn repeated_faults_do_not_wedge_the_actor() {
 
 #[test]
 fn faulted_activations_count_as_deactivations_in_metrics() {
-    let (rt, _, _) = build(PanicPolicy::Deactivate);
+    let (rt, _, _) = build();
     let actor = rt.actor_ref::<Fragile>("m");
     let _ = actor.call(CorruptAndPanic);
     let deadline = Instant::now() + Duration::from_secs(2);

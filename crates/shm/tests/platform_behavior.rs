@@ -8,12 +8,12 @@ use std::time::Duration;
 
 use aodb_core::state_key;
 use aodb_runtime::Actor;
-use aodb_runtime::{NetConfig, PreferLocalPlacement, Runtime, SiloId};
-use aodb_shm::messages::{GetSensorInfo, Ingest, UpdatePosition};
+use aodb_runtime::{NetConfig, PreferLocalPlacement, PromiseError, Runtime, SiloId};
+use aodb_shm::messages::{ConfigureChannel, GetSensorInfo, Ingest, QueryRange, UpdatePosition};
 use aodb_shm::types::{Aggregate, AggregateLevel, AlertKind, DataPoint, Position, Threshold};
 use aodb_shm::{
-    aggregator_key, provision, register_all, Aggregator, Sensor, ShmClient, ShmEnv, Topology,
-    TopologySpec,
+    aggregator_key, provision, register_all, Aggregator, AlertLog, PhysicalSensorChannel, Sensor,
+    ShmClient, ShmEnv, Topology, TopologySpec, VirtualSensorChannel,
 };
 use aodb_store::tseries::{TsConfig, TsStore};
 use aodb_store::{MemStore, StateStore, WalConfig};
@@ -242,6 +242,56 @@ fn threshold_breach_raises_alert_in_org_log() {
         assert_eq!(alerts[0].value, 150.0);
         assert_eq!(&alerts[0].channel, channel);
         assert_eq!(client.alert_count(org).unwrap().wait().unwrap(), 1);
+        rt.shutdown();
+    }
+}
+
+/// A turn that panics after admitting a batch's dedup token must not
+/// leave the token behind: the faulted activation is discarded, so the
+/// client's retransmission is applied instead of acked as a duplicate.
+#[test]
+fn retransmission_after_a_panicked_ingest_turn_is_applied() {
+    for series in Series::ALL {
+        let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
+        let wal = fresh_wal("panicked-turn");
+        let env = series.env(&store, &wal);
+        let rt = Runtime::single(2);
+        // No `AlertLog` yet: the fan-out of a breaching batch panics in
+        // the turn, after the channel admitted the batch's token.
+        PhysicalSensorChannel::register(&rt, env.clone());
+        VirtualSensorChannel::register(&rt, env.clone());
+        let channel = rt.actor_ref::<PhysicalSensorChannel>("org-0/s-0/c-0");
+        channel
+            .call(ConfigureChannel {
+                org: "org-0".into(),
+                sensor: "org-0/s-0".into(),
+                threshold: Threshold {
+                    high: Some(100.0),
+                    ..Default::default()
+                },
+                subscribers: Vec::new(),
+            })
+            .unwrap();
+        let batch = vec![dp(0, 50.0), dp(1, 150.0), dp(2, 160.0), dp(3, 40.0)];
+        let ingest = || Ingest::deduped(batch.clone(), 7, 1);
+
+        let first = channel.ask(ingest()).unwrap().wait();
+        assert_eq!(first, Err(PromiseError::Lost), "{series:?}");
+        AlertLog::register(&rt, env);
+        let retry = channel.ask(ingest()).unwrap().wait();
+        assert_eq!(
+            retry,
+            Ok(4),
+            "{series:?}: retransmission acked as a duplicate"
+        );
+        let points = channel
+            .call(QueryRange {
+                from_ms: 0,
+                to_ms: u64::MAX,
+                limit: 0,
+            })
+            .unwrap();
+        assert_eq!(points, batch, "{series:?}");
         rt.shutdown();
     }
 }

@@ -37,7 +37,7 @@ pub mod wal;
 
 pub use api::{Key, StateStore, StoreError, StoreResult};
 pub use chaos::{BurstWindow, ChaosStore, ChaosStoreConfig};
-pub use log::{LogStore, LogStoreConfig, SyncPolicy};
+pub use log::{LogStore, LogStoreConfig};
 pub use mem::MemStore;
 pub use tseries::{AppendOutcome, SeriesRecovery, SeriesStats, SeriesStore, TsConfig, TsStore};
 pub use wal::{

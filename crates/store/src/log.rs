@@ -31,18 +31,6 @@ use crate::codec::{self, frame_record_with, replay_framed, Reader};
 const OP_PUT: u8 = 1;
 const OP_DELETE: u8 = 2;
 
-/// Durability of individual appends.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SyncPolicy {
-    /// `fsync` after every append (slow, strongest).
-    Always,
-    /// Let the OS page cache decide; `sync()` forces it. This is the
-    /// default and mirrors DynamoDB's behaviour as seen by a client (the
-    /// service acks before our process could observe a local fsync anyway).
-    #[default]
-    OnDemand,
-}
-
 /// Configuration for [`LogStore`].
 #[derive(Clone, Debug)]
 pub struct LogStoreConfig {
@@ -50,17 +38,14 @@ pub struct LogStoreConfig {
     pub dir: PathBuf,
     /// WAL size that triggers snapshot compaction.
     pub compact_threshold: u64,
-    /// Append durability.
-    pub sync: SyncPolicy,
 }
 
 impl LogStoreConfig {
-    /// Defaults: 16 MiB compaction threshold, on-demand sync.
+    /// Defaults: 16 MiB compaction threshold.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         LogStoreConfig {
             dir: dir.into(),
             compact_threshold: 16 * 1024 * 1024,
-            sync: SyncPolicy::OnDemand,
         }
     }
 }
@@ -72,7 +57,8 @@ struct Writer {
     wal_len: u64,
 }
 
-/// The log-structured store.
+/// The log-structured store. A write is in the OS page cache when it
+/// returns; [`StateStore::sync`] makes every earlier write durable.
 pub struct LogStore {
     index: RwLock<BTreeMap<Vec<u8>, Bytes>>,
     writer: Mutex<Writer>,
@@ -176,12 +162,9 @@ impl LogStore {
     /// *and* the index update, and compaction runs *before* the append, so
     /// a snapshot can never be cut from an index that lags the WAL (which
     /// would lose the lagging records when the WAL is truncated).
-    /// `durable` selects the configured [`SyncPolicy`]; deferred writes
-    /// skip the per-append fsync and rely on [`StateStore::sync`].
     fn append_and_apply(
         &self,
         framed: Vec<u8>,
-        durable: bool,
         apply: impl FnOnce(&mut BTreeMap<Vec<u8>, Bytes>),
     ) -> StoreResult<()> {
         let mut w = self.writer.lock();
@@ -189,9 +172,6 @@ impl LogStore {
             self.compact_locked(&mut w)?;
         }
         (&*w.wal).write_all(&framed)?;
-        if durable && self.config.sync == SyncPolicy::Always {
-            w.wal.sync_data()?;
-        }
         w.wal_len += framed.len() as u64;
         apply(&mut self.index.write());
         Ok(())
@@ -254,15 +234,7 @@ impl StateStore for LogStore {
         // frame.
         let mut framed = Vec::new();
         encode_mutation(OP_PUT, key.as_bytes(), &value, &mut framed);
-        self.append_and_apply(framed, true, move |index| {
-            index.insert(key.as_bytes().to_vec(), value);
-        })
-    }
-
-    fn put_deferred(&self, key: &Key, value: Bytes) -> StoreResult<()> {
-        let mut framed = Vec::new();
-        encode_mutation(OP_PUT, key.as_bytes(), &value, &mut framed);
-        self.append_and_apply(framed, false, move |index| {
+        self.append_and_apply(framed, move |index| {
             index.insert(key.as_bytes().to_vec(), value);
         })
     }
@@ -270,7 +242,7 @@ impl StateStore for LogStore {
     fn delete(&self, key: &Key) -> StoreResult<()> {
         let mut framed = Vec::new();
         encode_mutation(OP_DELETE, key.as_bytes(), &[], &mut framed);
-        self.append_and_apply(framed, true, |index| {
+        self.append_and_apply(framed, |index| {
             index.remove(key.as_bytes());
         })
     }

@@ -37,23 +37,22 @@
 //! the accumulation window), and never holds a group open waiting for
 //! more.
 //!
-//! ## Crash injection
+//! ## Faults
 //!
-//! The group-commit path has exactly five externally-distinguishable
-//! write/fsync/ack boundaries, enumerated by [`CrashPoint`]. Tests arm
-//! one with [`GroupWal::arm_crash`]; when the committer reaches the
-//! armed point it emulates a process kill at that instant — un-synced
-//! bytes are dropped (the page cache is lost), a mid-group tear leaves
-//! partial frame bytes on disk, and every unresolved waiter errors out.
-//! The chaos suite reopens the file afterwards and asserts the
-//! invariant *acked ⇒ recovered, and recovered is a prefix of
-//! submitted*.
+//! Any media error marks the WAL dead and errors every unresolved
+//! waiter. Injected kills take the same road: tests arm one of the five
+//! [`CrashPoint`]s with [`GroupWal::arm_crash`], and the media wrapper
+//! every committer runs over turns it into a media event — un-synced
+//! bytes are dropped with the page cache, a mid-group tear leaves
+//! partial frame bytes behind, and the operation fails. The chaos suite
+//! reopens the file afterwards and asserts the invariant *acked ⇒
+//! recovered, and recovered is a prefix of submitted*.
 
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
 // Under the `model` feature the committer thread routes through the model
@@ -83,8 +82,9 @@ pub enum FsyncPolicy {
     #[default]
     PerGroup,
     /// Never fsync on the append path; [`GroupWal::sync`] forces one.
-    /// Acks then mean "written to the OS", mirroring
-    /// [`SyncPolicy::OnDemand`](crate::SyncPolicy).
+    /// Acks then mean "written to the OS", like a
+    /// [`LogStore`](crate::LogStore) write before its
+    /// [`sync`](crate::StateStore::sync).
     OnDemand,
 }
 
@@ -99,34 +99,41 @@ pub struct WalConfig {
 }
 
 /// The write/fsync/ack boundaries of the group-commit path, for fault
-/// injection. Each variant names the instant the emulated process kill
-/// happens.
+/// injection. Each variant names the media event at which the emulated
+/// process kill lands; group N is the media's N-th non-empty
+/// `write_all`, so a group of pure barriers is never the armed one. A
+/// kill truncates the media to its last synced offset before the
+/// operation fails.
+///
+/// Under [`FsyncPolicy::OnDemand`], where no `sync_data` follows a
+/// group's write, the two fsync-side points fire at the media's next
+/// operation. A [`GroupWal`] holds one armed fault: arming replaces it.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum CrashPoint {
-    /// The group is assembled but nothing reached the file: every frame
-    /// of the group (and everything queued behind it) is lost, none
-    /// were acked.
+    /// Group N's `write_all` fails before writing: every frame of the
+    /// group (and everything queued behind it) is lost, none were acked.
     BeforeGroupWrite,
-    /// The kill lands mid-`write`: a prefix of the coalesced buffer is
-    /// on disk, tearing a frame. Recovery must truncate the tear and
-    /// keep the clean prefix.
+    /// Group N's `write_all` writes half the coalesced buffer, tearing a
+    /// frame, then fails. Recovery must truncate the tear and keep the
+    /// clean prefix.
     MidGroupWrite,
-    /// The buffer was fully written but not fsynced: the page cache is
-    /// lost with the process, so the whole group evaporates. No acks
-    /// were resolved, so nothing acked is lost.
+    /// Group N's `write_all` writes everything, then fails: the page
+    /// cache is lost with the process, so the whole group evaporates. No
+    /// acks were resolved, so nothing acked is lost.
     AfterWriteBeforeFsync,
-    /// Durable but unacknowledged: the fsync completed, the process
-    /// died before resolving waiters. The frames *must* survive
-    /// recovery (durable-but-unacked is the allowed direction).
+    /// The next `sync_data` syncs, then fails: durable but
+    /// unacknowledged. The frames *must* survive recovery
+    /// (durable-but-unacked is the allowed direction).
     AfterFsyncBeforeAck,
-    /// The group was durable and acked; the kill hits afterwards.
-    /// Recovery must observe every acked frame.
+    /// That `sync_data` succeeds and the group is acked; the media's
+    /// next operation fails. Recovery must observe every acked frame.
     AfterAck,
 }
 
 impl CrashPoint {
-    /// Every crash point, in pipeline order — the chaos matrix iterates
-    /// this so no boundary is left untested.
+    /// Every crash point, in pipeline order, which is declaration order:
+    /// `ALL[p as usize] == p`. The chaos matrix iterates this so no
+    /// boundary is left untested.
     pub const ALL: [CrashPoint; 5] = [
         CrashPoint::BeforeGroupWrite,
         CrashPoint::MidGroupWrite,
@@ -136,8 +143,8 @@ impl CrashPoint {
     ];
 }
 
-/// Arms a crash at `point` when the committer processes group number
-/// `at_group` (0-based count of non-empty groups committed so far).
+/// Arms a crash at `point` on group number `at_group` (0-based count of
+/// non-empty group writes since the WAL opened).
 #[derive(Clone, Copy, Debug)]
 pub struct CrashPlan {
     /// Which boundary to kill at.
@@ -293,12 +300,6 @@ fn framed(payload: &[u8]) -> FramedRecord {
     FramedRecord::build(payload.len(), |out| out.extend_from_slice(payload))
 }
 
-/// True for a pure barrier — a record with an empty payload: it resolves
-/// in submission order and nothing is written for it.
-fn is_barrier(record: &FramedRecord) -> bool {
-    record.payload().is_empty()
-}
-
 enum Op {
     /// A frame (empty payload = pure barrier). `force_sync` makes the
     /// group fsync regardless of policy.
@@ -324,15 +325,9 @@ struct Queue {
     /// at most once per park.
     waiting: bool,
     shutdown: bool,
-    /// Set when the committer died (I/O error or injected crash); every
+    /// Set when the committer died (a media error or a panic); every
     /// queued and future submission resolves with a clone of this.
     dead: Option<StoreError>,
-    /// Which injected crash point fired, if any (diagnostics).
-    injected: Option<CrashPoint>,
-    crash_plan: Option<CrashPlan>,
-    /// Test hook: panic the committer when it assembles non-empty group
-    /// number N (see [`GroupWal::arm_panic`]).
-    panic_plan: Option<u64>,
 }
 
 struct Shared {
@@ -462,11 +457,127 @@ impl WalMedia for MemMedia {
     }
 }
 
+// ----------------------------------------------------------------- faults
+
+/// The one fault armed on a [`GroupWal`], shared with its committer's
+/// `FaultyMedia`. Plain `std` atomics, like `ack_early`: test
+/// configuration, ordered before the targeted write by the queue mutex.
+#[derive(Default)]
+struct Faults {
+    /// `(at_group << 3 | kind) + 1`, `kind` being a [`CrashPoint`] or
+    /// [`PANIC`]; 0 when nothing is armed. The one load a disarmed
+    /// committer pays per non-empty group.
+    armed: AtomicU64,
+    /// The [`CrashPoint`] that fired, plus one; 0 while none has.
+    fired: AtomicU8,
+}
+
+/// The fault kind of [`GroupWal::arm_panic`].
+const PANIC: u64 = 5;
+
+/// The media every committer runs over: forwards to `inner`, and turns
+/// an armed [`CrashPlan`] into the media event its [`CrashPoint`]
+/// names, so an injected kill reaches the committer as an ordinary
+/// `io::Error`.
+struct FaultyMedia<M> {
+    inner: M,
+    faults: Arc<Faults>,
+    /// Non-empty `write_all`s so far.
+    groups: u64,
+    /// Bytes written, and bytes the last `sync_data` covered (the
+    /// committer only appends, and rewinds only after `set_len(0)`).
+    len: u64,
+    synced: u64,
+    /// An fsync-side point armed on its group's write; it fires at the
+    /// media's next operation (after syncing, if that is a `sync_data`).
+    deferred: Option<CrashPoint>,
+}
+
+impl<M: WalMedia> FaultyMedia<M> {
+    /// Emulates a process kill at `point`: bytes past the last sync are
+    /// lost with the page cache, `torn` bytes of the in-flight group are
+    /// left behind, and the operation fails.
+    fn kill(&mut self, point: CrashPoint, torn: &[u8]) -> std::io::Result<()> {
+        let _ = self.inner.set_len(self.synced);
+        let _ = self.inner.seek_to(self.synced);
+        if !torn.is_empty() {
+            let _ = self.inner.write_all(torn);
+        }
+        self.faults.fired.store(point as u8 + 1, Ordering::Relaxed);
+        Err(std::io::Error::other(format!(
+            "injected crash at {point:?}"
+        )))
+    }
+
+    fn fire_deferred(&mut self) -> std::io::Result<()> {
+        match self.deferred {
+            Some(point) => self.kill(point, &[]),
+            None => Ok(()),
+        }
+    }
+}
+
+impl<M: WalMedia> WalMedia for FaultyMedia<M> {
+    fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+        self.fire_deferred()?;
+        let mut point = None;
+        if !buf.is_empty() {
+            let armed = self.faults.armed.load(Ordering::Relaxed);
+            if let Some(word) = armed.checked_sub(1).filter(|w| w >> 3 == self.groups) {
+                match word & 7 {
+                    PANIC => panic!("injected wal committer panic at group {}", self.groups),
+                    kind => point = Some(CrashPoint::ALL[kind as usize]),
+                }
+            }
+            self.groups += 1;
+        }
+        match point {
+            Some(p @ CrashPoint::BeforeGroupWrite) => return self.kill(p, &[]),
+            Some(p @ CrashPoint::MidGroupWrite) => return self.kill(p, &buf[..buf.len() / 2]),
+            _ => {}
+        }
+        self.inner.write_all(buf)?;
+        self.len += buf.len() as u64;
+        match point {
+            Some(p @ CrashPoint::AfterWriteBeforeFsync) => self.kill(p, &[]),
+            fsync_side => {
+                self.deferred = fsync_side;
+                Ok(())
+            }
+        }
+    }
+
+    fn sync_data(&mut self) -> std::io::Result<()> {
+        self.inner.sync_data()?;
+        self.synced = self.len;
+        match self.deferred {
+            Some(p @ CrashPoint::AfterFsyncBeforeAck) => self.kill(p, &[]),
+            // AfterAck lets its group ack; the committer writes (if only
+            // an empty buffer) before it syncs again, and that fails.
+            _ => Ok(()),
+        }
+    }
+
+    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+        self.fire_deferred()?;
+        self.inner.set_len(len)?;
+        self.len = len;
+        self.synced = self.synced.min(len);
+        Ok(())
+    }
+
+    fn seek_to(&mut self, pos: u64) -> std::io::Result<()> {
+        self.fire_deferred()?;
+        self.inner.seek_to(pos)
+    }
+}
+
 // --------------------------------------------------------------- GroupWal
 
 /// The group-commit write-ahead log. See the module docs.
 pub struct GroupWal {
     shared: Arc<Shared>,
+    faults: Arc<Faults>,
     committer: Mutex<Option<mthread::JoinHandle<()>>>,
 }
 
@@ -521,9 +632,6 @@ impl GroupWal {
                 waiting: false,
                 shutdown: false,
                 dead: None,
-                injected: None,
-                crash_plan: None,
-                panic_plan: None,
             }),
             work: Condvar::new(),
             config,
@@ -531,8 +639,17 @@ impl GroupWal {
             counters: WalCounters::default(),
             ack_early: AtomicBool::new(false),
         });
+        let faults = Arc::new(Faults::default());
         let committer = {
             let shared = Arc::clone(&shared);
+            let media = FaultyMedia {
+                inner: media,
+                faults: Arc::clone(&faults),
+                groups: 0,
+                len: durable,
+                synced: durable,
+                deferred: None,
+            };
             mthread::Builder::new()
                 .name("wal-committer".into())
                 .spawn(move || run_committer(shared, media, durable))
@@ -540,6 +657,7 @@ impl GroupWal {
         };
         Ok(GroupWal {
             shared,
+            faults,
             committer: Mutex::new(Some(committer)),
         })
     }
@@ -657,18 +775,24 @@ impl GroupWal {
         self.len() == 0
     }
 
-    /// Arms an injected crash (test instrumentation; see [`CrashPlan`]).
+    /// Arms an injected crash (test instrumentation; see [`CrashPlan`]),
+    /// replacing any armed fault.
     pub fn arm_crash(&self, plan: CrashPlan) {
-        self.shared.q.lock().crash_plan = Some(plan);
+        self.arm(plan.at_group, plan.point as u64);
     }
 
-    /// Arms an injected committer *panic* when it assembles non-empty
-    /// group `at_group` — the crashed-committer path, where every
-    /// pending ack must resolve with an error rather than hang (test
+    /// Arms an injected committer *panic* when it writes non-empty group
+    /// `at_group` — the crashed-committer path, where every pending ack
+    /// must resolve with an error rather than hang (test
     /// instrumentation; the model suite and `wal_panic.rs` drive this).
     #[doc(hidden)]
     pub fn arm_panic(&self, at_group: u64) {
-        self.shared.q.lock().panic_plan = Some(at_group);
+        self.arm(at_group, PANIC);
+    }
+
+    fn arm(&self, at_group: u64, kind: u64) {
+        let word = (at_group << 3 | kind) + 1;
+        self.faults.armed.store(word, Ordering::Relaxed);
     }
 
     /// Teeth hook for the model suite: makes the committer resolve acks
@@ -682,7 +806,10 @@ impl GroupWal {
 
     /// The injected crash point that fired, if any.
     pub fn injected_crash(&self) -> Option<CrashPoint> {
-        self.shared.q.lock().injected
+        match self.faults.fired.load(Ordering::Relaxed) {
+            0 => None,
+            n => Some(CrashPoint::ALL[n as usize - 1]),
+        }
     }
 
     /// Counter snapshot.
@@ -720,62 +847,34 @@ struct Group {
     buf: Vec<u8>,
 }
 
-impl Group {
-    /// True when any frame carries bytes (the crash/panic plans count
-    /// only such groups).
-    fn has_payload(&self) -> bool {
-        self.frames.iter().any(|(record, _)| !is_barrier(record))
-    }
-
-    /// Takes the pending acks out, e.g. to fail them.
-    fn take_pending(&mut self) -> Vec<Done> {
-        self.frames.drain(..).map(|(_, done)| done).collect()
-    }
-}
-
 /// Committer thread entry: runs the commit loop, and if it panics
 /// (injected via [`GroupWal::arm_panic`], or a real bug) marks the WAL
 /// dead and resolves every queued waiter with an error instead of
-/// stranding them. Acks in the group being assembled at the panic unwind
+/// stranding them. Acks in the group being written at the panic unwind
 /// through [`Done`]'s drop, which resolves them the same way.
 fn run_committer<M: WalMedia>(shared: Arc<Shared>, media: M, durable: u64) {
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe({
         let shared = Arc::clone(&shared);
-        move || committer_loop(shared, media, durable, durable)
+        move || committer_loop(shared, media, durable)
     }));
     if caught.is_err() {
         let err = StoreError::Io("wal committer panicked; pending acks lost".into());
-        let drained: Vec<Op> = {
-            let mut q = shared.q.lock();
-            q.dead = Some(err.clone());
-            q.items.drain(..).collect()
-        };
-        let failed = Err(err);
-        for op in drained {
-            match op {
-                Op::Frame { done, .. } | Op::Reset { done } => done.resolve(&failed),
-            }
-        }
+        let len = shared.written_len.load(Ordering::Relaxed);
+        die(&shared, len, err, Vec::new());
     }
 }
 
 /// The committer thread: assemble group → coalesced write → fsync →
-/// resolve acks, with the five [`CrashPoint`]s injectable in between.
-fn committer_loop<M: WalMedia>(
-    shared: Arc<Shared>,
-    mut file: M,
-    mut written: u64,
-    mut durable: u64,
-) {
+/// resolve acks. Any media error ends it through [`die`].
+fn committer_loop<M: WalMedia>(shared: Arc<Shared>, mut file: M, mut durable: u64) {
+    let mut written = durable;
     let fsync_policy = shared.config.fsync_policy;
-    let mut group_seq: u64 = 0;
     let mut group = Group::default();
     loop {
         // ---- assemble the next group (or reset op) under the queue lock
         let mut reset: Option<Done> = None;
         group.force_sync = false;
         group.buf.clear();
-        let mut crash: Option<CrashPoint> = None;
         {
             let mut q = shared.q.lock();
             loop {
@@ -816,34 +915,12 @@ fn committer_loop<M: WalMedia>(
                         Some(Op::Reset { .. }) | None => break,
                     }
                 }
-                if let Some(plan) = q.crash_plan {
-                    // `at_group` counts *non-empty* groups, so a group
-                    // of pure barrier frames is not the armed group —
-                    // consuming the plan on one would silently skip
-                    // points that need bytes in flight (MidGroupWrite).
-                    if plan.at_group == group_seq && group.has_payload() {
-                        crash = Some(plan.point);
-                        q.crash_plan = None;
-                    }
-                }
-                if q.panic_plan == Some(group_seq) && group.has_payload() {
-                    // Injected committer death (see `arm_panic`): unwind
-                    // with the group in hand. The queue guard unlocks on
-                    // the way out; `run_committer` wakes everyone else.
-                    q.panic_plan = None;
-                    panic!("injected wal committer panic at group {group_seq}");
-                }
             }
         }
 
         // ---- reset op: truncate, in queue order
         if let Some(done) = reset {
-            let result = (|| -> StoreResult<()> {
-                file.set_len(0)?;
-                file.seek_to(0)?;
-                Ok(())
-            })();
-            match result {
+            match file.set_len(0).and_then(|()| file.seek_to(0)) {
                 Ok(()) => {
                     written = 0;
                     durable = 0;
@@ -851,7 +928,7 @@ fn committer_loop<M: WalMedia>(
                     done.resolve(&Ok(()));
                 }
                 Err(e) => {
-                    die(&shared, &mut file, durable, None, e, vec![done]);
+                    die(&shared, durable, e.into(), vec![done]);
                     return;
                 }
             }
@@ -861,7 +938,9 @@ fn committer_loop<M: WalMedia>(
         // ---- coalesce
         let mut frame_count = 0u64;
         for (record, _) in &group.frames {
-            if is_barrier(record) {
+            // A pure barrier (empty payload) resolves in submission
+            // order and writes nothing.
+            if record.payload().is_empty() {
                 continue;
             }
             group.buf.extend_from_slice(record.as_bytes());
@@ -869,21 +948,9 @@ fn committer_loop<M: WalMedia>(
         }
         let buf = &group.buf;
 
-        // ---- write (crash points 1–3)
-        let io = (|| -> Result<(), (StoreError, Option<CrashPoint>)> {
-            let injected = |p| (StoreError::Io(format!("injected crash at {p:?}")), Some(p));
-            if crash == Some(CrashPoint::BeforeGroupWrite) {
-                return Err(injected(CrashPoint::BeforeGroupWrite));
-            }
-            if crash == Some(CrashPoint::MidGroupWrite) && !buf.is_empty() {
-                // Tear the group: a prefix of the coalesced buffer
-                // reaches the file, everything unsynced before it is
-                // lost with the page cache.
-                let keep = buf.len() / 2;
-                emulate_kill(&mut file, durable, Some(&buf[..keep]));
-                return Err(injected(CrashPoint::MidGroupWrite));
-            }
-            file.write_all(buf).map_err(|e| (e.into(), None))?;
+        // ---- write, fsync
+        let io = (|| -> std::io::Result<()> {
+            file.write_all(buf)?;
             written += buf.len() as u64;
             shared.written_len.store(written, Ordering::Relaxed);
             if shared.ack_early.load(Ordering::Relaxed) {
@@ -894,15 +961,11 @@ fn committer_loop<M: WalMedia>(
                     done.resolve(&Ok(()));
                 }
             }
-            if crash == Some(CrashPoint::AfterWriteBeforeFsync) {
-                emulate_kill(&mut file, durable, None);
-                return Err(injected(CrashPoint::AfterWriteBeforeFsync));
-            }
             let want_sync = (fsync_policy == FsyncPolicy::PerGroup && !buf.is_empty())
                 || (group.force_sync && durable < written);
             let mut fsyncs = 0;
             if want_sync {
-                file.sync_data().map_err(|e| (e.into(), None))?;
+                file.sync_data()?;
                 durable = written;
                 fsyncs = 1;
             }
@@ -913,105 +976,41 @@ fn committer_loop<M: WalMedia>(
             }
             Ok(())
         })();
-
-        if let Err((err, point)) = io {
-            if point.is_some() {
-                // Injected kills past the write may still need the
-                // page-cache-loss emulation for BeforeGroupWrite.
-                if point == Some(CrashPoint::BeforeGroupWrite) {
-                    emulate_kill(&mut file, durable, None);
-                }
-            }
-            let pending = group.take_pending();
-            die(&shared, &mut file, durable, point, err, pending);
+        if let Err(e) = io {
+            let pending = group.frames.drain(..).map(|(_, done)| done).collect();
+            die(&shared, durable, e.into(), pending);
             return;
         }
-        if frame_count > 0 {
-            group_seq += 1;
-        }
 
-        // ---- ack (crash points 4–5)
-        if crash == Some(CrashPoint::AfterFsyncBeforeAck) {
-            // Durable but unacked: waiters observe an error even though
-            // the bytes survived — the allowed direction.
-            emulate_kill(&mut file, durable, None);
-            let err = StoreError::Io("injected crash at AfterFsyncBeforeAck".into());
-            let pending = group.take_pending();
-            die(
-                &shared,
-                &mut file,
-                durable,
-                Some(CrashPoint::AfterFsyncBeforeAck),
-                err,
-                pending,
-            );
-            return;
-        }
+        // ---- ack
         for (_, done) in group.frames.drain(..) {
             done.resolve(&Ok(()));
         }
-        if crash == Some(CrashPoint::AfterAck) {
-            emulate_kill(&mut file, durable, None);
-            let err = StoreError::Io("injected crash at AfterAck".into());
-            die(
-                &shared,
-                &mut file,
-                durable,
-                Some(CrashPoint::AfterAck),
-                err,
-                Vec::new(),
-            );
-            return;
-        }
     }
 }
 
-/// Emulates a process kill: bytes past the last fsync are lost (the
-/// page cache dies with the process), optionally leaving `torn` partial
-/// bytes of the in-flight group behind.
-fn emulate_kill<M: WalMedia>(file: &mut M, durable: u64, torn: Option<&[u8]>) {
-    let _ = file.set_len(durable);
-    let _ = file.seek_to(durable);
-    if let Some(bytes) = torn {
-        let _ = file.write_all(bytes);
-    }
-}
-
-/// Marks the WAL dead and errors out every pending and queued waiter.
-fn die<M: WalMedia>(
-    shared: &Shared,
-    file: &mut M,
-    durable: u64,
-    injected: Option<CrashPoint>,
-    err: StoreError,
-    pending: Vec<Done>,
-) {
-    let _ = file;
-    shared.written_len.store(
-        std::cmp::min(durable, shared.written_len.load(Ordering::Relaxed)),
-        Ordering::Relaxed,
-    );
+/// Marks the WAL dead, reports `len` as its length from now on (the
+/// committer counts bytes past the last sync as lost), and errors out
+/// every pending and queued waiter.
+fn die(shared: &Shared, len: u64, err: StoreError, pending: Vec<Done>) {
+    shared.written_len.store(len, Ordering::Relaxed);
     let drained: Vec<Op> = {
         let mut q = shared.q.lock();
         q.dead = Some(err.clone());
-        q.injected = injected;
         q.items.drain(..).collect()
     };
     let failed = Err(err);
-    for done in pending {
+    let queued = drained
+        .into_iter()
+        .map(|(Op::Frame { done, .. } | Op::Reset { done })| done);
+    for done in pending.into_iter().chain(queued) {
         done.resolve(&failed);
-    }
-    for op in drained {
-        match op {
-            Op::Frame { done, .. } | Op::Reset { done } => done.resolve(&failed),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn temp_wal(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1168,17 +1167,11 @@ mod tests {
                     .into_iter()
                     .filter_map(|(i, t)| t.wait().ok().map(|_| i))
                     .collect();
-                // For AfterAck the acks resolve an instant before the
-                // committer marks itself dead; give it a moment.
-                for _ in 0..1000 {
-                    if wal.injected_crash().is_some() {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                assert_eq!(wal.injected_crash(), Some(point));
-                // Post-crash submissions fail fast.
+                // Post-crash submissions fail. Under AfterAck the crashing
+                // group may have taken every frame, and then this write is
+                // the media operation the kill lands on.
                 assert!(wal.submit(Bytes::from_static(b"late")).wait().is_err());
+                assert_eq!(wal.injected_crash(), Some(point));
             }
             let (_, recovered) = open(&path);
             let frames: Vec<u32> = recovered

@@ -1,6 +1,6 @@
-//! Durability-mode and error-surface tests for the store crate.
+//! Durability and error-surface tests for the store crate.
 
-use aodb_store::{Bytes, Key, LogStore, LogStoreConfig, StateStore, StoreError, SyncPolicy};
+use aodb_store::{Bytes, Key, LogStore, LogStoreConfig, StateStore, StoreError};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -13,12 +13,10 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn sync_always_persists_every_write() {
-    let dir = temp_dir("always");
+fn every_put_survives_a_reopen() {
+    let dir = temp_dir("reopen");
     {
-        let mut config = LogStoreConfig::new(&dir);
-        config.sync = SyncPolicy::Always;
-        let store = LogStore::open(config).unwrap();
+        let store = LogStore::open(LogStoreConfig::new(&dir)).unwrap();
         for i in 0..20 {
             store
                 .put(&Key::new("t", &format!("{i}")), Bytes::from_static(b"v"))

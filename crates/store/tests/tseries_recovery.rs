@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use aodb_store::tseries::{SeriesStore, TsConfig, TsStore};
-use aodb_store::{LogStore, LogStoreConfig, StateStore, SyncPolicy};
+use aodb_store::{LogStore, LogStoreConfig, StateStore};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -23,7 +23,6 @@ fn open_backing(dir: &Path, compact_threshold: u64) -> Arc<dyn StateStore> {
         LogStore::open(LogStoreConfig {
             dir: dir.to_path_buf(),
             compact_threshold,
-            sync: SyncPolicy::OnDemand,
         })
         .unwrap(),
     )
