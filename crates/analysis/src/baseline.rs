@@ -402,13 +402,12 @@ mod tests {
     }
 
     #[test]
-    fn legacy_rule_alias_still_parses() {
-        let b = Baseline::parse(
+    fn legacy_rule_alias_is_unknown() {
+        assert!(Baseline::parse(
             "[[suppress]]\n\
              rule = \"std-sync-where-parking-lot\"\n\
-             reason = \"alias for std-sync-primitive\"\n",
+             reason = \"the alias of std-sync-primitive is gone\"\n",
         )
-        .unwrap();
-        assert_eq!(b.entries[0].rule, Rule::StdSyncPrimitive);
+        .is_err());
     }
 }

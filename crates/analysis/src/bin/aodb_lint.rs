@@ -7,19 +7,20 @@
 //!           [--schema-lock <file>] [--write-schema-lock <path>]
 //! ```
 //!
-//! With no arguments: builds the whole-workspace call graph from the
-//! crates' declared topologies, rejects synchronous-call cycles, then
-//! reads and parses the workspace tree once — `src/`, `tests/`,
-//! `examples/` and `benches/` alike — and runs the five source passes
-//! of [`PASSES`] over it, each on the crates it audits. Exits nonzero
-//! on any violation.
+//! With no arguments: reads and parses the workspace tree once —
+//! `src/`, `tests/`, `examples/` and `benches/` alike — builds the call
+//! graph from the `declared_calls()` of the actors in
+//! [`ACTOR_CRATES`], rejects synchronous-call cycles, and runs the five
+//! source passes of [`PASSES`] over the tree, each on the crates it
+//! audits. Exits nonzero on any violation.
 //!
 //! * `--graph <file>` — analyze a fixture edge list (`FROM call|send TO`
-//!   per line) instead of the compiled-in workspace topology.
+//!   per line) instead of the graph the source declares.
 //! * `--dot <path>` — write the graph as Graphviz DOT (`-` for stdout).
-//! * `--src <dir>` — root for the source passes (default: the workspace
-//!   root, so crate `tests/` and `examples/` are covered; may be
-//!   repeated).
+//! * `--src <dir>` — root for the call graph and the source passes
+//!   (default: the workspace root, so crate `tests/` and `examples/` are
+//!   covered; may be repeated). A root other than a workspace root is
+//!   audited whole.
 //! * `--baseline <file>` — suppression file (`[[suppress]]` entries with
 //!   mandatory `rule`/`reason`); non-matching findings still fail, and a
 //!   baseline entry that matches nothing fails as *stale*.
@@ -47,7 +48,7 @@ use std::process::ExitCode;
 
 use aodb_analysis::{
     lockcheck_corpus, replaycheck_corpus, schema, schemacheck_corpus, turn_findings, verify_corpus,
-    workspace_graph, Baseline, CallGraph, Corpus, Finding, SchemaLock,
+    Baseline, CallGraph, Corpus, Finding, SchemaLock, ACTOR_CRATES,
 };
 
 struct Options {
@@ -112,7 +113,7 @@ const PASSES: &[Pass] = &[
     },
     Pass {
         name: "replay",
-        scope: &["shm", "cattle", "core"],
+        scope: ACTOR_CRATES,
         run: |corpus, _| {
             let f = replaycheck_corpus(corpus);
             println!(
@@ -303,49 +304,48 @@ fn emit(findings: &[Finding], json: bool) {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
+    match parse_args().and_then(|opts| run(&opts)) {
+        Ok(0) => {
+            println!("aodb-lint: clean");
+            ExitCode::SUCCESS
+        }
+        Ok(violations) => {
+            eprintln!("aodb-lint: {violations} violation(s)");
+            ExitCode::FAILURE
+        }
         Err(e) => {
             eprintln!("aodb-lint: {e}");
-            return ExitCode::from(2);
+            ExitCode::from(2)
         }
+    }
+}
+
+/// Runs the call-graph check and the selected passes; returns the
+/// violation count, or a usage/IO failure (exit 2).
+fn run(opts: &Options) -> Result<usize, String> {
+    // One read + lex + parse of the tree; the call graph and every pass
+    // take their scope of it. A `--graph` run with no pass reads none.
+    let roots = match (&opts.graph_file, opts.passes.is_empty()) {
+        (Some(_), true) => &[][..],
+        _ => &opts.src[..],
     };
+    let corpus = Corpus::load(roots).map_err(|e| format!("cannot read the source tree: {e}"))?;
 
     let graph = match &opts.graph_file {
         Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("aodb-lint: cannot read {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            match CallGraph::parse_edge_list(&text) {
-                Ok(g) => g,
-                Err(e) => {
-                    eprintln!("aodb-lint: {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            }
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            CallGraph::parse_edge_list(&text).map_err(|e| format!("{}: {e}", path.display()))?
         }
-        None => workspace_graph(),
+        None => CallGraph::from_corpus(&corpus.scope(ACTOR_CRATES)),
     };
 
     if let Some(dot_path) = &opts.dot {
-        if let Err(e) = write_dot(dot_path, graph.to_dot()) {
-            eprintln!("aodb-lint: {e}");
-            return ExitCode::from(2);
-        }
+        write_dot(dot_path, graph.to_dot())?;
     }
 
     let baseline = match &opts.baseline {
-        Some(path) => match Baseline::load(path) {
-            Ok(b) => Some(b),
-            Err(e) => {
-                eprintln!("aodb-lint: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        },
+        Some(path) => Some(Baseline::load(path).map_err(|e| format!("{}: {e}", path.display()))?),
         None => None,
     };
 
@@ -370,34 +370,15 @@ fn main() -> ExitCode {
         }
     }
 
-    // One read + lex + parse of the tree; every pass takes its scope of
-    // it. Findings are collected across passes and the baseline applied
+    // Findings are collected across passes and the baseline applied
     // once, so one file can suppress any pass's finding.
     let mut findings: Vec<Finding> = Vec::new();
-    if !opts.passes.is_empty() {
-        let corpus = match Corpus::load(&opts.src) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("aodb-lint: cannot read the source tree: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        for pass in PASSES.iter().filter(|p| opts.passes.contains(&p.name)) {
-            match (pass.run)(&corpus.scope(pass.scope), &opts) {
-                Ok(f) => findings.extend(f),
-                Err(e) => {
-                    eprintln!("aodb-lint: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
+    for pass in PASSES.iter().filter(|p| opts.passes.contains(&p.name)) {
+        findings.extend((pass.run)(&corpus.scope(pass.scope), opts)?);
     }
 
-    let (active, stale): (Vec<Finding>, Vec<_>) = match &baseline {
-        Some(b) => {
-            let (remaining, stale) = b.apply(&findings);
-            (remaining, stale)
-        }
+    let (active, stale) = match &baseline {
+        Some(b) => b.apply(&findings),
         None => (findings, Vec::new()),
     };
 
@@ -452,11 +433,5 @@ fn main() -> ExitCode {
         }
     }
 
-    if violations > 0 {
-        eprintln!("aodb-lint: {violations} violation(s)");
-        ExitCode::FAILURE
-    } else {
-        println!("aodb-lint: clean");
-        ExitCode::SUCCESS
-    }
+    Ok(violations)
 }

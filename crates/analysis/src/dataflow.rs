@@ -40,8 +40,10 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-use crate::lexer::{lex, skip_group, Tok, TokKind};
+use crate::graph::{CallKind, ANY};
+use crate::lexer::{lex, opens_closure, skip_group, Tok, TokKind};
 use crate::lint::{Finding, Rule};
+use crate::taxonomy::is_keywordish;
 
 // ---------------------------------------------------------------- model
 
@@ -76,9 +78,9 @@ pub struct ActorInfo {
 /// One `CallDecl` entry from a `declared_calls()` body.
 #[derive(Clone, Debug)]
 pub struct Decl {
-    /// True for `CallDecl::call(..)`, false for `send(..)`/`send_any()`.
-    pub is_call: bool,
-    /// Target actor type name; `"*"` for `send_any()`.
+    /// `Call` for `CallDecl::call(..)`, `Send` for `send(..)`/`send_any()`.
+    pub kind: CallKind,
+    /// Target actor type name; [`ANY`] for `send_any()`.
     pub to: String,
     /// Source line of the entry.
     pub line: u32,
@@ -217,6 +219,17 @@ impl FieldClasses {
 /// pair defining it.
 pub(crate) type FnIndex = HashMap<String, Vec<(usize, usize)>>;
 
+/// The name index of the corpus functions that `keep` admits.
+pub(crate) fn fn_index(files: &[Rc<FileModel>], keep: impl Fn(&FnItem) -> bool) -> FnIndex {
+    let mut index = FnIndex::new();
+    for (fi, file) in files.iter().enumerate() {
+        for (gi, f) in file.fns.iter().enumerate().filter(|(_, f)| keep(f)) {
+            index.entry(f.name.clone()).or_default().push((fi, gi));
+        }
+    }
+    index
+}
+
 /// Name-based callee resolution, the same envelope for every pass that
 /// follows a call: a single candidate in the calling file wins;
 /// otherwise the name must be corpus-unique.
@@ -228,6 +241,144 @@ pub(crate) fn resolve_callee(index: &FnIndex, file: usize, name: &str) -> Option
         (None, _) if candidates.len() == 1 => Some(candidates[0]),
         _ => None,
     }
+}
+
+// ---------------------------------------------------- walker vocabulary
+//
+// The token-level questions more than one pass asks, answered once.
+
+impl FnItem {
+    /// A `Handler::handle` method: a turn whose return value the runtime
+    /// delivers as the reply.
+    pub fn is_handler(&self) -> bool {
+        self.name == "handle" && self.trait_is("Handler")
+    }
+
+    /// A function the runtime invokes as (part of) a turn: a handler, or
+    /// an `Actor::on_activate`/`on_deactivate` hook.
+    pub fn is_turn(&self) -> bool {
+        self.is_handler()
+            || (matches!(self.name.as_str(), "on_activate" | "on_deactivate")
+                && self.trait_is("Actor"))
+    }
+
+    /// True when the enclosing impl is of trait `name`.
+    fn trait_is(&self, name: &str) -> bool {
+        self.owner.as_ref().and_then(|o| o.trait_ident.as_deref()) == Some(name)
+    }
+}
+
+impl FieldClasses {
+    /// Resolves the receiver whose last identifier is token `r` (`self.f`,
+    /// `x.f`, `f`) to a class, mapped by `class`: the owner-qualified
+    /// field of a `self.f` receiver first, then — for a plain identifier
+    /// only — `local(name)` (the walk's own bindings), then the
+    /// corpus-unique field name. With `strict_owner`, a `self.f` whose
+    /// owner has no class `f` resolves to nothing rather than to a
+    /// same-named field of another type.
+    pub(crate) fn resolve_receiver<T>(
+        &self,
+        toks: &[Tok],
+        r: usize,
+        owner: Option<&str>,
+        strict_owner: bool,
+        local: impl FnOnce(&str) -> Option<T>,
+        class: impl Fn(u16) -> T,
+    ) -> Option<T> {
+        let field = toks
+            .get(r)
+            .filter(|t| t.kind == TokKind::Ident)?
+            .text
+            .as_str();
+        let qualified = r >= 2 && toks[r - 1].is_punct('.');
+        let base_self = qualified && toks[r - 2].is_ident("self");
+        if let Some(owner) = owner.filter(|_| base_self) {
+            match self.by_owner_field(owner, field) {
+                Some(id) => return Some(class(id)),
+                None if strict_owner => return None,
+                None => {}
+            }
+        }
+        if !qualified {
+            if let Some(found) = local(field) {
+                return Some(found);
+            }
+        }
+        self.unique_field(field).map(class)
+    }
+}
+
+/// True when the identifier at token `j` is a call that one-level
+/// propagation follows: `self.name(..)` or a free `name(..)` — with
+/// `paths`, a path call `a::name(..)` too — and not a control-flow
+/// keyword or a constructor.
+pub(crate) fn is_helper_call(toks: &[Tok], j: usize, paths: bool) -> bool {
+    let t = &toks[j];
+    if t.kind != TokKind::Ident
+        || is_keywordish(&t.text)
+        || !toks.get(j + 1).is_some_and(|n| n.is_punct('('))
+    {
+        return false;
+    }
+    if j >= 1 && toks[j - 1].is_punct('.') {
+        return j >= 2 && toks[j - 2].is_ident("self");
+    }
+    paths || !(j >= 2 && toks[j - 1].is_punct(':') && toks[j - 2].is_punct(':'))
+}
+
+/// The top-level statements of a token run: split at every `;` outside
+/// parentheses and brackets — with `braces`, outside braces too, for a
+/// raw body range rather than a flow run — the `;` dropped. A run that
+/// ends in `;` ends with an empty statement.
+pub(crate) fn statements<'a>(toks: &[Tok], idxs: &'a [usize], braces: bool) -> Vec<&'a [usize]> {
+    let (mut out, mut start, mut depth) = (Vec::new(), 0, 0i32);
+    for (pos, &j) in idxs.iter().enumerate() {
+        let t = &toks[j];
+        if t.is_punct('(') || t.is_punct('[') || (braces && t.is_punct('{')) {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') || (braces && t.is_punct('}')) {
+            depth -= 1;
+        } else if t.is_punct(';') && depth <= 0 {
+            out.push(&idxs[start..pos]);
+            start = pos + 1;
+        }
+    }
+    out.push(&idxs[start..]);
+    out
+}
+
+/// The name a plain `let [mut] name =` statement (`idxs[0]` is the
+/// `let`) binds, and the position in `idxs` just past its `=`; `None` for
+/// a destructuring pattern.
+pub(crate) fn let_binding<'t>(toks: &'t [Tok], idxs: &[usize]) -> Option<(&'t str, usize)> {
+    if !toks[*idxs.first()?].is_ident("let") {
+        return None;
+    }
+    let n = 1 + usize::from(idxs.get(1).is_some_and(|&j| toks[j].is_ident("mut")));
+    let name = Some(&toks[*idxs.get(n)?]).filter(|t| t.kind == TokKind::Ident)?;
+    toks[*idxs.get(n + 1)?]
+        .is_punct('=')
+        .then_some((name.text.as_str(), n + 2))
+}
+
+/// The position (within `idxs`) of the `in` of a `pat in expr` loop head
+/// — the run after a `for` keyword — or `None` when the run is not one.
+/// `Some(1)` means a single-identifier pattern.
+pub(crate) fn for_head_in(toks: &[Tok], idxs: &[usize]) -> Option<usize> {
+    let mut depth = 0i32;
+    for (pos, &j) in idxs.iter().enumerate() {
+        let t = &toks[j];
+        if t.is_punct('(') || t.is_punct('[') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') {
+            depth -= 1;
+        } else if t.is_punct(';') || t.is_punct('=') {
+            return None; // an ordinary statement, not a loop head
+        } else if depth == 0 && t.is_ident("in") && pos > 0 {
+            return Some(pos);
+        }
+    }
+    None
 }
 
 // ------------------------------------------------------------ flow tree
@@ -455,58 +606,41 @@ impl FileModel {
     /// Post-pass: scan every `declared_calls()` body for `CallDecl`
     /// constructors and attach them to the owning actor.
     fn collect_decls(&mut self) {
-        let mut by_type: Vec<(String, Vec<Decl>)> = Vec::new();
         for f in &self.fns {
-            if f.name != "declared_calls" {
-                continue;
-            }
             let Some(owner) = &f.owner else { continue };
-            if owner.trait_ident.as_deref() != Some("Actor") {
+            if f.name != "declared_calls" || !f.trait_is("Actor") {
                 continue;
             }
-            let mut decls = Vec::new();
             let (start, end) = f.body_range;
-            let mut i = start;
-            while i < end {
-                if self.toks[i].is_ident("CallDecl")
-                    && i + 3 < end
-                    && self.toks[i + 1].is_punct(':')
-                    && self.toks[i + 2].is_punct(':')
-                    && self.toks[i + 3].kind == TokKind::Ident
-                {
-                    let kw = &self.toks[i + 3];
-                    let line = kw.line;
-                    let target = self.toks[i + 4..end.min(i + 8)]
-                        .iter()
-                        .find(|t| t.kind == TokKind::Str)
-                        .map(|t| t.text.clone());
-                    match (kw.text.as_str(), target) {
-                        ("call", Some(to)) => decls.push(Decl {
-                            is_call: true,
-                            to,
-                            line,
-                        }),
-                        ("send", Some(to)) => decls.push(Decl {
-                            is_call: false,
-                            to,
-                            line,
-                        }),
-                        ("send_any", _) => decls.push(Decl {
-                            is_call: false,
-                            to: "*".to_string(),
-                            line,
-                        }),
-                        _ => {}
-                    }
-                    i += 4;
+            let mut decls = Vec::new();
+            for i in start..end.saturating_sub(3) {
+                let toks = &self.toks;
+                let path_sep = toks[i + 1].is_punct(':') && toks[i + 2].is_punct(':');
+                if !toks[i].is_ident("CallDecl") || !path_sep {
                     continue;
                 }
-                i += 1;
+                let kw = &toks[i + 3];
+                let target = toks[i + 4..end.min(i + 8)]
+                    .iter()
+                    .find(|t| t.kind == TokKind::Str)
+                    .map(|t| t.text.clone());
+                let (kind, to) = match (kw.text.as_str(), target) {
+                    ("call", Some(to)) => (CallKind::Call, to),
+                    ("send", Some(to)) => (CallKind::Send, to),
+                    ("send_any", _) => (CallKind::Send, ANY.to_string()),
+                    _ => continue,
+                };
+                decls.push(Decl {
+                    kind,
+                    to,
+                    line: kw.line,
+                });
             }
-            by_type.push((owner.type_ident.clone(), decls));
-        }
-        for (type_ident, decls) in by_type {
-            if let Some(actor) = self.actors.iter_mut().find(|a| a.type_ident == type_ident) {
+            let actor = self
+                .actors
+                .iter_mut()
+                .find(|a| a.type_ident == owner.type_ident);
+            if let Some(actor) = actor {
                 actor.decls = decls;
             }
         }
@@ -611,6 +745,29 @@ pub(crate) fn first_generic_arg(toks: &[Tok], start: usize, end: usize) -> (Opti
     (found, i)
 }
 
+/// Index just past the `>` closing the generics group that opens with
+/// the `<` at `i` (`->` arrows inside are not closers).
+pub(crate) fn skip_angles(toks: &[Tok], mut i: usize, end: usize) -> usize {
+    let mut depth = 0i32;
+    while i < end {
+        let t = &toks[i];
+        if t.is_punct('-') && i + 1 < end && toks[i + 1].is_punct('>') {
+            i += 2;
+            continue;
+        }
+        if t.is_punct('<') {
+            depth += 1;
+        } else if t.is_punct('>') {
+            depth -= 1;
+            if depth == 0 {
+                return i + 1;
+            }
+        }
+        i += 1;
+    }
+    end
+}
+
 struct Parser<'m> {
     model: &'m mut FileModel,
 }
@@ -657,33 +814,10 @@ impl Parser<'_> {
         skip_group(&self.model.toks, open, end, '{', '}').saturating_sub(1)
     }
 
-    /// Skips a balanced `<...>` generics group starting at `i` (which
-    /// must be `<`); `->` arrows inside are not closers.
-    fn skip_angles(&self, mut i: usize, end: usize) -> usize {
-        let mut depth = 0i32;
-        while i < end {
-            let t = self.tok(i);
-            if t.is_punct('-') && i + 1 < end && self.tok(i + 1).is_punct('>') {
-                i += 2;
-                continue;
-            }
-            if t.is_punct('<') {
-                depth += 1;
-            } else if t.is_punct('>') {
-                depth -= 1;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            i += 1;
-        }
-        end
-    }
-
     fn parse_impl(&mut self, kw: usize, end: usize) -> usize {
         let mut i = kw + 1;
         if i < end && self.tok(i).is_punct('<') {
-            i = self.skip_angles(i, end);
+            i = skip_angles(&self.model.toks, i, end);
         }
         // Header: tokens up to the body `{` at bracket depth 0.
         let head_start = i;
@@ -887,7 +1021,7 @@ impl Parser<'_> {
         let fn_line = self.tok(kw).line;
         i += 1;
         if i < end && self.tok(i).is_punct('<') {
-            i = self.skip_angles(i, end);
+            i = skip_angles(&self.model.toks, i, end);
         }
         if i >= end || !self.tok(i).is_punct('(') {
             return i;
@@ -1051,12 +1185,7 @@ impl StmtParser<'_> {
                 // Closure body → flatten; plain block / struct literal →
                 // a Scope step (exits inside are function exits, but the
                 // brace bounds local lifetimes).
-                let closure = run
-                    .iter()
-                    .rev()
-                    .map(|&j| &self.toks[j])
-                    .find(|t| !t.is_ident("move"))
-                    .is_some_and(|t| t.is_punct('|'));
+                let closure = opens_closure(run.iter().rev().map(|&j| &self.toks[j]));
                 let (inner, ni) = self.parse_block(i, end);
                 if closure {
                     flatten_into(&inner, &mut run);
@@ -1302,14 +1431,8 @@ pub fn reply_findings(
     reply_structs: &HashMap<String, Vec<String>>,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for f in &model.fns {
-        if f.name != "handle" {
-            continue;
-        }
+    for f in model.fns.iter().filter(|f| f.is_handler()) {
         let Some(owner) = &f.owner else { continue };
-        if owner.trait_ident.as_deref() != Some("Handler") {
-            continue;
-        }
         let Some(msg_type) = &owner.trait_arg else {
             continue;
         };

@@ -19,7 +19,7 @@
 //! the store unseen.
 
 use crate::dataflow::{eval_flow, FileModel, FnItem};
-use crate::lexer::{is_method_call, skip_group};
+use crate::lexer::{is_method_call, opens_closure, skip_group};
 use crate::lint::{Finding, Rule};
 use crate::taxonomy::is_commit_method;
 
@@ -27,12 +27,7 @@ use crate::taxonomy::is_commit_method;
 /// `.deliver(..)` precedes a commit-point write.
 pub fn ack_findings(model: &FileModel) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for f in &model.fns {
-        if f.name != "handle"
-            || f.owner.as_ref().and_then(|o| o.trait_ident.as_deref()) != Some("Handler")
-        {
-            continue;
-        }
+    for f in model.fns.iter().filter(|f| f.is_handler()) {
         let delivers = (f.body_range.0..f.body_range.1).any(|i| model.toks[i].is_ident("deliver"));
         if !delivers {
             continue;
@@ -100,11 +95,7 @@ fn closure_regions(model: &FileModel, f: &FnItem) -> Vec<(usize, usize)> {
         if !toks[j].is_punct('{') {
             continue;
         }
-        let prev = (start..j)
-            .rev()
-            .map(|k| &toks[k])
-            .find(|t| !t.is_ident("move"));
-        if !prev.is_some_and(|t| t.is_punct('|')) {
+        if !opens_closure((start..j).rev().map(|k| &toks[k])) {
             continue;
         }
         let k = skip_group(toks, j, end, '{', '}').saturating_sub(1);

@@ -35,51 +35,37 @@
 
 use std::collections::BTreeSet;
 
-use crate::dataflow::{eval_flow, FieldClasses, FileModel, FnItem, Transfer};
-use crate::lexer::{is_method_call, Tok, TokKind};
-use crate::taxonomy::{
-    is_keywordish, is_send_method, ITER_METHODS, PERSIST_METHODS, REPLY_METHODS,
+use crate::dataflow::{
+    eval_flow, for_head_in, is_helper_call, statements, FieldClasses, FileModel, FnItem, Transfer,
 };
+use crate::lexer::{is_method_call, TokKind};
+use crate::taxonomy::{is_send_method, ITER_METHODS, PERSIST_METHODS, REPLY_METHODS};
 
 // ------------------------------------------------------------- helpers
 
-/// Effect summary of one function, for one-level call propagation: does
-/// calling it send, deliver a reply, or write persisted state?
-#[derive(Clone, Copy, Default)]
-pub struct EffectFacts {
-    /// Contains a `.tell/.ask/.call/…(` send site.
-    pub sends: bool,
-    /// Contains a `.deliver(` reply resolution.
-    pub delivers: bool,
-    /// Contains a `.mutate/.save/.flush/…(` persisted write.
-    pub persists: bool,
-}
+/// The sinks, as findings name them, in propagation priority: a helper
+/// that both sends and persists counts as a send.
+const SINKS: [&str; 3] = ["send payload", "reply delivery", "persisted write"];
 
-impl EffectFacts {
-    /// Any observable effect at all.
-    pub fn any(&self) -> bool {
-        self.sends || self.delivers || self.persists
+/// The sink a method call named `name` is, as an index into [`SINKS`].
+fn sink(name: &str) -> Option<usize> {
+    if is_send_method(name) {
+        Some(0)
+    } else if REPLY_METHODS.contains(&name) {
+        Some(1)
+    } else {
+        PERSIST_METHODS.contains(&name).then_some(2)
     }
 }
 
-/// Scans a function body's raw tokens for effect facts.
-pub fn effect_facts(model: &FileModel, f: &FnItem) -> EffectFacts {
-    let toks = &model.toks;
-    let mut facts = EffectFacts::default();
-    for j in f.body_range.0..f.body_range.1 {
-        if !is_method_call(toks, j) {
-            continue;
-        }
-        let name = toks[j].text.as_str();
-        if is_send_method(name) {
-            facts.sends = true;
-        } else if REPLY_METHODS.contains(&name) {
-            facts.delivers = true;
-        } else if PERSIST_METHODS.contains(&name) {
-            facts.persists = true;
-        }
-    }
-    facts
+/// The sink a call to `f` amounts to, for one-level call propagation:
+/// the first of [`SINKS`] that its body's method calls reach.
+pub(crate) fn helper_sink(model: &FileModel, f: &FnItem) -> Option<&'static str> {
+    (f.body_range.0..f.body_range.1)
+        .filter(|&j| is_method_call(&model.toks, j))
+        .filter_map(|j| sink(&model.toks[j].text))
+        .min()
+        .map(|k| SINKS[k])
 }
 
 // ----------------------------------------------------------- the walk
@@ -116,9 +102,9 @@ pub(crate) struct EffectCx<'a> {
     pub model: &'a FileModel,
     pub owner: Option<&'a str>,
     pub classes: &'a FieldClasses,
-    /// Callee name → effect facts (same-file-first resolved in
-    /// [`crate::replay`]; here just a flat map for this file's view).
-    pub callee_effects: &'a dyn Fn(&str) -> Option<EffectFacts>,
+    /// Callee name → the sink a call to it amounts to (same-file-first
+    /// resolved in [`crate::replay`]).
+    pub callee_sink: &'a dyn Fn(&str) -> Option<&'static str>,
     /// True when the fn is a `Handler::handle` (its reply value is a
     /// sink).
     pub is_handler: bool,
@@ -148,14 +134,14 @@ impl EffectCx<'_> {
         model: &'a FileModel,
         owner: Option<&'a str>,
         classes: &'a FieldClasses,
-        callee_effects: &'a dyn Fn(&str) -> Option<EffectFacts>,
+        callee_sink: &'a dyn Fn(&str) -> Option<&'static str>,
         is_handler: bool,
     ) -> EffectCx<'a> {
         EffectCx {
             model,
             owner,
             classes,
-            callee_effects,
+            callee_sink,
             is_handler,
             findings: Vec::new(),
             clocks: Vec::new(),
@@ -174,47 +160,27 @@ impl EffectCx<'_> {
     }
 
     /// Resolves the receiver of an iteration method at token `j` to an
-    /// unordered class, or a tainted binding's provenance.
+    /// unordered class, or a tainted binding's provenance. A `self.f` of
+    /// a known owner resolves strictly: when the owner's `f` is ordered,
+    /// a same-named unordered field elsewhere is a different class.
+    /// Closure-parameter or struct-update receivers (`s.live.iter()`
+    /// inside a `mutate` closure) fall back to a corpus-unique field name.
     fn resolve_iter_receiver(&self, s: &TState, j: usize) -> Option<(String, Option<u16>)> {
-        let toks = &self.model.toks;
-        if j < 2 {
-            return None;
-        }
-        let r = j - 2; // past the `.`
-        if toks[r].kind != TokKind::Ident {
-            return None;
-        }
-        let field = toks[r].text.as_str();
-        let qualified = r >= 1 && toks[r - 1].is_punct('.');
-        let base_self = r >= 2 && qualified && toks[r - 2].is_ident("self");
-        if base_self {
-            if let Some(owner) = self.owner {
-                if let Some(id) = self.classes.by_owner_field(owner, field) {
-                    return Some((
-                        format!("iteration order of `{}`", self.classes.names[id as usize]),
-                        Some(id),
-                    ));
-                }
-                // The owner is known and this field of it is ordered —
-                // a same-named unordered field elsewhere is a different
-                // class, so the corpus-unique fallback must not fire.
-                return None;
-            }
-        }
-        if !qualified {
-            if let Some((_, src, class)) = s.tainted.iter().rev().find(|(n, _, _)| n == field) {
-                return Some((src.clone(), *class));
-            }
-        }
-        // Closure-parameter or struct-update receivers (`s.live.iter()`
-        // inside a `mutate` closure) reach here as `qualified` but not
-        // `self`-based: fall back to a corpus-unique field name.
-        self.classes.unique_field(field).map(|id| {
-            (
-                format!("iteration order of `{}`", self.classes.names[id as usize]),
-                Some(id),
-            )
-        })
+        let classes = self.classes;
+        classes.resolve_receiver(
+            &self.model.toks,
+            j.checked_sub(2)?, // past the `.`
+            self.owner,
+            true,
+            |name| {
+                let (_, src, class) = s.tainted.iter().rev().find(|(n, _, _)| n == name)?;
+                Some((src.clone(), *class))
+            },
+            |id| {
+                let name = &classes.names[id as usize];
+                (format!("iteration order of `{name}`"), Some(id))
+            },
+        )
     }
 
     /// Scans one statement's tokens for sources, sinks, and bindings.
@@ -326,34 +292,17 @@ impl EffectCx<'_> {
 
             // Sinks.
             if prev_dot && next_paren {
-                if is_send_method(name) {
-                    scan.sinks.push((t.line, "send payload".into()));
-                } else if REPLY_METHODS.contains(&name) {
-                    scan.sinks.push((t.line, "reply delivery".into()));
-                } else if PERSIST_METHODS.contains(&name) {
-                    scan.sinks.push((t.line, "persisted write".into()));
+                if let Some(k) = sink(name) {
+                    scan.sinks.push((t.line, SINKS[k].into()));
                 }
             }
 
             // Helper-call sinks: `self.helper(..)` / free `helper(..)`
             // where the callee sends, delivers, or persists.
-            if next_paren && !is_keywordish(name) && !ITER_METHODS.contains(&name) {
-                let self_method = prev_dot && j >= 2 && toks[j - 2].is_ident("self");
-                let free_call = !prev_dot && !prev_path;
-                if self_method || free_call {
-                    if let Some(facts) = (self.callee_effects)(name) {
-                        if facts.any() {
-                            let kind = if facts.sends {
-                                "send payload"
-                            } else if facts.delivers {
-                                "reply delivery"
-                            } else {
-                                "persisted write"
-                            };
-                            scan.sinks
-                                .push((t.line, format!("{kind} via helper `{name}`")));
-                        }
-                    }
+            if is_helper_call(toks, j, false) && !ITER_METHODS.contains(&name) {
+                if let Some(kind) = (self.callee_sink)(name) {
+                    scan.sinks
+                        .push((t.line, format!("{kind} via helper `{name}`")));
                 }
             }
         }
@@ -399,28 +348,18 @@ impl EffectCx<'_> {
     /// possibly-tainted binding is still nondeterministic on some path).
     fn check_tail(&mut self, f: &FnItem) {
         let toks = &self.model.toks;
-        let (start, end) = f.body_range;
-        // Last top-level statement boundary within the body.
-        let mut depth = 0i32;
-        let mut tail_start = start;
-        for (off, t) in toks[start..end].iter().enumerate() {
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                depth -= 1;
-            } else if t.is_punct(';') && depth == 0 {
-                tail_start = start + off + 1;
-            }
-        }
-        if start == end {
+        let body: Vec<usize> = (f.body_range.0..f.body_range.1).collect();
+        let stmts = statements(toks, &body, true);
+        let tail = *stmts
+            .last()
+            .expect("a body splits into at least one statement");
+        // An empty tail: the body ends in a statement, not a tail
+        // expression. `for`/`while`/`loop`/`let` in tail position are
+        // statements — their trailing `}` is not a value the handler
+        // replies with.
+        let Some(&tail_start) = tail.first() else {
             return;
-        }
-        let last = end - 1;
-        if toks[last].is_punct(';') || tail_start > last {
-            return; // body ends in a statement, not a tail expression
-        }
-        // `for`/`while`/`loop`/`let` in tail position are statements —
-        // their trailing `}` is not a value the handler replies with.
+        };
         if ["for", "while", "loop", "let"]
             .iter()
             .any(|kw| toks[tail_start].is_ident(kw))
@@ -430,10 +369,14 @@ impl EffectCx<'_> {
         let state = TState {
             tainted: self.all_tainted.clone(),
         };
-        let idxs: Vec<usize> = (tail_start..end).collect();
-        let scan = self.scan_stmt(&state, &idxs);
+        let line = toks[tail_start].line;
+        let scan = self.scan_stmt(&state, tail);
+        self.reply_value(scan, line);
+    }
+
+    /// A reply value built from a tainted source is a finding.
+    fn reply_value(&mut self, scan: StmtScan, line: u32) {
         if let Some((src, class)) = scan.sources.first() {
-            let line = toks[tail_start].line;
             if self.seen.insert((line, "reply value".into())) {
                 self.findings.push(EffectFinding {
                     line,
@@ -457,17 +400,7 @@ impl Transfer<TState> for EffectCx<'_> {
             return;
         }
         let scan = self.scan_stmt(s, toks);
-        if let Some((src, class)) = scan.sources.first() {
-            let line = self.model.toks[toks[0]].line;
-            if self.seen.insert((line, "reply value".into())) {
-                self.findings.push(EffectFinding {
-                    line,
-                    sink: "reply value".into(),
-                    source: src.clone(),
-                    class: class.map(|id| self.classes.names[id as usize].clone()),
-                });
-            }
-        }
+        self.reply_value(scan, self.model.toks[toks[0]].line);
     }
 }
 
@@ -479,8 +412,7 @@ fn run_tokens(cx: &mut EffectCx<'_>, s: &mut TState, idxs: &[usize]) {
     // `for pat in <expr>` loop heads: taint the pattern bindings when
     // the iterated expression is dirty.
     if let Some(in_pos) = for_head_in(toks, idxs) {
-        let rhs: Vec<usize> = idxs[in_pos + 1..].to_vec();
-        let scan = cx.scan_stmt(s, &rhs);
+        let scan = cx.scan_stmt(s, &idxs[in_pos + 1..]);
         if let Some((src, class)) = scan.sources.first() {
             for &j in &idxs[..in_pos] {
                 let t = &toks[j];
@@ -498,43 +430,8 @@ fn run_tokens(cx: &mut EffectCx<'_>, s: &mut TState, idxs: &[usize]) {
         return;
     }
 
-    let mut depth = 0i32;
-    let mut stmt: Vec<usize> = Vec::new();
-    for &j in idxs {
-        let t = &toks[j];
-        if t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-        } else if t.is_punct(';') && depth <= 0 {
-            let scan = cx.scan_stmt(s, &stmt);
-            cx.apply_stmt(s, scan);
-            stmt.clear();
-            continue;
-        }
-        stmt.push(j);
-    }
-    if !stmt.is_empty() {
-        let scan = cx.scan_stmt(s, &stmt);
+    for stmt in statements(toks, idxs, false) {
+        let scan = cx.scan_stmt(s, stmt);
         cx.apply_stmt(s, scan);
     }
-}
-
-/// Detects a `pat in expr` loop head: returns the position (within
-/// `idxs`) of the `in` keyword at depth 0, if the run looks like one.
-fn for_head_in(toks: &[Tok], idxs: &[usize]) -> Option<usize> {
-    let mut depth = 0i32;
-    for (pos, &j) in idxs.iter().enumerate() {
-        let t = &toks[j];
-        if t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-        } else if t.is_punct(';') || t.is_punct('=') {
-            return None; // an ordinary statement, not a loop head
-        } else if depth == 0 && t.is_ident("in") && pos > 0 {
-            return Some(pos);
-        }
-    }
-    None
 }

@@ -1,21 +1,36 @@
 //! The actor call graph: construction, cycle detection, and DOT rendering.
 //!
-//! Nodes are actor type names; edges come from
-//! [`aodb_runtime::Actor::declared_calls`] (or from a fixture edge list —
-//! see [`CallGraph::parse_edge_list`]). The analysis of interest is
-//! *reentrancy-deadlock* detection: under turn-based execution a cycle of
-//! synchronous [`CallKind::Call`] edges deadlocks, because every actor on
-//! the cycle is blocking its only turn waiting on the next one. Tarjan's
-//! SCC algorithm finds all such cycles in one linear pass.
+//! Nodes are actor type names; edges are the `declared_calls()` entries
+//! the parser reads out of each `impl Actor` ([`CallGraph::from_corpus`]),
+//! or a fixture edge list ([`CallGraph::parse_edge_list`]). The analysis
+//! of interest is *reentrancy-deadlock* detection: under turn-based
+//! execution a cycle of synchronous [`CallKind::Call`] edges deadlocks,
+//! because every actor on the cycle is blocking its only turn waiting on
+//! the next one. Tarjan's SCC algorithm finds all such cycles in one
+//! linear pass; that core is shared with the lock-order graph.
 
 use std::collections::HashMap;
 
-use aodb_runtime::{ActorTopology, CallDecl, CallKind};
+use crate::sendsites::Corpus;
 
-/// Display name of the synthetic wildcard node (see [`CallDecl::ANY`]):
-/// the target of edges whose concrete actor type is chosen at runtime
-/// (2PC participants, workflow step recipients).
+/// The wildcard target of `CallDecl::send_any()`, as the source and
+/// fixture edge lists spell it: the concrete actor type is chosen at
+/// runtime (2PC participants, workflow step recipients).
+pub const ANY: &str = "*";
+
+/// Display name of the synthetic wildcard node (see [`ANY`]).
 pub const ANY_NODE: &str = "(any)";
+
+/// How an edge is driven.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CallKind {
+    /// Synchronous request/response: the sending turn blocks on the
+    /// reply (`CallDecl::call`). Cycles of `Call` edges deadlock.
+    Call,
+    /// Asynchronous send (`CallDecl::send`/`send_any`): never blocks the
+    /// sending turn, so cycles of `Send` edges are safe.
+    Send,
+}
 
 /// One edge of the call graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -31,9 +46,57 @@ pub struct Edge {
 /// A directed multigraph over actor type names.
 #[derive(Default, Clone, Debug)]
 pub struct CallGraph {
-    nodes: Vec<String>,
-    index: HashMap<String, usize>,
+    nodes: Nodes,
     edges: Vec<Edge>,
+}
+
+/// The node/edge/SCC core under [`CallGraph`] and
+/// [`crate::lockgraph::LockGraph`]: interned node names, and the cycles of
+/// an edge set over them.
+#[derive(Default, Clone, Debug)]
+pub(crate) struct Nodes {
+    names: Vec<String>,
+    index: HashMap<String, usize>,
+}
+
+impl Nodes {
+    /// Interns `name` (idempotent); returns its index.
+    pub fn add(&mut self, name: &str) -> usize {
+        if let Some(&i) = self.index.get(name) {
+            return i;
+        }
+        self.index.insert(name.to_string(), self.names.len());
+        self.names.push(name.to_string());
+        self.names.len() - 1
+    }
+
+    /// The index of `name`, if interned.
+    pub fn get(&self, name: &str) -> Option<usize> {
+        self.index.get(name).copied()
+    }
+
+    /// Node names, in insertion order.
+    pub fn names(&self) -> &[String] {
+        &self.names
+    }
+
+    /// The cycles of an edge set: strongly connected components of more
+    /// than one node, plus self-loops, each as its node names in DFS
+    /// order. Edges are taken in the order given, which fixes that order;
+    /// repeated edges are ignored.
+    pub fn cycles(&self, edges: impl IntoIterator<Item = (usize, usize)>) -> Vec<Vec<String>> {
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); self.names.len()];
+        for (from, to) in edges {
+            if !adj[from].contains(&to) {
+                adj[from].push(to);
+            }
+        }
+        tarjan(self.names.len(), &adj)
+            .into_iter()
+            .filter(|scc| scc.len() > 1 || adj[scc[0]].contains(&scc[0]))
+            .map(|scc| scc.iter().map(|&i| self.names[i].clone()).collect())
+            .collect()
+    }
 }
 
 impl CallGraph {
@@ -42,15 +105,17 @@ impl CallGraph {
         CallGraph::default()
     }
 
-    /// Builds a graph from exported topology rows (e.g. the concatenation
-    /// of `aodb_shm::call_topology()`, `aodb_cattle::call_topology()`, and
-    /// `aodb_core::call_topology()`).
-    pub fn from_topology(rows: impl IntoIterator<Item = ActorTopology>) -> Self {
+    /// The call graph a corpus declares: one node per parsed `TYPE_NAME`,
+    /// one edge per parsed `declared_calls()` entry.
+    pub fn from_corpus(corpus: &Corpus) -> Self {
         let mut g = CallGraph::new();
-        for row in rows {
-            g.add_node(row.name);
-            for decl in row.calls {
-                g.add_edge(row.name, decl.to, decl.kind);
+        for actor in corpus.files.iter().flat_map(|f| &f.actors) {
+            let Some(name) = &actor.type_name else {
+                continue;
+            };
+            g.add_node(name);
+            for decl in &actor.decls {
+                g.add_edge(name, &decl.to, decl.kind);
             }
         }
         g
@@ -58,14 +123,7 @@ impl CallGraph {
 
     /// Adds a node (idempotent); returns its index.
     pub fn add_node(&mut self, name: &str) -> usize {
-        let name = normalize(name);
-        if let Some(&i) = self.index.get(name.as_str()) {
-            return i;
-        }
-        let i = self.nodes.len();
-        self.index.insert(name.clone(), i);
-        self.nodes.push(name);
-        i
+        self.nodes.add(normalize(name))
     }
 
     /// Adds an edge, creating endpoints as needed.
@@ -73,8 +131,8 @@ impl CallGraph {
         self.add_node(from);
         self.add_node(to);
         let edge = Edge {
-            from: normalize(from),
-            to: normalize(to),
+            from: normalize(from).to_string(),
+            to: normalize(to).to_string(),
             kind,
         };
         if !self.edges.contains(&edge) {
@@ -84,7 +142,7 @@ impl CallGraph {
 
     /// Node names, in insertion order.
     pub fn nodes(&self) -> &[String] {
-        &self.nodes
+        self.nodes.names()
     }
 
     /// All edges, in insertion order.
@@ -137,35 +195,16 @@ impl CallGraph {
     /// wildcard can stand for any actor, so such an edge is expanded to a
     /// `Call` edge to *every* node before the SCC pass.
     pub fn call_cycles(&self) -> Vec<Vec<String>> {
-        let n = self.nodes.len();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let any = self.index.get(ANY_NODE).copied();
-        for e in &self.edges {
-            if e.kind != CallKind::Call {
-                continue;
-            }
-            let from = self.index[e.from.as_str()];
-            let to = self.index[e.to.as_str()];
-            if Some(to) == any {
-                // `call` to a dynamically chosen target: may reach anyone.
-                for t in 0..n {
-                    if !adj[from].contains(&t) {
-                        adj[from].push(t);
-                    }
-                }
-            } else if !adj[from].contains(&to) {
-                adj[from].push(to);
-            }
-        }
-        let sccs = tarjan(n, &adj);
-        let mut cycles = Vec::new();
-        for scc in sccs {
-            let cyclic = scc.len() > 1 || (scc.len() == 1 && adj[scc[0]].contains(&scc[0]));
-            if cyclic {
-                cycles.push(scc.iter().map(|&i| self.nodes[i].clone()).collect());
-            }
-        }
-        cycles
+        let n = self.nodes.names().len();
+        let any = self.nodes.get(ANY_NODE);
+        let index = |name: &str| self.nodes.get(name).expect("edge endpoints are nodes");
+        let calls = self.edges.iter().filter(|e| e.kind == CallKind::Call);
+        self.nodes.cycles(calls.flat_map(|e| {
+            let (from, to) = (index(&e.from), index(&e.to));
+            // `call` to a dynamically chosen target: may reach anyone.
+            let targets = if Some(to) == any { 0..n } else { to..to + 1 };
+            targets.map(move |t| (from, t))
+        }))
     }
 
     /// Renders the graph in Graphviz DOT, deterministically (nodes and
@@ -173,10 +212,8 @@ impl CallGraph {
     /// Synchronous calls are solid red edges; asynchronous sends are
     /// dashed gray.
     pub fn to_dot(&self) -> String {
-        let mut out = String::from("digraph actor_calls {\n");
-        out.push_str("    rankdir=LR;\n");
-        out.push_str("    node [shape=box, fontname=\"monospace\"];\n");
-        let mut names: Vec<&str> = self.nodes.iter().map(String::as_str).collect();
+        let mut out = dot_header("actor_calls");
+        let mut names: Vec<&str> = self.nodes().iter().map(String::as_str).collect();
         names.sort_unstable();
         for name in &names {
             if *name == ANY_NODE {
@@ -201,18 +238,23 @@ impl CallGraph {
     }
 }
 
-/// Maps the runtime's wildcard marker to its display node name.
-fn normalize(name: &str) -> String {
-    if name == CallDecl::ANY {
-        ANY_NODE.to_string()
+/// The opening lines both DOT renderers share.
+pub(crate) fn dot_header(graph: &str) -> String {
+    format!("digraph {graph} {{\n    rankdir=LR;\n    node [shape=box, fontname=\"monospace\"];\n")
+}
+
+/// Maps the wildcard target to its display node name.
+fn normalize(name: &str) -> &str {
+    if name == ANY {
+        ANY_NODE
     } else {
-        name.to_string()
+        name
     }
 }
 
 /// Iterative Tarjan SCC. Returns components in reverse topological order;
 /// node order inside a component follows the DFS stack.
-pub(crate) fn tarjan(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
+fn tarjan(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
     #[derive(Clone, Copy)]
     struct NodeState {
         index: usize,
@@ -334,7 +376,7 @@ mod tests {
         // a -call-> (any) and b -call-> a: the wildcard may stand for b,
         // closing the loop.
         let mut g = CallGraph::new();
-        g.add_edge("a", CallDecl::ANY, CallKind::Call);
+        g.add_edge("a", ANY, CallKind::Call);
         g.add_edge("b", "a", CallKind::Call);
         assert!(!g.call_cycles().is_empty());
     }
@@ -342,7 +384,7 @@ mod tests {
     #[test]
     fn wildcard_send_is_fine() {
         let mut g = CallGraph::new();
-        g.add_edge("a", CallDecl::ANY, CallKind::Send);
+        g.add_edge("a", ANY, CallKind::Send);
         g.add_edge("b", "a", CallKind::Call);
         assert!(g.call_cycles().is_empty());
     }

@@ -177,6 +177,14 @@ pub(crate) fn is_method_call(toks: &[Tok], j: usize) -> bool {
         && toks.get(j + 1).is_some_and(|n| n.is_punct('('))
 }
 
+/// True when a `{` preceded by `before` (nearest token first) opens a
+/// closure body: `|..| {` or `|..| move {`.
+pub(crate) fn opens_closure<'t>(mut before: impl Iterator<Item = &'t Tok>) -> bool {
+    before
+        .find(|t| !t.is_ident("move"))
+        .is_some_and(|t| t.is_punct('|'))
+}
+
 /// Index just past the closer `c` matching the opener `o` at `open`
 /// (`end` when the group is unterminated). Only the one bracket kind is
 /// counted: literals and comments are already gone, so the other kinds

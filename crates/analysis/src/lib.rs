@@ -3,15 +3,9 @@
 //! The platform is only deadlock-free and recoverable because every
 //! actor follows the turn discipline: one message at a time, no
 //! blocking on another actor that might be waiting on it, state
-//! persisted before the ack. This crate checks that discipline — one
-//! declared-topology check plus **one core under five source passes**.
-//!
-//! **Call graph.** Every actor type declares its outbound edges
-//! ([`aodb_runtime::Actor::declared_calls`]); [`workspace_graph`]
-//! assembles the whole-workspace [`CallGraph`] (renderable as DOT) and
-//! Tarjan SCC over the synchronous `Call` edges
-//! ([`CallGraph::call_cycles`]) finds the reentrancy deadlocks of
-//! non-reentrant virtual-actor systems.
+//! persisted before the ack. This crate checks that discipline from the
+//! source alone — it depends on no workspace crate — with a call-graph
+//! check plus **one core under five source passes**.
 //!
 //! **The core.** A tree is read, lexed and parsed once into a
 //! [`Corpus`]; a crate-scoped pass takes a [`Corpus::scope`] of it.
@@ -20,10 +14,20 @@
 //!   and nested block comments out of the way);
 //! * [`dataflow`] — the per-file item model (`impl`s, `fn`s, `Actor`
 //!   impls, every `struct`/`enum` with its fields), the control-flow
-//!   tree of each function body, and [`dataflow::eval_flow`], the one
-//!   path-sensitive evaluator every flow-walking rule runs on;
+//!   tree of each function body, [`dataflow::eval_flow`], the one
+//!   path-sensitive evaluator every flow-walking rule runs on, and the
+//!   walker vocabulary the passes share (which fns are turns, which
+//!   calls a walk follows, statement and `let`/`for` heads, receiver
+//!   resolution against [`dataflow::FieldClasses`]);
 //! * [`taxonomy`] — the one table module: what blocks, what sends, what
 //!   commits, what is nondeterministic.
+//!
+//! **Call graph.** Every actor type declares its outbound edges in
+//! `Actor::declared_calls()`. [`CallGraph::from_corpus`] builds the
+//! graph from those declarations as the parser reads them out of the
+//! [`ACTOR_CRATES`] (renderable as DOT), and Tarjan SCC over the
+//! synchronous `Call` edges ([`CallGraph::call_cycles`]) finds the
+//! reentrancy deadlocks of non-reentrant virtual-actor systems.
 //!
 //! **The passes**, each a thin set of rules over that core:
 //!
@@ -58,9 +62,10 @@
 //! Accepted findings live in a [`baseline`] file with per-entry
 //! justifications; entries that stop firing fail the lint, so the
 //! baseline can only ratchet down. The `aodb-lint` binary drives all of
-//! it and exits nonzero on any violation; debug builds of the runtime
-//! enforce the declarations at dispatch time, so graph and code cannot
-//! silently drift apart.
+//! it and exits nonzero on any violation. The `verify` pass diffs the
+//! declarations against the send sites, and debug builds of the runtime
+//! enforce them at dispatch time, so graph and code cannot silently
+//! drift apart.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -81,7 +86,7 @@ pub mod sendsites;
 pub mod taxonomy;
 
 pub use baseline::{Baseline, Suppression};
-pub use graph::{CallGraph, Edge, ANY_NODE};
+pub use graph::{CallGraph, CallKind, Edge, ANY, ANY_NODE};
 pub use lint::{turn_findings, Finding, Rule};
 pub use lockgraph::{LockEdge, LockGraph};
 pub use locks::{lockcheck_corpus, LockAnalysis};
@@ -114,56 +119,56 @@ pub fn schemacheck_corpus(corpus: &Corpus, lock: Option<&SchemaLock>) -> Vec<Fin
     findings
 }
 
-/// The whole-workspace call graph: every actor type registered by the
-/// SHM platform, the cattle-tracking platform, and the shared AODB
-/// infrastructure, with their declared edges.
-pub fn workspace_graph() -> CallGraph {
-    CallGraph::from_topology(
-        aodb_shm::call_topology()
-            .into_iter()
-            .chain(aodb_cattle::call_topology())
-            .chain(aodb_core::call_topology()),
-    )
-}
+/// The crates whose `src/` trees hold the platform's actors, as a
+/// [`Corpus::scope`]: the call graph and the `replay` pass audit these.
+pub const ACTOR_CRATES: &[&str] = &["shm", "cattle", "core"];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
+
+    /// The actor crates of this workspace, as `aodb-lint` scopes them.
+    fn actor_corpus() -> Corpus {
+        let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+        Corpus::load(&[root]).unwrap().scope(ACTOR_CRATES)
+    }
 
     #[test]
     fn workspace_graph_covers_all_platform_actors() {
-        let g = workspace_graph();
-        for name in [
-            "shm.sensor",
-            "shm.ingest-gateway",
-            "shm.channel",
-            "shm.virtual-channel",
-            "shm.aggregator",
-            "shm.organization",
-            "shm.alert-log",
-            "shm.tenant-guard",
-            "cattle.cow",
-            "cattle.farmer",
-            "cattle.slaughterhouse",
-            "cattle.meat-cut",
-            "cattle.distributor",
-            "cattle.delivery",
-            "cattle.retailer",
-            "cattle.meat-product",
-            "cattle.cut-holder",
-            "aodb.index-shard",
-            "aodb.key-registry",
-            "aodb.reminder-table",
-            "aodb.txn-coordinator",
-            "aodb.workflow-engine",
-        ] {
-            assert!(g.nodes().iter().any(|n| n == name), "missing node {name}");
+        // Every `impl Actor for` in the actor crates is a node under the
+        // `TYPE_NAME` the parser reads; one it cannot name fails here.
+        let corpus = actor_corpus();
+        let g = CallGraph::from_corpus(&corpus);
+        let mut impls = 0;
+        for file in &corpus.files {
+            let toks = &file.toks;
+            impls += (2..toks.len())
+                .filter(|&i| {
+                    toks[i - 2].is_ident("impl")
+                        && toks[i - 1].is_ident("Actor")
+                        && toks[i].is_ident("for")
+                })
+                .count();
+            for actor in &file.actors {
+                let name = actor.type_name.as_ref().unwrap_or_else(|| {
+                    panic!(
+                        "{}: no readable TYPE_NAME for `{}`",
+                        file.path.display(),
+                        actor.type_ident
+                    )
+                });
+                assert!(g.nodes().contains(name), "missing node {name}");
+            }
         }
+        let parsed: usize = corpus.files.iter().map(|f| f.actors.len()).sum();
+        assert_eq!(parsed, impls, "an `impl Actor for` the parser did not read");
+        assert!(impls > 0, "no actors found under {ACTOR_CRATES:?}");
     }
 
     #[test]
     fn workspace_graph_has_no_call_cycles() {
-        let cycles = workspace_graph().call_cycles();
+        let cycles = CallGraph::from_corpus(&actor_corpus()).call_cycles();
         assert!(
             cycles.is_empty(),
             "declared topology has sync-call cycles: {cycles:?}"

@@ -83,53 +83,34 @@ pub enum Rule {
     AckBeforeCommit,
 }
 
-impl Rule {
-    /// Every rule, for `--help`-style listings.
-    pub const ALL: &'static [Rule] = &[
-        Rule::GuardAcrossWait,
-        Rule::BlockingInCollector,
-        Rule::StdSyncPrimitive,
-        Rule::DeclarationDriftMissing,
-        Rule::DeclarationDriftStale,
-        Rule::ReplyLeak,
-        Rule::LockOrderCycle,
-        Rule::LockAcrossBlocking,
-        Rule::NondetInTurn,
-        Rule::UnorderedPersistedState,
-        Rule::AmbientClock,
-        Rule::SchemaDrift,
-        Rule::SchemaUnversioned,
-        Rule::AckBeforeCommit,
-    ];
+/// Every rule with the name reports and `allow(...)` markers use, in
+/// declaration order (so a rule's discriminant indexes its row).
+const RULES: [(Rule, &str); 14] = [
+    (Rule::GuardAcrossWait, "guard-across-wait"),
+    (Rule::BlockingInCollector, "blocking-in-collector"),
+    (Rule::StdSyncPrimitive, "std-sync-primitive"),
+    (Rule::DeclarationDriftMissing, "declaration-drift-missing"),
+    (Rule::DeclarationDriftStale, "declaration-drift-stale"),
+    (Rule::ReplyLeak, "reply-leak"),
+    (Rule::LockOrderCycle, "lock-order-cycle"),
+    (Rule::LockAcrossBlocking, "lock-across-blocking"),
+    (Rule::NondetInTurn, "nondet-in-turn"),
+    (Rule::UnorderedPersistedState, "unordered-persisted-state"),
+    (Rule::AmbientClock, "ambient-clock"),
+    (Rule::SchemaDrift, "schema-drift"),
+    (Rule::SchemaUnversioned, "schema-unversioned"),
+    (Rule::AckBeforeCommit, "ack-before-commit"),
+];
 
+impl Rule {
     /// The marker name recognized in `aodb-lint: allow(<name>)`.
     pub fn name(self) -> &'static str {
-        match self {
-            Rule::GuardAcrossWait => "guard-across-wait",
-            Rule::BlockingInCollector => "blocking-in-collector",
-            Rule::StdSyncPrimitive => "std-sync-primitive",
-            Rule::DeclarationDriftMissing => "declaration-drift-missing",
-            Rule::DeclarationDriftStale => "declaration-drift-stale",
-            Rule::ReplyLeak => "reply-leak",
-            Rule::LockOrderCycle => "lock-order-cycle",
-            Rule::LockAcrossBlocking => "lock-across-blocking",
-            Rule::NondetInTurn => "nondet-in-turn",
-            Rule::UnorderedPersistedState => "unordered-persisted-state",
-            Rule::AmbientClock => "ambient-clock",
-            Rule::SchemaDrift => "schema-drift",
-            Rule::SchemaUnversioned => "schema-unversioned",
-            Rule::AckBeforeCommit => "ack-before-commit",
-        }
+        RULES[self as usize].1
     }
 
-    /// Inverse of [`Rule::name`], for baseline files. Accepts the
-    /// historical alias `std-sync-where-parking-lot` for
-    /// [`Rule::StdSyncPrimitive`].
+    /// Inverse of [`Rule::name`], for baseline files.
     pub fn from_name(name: &str) -> Option<Rule> {
-        if name == "std-sync-where-parking-lot" {
-            return Some(Rule::StdSyncPrimitive);
-        }
-        Rule::ALL.iter().copied().find(|r| r.name() == name)
+        RULES.iter().find(|(_, n)| *n == name).map(|(r, _)| *r)
     }
 }
 
@@ -397,6 +378,14 @@ mod tests {
              use std::sync::Mutex;\n",
         );
         assert!(allowed.is_empty(), "{allowed:?}");
+    }
+
+    #[test]
+    fn rule_table_rows_follow_declaration_order() {
+        for (i, (rule, name)) in RULES.iter().enumerate() {
+            assert_eq!(*rule as usize, i, "{name}");
+            assert_eq!(Rule::from_name(name), Some(*rule));
+        }
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! self-loop — is a potential ABBA deadlock: two threads entering the
 //! component from different sides can each hold the lock the other
 //! wants. This mirrors the actor call graph in [`crate::graph`], one
-//! layer down the stack, and shares its SCC routine.
+//! layer down the stack, and shares its node/SCC core.
 
 use std::path::PathBuf;
 
-use crate::graph::tarjan;
+use crate::graph::{dot_header, Nodes};
 use crate::lint::{Finding, Rule};
 
 /// One held-while-acquiring edge, with provenance for diagnostics.
@@ -33,7 +33,7 @@ pub struct LockEdge {
 /// A directed graph over lock classes.
 #[derive(Clone, Debug, Default)]
 pub struct LockGraph {
-    nodes: Vec<String>,
+    nodes: Nodes,
     edges: Vec<LockEdge>,
 }
 
@@ -43,15 +43,21 @@ impl LockGraph {
     /// so the dump doubles as the lock-class table.
     pub fn new(mut nodes: Vec<String>, mut edges: Vec<LockEdge>) -> Self {
         nodes.sort();
-        nodes.dedup();
         edges.sort_by(|a, b| (&a.from, &a.to).cmp(&(&b.from, &b.to)));
         edges.dedup_by(|a, b| a.from == b.from && a.to == b.to);
-        LockGraph { nodes, edges }
+        let mut graph = LockGraph {
+            nodes: Nodes::default(),
+            edges,
+        };
+        for name in &nodes {
+            graph.nodes.add(name);
+        }
+        graph
     }
 
     /// Lock classes, sorted.
     pub fn nodes(&self) -> &[String] {
-        &self.nodes
+        self.nodes.names()
     }
 
     /// Held-while-acquiring edges, sorted by (from, to).
@@ -62,30 +68,11 @@ impl LockGraph {
     /// All lock-order cycles: SCCs of more than one class, plus
     /// self-loops. Each cycle lists its classes in DFS order.
     pub fn cycles(&self) -> Vec<Vec<String>> {
-        let index: std::collections::HashMap<&str, usize> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.as_str(), i))
-            .collect();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
-        for e in &self.edges {
-            let (Some(&f), Some(&t)) = (index.get(e.from.as_str()), index.get(e.to.as_str()))
-            else {
-                continue;
-            };
-            if !adj[f].contains(&t) {
-                adj[f].push(t);
-            }
-        }
-        let mut cycles = Vec::new();
-        for scc in tarjan(self.nodes.len(), &adj) {
-            let cyclic = scc.len() > 1 || (scc.len() == 1 && adj[scc[0]].contains(&scc[0]));
-            if cyclic {
-                cycles.push(scc.iter().map(|&i| self.nodes[i].clone()).collect());
-            }
-        }
-        cycles
+        self.nodes.cycles(
+            self.edges
+                .iter()
+                .filter_map(|e| Some((self.nodes.get(&e.from)?, self.nodes.get(&e.to)?))),
+        )
     }
 
     /// One `lock-order-cycle` finding per cycle, anchored at the first
@@ -121,10 +108,8 @@ impl LockGraph {
     /// edges sorted) so the output is golden-file testable. Edges are
     /// labeled with the witnessing function.
     pub fn to_dot(&self) -> String {
-        let mut out = String::from("digraph lock_order {\n");
-        out.push_str("    rankdir=LR;\n");
-        out.push_str("    node [shape=box, fontname=\"monospace\"];\n");
-        for name in &self.nodes {
+        let mut out = dot_header("lock_order");
+        for name in self.nodes() {
             out.push_str(&format!("    \"{name}\";\n"));
         }
         for e in &self.edges {

@@ -48,15 +48,16 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use crate::dataflow::{
-    eval_flow, resolve_callee, FieldClasses, FileModel, FnIndex, FnItem, Transfer,
+    eval_flow, fn_index, for_head_in, is_helper_call, let_binding, resolve_callee, statements,
+    FieldClasses, FileModel, FnItem, Transfer,
 };
 use crate::lexer::TokKind;
 use crate::lint::{turn_request, Finding, Rule};
 use crate::lockgraph::{LockEdge, LockGraph};
 use crate::sendsites::Corpus;
 use crate::taxonomy::{
-    is_keywordish, ACQUIRE_METHODS, FREE_BLOCKERS, FS_BLOCKERS, FS_OWNERS, GUARD_HANDOFF_WAITS,
-    LOCK_TYPES, METHOD_BLOCKERS, ZERO_ARG_BLOCKERS,
+    ACQUIRE_METHODS, FREE_BLOCKERS, FS_BLOCKERS, FS_OWNERS, GUARD_HANDOFF_WAITS, LOCK_TYPES,
+    METHOD_BLOCKERS, ZERO_ARG_BLOCKERS,
 };
 
 // ------------------------------------------------------------- classes
@@ -225,35 +226,24 @@ impl FnCx<'_> {
             }
             return None;
         }
-        if toks[r].kind != TokKind::Ident {
-            return None;
-        }
-        let field = toks[r].text.as_str();
-        let qualified = r >= 2 && toks[r - 1].is_punct('.');
-        let base_self = qualified && toks[r - 2].is_ident("self");
-        // Owner-qualified field wins (`self.inner` in two structs named
-        // `inner` resolves by the enclosing impl).
-        if base_self {
-            if let Some(owner) = self.owner {
-                if let Some(id) = self.classes.by_owner_field(owner, field) {
-                    return Some(id);
-                }
-            }
-        }
-        if !qualified {
-            // Plain identifier: a local binding or a lock-typed param.
-            if let Some(&(_, id)) = s.bindings.iter().rev().find(|(n, _)| n == field) {
-                return Some(id);
-            }
-            if let Some(&(_, id)) = self.params.iter().find(|(n, _)| n == field) {
-                return Some(id);
-            }
-            if let Some(id) = self.accessors.get(field) {
-                return Some(*id);
-            }
-        }
-        // Fall back to a corpus-unique field name (`act.actor.lock()`).
-        self.classes.unique_field(field)
+        self.classes.resolve_receiver(
+            toks,
+            r,
+            self.owner,
+            false,
+            // A plain identifier: a local binding, a lock-typed param, or
+            // an accessor; `act.actor.lock()` falls back to the
+            // corpus-unique field name.
+            |name| {
+                let local = s.bindings.iter().rev().find(|(n, _)| n == name);
+                let param = || self.params.iter().find(|(n, _)| n == name);
+                local
+                    .or_else(param)
+                    .map(|&(_, id)| id)
+                    .or_else(|| self.accessors.get(name).copied())
+            },
+            |id| id,
+        )
     }
 
     /// A lock-field or accessor mention inside a statement, for
@@ -300,59 +290,44 @@ impl Transfer<LState> for FnCx<'_> {
 /// acquisitions, releases, blocking points, and call sites.
 fn run_tokens(cx: &mut FnCx<'_>, s: &mut LState, idxs: &[usize], depth: u16) {
     let toks = &cx.model.toks;
-    let mut pending_let: Option<String> = None;
-    let mut pending_bind: Option<u16> = None;
-    let mut pdepth = 0i32;
-
     // `for x in <expr-with-lock>` heads bind the loop variable.
-    if idxs.len() >= 2 && toks[idxs[0]].kind == TokKind::Ident && toks[idxs[1]].is_ident("in") {
+    if for_head_in(toks, idxs) == Some(1) && toks[idxs[0]].kind == TokKind::Ident {
         if let Some(id) = idxs[2..].iter().find_map(|&j| cx.resolve_mention(s, j)) {
             s.bindings.push((toks[idxs[0]].text.clone(), id));
         }
     }
+    for stmt in statements(toks, idxs, false) {
+        run_stmt(cx, s, stmt, depth);
+    }
+}
+
+/// Applies one statement. At its end — a `;`, or a run ending
+/// mid-statement (an `if`/`match` head, whose temporaries are evaluated
+/// before the branch in the common case) — temporaries die and a pending
+/// binding commits.
+fn run_stmt(cx: &mut FnCx<'_>, s: &mut LState, idxs: &[usize], depth: u16) {
+    let toks = &cx.model.toks;
+    let mut pending_let: Option<String> = None;
+    let mut pending_bind: Option<u16> = None;
 
     let mut k = 0usize;
     while k < idxs.len() {
         let j = idxs[k];
         let t = &toks[j];
-
-        if t.is_punct('(') || t.is_punct('[') {
-            pdepth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') {
-            pdepth -= 1;
-        } else if t.is_punct(';') && pdepth <= 0 {
-            // Statement end: temporaries die, pending binding commits.
-            s.held.retain(|g| g.name.is_some());
-            if let (Some(n), Some(c)) = (pending_let.take(), pending_bind.take()) {
-                s.bindings.push((n, c));
-            }
-            pending_let = None;
-            pending_bind = None;
-            k += 1;
-            continue;
-        }
-
         if t.kind != TokKind::Ident {
             k += 1;
             continue;
         }
-
         // `let [mut] name =` opens a binding statement.
         if t.text == "let" {
-            let mut n = k + 1;
-            if n < idxs.len() && toks[idxs[n]].is_ident("mut") {
-                n += 1;
+            match let_binding(toks, &idxs[k..]) {
+                Some((name, next)) => {
+                    pending_let = Some(name.to_string());
+                    pending_bind = None;
+                    k += next;
+                }
+                None => k += 1,
             }
-            if n + 1 < idxs.len()
-                && toks[idxs[n]].kind == TokKind::Ident
-                && toks[idxs[n + 1]].is_punct('=')
-            {
-                pending_let = Some(toks[idxs[n]].text.clone());
-                pending_bind = None;
-                k = n + 2;
-                continue;
-            }
-            k += 1;
             continue;
         }
 
@@ -478,29 +453,23 @@ fn run_tokens(cx: &mut FnCx<'_>, s: &mut LState, idxs: &[usize], depth: u16) {
 
         // Call sites for one-level propagation: `self.helper(..)` and
         // free/path calls, recorded only while a guard is live.
-        if next_paren && !s.held.is_empty() {
-            let self_method = prev_dot && j >= 2 && toks[j - 2].is_ident("self");
-            let free_call = !prev_dot;
-            if (self_method || free_call) && !is_keywordish(&t.text) {
-                let mut held = Vec::new();
-                let mut seen = BTreeSet::new();
-                for g in &s.held {
-                    if let Some(class) = g.class.filter(|c| seen.insert(*c)) {
-                        held.push((class, g.line));
-                    }
+        if !s.held.is_empty() && is_helper_call(toks, j, true) {
+            let mut held = Vec::new();
+            let mut seen = BTreeSet::new();
+            for g in &s.held {
+                if let Some(class) = g.class.filter(|c| seen.insert(*c)) {
+                    held.push((class, g.line));
                 }
-                cx.facts.calls.push(CallSite {
-                    callee: t.text.clone(),
-                    held,
-                    line: t.line,
-                });
             }
+            cx.facts.calls.push(CallSite {
+                callee: t.text.clone(),
+                held,
+                line: t.line,
+            });
         }
         k += 1;
     }
 
-    // A run ending mid-statement (an `if`/`match` head) evaluates its
-    // temporaries before the branch in the common case; drop them.
     s.held.retain(|g| g.name.is_some());
     if let (Some(n), Some(c)) = (pending_let, pending_bind) {
         s.bindings.push((n, c));
@@ -550,18 +519,17 @@ pub fn lockcheck_corpus(corpus: &Corpus) -> LockAnalysis {
 
     // Pass 1: walk every function.
     let mut all_facts: Vec<Vec<FnFacts>> = Vec::new();
-    let mut fn_index = FnIndex::new();
     for (fi, file) in corpus.files.iter().enumerate() {
         let mut per_fn = Vec::new();
-        for (gi, f) in file.fns.iter().enumerate() {
+        for f in &file.fns {
             let params = param_classes(file, f, &mut classes);
             let mut cx = FnCx::new(file, f, &params, &accessors_by_file[fi], &classes, false);
             eval_flow(&f.body, LState::default(), f.end_line, &mut cx);
             per_fn.push(cx.facts);
-            fn_index.entry(f.name.clone()).or_default().push((fi, gi));
         }
         all_facts.push(per_fn);
     }
+    let fns_by_name = fn_index(&corpus.files, |_| true);
 
     // Pass 2: one-level call propagation + finding assembly.
     let mut findings = Vec::new();
@@ -570,43 +538,46 @@ pub fn lockcheck_corpus(corpus: &Corpus) -> LockAnalysis {
         for (gi, f) in file.fns.iter().enumerate() {
             let facts = &all_facts[fi][gi];
             let mut reported: BTreeSet<(u16, u32)> = BTreeSet::new();
-            for (class, gline, what, bline) in &facts.blocked_holds {
-                if !reported.insert((*class, *bline)) {
-                    continue;
-                }
-                if file.allowed(*bline, Rule::LockAcrossBlocking)
-                    || file.allowed(*gline, Rule::LockAcrossBlocking)
+            // A `class` guard acquired on `gline` held across the blocking
+            // operation on `line`, reported once per (class, line).
+            let mut hold = |class: u16, gline: u32, line: u32, across: String| {
+                if !reported.insert((class, line))
+                    || file.allowed(line, Rule::LockAcrossBlocking)
+                    || file.allowed(gline, Rule::LockAcrossBlocking)
                 {
-                    continue;
+                    return;
                 }
-                let class_name = &classes.names[*class as usize];
+                let class_name = &classes.names[class as usize];
                 let detail = format!(
-                    "`{}` holds `{class_name}` (acquired line {gline}) across {what} — \
-                     every thread contending on that lock stalls behind this operation",
+                    "`{}` holds `{class_name}` (acquired line {gline}) across {across}",
                     f.name
                 );
                 findings.push(
-                    file.finding(
-                        Rule::LockAcrossBlocking,
-                        *bline,
-                        Some(f.name.clone()),
-                        detail,
-                    )
-                    .with_class(Some(class_name.clone())),
+                    file.finding(Rule::LockAcrossBlocking, line, Some(f.name.clone()), detail)
+                        .with_class(Some(class_name.clone())),
                 );
-            }
-            for (from, to, line) in &facts.edges {
-                edges.entry((*from, *to)).or_insert_with(|| LockEdge {
-                    from: classes.names[*from as usize].clone(),
-                    to: classes.names[*to as usize].clone(),
+            };
+            let mut edge = |from: u16, to: u16, line: u32, via: String| {
+                edges.entry((from, to)).or_insert_with(|| LockEdge {
+                    from: classes.names[from as usize].clone(),
+                    to: classes.names[to as usize].clone(),
                     file: file.path.clone(),
-                    line: *line,
-                    via: f.name.clone(),
+                    line,
+                    via,
                 });
+            };
+            for (class, gline, what, bline) in &facts.blocked_holds {
+                let across = format!(
+                    "{what} — every thread contending on that lock stalls behind this operation"
+                );
+                hold(*class, *gline, *bline, across);
+            }
+            for &(from, to, line) in &facts.edges {
+                edge(from, to, line, f.name.clone());
             }
             // Propagated effects of calls made under a guard.
             for call in &facts.calls {
-                let chosen = resolve_callee(&fn_index, fi, &call.callee);
+                let chosen = resolve_callee(&fns_by_name, fi, &call.callee);
                 let Some((cf, cg)) = chosen else { continue };
                 if (cf, cg) == (fi, gi) {
                     continue; // self-recursion adds nothing
@@ -614,34 +585,19 @@ pub fn lockcheck_corpus(corpus: &Corpus) -> LockAnalysis {
                 let callee = &all_facts[cf][cg];
                 for &(held, gline) in &call.held {
                     for &acq in &callee.acquires {
-                        edges.entry((held, acq)).or_insert_with(|| LockEdge {
-                            from: classes.names[held as usize].clone(),
-                            to: classes.names[acq as usize].clone(),
-                            file: file.path.clone(),
-                            line: call.line,
-                            via: format!("{} -> {}", f.name, call.callee),
-                        });
+                        edge(
+                            held,
+                            acq,
+                            call.line,
+                            format!("{} -> {}", f.name, call.callee),
+                        );
                     }
                     if let Some((what, bline)) = &callee.blocks {
-                        if !reported.insert((held, call.line)) {
-                            continue;
-                        }
-                        if file.allowed(call.line, Rule::LockAcrossBlocking)
-                            || file.allowed(gline, Rule::LockAcrossBlocking)
-                        {
-                            continue;
-                        }
-                        let class_name = &classes.names[held as usize];
-                        let detail = format!(
-                            "`{}` holds `{class_name}` (acquired line {gline}) across a \
-                             call to `{}`, which blocks ({what} at line {bline})",
-                            f.name, call.callee
+                        let across = format!(
+                            "a call to `{}`, which blocks ({what} at line {bline})",
+                            call.callee
                         );
-                        let item = Some(f.name.clone());
-                        findings.push(
-                            file.finding(Rule::LockAcrossBlocking, call.line, item, detail)
-                                .with_class(Some(class_name.clone())),
-                        );
+                        hold(held, gline, call.line, across);
                     }
                 }
             }

@@ -29,13 +29,12 @@
 //! (match-scrutinee rebinding, two-hop helpers); it does not crash, and
 //! what it flags is reviewable at the line it names.
 
-use crate::dataflow::{resolve_callee, FieldClasses, FileModel, FnIndex, FnItem};
-use crate::effects::{effect_facts, EffectCx, EffectFacts};
-use crate::lexer::TokKind;
+use crate::dataflow::{fn_index, is_helper_call, resolve_callee, FieldClasses};
+use crate::effects::{helper_sink, EffectCx};
 use crate::lint::{Finding, Rule};
 use crate::schema::persisted_type_args;
 use crate::sendsites::Corpus;
-use crate::taxonomy::{is_keywordish, UNORDERED_TYPES};
+use crate::taxonomy::UNORDERED_TYPES;
 
 /// Runs the replaycheck pass over a parsed corpus.
 pub fn replaycheck_corpus(corpus: &Corpus) -> Vec<Finding> {
@@ -45,18 +44,13 @@ pub fn replaycheck_corpus(corpus: &Corpus) -> Vec<Finding> {
     // Every type name used as a `Persisted<T>` state argument.
     let persisted = persisted_type_args(corpus);
 
-    // Per-function effect facts and a name index, for helper resolution.
-    let mut facts: Vec<Vec<EffectFacts>> = Vec::new();
-    let mut fns_by_name = FnIndex::new();
-    for (fi, file) in corpus.files.iter().enumerate() {
-        facts.push(file.fns.iter().map(|f| effect_facts(file, f)).collect());
-        for (gi, f) in file.fns.iter().enumerate() {
-            fns_by_name
-                .entry(f.name.clone())
-                .or_default()
-                .push((fi, gi));
-        }
-    }
+    // Per-function helper sinks and a name index, for helper resolution.
+    let sinks: Vec<Vec<Option<&str>>> = corpus
+        .files
+        .iter()
+        .map(|file| file.fns.iter().map(|f| helper_sink(file, f)).collect())
+        .collect();
+    let fns_by_name = fn_index(&corpus.files, |_| true);
 
     let mut findings = Vec::new();
 
@@ -96,8 +90,8 @@ pub fn replaycheck_corpus(corpus: &Corpus) -> Vec<Finding> {
     let mut visited: Vec<(usize, usize)> = Vec::new();
     for (fi, file) in corpus.files.iter().enumerate() {
         for (gi, f) in file.fns.iter().enumerate() {
-            if is_turn_fn(f) {
-                work.push((fi, gi, is_sync_handler(f)));
+            if f.is_turn() {
+                work.push((fi, gi, f.is_handler()));
                 visited.push((fi, gi));
             }
         }
@@ -107,8 +101,11 @@ pub fn replaycheck_corpus(corpus: &Corpus) -> Vec<Finding> {
     let mut helpers: Vec<(usize, usize)> = Vec::new();
     for &(fi, gi, _) in &work {
         let file = &corpus.files[fi];
-        for callee in callee_names(file, &file.fns[gi]) {
-            if let Some(target) = resolve_callee(&fns_by_name, fi, &callee) {
+        let f = &file.fns[gi];
+        let callees = (f.body_range.0..f.body_range.1)
+            .filter(|&j| is_helper_call(&file.toks, j, false) && file.toks[j].text != f.name);
+        for j in callees {
+            if let Some(target) = resolve_callee(&fns_by_name, fi, &file.toks[j].text) {
                 if !visited.contains(&target) {
                     visited.push(target);
                     helpers.push(target);
@@ -122,9 +119,8 @@ pub fn replaycheck_corpus(corpus: &Corpus) -> Vec<Finding> {
         let model = &corpus.files[fi];
         let f = &model.fns[gi];
         let owner = f.owner.as_ref().map(|o| o.type_ident.as_str());
-        let resolver = |name: &str| -> Option<EffectFacts> {
-            resolve_callee(&fns_by_name, fi, name).map(|(cf, cg)| facts[cf][cg])
-        };
+        let resolver =
+            |name: &str| resolve_callee(&fns_by_name, fi, name).and_then(|(cf, cg)| sinks[cf][cg]);
         let mut cx = EffectCx::new(model, owner, &classes, &resolver, is_handler);
         cx.walk_fn(f);
         for ef in &cx.findings {
@@ -161,48 +157,6 @@ pub fn replaycheck_corpus(corpus: &Corpus) -> Vec<Finding> {
 
     crate::lint::sort_findings(&mut findings);
     findings
-}
-
-/// True for functions the runtime invokes as (part of) a turn.
-fn is_turn_fn(f: &FnItem) -> bool {
-    let Some(owner) = &f.owner else { return false };
-    match owner.trait_ident.as_deref() {
-        Some("Handler") => f.name == "handle",
-        Some("Actor") => f.name == "on_activate" || f.name == "on_deactivate",
-        _ => false,
-    }
-}
-
-/// True when the turn function's return value is delivered as a reply
-/// (so its tail expression is a sink).
-fn is_sync_handler(f: &FnItem) -> bool {
-    f.name == "handle"
-        && f.owner
-            .as_ref()
-            .is_some_and(|o| o.trait_ident.as_deref() == Some("Handler"))
-}
-
-/// Names called as `self.name(..)` or free `name(..)` from a function
-/// body (candidates for one-level propagation).
-fn callee_names(model: &FileModel, f: &FnItem) -> Vec<String> {
-    let toks = &model.toks;
-    let mut out = Vec::new();
-    for j in f.body_range.0..f.body_range.1 {
-        let t = &toks[j];
-        if t.kind != TokKind::Ident || is_keywordish(&t.text) || t.text == f.name {
-            continue;
-        }
-        if !toks.get(j + 1).is_some_and(|n| n.is_punct('(')) {
-            continue;
-        }
-        let prev_dot = j >= 1 && toks[j - 1].is_punct('.');
-        let prev_path = j >= 2 && toks[j - 1].is_punct(':') && toks[j - 2].is_punct(':');
-        let self_method = prev_dot && j >= 2 && toks[j - 2].is_ident("self");
-        if (self_method || (!prev_dot && !prev_path)) && !out.contains(&t.text) {
-            out.push(t.text.clone());
-        }
-    }
-    out
 }
 
 #[cfg(test)]

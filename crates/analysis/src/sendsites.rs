@@ -37,13 +37,14 @@ use std::io;
 use std::path::PathBuf;
 use std::rc::Rc;
 
-use crate::dataflow::{resolve_callee, FileModel, FnIndex};
-use crate::lexer::{skip_group, TokKind};
+use crate::dataflow::{
+    first_generic_arg, fn_index, for_head_in, let_binding, resolve_callee, skip_angles, FileModel,
+    FnItem,
+};
+use crate::graph::{CallKind, ANY};
+use crate::lexer::{skip_group, Tok, TokKind};
 use crate::lint::{collect_rs_files, Finding, Rule};
 use crate::taxonomy::SITE_METHODS;
-
-/// Wildcard target in declarations (`CallDecl::send_any()`).
-const ANY: &str = "*";
 
 /// A set of parsed source files analyzed together (type names resolve
 /// across files, so fixtures and the workspace both load as one corpus).
@@ -207,18 +208,18 @@ pub fn drift_findings(corpus: &Corpus) -> Vec<Finding> {
 
     // Per-function extraction, plus a name index of context-threading
     // functions for helper attribution.
-    let mut extracted: Vec<Vec<(Vec<Site>, Vec<String>)>> = Vec::new();
-    let mut ctx_fns = FnIndex::new();
-    for (fi, file) in corpus.files.iter().enumerate() {
-        let mut per_fn = Vec::new();
-        for (gi, f) in file.fns.iter().enumerate() {
-            per_fn.push(extract_fn_sites(file, fi, f));
-            if !f.ctx_params.is_empty() {
-                ctx_fns.entry(f.name.clone()).or_default().push((fi, gi));
-            }
-        }
-        extracted.push(per_fn);
-    }
+    let extracted: Vec<Vec<(Vec<Site>, Vec<String>)>> = corpus
+        .files
+        .iter()
+        .enumerate()
+        .map(|(fi, file)| {
+            file.fns
+                .iter()
+                .map(|f| extract_fn_sites(file, fi, f))
+                .collect()
+        })
+        .collect();
+    let ctx_fns = fn_index(&corpus.files, |f| !f.ctx_params.is_empty());
 
     let mut findings = Vec::new();
     for (fi, file) in corpus.files.iter().enumerate() {
@@ -254,64 +255,29 @@ pub fn drift_findings(corpus: &Corpus) -> Vec<Finding> {
                 }
             }
 
-            // Resolve targets against the actor-name maps.
-            struct Resolved {
-                name: Option<String>, // None = dynamic
-                is_self: bool,
-                is_call: bool,
-                file: usize,
-                line: u32,
-                in_fn: String,
-            }
-            let resolved: Vec<Resolved> = sites
+            // Resolve targets against the actor-name maps (`None` = a
+            // dynamic recipient).
+            let resolved: Vec<(Option<String>, &Site)> = sites
                 .iter()
-                .filter_map(|s| match &s.target {
-                    Target::Dynamic => Some(Resolved {
-                        name: None,
-                        is_self: false,
-                        is_call: s.is_call,
-                        file: s.file,
-                        line: s.line,
-                        in_fn: s.in_fn.clone(),
-                    }),
-                    Target::SelfType => Some(Resolved {
-                        name: Some(actor_name.clone()),
-                        is_self: true,
-                        is_call: s.is_call,
-                        file: s.file,
-                        line: s.line,
-                        in_fn: s.in_fn.clone(),
-                    }),
-                    Target::Type(ident) => {
-                        let name = names.resolve(s.file, ident)?;
-                        let is_self = name == *actor_name;
-                        Some(Resolved {
-                            name: Some(name),
-                            is_self,
-                            is_call: s.is_call,
-                            file: s.file,
-                            line: s.line,
-                            in_fn: s.in_fn.clone(),
-                        })
-                    }
+                .filter_map(|s| {
+                    let name = match &s.target {
+                        Target::Dynamic => None,
+                        Target::SelfType => Some(actor_name.clone()),
+                        Target::Type(ident) => Some(names.resolve(s.file, ident)?),
+                    };
+                    Some((name, s))
                 })
                 .collect();
 
             // Missing declarations: every non-self site needs cover.
-            for site in &resolved {
-                if site.is_self {
+            for (name, site) in &resolved {
+                if name.as_ref() == Some(actor_name) {
                     continue;
                 }
-                let covered = match &site.name {
-                    Some(n) => actor
-                        .decls
-                        .iter()
-                        .any(|d| (d.to == *n || d.to == ANY) && (!site.is_call || d.is_call)),
-                    None => actor
-                        .decls
-                        .iter()
-                        .any(|d| d.to == ANY && (!site.is_call || d.is_call)),
-                };
+                let covered = actor.decls.iter().any(|d| {
+                    (d.to == ANY || name.as_ref() == Some(&d.to))
+                        && (!site.is_call || d.kind == CallKind::Call)
+                });
                 if covered {
                     continue;
                 }
@@ -320,7 +286,7 @@ pub fn drift_findings(corpus: &Corpus) -> Vec<Finding> {
                     continue;
                 }
                 let kind = if site.is_call { "call" } else { "send" };
-                let shown = site.name.as_deref().unwrap_or("(dynamic recipient)");
+                let shown = name.as_deref().unwrap_or("(dynamic recipient)");
                 findings.push(site_model.finding(
                     Rule::DeclarationDriftMissing,
                     site.line,
@@ -336,11 +302,11 @@ pub fn drift_findings(corpus: &Corpus) -> Vec<Finding> {
             // Stale declarations: every declared edge needs a site.
             for decl in &actor.decls {
                 let matched = if decl.to == ANY {
-                    resolved.iter().any(|s| s.name.is_none())
+                    resolved.iter().any(|(name, _)| name.is_none())
                 } else {
                     resolved
                         .iter()
-                        .any(|s| s.name.as_deref() == Some(decl.to.as_str()))
+                        .any(|(name, _)| name.as_ref() == Some(&decl.to))
                 };
                 if matched {
                     continue;
@@ -369,22 +335,27 @@ pub fn drift_findings(corpus: &Corpus) -> Vec<Finding> {
 }
 
 /// Extracts the send sites and context-passing callees of one function.
-fn extract_fn_sites(
-    model: &FileModel,
-    file_idx: usize,
-    f: &crate::dataflow::FnItem,
-) -> (Vec<Site>, Vec<String>) {
+fn extract_fn_sites(model: &FileModel, file_idx: usize, f: &FnItem) -> (Vec<Site>, Vec<String>) {
     let toks = &model.toks;
     let (start, end) = f.body_range;
     let mut sites = Vec::new();
     let mut callees = Vec::new();
     let mut bindings: HashMap<String, Target> = HashMap::new();
     let mut pending_let: Option<String> = None;
+    let body: Vec<usize> = (start..end).collect();
 
     let ident_at = |i: usize| -> Option<&str> {
         (i < end && toks[i].kind == TokKind::Ident).then(|| toks[i].text.as_str())
     };
     let punct_at = |i: usize, c: char| -> bool { i < end && toks[i].is_punct(c) };
+    let is_ctx = |name: &str| f.ctx_params.iter().any(|p| p == name);
+    let site = |target, is_call, line| Site {
+        target,
+        is_call,
+        file: file_idx,
+        line,
+        in_fn: f.name.clone(),
+    };
 
     let mut i = start;
     while i < end {
@@ -396,14 +367,8 @@ fn extract_fn_sites(
             continue;
         }
         if t.is_ident("let") {
-            let mut j = i + 1;
-            if ident_at(j) == Some("mut") {
-                j += 1;
-            }
-            if let Some(name) = ident_at(j) {
-                if punct_at(j + 1, '=') {
-                    pending_let = Some(name.to_string());
-                }
+            if let Some((name, _)) = let_binding(toks, &body[i - start..]) {
+                pending_let = Some(name.to_string());
             }
             i += 1;
             continue;
@@ -415,7 +380,7 @@ fn extract_fn_sites(
 
         // `for r in refs {` / `for r in &refs {`: the loop variable is an
         // element of a tracked binding.
-        if t.text == "for" && ident_at(i + 2) == Some("in") {
+        if t.text == "for" && for_head_in(toks, &body[i + 1 - start..]) == Some(1) {
             let src = if punct_at(i + 3, '&') { i + 4 } else { i + 3 };
             let target = ident_at(src).and_then(|name| bindings.get(name)).cloned();
             if let (Some(var), Some(target), true) =
@@ -435,13 +400,8 @@ fn extract_fn_sites(
         {
             let recv = toks[i - 2].text.as_str();
             let line = t.line;
-            if let Some((type_ident, after)) = parse_turbofish_call(toks, i + 1, end) {
-                if f.ctx_params.iter().any(|p| p == recv) {
-                    let target = if type_ident == "Self" {
-                        Target::SelfType
-                    } else {
-                        Target::Type(type_ident)
-                    };
+            if let Some((target, after)) = parse_turbofish_call(toks, i + 1, end) {
+                if is_ctx(recv) {
                     // Optional `?` between the ref and its use.
                     let mut j = after;
                     if punct_at(j, '?') {
@@ -450,24 +410,12 @@ fn extract_fn_sites(
                     if punct_at(j, '.') {
                         let m = ident_at(j + 1).unwrap_or("");
                         if let Some((_, is_call)) = SITE_METHODS.iter().find(|(n, _)| *n == m) {
-                            sites.push(Site {
-                                target,
-                                is_call: *is_call,
-                                file: file_idx,
-                                line: toks[j + 1].line,
-                                in_fn: f.name.clone(),
-                            });
+                            sites.push(site(target, *is_call, toks[j + 1].line));
                             i = j + 2;
                             continue;
                         }
                         if m == "recipient" {
-                            sites.push(Site {
-                                target,
-                                is_call: false,
-                                file: file_idx,
-                                line,
-                                in_fn: f.name.clone(),
-                            });
+                            sites.push(site(target, false, line));
                             i = j + 2;
                             continue;
                         }
@@ -497,20 +445,10 @@ fn extract_fn_sites(
             && i >= 2
             && toks[i - 1].is_punct('.')
             && toks[i - 2].kind == TokKind::Ident
-            && f.ctx_params.iter().any(|p| p == toks[i - 2].text.as_str())
+            && is_ctx(&toks[i - 2].text)
         {
-            if let Some((type_ident, after)) = parse_turbofish_call(toks, i + 1, end) {
-                sites.push(Site {
-                    target: if type_ident == "Self" {
-                        Target::SelfType
-                    } else {
-                        Target::Type(type_ident)
-                    },
-                    is_call: false,
-                    file: file_idx,
-                    line: t.line,
-                    in_fn: f.name.clone(),
-                });
+            if let Some((target, after)) = parse_turbofish_call(toks, i + 1, end) {
+                sites.push(site(target, false, t.line));
                 i = after;
                 continue;
             }
@@ -526,17 +464,11 @@ fn extract_fn_sites(
                 let recv = toks[i - 2].text.as_str();
                 let target = match bindings.get(recv) {
                     Some(t) => Some(t.clone()),
-                    None if recv == "self" || f.ctx_params.iter().any(|p| p == recv) => None,
+                    None if recv == "self" || is_ctx(recv) => None,
                     None => Some(Target::Dynamic),
                 };
                 if let Some(target) = target {
-                    sites.push(Site {
-                        target,
-                        is_call: *is_call,
-                        file: file_idx,
-                        line: t.line,
-                        in_fn: f.name.clone(),
-                    });
+                    sites.push(site(target, *is_call, t.line));
                 }
                 i += 1;
                 continue;
@@ -550,7 +482,7 @@ fn extract_fn_sites(
         if punct_at(i + 1, '(') && t.text != f.name {
             let close = skip_group(toks, i + 1, end, '(', ')');
             let passes_ctx =
-                (i + 2..close).any(|j| f.ctx_params.iter().any(|p| toks[j].is_ident(p)));
+                (i + 2..close).any(|j| toks[j].kind == TokKind::Ident && is_ctx(&toks[j].text));
             if passes_ctx && !callees.contains(&t.text) {
                 callees.push(t.text.clone());
             }
@@ -560,59 +492,24 @@ fn extract_fn_sites(
     (sites, callees)
 }
 
-/// Parses `::<Type...>(args)` starting at the token after the method
-/// ident; returns (last type ident, index after the closing paren).
-fn parse_turbofish_call(
-    toks: &[crate::lexer::Tok],
-    i: usize,
-    end: usize,
-) -> Option<(String, usize)> {
-    let mut j = i;
-    if !(j + 1 < end && toks[j].is_punct(':') && toks[j + 1].is_punct(':')) {
+/// Parses `::<Type, ..>(args)` starting at the token after the method
+/// ident; returns the target the first type argument names (`Self` is
+/// the owner's own type) and the index after the closing paren.
+fn parse_turbofish_call(toks: &[Tok], i: usize, end: usize) -> Option<(Target, usize)> {
+    let turbofish = i + 2 < end
+        && toks[i].is_punct(':')
+        && toks[i + 1].is_punct(':')
+        && toks[i + 2].is_punct('<');
+    if !turbofish {
         return None;
     }
-    j += 2;
-    if !(j < end && toks[j].is_punct('<')) {
-        return None;
-    }
-    let mut angle = 0i32;
-    let mut type_ident = None;
-    while j < end {
-        let t = &toks[j];
-        if t.is_punct('<') {
-            angle += 1;
-        } else if t.is_punct('>') {
-            angle -= 1;
-            if angle == 0 {
-                j += 1;
-                break;
-            }
-        } else if angle == 1 && t.is_punct(',') {
-            // `recipient::<A, M>` — only the first argument is the
-            // actor type; skip to the closing `>`.
-            while j < end {
-                if toks[j].is_punct('<') {
-                    angle += 1;
-                } else if toks[j].is_punct('>') {
-                    angle -= 1;
-                    if angle == 0 {
-                        break;
-                    }
-                }
-                j += 1;
-            }
-            j += 1;
-            break;
-        } else if t.kind == TokKind::Ident {
-            type_ident = Some(t.text.clone());
-        }
-        j += 1;
-    }
-    let type_ident = type_ident?;
-    if !(j < end && toks[j].is_punct('(')) {
-        return None;
-    }
-    Some((type_ident, skip_group(toks, j, end, '(', ')')))
+    let target = match first_generic_arg(toks, i + 2, end).0? {
+        t if t == "Self" => Target::SelfType,
+        t => Target::Type(t),
+    };
+    let open = skip_angles(toks, i + 2, end);
+    (open < end && toks[open].is_punct('('))
+        .then(|| (target, skip_group(toks, open, end, '(', ')')))
 }
 
 #[cfg(test)]

@@ -5,6 +5,8 @@
 use std::path::Path;
 use std::process::Command;
 
+use aodb_analysis::{CallGraph, Corpus, ACTOR_CRATES};
+
 fn lint() -> Command {
     Command::new(env!("CARGO_BIN_EXE_aodb-lint"))
 }
@@ -61,6 +63,67 @@ fn sync_cycle_fixture_is_rejected_with_path() {
     }
     // The bystander edge is not part of any report.
     assert!(!stderr.contains("ingest-gateway"), "{stderr}");
+}
+
+/// Two actors whose handlers call each other, each call declared.
+const PING_PONG: &str = r#"
+struct Ping;
+struct Pong;
+struct Hit;
+
+impl Actor for Ping {
+    const TYPE_NAME: &'static str = "cycle.ping";
+    fn declared_calls() -> &'static [CallDecl] {
+        const CALLS: &[CallDecl] = &[CallDecl::call("cycle.pong")];
+        CALLS
+    }
+}
+
+impl Actor for Pong {
+    const TYPE_NAME: &'static str = "cycle.pong";
+    fn declared_calls() -> &'static [CallDecl] {
+        const CALLS: &[CallDecl] = &[CallDecl::call("cycle.ping")];
+        CALLS
+    }
+}
+
+impl Handler<Hit> for Ping {
+    fn handle(&mut self, msg: Hit, ctx: &mut ActorContext<'_>) -> u32 {
+        ctx.actor_ref::<Pong>("pong").call(msg).unwrap_or(0)
+    }
+}
+
+impl Handler<Hit> for Pong {
+    fn handle(&mut self, msg: Hit, ctx: &mut ActorContext<'_>) -> u32 {
+        ctx.actor_ref::<Ping>("ping").call(msg).unwrap_or(0)
+    }
+}
+"#;
+
+#[test]
+fn source_declared_sync_cycle_is_rejected_under_src() {
+    // A tree of its own, so no fixture-tree run reads it.
+    let dir = std::env::temp_dir().join(format!("aodb-ping-pong-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp tree");
+    std::fs::write(dir.join("ping_pong.rs"), PING_PONG).expect("write actors");
+    let run = |pass: &str| {
+        lint()
+            .args(["--src", dir.to_str().unwrap(), "--pass", pass])
+            .output()
+            .expect("spawn aodb-lint")
+    };
+    let (graph, verify) = (run("none"), run("verify"));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let stderr = String::from_utf8_lossy(&graph.stderr);
+    assert_eq!(graph.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("reentrancy deadlock"), "{stderr}");
+    assert!(stderr.contains("cycle.ping") && stderr.contains("cycle.pong"));
+    // The declarations match the call sites: the cycle is the only
+    // finding, not drift.
+    let text = String::from_utf8_lossy(&verify.stderr);
+    assert!(!text.contains("declaration-drift"), "{text}");
+    assert!(text.contains("1 violation(s)"), "{text}");
 }
 
 #[test]
@@ -123,7 +186,9 @@ fn turn_rules_fire_on_the_dirty_fixture_and_nowhere_else() {
 fn dot_output_matches_golden_file() {
     let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/call_graph.dot");
     let golden = std::fs::read_to_string(&golden_path).expect("read golden DOT");
-    let generated = aodb_analysis::workspace_graph().to_dot();
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let corpus = Corpus::load(&[root]).expect("read the workspace");
+    let generated = CallGraph::from_corpus(&corpus.scope(ACTOR_CRATES)).to_dot();
     assert_eq!(
         generated, golden,
         "workspace call graph drifted from tests/golden/call_graph.dot — \

@@ -136,12 +136,17 @@ impl Default for CowState {
     }
 }
 
+/// Collar readings kept in a cow's in-memory window: a day of 10-second
+/// collar fixes.
+const WINDOW_CAPACITY: usize = 8_640;
+
+/// Trajectory points retained per cow.
+const TRAJECTORY_CAPACITY: usize = 4_096;
+
 /// The cow actor.
 pub struct Cow {
     state: aodb_core::Persisted<CowState>,
     lock: TxnLock<String>, // pending new owner
-    window_capacity: usize,
-    trajectory_capacity: usize,
 }
 
 impl Cow {
@@ -150,8 +155,6 @@ impl Cow {
         rt.register(move |id| Cow {
             state: env.persisted_stream(Self::TYPE_NAME, &id.key),
             lock: TxnLock::new(),
-            window_capacity: env.window_capacity,
-            trajectory_capacity: env.trajectory_capacity,
         });
     }
 
@@ -208,8 +211,6 @@ impl Handler<InitCow> for Cow {
 
 impl Handler<CollarReport> for Cow {
     fn handle(&mut self, msg: CollarReport, ctx: &mut ActorContext<'_>) -> u32 {
-        let window_capacity = self.window_capacity;
-        let trajectory_capacity = self.trajectory_capacity;
         let accepted = self.state.mutate(|s| {
             let mut accepted = 0;
             for r in &msg.readings {
@@ -219,11 +220,11 @@ impl Handler<CollarReport> for Cow {
                     }
                 }
                 s.window.push_back(*r);
-                if s.window.len() > window_capacity {
+                if s.window.len() > WINDOW_CAPACITY {
                     s.window.pop_front();
                 }
                 s.trajectory.push_back((r.ts_ms, r.position));
-                if s.trajectory.len() > trajectory_capacity {
+                if s.trajectory.len() > TRAJECTORY_CAPACITY {
                     s.trajectory.pop_front();
                 }
                 s.total_readings += 1;

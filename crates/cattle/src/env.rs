@@ -6,37 +6,23 @@ use aodb_core::{Persisted, PersistentState, WritePolicy};
 use aodb_runtime::ActorKey;
 use aodb_store::StateStore;
 
-/// Store + policies handed to every cattle actor factory. Registry data
-/// (ownership, provenance) is written immediately; sensor streams follow
-/// the windowed policy, mirroring the SHM platform's two durability
-/// classes.
+/// The store handed to every cattle actor factory. Registry data
+/// (ownership, provenance) is written on every change; a cow's collar
+/// stream, the one high-rate class, is written when the cow deactivates.
 #[derive(Clone)]
 pub struct CattleEnv {
     /// The grain-state store.
     pub store: Arc<dyn StateStore>,
-    /// Policy for registry/provenance state.
-    pub registry_policy: WritePolicy,
-    /// Policy for collar-stream state.
-    pub stream_policy: WritePolicy,
-    /// Collar readings kept in a cow's in-memory window.
-    pub window_capacity: usize,
-    /// Trajectory points retained per cow.
-    pub trajectory_capacity: usize,
 }
 
 impl CattleEnv {
-    /// Sensible defaults for tests and examples.
+    /// The environment over `store`.
     pub fn new(store: Arc<dyn StateStore>) -> Self {
-        CattleEnv {
-            store,
-            registry_policy: WritePolicy::EveryChange,
-            stream_policy: WritePolicy::OnDeactivate,
-            window_capacity: 8_640, // a day of 10-second collar fixes
-            trajectory_capacity: 4_096,
-        }
+        CattleEnv { store }
     }
 
-    /// Persisted cell following the registry policy.
+    /// Persisted cell for registry/provenance state, written on every
+    /// change.
     pub fn persisted_registry<S: PersistentState>(
         &self,
         type_name: &str,
@@ -46,16 +32,21 @@ impl CattleEnv {
             Arc::clone(&self.store),
             type_name,
             key,
-            self.registry_policy,
+            WritePolicy::EveryChange,
         )
     }
 
-    /// Persisted cell following the stream policy.
+    /// Persisted cell for collar-stream state, written on deactivation.
     pub fn persisted_stream<S: PersistentState>(
         &self,
         type_name: &str,
         key: &ActorKey,
     ) -> Persisted<S> {
-        Persisted::for_actor(Arc::clone(&self.store), type_name, key, self.stream_policy)
+        Persisted::for_actor(
+            Arc::clone(&self.store),
+            type_name,
+            key,
+            WritePolicy::OnDeactivate,
+        )
     }
 }

@@ -50,22 +50,3 @@ pub use retail::{MeatProduct, ProductInfo, Retailer};
 pub use slaughterhouse::{Slaughterhouse, CUT_TYPES};
 pub use tracing::{trace_product, track_cut, CutTrace, TraceError, TraceReport};
 pub use transfer::{transfer_cow_txn, transfer_cow_workflow};
-
-/// The static call topology of every cattle-tracking actor type: one row
-/// per actor, with the outbound edges from
-/// [`aodb_runtime::Actor::declared_calls`]. Input to the `aodb-analysis`
-/// call-graph extraction.
-pub fn call_topology() -> Vec<aodb_runtime::ActorTopology> {
-    use aodb_runtime::ActorTopology;
-    vec![
-        ActorTopology::of::<Cow>(),
-        ActorTopology::of::<Farmer>(),
-        ActorTopology::of::<Slaughterhouse>(),
-        ActorTopology::of::<MeatCut>(),
-        ActorTopology::of::<Distributor>(),
-        ActorTopology::of::<Delivery>(),
-        ActorTopology::of::<Retailer>(),
-        ActorTopology::of::<MeatProduct>(),
-        ActorTopology::of::<CutHolder>(),
-    ]
-}

@@ -44,18 +44,3 @@ pub use workflow::{
     run_workflow, IdempotenceGuard, StartWorkflow, StepResult, WorkStep, WorkflowEngine,
     WorkflowOutcome,
 };
-
-/// The static call topology of every platform-infrastructure actor type:
-/// one row per actor, with the outbound edges from
-/// [`aodb_runtime::Actor::declared_calls`]. Input to the `aodb-analysis`
-/// call-graph extraction.
-pub fn call_topology() -> Vec<aodb_runtime::ActorTopology> {
-    use aodb_runtime::ActorTopology;
-    vec![
-        ActorTopology::of::<IndexShard>(),
-        ActorTopology::of::<KeyRegistry>(),
-        ActorTopology::of::<ReminderTable>(),
-        ActorTopology::of::<TxnCoordinator>(),
-        ActorTopology::of::<WorkflowEngine>(),
-    ]
-}

@@ -36,9 +36,12 @@ pub trait Actor: Sized + Send + 'static {
     /// [`CallKind::Call`](crate::CallKind) or an asynchronous
     /// [`CallKind::Send`](crate::CallKind).
     ///
-    /// The declarations are the input to the `aodb-analysis` call-graph
-    /// extraction (which statically rejects synchronous-call cycles —
-    /// they deadlock under turn-based execution), and in debug builds the
+    /// The declarations are the input to the `aodb-analysis` call graph
+    /// (which statically rejects synchronous-call cycles — they deadlock
+    /// under turn-based execution). The analyser reads them from source,
+    /// so each entry is a `CallDecl` constructor with a string-literal
+    /// target; an edge it cannot read leaves the matching send site
+    /// undeclared, which its drift check reports. In debug builds the
     /// runtime panics when a turn dispatches to an actor type not listed
     /// here. Self-sends need no declaration. The default is no outbound
     /// edges, which suits leaf actors.

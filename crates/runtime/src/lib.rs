@@ -80,7 +80,7 @@ pub use placement::{ConsistentHashPlacement, Placement, PreferLocalPlacement, Ra
 pub use promise::{gather, resolved, Collector, Promise, ReplyTo};
 pub use runtime::{ActorRef, Recipient, Runtime, RuntimeBuilder, RuntimeHandle, SiloCrashReport};
 pub use silo::SiloConfig;
-pub use topology::{ActorTopology, CallDecl, CallKind};
+pub use topology::{CallDecl, CallKind};
 
 /// Internal scheduler/mailbox surface re-exported for the `modelcheck`
 /// component models (feature `model` only; not a stable API).

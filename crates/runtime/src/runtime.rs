@@ -23,7 +23,6 @@ use crate::net::{clock_channel, clock_loop, ClockHandle, NetConfig, TimerHandle}
 use crate::placement::{Placement, PreferLocalPlacement};
 use crate::promise::{Promise, ReplyTo};
 use crate::silo::{worker_loop, Activation, SiloConfig, SiloUnit};
-use crate::topology::{ActorTopology, CallDecl};
 
 /// How many times dispatch re-resolves an activation after losing a race
 /// with deactivation. Each retry creates a fresh activation, so more than a
@@ -35,7 +34,9 @@ type Factory = Arc<dyn Fn(&ActorId) -> Box<dyn AnyActor> + Send + Sync>;
 struct TypeEntry {
     name: &'static str,
     factory: Factory,
-    declared_calls: &'static [CallDecl],
+    /// Only the debug-build edge check reads a type's declared edges.
+    #[cfg(debug_assertions)]
+    declared_calls: &'static [crate::CallDecl],
 }
 
 #[derive(Default)]
@@ -89,21 +90,14 @@ impl Registry {
         })
     }
 
-    fn register(
-        &self,
-        name: &'static str,
-        factory: Factory,
-        declared_calls: &'static [CallDecl],
-    ) -> ActorTypeId {
+    fn register(&self, entry: TypeEntry) -> ActorTypeId {
         let mut inner = self.inner.write();
-        if let Some(&pos) = inner.by_name.get(name) {
+        if let Some(&pos) = inner.by_name.get(entry.name) {
             // Re-registration keeps the ActorTypeId stable (references
             // minted earlier must keep resolving) and replaces the
-            // factory: this supports tests that rebuild fixtures, and
+            // factory and edges: this supports tests that rebuild fixtures, and
             // matches Orleans' last-writer-wins code deployment semantics.
-            let entry = &mut inner.entries[pos as usize];
-            entry.factory = factory;
-            entry.declared_calls = declared_calls;
+            inner.entries[pos as usize] = entry;
             return ActorTypeId(pos);
         }
         assert!(
@@ -111,12 +105,8 @@ impl Registry {
             "too many actor types"
         );
         let pos = inner.entries.len() as u16;
-        inner.entries.push(TypeEntry {
-            name,
-            factory,
-            declared_calls,
-        });
-        inner.by_name.insert(name, pos);
+        inner.by_name.insert(entry.name, pos);
+        inner.entries.push(entry);
         ActorTypeId(pos)
     }
 
@@ -146,25 +136,12 @@ impl Registry {
 
     /// Only the debug-build edge check reads one type's edges.
     #[cfg(debug_assertions)]
-    fn declared_calls(&self, type_id: ActorTypeId) -> Option<&'static [CallDecl]> {
+    fn declared_calls(&self, type_id: ActorTypeId) -> Option<&'static [crate::CallDecl]> {
         self.inner
             .read()
             .entries
             .get(type_id.index())
             .map(|e| e.declared_calls)
-    }
-
-    /// Snapshot of every registered type with its declared edges.
-    fn topology(&self) -> Vec<ActorTopology> {
-        self.inner
-            .read()
-            .entries
-            .iter()
-            .map(|e| ActorTopology {
-                name: e.name,
-                calls: e.declared_calls,
-            })
-            .collect()
     }
 }
 
@@ -880,11 +857,12 @@ impl Runtime {
         &self,
         factory: impl Fn(&ActorId) -> A + Send + Sync + 'static,
     ) -> ActorTypeId {
-        self.core.registry.register(
-            A::TYPE_NAME,
-            Arc::new(move |id| Box::new(factory(id))),
-            A::declared_calls(),
-        )
+        self.core.registry.register(TypeEntry {
+            name: A::TYPE_NAME,
+            factory: Arc::new(move |id| Box::new(factory(id))),
+            #[cfg(debug_assertions)]
+            declared_calls: A::declared_calls(),
+        })
     }
 
     /// Typed reference from an external client (pays client latency if the
@@ -972,13 +950,6 @@ impl Runtime {
     /// Registered name of an actor type id, if any (diagnostics).
     pub fn type_name(&self, type_id: ActorTypeId) -> Option<&'static str> {
         self.core.registry.name(type_id)
-    }
-
-    /// The declared call topology of every registered actor type, in
-    /// registration order — the live-runtime counterpart of the static
-    /// per-crate `call_topology()` exports consumed by `aodb-analysis`.
-    pub fn call_topology(&self) -> Vec<ActorTopology> {
-        self.core.registry.topology()
     }
 
     /// Schedules `msg` to `target` every `every`, until cancelled. The

@@ -10,10 +10,11 @@
 //! synchronous calls deadlock: if actor A blocks its only turn waiting on
 //! B, and B (transitively) calls back into A, the reply can never be
 //! processed — the classic reentrancy deadlock of non-reentrant actor
-//! systems. Declarations make the call graph a static artifact that the
-//! `aodb-analysis` crate can extract and check (Tarjan SCC over `Call`
-//! edges) without running the system, and that debug builds enforce at
-//! dispatch time (see [`TurnGuard`] and the check in `runtime.rs`).
+//! systems. Declarations make the call graph a static artifact: the
+//! `aodb-analysis` crate parses them out of the source and checks the
+//! graph (Tarjan SCC over `Call` edges) without compiling or running the
+//! system, and debug builds enforce them at dispatch time (see
+//! [`TurnGuard`] and the check in `runtime.rs`).
 
 use std::cell::Cell;
 
@@ -30,15 +31,6 @@ pub enum CallKind {
     /// [`crate::Collector`] slot or another mailbox. Never blocks the
     /// sending turn, so cycles of `Send` edges are safe.
     Send,
-}
-
-impl std::fmt::Display for CallKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CallKind::Call => write!(f, "call"),
-            CallKind::Send => write!(f, "send"),
-        }
-    }
 }
 
 /// One declared outbound edge: this actor type messages `to`.
@@ -87,28 +79,6 @@ impl CallDecl {
     /// Whether this declaration covers a dispatch to `target_type`.
     pub fn covers(&self, target_type: &str) -> bool {
         self.to == CallDecl::ANY || self.to == target_type
-    }
-}
-
-/// One actor type's row in a crate's exported call topology: its
-/// `TYPE_NAME` plus its declared outbound edges. Application crates
-/// export `call_topology()` returning these so `aodb-analysis` can build
-/// the whole-workspace call graph without spinning up a runtime.
-#[derive(Clone, Copy, Debug)]
-pub struct ActorTopology {
-    /// The actor's registered `TYPE_NAME`.
-    pub name: &'static str,
-    /// Outbound edges, as returned by `Actor::declared_calls()`.
-    pub calls: &'static [CallDecl],
-}
-
-impl ActorTopology {
-    /// Topology row for actor type `A`.
-    pub fn of<A: crate::Actor>() -> Self {
-        ActorTopology {
-            name: A::TYPE_NAME,
-            calls: A::declared_calls(),
-        }
     }
 }
 
@@ -184,7 +154,5 @@ mod tests {
         assert_eq!(c.kind, CallKind::Call);
         assert_eq!(s.kind, CallKind::Send);
         assert_eq!(c.to, s.to);
-        assert_eq!(c.kind.to_string(), "call");
-        assert_eq!(s.kind.to_string(), "send");
     }
 }

@@ -78,20 +78,3 @@ pub use platform::{
 pub use sensor::Sensor;
 pub use virtual_channel::VirtualSensorChannel;
 pub use warehouse::{WarehouseExporter, WarehouseReader};
-
-/// The static call topology of every SHM actor type: one row per actor,
-/// with the outbound edges from [`aodb_runtime::Actor::declared_calls`].
-/// Input to the `aodb-analysis` call-graph extraction.
-pub fn call_topology() -> Vec<aodb_runtime::ActorTopology> {
-    use aodb_runtime::ActorTopology;
-    vec![
-        ActorTopology::of::<Sensor>(),
-        ActorTopology::of::<IngestGateway>(),
-        ActorTopology::of::<PhysicalSensorChannel>(),
-        ActorTopology::of::<VirtualSensorChannel>(),
-        ActorTopology::of::<Aggregator>(),
-        ActorTopology::of::<Organization>(),
-        ActorTopology::of::<AlertLog>(),
-        ActorTopology::of::<TenantGuard>(),
-    ]
-}
