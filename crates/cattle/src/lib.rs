@@ -34,9 +34,6 @@ pub mod tracing;
 pub mod transfer;
 pub mod types;
 
-#[cfg(test)]
-pub(crate) mod test_props;
-
 mod platform;
 
 pub use cow::{Cow, CowInfo};
@@ -50,3 +47,6 @@ pub use retail::{MeatProduct, ProductInfo, Retailer};
 pub use slaughterhouse::{Slaughterhouse, CUT_TYPES};
 pub use tracing::{trace_product, track_cut, CutTrace, TraceError, TraceReport};
 pub use transfer::{transfer_cow_txn, transfer_cow_workflow};
+
+#[cfg(test)]
+pub(crate) mod test_props;

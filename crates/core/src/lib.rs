@@ -22,8 +22,6 @@ pub mod index;
 pub mod persist;
 pub mod query;
 pub mod reminders;
-#[cfg(test)]
-pub(crate) mod test_props;
 pub mod txn;
 pub mod versioned;
 pub mod workflow;
@@ -44,3 +42,6 @@ pub use workflow::{
     run_workflow, IdempotenceGuard, StartWorkflow, StepResult, WorkStep, WorkflowEngine,
     WorkflowOutcome,
 };
+
+#[cfg(test)]
+pub(crate) mod test_props;

@@ -59,8 +59,6 @@ mod physical;
 mod platform;
 mod sensor;
 mod sidecar;
-#[cfg(test)]
-pub(crate) mod test_props;
 pub mod types;
 mod virtual_channel;
 pub mod warehouse;
@@ -78,3 +76,6 @@ pub use platform::{
 pub use sensor::Sensor;
 pub use virtual_channel::VirtualSensorChannel;
 pub use warehouse::{WarehouseExporter, WarehouseReader};
+
+#[cfg(test)]
+pub(crate) mod test_props;

@@ -49,7 +49,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::api::{Key, StateStore, StoreError, StoreResult};
 use crate::codec::{FramedRecord, Reader, Writer};
 use crate::tseries::codec::{decode_block, decode_index, BlockIndex, PointCompressor};
-use crate::wal::{FsyncPolicy, GroupWal, WalConfig, WalStatsSnapshot};
+use crate::wal::{FsyncPolicy, GroupWal, RecoveredLog, WalConfig, WalStatsSnapshot};
 
 /// Storage namespace of every series record.
 const SERIES_NAMESPACE: &str = "tseries";
@@ -290,13 +290,29 @@ impl StagedWrites {
     }
 }
 
-/// A recovered (or in-flight) WAL delta: one append's points + meta,
-/// tagged with the series' durable point count at submission time so
-/// replay can tell which deltas a later tail record already covers.
-struct WalDelta {
-    base_points: u64,
-    meta: Bytes,
-    points: Vec<(u64, f64)>,
+/// WAL deltas recovered at open and not yet applied: the log as
+/// [`GroupWal::open`] read it, and per series the indices of its frames
+/// in that log, in append order.
+#[derive(Default)]
+struct Replay {
+    log: Arc<RecoveredLog>,
+    frames: HashMap<String, Vec<usize>>,
+}
+
+impl Replay {
+    /// Takes `series`' frames, with a handle on the log to apply them
+    /// from. The last take also gives up the replay's own handle, so the
+    /// log's buffer is freed once the last series applying from it is
+    /// done.
+    fn take(&mut self, series: &str) -> Option<(Arc<RecoveredLog>, Vec<usize>)> {
+        let frames = self.frames.remove(series)?;
+        let log = if self.frames.is_empty() {
+            std::mem::take(self).log
+        } else {
+            Arc::clone(&self.log)
+        };
+        Some((log, frames))
+    }
 }
 
 /// Group-commit state of a [`TsStore`] opened via [`TsStore::with_wal`].
@@ -310,10 +326,10 @@ struct WalState {
     /// Mirrored per series in [`Series::dirty`]. Lock order: a series'
     /// entry lock, then this.
     dirty: Mutex<HashSet<String>>,
-    /// Deltas recovered from the WAL, consumed on each series' first
-    /// touch (under its entry lock, so a racing discarded load can
-    /// never eat them).
-    replay: Mutex<HashMap<String, Vec<WalDelta>>>,
+    /// Deltas recovered from the WAL, taken on each series' first touch
+    /// (under its entry lock, so a racing discarded load can never eat
+    /// them) and applied after this lock drops.
+    replay: Mutex<Replay>,
     checkpoint_bytes: u64,
     fsync: FsyncPolicy,
 }
@@ -356,23 +372,27 @@ impl TsStore {
     /// Recovery replays WAL deltas on top of the backing store, using
     /// each delta's durable-point watermark to skip those a later tail
     /// record already covers — applying each committed append exactly
-    /// once.
+    /// once. The log is read once; every delta in it is checked here,
+    /// where it lies, and applied from the same buffer at its series'
+    /// first touch.
     pub fn with_wal(
         backing: Arc<dyn StateStore>,
         config: TsConfig,
         wal_path: impl Into<PathBuf>,
         wal_config: WalConfig,
     ) -> StoreResult<Self> {
-        let (wal, frames) = GroupWal::open(wal_path, wal_config)?;
-        let mut replay: HashMap<String, Vec<WalDelta>> = HashMap::new();
-        for frame in &frames {
-            // Probe with the borrowed name: a series' key is allocated
-            // once, on its first frame, not once per frame.
-            let (series, delta) = decode_wal_delta(frame)?;
-            match replay.get_mut(series) {
-                Some(deltas) => deltas.push(delta),
+        let (wal, log) = GroupWal::open(wal_path, wal_config)?;
+        let mut frames: HashMap<String, Vec<usize>> = HashMap::new();
+        for (i, frame) in log.iter().enumerate() {
+            // The decode checks every field of the delta, so a malformed
+            // one fails the open, never its series' first touch. Probe
+            // with the borrowed name: a series' key is allocated once, on
+            // its first frame, not once per frame.
+            let series = decode_wal_delta(frame)?.series;
+            match frames.get_mut(series) {
+                Some(indices) => indices.push(i),
                 None => {
-                    replay.insert(series.to_owned(), vec![delta]);
+                    frames.insert(series.to_owned(), vec![i]);
                 }
             }
         }
@@ -383,8 +403,11 @@ impl TsStore {
             wal: Some(WalState {
                 wal,
                 rotation: RwLock::new(()),
-                dirty: Mutex::new(replay.keys().cloned().collect()),
-                replay: Mutex::new(replay),
+                dirty: Mutex::new(frames.keys().cloned().collect()),
+                replay: Mutex::new(Replay {
+                    log: Arc::new(log),
+                    frames,
+                }),
                 checkpoint_bytes: TS_WAL_CHECKPOINT_BYTES,
                 fsync: wal_config.fsync_policy,
             }),
@@ -425,13 +448,15 @@ impl TsStore {
         if !s.recovered {
             *s = loaded;
             // Group-commit mode: replay WAL deltas on top of the backing
-            // image. Consumed under the entry lock so a racing load that
-            // loses the install race cannot eat them.
+            // image. Taken under the entry lock so a racing load that
+            // loses the install race cannot eat them, and applied with
+            // the replay lock released, so series recover in parallel.
             if let Some(ws) = &self.wal {
-                if let Some(deltas) = ws.replay.lock().remove(series) {
+                let taken = ws.replay.lock().take(series);
+                if let Some((log, frames)) = taken {
                     // `with_wal` put every replayed series in the set.
                     s.dirty = true;
-                    apply_wal_deltas(series, &mut s, deltas)?;
+                    apply_wal_deltas(series, &mut s, &log, &frames)?;
                 }
             }
         }
@@ -449,7 +474,7 @@ impl TsStore {
                           // a tail record exists, so nothing else can)
         };
         let tail = decode_tail_record(&record)?;
-        s.meta = tail.meta;
+        s.meta = tail.meta.to_vec();
         s.sealed_points = tail.sealed_points;
 
         // Materialize every committed block: its own record when the
@@ -463,7 +488,7 @@ impl TsStore {
                         .pending
                         .iter()
                         .find(|(s, _)| *s == seq)
-                        .map(|(_, b)| b.clone())
+                        .map(|(_, b)| Bytes::copy_from_slice(b))
                         .ok_or_else(|| {
                             StoreError::Corrupt(format!(
                                 "tseries {series}: committed block {seq} has neither a \
@@ -478,11 +503,11 @@ impl TsStore {
             s.sealed.push(SealedBlock { index, bytes });
         }
 
-        // Resume the open tail from its compressed image: the payload is
-        // adopted as is and the codec state rebuilt by one decoding walk,
-        // so the compressor lands in the exact pre-crash state without
-        // re-compressing a point.
-        s.tail = PointCompressor::resume(&tail.tail_block)?;
+        // Resume the open tail from its compressed image, borrowed from
+        // the record: the payload is copied once and the codec state
+        // rebuilt by one decoding walk, so the compressor lands in the
+        // exact pre-crash state without re-compressing a point.
+        s.tail = PointCompressor::resume(tail.tail_block)?;
 
         // Finish any interrupted post-commit block writes now, so the
         // next tail record no longer needs to carry them.
@@ -677,7 +702,7 @@ impl TsStore {
         // Materialize series whose recovered deltas were never touched:
         // recovery folds them into the in-memory image, which the dirty
         // sweep below then persists.
-        let leftover: Vec<String> = ws.replay.lock().keys().cloned().collect();
+        let leftover: Vec<String> = ws.replay.lock().frames.keys().cloned().collect();
         for name in leftover {
             let entry = self.entry(&name);
             self.ensure_recovered(&name, &entry)?;
@@ -947,12 +972,13 @@ impl SeriesStore for TsStore {
 
 // ------------------------------------------------------------ tail record
 
-struct TailRecord {
+/// A decoded tail record; its byte fields borrow from the record.
+struct TailRecord<'a> {
     sealed_blocks: u64,
     sealed_points: u64,
-    meta: Vec<u8>,
-    pending: Vec<(u64, Bytes)>,
-    tail_block: Bytes,
+    meta: &'a [u8],
+    pending: Vec<(u64, &'a [u8])>,
+    tail_block: &'a [u8],
 }
 
 /// `TST1 | sealed_blocks u64 | sealed_points u64 | meta_len u32 | meta
@@ -976,16 +1002,16 @@ fn encode_tail_record(s: &Series) -> Vec<u8> {
     out
 }
 
-fn decode_tail_record(buf: &[u8]) -> StoreResult<TailRecord> {
+fn decode_tail_record(buf: &[u8]) -> StoreResult<TailRecord<'_>> {
     Reader::whole(buf, "tseries tail record", |r| {
         r.magic(TAIL_MAGIC)?;
         r.crc_trailer()?;
         Ok(TailRecord {
             sealed_blocks: r.u64()?,
             sealed_points: r.u64()?,
-            meta: r.u32_prefixed()?.to_vec(),
-            pending: r.u32_list(|r| Ok((r.u64()?, Bytes::copy_from_slice(r.u32_prefixed()?))))?,
-            tail_block: Bytes::copy_from_slice(r.u32_prefixed()?),
+            meta: r.u32_prefixed()?,
+            pending: r.u32_list(|r| Ok((r.u64()?, r.u32_prefixed()?)))?,
+            tail_block: r.u32_prefixed()?,
         })
     })
 }
@@ -1018,31 +1044,69 @@ fn encode_wal_delta(
     })
 }
 
-/// Decodes one delta frame; the series name borrows from `buf`.
-fn decode_wal_delta(buf: &[u8]) -> StoreResult<(&str, WalDelta)> {
+/// One WAL delta, its fields borrowed from the frame: one append's
+/// points and meta, tagged with the series' durable point count at
+/// submission time so replay can tell which deltas a later tail record
+/// already covers.
+struct WalDelta<'a> {
+    series: &'a str,
+    base_points: u64,
+    meta: &'a [u8],
+    /// `ts u64 | value_bits u64` per point, exactly 16 × count bytes.
+    point_bytes: &'a [u8],
+}
+
+impl WalDelta<'_> {
+    /// The delta's points, decoded where they lie.
+    fn points(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
+        self.point_bytes.chunks_exact(16).map(|p| {
+            let (ts, bits) = p.split_at(8);
+            (
+                u64::from_le_bytes(ts.try_into().expect("8 bytes")),
+                f64::from_bits(u64::from_le_bytes(bits.try_into().expect("8 bytes"))),
+            )
+        })
+    }
+}
+
+/// Decodes one delta frame in place, checking every field: the magic
+/// and version, the UTF-8 series name, the meta length, and that the
+/// bytes after the count are exactly its points.
+fn decode_wal_delta(buf: &[u8]) -> StoreResult<WalDelta<'_>> {
     Reader::whole(buf, "tseries wal delta", |r| {
         r.magic(TS_WAL_MAGIC)?;
         let base_points = r.u64()?;
         let series = std::str::from_utf8(r.u32_prefixed()?).map_err(|_| {
             StoreError::Corrupt("tseries wal delta: series name is not utf-8".into())
         })?;
-        let delta = WalDelta {
+        let meta = r.u32_prefixed()?;
+        // A count past the bytes left fails the take, never sizes a buffer.
+        let count = u64::from(r.u32()?);
+        let point_bytes = r.take(usize::try_from(16 * count).unwrap_or(usize::MAX))?;
+        Ok(WalDelta {
+            series,
             base_points,
-            meta: Bytes::copy_from_slice(r.u32_prefixed()?),
-            points: r.u32_list(|r| Ok((r.u64()?, r.f64()?)))?,
-        };
-        Ok((series, delta))
+            meta,
+            point_bytes,
+        })
     })
 }
 
-/// Folds recovered WAL deltas into a freshly-loaded series image. Each
+/// Folds a series' recovered WAL deltas, frames `frames` of `log`, into
+/// its freshly-loaded image, reading each from the log in place. Each
 /// delta's `base_points` watermark says how many durable points the
 /// series had when it was submitted: below the current count means a
 /// later tail record already covers it (skip — this is what makes
 /// replay exactly-once); equal means apply; above means a gap — the WAL
 /// and backing store disagree, which recovery must not paper over.
-fn apply_wal_deltas(series: &str, s: &mut Series, deltas: Vec<WalDelta>) -> StoreResult<()> {
-    for delta in deltas {
+fn apply_wal_deltas(
+    series: &str,
+    s: &mut Series,
+    log: &RecoveredLog,
+    frames: &[usize],
+) -> StoreResult<()> {
+    for &i in frames {
+        let delta = decode_wal_delta(&log[i])?;
         let current = s.sealed_points + s.tail.count() as u64;
         if delta.base_points < current {
             continue;
@@ -1054,10 +1118,10 @@ fn apply_wal_deltas(series: &str, s: &mut Series, deltas: Vec<WalDelta>) -> Stor
                 delta.base_points
             )));
         }
-        for &(ts, v) in &delta.points {
+        for (ts, v) in delta.points() {
             s.tail.append(ts, v);
         }
-        s.set_meta(&delta.meta);
+        s.set_meta(delta.meta);
     }
     Ok(())
 }
@@ -1379,6 +1443,73 @@ mod tests {
         assert_eq!(ts.recover("s").unwrap().points, 5);
     }
 
+    /// The replay's handle on the recovered log, held weakly: it upgrades
+    /// for as long as the log's buffer is alive.
+    fn replay_log(ts: &TsStore) -> std::sync::Weak<RecoveredLog> {
+        Arc::downgrade(&ts.wal.as_ref().unwrap().replay.lock().log)
+    }
+
+    /// Three series with two deltas each in the log at `path`, none
+    /// covered by a tail record.
+    fn logged_series(backing: &Arc<dyn StateStore>, path: &PathBuf) {
+        let ts = TsStore::with_wal(
+            Arc::clone(backing),
+            TsConfig::default(),
+            path,
+            WalConfig::default(),
+        )
+        .unwrap();
+        for name in ["a", "b", "c"] {
+            ts.append_batch(name, &pts(0..5), b"m1").unwrap();
+            ts.append_batch(name, &pts(5..9), b"m2").unwrap();
+        }
+    }
+
+    #[test]
+    fn recovered_log_is_released_after_the_last_touch() {
+        let backing: Arc<dyn StateStore> = Arc::new(MemStore::new());
+        let path = temp_wal("release-touch");
+        logged_series(&backing, &path);
+        let ts = TsStore::with_wal(
+            Arc::clone(&backing),
+            TsConfig::default(),
+            &path,
+            WalConfig::default(),
+        )
+        .unwrap();
+        let log = replay_log(&ts);
+        assert_eq!(log.upgrade().map(|l| l.len()), Some(6));
+        assert_eq!(ts.recover("a").unwrap().points, 9);
+        assert_eq!(ts.scan_range("b", 0, u64::MAX, 0).unwrap(), pts(0..9));
+        assert!(log.upgrade().is_some(), "c is still to be applied");
+        assert_eq!(ts.recover("c").unwrap().meta.as_ref(), b"m2");
+        assert!(log.upgrade().is_none(), "the last touch frees the log");
+    }
+
+    #[test]
+    fn checkpoint_releases_the_recovered_log() {
+        let backing: Arc<dyn StateStore> = Arc::new(MemStore::new());
+        let path = temp_wal("release-checkpoint");
+        logged_series(&backing, &path);
+        let ts = TsStore::with_wal(
+            Arc::clone(&backing),
+            TsConfig::default(),
+            &path,
+            WalConfig::default(),
+        )
+        .unwrap();
+        let log = replay_log(&ts);
+        assert_eq!(ts.recover("a").unwrap().points, 9);
+        ts.checkpoint().unwrap();
+        assert!(
+            log.upgrade().is_none(),
+            "materializing the untouched series frees the log"
+        );
+        for name in ["a", "b", "c"] {
+            assert_eq!(ts.scan_range(name, 0, u64::MAX, 0).unwrap(), pts(0..9));
+        }
+    }
+
     /// A `MemStore` whose `put` starts failing after a set number of
     /// successes (until re-armed), to interrupt a checkpoint sweep — or,
     /// with `lose` set, reports success and keeps nothing, which is what
@@ -1624,11 +1755,11 @@ mod tests {
     fn wal_delta_codec_roundtrip_and_version_gate() {
         let record = encode_wal_delta("sensor-1", 42, b"meta", &pts(0..7));
         let frame = record.payload();
-        let (series, delta) = decode_wal_delta(frame).unwrap();
-        assert_eq!(series, "sensor-1");
+        let delta = decode_wal_delta(frame).unwrap();
+        assert_eq!(delta.series, "sensor-1");
         assert_eq!(delta.base_points, 42);
-        assert_eq!(delta.meta.as_ref(), b"meta");
-        assert_eq!(delta.points, pts(0..7));
+        assert_eq!(delta.meta, b"meta");
+        assert_eq!(delta.points().collect::<Vec<_>>(), pts(0..7));
 
         let mut bumped = frame.to_vec();
         bumped[3] = b'2';

@@ -51,6 +51,7 @@
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::{Index, Range};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -572,6 +573,48 @@ impl<M: WalMedia> WalMedia for FaultyMedia<M> {
     }
 }
 
+// ---------------------------------------------------------------- recovery
+
+/// The committed frames [`GroupWal::open`] recovered: the clean prefix of
+/// the log, read once into one buffer, and the range of each frame's
+/// payload in it. Frames are borrowed in place, so recovering a log
+/// allocates nothing per frame.
+#[derive(Default)]
+pub struct RecoveredLog {
+    buf: Vec<u8>,
+    frames: Vec<Range<usize>>,
+}
+
+impl RecoveredLog {
+    /// Frames recovered.
+    pub fn len(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// True when the log held no frame.
+    pub fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
+
+    /// The last frame's payload.
+    pub fn last(&self) -> Option<&[u8]> {
+        self.frames.last().map(|r| &self.buf[r.clone()])
+    }
+
+    /// Every frame's payload, in append order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        self.frames.iter().map(|r| &self.buf[r.clone()])
+    }
+}
+
+impl Index<usize> for RecoveredLog {
+    type Output = [u8];
+
+    fn index(&self, i: usize) -> &[u8] {
+        &self.buf[self.frames[i].clone()]
+    }
+}
+
 // --------------------------------------------------------------- GroupWal
 
 /// The group-commit write-ahead log. See the module docs.
@@ -585,11 +628,11 @@ impl GroupWal {
     /// Opens (or creates) the log at `path`, recovering the committed
     /// frame prefix. A torn tail is truncated from the file; corruption
     /// before the tail is an error. Returns the WAL and the recovered
-    /// frames in append order.
+    /// frames in append order, in the one buffer the log was read into.
     pub fn open(
         path: impl Into<PathBuf>,
         config: WalConfig,
-    ) -> StoreResult<(GroupWal, Vec<Bytes>)> {
+    ) -> StoreResult<(GroupWal, RecoveredLog)> {
         let path = path.into();
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
@@ -604,17 +647,21 @@ impl GroupWal {
         file.read_to_end(&mut buf)?;
         let mut frames = Vec::new();
         let clean = replay_framed(&buf, |payload| {
-            frames.push(Bytes::copy_from_slice(payload));
+            // `payload` is a subslice of `buf`: keep its range only.
+            let start = payload.as_ptr() as usize - buf.as_ptr() as usize;
+            frames.push(start..start + payload.len());
             Ok(())
-        })? as u64;
-        if clean < buf.len() as u64 {
+        })?;
+        if clean < buf.len() {
             // Torn tail from a crash mid-group: drop it physically so
             // new appends never land after garbage bytes.
-            file.set_len(clean)?;
+            file.set_len(clean as u64)?;
+            buf.truncate(clean);
         }
-        file.seek(SeekFrom::Start(clean))?;
+        file.seek(SeekFrom::Start(clean as u64))?;
 
-        Ok((Self::launch(file, config, clean)?, frames))
+        let recovered = RecoveredLog { buf, frames };
+        Ok((Self::launch(file, config, clean as u64)?, recovered))
     }
 
     /// Opens a WAL over caller-provided media with no recovery pass (the
@@ -1022,7 +1069,7 @@ mod tests {
         dir.join("wal.log")
     }
 
-    fn open(path: &PathBuf) -> (GroupWal, Vec<Bytes>) {
+    fn open(path: &PathBuf) -> (GroupWal, RecoveredLog) {
         GroupWal::open(path, WalConfig::default()).unwrap()
     }
 
@@ -1041,7 +1088,7 @@ mod tests {
         let (_, recovered) = open(&path);
         assert_eq!(recovered.len(), 50);
         for (i, frame) in recovered.iter().enumerate() {
-            assert_eq!(frame.as_ref(), (i as u32).to_le_bytes());
+            assert_eq!(frame, (i as u32).to_le_bytes());
         }
     }
 

@@ -119,3 +119,66 @@ fn repeated_crash_restart_cycles_accumulate_exactly() {
     assert_eq!(ts.scan_range("ch", 0, u64::MAX, 0).unwrap(), all);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One hand-built `TSW1` delta: `magic | base_points u64 | series | meta
+/// | count u32 | points`, with `count` and the point bytes free to
+/// disagree.
+fn delta(magic: &[u8; 4], series: &[u8], count: u32, point_bytes: usize) -> Vec<u8> {
+    let mut out = magic.to_vec();
+    out.extend_from_slice(&0u64.to_le_bytes());
+    out.extend_from_slice(&(series.len() as u32).to_le_bytes());
+    out.extend_from_slice(series);
+    out.extend_from_slice(&2u32.to_le_bytes());
+    out.extend_from_slice(b"mm");
+    out.extend_from_slice(&count.to_le_bytes());
+    out.extend((0..point_bytes).map(|i| i as u8));
+    out
+}
+
+/// Every field of every delta is checked when the log is opened, not at
+/// the series' first touch: a log with one malformed delta behind a
+/// well-formed one is refused by `with_wal` itself, with the typed error
+/// of the field at fault.
+#[test]
+fn malformed_wal_deltas_are_refused_at_open() {
+    use aodb_store::codec::frame_record;
+    use aodb_store::{MemStore, StoreError, WalConfig};
+
+    let mut trailing = delta(b"TSW1", b"bad", 1, 16);
+    trailing.push(0);
+    let cases: [(&str, Vec<u8>); 4] = [
+        (
+            "point bytes are not count x 16",
+            delta(b"TSW1", b"bad", 2, 24),
+        ),
+        (
+            "series name is not utf-8",
+            delta(b"TSW1", &[0xff, 0xfe], 1, 16),
+        ),
+        ("bumped version byte", delta(b"TSW2", b"bad", 1, 16)),
+        ("trailing bytes after the points", trailing),
+    ];
+    for (i, (what, bad)) in cases.into_iter().enumerate() {
+        let dir = temp_dir(&format!("malformed-{i}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ts_wal.log");
+        let mut log = Vec::new();
+        frame_record(&delta(b"TSW1", b"good", 1, 16), &mut log);
+        frame_record(&bad, &mut log);
+        std::fs::write(&path, &log).unwrap();
+
+        let opened = TsStore::with_wal(
+            Arc::new(MemStore::new()),
+            TsConfig::default(),
+            &path,
+            WalConfig::default(),
+        );
+        match (i, opened) {
+            (2, Err(StoreError::UnsupportedVersion(msg))) => assert!(msg.contains("TSW"), "{msg}"),
+            (0 | 1 | 3, Err(StoreError::Corrupt(_))) => {}
+            (_, Err(e)) => panic!("{what}: wrong error {e:?}"),
+            (_, Ok(_)) => panic!("{what}: the open accepted a malformed delta"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

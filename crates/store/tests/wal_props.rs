@@ -116,7 +116,7 @@ proptest! {
             let (_, recovered) = GroupWal::open(&path, config()).unwrap();
             prop_assert_eq!(recovered.len(), payloads.len());
             for (frame, expected) in recovered.iter().zip(&payloads) {
-                prop_assert_eq!(frame.as_ref(), expected.as_slice());
+                prop_assert_eq!(frame, expected.as_slice());
             }
             let _ = std::fs::remove_dir_all(path.parent().unwrap());
         }
@@ -137,7 +137,7 @@ proptest! {
         let (_, recovered) = GroupWal::open(&path, config()).unwrap();
         prop_assert_eq!(recovered.len(), payloads.len());
         for (frame, expected) in recovered.iter().zip(&payloads) {
-            prop_assert_eq!(frame.as_ref(), expected.as_slice());
+            prop_assert_eq!(frame, expected.as_slice());
         }
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
@@ -176,7 +176,7 @@ proptest! {
                 bytes.len()
             );
             for (frame, want) in recovered.iter().zip(&payloads) {
-                prop_assert_eq!(frame.as_ref(), want.as_slice());
+                prop_assert_eq!(frame, want.as_slice());
             }
             // The torn bytes were physically truncated: the file now
             // ends exactly at the recovered prefix.
@@ -212,7 +212,7 @@ proptest! {
         }
         let (_, recovered) = GroupWal::open(&path, config())
             .expect("recovery after torn-tail truncation must stay clean");
-        prop_assert_eq!(recovered.last().unwrap().as_ref(), b"post-recovery");
+        prop_assert_eq!(recovered.last().unwrap(), b"post-recovery");
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
