@@ -187,10 +187,7 @@ fn bench_scan_range(c: &mut Criterion) {
     // Narrow window: 1k points from the middle of the stream.
     let (from, to) = (50_000 * 100, 50_999 * 100);
 
-    let ts = TsStore::new(
-        Arc::new(MemStore::new()) as Arc<dyn StateStore>,
-        TsConfig::default(),
-    );
+    let ts = TsStore::with_defaults(Arc::new(MemStore::new()) as Arc<dyn StateStore>);
     for chunk in points.chunks(100) {
         ts.append_batch("s", chunk, b"").unwrap();
     }

@@ -4,9 +4,13 @@
 //!
 //! * the reference ([`ReferenceSeries`]: points in append order plus the
 //!   last meta, nothing else),
-//! * `TsStore::new` over a `MemStore` (a tail record per append),
-//! * `TsStore::with_wal` over a `LogStore` (group-commit deltas, files
-//!   on disk).
+//! * `TsStore::new` over a `MemStore` and an in-memory WAL medium
+//!   (`MemMedia`, synced per group),
+//! * `TsStore::with_wal` over a `LogStore` (a WAL file on disk, synced
+//!   on demand).
+//!
+//! Both engine legs commit every append as a group-commit delta; they
+//! differ in medium, backing store and fsync policy.
 //!
 //! The workload ingests out-of-order, duplicate-timestamp and redelivered
 //! batches through a faulty client hop (drops and delays), kills
@@ -45,7 +49,9 @@ use aodb_shm::{
     TopologySpec, VirtualSensorChannel,
 };
 use aodb_store::tseries::{SeriesStore, TsConfig, TsStore};
-use aodb_store::{FsyncPolicy, LogStore, LogStoreConfig, MemStore, StateStore, WalConfig};
+use aodb_store::{
+    FsyncPolicy, LogStore, LogStoreConfig, MemMedia, MemStore, StateStore, WalConfig,
+};
 
 const DEFAULT_SEED: u64 = 0xD1FF_5EED;
 const SILOS: usize = 2;
@@ -72,12 +78,13 @@ enum Leg {
 }
 
 /// What a leg's stores leave behind for a reopen: the in-memory stores
-/// themselves for the reference and engine legs, a directory for the WAL
-/// leg.
+/// themselves for the reference and engine legs (the engine leg's WAL
+/// medium included), a directory for the WAL leg.
 struct Disk {
     leg: Leg,
     blobs: Arc<MemStore>,
     reference: Arc<ReferenceSeries>,
+    media: MemMedia,
     dir: PathBuf,
 }
 
@@ -92,6 +99,7 @@ impl Disk {
             leg,
             blobs: Arc::new(MemStore::new()),
             reference: Arc::new(ReferenceSeries::new()),
+            media: MemMedia::new(),
             dir,
         }
     }
@@ -102,10 +110,15 @@ impl Disk {
         let config = TsConfig::sealing_every(SEAL_POINTS);
         let (store, series): (Arc<dyn StateStore>, Arc<dyn SeriesStore>) = match self.leg {
             Leg::Reference => (self.blobs.clone(), self.reference.clone()),
-            Leg::Engine => (
-                self.blobs.clone(),
-                Arc::new(TsStore::new(self.blobs.clone(), config)),
-            ),
+            Leg::Engine => {
+                let ts = TsStore::new(
+                    self.blobs.clone(),
+                    config,
+                    self.media.clone(),
+                    WalConfig::default(),
+                );
+                (self.blobs.clone(), Arc::new(ts.unwrap()))
+            }
             Leg::Wal => {
                 let log: Arc<dyn StateStore> =
                     Arc::new(LogStore::open(LogStoreConfig::new(&self.dir)).unwrap());

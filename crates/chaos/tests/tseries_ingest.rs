@@ -2,10 +2,11 @@
 //! mixed workload (FIFO ingest streams + range queries) runs over
 //! `kill_silo` chaos while channels append compressed points through the
 //! `SeriesStore` seam — and ack ⇒ durable and exactly-once must hold
-//! from the backing store *alone*: after the fleet shuts down, a fresh
-//! engine over the bare store must reconstruct every acknowledged point
-//! (no more, no fewer) and still reject replayed batches, because the
-//! dedup watermarks commit atomically with their tail block.
+//! from the backing store and the WAL medium *alone*: after the fleet
+//! shuts down, a fresh engine over the bare store and the kept medium
+//! must reconstruct every acknowledged point (no more, no fewer) and
+//! still reject replayed batches, because the dedup watermarks commit
+//! atomically with the points they admit.
 //!
 //! Small sealed blocks (16 points vs 5-point batches) make the scheduled
 //! kills straddle seal boundaries, exercising the tail-record commit
@@ -20,7 +21,7 @@ use aodb_shm::messages::{ConfigureChannel, GetChannelStats, Ingest, QueryRange};
 use aodb_shm::types::{DataPoint, Threshold};
 use aodb_shm::{register_all, PhysicalSensorChannel, ShmEnv};
 use aodb_store::tseries::{SeriesStore, TsConfig, TsStore};
-use aodb_store::{MemStore, StateStore};
+use aodb_store::{MemMedia, MemStore, StateStore, WalConfig};
 
 const SILOS: usize = 3;
 const CHANNELS: usize = 24;
@@ -30,7 +31,18 @@ const SEAL_POINTS: u32 = 16;
 
 const DEFAULT_SEED: u64 = 0x75E41E5;
 
-fn build(seed: u64, store: Arc<dyn StateStore>) -> Runtime {
+/// A fresh engine over `store` and the WAL kept in `media`.
+fn engine(store: &Arc<dyn StateStore>, media: &MemMedia) -> TsStore {
+    TsStore::new(
+        Arc::clone(store),
+        TsConfig::sealing_every(SEAL_POINTS),
+        media.clone(),
+        WalConfig::default(),
+    )
+    .unwrap()
+}
+
+fn build(seed: u64, store: Arc<dyn StateStore>, media: &MemMedia) -> Runtime {
     let plan = FaultPlan::from_seed(seed, SILOS, Duration::from_millis(300));
     let rt = RuntimeBuilder::new()
         .silos(SILOS, 2)
@@ -41,12 +53,9 @@ fn build(seed: u64, store: Arc<dyn StateStore>) -> Runtime {
         })
         .chaos(plan)
         .build();
-    let engine = Arc::new(TsStore::new(
-        Arc::clone(&store),
-        TsConfig::sealing_every(SEAL_POINTS),
-    ));
-    // No WAL: every append writes its tail record, so an acked batch is
-    // durable before the reply leaves the actor, watermark included.
+    // An acked batch's delta, watermark included, is in the medium
+    // before the reply is sent.
+    let engine = Arc::new(engine(&store, media));
     register_all(
         &rt,
         ShmEnv::paper_default(store).with_series_store(engine as Arc<dyn SeriesStore>),
@@ -78,7 +87,8 @@ fn silo_kill_with_tseries_backend_conserves_acknowledged_writes() {
     let _report = SeedReport::new(seed);
 
     let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-    let rt = build(seed, Arc::clone(&store));
+    let media = MemMedia::new();
+    let rt = build(seed, Arc::clone(&store), &media);
     let channels: Vec<String> = (0..CHANNELS).map(|i| format!("org-0/s-{i}/c-0")).collect();
     for c in &channels {
         for attempt in 0.. {
@@ -188,10 +198,11 @@ fn silo_kill_with_tseries_backend_conserves_acknowledged_writes() {
     rt.shutdown();
 
     // Phase 2 — cold durability: a fresh engine over the bare backing
-    // store (no surviving in-memory tail, no warm actor state) must
-    // rebuild every channel's exact acknowledged stream: right count,
-    // right order, right values, across every seal boundary.
-    let cold = TsStore::new(Arc::clone(&store), TsConfig::sealing_every(SEAL_POINTS));
+    // store and WAL medium (no surviving in-memory tail, no warm actor
+    // state) must rebuild every channel's exact acknowledged stream:
+    // right count, right order, right values, across every seal
+    // boundary.
+    let cold = engine(&store, &media);
     for (idx, c) in channels.iter().enumerate() {
         let series = format!("shm.channel/{c}");
         let rec = cold.recover(&series).unwrap();
@@ -217,7 +228,8 @@ fn silo_kill_with_tseries_backend_conserves_acknowledged_writes() {
     // the same store (fresh engine, fresh actors) must reject a replay
     // of the final batch, because the watermark committed atomically
     // with the points it admitted.
-    let rt2 = build(seed.wrapping_add(1) | 1, Arc::clone(&store));
+    drop(cold);
+    let rt2 = build(seed.wrapping_add(1) | 1, Arc::clone(&store), &media);
     for (idx, c) in channels.iter().enumerate() {
         let replayed = loop {
             if let Ok(p) = rt2
@@ -237,7 +249,7 @@ fn silo_kill_with_tseries_backend_conserves_acknowledged_writes() {
     rt2.shutdown();
 
     // And the replays changed nothing in storage.
-    let recheck = TsStore::new(Arc::clone(&store), TsConfig::sealing_every(SEAL_POINTS));
+    let recheck = engine(&store, &media);
     for c in &channels {
         let series = format!("shm.channel/{c}");
         assert_eq!(recheck.recover(&series).unwrap().points, ROUNDS * BATCH);

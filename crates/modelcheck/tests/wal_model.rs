@@ -15,7 +15,9 @@
 //!   `Ok` ack still implies durability, and every waiter resolves;
 //! * **no lost wake-up** — submitters notify the committer only when its
 //!   `waiting` flag says it is parked; no interleaving of a submit with
-//!   the committer going to sleep may strand a frame or its ack.
+//!   the committer going to sleep may strand a frame or its ack;
+//! * **order after death** — callbacks resolve in submission order even
+//!   when a submit races the committer's death.
 //!
 //! The teeth test flips `ack_before_fsync_for_test` and requires the
 //! checker to *find* the contract violation and print a replayable
@@ -40,7 +42,11 @@ fn contains(haystack: &[u8], payload: &[u8]) -> bool {
 fn acked_frames_are_durable_under_all_schedules() {
     let report = model_report("wal_ack_durability", || {
         let media = MemMedia::new();
-        let wal = Arc::new(GroupWal::open_with_media(media.clone(), WalConfig::default()).unwrap());
+        let wal = Arc::new(
+            GroupWal::open_with_media(media.clone(), WalConfig::default())
+                .unwrap()
+                .0,
+        );
         let submitters: Vec<_> = (0..2u8)
             .map(|t| {
                 let wal = Arc::clone(&wal);
@@ -76,7 +82,7 @@ fn barrier_resolves_behind_inflight_originals() {
             fsync_policy: FsyncPolicy::OnDemand,
         };
         let media = MemMedia::new();
-        let wal = Arc::new(GroupWal::open_with_media(media.clone(), config).unwrap());
+        let wal = Arc::new(GroupWal::open_with_media(media.clone(), config).unwrap().0);
 
         // A concurrent submitter keeps the committer busy with an
         // in-flight original the barrier must order behind when it lands
@@ -116,8 +122,11 @@ fn injected_crash_never_acks_lost_frames() {
         };
         model(name, move || {
             let media = MemMedia::new();
-            let wal =
-                Arc::new(GroupWal::open_with_media(media.clone(), WalConfig::default()).unwrap());
+            let wal = Arc::new(
+                GroupWal::open_with_media(media.clone(), WalConfig::default())
+                    .unwrap()
+                    .0,
+            );
             wal.arm_crash(CrashPlan { point, at_group: 0 });
             let submitters: Vec<_> = (0..2u8)
                 .map(|t| {
@@ -153,7 +162,11 @@ fn injected_crash_never_acks_lost_frames() {
 fn parked_only_notify_strands_no_frame_and_no_ack() {
     model("wal_parked_notify_no_delay", || {
         let media = MemMedia::new();
-        let wal = Arc::new(GroupWal::open_with_media(media.clone(), WalConfig::default()).unwrap());
+        let wal = Arc::new(
+            GroupWal::open_with_media(media.clone(), WalConfig::default())
+                .unwrap()
+                .0,
+        );
         // Each submitter waits for its first ack before it submits
         // again, so the committer gets to park between frames and
         // every submit races a park. One thread hands over bare
@@ -203,7 +216,11 @@ fn parked_only_notify_strands_no_frame_and_no_ack() {
 fn committer_panic_wakes_every_waiter() {
     model("wal_committer_panic", || {
         let media = MemMedia::new();
-        let wal = Arc::new(GroupWal::open_with_media(media, WalConfig::default()).unwrap());
+        let wal = Arc::new(
+            GroupWal::open_with_media(media, WalConfig::default())
+                .unwrap()
+                .0,
+        );
         wal.arm_panic(0);
         let submitters: Vec<_> = (0..2u8)
             .map(|t| {
@@ -229,6 +246,33 @@ fn committer_panic_wakes_every_waiter() {
 }
 
 #[test]
+fn callbacks_stay_in_submission_order_when_a_submit_races_death() {
+    model("wal_death_order", || {
+        let (wal, _) = GroupWal::open_with_media(MemMedia::new(), WalConfig::default()).unwrap();
+        wal.arm_crash(CrashPlan {
+            point: CrashPoint::BeforeGroupWrite,
+            at_group: 0,
+        });
+        // Every callback sends its submission index; the committer fails
+        // the first group, so the later submits race its death.
+        let (tx, rx) = std::sync::mpsc::channel();
+        for i in 0..3u8 {
+            let tx = tx.clone();
+            wal.submit_with(Bytes::copy_from_slice(&[b'd', i]), move |r| {
+                assert!(r.is_err(), "a frame behind the failed group was acked");
+                tx.send(i).unwrap();
+            });
+        }
+        drop(wal); // joins the committer
+        assert_eq!(
+            rx.try_iter().collect::<Vec<_>>(),
+            [0, 1, 2],
+            "callbacks out of submission order"
+        );
+    });
+}
+
+#[test]
 fn teeth_ack_before_fsync_is_caught_with_replayable_schedule() {
     // Seeded bug: the committer acks before the group fsync. The checker
     // must find a schedule where a submitter observes its Ok ack while
@@ -239,8 +283,11 @@ fn teeth_ack_before_fsync_is_caught_with_replayable_schedule() {
     let err = catch_unwind(AssertUnwindSafe(move || {
         model("wal_teeth_ack_early", move || {
             let media = MemMedia::new();
-            let wal =
-                Arc::new(GroupWal::open_with_media(media.clone(), WalConfig::default()).unwrap());
+            let wal = Arc::new(
+                GroupWal::open_with_media(media.clone(), WalConfig::default())
+                    .unwrap()
+                    .0,
+            );
             wal.ack_before_fsync_for_test();
             let v3 = Arc::clone(&v2);
             let submitter = {

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use aodb_core::{Persisted, PersistentState, WritePolicy};
 use aodb_runtime::ActorKey;
-use aodb_store::tseries::{SeriesStore, TsConfig, TsStore};
+use aodb_store::tseries::{SeriesStore, TsStore};
 use aodb_store::StateStore;
 
 /// Everything an SHM actor factory needs: the state store and the series
@@ -38,9 +38,8 @@ pub struct ShmEnv {
     /// dedup watermarks — as series metadata, and range queries scan the
     /// series. Physical channels hand their `Ingest` reply to the engine
     /// ([`SeriesStore::append_batch_async`]), which resolves it when the
-    /// append is durable: inside the call for an engine that commits on
-    /// append, on the WAL committer thread for a [`TsStore::with_wal`]
-    /// instance.
+    /// append is committed — for a [`TsStore`], on its WAL committer
+    /// thread once the append's group commits.
     pub series: Arc<dyn SeriesStore>,
     /// Read by nothing: whether acks are deferred is the engine's
     /// decision (see [`ShmEnv::series`]). The field survives only
@@ -52,11 +51,15 @@ pub struct ShmEnv {
 
 impl ShmEnv {
     /// The configuration used by the paper's experiments: channel data
-    /// in a [`TsStore`] over the same store that commits every append as
-    /// it is made (see [`TsStore::new`]).
+    /// in a [`TsStore`] over the same store, committing through a WAL on
+    /// a fresh in-memory medium ([`TsStore::with_defaults`]). Series data
+    /// past the last seal or checkpoint therefore lives as long as this
+    /// env and its clones; a durable deployment passes a
+    /// [`TsStore::with_wal`] series store through
+    /// [`ShmEnv::with_series_store`].
     pub fn paper_default(store: Arc<dyn StateStore>) -> Self {
         ShmEnv {
-            series: Arc::new(TsStore::new(Arc::clone(&store), TsConfig::default())),
+            series: Arc::new(TsStore::with_defaults(Arc::clone(&store))),
             store,
             ingest_service_time: None,
             deferred_acks: false,

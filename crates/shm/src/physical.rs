@@ -457,12 +457,10 @@ impl Handler<Ingest> for PhysicalSensorChannel {
         self.cache.stage(&msg.points);
         self.fan_out(alerts, msg.points, ctx);
         // The engine owns the ack: it resolves when the append is durable
-        // — inside this call for an engine that commits on append, at
-        // group commit (off this worker) for one with a WAL. Last in the
+        // — at group commit (off this worker) for a `TsStore`, inside
+        // this call for an engine that commits on append. Last in the
         // turn, so no ack is visible before the fan-out is enqueued. A
-        // failed append aborts the reply, never a false ack; the points
-        // stay in the engine's in-memory tail until its next committed
-        // record carries them.
+        // failed append aborts the reply, never a false ack.
         let ack = ctx.defer_reply::<u32>();
         let cache = &self.cache;
         cache.series.append_batch_async(

@@ -180,11 +180,12 @@ fn full_buffer_rejects_with_backpressure() {
 
 #[test]
 fn shutdown_drains_buffered_points() {
-    let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
+    // The env, and with it the series store, outlives the first runtime.
+    let env = ShmEnv::paper_default(Arc::new(MemStore::new()));
     let channel;
     {
         let rt = Runtime::single(2);
-        register_all(&rt, ShmEnv::paper_default(Arc::clone(&store)));
+        register_all(&rt, env.clone());
         let topology = Topology::layout(2, TopologySpec::default());
         provision(&rt, &topology, |_| None).unwrap();
         channel = topology.physical_channels().next().unwrap().to_string();
@@ -205,7 +206,7 @@ fn shutdown_drains_buffered_points() {
         rt.shutdown();
     }
     let rt = Runtime::single(2);
-    register_all(&rt, ShmEnv::paper_default(store));
+    register_all(&rt, env);
     let client = ShmClient::new(rt.handle());
     assert_eq!(
         client

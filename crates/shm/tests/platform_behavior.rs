@@ -2,8 +2,8 @@
 //! aggregates, online queries, persistence, and multi-silo deployment. The checks of a channel's data plane run against each
 //! series store a platform is built with (see [`Series`]).
 
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::path::PathBuf;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use aodb_core::state_key;
@@ -15,60 +15,85 @@ use aodb_shm::{
     aggregator_key, provision, register_all, Aggregator, AlertLog, PhysicalSensorChannel, Sensor,
     ShmClient, ShmEnv, Topology, TopologySpec, VirtualSensorChannel,
 };
-use aodb_store::tseries::{TsConfig, TsStore};
-use aodb_store::{MemStore, StateStore, WalConfig};
+use aodb_store::tseries::{SeriesStore, TsConfig, TsStore};
+use aodb_store::{MemMedia, MemStore, StateStore, WalConfig};
 
 fn dp(ts_ms: u64, value: f64) -> DataPoint {
     DataPoint { ts_ms, value }
 }
 
-/// The series stores the data-plane checks run against.
+/// The series stores the data-plane checks run against. Every one
+/// commits through a group-commit WAL, whose acks resolve on its
+/// committer thread; they differ in configuration and in the medium.
 #[derive(Clone, Copy, Debug)]
 enum Series {
-    /// `ShmEnv::paper_default` as is: a `TsStore` over the env's store.
+    /// `ShmEnv::paper_default` as is: a `TsStore` over the env's store
+    /// and a WAL on a medium of its own, so a restart keeps the store.
     PaperDefault,
-    /// A block sealed every 32 points, so reads cross block boundaries.
+    /// A block sealed every 32 points, so reads cross block boundaries,
+    /// over an in-memory WAL medium that a restart reopens.
     SmallBlocks,
-    /// Small blocks behind a group-commit WAL: acks resolve on its
-    /// committer thread.
+    /// Small blocks over a WAL file that a restart reopens.
     Wal,
+}
+
+/// What one test's series stores keep across a restart: the paper
+/// default's series store, the small-block leg's WAL medium, the WAL
+/// leg's log file.
+struct Media {
+    paper: OnceLock<Arc<dyn SeriesStore>>,
+    mem: MemMedia,
+    file: PathBuf,
 }
 
 impl Series {
     const ALL: [Series; 3] = [Series::PaperDefault, Series::SmallBlocks, Series::Wal];
 
-    /// The env over `store`; the WAL variant keeps its log at `wal`.
-    fn env(self, store: &Arc<dyn StateStore>, wal: &Path) -> ShmEnv {
+    /// The env over `store`, with the series store this leg keeps in
+    /// `media` or reopens from it.
+    fn env(self, store: &Arc<dyn StateStore>, media: &Media) -> ShmEnv {
         let env = ShmEnv::paper_default(Arc::clone(store));
         let small = TsConfig::sealing_every(32);
-        match self {
-            Series::PaperDefault => env,
-            Series::SmallBlocks => {
-                env.with_series_store(Arc::new(TsStore::new(Arc::clone(store), small)))
-            }
-            Series::Wal => env.with_series_store(Arc::new(
-                TsStore::with_wal(Arc::clone(store), small, wal, WalConfig::default()).unwrap(),
-            )),
-        }
+        let series = match self {
+            Series::PaperDefault => Arc::clone(media.paper.get_or_init(|| env.series.clone())),
+            Series::SmallBlocks => Arc::new(
+                TsStore::new(
+                    Arc::clone(store),
+                    small,
+                    media.mem.clone(),
+                    WalConfig::default(),
+                )
+                .unwrap(),
+            ),
+            Series::Wal => Arc::new(
+                TsStore::with_wal(Arc::clone(store), small, &media.file, WalConfig::default())
+                    .unwrap(),
+            ),
+        };
+        env.with_series_store(series)
     }
 }
 
-/// A WAL path no earlier run has used, for the test `tag`.
-fn fresh_wal(tag: &str) -> PathBuf {
+/// Media no earlier run has used, for the test `tag`.
+fn fresh_media(tag: &str) -> Media {
     let dir = std::env::temp_dir().join(format!("aodb-shm-platform-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    dir.join("shm.wal")
+    Media {
+        paper: OnceLock::new(),
+        mem: MemMedia::new(),
+        file: dir.join("shm.wal"),
+    }
 }
 
 fn platform(
     series: Series,
     store: &Arc<dyn StateStore>,
-    wal: &Path,
+    media: &Media,
     sensors: usize,
     spec: TopologySpec,
 ) -> (Runtime, Topology) {
     let rt = Runtime::single(4);
-    register_all(&rt, series.env(store, wal));
+    register_all(&rt, series.env(store, media));
     let topology = Topology::layout(sensors, spec);
     provision(&rt, &topology, |_| None).unwrap();
     (rt, topology)
@@ -79,15 +104,21 @@ fn small_platform(
     sensors: usize,
     spec: TopologySpec,
 ) -> (Runtime, Topology) {
-    platform(Series::PaperDefault, store, Path::new(""), sensors, spec)
+    platform(
+        Series::PaperDefault,
+        store,
+        &fresh_media("small"),
+        sensors,
+        spec,
+    )
 }
 
 #[test]
 fn ingest_updates_stats_and_accumulated_change() {
     for series in Series::ALL {
         let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-        let wal = fresh_wal("stats");
-        let (rt, topology) = platform(series, &store, &wal, 1, TopologySpec::default());
+        let media = fresh_media("stats");
+        let (rt, topology) = platform(series, &store, &media, 1, TopologySpec::default());
         let client = ShmClient::new(rt.handle());
         let channel = topology.physical_channels().next().unwrap();
 
@@ -115,8 +146,8 @@ fn ingest_updates_stats_and_accumulated_change() {
 fn raw_range_query_returns_requested_window() {
     for series in Series::ALL {
         let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-        let wal = fresh_wal("range");
-        let (rt, topology) = platform(series, &store, &wal, 1, TopologySpec::default());
+        let media = fresh_media("range");
+        let (rt, topology) = platform(series, &store, &media, 1, TopologySpec::default());
         let client = ShmClient::new(rt.handle());
         let channel = topology.physical_channels().next().unwrap();
 
@@ -165,8 +196,8 @@ fn raw_range_over_out_of_order_ingest_returns_every_point_in_range() {
 fn virtual_channel_derives_sum_of_inputs() {
     for series in Series::ALL {
         let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-        let wal = fresh_wal("virtual");
-        let (rt, topology) = platform(series, &store, &wal, 1, TopologySpec::default());
+        let media = fresh_media("virtual");
+        let (rt, topology) = platform(series, &store, &media, 1, TopologySpec::default());
         let client = ShmClient::new(rt.handle());
         let sensor = &topology.orgs[0].sensors[0];
         let vkey = sensor
@@ -209,7 +240,7 @@ fn virtual_channel_derives_sum_of_inputs() {
 fn threshold_breach_raises_alert_in_org_log() {
     for series in Series::ALL {
         let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-        let wal = fresh_wal("alert");
+        let media = fresh_media("alert");
         let spec = TopologySpec {
             threshold: Threshold {
                 high: Some(100.0),
@@ -217,7 +248,7 @@ fn threshold_breach_raises_alert_in_org_log() {
             },
             ..Default::default()
         };
-        let (rt, topology) = platform(series, &store, &wal, 1, spec);
+        let (rt, topology) = platform(series, &store, &media, 1, spec);
         let client = ShmClient::new(rt.handle());
         let channel = topology.physical_channels().next().unwrap();
         let org = topology.orgs[0].key.as_str();
@@ -253,8 +284,8 @@ fn threshold_breach_raises_alert_in_org_log() {
 fn retransmission_after_a_panicked_ingest_turn_is_applied() {
     for series in Series::ALL {
         let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-        let wal = fresh_wal("panicked-turn");
-        let env = series.env(&store, &wal);
+        let media = fresh_media("panicked-turn");
+        let env = series.env(&store, &media);
         let rt = Runtime::single(2);
         // No `AlertLog` yet: the fan-out of a breaching batch panics in
         // the turn, after the channel admitted the batch's token.
@@ -483,10 +514,10 @@ fn sensor_relocation_persists() {
 fn channel_data_survives_a_silo_kill() {
     for series in Series::ALL {
         let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-        let wal = fresh_wal("kill");
+        let media = fresh_media("kill");
         let channel;
         {
-            let (rt, topology) = platform(series, &store, &wal, 1, TopologySpec::default());
+            let (rt, topology) = platform(series, &store, &media, 1, TopologySpec::default());
             channel = topology.physical_channels().next().unwrap().to_string();
             let points: Vec<DataPoint> = (0..50).map(|i| dp(i * 10, i as f64)).collect();
             let accepted = ShmClient::new(rt.handle())
@@ -500,7 +531,7 @@ fn channel_data_survives_a_silo_kill() {
         }
 
         let rt = Runtime::single(2);
-        register_all(&rt, series.env(&store, &wal));
+        register_all(&rt, series.env(&store, &media));
         let client = ShmClient::new(rt.handle());
         let stats = client.channel_stats(&channel).unwrap().wait().unwrap();
         assert_eq!(stats.total_points, 50, "{series:?}");
@@ -583,8 +614,8 @@ fn aggregates_agree_with_the_series_after_a_silo_kill() {
     const HOUR: u64 = 3_600_000;
     for series in Series::ALL {
         let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-        let wal = fresh_wal("aggregates-kill");
-        let (rt, topology) = platform(series, &store, &wal, 1, TopologySpec::default());
+        let media = fresh_media("aggregates-kill");
+        let (rt, topology) = platform(series, &store, &media, 1, TopologySpec::default());
         let client = ShmClient::new(rt.handle());
         let sensor = &topology.orgs[0].sensors[0];
         let channel = sensor.physical[0].as_str();
@@ -621,7 +652,7 @@ fn aggregates_agree_with_the_series_after_a_silo_kill() {
         drop(rt);
 
         let rt = Runtime::single(2);
-        register_all(&rt, series.env(&store, &wal));
+        register_all(&rt, series.env(&store, &media));
         let client = ShmClient::new(rt.handle());
         let mut expected = std::collections::BTreeMap::<u64, Aggregate>::new();
         for p in &points {

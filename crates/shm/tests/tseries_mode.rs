@@ -16,7 +16,10 @@ use aodb_shm::{
 };
 use aodb_store::tseries::engine::AppendAck;
 use aodb_store::tseries::{AppendOutcome, SeriesRecovery, SeriesStore, TsConfig, TsStore};
-use aodb_store::{Bytes, Key, MemStore, StateStore, StoreError, StoreResult};
+use aodb_store::{
+    Bytes, CrashPlan, CrashPoint, Key, MemMedia, MemStore, StateStore, StoreError, StoreResult,
+    WalConfig,
+};
 use parking_lot::Mutex;
 
 fn dp(ts_ms: u64, value: f64) -> DataPoint {
@@ -24,9 +27,16 @@ fn dp(ts_ms: u64, value: f64) -> DataPoint {
 }
 
 /// A small-block engine over `backing` (seals every 32 points so block
-/// boundaries get exercised quickly).
-fn engine(backing: &Arc<dyn StateStore>) -> TsStore {
-    TsStore::new(Arc::clone(backing), TsConfig::sealing_every(32))
+/// boundaries get exercised quickly) whose WAL is `media`: a clone kept
+/// by the caller reopens what the engine logged once it is dropped.
+fn engine(backing: &Arc<dyn StateStore>, media: &MemMedia) -> TsStore {
+    TsStore::new(
+        Arc::clone(backing),
+        TsConfig::sealing_every(32),
+        media.clone(),
+        WalConfig::default(),
+    )
+    .unwrap()
 }
 
 /// Platform over `store` whose channels append through `engine`.
@@ -48,12 +58,10 @@ fn tseries_platform(
     (rt, topology, engine)
 }
 
-/// A store whose next `put` fails once `fail_next_put` is set, and whose
-/// next `failing_gets` gets fail.
+/// A store whose next `failing_gets` gets fail.
 #[derive(Default)]
 struct FailOnce {
     inner: MemStore,
-    fail_next_put: AtomicBool,
     failing_gets: AtomicU32,
 }
 
@@ -78,9 +86,6 @@ impl StateStore for FailOnce {
         self.inner.get(key)
     }
     fn put(&self, key: &Key, value: Bytes) -> StoreResult<()> {
-        if self.fail_next_put.swap(false, Ordering::SeqCst) {
-            return Err(StoreError::Io("injected put failure".into()));
-        }
         self.inner.put(key, value)
     }
     fn delete(&self, key: &Key) -> StoreResult<()> {
@@ -91,31 +96,90 @@ impl StateStore for FailOnce {
     }
 }
 
+/// An engine whose next append, once armed, applies and commits but
+/// acks a failure: what a channel sees of a commit that failed after
+/// the points were applied.
+struct FailNextAck {
+    inner: TsStore,
+    armed: AtomicBool,
+}
+
+impl SeriesStore for FailNextAck {
+    fn append_batch(
+        &self,
+        series: &str,
+        points: &[(u64, f64)],
+        meta: &[u8],
+    ) -> StoreResult<AppendOutcome> {
+        self.inner.append_batch(series, points, meta)
+    }
+
+    fn append_batch_async(&self, series: &str, points: &[(u64, f64)], meta: &[u8], ack: AppendAck) {
+        if !self.armed.swap(false, Ordering::SeqCst) {
+            return self.inner.append_batch_async(series, points, meta, ack);
+        }
+        self.inner.append_batch_async(
+            series,
+            points,
+            meta,
+            Box::new(move |_| ack(Err(StoreError::Io("injected commit failure".into())))),
+        );
+    }
+
+    fn scan_range(
+        &self,
+        series: &str,
+        from_ms: u64,
+        to_ms: u64,
+        limit: usize,
+    ) -> StoreResult<Vec<(u64, f64)>> {
+        self.inner.scan_range(series, from_ms, to_ms, limit)
+    }
+
+    fn seal(&self, series: &str) -> StoreResult<()> {
+        self.inner.seal(series)
+    }
+
+    fn recover(&self, series: &str) -> StoreResult<SeriesRecovery> {
+        self.inner.recover(series)
+    }
+}
+
 #[test]
 fn failed_append_aborts_the_ack_instead_of_counting_points() {
     let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-    let backing = FailOnce::new();
-    // No virtual channel: its derived append writes through the same
-    // backing store and could consume the injected failure first.
+    let series = Arc::new(FailNextAck {
+        inner: engine(&store, &MemMedia::new()),
+        armed: AtomicBool::new(false),
+    });
+    let rt = Runtime::single(4);
+    register_all(
+        &rt,
+        ShmEnv::paper_default(Arc::clone(&store))
+            .with_series_store(Arc::clone(&series) as Arc<dyn SeriesStore>),
+    );
+    // No virtual channel: its derived append goes through the same
+    // engine and could take the armed failure first.
     let spec = TopologySpec {
         virtual_every: 0,
         ..TopologySpec::default()
     };
-    let (rt, topology, _) = tseries_platform(&store, engine(&backing.backing()), 1, spec);
+    let topology = Topology::layout(1, spec);
+    provision(&rt, &topology, |_| None).unwrap();
     let client = ShmClient::new(rt.handle());
     let channel = topology.physical_channels().next().unwrap();
 
-    backing.fail_next_put.store(true, Ordering::SeqCst);
+    series.armed.store(true, Ordering::SeqCst);
     let failed = client
         .ingest(channel, vec![dp(0, 1.0), dp(10, 2.0)])
         .unwrap()
         .wait_for(Duration::from_secs(5));
     assert!(
         failed.is_err(),
-        "the engine's tail-record put failed, yet the batch was acked: {failed:?}"
+        "the engine's commit failed, yet the batch was acked: {failed:?}"
     );
-    // The store is healthy again: the next batch is acked, and its tail
-    // record carries the earlier points the engine still held in memory.
+    // The store is healthy again: the next batch is acked, and a range
+    // read returns it after the earlier points the engine applied.
     let accepted = client
         .ingest(channel, vec![dp(20, 3.0)])
         .unwrap()
@@ -135,7 +199,8 @@ fn failed_append_aborts_the_ack_instead_of_counting_points() {
 fn failed_scan_aborts_the_query_instead_of_answering_no_points() {
     let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
     let backing = FailOnce::new();
-    let engine_over_backing = || engine(&backing.backing());
+    let media = MemMedia::new();
+    let engine_over_backing = || engine(&backing.backing(), &media);
     let spec = TopologySpec::default();
     let channel;
     {
@@ -151,9 +216,9 @@ fn failed_scan_aborts_the_query_instead_of_answering_no_points() {
         rt.shutdown();
     }
 
-    // A fresh engine has to read the series back from a store that
-    // cannot be read: neither the channel's activation nor the query
-    // recovers it.
+    // A fresh engine over the same WAL has to read the series back from
+    // a store that cannot be read: neither the channel's activation nor
+    // the query recovers it.
     backing.failing_gets.store(u32::MAX, Ordering::SeqCst);
     let (rt, _, _) = tseries_platform(&store, engine_over_backing(), 1, spec);
     let client = ShmClient::new(rt.handle());
@@ -194,9 +259,11 @@ fn unrecovered_channel_aborts_until_its_series_is_read() {
             .map(|i| dp(seq * 100 + i, (seq * 10 + i) as f64))
             .collect()
     };
+    let media = MemMedia::new();
     let channel;
     {
-        let (rt, topology, _) = tseries_platform(&store, engine(&backing.backing()), 1, spec);
+        let (rt, topology, _) =
+            tseries_platform(&store, engine(&backing.backing(), &media), 1, spec);
         channel = topology.physical_channels().next().unwrap().to_string();
         let client = ShmClient::new(rt.handle());
         for seq in 1..=2 {
@@ -208,11 +275,11 @@ fn unrecovered_channel_aborts_until_its_series_is_read() {
         rt.shutdown();
     }
 
-    // A new runtime over a fresh engine, activating nothing until the
-    // first request arrives.
+    // A new runtime over a fresh engine on the same WAL, activating
+    // nothing until the first request arrives.
     let reopen = || {
         let rt = Runtime::single(4);
-        let series = Arc::new(engine(&backing.backing()));
+        let series = Arc::new(engine(&backing.backing(), &media));
         register_all(
             &rt,
             ShmEnv::paper_default(Arc::clone(&store)).with_series_store(series),
@@ -270,18 +337,18 @@ fn unrecovered_channel_aborts_until_its_series_is_read() {
 
 /// A live-data report shows each channel's last *applied* point: a
 /// batch whose append failed (and whose ack aborted) is in the report
-/// until a reopen from the backing store, which never held it.
+/// until a reopen, whose WAL never held it.
 #[test]
 fn live_data_shows_an_applied_point_until_a_reopen_drops_it() {
     let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-    let backing = FailOnce::new();
-    // No virtual channel: its derived append writes through the same
-    // backing store and could consume the injected failure first.
+    let media = MemMedia::new();
+    // No virtual channel: its derived append would write the next WAL
+    // group and could take the injected failure first.
     let spec = TopologySpec {
         virtual_every: 0,
         ..TopologySpec::default()
     };
-    let (rt, topology, _) = tseries_platform(&store, engine(&backing.backing()), 1, spec);
+    let (rt, topology, engine_of_rt) = tseries_platform(&store, engine(&store, &media), 1, spec);
     let client = ShmClient::new(rt.handle());
     let org = topology.orgs[0].key.clone();
     let channel = topology.physical_channels().next().unwrap().to_string();
@@ -297,19 +364,25 @@ fn live_data_shows_an_applied_point_until_a_reopen_drops_it() {
 
     let acked = client.ingest(&channel, vec![dp(0, 1.0)]).unwrap().wait();
     assert_eq!(acked, Ok(1));
-    backing.fail_next_put.store(true, Ordering::SeqCst);
+    // The next group's write fails before it reaches the medium.
+    let wal = engine_of_rt.wal().unwrap();
+    wal.arm_crash(CrashPlan {
+        point: CrashPoint::BeforeGroupWrite,
+        at_group: wal.stats().groups,
+    });
     let failed = client
         .ingest(&channel, vec![dp(10, 2.0), dp(20, 3.0)])
         .unwrap()
         .wait_for(Duration::from_secs(5));
-    assert!(failed.is_err(), "the put failed, yet the batch was acked");
+    assert!(failed.is_err(), "the write failed, yet the batch was acked");
     assert_eq!(latest(&client), Some(dp(20, 3.0)), "applied, not durable");
     rt.shutdown();
+    drop(engine_of_rt);
 
     // A new runtime over a fresh engine reads the series back from the
-    // backing store, whose last committed record is the first batch's.
+    // WAL, whose last committed delta is the first batch's.
     let rt = Runtime::single(4);
-    let series = Arc::new(engine(&backing.backing()));
+    let series = Arc::new(engine(&store, &media));
     register_all(
         &rt,
         ShmEnv::paper_default(Arc::clone(&store)).with_series_store(series),
@@ -323,8 +396,12 @@ fn live_data_shows_an_applied_point_until_a_reopen_drops_it() {
 #[test]
 fn corrupt_side_car_aborts_the_live_data_report() {
     let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-    let (rt, topology, engine) =
-        tseries_platform(&store, engine(&store), 1, TopologySpec::default());
+    let (rt, topology, engine) = tseries_platform(
+        &store,
+        engine(&store, &MemMedia::new()),
+        1,
+        TopologySpec::default(),
+    );
     let client = ShmClient::new(rt.handle());
     let org = topology.orgs[0].key.as_str();
     let channel = topology.physical_channels().next().unwrap();
@@ -433,7 +510,7 @@ impl SeriesStore for WithheldVirtualAcks {
 fn derived_append_never_parks_the_worker() {
     let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
     let series = Arc::new(WithheldVirtualAcks {
-        inner: engine(&store),
+        inner: engine(&store, &MemMedia::new()),
         withheld: Arc::new(Mutex::new(Some(Vec::new()))),
     });
     // One worker: if a turn waits for a derived append's commit, nothing

@@ -1,8 +1,8 @@
-//! The SHM platform with the tseries engine in group-commit WAL mode:
-//! the engine's group counters (`TsStore::wal_stats`) see the platform's
+//! The SHM platform with the tseries engine over a WAL file: the
+//! engine's group counters (`TsStore::wal_stats`) see the platform's
 //! ingest coalesced into groups. (Ingest, duplicate-reject and
-//! ungraceful-restart behaviour is checked for this engine and the
-//! WAL-less ones alike in `platform_behavior.rs`.)
+//! ungraceful-restart behaviour is checked for every series store in
+//! `platform_behavior.rs`.)
 
 use std::sync::Arc;
 use std::time::Duration;

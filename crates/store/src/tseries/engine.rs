@@ -1,5 +1,6 @@
 //! The time-series storage engine: per-series sealed blocks + mutable
-//! tail, durable through any [`StateStore`] backing.
+//! tail, durable through a group-commit WAL over any [`StateStore`]
+//! backing.
 //!
 //! ## Data layout in the backing store
 //!
@@ -8,26 +9,24 @@
 //! * `tseries / <series> / b<seq:08>` — one immutable sealed block
 //!   (the [`codec`](crate::tseries::codec) byte format).
 //! * `tseries / <series> / tail` — the **tail record**: the series'
-//!   single durable commit point, holding the caller's metadata blob,
-//!   the compressed image of the open tail block, the count of sealed
-//!   blocks, and any sealed block whose own record is not yet written.
+//!   checkpoint, holding the caller's metadata blob, the compressed
+//!   image of the open tail block, the count of sealed blocks, and any
+//!   sealed block whose own record is not yet written.
 //!
 //! ## Commit protocol (why appends are crash-atomic)
 //!
-//! Every append stages its writes in memory, then writes the **tail
-//! record first**. That single `put` commits the batch: it carries the
-//! new tail bits, the caller's metadata (ingest dedup watermarks ride
-//! here — atomically with the points they admit), and — when the append
-//! sealed the tail — the freshly sealed block inline as a *pending*
-//! entry. Only after the tail record lands are sealed blocks written to
-//! their own keys and unpinned from the next tail record.
-//!
-//! Recovery therefore trusts the tail record alone: a crash between the
-//! tail commit and a pending block's own write replays the block out of
-//! the tail record; a crash before the tail commit simply loses the
-//! unacknowledged batch (the client retransmits, and the metadata — the
-//! dedup watermark — still reflects the last acknowledged batch, so the
-//! retransmission is admitted exactly once).
+//! Every append stages its points in memory and commits as one delta
+//! frame in the store's [`GroupWal`]: the points, the caller's metadata
+//! (ingest dedup watermarks ride here — atomically with the points they
+//! admit) and the series' point count before them. Tail records are
+//! written at seals and checkpoints, each before the blocks it carries
+//! inline as *pending* entries, which are unpinned once their own
+//! records land. Recovery loads the tail record (replaying a pending
+//! block whose own write was lost) and applies the deltas past its point
+//! count; a crash before a delta's group commits loses only the
+//! unacknowledged batch (the client retransmits, and the dedup watermark
+//! still reflects the last acknowledged batch, so the retransmission is
+//! admitted exactly once).
 //!
 //! ## Concurrency
 //!
@@ -49,7 +48,8 @@ use parking_lot::{Mutex, RwLock};
 use crate::api::{Key, StateStore, StoreError, StoreResult};
 use crate::codec::{FramedRecord, Reader, Writer};
 use crate::tseries::codec::{decode_block, decode_index, BlockIndex, PointCompressor};
-use crate::wal::{FsyncPolicy, GroupWal, RecoveredLog, WalConfig, WalStatsSnapshot};
+use crate::wal::{open_log_file, FsyncPolicy, GroupWal, MemMedia, RecoveredLog, WalConfig};
+use crate::wal::{WalMedia, WalStatsSnapshot};
 
 /// Storage namespace of every series record.
 const SERIES_NAMESPACE: &str = "tseries";
@@ -58,13 +58,13 @@ const TAIL_SORT: &str = "tail";
 /// Magic prefix of a tail record; the last byte is the format version.
 // aodb-schema: layout(TST1) = magic[4] sealed_blocks:u64 sealed_points:u64 meta_len:u32 meta pending_count:u32 (seq:u64 len:u32 bytes)* tail_len:u32 tail_block crc32:u32
 const TAIL_MAGIC: &[u8; 4] = b"TST1";
-/// Magic prefix of a WAL delta frame (group-commit mode); the last byte
+/// Magic prefix of a WAL delta frame; the last byte
 /// is the format version. The frame rides inside a [`GroupWal`] record,
 /// whose CRC covers it — the delta carries no checksum of its own.
 // aodb-schema: layout(TSW1) = magic[4] base_points:u64 series_len:u32 series meta_len:u32 meta count:u32 (ts:u64 value_bits:u64)*
 const TS_WAL_MAGIC: &[u8; 4] = b"TSW1";
 /// WAL size that triggers a checkpoint (tail records for every dirty
-/// series + WAL reset) in group-commit mode.
+/// series + WAL reset).
 const TS_WAL_CHECKPOINT_BYTES: u64 = 8 * 1024 * 1024;
 
 fn block_sort(seq: u64) -> String {
@@ -95,11 +95,9 @@ pub struct TsConfig {
 impl Default for TsConfig {
     /// 512-point / 16 KiB / 1-hour seal triggers.
     ///
-    /// Without a WAL each append rewrites the whole tail record, so
-    /// per-append cost is O(tail bytes) — a small seal threshold keeps
-    /// that rewrite cheap, while the fixed per-block overhead (44-byte
-    /// header + CRC) stays under 0.1 bytes/point even at 512 points per
-    /// block.
+    /// Every tail record (each seal's, each checkpoint's) carries the open
+    /// tail's image, so the tail stays small, while the fixed per-block
+    /// overhead (44-byte header + CRC) stays under 0.1 bytes/point.
     fn default() -> Self {
         TsConfig {
             seal_points: 512,
@@ -133,10 +131,9 @@ pub struct AppendOutcome {
 pub struct SeriesRecovery {
     /// The caller metadata blob of the last *applied* append (empty for
     /// a fresh series). Applied is not durable: an append sets it under
-    /// the series lock before it commits — before the tail-record put
-    /// without a WAL, before its delta's group commit with one — and an
-    /// append whose commit fails leaves it set until a reopen, which
-    /// reads the last committed one back.
+    /// the series lock before its delta's group commits, and an append
+    /// whose commit fails leaves it set until a reopen, which reads the
+    /// last committed one back.
     pub meta: Bytes,
     /// Total applied points (sealed + tail), as of the same append.
     pub points: u64,
@@ -253,7 +250,7 @@ struct Series {
     /// record is not yet confirmed written; they ride every tail record
     /// until unpinned.
     pending: Vec<(u64, Bytes)>,
-    /// Group-commit mode: this series is in [`WalState::dirty`]. Lets a
+    /// This series is in [`WalState::dirty`]. Lets a
     /// delta append skip the global set (a mutex and a `String`) unless
     /// it is the first since the last tail record. Changed only under
     /// this entry's lock; whoever sets it inserts into the set before
@@ -313,9 +310,15 @@ impl Replay {
         };
         Some((log, frames))
     }
+
+    /// Undoes a [`Replay::take`] whose frames could not be applied.
+    fn put_back(&mut self, series: &str, log: Arc<RecoveredLog>, frames: Vec<usize>) {
+        self.log = log;
+        self.frames.insert(series.to_owned(), frames);
+    }
 }
 
-/// Group-commit state of a [`TsStore`] opened via [`TsStore::with_wal`].
+/// The group-commit state of a [`TsStore`].
 struct WalState {
     wal: GroupWal,
     /// Appends hold this for read; a checkpoint holds it for write so
@@ -330,7 +333,6 @@ struct WalState {
     /// (under its entry lock, so a racing discarded load can never eat
     /// them) and applied after this lock drops.
     replay: Mutex<Replay>,
-    checkpoint_bytes: u64,
     fsync: FsyncPolicy,
 }
 
@@ -339,35 +341,18 @@ pub struct TsStore {
     backing: Arc<dyn StateStore>,
     config: TsConfig,
     series: RwLock<HashMap<String, Arc<Mutex<Series>>>>,
-    wal: Option<WalState>,
+    wal: WalState,
 }
 
 impl TsStore {
-    /// Engine over `backing` with `config`.
-    pub fn new(backing: Arc<dyn StateStore>, config: TsConfig) -> Self {
-        TsStore {
-            backing,
-            config,
-            series: RwLock::new(HashMap::new()),
-            wal: None,
-        }
-    }
-
-    /// Engine with the default configuration.
-    pub fn with_defaults(backing: Arc<dyn StateStore>) -> Self {
-        TsStore::new(backing, TsConfig::default())
-    }
-
-    /// Engine in **group-commit mode**: appends write a compact delta
-    /// frame to a [`GroupWal`] at `wal_path` instead of rewriting the
-    /// whole tail record, and their acks resolve when the delta's group
-    /// commits — one coalesced write + one fsync amortized over every
-    /// concurrently-appending series. Tail records are still written at
-    /// seal time (unsynced: the sealing append's delta is what its ack
-    /// waits for) and at checkpoints (when the WAL outgrows its
-    /// threshold it is reset after a tail-record sweep over the dirty
-    /// series and a sync of the backing store), so the backing store
-    /// remains the source of truth and the WAL stays short.
+    /// Engine over `backing` whose appends commit through a [`GroupWal`]
+    /// over `media`: each append writes a compact delta frame, and its
+    /// ack resolves when the delta's group commits — one coalesced write
+    /// and one fsync amortized over every concurrently-appending series.
+    /// Tail records are written at seal time (unsynced: the sealing
+    /// append's delta is what its ack waits for) and at checkpoints (when
+    /// the WAL outgrows its threshold it is reset after a tail-record
+    /// sweep over the dirty series and a sync of the backing store).
     ///
     /// Recovery replays WAL deltas on top of the backing store, using
     /// each delta's durable-point watermark to skip those a later tail
@@ -375,13 +360,13 @@ impl TsStore {
     /// once. The log is read once; every delta in it is checked here,
     /// where it lies, and applied from the same buffer at its series'
     /// first touch.
-    pub fn with_wal(
+    pub fn new(
         backing: Arc<dyn StateStore>,
         config: TsConfig,
-        wal_path: impl Into<PathBuf>,
+        media: impl WalMedia,
         wal_config: WalConfig,
     ) -> StoreResult<Self> {
-        let (wal, log) = GroupWal::open(wal_path, wal_config)?;
+        let (wal, log) = GroupWal::open_with_media(media, wal_config)?;
         let mut frames: HashMap<String, Vec<usize>> = HashMap::new();
         for (i, frame) in log.iter().enumerate() {
             // The decode checks every field of the delta, so a malformed
@@ -400,7 +385,7 @@ impl TsStore {
             backing,
             config,
             series: RwLock::new(HashMap::new()),
-            wal: Some(WalState {
+            wal: WalState {
                 wal,
                 rotation: RwLock::new(()),
                 dirty: Mutex::new(frames.keys().cloned().collect()),
@@ -408,24 +393,45 @@ impl TsStore {
                     log: Arc::new(log),
                     frames,
                 }),
-                checkpoint_bytes: TS_WAL_CHECKPOINT_BYTES,
                 fsync: wal_config.fsync_policy,
-            }),
+            },
         })
     }
 
-    /// The group-commit WAL, when enabled (chaos tests use this to arm
-    /// crash points and read counters).
-    pub fn wal(&self) -> Option<&GroupWal> {
-        self.wal.as_ref().map(|ws| &ws.wal)
+    /// [`TsStore::new`] over the log file at `wal_path` (created with its
+    /// directory when missing): the durable deployment.
+    pub fn with_wal(
+        backing: Arc<dyn StateStore>,
+        config: TsConfig,
+        wal_path: impl Into<PathBuf>,
+        wal_config: WalConfig,
+    ) -> StoreResult<Self> {
+        TsStore::new(backing, config, open_log_file(wal_path)?, wal_config)
     }
 
-    /// Group-commit counters (zeros when not in group-commit mode).
+    /// [`TsStore::new`] with the default configurations over a fresh
+    /// [`MemMedia`]: what the WAL holds past the last checkpoint or seal
+    /// dies with the engine. Panics when the WAL committer thread cannot
+    /// be spawned (an empty medium has nothing else that can fail).
+    pub fn with_defaults(backing: Arc<dyn StateStore>) -> Self {
+        TsStore::new(
+            backing,
+            TsConfig::default(),
+            MemMedia::new(),
+            WalConfig::default(),
+        )
+        .expect("spawn the wal committer")
+    }
+
+    /// The group-commit WAL (chaos tests use this to arm crash points
+    /// and read counters). Always `Some`: every engine has one.
+    pub fn wal(&self) -> Option<&GroupWal> {
+        Some(&self.wal.wal)
+    }
+
+    /// Group-commit counters.
     pub fn wal_stats(&self) -> WalStatsSnapshot {
-        self.wal
-            .as_ref()
-            .map(|ws| ws.wal.stats())
-            .unwrap_or_default()
+        self.wal.wal.stats()
     }
 
     fn entry(&self, series: &str) -> Arc<Mutex<Series>> {
@@ -443,23 +449,28 @@ impl TsStore {
         if entry.lock().recovered {
             return Ok(());
         }
-        let loaded = self.load_series(series)?;
+        let mut loaded = self.load_series(series)?;
         let mut s = entry.lock();
-        if !s.recovered {
-            *s = loaded;
-            // Group-commit mode: replay WAL deltas on top of the backing
-            // image. Taken under the entry lock so a racing load that
-            // loses the install race cannot eat them, and applied with
-            // the replay lock released, so series recover in parallel.
-            if let Some(ws) = &self.wal {
-                let taken = ws.replay.lock().take(series);
-                if let Some((log, frames)) = taken {
-                    // `with_wal` put every replayed series in the set.
-                    s.dirty = true;
-                    apply_wal_deltas(series, &mut s, &log, &frames)?;
-                }
-            }
+        if s.recovered {
+            return Ok(());
         }
+        // Replay WAL deltas on top of the backing image. Taken under the
+        // entry lock so a racing load that loses the install race cannot
+        // eat them, and applied with the replay lock released, so series
+        // recover in parallel. A replay that fails installs nothing and
+        // puts the frames back: every touch fails the same way, and no
+        // checkpoint can persist a partial image and reset the WAL.
+        let Some((log, frames)) = self.wal.replay.lock().take(series) else {
+            *s = loaded;
+            return Ok(());
+        };
+        if let Err(e) = apply_wal_deltas(series, &mut loaded, &log, &frames) {
+            self.wal.replay.lock().put_back(series, log, frames);
+            return Err(e);
+        }
+        // `new` put every replayed series in the set.
+        loaded.dirty = true;
+        *s = loaded;
         Ok(())
     }
 
@@ -563,27 +574,7 @@ impl TsStore {
         Ok(())
     }
 
-    /// Append/seal without a WAL: stages under the series lock, drops
-    /// it, then writes the tail record, which commits the append.
-    fn append_inner(
-        &self,
-        series: &str,
-        points: &[(u64, f64)],
-        meta: Option<&[u8]>,
-        force_seal: bool,
-    ) -> StoreResult<AppendOutcome> {
-        let entry = self.entry(series);
-        self.ensure_recovered(series, &entry)?;
-        let (outcome, staged) = {
-            let mut s = entry.lock();
-            let outcome = self.stage(&mut s, points, meta, force_seal);
-            (outcome, StagedWrites::of(series, &s))
-        };
-        self.write_staged(&entry, staged)?;
-        Ok(outcome)
-    }
-
-    /// Group-commit append. Stages the points into the tail under the
+    /// The one append path. Stages the points into the tail under the
     /// series lock and queues one delta frame to the WAL committer;
     /// `ack` resolves when the delta's group commits. An append that
     /// seals a block is no exception: its durability is its delta's, so
@@ -604,7 +595,7 @@ impl TsStore {
         force_seal: bool,
         ack: AppendAck,
     ) {
-        let ws = self.wal.as_ref().expect("append_via_wal without wal");
+        let ws = &self.wal;
         let entry = self.entry(series);
         if let Err(e) = self.ensure_recovered(series, &entry) {
             ack(Err(e));
@@ -681,21 +672,18 @@ impl TsStore {
             }
         }
 
-        if ws.wal.len() >= ws.checkpoint_bytes {
+        if ws.wal.len() >= TS_WAL_CHECKPOINT_BYTES {
             // Best-effort: a failed checkpoint leaves the WAL longer but
             // never loses data (the dirty set is restored on error).
             let _ = self.checkpoint();
         }
     }
 
-    /// Group-commit checkpoint: writes a tail record for every dirty
-    /// series (folding their WAL deltas into the backing store), then
-    /// resets the WAL. No-op without a WAL or when a checkpoint is
-    /// already in flight.
+    /// Checkpoint: writes a tail record for every dirty series (folding
+    /// their WAL deltas into the backing store), then resets the WAL.
+    /// No-op when a checkpoint is already in flight.
     pub fn checkpoint(&self) -> StoreResult<()> {
-        let Some(ws) = &self.wal else {
-            return Ok(());
-        };
+        let ws = &self.wal;
         let Some(_rotation) = ws.rotation.try_write() else {
             return Ok(());
         };
@@ -737,6 +725,28 @@ impl TsStore {
             self.backing.sync()?;
         }
         ws.wal.reset()
+    }
+
+    /// Runs a WAL append synchronously (blocks on the group commit).
+    fn append_wal_blocking(
+        &self,
+        series: &str,
+        points: &[(u64, f64)],
+        meta: Option<&[u8]>,
+        force_seal: bool,
+    ) -> StoreResult<AppendOutcome> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        self.append_via_wal(
+            series,
+            points,
+            meta,
+            force_seal,
+            Box::new(move |result| {
+                let _ = tx.send(result);
+            }),
+        );
+        rx.recv()
+            .unwrap_or_else(|_| Err(StoreError::Io("wal append ack was dropped".into())))
     }
 
     fn should_seal(&self, tail: &PointCompressor) -> bool {
@@ -789,30 +799,6 @@ fn seal_tail(s: &mut Series) {
     s.tail = PointCompressor::new();
 }
 
-impl TsStore {
-    /// Runs a WAL append synchronously (blocks on the group commit).
-    fn append_wal_blocking(
-        &self,
-        series: &str,
-        points: &[(u64, f64)],
-        meta: Option<&[u8]>,
-        force_seal: bool,
-    ) -> StoreResult<AppendOutcome> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        self.append_via_wal(
-            series,
-            points,
-            meta,
-            force_seal,
-            Box::new(move |result| {
-                let _ = tx.send(result);
-            }),
-        );
-        rx.recv()
-            .unwrap_or_else(|_| Err(StoreError::Io("wal append ack was dropped".into())))
-    }
-}
-
 impl SeriesStore for TsStore {
     fn append_batch(
         &self,
@@ -820,31 +806,20 @@ impl SeriesStore for TsStore {
         points: &[(u64, f64)],
         meta: &[u8],
     ) -> StoreResult<AppendOutcome> {
-        if self.wal.is_some() {
-            self.append_wal_blocking(series, points, Some(meta), false)
-        } else {
-            self.append_inner(series, points, Some(meta), false)
-        }
+        self.append_wal_blocking(series, points, Some(meta), false)
     }
 
     fn append_batch_async(&self, series: &str, points: &[(u64, f64)], meta: &[u8], ack: AppendAck) {
-        if self.wal.is_some() {
-            self.append_via_wal(series, points, Some(meta), false, ack);
-        } else {
-            ack(self.append_inner(series, points, Some(meta), false));
-        }
+        self.append_via_wal(series, points, Some(meta), false, ack);
     }
 
     fn barrier_async(&self, ack: AppendAck) {
-        match &self.wal {
-            // Empty payloads are never written; the callback still
-            // resolves in submission order, after every frame queued
-            // ahead of it commits — the barrier contract.
-            Some(ws) => ws.wal.submit_with(Bytes::new(), move |r| {
-                ack(r.map(|_| AppendOutcome::default()))
-            }),
-            None => ack(Ok(AppendOutcome::default())),
-        }
+        // Empty payloads are never written; the callback still resolves
+        // in submission order, after every frame queued ahead of it
+        // commits — the barrier contract.
+        self.wal.wal.submit_with(Bytes::new(), move |r| {
+            ack(r.map(|_| AppendOutcome::default()))
+        });
     }
 
     fn scan_range(
@@ -951,12 +926,8 @@ impl SeriesStore for TsStore {
     }
 
     fn seal(&self, series: &str) -> StoreResult<()> {
-        if self.wal.is_some() {
-            self.append_wal_blocking(series, &[], None, true)?;
-        } else {
-            self.append_inner(series, &[], None, true)?;
-        }
-        Ok(())
+        self.append_wal_blocking(series, &[], None, true)
+            .map(|_| ())
     }
 
     fn recover(&self, series: &str) -> StoreResult<SeriesRecovery> {
@@ -1133,8 +1104,20 @@ mod tests {
 
     fn engine(config: TsConfig) -> (Arc<MemStore>, TsStore) {
         let backing = Arc::new(MemStore::new());
-        let ts = TsStore::new(Arc::clone(&backing) as Arc<dyn StateStore>, config);
+        let ts = open(&(Arc::clone(&backing) as _), config, &MemMedia::new());
         (backing, ts)
+    }
+
+    /// An engine over `backing` whose WAL is `media`: a clone kept by the
+    /// caller reopens what the engine logged once it is dropped.
+    fn open(backing: &Arc<dyn StateStore>, config: TsConfig, media: &MemMedia) -> TsStore {
+        TsStore::new(
+            Arc::clone(backing),
+            config,
+            media.clone(),
+            WalConfig::default(),
+        )
+        .unwrap()
     }
 
     fn pts(range: std::ops::Range<u64>) -> Vec<(u64, f64)> {
@@ -1165,14 +1148,16 @@ mod tests {
     #[test]
     fn recovery_restores_points_meta_and_tail() {
         let backing: Arc<dyn StateStore> = Arc::new(MemStore::new());
+        let media = MemMedia::new();
         {
-            let ts = TsStore::new(Arc::clone(&backing), TsConfig::sealing_every(8));
+            let ts = open(&backing, TsConfig::sealing_every(8), &media);
             for chunk in pts(0..30).chunks(4) {
                 ts.append_batch("s", chunk, b"watermark-7").unwrap();
             }
         }
-        // Fresh engine over the same backing: the "process restart".
-        let ts = TsStore::new(Arc::clone(&backing), TsConfig::sealing_every(8));
+        // Fresh engine over the same backing and WAL: the "process
+        // restart".
+        let ts = open(&backing, TsConfig::sealing_every(8), &media);
         let rec = ts.recover("s").unwrap();
         assert_eq!(rec.points, 30);
         assert_eq!(rec.meta.as_ref(), b"watermark-7");
@@ -1186,7 +1171,7 @@ mod tests {
     fn crash_between_tail_commit_and_block_write_loses_nothing() {
         let backing: Arc<dyn StateStore> = Arc::new(MemStore::new());
         {
-            let ts = TsStore::new(Arc::clone(&backing), TsConfig::sealing_every(8));
+            let ts = open(&backing, TsConfig::sealing_every(8), &MemMedia::new());
             for chunk in pts(0..16).chunks(4) {
                 ts.append_batch("s", chunk, b"m").unwrap();
             }
@@ -1211,7 +1196,7 @@ mod tests {
             .unwrap();
         assert!(backing.get(&block_key("crashy", 0)).unwrap().is_none());
 
-        let ts = TsStore::new(Arc::clone(&backing), TsConfig::sealing_every(8));
+        let ts = open(&backing, TsConfig::sealing_every(8), &MemMedia::new());
         let rec = ts.recover("crashy").unwrap();
         assert_eq!(rec.points, 8);
         assert_eq!(rec.meta.as_ref(), b"pending-meta");
@@ -1224,14 +1209,15 @@ mod tests {
     fn bumped_tail_version_is_a_typed_error_not_corruption() {
         let backing: Arc<dyn StateStore> = Arc::new(MemStore::new());
         {
-            let ts = TsStore::new(Arc::clone(&backing), TsConfig::default());
+            let ts = TsStore::with_defaults(Arc::clone(&backing));
             ts.append_batch("s", &pts(0..10), b"m").unwrap();
+            ts.checkpoint().unwrap();
         }
         // A hypothetical TST2 writer bumped the version byte.
         let mut record = backing.get(&tail_key("s")).unwrap().unwrap().to_vec();
         record[3] = b'2';
         backing.put(&tail_key("s"), Bytes::from(record)).unwrap();
-        let ts = TsStore::new(Arc::clone(&backing), TsConfig::default());
+        let ts = TsStore::with_defaults(Arc::clone(&backing));
         match ts.recover("s") {
             Err(StoreError::UnsupportedVersion(msg)) => {
                 assert!(msg.contains("TST"), "{msg}");
@@ -1242,7 +1228,7 @@ mod tests {
         let mut record = backing.get(&tail_key("s")).unwrap().unwrap().to_vec();
         record[0] = b'X';
         backing.put(&tail_key("s"), Bytes::from(record)).unwrap();
-        let ts = TsStore::new(Arc::clone(&backing), TsConfig::default());
+        let ts = TsStore::with_defaults(Arc::clone(&backing));
         assert!(matches!(ts.recover("s"), Err(StoreError::Corrupt(_))));
     }
 
@@ -1250,15 +1236,17 @@ mod tests {
     fn committed_block_with_no_copy_is_corrupt() {
         let backing: Arc<dyn StateStore> = Arc::new(MemStore::new());
         {
-            let ts = TsStore::new(Arc::clone(&backing), TsConfig::sealing_every(4));
+            let ts = open(&backing, TsConfig::sealing_every(4), &MemMedia::new());
             ts.append_batch("s", &pts(0..8), b"").unwrap();
-            // A later append rewrites the tail record with its pending
-            // list drained (the block records landed above), so the
-            // block record is now the only copy of block 0.
+            // A later append and a checkpoint rewrite the tail record
+            // with its pending list drained (the block records landed
+            // above), so the block record is now the only copy of
+            // block 0.
             ts.append_batch("s", &pts(8..9), b"").unwrap();
+            ts.checkpoint().unwrap();
         }
         backing.delete(&block_key("s", 0)).unwrap();
-        let ts = TsStore::new(Arc::clone(&backing), TsConfig::default());
+        let ts = TsStore::with_defaults(Arc::clone(&backing));
         assert!(matches!(ts.recover("s"), Err(StoreError::Corrupt(_))));
     }
 
@@ -1279,10 +1267,12 @@ mod tests {
     #[test]
     fn meta_commits_atomically_with_points() {
         let backing: Arc<dyn StateStore> = Arc::new(MemStore::new());
-        let ts = TsStore::new(Arc::clone(&backing), TsConfig::default());
+        let media = MemMedia::new();
+        let ts = open(&backing, TsConfig::default(), &media);
         ts.append_batch("s", &pts(0..5), b"seq=1").unwrap();
         ts.append_batch("s", &pts(5..10), b"seq=2").unwrap();
-        let fresh = TsStore::new(Arc::clone(&backing), TsConfig::default());
+        drop(ts);
+        let fresh = open(&backing, TsConfig::default(), &media);
         let rec = fresh.recover("s").unwrap();
         assert_eq!(rec.meta.as_ref(), b"seq=2");
         assert_eq!(rec.points, 10);
@@ -1446,7 +1436,7 @@ mod tests {
     /// The replay's handle on the recovered log, held weakly: it upgrades
     /// for as long as the log's buffer is alive.
     fn replay_log(ts: &TsStore) -> std::sync::Weak<RecoveredLog> {
-        Arc::downgrade(&ts.wal.as_ref().unwrap().replay.lock().log)
+        Arc::downgrade(&ts.wal.replay.lock().log)
     }
 
     /// Three series with two deltas each in the log at `path`, none
@@ -1510,6 +1500,37 @@ mod tests {
         }
     }
 
+    /// A replay that finds a gap in a series' deltas installs nothing:
+    /// every touch fails, no checkpoint persists the deltas before the
+    /// gap and resets the WAL, and a reopen still finds every frame.
+    #[test]
+    fn failed_replay_installs_nothing_and_keeps_the_frames() {
+        let backing: Arc<dyn StateStore> = Arc::new(MemStore::new());
+        let media = MemMedia::new();
+        {
+            // Bases 0 and 10: the first delta leaves 5 points, the second
+            // expects 10.
+            let (wal, _) = GroupWal::open_with_media(media.clone(), WalConfig::default()).unwrap();
+            for (base, range) in [(0, 0..5), (10, 10..15)] {
+                wal.submit_framed(encode_wal_delta("s", base, b"m", &pts(range)), |r| {
+                    r.unwrap()
+                });
+            }
+            wal.sync().unwrap();
+        }
+        let ts = open(&backing, TsConfig::default(), &media);
+        for _ in 0..2 {
+            assert!(matches!(ts.recover("s"), Err(StoreError::Corrupt(_))));
+        }
+        assert!(ts.scan_range("s", 0, u64::MAX, 0).is_err());
+        assert!(ts.append_batch("s", &pts(15..16), b"m").is_err());
+        assert!(ts.checkpoint().is_err());
+        assert!(backing.get(&tail_key("s")).unwrap().is_none());
+        drop(ts);
+        let (_, log) = GroupWal::open_with_media(media, WalConfig::default()).unwrap();
+        assert_eq!(log.len(), 2);
+    }
+
     /// A `MemStore` whose `put` starts failing after a set number of
     /// successes (until re-armed), to interrupt a checkpoint sweep — or,
     /// with `lose` set, reports success and keeps nothing, which is what
@@ -1563,15 +1584,7 @@ mod tests {
             .filter(|n| ts.entry(n).lock().dirty)
             .map(|n| n.to_string())
             .collect();
-        let mut set: Vec<String> = ts
-            .wal
-            .as_ref()
-            .unwrap()
-            .dirty
-            .lock()
-            .iter()
-            .cloned()
-            .collect();
+        let mut set: Vec<String> = ts.wal.dirty.lock().iter().cloned().collect();
         bits.sort();
         set.sort();
         (bits, set)
@@ -1636,10 +1649,7 @@ mod tests {
 
         // A fresh engine over the same files sees every point.
         drop(ts);
-        let reopened = TsStore::new(
-            Arc::clone(&backing) as Arc<dyn StateStore>,
-            TsConfig::default(),
-        );
+        let reopened = TsStore::with_defaults(Arc::clone(&backing) as Arc<dyn StateStore>);
         for name in NAMES {
             assert_eq!(reopened.recover(name).unwrap().points, 10);
         }
@@ -1670,7 +1680,7 @@ mod tests {
     fn sealing_append_is_durable_through_its_wal_delta() {
         let backing = FailingPuts::new();
         let path = temp_wal("seal-delta");
-        let open = || {
+        let reopen = || {
             TsStore::with_wal(
                 Arc::clone(&backing) as Arc<dyn StateStore>,
                 TsConfig::sealing_every(8),
@@ -1680,7 +1690,7 @@ mod tests {
             .unwrap()
         };
         {
-            let ts = open();
+            let ts = reopen();
             ts.append_batch("s", &pts(0..6), b"m1").unwrap();
             // The append that seals is acked on its delta's group. Its
             // tail and block records are written but not synced: a crash
@@ -1698,7 +1708,7 @@ mod tests {
         }
         // Every acked point comes back from the WAL alone, the sealing
         // append's included, and the series carries on from there.
-        let ts = open();
+        let ts = reopen();
         let rec = ts.recover("s").unwrap();
         assert_eq!(rec.points, 13);
         assert_eq!(rec.meta.as_ref(), b"m3");
@@ -1707,9 +1717,10 @@ mod tests {
         // A checkpoint moves it all into the backing store for good.
         ts.checkpoint().unwrap();
         drop(ts);
-        let cold = TsStore::new(
-            Arc::clone(&backing) as Arc<dyn StateStore>,
+        let cold = open(
+            &(Arc::clone(&backing) as _),
             TsConfig::sealing_every(8),
+            &MemMedia::new(),
         );
         assert_eq!(cold.scan_range("s", 0, u64::MAX, 0).unwrap(), pts(0..20));
     }
@@ -1744,9 +1755,10 @@ mod tests {
         assert_eq!(ts.wal().unwrap().len(), 0);
         assert_eq!(dirty_view(&ts, &["s"]), (Vec::new(), Vec::new()));
         drop(ts);
-        let cold = TsStore::new(
-            Arc::clone(&backing) as Arc<dyn StateStore>,
+        let cold = open(
+            &(Arc::clone(&backing) as _),
             TsConfig::sealing_every(8),
+            &MemMedia::new(),
         );
         assert_eq!(cold.scan_range("s", 0, u64::MAX, 0).unwrap(), pts(0..10));
     }

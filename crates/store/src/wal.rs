@@ -356,12 +356,14 @@ impl Shared {
 
 // ------------------------------------------------------------------ media
 
-/// The committer's view of durable media: positioned appends, fsync, and
-/// truncation. Production logs run over a real [`File`]; model tests use
-/// [`MemMedia`] so schedule exploration never touches a filesystem —
-/// every write/fsync is a pure in-memory state transition the checker
-/// can interleave.
+/// The WAL's view of durable media: reading back what is there,
+/// positioned appends, fsync, and truncation. Durable logs run over a
+/// real [`File`]; in-memory stores and model tests use [`MemMedia`], so
+/// schedule exploration never touches a filesystem — every write/fsync
+/// is a pure in-memory state transition the checker can interleave.
 pub trait WalMedia: Send + 'static {
+    /// Every byte the media holds, from offset 0 (what a reopen finds).
+    fn contents(&mut self) -> std::io::Result<Vec<u8>>;
     /// Writes `buf` at the current position, advancing it.
     fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()>;
     /// Makes everything written so far durable.
@@ -374,6 +376,12 @@ pub trait WalMedia: Send + 'static {
 }
 
 impl WalMedia for File {
+    fn contents(&mut self) -> std::io::Result<Vec<u8>> {
+        let mut buf = Vec::new();
+        self.rewind()?;
+        self.read_to_end(&mut buf).map(|_| buf)
+    }
+
     fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
         Write::write_all(self, buf)
     }
@@ -393,9 +401,10 @@ impl WalMedia for File {
 
 /// In-memory [`WalMedia`] with an explicit durability watermark: only
 /// bytes covered by a `sync_data` survive an emulated kill, exactly like
-/// the page cache. Model tests read back [`MemMedia::durable`] to check
-/// acked frames against what an fsync actually covered.
-#[doc(hidden)]
+/// the page cache. Clones share the bytes, so a clone kept aside can be
+/// reopened after its WAL is dropped. Model tests read back
+/// [`MemMedia::durable`] to check acked frames against what an fsync
+/// actually covered.
 #[derive(Clone, Default)]
 pub struct MemMedia {
     inner: Arc<Mutex<MemMediaState>>,
@@ -427,6 +436,10 @@ impl MemMedia {
 }
 
 impl WalMedia for MemMedia {
+    fn contents(&mut self) -> std::io::Result<Vec<u8>> {
+        Ok(self.written())
+    }
+
     fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
         let mut st = self.inner.lock();
         let pos = st.pos;
@@ -519,6 +532,10 @@ impl<M: WalMedia> FaultyMedia<M> {
 }
 
 impl<M: WalMedia> WalMedia for FaultyMedia<M> {
+    fn contents(&mut self) -> std::io::Result<Vec<u8>> {
+        self.inner.contents()
+    }
+
     fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
         self.fire_deferred()?;
         let mut point = None;
@@ -575,11 +592,11 @@ impl<M: WalMedia> WalMedia for FaultyMedia<M> {
 
 // ---------------------------------------------------------------- recovery
 
-/// The committed frames [`GroupWal::open`] recovered: the clean prefix of
-/// the log, read once into one buffer, and the range of each frame's
-/// payload in it. Frames are borrowed in place, so recovering a log
-/// allocates nothing per frame.
-#[derive(Default)]
+/// The committed frames [`GroupWal::open_with_media`] recovered: the
+/// clean prefix of the log, read once into one buffer, and the range of
+/// each frame's payload in it. Frames are borrowed in place, so
+/// recovering a log allocates nothing per frame.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct RecoveredLog {
     buf: Vec<u8>,
     frames: Vec<Range<usize>>,
@@ -617,6 +634,20 @@ impl Index<usize> for RecoveredLog {
 
 // --------------------------------------------------------------- GroupWal
 
+/// Opens (or creates) the log file at `path`, creating its directory.
+pub(crate) fn open_log_file(path: impl Into<PathBuf>) -> StoreResult<File> {
+    let path = path.into();
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
+    Ok(OpenOptions::new()
+        .create(true)
+        .read(true)
+        .write(true)
+        .truncate(false)
+        .open(&path)?)
+}
+
 /// The group-commit write-ahead log. See the module docs.
 pub struct GroupWal {
     shared: Arc<Shared>,
@@ -625,26 +656,25 @@ pub struct GroupWal {
 }
 
 impl GroupWal {
-    /// Opens (or creates) the log at `path`, recovering the committed
-    /// frame prefix. A torn tail is truncated from the file; corruption
-    /// before the tail is an error. Returns the WAL and the recovered
-    /// frames in append order, in the one buffer the log was read into.
+    /// Opens (or creates) the log file at `path` and recovers it through
+    /// [`GroupWal::open_with_media`].
     pub fn open(
         path: impl Into<PathBuf>,
         config: WalConfig,
     ) -> StoreResult<(GroupWal, RecoveredLog)> {
-        let path = path.into();
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .write(true)
-            .truncate(false)
-            .open(&path)?;
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
+        Self::open_with_media(open_log_file(path)?, config)
+    }
+
+    /// Opens a WAL over `media`, recovering the committed frame prefix
+    /// of what it holds. A torn tail is truncated from the media and
+    /// appends continue at the clean end; corruption before the tail is
+    /// an error. Returns the WAL and the recovered frames in append
+    /// order, in the one buffer the media was read into.
+    pub fn open_with_media<M: WalMedia>(
+        mut media: M,
+        config: WalConfig,
+    ) -> StoreResult<(GroupWal, RecoveredLog)> {
+        let mut buf = media.contents()?;
         let mut frames = Vec::new();
         let clean = replay_framed(&buf, |payload| {
             // `payload` is a subslice of `buf`: keep its range only.
@@ -655,24 +685,12 @@ impl GroupWal {
         if clean < buf.len() {
             // Torn tail from a crash mid-group: drop it physically so
             // new appends never land after garbage bytes.
-            file.set_len(clean as u64)?;
+            media.set_len(clean as u64)?;
             buf.truncate(clean);
         }
-        file.seek(SeekFrom::Start(clean as u64))?;
+        media.seek_to(clean as u64)?;
+        let durable = clean as u64;
 
-        let recovered = RecoveredLog { buf, frames };
-        Ok((Self::launch(file, config, clean as u64)?, recovered))
-    }
-
-    /// Opens a WAL over caller-provided media with no recovery pass (the
-    /// media must be empty). Model tests drive this with [`MemMedia`];
-    /// real logs go through [`GroupWal::open`].
-    #[doc(hidden)]
-    pub fn open_with_media<M: WalMedia>(media: M, config: WalConfig) -> StoreResult<GroupWal> {
-        Self::launch(media, config, 0)
-    }
-
-    fn launch<M: WalMedia>(media: M, config: WalConfig, durable: u64) -> StoreResult<GroupWal> {
         let shared = Arc::new(Shared {
             q: Mutex::new(Queue {
                 items: VecDeque::new(),
@@ -702,11 +720,12 @@ impl GroupWal {
                 .spawn(move || run_committer(shared, media, durable))
                 .map_err(|e| StoreError::Io(e.to_string()))?
         };
-        Ok(GroupWal {
+        let wal = GroupWal {
             shared,
             faults,
             committer: Mutex::new(Some(committer)),
-        })
+        };
+        Ok((wal, RecoveredLog { buf, frames }))
     }
 
     fn enqueue(&self, op: Op) {
@@ -1038,20 +1057,24 @@ fn committer_loop<M: WalMedia>(shared: Arc<Shared>, mut file: M, mut durable: u6
 
 /// Marks the WAL dead, reports `len` as its length from now on (the
 /// committer counts bytes past the last sync as lost), and errors out
-/// every pending and queued waiter.
-fn die(shared: &Shared, len: u64, err: StoreError, pending: Vec<Done>) {
+/// every pending and queued waiter, in submission order. Submitters keep
+/// queueing until `die` finds the queue empty under its lock, and only
+/// then is `dead` published: a submission that sees it resolves after
+/// every earlier one.
+fn die(shared: &Shared, len: u64, err: StoreError, mut pending: Vec<Done>) {
     shared.written_len.store(len, Ordering::Relaxed);
-    let drained: Vec<Op> = {
-        let mut q = shared.q.lock();
-        q.dead = Some(err.clone());
-        q.items.drain(..).collect()
-    };
     let failed = Err(err);
-    let queued = drained
-        .into_iter()
-        .map(|(Op::Frame { done, .. } | Op::Reset { done })| done);
-    for done in pending.into_iter().chain(queued) {
-        done.resolve(&failed);
+    loop {
+        for done in pending.drain(..) {
+            done.resolve(&failed);
+        }
+        let mut q = shared.q.lock();
+        if q.items.is_empty() {
+            q.dead = failed.err();
+            return;
+        }
+        let queued = q.items.drain(..);
+        pending.extend(queued.map(|(Op::Frame { done, .. } | Op::Reset { done })| done));
     }
 }
 

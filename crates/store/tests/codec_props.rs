@@ -14,7 +14,8 @@ use std::sync::Arc;
 use aodb_store::codec::frame_record;
 use aodb_store::tseries::{decode_block, decode_index, PointCompressor, SeriesStore};
 use aodb_store::{
-    Bytes, Key, LogStore, LogStoreConfig, MemStore, StateStore, TsConfig, TsStore, WalConfig,
+    Bytes, Key, LogStore, LogStoreConfig, MemMedia, MemStore, StateStore, TsConfig, TsStore,
+    WalConfig,
 };
 use proptest::prelude::*;
 
@@ -67,17 +68,25 @@ fn points() -> impl Strategy<Value = Vec<(u64, f64)>> {
     proptest::collection::vec((any::<u64>(), any::<f64>()), 1..12)
 }
 
-/// The bytes of the tail record `TsStore` commits for `points` with
-/// `meta`, sealing every `seal_every` points (so the record may carry
-/// pending blocks as well as an open tail).
+/// The bytes of the tail record `TsStore` writes for `points` with
+/// `meta` at the append's seal or at the checkpoint after it, sealing
+/// every `seal_every` points (so the record may carry pending blocks as
+/// well as an open tail).
 fn tail_record(points: &[(u64, f64)], meta: &[u8], seal_every: u32) -> Bytes {
     let backing = Arc::new(MemStore::new());
     let config = TsConfig {
         seal_age_ms: u64::MAX,
         ..TsConfig::sealing_every(seal_every)
     };
-    let ts = TsStore::new(Arc::clone(&backing) as Arc<dyn StateStore>, config);
+    let ts = TsStore::new(
+        Arc::clone(&backing) as Arc<dyn StateStore>,
+        config,
+        MemMedia::new(),
+        WalConfig::default(),
+    )
+    .unwrap();
     ts.append_batch("s", points, meta).unwrap();
+    ts.checkpoint().unwrap();
     backing
         .get(&Key::with_sort("tseries", "s", "tail"))
         .unwrap()

@@ -13,8 +13,20 @@ use aodb_store::tseries::bits::{BitReader, BitWriter};
 use aodb_store::tseries::{
     decode_block, decode_index, PointCompressor, SeriesStore, TsConfig, TsStore,
 };
-use aodb_store::{Bytes, Key, MemStore, StateStore, StoreResult, WalConfig};
+use aodb_store::{Bytes, Key, MemMedia, MemStore, StateStore, StoreResult, WalConfig};
 use proptest::prelude::*;
+
+/// An engine over `backing` whose WAL is `media`: a clone kept by the
+/// caller reopens what the engine logged once it is dropped.
+fn open_mem(backing: &Arc<dyn StateStore>, config: TsConfig, media: &MemMedia) -> TsStore {
+    TsStore::new(
+        Arc::clone(backing),
+        config,
+        media.clone(),
+        WalConfig::default(),
+    )
+    .unwrap()
+}
 
 /// One generated point: a signed timestamp step from its predecessor and
 /// a value. Steps may be negative (out-of-order-within-batch) or huge
@@ -191,11 +203,12 @@ proptest! {
         seal_every in 1u32..33,
     ) {
         let points = materialize(start, &steps);
-        let ts = TsStore::new(
-            Arc::new(MemStore::new()) as Arc<dyn StateStore>,
+        let ts = open_mem(
+            &(Arc::new(MemStore::new()) as _),
             // Disable the data-time age trigger: adversarial streams jump
             // epochs, and this property wants count-driven seals only.
             TsConfig { seal_age_ms: u64::MAX, ..TsConfig::sealing_every(seal_every) },
+            &MemMedia::new(),
         );
         for chunk in points.chunks(batch) {
             ts.append_batch("s", chunk, b"m").unwrap();
@@ -206,10 +219,10 @@ proptest! {
         assert_points_identical(&back, &points);
     }
 
-    /// Reopen equivalence: a fresh engine over the same backing store
-    /// sees exactly the committed stream and continues it seamlessly —
-    /// down to the bytes of the tail record it writes next, which match
-    /// those of an engine that never restarted.
+    /// Reopen equivalence: a fresh engine over the same backing store and
+    /// WAL sees exactly the committed stream and continues it seamlessly
+    /// — down to the bytes of the tail record a checkpoint then writes,
+    /// which match those of an engine that never restarted.
     #[test]
     fn engine_survives_reopen_mid_stream(
         start in any::<u64>(),
@@ -221,22 +234,25 @@ proptest! {
         let split = split.min(points.len() - 1);
         let backing: Arc<dyn StateStore> = Arc::new(MemStore::new());
         let config = TsConfig { seal_age_ms: u64::MAX, ..TsConfig::sealing_every(seal_every) };
+        let media = MemMedia::new();
         {
-            let ts = TsStore::new(Arc::clone(&backing), config);
+            let ts = open_mem(&backing, config, &media);
             ts.append_batch("s", &points[..split], b"before").unwrap();
-        } // dropped without seal/flush: durability is per-append
-        let ts = TsStore::new(Arc::clone(&backing), config);
+        } // dropped without checkpoint: the WAL carries the append
+        let ts = open_mem(&backing, config, &media);
         let rec = ts.recover("s").unwrap();
         assert_eq!(rec.points as usize, split);
         assert_eq!(rec.meta.as_ref(), b"before");
         ts.append_batch("s", &points[split..], b"after").unwrap();
         let back = ts.scan_range("s", 0, u64::MAX, 0).unwrap();
         assert_points_identical(&back, &points);
+        ts.checkpoint().unwrap();
 
         let unbroken: Arc<dyn StateStore> = Arc::new(MemStore::new());
-        let ts = TsStore::new(Arc::clone(&unbroken), config);
+        let ts = open_mem(&unbroken, config, &MemMedia::new());
         ts.append_batch("s", &points[..split], b"before").unwrap();
         ts.append_batch("s", &points[split..], b"after").unwrap();
+        ts.checkpoint().unwrap();
         let tail = Key::with_sort("tseries", "s", "tail");
         assert_eq!(backing.get(&tail).unwrap(), unbroken.get(&tail).unwrap());
     }
@@ -283,8 +299,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `scan_from` is the append-order scan sliced at a position, on the
-    /// reference store and on both engine modes — across seals, a reopen
-    /// from the backing store, WAL replay and a checkpoint.
+    /// reference store and on the engine over either WAL medium — across
+    /// seals, a reopen with WAL replay, and a checkpoint.
     #[test]
     fn scan_from_slices_the_append_order_scan(
         start in any::<u64>(),
@@ -308,15 +324,16 @@ proptest! {
         append(&reference, &points);
         assert_scan_from_slices(&reference, &points, &probes);
 
-        // Without a WAL: reopen from the backing store mid-stream.
+        // Over an in-memory WAL: reopen over the kept medium mid-stream.
         let backing: Arc<dyn StateStore> = Arc::new(MemStore::new());
-        append(&TsStore::new(Arc::clone(&backing), config), &points[..reopen_at]);
-        let ts = TsStore::new(Arc::clone(&backing), config);
+        let media = MemMedia::new();
+        append(&open_mem(&backing, config, &media), &points[..reopen_at]);
+        let ts = open_mem(&backing, config, &media);
         assert_scan_from_slices(&ts, &points[..reopen_at], &probes);
         append(&ts, &points[reopen_at..]);
         assert_scan_from_slices(&ts, &points, &probes);
 
-        // With a WAL: replay mid-stream, then a checkpoint, then more.
+        // Over a WAL file: replay mid-stream, then a checkpoint, then more.
         let dir = temp_wal_dir();
         let backing: Arc<dyn StateStore> = Arc::new(MemStore::new());
         let open = || {
@@ -418,9 +435,10 @@ impl StateStore for Recorder {
 #[test]
 fn golden_tail_record_with_pending_block_bytes() {
     let backing = Arc::new(Recorder::default());
-    let ts = TsStore::new(
-        Arc::clone(&backing) as Arc<dyn StateStore>,
+    let ts = open_mem(
+        &(Arc::clone(&backing) as _),
         TsConfig::sealing_every(2),
+        &MemMedia::new(),
     );
     let points = [
         (1_546_300_800_000u64, 20.0f64),

@@ -1,13 +1,14 @@
 //! Crash/restart recovery of the time-series engine over the durable
-//! [`LogStore`] backing: every acknowledged append must survive an
-//! unclean process death, including across WAL compactions and with
-//! sealed blocks that only exist inside the tail record.
+//! [`LogStore`] backing and a WAL file next to it: every acknowledged
+//! append must survive an unclean process death, including across
+//! `LogStore` compactions and with sealed blocks that only exist inside
+//! the tail record.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use aodb_store::tseries::{SeriesStore, TsConfig, TsStore};
-use aodb_store::{LogStore, LogStoreConfig, StateStore};
+use aodb_store::{LogStore, LogStoreConfig, StateStore, WalConfig};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -28,6 +29,17 @@ fn open_backing(dir: &Path, compact_threshold: u64) -> Arc<dyn StateStore> {
     )
 }
 
+/// The engine over the `LogStore` in `dir` and the WAL file beside it.
+fn open_engine(dir: &Path, compact_threshold: u64, config: TsConfig) -> TsStore {
+    TsStore::with_wal(
+        open_backing(dir, compact_threshold),
+        config,
+        dir.join("ts_wal.log"),
+        WalConfig::default(),
+    )
+    .unwrap()
+}
+
 fn pts(range: std::ops::Range<u64>) -> Vec<(u64, f64)> {
     range.map(|i| (i * 100, (i as f64).sin() * 50.0)).collect()
 }
@@ -37,20 +49,14 @@ fn unclean_restart_replays_tail_and_blocks() {
     let dir = temp_dir("restart");
     let all = pts(0..500);
     {
-        let ts = TsStore::new(
-            open_backing(&dir, 16 * 1024 * 1024),
-            TsConfig::sealing_every(64),
-        );
+        let ts = open_engine(&dir, 16 * 1024 * 1024, TsConfig::sealing_every(64));
         for (i, chunk) in all.chunks(7).enumerate() {
             ts.append_batch("ch", chunk, format!("seq={i}").as_bytes())
                 .unwrap();
         }
         // No seal(), no flush, no graceful anything: the process "dies".
     }
-    let ts = TsStore::new(
-        open_backing(&dir, 16 * 1024 * 1024),
-        TsConfig::sealing_every(64),
-    );
+    let ts = open_engine(&dir, 16 * 1024 * 1024, TsConfig::sealing_every(64));
     let rec = ts.recover("ch").unwrap();
     assert_eq!(rec.points, 500);
     assert_eq!(rec.meta.as_ref(), b"seq=71", "last committed sidecar");
@@ -73,15 +79,15 @@ fn recovery_survives_wal_compaction_cycles() {
         .map(|i| (i * 100, 20.0 + (i % 16) as f64 * 0.25))
         .collect();
     {
-        // Tiny compaction threshold: the WAL snapshots repeatedly while
-        // tail records are being overwritten, so recovery exercises the
-        // snapshot + WAL merge path, not just a linear log replay.
-        let ts = TsStore::new(open_backing(&dir, 8 * 1024), TsConfig::sealing_every(128));
+        // Tiny compaction threshold: the `LogStore` snapshots while the
+        // seals overwrite tail records, so recovery exercises its
+        // snapshot + log merge path, not just a linear log replay.
+        let ts = open_engine(&dir, 8 * 1024, TsConfig::sealing_every(128));
         for chunk in all.chunks(10) {
             ts.append_batch("ch", chunk, b"m").unwrap();
         }
     }
-    let ts = TsStore::new(open_backing(&dir, 8 * 1024), TsConfig::sealing_every(128));
+    let ts = open_engine(&dir, 8 * 1024, TsConfig::sealing_every(128));
     assert_eq!(ts.recover("ch").unwrap().points, 2_000);
     assert_eq!(ts.scan_range("ch", 0, u64::MAX, 0).unwrap(), all);
 
@@ -103,7 +109,7 @@ fn repeated_crash_restart_cycles_accumulate_exactly() {
     let all = pts(0..600);
     let mut written = 0usize;
     for cycle in 0..6 {
-        let ts = TsStore::new(open_backing(&dir, 64 * 1024), TsConfig::sealing_every(32));
+        let ts = open_engine(&dir, 64 * 1024, TsConfig::sealing_every(32));
         let rec = ts.recover("ch").unwrap();
         assert_eq!(
             rec.points as usize, written,
@@ -115,7 +121,7 @@ fn repeated_crash_restart_cycles_accumulate_exactly() {
         written = next;
         // Engine dropped uncleanly at the end of every cycle.
     }
-    let ts = TsStore::new(open_backing(&dir, 64 * 1024), TsConfig::sealing_every(32));
+    let ts = open_engine(&dir, 64 * 1024, TsConfig::sealing_every(32));
     assert_eq!(ts.scan_range("ch", 0, u64::MAX, 0).unwrap(), all);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -56,6 +56,10 @@ impl FailingMedia {
 }
 
 impl WalMedia for FailingMedia {
+    fn contents(&mut self) -> io::Result<Vec<u8>> {
+        self.inner.contents()
+    }
+
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
         if !buf.is_empty() {
             self.hit(Fails::Write)?;
@@ -89,7 +93,7 @@ fn payload(i: usize) -> Bytes {
 /// of every frame submitted before and after.
 fn scenario(fails: Fails, errno: i32) {
     let media = MemMedia::new();
-    let wal = GroupWal::open_with_media(
+    let (wal, _) = GroupWal::open_with_media(
         FailingMedia {
             inner: media.clone(),
             fails,

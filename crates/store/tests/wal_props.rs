@@ -7,14 +7,18 @@
 //! (`submit`/`submit_with` frame them on the way in) or as records the
 //! caller encoded into its own frame; the two must be indistinguishable
 //! on disk, and an empty record of either kind is a barrier that leaves
-//! no bytes.
+//! no bytes. A log file and an in-memory medium recover through the one
+//! open path: killed at the same point, they reopen to the same frames.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use aodb_store::codec::FramedRecord;
-use aodb_store::{Bytes, FsyncPolicy, GroupWal, StoreError, WalConfig};
+use aodb_store::wal::RecoveredLog;
+use aodb_store::{
+    Bytes, CrashPlan, CrashPoint, FsyncPolicy, GroupWal, MemMedia, StoreError, WalConfig,
+};
 use proptest::prelude::*;
 
 static CASE: AtomicU64 = AtomicU64::new(0);
@@ -92,8 +96,53 @@ fn write_log(
     std::fs::read(path).unwrap()
 }
 
+/// Submits `payloads` one group at a time to `wal`, armed to be killed
+/// with page-cache loss at `plan`, until the first failure.
+fn write_until_killed(wal: GroupWal, payloads: &[Vec<u8>], plan: CrashPlan) {
+    wal.arm_crash(plan);
+    for p in payloads {
+        if wal.submit(Bytes::from(p.clone())).wait().is_err() {
+            break;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One recovery for every medium: the same frames written to a log
+    /// file and to an in-memory medium, each killed with page-cache loss
+    /// at the same event, reopen to equal recovered logs, and each
+    /// medium is truncated to the same length.
+    #[test]
+    fn file_and_memory_media_recover_alike(
+        payloads in payloads(48, 12),
+        point in 0usize..CrashPoint::ALL.len(),
+        at_group in 0u64..12,
+        per_group in any::<bool>(),
+    ) {
+        let config = WalConfig {
+            fsync_policy: if per_group { FsyncPolicy::PerGroup } else { FsyncPolicy::OnDemand },
+        };
+        let plan = CrashPlan { point: CrashPoint::ALL[point], at_group };
+        let path = temp_wal();
+        let media = MemMedia::new();
+        write_until_killed(GroupWal::open(&path, config).unwrap().0, &payloads, plan);
+        write_until_killed(
+            GroupWal::open_with_media(media.clone(), config).unwrap().0,
+            &payloads,
+            plan,
+        );
+
+        let reopen = |(wal, log): (GroupWal, RecoveredLog)| (wal.len(), log);
+        let file = reopen(GroupWal::open(&path, config).unwrap());
+        let mem = reopen(GroupWal::open_with_media(media.clone(), config).unwrap());
+        prop_assert_eq!(&file, &mem);
+        let file_len = std::fs::metadata(&path).unwrap().len();
+        prop_assert_eq!(file_len, media.written().len() as u64);
+        prop_assert_eq!(file_len, file.0);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
 
     /// The same frames give the same file bytes however they go in —
     /// all as bare payloads, all as caller-framed records, or any mix,

@@ -3,7 +3,7 @@
 //! process-restart durability check — the complete architecture of the
 //! paper's Section 5 (actor runtime + cloud storage system) end to end.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -15,7 +15,8 @@ use iot_aodb::runtime::{NetConfig, PreferLocalPlacement, Runtime, SiloId};
 use iot_aodb::shm;
 use iot_aodb::shm::types::DataPoint;
 use iot_aodb::shm::{ShmClient, ShmEnv, Topology, TopologySpec};
-use iot_aodb::store::{Key, LogStore, LogStoreConfig, StateStore};
+use iot_aodb::store::tseries::{TsConfig, TsStore};
+use iot_aodb::store::{Key, LogStore, LogStoreConfig, StateStore, WalConfig};
 
 const T: Duration = Duration::from_secs(15);
 
@@ -25,13 +26,26 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn build_runtime(store: &Arc<dyn StateStore>) -> Runtime {
+/// The SHM env over `store`, its series durable through a WAL file in
+/// `dir`, next to the state store's own files.
+fn durable_shm(store: &Arc<dyn StateStore>, dir: &Path) -> ShmEnv {
+    let series = TsStore::with_wal(
+        Arc::clone(store),
+        TsConfig::default(),
+        dir.join("tseries.wal"),
+        WalConfig::default(),
+    )
+    .unwrap();
+    ShmEnv::paper_default(Arc::clone(store)).with_series_store(Arc::new(series))
+}
+
+fn build_runtime(store: &Arc<dyn StateStore>, shm_env: ShmEnv) -> Runtime {
     let rt = Runtime::builder()
         .silos(2, 2)
         .placement(PreferLocalPlacement)
         .network(NetConfig::lan())
         .build();
-    shm::register_all(&rt, ShmEnv::paper_default(Arc::clone(store)));
+    shm::register_all(&rt, shm_env);
     cattle::register_all(&rt, CattleEnv::new(Arc::clone(store)));
     IndexShard::register(&rt, Arc::clone(store));
     KeyRegistry::register(&rt, Arc::clone(store));
@@ -49,7 +63,7 @@ fn both_platforms_share_one_runtime_and_survive_restart() {
     {
         let store: Arc<dyn StateStore> =
             Arc::new(LogStore::open(LogStoreConfig::new(&dir)).unwrap());
-        let rt = build_runtime(&store);
+        let rt = build_runtime(&store, durable_shm(&store, &dir));
         shm::provision(&rt, &topology, |org| Some(SiloId((org % 2) as u32))).unwrap();
 
         // SHM traffic.
@@ -105,7 +119,7 @@ fn both_platforms_share_one_runtime_and_survive_restart() {
     {
         let store: Arc<dyn StateStore> =
             Arc::new(LogStore::open(LogStoreConfig::new(&dir)).unwrap());
-        let rt = build_runtime(&store);
+        let rt = build_runtime(&store, durable_shm(&store, &dir));
 
         let shm_client = ShmClient::new(rt.handle());
         let stats = shm_client
@@ -145,7 +159,7 @@ fn tenants_are_isolated_in_storage_namespaces() {
     let store = Arc::new(LogStore::open(LogStoreConfig::new(&dir)).unwrap());
     {
         let dyn_store: Arc<dyn StateStore> = Arc::clone(&store) as Arc<dyn StateStore>;
-        let rt = build_runtime(&dyn_store);
+        let rt = build_runtime(&dyn_store, durable_shm(&dyn_store, &dir));
         let topology = Topology::layout(200, TopologySpec::default()); // 2 orgs
         shm::provision(&rt, &topology, |_| None).unwrap();
         rt.shutdown();
@@ -172,7 +186,7 @@ fn tenants_are_isolated_in_storage_namespaces() {
 #[test]
 fn shm_and_cattle_do_not_interfere_under_concurrent_load() {
     let store: Arc<dyn StateStore> = Arc::new(iot_aodb::store::MemStore::new());
-    let rt = build_runtime(&store);
+    let rt = build_runtime(&store, ShmEnv::paper_default(Arc::clone(&store)));
     let topology = Topology::layout(10, TopologySpec::default());
     shm::provision(&rt, &topology, |_| None).unwrap();
     let cc = CattleClient::new(rt.handle());
