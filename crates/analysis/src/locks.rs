@@ -51,13 +51,13 @@ use crate::dataflow::{
     eval_flow, fn_index, for_head_in, is_helper_call, let_binding, resolve_callee, statements,
     FieldClasses, FileModel, FnItem, Transfer,
 };
-use crate::lexer::TokKind;
+use crate::lexer::{skip_group, Tok, TokKind};
 use crate::lint::{turn_request, Finding, Rule};
 use crate::lockgraph::{LockEdge, LockGraph};
 use crate::sendsites::Corpus;
 use crate::taxonomy::{
-    ACQUIRE_METHODS, FREE_BLOCKERS, FS_BLOCKERS, FS_OWNERS, GUARD_HANDOFF_WAITS, LOCK_TYPES,
-    METHOD_BLOCKERS, ZERO_ARG_BLOCKERS,
+    ACQUIRE_METHODS, FREE_BLOCKERS, FS_BLOCKERS, FS_OWNERS, GUARD_HANDOFF_WAITS, GUARD_UNWRAPS,
+    LOCK_TYPES, METHOD_BLOCKERS, ZERO_ARG_BLOCKERS,
 };
 
 // ------------------------------------------------------------- classes
@@ -301,6 +301,25 @@ fn run_tokens(cx: &mut FnCx<'_>, s: &mut LState, idxs: &[usize], depth: u16) {
     }
 }
 
+/// Whether the acquisition whose method name is token `j` ends its
+/// statement (tokens before `end`), maybe through `.unwrap()`,
+/// `.expect(..)` or `.unwrap_or_else(..)`: only then does a pending `let`
+/// bind the guard — the whole initializer, or a borrow of it
+/// (`let g = &*m.lock();`, lifetime-extended). A guard that feeds a
+/// further call (`let t = m.lock().take(k);`) or is an argument
+/// (`let x = f(&m.lock());`) is a temporary and dies at the `;`.
+fn guard_ends_statement(toks: &[Tok], j: usize, end: usize) -> bool {
+    let mut k = j + 3;
+    while k + 2 < end
+        && toks[k].is_punct('.')
+        && GUARD_UNWRAPS.contains(&toks[k + 1].text.as_str())
+        && toks[k + 2].is_punct('(')
+    {
+        k = skip_group(toks, k + 2, end, '(', ')');
+    }
+    k >= end
+}
+
 /// Applies one statement. At its end — a `;`, or a run ending
 /// mid-statement (an `if`/`match` head, whose temporaries are evaluated
 /// before the branch in the common case) — temporaries die and a pending
@@ -367,9 +386,12 @@ fn run_stmt(cx: &mut FnCx<'_>, s: &mut LState, idxs: &[usize], depth: u16) {
                 }
             }
             if class.is_some() || cx.admit_unresolved {
+                let end = idxs.last().map_or(j, |&last| last + 1);
                 s.held.push(HeldGuard {
                     class,
-                    name: pending_let.take(),
+                    name: pending_let
+                        .take()
+                        .filter(|_| guard_ends_statement(toks, j, end)),
                     line: t.line,
                     depth,
                 });

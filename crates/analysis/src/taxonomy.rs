@@ -19,6 +19,12 @@ pub(crate) const LOCK_TYPES: &[&str] = &["Mutex", "RwLock", "Condvar"];
 /// `stream.read(&mut b)` take arguments and are I/O, not locks).
 pub(crate) const ACQUIRE_METHODS: &[&str] = &["lock", "read", "write"];
 
+/// Calls on an acquisition's result that still yield its guard
+/// (`m.lock().unwrap()` on a `std::sync` mutex): a `let` ending in them
+/// binds the guard. Any other call after the acquisition leaves the
+/// guard a temporary.
+pub(crate) const GUARD_UNWRAPS: &[&str] = &["unwrap", "expect", "unwrap_or_else"];
+
 /// `std::sync` primitives that are off-convention where `parking_lot`
 /// is used (atomics, `Arc` and channels are fine — only the poisonable
 /// locks are flagged).

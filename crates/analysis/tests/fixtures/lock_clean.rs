@@ -39,6 +39,22 @@ impl Ledger {
         t
     }
 
+    /// Temporary guard feeding a further call: `n` binds the length, not
+    /// the guard, which dies at the `;`.
+    pub fn count_then_settle(&self) -> usize {
+        let n = self.entries.lock().len();
+        std::thread::sleep(Duration::from_millis(1));
+        n
+    }
+
+    /// Temporary guard passed as an argument: it dies with its
+    /// statement, before the sleep.
+    pub fn copy_then_settle(&self) -> Vec<u64> {
+        let copy = copy_of(&self.entries.lock());
+        std::thread::sleep(Duration::from_millis(1));
+        copy
+    }
+
     /// Nested acquisition, but always entries-then-totals: a consistent
     /// order contributes an edge without forming a cycle.
     pub fn settle(&self) {
@@ -46,4 +62,8 @@ impl Ledger {
         let mut totals = self.totals.write();
         *totals += entries.iter().sum::<u64>();
     }
+}
+
+fn copy_of(entries: &[u64]) -> Vec<u64> {
+    entries.to_vec()
 }

@@ -98,6 +98,46 @@ fn guard_handoff_and_in_memory_append_are_not_holds() {
     assert!(analysis.graph.edges().is_empty());
 }
 
+/// A `let` binds a guard only when the acquisition is its whole
+/// initializer — maybe unwrapped, or borrowed and so lifetime-extended;
+/// a guard feeding a further call or an argument dies at the `;`.
+#[test]
+fn let_binds_a_guard_only_when_the_acquisition_is_the_initializer() {
+    let source = |body: &str| {
+        format!(
+            "use parking_lot::Mutex;\n\
+             pub struct Log {{ series: Mutex<Vec<u64>>, backing: Store }}\n\
+             impl Log {{\n    pub fn write(&self) {{\n        {body}\n        \
+             self.backing.put(1, 2);\n    }}\n}}\n"
+        )
+    };
+    let holds = |body: &str| {
+        let corpus = Corpus::from_sources(vec![(PathBuf::from("log.rs"), source(body))]);
+        let findings = lockcheck_corpus(&corpus).findings;
+        assert!(findings.iter().all(|f| f.rule == Rule::LockAcrossBlocking));
+        !findings.is_empty()
+    };
+    for bound in [
+        "let g = self.series.lock();",
+        "let g = &*self.series.lock();",
+        "let mut g = self.series.lock().unwrap();",
+        "let g = self.series.lock().expect(\"poisoned\");",
+    ] {
+        assert!(holds(bound), "`{bound}` binds its guard");
+    }
+    for temporary in [
+        "let n = self.series.lock().len();",
+        "let t = self.series.lock().unwrap().pop();",
+        "let staged = Staged::of(1, &self.series.lock());",
+        "let record = encode(&self.series.lock(), 2);",
+    ] {
+        assert!(
+            !holds(temporary),
+            "`{temporary}` holds nothing past its `;`"
+        );
+    }
+}
+
 #[test]
 fn lock_graph_dot_matches_golden_file() {
     let analysis = lockcheck_corpus(&fixture_corpus(&[

@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the storage substrate: in-memory and
 //! log-structured stores, codec framing, the tseries point codec, range
-//! scans and recovery of the tseries WAL.
+//! scans, sealing appends and recovery of the tseries WAL.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -253,6 +253,55 @@ fn bench_scan_range(c: &mut Criterion) {
     group.finish();
 }
 
+/// One sealing append over a `LogStore` in a temporary directory: a
+/// one-point append that fills a 512-point tail and seals it, which
+/// commits its delta and puts the sealed block's record. Each iteration's
+/// setup, not timed, appends the tail's first 511 points and checkpoints,
+/// so the WAL stays short and no checkpoint lands in a timed append. The
+/// WAL does not fsync, so the row prices the engine and its puts, not
+/// the device.
+fn bench_tseries_seal(c: &mut Criterion) {
+    const BLOCK: u64 = 512;
+    let dir = std::env::temp_dir().join(format!("aodb-bench-seal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let backing = LogStore::open(LogStoreConfig::new(dir.join("store"))).unwrap();
+    let ts = TsStore::with_wal(
+        Arc::new(backing) as Arc<dyn StateStore>,
+        TsConfig::default(),
+        dir.join("ts_wal.log"),
+        WalConfig {
+            fsync_policy: FsyncPolicy::OnDemand,
+        },
+    )
+    .unwrap();
+    // Quantized 10 Hz sensor signal, same as the scan rows.
+    let point = |i: u64| (i * 100, 20.0 + (i % 16) as f64 * 0.25);
+    let meta = b"org-1/ch-0001/seq=00000042/watermark=00004200";
+    let mut next = 0u64;
+
+    let mut group = c.benchmark_group("tseries_seal");
+    group.bench_function("sealing_append_log", |b| {
+        b.iter_batched(
+            || {
+                let first: Vec<(u64, f64)> = (next..next + BLOCK - 1).map(point).collect();
+                ts.append_batch("s", &first, meta).unwrap();
+                ts.checkpoint().unwrap();
+                next += BLOCK;
+                point(next - 1)
+            },
+            |last| {
+                let outcome = ts.append_batch("s", &[last], meta).unwrap();
+                assert_eq!(outcome.sealed, 1);
+                outcome
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    group.finish();
+    drop(ts);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Recovery of a group-commit tseries WAL, the work a restart does
 /// before its first request: open the log (read it, check every delta)
 /// and recover every series in it (load its image, apply its deltas).
@@ -320,6 +369,6 @@ criterion_group! {
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_secs(1))
         .sample_size(20);
-    targets = bench_mem, bench_log, bench_codec, bench_point_codec, bench_scan_range, bench_wal_recovery
+    targets = bench_mem, bench_log, bench_codec, bench_point_codec, bench_scan_range, bench_tseries_seal, bench_wal_recovery
 }
 criterion_main!(benches);

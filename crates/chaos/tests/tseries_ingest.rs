@@ -9,8 +9,9 @@
 //! atomically with the points they admit.
 //!
 //! Small sealed blocks (16 points vs 5-point batches) make the scheduled
-//! kills straddle seal boundaries, exercising the tail-record commit
-//! protocol's pending-block window.
+//! kills straddle seal boundaries, exercising the window between a
+//! seal's block record and the checkpoint's tail record that counts it,
+//! where recovery replays the deltas and re-seals the block.
 
 use std::sync::Arc;
 use std::time::Duration;

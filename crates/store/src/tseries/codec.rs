@@ -104,6 +104,11 @@ struct CodecState {
     window_len: u8,
 }
 
+/// The most one appended point can grow a block's payload, in whole
+/// bytes: a 69-bit timestamp (`11111` + 64 bits) and a 78-bit value
+/// (`11` + 12 window bits + 64 bits), 147 bits, round up to 19 bytes.
+pub(crate) const MAX_POINT_BYTES: usize = 19;
+
 /// Incremental compressor: the mutable tail block. Points append one at
 /// a time; the state is exactly what the next point's encoding needs, so
 /// a tail survives process restart by [`PointCompressor::resume`]: the

@@ -10,20 +10,28 @@
 //!   (the [`codec`](crate::tseries::codec) byte format).
 //! * `tseries / <series> / tail` — the **tail record**: the series'
 //!   checkpoint, holding the caller's metadata blob, the compressed
-//!   image of the open tail block, the count of sealed blocks, and any
-//!   sealed block whose own record is not yet written.
+//!   image of the open tail block and the count of sealed blocks. The
+//!   layout also has room for sealed blocks carried inline as *pending*
+//!   copies: this engine writes none, but reads them from records older
+//!   engines wrote at each seal.
 //!
 //! ## Commit protocol (why appends are crash-atomic)
 //!
 //! Every append stages its points in memory and commits as one delta
 //! frame in the store's [`GroupWal`]: the points, the caller's metadata
 //! (ingest dedup watermarks ride here — atomically with the points they
-//! admit) and the series' point count before them. Tail records are
-//! written at seals and checkpoints, each before the blocks it carries
-//! inline as *pending* entries, which are unpinned once their own
-//! records land. Recovery loads the tail record (replaying a pending
-//! block whose own write was lost) and applies the deltas past its point
-//! count; a crash before a delta's group commits loses only the
+//! admit) and the series' point count before them. A seal puts its block
+//! record at once; tail records are written only by checkpoints, each
+//! after the block records it counts, and a checkpoint syncs the backing
+//! store before it resets the WAL. This rests on one ordering
+//! assumption: a backing put that returned is durable no later than any
+//! later put (a `LogStore` is one ordered log), so a durable tail record
+//! implies durable records of every block it counts. Recovery loads the
+//! tail record and applies the deltas past its point count, re-sealing
+//! wherever the live appends sealed; a block record that no tail record
+//! counts yet (a crash between a seal and the next checkpoint) is
+//! ignored, and overwritten by its re-sealed block before a tail record
+//! counts it. A crash before a delta's group commits loses only the
 //! unacknowledged batch (the client retransmits, and the dedup watermark
 //! still reflects the last acknowledged batch, so the retransmission is
 //! admitted exactly once).
@@ -47,7 +55,9 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::api::{Key, StateStore, StoreError, StoreResult};
 use crate::codec::{FramedRecord, Reader, Writer};
-use crate::tseries::codec::{decode_block, decode_index, BlockIndex, PointCompressor};
+use crate::tseries::codec::{
+    decode_block, decode_index, BlockIndex, PointCompressor, MAX_POINT_BYTES,
+};
 use crate::wal::{open_log_file, FsyncPolicy, GroupWal, MemMedia, RecoveredLog, WalConfig};
 use crate::wal::{WalMedia, WalStatsSnapshot};
 
@@ -63,8 +73,8 @@ const TAIL_MAGIC: &[u8; 4] = b"TST1";
 /// whose CRC covers it — the delta carries no checksum of its own.
 // aodb-schema: layout(TSW1) = magic[4] base_points:u64 series_len:u32 series meta_len:u32 meta count:u32 (ts:u64 value_bits:u64)*
 const TS_WAL_MAGIC: &[u8; 4] = b"TSW1";
-/// WAL size that triggers a checkpoint (tail records for every dirty
-/// series + WAL reset).
+/// WAL size that triggers a checkpoint (block and tail records for every
+/// dirty series + WAL reset).
 const TS_WAL_CHECKPOINT_BYTES: u64 = 8 * 1024 * 1024;
 
 fn block_sort(seq: u64) -> String {
@@ -95,8 +105,8 @@ pub struct TsConfig {
 impl Default for TsConfig {
     /// 512-point / 16 KiB / 1-hour seal triggers.
     ///
-    /// Every tail record (each seal's, each checkpoint's) carries the open
-    /// tail's image, so the tail stays small, while the fixed per-block
+    /// Every tail record a checkpoint writes carries the open tail's
+    /// image, so the tail stays small, while the fixed per-block
     /// overhead (44-byte header + CRC) stays under 0.1 bytes/point.
     fn default() -> Self {
         TsConfig {
@@ -222,7 +232,10 @@ pub trait SeriesStore: Send + Sync + 'static {
     }
 
     /// Force-seals the open tail into an immutable block (no-op when the
-    /// tail is empty).
+    /// tail is empty). A force seal changes the layout, not the data:
+    /// [`TsStore`] puts the block record, unsynced, and leaves the tail
+    /// record that counts it to the next checkpoint, so a crash before
+    /// that brings the points back in the open tail.
     fn seal(&self, series: &str) -> StoreResult<()>;
 
     /// Loads the series from the backing store (idempotent; appends and
@@ -246,13 +259,12 @@ struct Series {
     /// The caller's metadata blob of the last append. A plain buffer,
     /// overwritten in place: it changes on every append.
     meta: Vec<u8>,
-    /// Sealed blocks committed via the tail record whose own block
-    /// record is not yet confirmed written; they ride every tail record
-    /// until unpinned.
+    /// Sealed blocks whose own record is not yet confirmed written. A
+    /// checkpoint puts them before the tail record that counts them.
     pending: Vec<(u64, Bytes)>,
-    /// This series is in [`WalState::dirty`]. Lets a
-    /// delta append skip the global set (a mutex and a `String`) unless
-    /// it is the first since the last tail record. Changed only under
+    /// This series is in [`WalState::dirty`]. Lets an append skip the
+    /// global set (a mutex and a `String`) unless it is the first since
+    /// the last tail record. Changed only under
     /// this entry's lock; whoever sets it inserts into the set before
     /// releasing that lock, so a set bit always has its set entry — the
     /// direction a checkpoint depends on.
@@ -266,18 +278,16 @@ impl Series {
     }
 }
 
-/// Records staged under the series lock, written after it drops (see
-/// [`TsStore::write_staged`]).
+/// Block records staged under the series lock, written after it drops
+/// (see [`TsStore::write_staged`]).
 struct StagedWrites {
-    tail: (Key, Bytes),
     blocks: Vec<(u64, Key, Bytes)>,
 }
 
 impl StagedWrites {
-    /// The tail record of `s` and the records of its pending blocks.
+    /// The records of `s`'s pending blocks.
     fn of(series: &str, s: &Series) -> StagedWrites {
         StagedWrites {
-            tail: (tail_key(series), Bytes::from(encode_tail_record(s))),
             blocks: s
                 .pending
                 .iter()
@@ -324,8 +334,9 @@ struct WalState {
     /// Appends hold this for read; a checkpoint holds it for write so
     /// the tail-record sweep + WAL reset see no append in flight.
     rotation: RwLock<()>,
-    /// Series with WAL deltas not yet covered by a durable tail record;
-    /// the checkpoint writes their tail records before resetting.
+    /// Series whose WAL deltas or sealed blocks no durable tail record
+    /// covers yet; the checkpoint writes their tail records before
+    /// resetting.
     /// Mirrored per series in [`Series::dirty`]. Lock order: a series'
     /// entry lock, then this.
     dirty: Mutex<HashSet<String>>,
@@ -349,17 +360,18 @@ impl TsStore {
     /// over `media`: each append writes a compact delta frame, and its
     /// ack resolves when the delta's group commits — one coalesced write
     /// and one fsync amortized over every concurrently-appending series.
-    /// Tail records are written at seal time (unsynced: the sealing
-    /// append's delta is what its ack waits for) and at checkpoints (when
-    /// the WAL outgrows its threshold it is reset after a tail-record
-    /// sweep over the dirty series and a sync of the backing store).
+    /// A seal puts its block records at once (unsynced: the sealing
+    /// append's delta is what its ack waits for). Tail records are
+    /// written only at checkpoints: when the WAL outgrows its threshold
+    /// it is reset after a sweep that puts each dirty series' unwritten
+    /// blocks and then its tail record, and a sync of the backing store.
     ///
     /// Recovery replays WAL deltas on top of the backing store, using
     /// each delta's durable-point watermark to skip those a later tail
     /// record already covers — applying each committed append exactly
-    /// once. The log is read once; every delta in it is checked here,
-    /// where it lies, and applied from the same buffer at its series'
-    /// first touch.
+    /// once — and sealing a block wherever the live appends did. The log
+    /// is read once; every delta in it is checked here, where it lies,
+    /// and applied from the same buffer at its series' first touch.
     pub fn new(
         backing: Arc<dyn StateStore>,
         config: TsConfig,
@@ -461,10 +473,13 @@ impl TsStore {
         // puts the frames back: every touch fails the same way, and no
         // checkpoint can persist a partial image and reset the WAL.
         let Some((log, frames)) = self.wal.replay.lock().take(series) else {
+            if loaded.dirty {
+                self.wal.dirty.lock().insert(series.to_owned());
+            }
             *s = loaded;
             return Ok(());
         };
-        if let Err(e) = apply_wal_deltas(series, &mut loaded, &log, &frames) {
+        if let Err(e) = apply_wal_deltas(&self.config, series, &mut loaded, &log, &frames) {
             self.wal.replay.lock().put_back(series, log, frames);
             return Err(e);
         }
@@ -474,19 +489,23 @@ impl TsStore {
         Ok(())
     }
 
-    /// Reads a series image from the backing store (no locks held).
+    /// Reads a series image from the backing store (no locks held). A
+    /// tail record that carries pending copies marks the image dirty, so
+    /// the next checkpoint rewrites it without them.
     fn load_series(&self, series: &str) -> StoreResult<Series> {
         let mut s = Series {
             recovered: true,
             ..Series::default()
         };
         let Some(record) = self.backing.get(&tail_key(series))? else {
-            return Ok(s); // fresh series (blocks are written only after
-                          // a tail record exists, so nothing else can)
+            // A fresh series: block records no tail record counts are
+            // left by a crash before the first checkpoint, and ignored.
+            return Ok(s);
         };
         let tail = decode_tail_record(&record)?;
         s.meta = tail.meta.to_vec();
         s.sealed_points = tail.sealed_points;
+        s.dirty = !tail.pending.is_empty();
 
         // Materialize every committed block: its own record when the
         // post-commit write landed, the inline pending copy otherwise.
@@ -521,7 +540,7 @@ impl TsStore {
         s.tail = PointCompressor::resume(tail.tail_block)?;
 
         // Finish any interrupted post-commit block writes now, so the
-        // next tail record no longer needs to carry them.
+        // next tail record can count them without a copy.
         for (key, bytes) in repair {
             self.backing.put(&key, bytes)?;
         }
@@ -544,7 +563,7 @@ impl TsStore {
         };
         for &(ts, v) in points {
             s.tail.append(ts, v);
-            if self.should_seal(&s.tail) {
+            if should_seal(&self.config, &s.tail) {
                 seal_tail(s);
                 outcome.sealed += 1;
             }
@@ -559,14 +578,11 @@ impl TsStore {
         outcome
     }
 
-    /// Backing I/O for staged records — no guard held. The tail record
-    /// goes first (it carries the blocks as pending); pending blocks are
-    /// unpinned only once their own records land (a failed block write
-    /// stays pending and rides the next tail record, so it can never be
-    /// lost).
+    /// Backing I/O for staged block records — no guard held. Each block
+    /// is unpinned once its record lands; one whose put fails stays
+    /// pending, with every block after it, and the checkpoint puts them
+    /// before the tail record that counts them, so none can be lost.
     fn write_staged(&self, entry: &Mutex<Series>, staged: StagedWrites) -> StoreResult<()> {
-        let (key, record) = staged.tail;
-        self.backing.put(&key, record)?;
         for (seq, key, bytes) in staged.blocks {
             self.backing.put(&key, bytes)?;
             entry.lock().pending.retain(|(s, _)| *s != seq);
@@ -578,15 +594,14 @@ impl TsStore {
     /// series lock and queues one delta frame to the WAL committer;
     /// `ack` resolves when the delta's group commits. An append that
     /// seals a block is no exception: its durability is its delta's, so
-    /// the thread that ran it never waits for the device. The tail and
-    /// block records the seal produces are written at once but not
-    /// synced — an early checkpoint of this one series. Until a sync of
-    /// the backing store reaches them (every checkpoint syncs before it
-    /// resets the WAL) recovery gets the same points from the WAL, whose
-    /// deltas a surviving tail record makes it skip.
+    /// the thread that ran it never waits for the device. The seal puts
+    /// its block records at once, unsynced, and leaves the tail record
+    /// that counts them to the next checkpoint: until then recovery gets
+    /// the same points from the WAL and re-seals the same blocks.
     ///
     /// Only a force-seal with nothing to log has no delta to ride: it
-    /// writes and syncs the tail record before acking.
+    /// puts its block record, unsynced, before acking, and marks the
+    /// series dirty so that the checkpoint writes its tail record.
     fn append_via_wal(
         &self,
         series: &str,
@@ -602,74 +617,42 @@ impl TsStore {
             return;
         }
 
-        enum Plan {
-            /// Ack handed to the WAL committer; the records of a seal, if
-            /// there was one, are still to be written.
-            Deferred(Option<StagedWrites>),
-            /// Nothing to persist (empty append).
-            Noop,
-            /// Force-seal without a delta: synchronous tail-record path.
-            Full(StagedWrites),
-        }
-        let mut ack = Some(ack);
-        let (outcome, plan) = {
-            let _rotation = ws.rotation.read();
+        // One rotation read guard covers the staging, the delta's queue
+        // slot and the seal's block puts, so no checkpoint resets the WAL
+        // or sweeps this series in between.
+        let rotation = ws.rotation.read();
+        let (outcome, sealed, ack) = {
             let mut s = entry.lock();
             let base = s.sealed_points + s.tail.count() as u64;
             let outcome = self.stage(&mut s, points, meta, force_seal);
             let sealed = (outcome.sealed > 0).then(|| StagedWrites::of(series, &s));
-            let plan = if points.is_empty() && meta.is_none() {
-                sealed.map_or(Plan::Noop, Plan::Full)
-            } else {
-                // Submitted under the series lock (so same-series deltas
-                // enqueue in apply order) and the rotation read guard
-                // (so a checkpoint can't reset the WAL between the tail
-                // mutation and the queue slot).
+            let logged = !points.is_empty() || meta.is_some();
+            // Whatever changed is left to the checkpoint's tail record.
+            if (logged || sealed.is_some()) && !s.dirty {
+                s.dirty = true;
+                ws.dirty.lock().insert(series.to_string());
+            }
+            let ack = if logged {
+                // Submitted under the series lock, so same-series deltas
+                // enqueue in apply order; the committer acks it.
                 let record = encode_wal_delta(series, base, &s.meta, points);
-                if !s.dirty {
-                    s.dirty = true;
-                    ws.dirty.lock().insert(series.to_string());
-                }
-                let ack = ack.take().expect("ack consumed once");
                 ws.wal.submit_append(record, ack, outcome);
-                Plan::Deferred(sealed)
+                None
+            } else {
+                Some(ack)
             };
-            (outcome, plan)
+            (outcome, sealed, ack)
         };
-
-        // Once a seal's records are written the tail record covers every
-        // queued delta of this series and the checkpoint no longer needs
-        // to sweep it.
-        let write_sealed = |staged: StagedWrites| -> StoreResult<()> {
-            self.write_staged(&entry, staged)?;
-            let mut s = entry.lock();
-            if s.dirty {
-                s.dirty = false;
-                ws.dirty.lock().remove(series);
-            }
-            Ok(())
-        };
-        match plan {
-            Plan::Deferred(None) => {}
-            Plan::Deferred(Some(staged)) => {
-                // A failed write costs nothing but the shortcut: the
-                // delta is in the WAL, the series is still marked dirty
-                // and the next checkpoint writes its tail record.
-                let _rotation = ws.rotation.read();
-                let _ = write_sealed(staged);
-            }
-            Plan::Noop => (ack.take().expect("ack consumed once"))(Ok(outcome)),
-            Plan::Full(staged) => {
-                let commit = || {
-                    let _rotation = ws.rotation.read();
-                    write_sealed(staged)?;
-                    if ws.fsync == FsyncPolicy::PerGroup {
-                        self.backing.sync()?;
-                    }
-                    Ok(outcome)
-                };
-                (ack.take().expect("ack consumed once"))(commit());
-            }
+        // The seal's block records, with the series lock released. A
+        // failed put costs a logged append nothing: its delta is in the
+        // WAL, and the checkpoint puts the still-pending block before the
+        // tail record that counts it.
+        let written = sealed.map_or(Ok(()), |staged| self.write_staged(&entry, staged));
+        drop(rotation);
+        // Only an append with nothing to log (an empty one, or a force
+        // seal) acks here, after its block put.
+        if let Some(ack) = ack {
+            ack(written.map(|()| outcome));
         }
 
         if ws.wal.len() >= TS_WAL_CHECKPOINT_BYTES {
@@ -679,9 +662,12 @@ impl TsStore {
         }
     }
 
-    /// Checkpoint: writes a tail record for every dirty series (folding
-    /// their WAL deltas into the backing store), then resets the WAL.
-    /// No-op when a checkpoint is already in flight.
+    /// Checkpoint: for every dirty series, in name order, puts its
+    /// unwritten blocks and then its tail record, which counts them and
+    /// carries none (folding the series' WAL deltas into the backing
+    /// store); then syncs the backing store and resets the WAL. The only
+    /// writer of tail records. No-op when a checkpoint is already in
+    /// flight.
     pub fn checkpoint(&self) -> StoreResult<()> {
         let ws = &self.wal;
         let Some(_rotation) = ws.rotation.try_write() else {
@@ -695,36 +681,35 @@ impl TsStore {
             let entry = self.entry(&name);
             self.ensure_recovered(&name, &entry)?;
         }
-        let names: Vec<String> = {
-            let mut dirty = ws.dirty.lock();
-            let names = dirty.iter().cloned().collect();
-            dirty.clear();
-            names
-        };
-        let mut result = Ok(());
+        // Sorted, so that one sequence of appends writes one log.
+        let mut names: Vec<String> = ws.dirty.lock().drain().collect();
+        names.sort_unstable();
         for (i, name) in names.iter().enumerate() {
             let entry = self.entry(name);
-            let record = {
-                let s = entry.lock();
-                Bytes::from(encode_tail_record(&s))
-            };
-            if let Err(e) = self.backing.put(&tail_key(name), record) {
+            if let Err(e) = self.write_checkpoint(name, &entry) {
                 // Restore the unswept remainder (this series included)
                 // so the next checkpoint retries them; the WAL is not
                 // reset, so nothing is lost. Their bits are still set.
                 ws.dirty.lock().extend(names[i..].iter().cloned());
-                result = Err(e);
-                break;
+                return Err(e);
             }
-            // No append runs under the rotation write guard, so the bit
-            // cannot have been re-set since the record was encoded.
             entry.lock().dirty = false;
         }
-        result?;
         if ws.fsync == FsyncPolicy::PerGroup {
             self.backing.sync()?;
         }
         ws.wal.reset()
+    }
+
+    /// Puts one dirty series' unwritten blocks, then its tail record,
+    /// which counts them and carries none.
+    fn write_checkpoint(&self, series: &str, entry: &Mutex<Series>) -> StoreResult<()> {
+        let staged = StagedWrites::of(series, &entry.lock());
+        self.write_staged(entry, staged)?;
+        // No append runs under the checkpoint's rotation write guard: the
+        // record counts exactly the blocks put above.
+        let record = Bytes::from(encode_tail_record(&entry.lock()));
+        self.backing.put(&tail_key(series), record)
     }
 
     /// Runs a WAL append synchronously (blocks on the group commit).
@@ -747,16 +732,6 @@ impl TsStore {
         );
         rx.recv()
             .unwrap_or_else(|_| Err(StoreError::Io("wal append ack was dropped".into())))
-    }
-
-    fn should_seal(&self, tail: &PointCompressor) -> bool {
-        if tail.count() == 0 {
-            return false;
-        }
-        let idx = tail.index();
-        tail.count() >= self.config.seal_points
-            || tail.payload_bytes() >= self.config.seal_bytes
-            || idx.max_ts.saturating_sub(idx.min_ts) >= self.config.seal_age_ms
     }
 
     /// Storage footprint of one series (0-stats when unknown).
@@ -787,6 +762,18 @@ impl TsStore {
         }
         total
     }
+}
+
+/// Whether `tail` is due to seal: the triggers every append, live or
+/// replayed, tests after each point.
+fn should_seal(config: &TsConfig, tail: &PointCompressor) -> bool {
+    if tail.count() == 0 {
+        return false;
+    }
+    let idx = tail.index();
+    tail.count() >= config.seal_points
+        || tail.payload_bytes() >= config.seal_bytes
+        || idx.max_ts.saturating_sub(idx.min_ts) >= config.seal_age_ms
 }
 
 fn seal_tail(s: &mut Series) {
@@ -1070,7 +1057,14 @@ fn decode_wal_delta(buf: &[u8]) -> StoreResult<WalDelta<'_>> {
 /// later tail record already covers it (skip — this is what makes
 /// replay exactly-once); equal means apply; above means a gap — the WAL
 /// and backing store disagree, which recovery must not paper over.
+///
+/// Points are applied as [`TsStore::stage`] applied them live, sealing
+/// after each one that trips a trigger, so the image has the blocks it
+/// had before the restart; they stay pending until the checkpoint puts
+/// them. The triggers are tested point by point only for a delta that
+/// can reach one.
 fn apply_wal_deltas(
+    config: &TsConfig,
     series: &str,
     s: &mut Series,
     log: &RecoveredLog,
@@ -1089,12 +1083,32 @@ fn apply_wal_deltas(
                 delta.base_points
             )));
         }
+        let may = may_seal(config, &s.tail, &delta);
         for (ts, v) in delta.points() {
             s.tail.append(ts, v);
+            if may && should_seal(config, &s.tail) {
+                seal_tail(s);
+            }
         }
         s.set_meta(delta.meta);
     }
     Ok(())
+}
+
+/// Whether appending `delta`'s points to `tail` can trip a seal
+/// trigger: a bound from above on the count, the compressed size and the
+/// data-time span the tail would reach.
+fn may_seal(config: &TsConfig, tail: &PointCompressor, delta: &WalDelta<'_>) -> bool {
+    let n = delta.point_bytes.len() / 16;
+    let idx = tail.index();
+    let (lo, hi) = delta
+        .points()
+        .fold((idx.min_ts, idx.max_ts), |(lo, hi), (ts, _)| {
+            (lo.min(ts), hi.max(ts))
+        });
+    tail.count() as usize + n >= config.seal_points as usize
+        || tail.payload_bytes() + n * MAX_POINT_BYTES >= config.seal_bytes
+        || hi.saturating_sub(lo) >= config.seal_age_ms
 }
 
 #[cfg(test)]
@@ -1343,14 +1357,19 @@ mod tests {
                 WalConfig::default(),
             )
             .unwrap();
-            // 12 points: the append that reaches 8 also writes the tail
-            // record, which covers every delta up to there.
+            // 12 points, one seal. The checkpoint's tail record covers
+            // every delta; a crash after its puts but before its WAL reset
+            // leaves the deltas in the log, as the copy restored below.
             for chunk in pts(0..12).chunks(2) {
                 ts.append_batch("s", chunk, b"m").unwrap();
             }
+            assert!(backing.get(&tail_key("s")).unwrap().is_none());
+            std::fs::copy(&path, path.with_extension("kept")).unwrap();
+            ts.checkpoint().unwrap();
             assert!(backing.get(&tail_key("s")).unwrap().is_some());
         }
-        // Recovery must not double-apply the deltas the seal-time tail
+        std::fs::rename(path.with_extension("kept"), &path).unwrap();
+        // Recovery must not double-apply the deltas the checkpoint's tail
         // record already covers.
         let ts = TsStore::with_wal(
             Arc::clone(&backing),
@@ -1534,11 +1553,12 @@ mod tests {
     /// A `MemStore` whose `put` starts failing after a set number of
     /// successes (until re-armed), to interrupt a checkpoint sweep — or,
     /// with `lose` set, reports success and keeps nothing, which is what
-    /// a crash makes of a write that was never synced.
+    /// a crash makes of a write that was never synced. It counts syncs.
     struct FailingPuts {
         inner: MemStore,
         puts_left: std::sync::atomic::AtomicI64,
         lose: std::sync::atomic::AtomicBool,
+        syncs: std::sync::atomic::AtomicU64,
     }
 
     impl FailingPuts {
@@ -1547,7 +1567,12 @@ mod tests {
                 inner: MemStore::new(),
                 puts_left: std::sync::atomic::AtomicI64::new(i64::MAX),
                 lose: std::sync::atomic::AtomicBool::new(false),
+                syncs: std::sync::atomic::AtomicU64::new(0),
             })
+        }
+
+        fn syncs(&self) -> u64 {
+            self.syncs.load(std::sync::atomic::Ordering::Relaxed)
         }
     }
 
@@ -1573,6 +1598,11 @@ mod tests {
         }
         fn scan_prefix(&self, prefix: &[u8]) -> StoreResult<Vec<(Key, Bytes)>> {
             self.inner.scan_prefix(prefix)
+        }
+        fn sync(&self) -> StoreResult<()> {
+            self.syncs
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Ok(())
         }
     }
 
@@ -1656,7 +1686,7 @@ mod tests {
     }
 
     #[test]
-    fn sealing_append_clears_the_dirty_bit() {
+    fn sealing_append_leaves_its_tail_record_to_the_checkpoint() {
         let backing: Arc<dyn StateStore> = Arc::new(MemStore::new());
         let ts = TsStore::with_wal(
             Arc::clone(&backing),
@@ -1667,13 +1697,140 @@ mod tests {
         .unwrap();
         ts.append_batch("s", &pts(0..6), b"m").unwrap();
         assert_eq!(dirty_view(&ts, &["s"]).0, ["s"]);
-        // Crosses the 8-point seal: the tail record now covers the delta.
+        // Crosses the 8-point seal: the block record is written, the
+        // tail record is not, and the series stays dirty.
         ts.append_batch("s", &pts(6..9), b"m").unwrap();
+        let dirty = (vec!["s".to_string()], vec!["s".to_string()]);
+        assert_eq!(dirty_view(&ts, &["s"]), dirty);
+        assert!(backing.get(&block_key("s", 0)).unwrap().is_some());
+        assert!(backing.get(&tail_key("s")).unwrap().is_none());
+        // The checkpoint writes the tail record and clears the bit.
+        ts.checkpoint().unwrap();
+        assert!(backing.get(&tail_key("s")).unwrap().is_some());
         assert_eq!(dirty_view(&ts, &["s"]), (Vec::new(), Vec::new()));
         // The next delta marks it again.
         ts.append_batch("s", &pts(9..10), b"m").unwrap();
-        let (bits, set) = dirty_view(&ts, &["s"]);
-        assert_eq!((bits, set), (vec!["s".to_string()], vec!["s".to_string()]));
+        assert_eq!(dirty_view(&ts, &["s"]), dirty);
+    }
+
+    /// A force seal puts its block record and nothing else, unsynced, and
+    /// marks the series for the checkpoint, which writes the tail record
+    /// that counts the block and syncs.
+    #[test]
+    fn force_seal_puts_its_block_unsynced_and_marks_the_series() {
+        let backing = FailingPuts::new();
+        let ts = TsStore::with_wal(
+            Arc::clone(&backing) as Arc<dyn StateStore>,
+            TsConfig::default(),
+            temp_wal("force-seal"),
+            WalConfig::default(),
+        )
+        .unwrap();
+        ts.append_batch("s", &pts(0..5), b"m").unwrap();
+        ts.checkpoint().unwrap();
+        assert_eq!(dirty_view(&ts, &["s"]), (Vec::new(), Vec::new()));
+        let syncs = backing.syncs();
+
+        ts.seal("s").unwrap();
+        assert_eq!(backing.syncs(), syncs, "a force seal does not sync");
+        assert!(backing.inner.get(&block_key("s", 0)).unwrap().is_some());
+        let record = backing.inner.get(&tail_key("s")).unwrap().unwrap();
+        assert_eq!(decode_tail_record(&record).unwrap().sealed_blocks, 0);
+        let dirty = (vec!["s".to_string()], vec!["s".to_string()]);
+        assert_eq!(dirty_view(&ts, &["s"]), dirty);
+
+        ts.checkpoint().unwrap();
+        assert_eq!(backing.syncs(), syncs + 1);
+        let record = backing.inner.get(&tail_key("s")).unwrap().unwrap();
+        let tail = decode_tail_record(&record).unwrap();
+        assert_eq!((tail.sealed_blocks, tail.pending.len()), (1, 0));
+    }
+
+    /// A force seal that a crash cuts off from its checkpoint leaves an
+    /// orphan block record. The points come back in the open tail, and
+    /// the block that next takes its sequence number replaces the orphan
+    /// before any tail record counts it — here through the checkpoint,
+    /// because the live put of that block fails.
+    #[test]
+    fn orphan_block_of_a_lost_force_seal_is_overwritten_before_it_counts() {
+        let backing = FailingPuts::new();
+        let media = MemMedia::new();
+        let config = TsConfig::sealing_every(8);
+        {
+            let ts = open(&(Arc::clone(&backing) as _), config, &media);
+            ts.append_batch("s", &pts(0..5), b"m1").unwrap();
+            ts.seal("s").unwrap();
+        } // dropped without a checkpoint
+        let orphan = backing.inner.get(&block_key("s", 0)).unwrap().unwrap();
+        assert_eq!(decode_index(&orphan).unwrap().count, 5);
+        assert!(backing.inner.get(&tail_key("s")).unwrap().is_none());
+
+        let ts = open(&(Arc::clone(&backing) as _), config, &media);
+        assert_eq!(ts.recover("s").unwrap().points, 5);
+        let stats = ts.stats("s");
+        assert_eq!((stats.sealed_blocks, stats.tail_points), (0, 5));
+        assert_eq!(ts.scan_range("s", 0, u64::MAX, 0).unwrap(), pts(0..5));
+        backing
+            .puts_left
+            .store(0, std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(ts.append_batch("s", &pts(5..9), b"m2").unwrap().sealed, 1);
+        backing
+            .puts_left
+            .store(i64::MAX, std::sync::atomic::Ordering::Relaxed);
+        let still = backing.inner.get(&block_key("s", 0)).unwrap().unwrap();
+        assert_eq!(still, orphan, "the live put failed");
+
+        ts.checkpoint().unwrap();
+        let block = backing.inner.get(&block_key("s", 0)).unwrap().unwrap();
+        assert_eq!(decode_block(&block).unwrap(), pts(0..8));
+        drop(ts);
+        let cold = open(&(Arc::clone(&backing) as _), config, &MemMedia::new());
+        assert_eq!(cold.scan_range("s", 0, u64::MAX, 0).unwrap(), pts(0..9));
+        assert_eq!(cold.recover("s").unwrap().meta.as_ref(), b"m2");
+    }
+
+    /// Replay seals where the live appends did: a reopened series has the
+    /// blocks of an engine that never stopped, byte for byte, whether a
+    /// delta trips a trigger by count, by compressed size or by data-time
+    /// span, or trips none — across deltas that the per-delta bound lets
+    /// through whole and deltas it sends point by point.
+    #[test]
+    fn replay_reseals_where_the_live_appends_did() {
+        let configs = [
+            TsConfig::sealing_every(7),
+            TsConfig {
+                seal_bytes: 40,
+                ..TsConfig::default()
+            },
+            TsConfig {
+                seal_bytes: 200,
+                ..TsConfig::default()
+            },
+            TsConfig {
+                seal_age_ms: 95,
+                ..TsConfig::default()
+            },
+            TsConfig::default(),
+        ];
+        // Block count, sealed points, tail points and the blocks' bytes.
+        let shape = |ts: &TsStore| {
+            ts.recover("s").unwrap();
+            let entry = ts.entry("s");
+            let s = entry.lock();
+            let blocks: Vec<Bytes> = s.sealed.iter().map(|b| b.bytes.clone()).collect();
+            (s.sealed_points, s.tail.count(), blocks)
+        };
+        for config in configs {
+            let media = MemMedia::new();
+            let live = open(&(Arc::new(MemStore::new()) as _), config, &media);
+            for chunk in pts(0..60).chunks(4) {
+                live.append_batch("s", chunk, b"m").unwrap();
+            }
+            let before = shape(&live);
+            drop(live);
+            let reopened = open(&(Arc::new(MemStore::new()) as _), config, &media);
+            assert_eq!(before, shape(&reopened), "{config:?}");
+        }
     }
 
     #[test]

@@ -69,10 +69,10 @@ fn points() -> impl Strategy<Value = Vec<(u64, f64)>> {
 }
 
 /// The bytes of the tail record `TsStore` writes for `points` with
-/// `meta` at the append's seal or at the checkpoint after it, sealing
-/// every `seal_every` points (so the record may carry pending blocks as
-/// well as an open tail).
-fn tail_record(points: &[(u64, f64)], meta: &[u8], seal_every: u32) -> Bytes {
+/// `meta` at the checkpoint after the append, sealing every `seal_every`
+/// points, and the block records the record counts (it carries none of
+/// them inline).
+fn tail_record(points: &[(u64, f64)], meta: &[u8], seal_every: u32) -> (Bytes, Vec<(Key, Bytes)>) {
     let backing = Arc::new(MemStore::new());
     let config = TsConfig {
         seal_age_ms: u64::MAX,
@@ -87,10 +87,15 @@ fn tail_record(points: &[(u64, f64)], meta: &[u8], seal_every: u32) -> Bytes {
     .unwrap();
     ts.append_batch("s", points, meta).unwrap();
     ts.checkpoint().unwrap();
-    backing
-        .get(&Key::with_sort("tseries", "s", "tail"))
+    let tail = Key::with_sort("tseries", "s", "tail");
+    let record = backing.get(&tail).unwrap().unwrap();
+    let blocks = backing
+        .scan_prefix(&Key::partition_prefix("tseries", "s"))
         .unwrap()
-        .unwrap()
+        .into_iter()
+        .filter(|(key, _)| *key != tail)
+        .collect();
+    (record, blocks)
 }
 
 /// The payload of the one `TSW1` frame a WAL-mode append of `points`
@@ -143,10 +148,14 @@ proptest! {
             }
         }
 
-        // TST1 tail record, read back through recovery.
-        let record = tail_record(&points, &meta, seal_every);
+        // TST1 tail record, read back through recovery over the block
+        // records it counts.
+        let (record, blocks) = tail_record(&points, &meta, seal_every);
         for cut in 0..=record.len() {
             let backing = MemStore::new();
+            for (key, block) in &blocks {
+                backing.put(key, block.clone()).unwrap();
+            }
             backing
                 .put(&Key::with_sort("tseries", "s", "tail"), Bytes::copy_from_slice(&record[..cut]))
                 .unwrap();

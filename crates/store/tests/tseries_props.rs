@@ -2,8 +2,11 @@
 //! identity over adversarial streams, sparse-index correctness, resume
 //! and reopen equivalence, `scan_from` against the append-order scan on
 //! every store, the byte-wise bit kernels against a
-//! bit-at-a-time reference, and golden byte fixtures pinning the on-disk
-//! formats (`TSB1` sealed block, `TST1` tail record, `TSW1` WAL delta).
+//! bit-at-a-time reference, golden byte fixtures pinning the on-disk
+//! formats (`TSB1` sealed block, `TST1` tail record, `TSW1` WAL delta),
+//! and the commit protocol over a recording backing store: block records
+//! before the tail records that count them, tail records only from the
+//! checkpoint and never with a pending copy.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -13,7 +16,10 @@ use aodb_store::tseries::bits::{BitReader, BitWriter};
 use aodb_store::tseries::{
     decode_block, decode_index, PointCompressor, SeriesStore, TsConfig, TsStore,
 };
-use aodb_store::{Bytes, Key, MemMedia, MemStore, StateStore, StoreResult, WalConfig};
+use aodb_store::{
+    Bytes, Key, LogStore, LogStoreConfig, MemMedia, MemStore, SeriesStats, StateStore, StoreResult,
+    WalConfig,
+};
 use proptest::prelude::*;
 
 /// An engine over `backing` whose WAL is `media`: a clone kept by the
@@ -220,9 +226,10 @@ proptest! {
     }
 
     /// Reopen equivalence: a fresh engine over the same backing store and
-    /// WAL sees exactly the committed stream and continues it seamlessly
-    /// — down to the bytes of the tail record a checkpoint then writes,
-    /// which match those of an engine that never restarted.
+    /// WAL sees exactly the committed stream, in the blocks an engine that
+    /// never restarted has, and continues it seamlessly — down to the
+    /// bytes of the tail and block records a checkpoint then writes,
+    /// which match those of the unbroken engine.
     #[test]
     fn engine_survives_reopen_mid_stream(
         start in any::<u64>(),
@@ -235,6 +242,9 @@ proptest! {
         let backing: Arc<dyn StateStore> = Arc::new(MemStore::new());
         let config = TsConfig { seal_age_ms: u64::MAX, ..TsConfig::sealing_every(seal_every) };
         let media = MemMedia::new();
+        let unbroken_backing: Arc<dyn StateStore> = Arc::new(MemStore::new());
+        let unbroken = open_mem(&unbroken_backing, config, &MemMedia::new());
+        unbroken.append_batch("s", &points[..split], b"before").unwrap();
         {
             let ts = open_mem(&backing, config, &media);
             ts.append_batch("s", &points[..split], b"before").unwrap();
@@ -243,19 +253,31 @@ proptest! {
         let rec = ts.recover("s").unwrap();
         assert_eq!(rec.points as usize, split);
         assert_eq!(rec.meta.as_ref(), b"before");
+        assert_eq!(shape(ts.stats("s")), shape(unbroken.stats("s")));
         ts.append_batch("s", &points[split..], b"after").unwrap();
+        unbroken.append_batch("s", &points[split..], b"after").unwrap();
+        assert_eq!(shape(ts.stats("s")), shape(unbroken.stats("s")));
         let back = ts.scan_range("s", 0, u64::MAX, 0).unwrap();
         assert_points_identical(&back, &points);
-        ts.checkpoint().unwrap();
 
-        let unbroken: Arc<dyn StateStore> = Arc::new(MemStore::new());
-        let ts = open_mem(&unbroken, config, &MemMedia::new());
-        ts.append_batch("s", &points[..split], b"before").unwrap();
-        ts.append_batch("s", &points[split..], b"after").unwrap();
         ts.checkpoint().unwrap();
-        let tail = Key::with_sort("tseries", "s", "tail");
-        assert_eq!(backing.get(&tail).unwrap(), unbroken.get(&tail).unwrap());
+        unbroken.checkpoint().unwrap();
+        let records = |store: &Arc<dyn StateStore>| {
+            store.scan_prefix(&Key::partition_prefix("tseries", "s")).unwrap()
+        };
+        assert_eq!(records(&backing), records(&unbroken_backing));
     }
+}
+
+/// Every field of a [`SeriesStats`], comparable.
+fn shape(stats: SeriesStats) -> (u64, u64, u64, u64, u64) {
+    (
+        stats.sealed_blocks,
+        stats.sealed_points,
+        stats.sealed_bytes,
+        stats.tail_points,
+        stats.tail_bytes,
+    )
 }
 
 /// A directory for one WAL, unique per call.
@@ -413,6 +435,52 @@ struct Recorder {
     puts: Mutex<Vec<(Key, Bytes)>>,
 }
 
+impl Recorder {
+    /// The records put from the `from`-th on.
+    fn puts_since(&self, from: usize) -> Vec<(Key, Bytes)> {
+        self.puts.lock().unwrap()[from..].to_vec()
+    }
+
+    fn put_count(&self) -> usize {
+        self.puts.lock().unwrap().len()
+    }
+
+    /// Checks every tail record put from the `from`-th put on: it carries
+    /// no pending copy, and each block it counts had its record put
+    /// before it.
+    fn check_tail_records(&self, from: usize) {
+        let puts = self.puts.lock().unwrap();
+        for (i, (key, record)) in puts.iter().enumerate().skip(from) {
+            let Some(series) = tail_series(key) else {
+                continue;
+            };
+            let sealed_blocks = u64::from_le_bytes(record[4..12].try_into().unwrap());
+            let meta_len = u32::from_le_bytes(record[20..24].try_into().unwrap()) as usize;
+            let pending =
+                u32::from_le_bytes(record[24 + meta_len..28 + meta_len].try_into().unwrap());
+            assert_eq!(
+                pending, 0,
+                "tail record {i} of {series} carries a pending copy"
+            );
+            for seq in 0..sealed_blocks {
+                let block = Key::with_sort("tseries", &series, &format!("b{seq:08}"));
+                assert!(
+                    puts[..i].iter().any(|(k, _)| *k == block),
+                    "tail record {i} of {series} counts block {seq} before its record"
+                );
+            }
+        }
+    }
+}
+
+/// The series whose tail record `key` names, if it names one.
+fn tail_series(key: &Key) -> Option<String> {
+    ["s", "t"]
+        .into_iter()
+        .find(|s| *key == Key::with_sort("tseries", s, "tail"))
+        .map(str::to_owned)
+}
+
 impl StateStore for Recorder {
     fn get(&self, key: &Key) -> StoreResult<Option<Bytes>> {
         self.inner.get(key)
@@ -429,9 +497,94 @@ impl StateStore for Recorder {
     }
 }
 
+/// The three points of the tail-record fixtures, sealing every 2.
+const TAIL_POINTS: [(u64, f64); 3] = [
+    (1_546_300_800_000, 20.0),
+    (1_546_300_800_100, 20.5),
+    (1_546_300_800_200, 20.5),
+];
+
 /// Golden fixture: the exact bytes of a `TST1` tail record that carries
-/// a pending sealed block — the record written at the moment a block
-/// seals, before the block's own record lands.
+/// a pending sealed block — the record earlier engines wrote at the
+/// moment a block sealed, before the block's own record landed. This
+/// engine writes none, but still reads them.
+const TAIL_RECORD_WITH_PENDING_BLOCK: &str = concat!(
+    // magic "TST1" | sealed_blocks=1 | sealed_points=2
+    "54535431",
+    "0100000000000000",
+    "0200000000000000",
+    // meta_len=4 | meta "meta"
+    "04000000",
+    "6d657461",
+    // pending_count=1 | seq=0 | len=68
+    "01000000",
+    "0000000000000000",
+    "44000000",
+    // the sealed two-point TSB1 block: header (count=2, ts and
+    // value range, 155 payload bits), payload, block crc32
+    "54534231",
+    "02000000",
+    "00bcb50668010000",
+    "64bcb50668010000",
+    "0000000000003440",
+    "0000000000803440",
+    "9b000000",
+    "0000016806b5bc004034000000000000cc8d0020",
+    "492f9d02",
+    // tail_len=64 | the open tail as a one-point TSB1 block
+    "40000000",
+    "54534231",
+    "01000000",
+    "c8bcb50668010000",
+    "c8bcb50668010000",
+    "0000000000803440",
+    "0000000000803440",
+    "80000000",
+    "0000016806b5bcc84034800000000000",
+    "12a9e651",
+    // crc32 over everything above
+    "d605f274",
+);
+
+/// Golden fixture: the exact bytes of the `TST1` tail record the
+/// checkpoint writes for [`TAIL_POINTS`] — no pending copy, after the
+/// record of the block it counts.
+const TAIL_RECORD: &str = concat!(
+    // magic "TST1" | sealed_blocks=1 | sealed_points=2
+    "54535431",
+    "0100000000000000",
+    "0200000000000000",
+    // meta_len=4 | meta "meta"
+    "04000000",
+    "6d657461",
+    // pending_count=0
+    "00000000",
+    // tail_len=64 | the open tail as a one-point TSB1 block
+    "40000000",
+    "54534231",
+    "01000000",
+    "c8bcb50668010000",
+    "c8bcb50668010000",
+    "0000000000803440",
+    "0000000000803440",
+    "80000000",
+    "0000016806b5bcc84034800000000000",
+    "12a9e651",
+    // crc32 over everything above
+    "a51e4475",
+);
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+/// The golden tail records: a sealing append puts only its block record,
+/// and the checkpoint then puts the tail record that counts it — the
+/// block of the same bytes that [`TAIL_RECORD_WITH_PENDING_BLOCK`]
+/// carries inline.
 #[test]
 fn golden_tail_record_with_pending_block_bytes() {
     let backing = Arc::new(Recorder::default());
@@ -440,59 +593,76 @@ fn golden_tail_record_with_pending_block_bytes() {
         TsConfig::sealing_every(2),
         &MemMedia::new(),
     );
-    let points = [
-        (1_546_300_800_000u64, 20.0f64),
-        (1_546_300_800_100, 20.5),
-        (1_546_300_800_200, 20.5),
-    ];
-    ts.append_batch("s", &points, b"meta").unwrap();
-    let puts = backing.puts.lock().unwrap();
-    let (key, record) = &puts[0];
-    assert_eq!(key, &Key::with_sort("tseries", "s", "tail"));
+    ts.append_batch("s", &TAIL_POINTS, b"meta").unwrap();
+    let block = Key::with_sort("tseries", "s", "b00000000");
+    let pending = unhex(TAIL_RECORD_WITH_PENDING_BLOCK);
+    let puts = backing.puts_since(0);
     assert_eq!(
-        hex(record),
-        concat!(
-            // magic "TST1" | sealed_blocks=1 | sealed_points=2
-            "54535431",
-            "0100000000000000",
-            "0200000000000000",
-            // meta_len=4 | meta "meta"
-            "04000000",
-            "6d657461",
-            // pending_count=1 | seq=0 | len=68
-            "01000000",
-            "0000000000000000",
-            "44000000",
-            // the sealed two-point TSB1 block: header (count=2, ts and
-            // value range, 155 payload bits), payload, block crc32
-            "54534231",
-            "02000000",
-            "00bcb50668010000",
-            "64bcb50668010000",
-            "0000000000003440",
-            "0000000000803440",
-            "9b000000",
-            "0000016806b5bc004034000000000000cc8d0020",
-            "492f9d02",
-            // tail_len=64 | the open tail as a one-point TSB1 block
-            "40000000",
-            "54534231",
-            "01000000",
-            "c8bcb50668010000",
-            "c8bcb50668010000",
-            "0000000000803440",
-            "0000000000803440",
-            "80000000",
-            "0000016806b5bcc84034800000000000",
-            "12a9e651",
-            // crc32 over everything above
-            "d605f274",
-        ),
+        puts.len(),
+        1,
+        "the seal puts its block record and nothing else"
+    );
+    assert_eq!(puts[0].0, block);
+    assert_eq!(puts[0].1.as_ref(), &pending[44..112]);
+
+    ts.checkpoint().unwrap();
+    let puts = backing.puts_since(1);
+    assert_eq!(
+        puts.len(),
+        1,
+        "the block is written, so only the tail record is put"
+    );
+    assert_eq!(puts[0].0, Key::with_sort("tseries", "s", "tail"));
+    assert_eq!(
+        hex(&puts[0].1),
+        TAIL_RECORD,
         "TST1 tail-record format drifted"
     );
-    // The block's own record follows the tail record that pins it.
-    assert_eq!(puts[1].0, Key::with_sort("tseries", "s", "b00000000"));
-    assert_eq!(puts[1].1.as_ref(), &record[44..112]);
+    // The pending-free record is the pending one without its pending
+    // entry, up to the CRC.
+    assert_eq!(&unhex(TAIL_RECORD)[..28], &pending[..28]);
+    assert_eq!(&unhex(TAIL_RECORD)[32..100], &pending[112..180]);
+}
+
+/// Read compatibility: a tail record an earlier engine wrote at a seal,
+/// whose block record never landed. A fresh engine recovers its points,
+/// repairs the block record from the pending copy, and its next
+/// checkpoint rewrites the tail record without the copy.
+#[test]
+fn tail_record_with_a_pending_copy_recovers_and_is_rewritten_without_it() {
+    let backing = Arc::new(Recorder::default());
+    let pending = unhex(TAIL_RECORD_WITH_PENDING_BLOCK);
+    let tail = Key::with_sort("tseries", "s", "tail");
+    let block = Key::with_sort("tseries", "s", "b00000000");
+    backing
+        .inner
+        .put(&tail, Bytes::from(pending.clone()))
+        .unwrap();
+    let ts = open_mem(
+        &(Arc::clone(&backing) as _),
+        TsConfig::sealing_every(2),
+        &MemMedia::new(),
+    );
+    let rec = ts.recover("s").unwrap();
+    assert_eq!((rec.points, rec.meta.as_ref()), (3, &b"meta"[..]));
+    assert_points_identical(&ts.scan_range("s", 0, u64::MAX, 0).unwrap(), &TAIL_POINTS);
+    assert_eq!(
+        backing.puts_since(0),
+        vec![(block.clone(), Bytes::copy_from_slice(&pending[44..112]))]
+    );
+
+    ts.checkpoint().unwrap();
+    assert_eq!(
+        backing.puts_since(1),
+        vec![(tail, Bytes::from(unhex(TAIL_RECORD)))]
+    );
+    drop(ts);
+    let cold = open_mem(
+        &(backing as _),
+        TsConfig::sealing_every(2),
+        &MemMedia::new(),
+    );
+    assert_points_identical(&cold.scan_range("s", 0, u64::MAX, 0).unwrap(), &TAIL_POINTS);
 }
 
 /// Golden fixture: the exact bytes of a group-commit WAL holding one
@@ -536,4 +706,131 @@ fn golden_wal_delta_bytes() {
         ),
         "TSW1 delta / WAL frame format drifted"
     );
+}
+
+/// One step of a commit-protocol script over series `"s"` and `"t"`.
+#[derive(Clone, Debug)]
+enum Op {
+    /// Appends this many points to series 0 or 1, in one batch.
+    Append(usize, usize),
+    /// Force-seals series 0 or 1.
+    Seal(usize),
+    Checkpoint,
+    /// Drops the engine without a checkpoint and opens a fresh one over
+    /// the same backing store and WAL medium.
+    Reopen,
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    // Two appends in three steps; the rest split evenly.
+    (0u8..9, 0usize..2, 1usize..12).prop_map(|(kind, s, n)| match kind {
+        0 => Op::Seal(s),
+        1 => Op::Checkpoint,
+        2 => Op::Reopen,
+        _ => Op::Append(s, n),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The commit protocol, over a recording backing store: appends and
+    /// force seals put block records only; every tail record — all of
+    /// them the checkpoint's — carries no pending copy and follows the
+    /// records of every block it counts; scans equal the appended stream
+    /// after every step; and after every checkpoint the backing store
+    /// alone recovers it.
+    #[test]
+    fn tail_records_come_only_from_the_checkpoint_after_their_blocks(
+        ops in proptest::collection::vec(op_strategy(), 1..40),
+        seal_every in 1u32..10,
+    ) {
+        const SERIES: [&str; 2] = ["s", "t"];
+        let config = TsConfig { seal_age_ms: u64::MAX, ..TsConfig::sealing_every(seal_every) };
+        let recorder = Arc::new(Recorder::default());
+        let backing: Arc<dyn StateStore> = Arc::clone(&recorder) as _;
+        let media = MemMedia::new();
+        let mut ts = open_mem(&backing, config, &media);
+        let mut model: [Vec<(u64, f64)>; 2] = Default::default();
+        for op in ops {
+            let from = recorder.put_count();
+            match op {
+                Op::Append(s, n) => {
+                    let base = model[s].len() as u64;
+                    let points: Vec<(u64, f64)> =
+                        (base..base + n as u64).map(|i| (1_000 + i * 100, (i % 7) as f64 * 0.5)).collect();
+                    ts.append_batch(SERIES[s], &points, b"m").unwrap();
+                    model[s].extend(points);
+                }
+                Op::Seal(s) => ts.seal(SERIES[s]).unwrap(),
+                Op::Checkpoint => ts.checkpoint().unwrap(),
+                Op::Reopen => {
+                    drop(ts);
+                    ts = open_mem(&backing, config, &media);
+                }
+            }
+            recorder.check_tail_records(from);
+            if !matches!(op, Op::Checkpoint) {
+                for (key, _) in recorder.puts_since(from) {
+                    prop_assert!(tail_series(&key).is_none(), "{:?} put a tail record", op);
+                }
+            }
+            for (s, name) in SERIES.iter().enumerate() {
+                assert_points_identical(&ts.scan_range(name, 0, u64::MAX, 0).unwrap(), &model[s]);
+            }
+            if matches!(op, Op::Checkpoint) {
+                let cold = open_mem(&backing, config, &MemMedia::new());
+                for (s, name) in SERIES.iter().enumerate() {
+                    assert_points_identical(&cold.scan_range(name, 0, u64::MAX, 0).unwrap(), &model[s]);
+                }
+            }
+        }
+    }
+}
+
+/// One single-threaded script of appends, force seals and checkpoints
+/// over twelve series, run twice over two fresh `LogStore` directories,
+/// writes byte-identical logs: the checkpoint sweeps its dirty series in
+/// name order, not in the order of a hash set.
+#[test]
+fn one_script_writes_one_log() {
+    let run = || {
+        let dir = temp_wal_dir();
+        {
+            let backing = LogStore::open(LogStoreConfig::new(dir.join("store"))).unwrap();
+            let ts = TsStore::with_wal(
+                Arc::new(backing) as Arc<dyn StateStore>,
+                TsConfig::sealing_every(16),
+                dir.join("ts.wal"),
+                WalConfig::default(),
+            )
+            .unwrap();
+            for round in 0..20u64 {
+                for s in 0..12u64 {
+                    let points: Vec<(u64, f64)> = (round * 5..round * 5 + 5)
+                        .map(|i| (i * 100, (i + s) as f64))
+                        .collect();
+                    let meta = format!("round-{round}");
+                    ts.append_batch(&format!("series-{s:02}"), &points, meta.as_bytes())
+                        .unwrap();
+                }
+                if round % 7 == 3 {
+                    ts.seal("series-05").unwrap();
+                }
+                if round % 4 == 1 {
+                    ts.checkpoint().unwrap();
+                }
+            }
+        }
+        let logs = (
+            std::fs::read(dir.join("store").join("wal.log")).unwrap(),
+            std::fs::read(dir.join("ts.wal")).unwrap(),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        logs
+    };
+    let (first, second) = (run(), run());
+    assert!(!first.0.is_empty() && !first.1.is_empty());
+    assert!(first.0 == second.0, "the LogStore logs differ");
+    assert!(first.1 == second.1, "the tseries WALs differ");
 }
