@@ -122,6 +122,9 @@ struct HeldGuard {
     /// Binding name for `let`-bound guards; `None` = statement temporary.
     name: Option<String>,
     line: u32,
+    /// Token index of the acquisition (a nested statement's end drops
+    /// the temporaries acquired inside its block).
+    at: usize,
     /// Scope depth at acquisition (scope exit prunes deeper guards).
     depth: u16,
 }
@@ -317,22 +320,59 @@ fn guard_ends_statement(toks: &[Tok], j: usize, end: usize) -> bool {
     {
         k = skip_group(toks, k + 2, end, '(', ')');
     }
-    k >= end
+    // A `;` inside the statement ends a closure body's inner statement.
+    k >= end || toks[k].is_punct(';')
+}
+
+/// The `{` whose block holds the `;` at token `j` directly, when that
+/// `;` ends an inner statement of a block nested in the statement that
+/// starts at token `from` — a closure body, flattened into its enclosing
+/// statement. `None` for a `;` directly inside `(..)` or `[..]`
+/// (`[0u8; 4]`).
+fn nested_block_of(toks: &[Tok], from: usize, j: usize) -> Option<usize> {
+    let mut depth = 0i32;
+    for k in (from..j).rev() {
+        let t = &toks[k];
+        if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+            depth += 1;
+        } else if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+            if depth == 0 {
+                return t.is_punct('{').then_some(k);
+            }
+            depth -= 1;
+        }
+    }
+    None
 }
 
 /// Applies one statement. At its end — a `;`, or a run ending
 /// mid-statement (an `if`/`match` head, whose temporaries are evaluated
 /// before the branch in the common case) — temporaries die and a pending
-/// binding commits.
+/// binding commits. A `;` of a closure body inside the statement does the
+/// same for the temporaries and the `let` of that body's inner statement.
 fn run_stmt(cx: &mut FnCx<'_>, s: &mut LState, idxs: &[usize], depth: u16) {
     let toks = &cx.model.toks;
     let mut pending_let: Option<String> = None;
     let mut pending_bind: Option<u16> = None;
+    // Token index of the pending `let`.
+    let mut let_at = 0usize;
 
     let mut k = 0usize;
     while k < idxs.len() {
         let j = idxs[k];
         let t = &toks[j];
+        if t.is_punct(';') {
+            if let Some(open) = nested_block_of(toks, idxs[0], j) {
+                s.held.retain(|g| g.name.is_some() || g.at < open);
+                if pending_let.is_some() && let_at > open {
+                    if let (Some(n), Some(c)) = (pending_let.take(), pending_bind.take()) {
+                        s.bindings.push((n, c));
+                    }
+                }
+            }
+            k += 1;
+            continue;
+        }
         if t.kind != TokKind::Ident {
             k += 1;
             continue;
@@ -343,6 +383,7 @@ fn run_stmt(cx: &mut FnCx<'_>, s: &mut LState, idxs: &[usize], depth: u16) {
                 Some((name, next)) => {
                     pending_let = Some(name.to_string());
                     pending_bind = None;
+                    let_at = j;
                     k += next;
                 }
                 None => k += 1,
@@ -393,6 +434,7 @@ fn run_stmt(cx: &mut FnCx<'_>, s: &mut LState, idxs: &[usize], depth: u16) {
                         .take()
                         .filter(|_| guard_ends_statement(toks, j, end)),
                     line: t.line,
+                    at: j,
                     depth,
                 });
                 k += 1;

@@ -10,6 +10,7 @@ use parking_lot::{Mutex, RwLock};
 pub struct Ledger {
     entries: Mutex<Vec<u64>>,
     totals: RwLock<u64>,
+    backing: Store,
 }
 
 impl Ledger {
@@ -55,6 +56,20 @@ impl Ledger {
         copy
     }
 
+    /// Temporary guard inside a closure body: it dies at the body's own
+    /// `;`, before the put.
+    pub fn stage_then_put(&self, k: u64) -> Result<(), Error> {
+        let entry = &self.entries;
+        self.write_staged(k).and_then(|()| {
+            let r = encode(&entry.lock());
+            self.backing.put(k, r)
+        })
+    }
+
+    fn write_staged(&self, _k: u64) -> Result<(), Error> {
+        Ok(())
+    }
+
     /// Nested acquisition, but always entries-then-totals: a consistent
     /// order contributes an edge without forming a cycle.
     pub fn settle(&self) {
@@ -66,4 +81,8 @@ impl Ledger {
 
 fn copy_of(entries: &[u64]) -> Vec<u64> {
     entries.to_vec()
+}
+
+fn encode(entries: &[u64]) -> Vec<u8> {
+    entries.iter().map(|&e| e as u8).collect()
 }

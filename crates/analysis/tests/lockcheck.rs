@@ -50,23 +50,29 @@ fn known_dirty_fixtures_fire_their_seeded_rules() {
     );
     assert_eq!(
         by_rule(Rule::LockAcrossBlocking, "lock_blocking.rs"),
-        1,
+        2,
         "{:#?}",
         analysis.findings
     );
     // The clean fixture contributes nothing; no cross-contamination.
-    assert_eq!(analysis.findings.len(), 2, "{:#?}", analysis.findings);
+    assert_eq!(analysis.findings.len(), 3, "{:#?}", analysis.findings);
 }
 
 #[test]
 fn dirty_findings_carry_class_and_item_keys() {
     let analysis = lockcheck_corpus(&fixture_corpus(&["lock_blocking.rs"]));
-    assert_eq!(analysis.findings.len(), 1, "{:#?}", analysis.findings);
+    assert_eq!(analysis.findings.len(), 2, "{:#?}", analysis.findings);
     let f = &analysis.findings[0];
     assert_eq!(f.rule, Rule::LockAcrossBlocking);
     assert_eq!(f.class.as_deref(), Some("Cache.slots"));
     assert_eq!(f.item.as_deref(), Some("refresh"));
     assert!(f.detail.contains("thread sleep"), "{f:#?}");
+    // A guard a closure body binds is live at that body's put.
+    let f = &analysis.findings[1];
+    assert_eq!(f.rule, Rule::LockAcrossBlocking);
+    assert_eq!(f.class.as_deref(), Some("Cache.slots"));
+    assert_eq!(f.item.as_deref(), Some("refresh_staged"));
+    assert!(f.detail.contains("store I/O"), "{f:#?}");
 }
 
 #[test]

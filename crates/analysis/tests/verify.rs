@@ -143,6 +143,11 @@ fn lint_binary_baseline_suppresses_and_goes_stale() {
          file = \"lock_blocking.rs\"\n\
          item = \"refresh\"\n\
          [[suppress]]\n\
+         rule = \"lock-across-blocking\"\n\
+         reason = \"seeded fixture\"\n\
+         file = \"lock_blocking.rs\"\n\
+         item = \"refresh_staged\"\n\
+         [[suppress]]\n\
          rule = \"nondet-in-turn\"\n\
          reason = \"seeded fixture\"\n\
          file = \"replay_nondet.rs\"\n\
@@ -184,7 +189,7 @@ fn lint_binary_baseline_suppresses_and_goes_stale() {
         tmp.to_str().unwrap(),
     ]);
     assert!(ok, "fully-baselined fixtures must pass:\n{text}");
-    assert!(text.contains("13 suppressed"), "{text}");
+    assert!(text.contains("14 suppressed"), "{text}");
 
     // An entry that matches nothing is stale and fails the run even
     // when every finding is suppressed.

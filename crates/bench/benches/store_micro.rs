@@ -112,8 +112,10 @@ fn bench_codec(c: &mut Criterion) {
 }
 
 /// One full 512-point tseries block of each stream class: `smooth` is a
-/// 10 Hz quarter-step triangle wave with a dither bit (about 1 B/point),
-/// `noisy` a jittered clock with full-entropy mantissas (about 9 B/point).
+/// 10 Hz quarter-step triangle wave with a dither bit (about 1.1 B/point
+/// in XOR codes, 0.65 B/point sealed in integer steps), `noisy` a
+/// jittered clock with full-entropy mantissas (about 9 B/point, sealed
+/// in XOR codes).
 fn codec_streams() -> [(&'static str, Vec<(u64, f64)>); 2] {
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     let mut next = move || {
@@ -142,8 +144,10 @@ fn codec_streams() -> [(&'static str, Vec<(u64, f64)>); 2] {
 }
 
 /// The tseries point codec per stream class: compress a block point by
-/// point, decode it, and resume a compressor from it (what recovery does
-/// with a series' open tail).
+/// point, seal it (the grid test and, on a grid, the step encoding),
+/// decode the sealed block, and resume a compressor from the open tail's
+/// image (what recovery does with a series' open tail). The seal rows
+/// also print the sealed block's bytes per point.
 fn bench_point_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("point_codec");
     for (name, points) in codec_streams() {
@@ -151,7 +155,13 @@ fn bench_point_codec(c: &mut Criterion) {
         for &(ts, v) in &points {
             comp.append(ts, v);
         }
-        let block = comp.encode_block();
+        let tail = comp.encode_block();
+        let block = comp.seal_block();
+        println!(
+            "point_codec/seal_512pt_{name}: {:.3} B/point sealed as {}",
+            block.len() as f64 / points.len() as f64,
+            String::from_utf8_lossy(&block[..4]),
+        );
         group.throughput(Throughput::Elements(points.len() as u64));
         group.bench_function(&format!("append_512pt_{name}"), |b| {
             b.iter(|| {
@@ -162,11 +172,14 @@ fn bench_point_codec(c: &mut Criterion) {
                 comp.payload_bytes()
             })
         });
+        group.bench_function(&format!("seal_512pt_{name}"), |b| {
+            b.iter(|| comp.seal_block().len())
+        });
         group.bench_function(&format!("decode_512pt_{name}"), |b| {
             b.iter(|| decode_block(&block).unwrap().len())
         });
         group.bench_function(&format!("resume_512pt_{name}"), |b| {
-            b.iter(|| PointCompressor::resume(&block).unwrap().count())
+            b.iter(|| PointCompressor::resume(&tail).unwrap().count())
         });
     }
     group.finish();

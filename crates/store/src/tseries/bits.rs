@@ -25,6 +25,14 @@ impl BitWriter {
         Self::default()
     }
 
+    /// Empty writer with room for `bytes` bytes before it reallocates.
+    pub fn with_capacity(bytes: usize) -> Self {
+        BitWriter {
+            buf: Vec::with_capacity(bytes),
+            len_bits: 0,
+        }
+    }
+
     /// Number of bits written so far.
     pub fn len_bits(&self) -> usize {
         self.len_bits

@@ -1,11 +1,13 @@
-//! Columnar point compression and the sealed-block byte format.
+//! Columnar point compression and the sealed-block byte formats.
 //!
-//! Timestamps use delta-of-delta encoding with ZigZag bucket codes;
-//! values use Gorilla-style XOR compression. Both streams interleave per
-//! point into one packed bit payload, so a block is decoded by a single
-//! forward pass.
+//! Timestamps use delta-of-delta encoding with ZigZag bucket codes.
+//! Values take one of two codes, chosen per block: Gorilla-style XOR of
+//! the float bits (`TSB1`, every open tail and any block), or integer
+//! step counts on a decimal grid (`TSB2`, sealed blocks whose values all
+//! lie on one). Both streams interleave per point into one packed bit
+//! payload, so a block is decoded by a single forward pass.
 //!
-//! ## Timestamp codes (per point after the first)
+//! ## Timestamp codes (per point after the first, both layouts)
 //!
 //! `dod = (ts[n] − ts[n−1]) − (ts[n−1] − ts[n−2])`, ZigZag-mapped:
 //!
@@ -22,7 +24,7 @@
 //! delta defined as 0, so a constant-rate stream costs 1 bit/point from
 //! the second point on.
 //!
-//! ## Value codes
+//! ## Value codes, `TSB1`
 //!
 //! `xor = bits(v[n]) ^ bits(v[n−1])` (raw 64 bits for the first point):
 //!
@@ -34,11 +36,48 @@
 //! NaN and ±∞ round-trip bit-exactly — the codec never interprets the
 //! float, it only moves its bit pattern.
 //!
-//! ## Sealed-block layout
+//! ## Value codes, `TSB2`
+//!
+//! Every value is `d[n] / 10^e` for an integer `d[n]` (the grid test
+//! below); the block stores `d[0]` raw (64 bits, two's complement) and
+//! then `zz = zigzag((d[n] − d[n−1]) / step)` per point:
+//!
+//! | prefix   | payload | covers zz          |
+//! |----------|---------|--------------------|
+//! | `0`      | —       | 0 (unchanged)      |
+//! | `10`     | 1 bit   | 1–2 (±1 step)      |
+//! | `110`    | 2 bits  | 3–6 (±2, ±3)       |
+//! | `1110`   | 4 bits  | 7–22               |
+//! | `11110`  | 8 bits  | 23–278             |
+//! | `111110` | 16 bits | 279–65,814         |
+//! | `111111` | 64 bits | anything (zz raw)  |
+//!
+//! A bucket's payload is `zz` minus the bucket's first code. Decoding is
+//! `(d as f64) / 10^e`, the very expression the grid test checks, so a
+//! step block returns its values bit for bit. This is the decimal-grid
+//! idea of ALP (Afroozeh et al., SIGMOD 2024) and Elf (VLDB 2023).
+//!
+//! **Grid test.** `e` is the smallest exponent in `0..=`[`E_MAX`] at
+//! which every value `v` satisfies `(round(v·10^e) as f64) / 10^e == v`
+//! bit for bit with `|round(v·10^e)| < 2^53`; `10^e` comes from an exact
+//! table. NaN, ±∞ and −0.0 never pass, so a block holding one stays
+//! `TSB1`. `step` is the gcd of the successive integer deltas (1 when
+//! they are all 0).
+//!
+//! **Selection.** [`PointCompressor::seal_block`] returns the `TSB2`
+//! block when the grid test passes and that block is smaller than the
+//! `TSB1` image, else the `TSB1` image unchanged. Sealed bytes never
+//! grow, and the choice is a function of the points alone, so a replayed
+//! seal writes the bytes the live one did.
+//!
+//! ## Sealed-block layouts
 //!
 //! ```text
-//! magic "TSB1" | count u32 | min_ts u64 | max_ts u64
-//! | min_val f64 | max_val f64 | payload_bits u32 | payload | crc32 u32
+//! TSB1: magic | count u32 | min_ts u64 | max_ts u64
+//!       | min_val f64 | max_val f64 | payload_bits u32 | payload | crc32 u32
+//! TSB2: magic | count u32 | min_ts u64 | max_ts u64
+//!       | min_val f64 | max_val f64 | e u8 | step u64
+//!       | payload_bits u32 | payload | crc32 u32
 //! ```
 //!
 //! All integers little-endian; the CRC covers everything before it. The
@@ -57,6 +96,29 @@ use crate::tseries::bits::{unzigzag, zigzag, BitReader, BitWriter};
 pub const BLOCK_MAGIC: &[u8; 4] = b"TSB1";
 /// Fixed header length in bytes (everything before the payload).
 pub const BLOCK_HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8 + 8 + 4;
+/// Magic prefix of a sealed block in integer steps of a decimal grid.
+// aodb-schema: layout(TSB2) = magic[4] count:u32 min_ts:u64 max_ts:u64 min_val:f64 max_val:f64 exp:u8 step:u64 payload_bits:u32 payload crc32:u32
+pub const STEP_BLOCK_MAGIC: &[u8; 4] = b"TSB2";
+/// Fixed header length of a step block: the `TSB1` header plus `e` and
+/// `step`.
+const STEP_HEADER_LEN: usize = BLOCK_HEADER_LEN + 1 + 8;
+
+/// Largest decimal exponent the grid test tries.
+pub const E_MAX: u8 = 18;
+/// `10^e` for `e` in `0..=E_MAX`, each exact in an `f64`.
+const POW10: [f64; E_MAX as usize + 1] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18,
+];
+/// Grid integers stay below 2^53 in magnitude, where every integer is
+/// exact in an `f64`.
+const GRID_LIMIT: f64 = (1u64 << 53) as f64;
+/// Payload widths of the step-count buckets; bucket `i < 6` is `i` ones
+/// and a zero, the last is six ones and `zz` raw.
+const STEP_WIDTHS: [u8; 7] = [0, 1, 2, 4, 8, 16, 64];
+/// First `zz` of each step-count bucket; the raw bucket stores `zz`
+/// whole, so its entry only ends the bucket before it.
+const STEP_BASES: [u64; 7] = [0, 1, 3, 7, 23, 279, 65_815];
 
 /// Per-block sparse index, carried in the block header.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -90,15 +152,88 @@ impl BlockIndex {
     }
 }
 
-/// What the next point's codes are relative to: the previous timestamp,
-/// delta and value bits, and the current meaningful-bit window
+fn corrupt(m: &str) -> StoreError {
+    StoreError::Corrupt(format!("tseries payload: {m}"))
+}
+
+/// The timestamp stream's state, shared by both layouts: the previous
+/// timestamp and delta.
+#[derive(Clone, Copy, Default)]
+struct TsState {
+    prev_ts: u64,
+    prev_delta: i64,
+}
+
+impl TsState {
+    /// Appends `ts`'s code: raw for a block's first point, its
+    /// delta-of-delta bucket after that.
+    #[inline(always)]
+    fn push(&mut self, bits: &mut BitWriter, ts: u64, first: bool) {
+        if first {
+            bits.push_bits(ts, 64);
+            self.prev_delta = 0;
+        } else {
+            let delta = ts.wrapping_sub(self.prev_ts) as i64;
+            let zz = zigzag(delta.wrapping_sub(self.prev_delta));
+            if zz == 0 {
+                bits.push_bit(false);
+            } else if zz < (1 << 7) {
+                bits.push_bits(0b10 << 7 | zz, 2 + 7);
+            } else if zz < (1 << 9) {
+                bits.push_bits(0b110 << 9 | zz, 3 + 9);
+            } else if zz < (1 << 12) {
+                bits.push_bits(0b1110 << 12 | zz, 4 + 12);
+            } else if zz < (1 << 32) {
+                bits.push_bits(0b11110 << 32 | zz, 5 + 32);
+            } else {
+                bits.push_bits(0b11111, 5);
+                bits.push_bits(zz, 64);
+            }
+            self.prev_delta = delta;
+        }
+        self.prev_ts = ts;
+    }
+
+    /// Reads the next timestamp, the inverse of [`TsState::push`].
+    #[inline(always)]
+    fn read(&mut self, r: &mut BitReader<'_>, first: bool) -> StoreResult<u64> {
+        let ts = if first {
+            r.read_bits(64).ok_or_else(|| corrupt("eof in first ts"))?
+        } else {
+            let mut prefix = 0u8;
+            while prefix < 5 && r.read_bit().ok_or_else(|| corrupt("eof in ts prefix"))? {
+                prefix += 1;
+            }
+            let dod = match prefix {
+                0 => 0,
+                width => {
+                    let bits = match width {
+                        1 => 7,
+                        2 => 9,
+                        3 => 12,
+                        4 => 32,
+                        _ => 64,
+                    };
+                    unzigzag(r.read_bits(bits).ok_or_else(|| corrupt("eof in dod"))?)
+                }
+            };
+            let delta = self.prev_delta.wrapping_add(dod);
+            self.prev_delta = delta;
+            self.prev_ts.wrapping_add(delta as u64)
+        };
+        self.prev_ts = ts;
+        Ok(ts)
+    }
+}
+
+/// What the next point's codes are relative to: the timestamp state,
+/// the previous value bits, and the current meaningful-bit window
 /// (`window_len == 0` until the first window is opened). The compressor
 /// carries it forward on append; [`walk_points`] rebuilds it from a
 /// payload for both decoding and [`PointCompressor::resume`].
 #[derive(Clone, Copy, Default)]
 struct CodecState {
-    prev_ts: u64,
-    prev_delta: i64,
+    ts: TsState,
     prev_val_bits: u64,
     window_lead: u8,
     window_len: u8,
@@ -108,6 +243,66 @@ struct CodecState {
 /// bytes: a 69-bit timestamp (`11111` + 64 bits) and a 78-bit value
 /// (`11` + 12 window bits + 64 bits), 147 bits, round up to 19 bytes.
 pub(crate) const MAX_POINT_BYTES: usize = 19;
+
+/// A step block's decimal grid: values are integer multiples of
+/// `step / 10^exp`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Grid {
+    exp: u8,
+    step: u64,
+}
+
+/// `round(v·10^exp)` when it is below 2^53 in magnitude and, divided by
+/// `10^exp`, gives back `v` bit for bit; `None` otherwise (always for
+/// NaN, ±∞ and −0.0).
+#[inline]
+fn on_grid(v: f64, exp: u8) -> Option<i64> {
+    let scale = POW10[exp as usize];
+    let x = v * scale;
+    if x.is_nan() || x.abs() >= GRID_LIMIT {
+        return None;
+    }
+    // `round` without a libm call: truncate, then step away from zero
+    // on a fraction of one half or more (exact below 2^53).
+    let t = x as i64;
+    let frac = x - t as f64;
+    let d = t + i64::from(frac >= 0.5) - i64::from(frac <= -0.5);
+    (d.unsigned_abs() < 1 << 53 && (d as f64 / scale).to_bits() == v.to_bits()).then_some(d)
+}
+
+/// Appends the bucket code of one step count.
+#[inline]
+fn push_step(bits: &mut BitWriter, zz: u64) {
+    match STEP_BASES[1..].iter().position(|&next| zz < next) {
+        Some(i) => {
+            // `i` ones, a zero, then the offset in the bucket's width.
+            let width = STEP_WIDTHS[i];
+            let prefix = ((1u64 << i) - 1) << 1;
+            bits.push_bits(prefix << width | (zz - STEP_BASES[i]), i as u8 + 1 + width);
+        }
+        None => {
+            bits.push_bits(0b11_1111, 6);
+            bits.push_bits(zz, 64);
+        }
+    }
+}
+
+/// Reads one step count, the inverse of [`push_step`].
+#[inline]
+fn read_step(r: &mut BitReader<'_>) -> StoreResult<u64> {
+    let mut ones = 0usize;
+    while ones < 6 && r.read_bit().ok_or_else(|| corrupt("eof in step prefix"))? {
+        ones += 1;
+    }
+    let payload = r
+        .read_bits(STEP_WIDTHS[ones])
+        .ok_or_else(|| corrupt("eof in step count"))?;
+    Ok(if ones == 6 {
+        payload
+    } else {
+        STEP_BASES[ones] + payload
+    })
+}
 
 /// Incremental compressor: the mutable tail block. Points append one at
 /// a time; the state is exactly what the next point's encoding needs, so
@@ -141,13 +336,17 @@ impl PointCompressor {
     /// would leave behind, without re-compressing them: the block is
     /// verified as [`decode_block`] does, its header index taken as is,
     /// its payload copied, and the codec state rebuilt by one walk that
-    /// allocates nothing. An empty `block` resumes an empty tail.
+    /// allocates nothing. An empty `block` resumes an empty tail. A tail
+    /// is always a `TSB1` image: a step block is refused as corrupt.
     pub fn resume(block: &[u8]) -> StoreResult<PointCompressor> {
         if block.is_empty() {
             return Ok(PointCompressor::new());
         }
-        let (index, payload, payload_bits) = parse_block(block)?;
-        let state = walk_points(payload, payload_bits, index.count, |_, _| {})?;
+        let (index, grid, payload, payload_bits) = parse_block(block)?;
+        if grid.is_some() {
+            return Err(corrupt("an open tail is never a step block"));
+        }
+        let state = walk_points(payload, payload_bits, index.count, |_, _| true)?;
         if index.count == 0 {
             return Ok(PointCompressor::new());
         }
@@ -175,36 +374,13 @@ impl PointCompressor {
 
     /// Appends one point.
     pub fn append(&mut self, ts_ms: u64, value: f64) {
+        let first = self.index.count == 0;
         let st = &mut self.state;
-        // Timestamp stream.
-        if self.index.count == 0 {
-            self.bits.push_bits(ts_ms, 64);
-            st.prev_delta = 0;
-        } else {
-            let delta = ts_ms.wrapping_sub(st.prev_ts) as i64;
-            let dod = delta.wrapping_sub(st.prev_delta);
-            let zz = zigzag(dod);
-            if zz == 0 {
-                self.bits.push_bit(false);
-            } else if zz < (1 << 7) {
-                self.bits.push_bits(0b10 << 7 | zz, 2 + 7);
-            } else if zz < (1 << 9) {
-                self.bits.push_bits(0b110 << 9 | zz, 3 + 9);
-            } else if zz < (1 << 12) {
-                self.bits.push_bits(0b1110 << 12 | zz, 4 + 12);
-            } else if zz < (1 << 32) {
-                self.bits.push_bits(0b11110 << 32 | zz, 5 + 32);
-            } else {
-                self.bits.push_bits(0b11111, 5);
-                self.bits.push_bits(zz, 64);
-            }
-            st.prev_delta = delta;
-        }
-        st.prev_ts = ts_ms;
+        st.ts.push(&mut self.bits, ts_ms, first);
 
         // Value stream.
         let val_bits = value.to_bits();
-        if self.index.count == 0 {
+        if first {
             self.bits.push_bits(val_bits, 64);
         } else {
             let xor = val_bits ^ st.prev_val_bits;
@@ -245,37 +421,189 @@ impl PointCompressor {
         }
     }
 
-    /// Serializes the current contents as a full block (header, payload,
-    /// CRC). Works for sealed blocks and for the durable image of a
-    /// still-open tail alike. Empty tails produce an empty byte string.
+    /// Serializes the current contents as a `TSB1` block (header,
+    /// payload, CRC): the durable image of a still-open tail, and the
+    /// sealed image of a block off any decimal grid. Empty tails produce
+    /// an empty byte string.
     pub fn encode_block(&self) -> Vec<u8> {
         if self.index.count == 0 {
             return Vec::new();
         }
-        encode_block_parts(&self.index, self.bits.as_bytes(), self.bits.len_bits())
+        encode_block_parts(
+            &self.index,
+            None,
+            self.bits.as_bytes(),
+            self.bits.len_bits(),
+        )
+    }
+
+    /// Serializes the current contents as a sealed block: the `TSB2`
+    /// step block when every value lies on one decimal grid and that
+    /// block is the smaller, else [`PointCompressor::encode_block`]'s
+    /// bytes (see the module docs). Two walks over the payload, one for
+    /// the grid and one to encode; neither collects the points.
+    pub fn seal_block(&self) -> Vec<u8> {
+        self.grid()
+            .and_then(|grid| self.step_block(grid))
+            .unwrap_or_else(|| self.encode_block())
+    }
+
+    /// The grid test: the smallest exponent every value fits, and the
+    /// gcd of the integer deltas at it. One walk, which stops at the
+    /// first value off every grid: raising the exponent scales the
+    /// integers seen so far by ten, and so their gcd;
+    /// [`PointCompressor::step_block`] checks every point again at the
+    /// final grid.
+    fn grid(&self) -> Option<Grid> {
+        let (mut exp, mut prev, mut gcd) = (0u8, None::<i64>, 0u64);
+        let mut fits = true;
+        let walked = walk_points(
+            self.bits.as_bytes(),
+            self.bits.len_bits(),
+            self.index.count,
+            |_, val_bits| {
+                let v = f64::from_bits(val_bits);
+                let d = loop {
+                    if let Some(d) = on_grid(v, exp) {
+                        break d;
+                    }
+                    // Past 2^53 the earlier values fit no finer grid.
+                    let scaled =
+                        prev.map(|p| p.checked_mul(10).filter(|p| p.unsigned_abs() < 1 << 53));
+                    match (exp < E_MAX, scaled, gcd.checked_mul(10)) {
+                        (false, ..) | (_, Some(None), _) | (.., None) => {
+                            fits = false;
+                            return false;
+                        }
+                        (true, scaled, Some(g)) => {
+                            (exp, prev, gcd) = (exp + 1, scaled.flatten(), g)
+                        }
+                    }
+                };
+                if let Some(p) = prev {
+                    gcd = gcd_u64(gcd, d.abs_diff(p));
+                }
+                prev = Some(d);
+                true
+            },
+        );
+        (walked.is_ok() && fits && prev.is_some()).then_some(Grid {
+            exp,
+            step: gcd.max(1),
+        })
+    }
+
+    /// The `TSB2` block on `grid`, or `None` when a point does not fit it
+    /// or the block would not be smaller than the `TSB1` image.
+    fn step_block(&self, grid: Grid) -> Option<Vec<u8>> {
+        // A step payload that reaches `limit` bytes no longer wins.
+        let limit = (self.bits.len_bytes() + BLOCK_HEADER_LEN).checked_sub(STEP_HEADER_LEN)?;
+        let step = i64::try_from(grid.step).ok()?;
+        let mut bits = BitWriter::with_capacity(limit);
+        let (mut ts, mut prev, mut first) = (TsState::default(), 0i64, true);
+        let mut fits = true;
+        walk_points(
+            self.bits.as_bytes(),
+            self.bits.len_bits(),
+            self.index.count,
+            |t, val_bits| {
+                ts.push(&mut bits, t, first);
+                let Some(d) = on_grid(f64::from_bits(val_bits), grid.exp) else {
+                    fits = false;
+                    return false;
+                };
+                if first {
+                    bits.push_bits(d as u64, 64);
+                } else {
+                    let Some(q) = steps_in(d - prev, step) else {
+                        fits = false;
+                        return false;
+                    };
+                    push_step(&mut bits, zigzag(q));
+                }
+                prev = d;
+                first = false;
+                fits = bits.len_bytes() < limit;
+                fits
+            },
+        )
+        .ok()?;
+        fits.then(|| encode_block_parts(&self.index, Some(grid), bits.as_bytes(), bits.len_bits()))
     }
 }
 
-fn encode_block_parts(index: &BlockIndex, payload: &[u8], payload_bits: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(BLOCK_HEADER_LEN + payload.len() + 4);
+/// Binary gcd: shifts and subtractions, no division.
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 || a == b {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            (a, b) = (b, a);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// `delta / step` when `step` divides it. One float division, checked
+/// by an exact multiplication: below 2^53 the quotient of a multiple is
+/// exact, so a divisible delta is never missed there (a larger one may
+/// be, and its block then stays `TSB1`).
+#[inline]
+fn steps_in(delta: i64, step: i64) -> Option<i64> {
+    if step == 1 {
+        return Some(delta);
+    }
+    let q = (delta as f64 / step as f64) as i64;
+    (q.wrapping_mul(step) == delta).then_some(q)
+}
+
+fn encode_block_parts(
+    index: &BlockIndex,
+    grid: Option<Grid>,
+    payload: &[u8],
+    payload_bits: usize,
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(STEP_HEADER_LEN + payload.len() + 4);
     let mut w = Writer::over(&mut out);
-    w.bytes(BLOCK_MAGIC);
+    w.bytes(if grid.is_some() {
+        STEP_BLOCK_MAGIC
+    } else {
+        BLOCK_MAGIC
+    });
     w.u32(index.count);
     w.u64(index.min_ts);
     w.u64(index.max_ts);
     w.f64(index.min_val);
     w.f64(index.max_val);
+    if let Some(grid) = grid {
+        w.u8(grid.exp);
+        w.u64(grid.step);
+    }
     w.u32(payload_bits as u32);
     w.bytes(payload);
     w.crc_trailer();
     out
 }
 
-/// Verifies a block and splits it into its sparse index, its payload and
-/// the payload's length in bits.
-fn parse_block(block: &[u8]) -> StoreResult<(BlockIndex, &[u8], usize)> {
+/// Verifies a block of either layout and splits it into its sparse
+/// index, its grid (`None` for `TSB1`), its payload and the payload's
+/// length in bits. A `TSB` magic of any other version is the typed
+/// unsupported-version error.
+fn parse_block(block: &[u8]) -> StoreResult<(BlockIndex, Option<Grid>, &[u8], usize)> {
     Reader::whole(block, "tseries block", |r| {
-        r.magic(BLOCK_MAGIC)?;
+        let step = !block.starts_with(BLOCK_MAGIC);
+        if step {
+            r.magic(STEP_BLOCK_MAGIC)?;
+        } else {
+            r.magic(BLOCK_MAGIC)?;
+        }
         r.crc_trailer()?;
         let index = BlockIndex {
             count: r.u32()?,
@@ -284,8 +612,22 @@ fn parse_block(block: &[u8]) -> StoreResult<(BlockIndex, &[u8], usize)> {
             min_val: r.f64()?,
             max_val: r.f64()?,
         };
+        let grid = if step {
+            let grid = Grid {
+                exp: r.u8()?,
+                step: r.u64()?,
+            };
+            if grid.exp > E_MAX || grid.step == 0 || i64::try_from(grid.step).is_err() {
+                return Err(StoreError::Corrupt(
+                    "tseries block: grid out of range".into(),
+                ));
+            }
+            Some(grid)
+        } else {
+            None
+        };
         let payload_bits = r.u32()? as usize;
-        Ok((index, r.take(payload_bits.div_ceil(8))?, payload_bits))
+        Ok((index, grid, r.take(payload_bits.div_ceil(8))?, payload_bits))
     })
 }
 
@@ -295,116 +637,128 @@ pub fn decode_index(block: &[u8]) -> StoreResult<BlockIndex> {
     parse_block(block).map(|(index, ..)| index)
 }
 
-/// Decompresses every point of a block, in append order.
+/// Decompresses every point of a block of either layout, in append
+/// order.
 pub fn decode_block(block: &[u8]) -> StoreResult<Vec<(u64, f64)>> {
     if block.is_empty() {
         return Ok(Vec::new());
     }
-    let (index, payload, payload_bits) = parse_block(block)?;
-    decode_points(payload, payload_bits, index.count)
-}
-
-/// Decompresses `count` points from a packed payload.
-pub fn decode_points(
-    payload: &[u8],
-    payload_bits: usize,
-    count: u32,
-) -> StoreResult<Vec<(u64, f64)>> {
+    let (index, grid, payload, payload_bits) = parse_block(block)?;
     // Every point takes at least one payload bit, so the header's count
     // sizes nothing beyond what the payload can hold.
-    let mut out = Vec::with_capacity((count as usize).min(payload_bits));
-    walk_points(payload, payload_bits, count, |ts, val_bits| {
-        out.push((ts, f64::from_bits(val_bits)))
-    })?;
+    let mut out = Vec::with_capacity((index.count as usize).min(payload_bits));
+    match grid {
+        None => {
+            walk_points(payload, payload_bits, index.count, |ts, val_bits| {
+                out.push((ts, f64::from_bits(val_bits)));
+                true
+            })?;
+        }
+        Some(grid) => walk_steps(payload, payload_bits, index.count, grid, |ts, v| {
+            out.push((ts, v))
+        })?,
+    }
     Ok(out)
 }
 
-/// Decodes `count` points from a packed payload in append order, handing
-/// each `(ts, value bits)` to `each`, and returns the codec state after
-/// the last one. The payload must end exactly at its last point: bits
-/// left over, set padding bits, or bytes past `payload_bits` are
-/// corruption — a resumed writer would otherwise append after garbage.
+/// A reader over a payload that must end exactly at its last point:
+/// bytes past `payload_bits` or set padding bits are corruption — a
+/// resumed writer would otherwise append after garbage.
+fn payload_reader(payload: &[u8], payload_bits: usize) -> StoreResult<BitReader<'_>> {
+    if payload.len() != payload_bits.div_ceil(8) {
+        return Err(corrupt("length disagrees with its bit count"));
+    }
+    let used = payload_bits % 8;
+    if used != 0 && payload[payload.len() - 1] & (0xFF >> used) != 0 {
+        return Err(corrupt("padding bits are set"));
+    }
+    Ok(BitReader::new(payload, payload_bits))
+}
+
+/// Decodes `count` points from a packed `TSB1` payload in append order,
+/// handing each `(ts, value bits)` to `each`, and returns the codec
+/// state after the last one. Bits left over after the last point are
+/// corruption, as in [`payload_reader`]. The walk stops early, without
+/// that check, when `each` returns `false`.
 fn walk_points(
     payload: &[u8],
     payload_bits: usize,
     count: u32,
-    mut each: impl FnMut(u64, u64),
+    mut each: impl FnMut(u64, u64) -> bool,
 ) -> StoreResult<CodecState> {
-    let fail = |m: &str| StoreError::Corrupt(format!("tseries payload: {m}"));
-    if payload.len() != payload_bits.div_ceil(8) {
-        return Err(fail("length disagrees with its bit count"));
-    }
-    let used = payload_bits % 8;
-    if used != 0 && payload[payload.len() - 1] & (0xFF >> used) != 0 {
-        return Err(fail("padding bits are set"));
-    }
-    let mut r = BitReader::new(payload, payload_bits);
+    let mut r = payload_reader(payload, payload_bits)?;
     let mut st = CodecState::default();
     for n in 0..count {
-        // Timestamp.
-        let ts = if n == 0 {
-            r.read_bits(64).ok_or_else(|| fail("eof in first ts"))?
-        } else {
-            let mut prefix = 0u8;
-            while prefix < 5 && r.read_bit().ok_or_else(|| fail("eof in ts prefix"))? {
-                prefix += 1;
-            }
-            let dod = match prefix {
-                0 => 0,
-                width => {
-                    let bits = match width {
-                        1 => 7,
-                        2 => 9,
-                        3 => 12,
-                        4 => 32,
-                        _ => 64,
-                    };
-                    unzigzag(r.read_bits(bits).ok_or_else(|| fail("eof in dod"))?)
-                }
-            };
-            let delta = st.prev_delta.wrapping_add(dod);
-            st.prev_delta = delta;
-            st.prev_ts.wrapping_add(delta as u64)
-        };
-        st.prev_ts = ts;
-
-        // Value.
+        let ts = st.ts.read(&mut r, n == 0)?;
         let val_bits = if n == 0 {
-            r.read_bits(64).ok_or_else(|| fail("eof in first value"))?
-        } else if !r.read_bit().ok_or_else(|| fail("eof in value flag"))? {
+            r.read_bits(64)
+                .ok_or_else(|| corrupt("eof in first value"))?
+        } else if !r.read_bit().ok_or_else(|| corrupt("eof in value flag"))? {
             st.prev_val_bits
-        } else if !r.read_bit().ok_or_else(|| fail("eof in window flag"))? {
+        } else if !r.read_bit().ok_or_else(|| corrupt("eof in window flag"))? {
             if st.window_len == 0 {
-                return Err(fail("window reuse before any window"));
+                return Err(corrupt("window reuse before any window"));
             }
             let window_trail = 64 - st.window_lead - st.window_len;
             let xor = r
                 .read_bits(st.window_len)
-                .ok_or_else(|| fail("eof in window bits"))?
+                .ok_or_else(|| corrupt("eof in window bits"))?
                 << window_trail;
             st.prev_val_bits ^ xor
         } else {
             let header = r
                 .read_bits(12)
-                .ok_or_else(|| fail("eof in window header"))?;
+                .ok_or_else(|| corrupt("eof in window header"))?;
             let lead = (header >> 6) as u8;
             let len = (header & 0x3F) as u8 + 1;
             if lead + len > 64 {
-                return Err(fail("window exceeds 64 bits"));
+                return Err(corrupt("window exceeds 64 bits"));
             }
             let trail = 64 - lead - len;
-            let xor = r.read_bits(len).ok_or_else(|| fail("eof in xor bits"))? << trail;
+            let xor = r.read_bits(len).ok_or_else(|| corrupt("eof in xor bits"))? << trail;
             st.window_lead = lead;
             st.window_len = len;
             st.prev_val_bits ^ xor
         };
         st.prev_val_bits = val_bits;
-        each(ts, val_bits);
+        if !each(ts, val_bits) {
+            return Ok(st);
+        }
     }
     if r.remaining() != 0 {
-        return Err(fail("bits left after the last point"));
+        return Err(corrupt("bits left after the last point"));
     }
     Ok(st)
+}
+
+/// Decodes `count` points from a packed `TSB2` payload on `grid` in
+/// append order, handing each `(ts, value)` to `each`. Integer steps
+/// wrap instead of overflowing: a CRC-valid but crafted payload decodes
+/// to some values, never to a panic.
+fn walk_steps(
+    payload: &[u8],
+    payload_bits: usize,
+    count: u32,
+    grid: Grid,
+    mut each: impl FnMut(u64, f64),
+) -> StoreResult<()> {
+    let mut r = payload_reader(payload, payload_bits)?;
+    let (mut ts, mut d) = (TsState::default(), 0i64);
+    let scale = POW10[grid.exp as usize];
+    for n in 0..count {
+        let t = ts.read(&mut r, n == 0)?;
+        d = if n == 0 {
+            r.read_bits(64)
+                .ok_or_else(|| corrupt("eof in first value"))? as i64
+        } else {
+            d.wrapping_add(unzigzag(read_step(&mut r)?).wrapping_mul(grid.step as i64))
+        };
+        each(t, d as f64 / scale);
+    }
+    if r.remaining() != 0 {
+        return Err(corrupt("bits left after the last point"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -526,14 +880,21 @@ mod tests {
         for i in 0..10 {
             c.append(i, i as f64);
         }
-        let mut block = c.encode_block();
-        block[3] = b'2'; // a hypothetical TSB2 writer
-        match decode_index(&block) {
-            Err(StoreError::UnsupportedVersion(msg)) => {
-                assert!(msg.contains("TSB"), "{msg}");
-                assert!(msg.contains('2'), "{msg}");
+        // Every version byte but the two this build writes, on either
+        // layout's image: a hypothetical newer writer.
+        for block in [c.encode_block(), c.seal_block()] {
+            for version in (0..=u8::MAX).filter(|v| !matches!(v, b'1' | b'2')) {
+                let mut block = block.clone();
+                block[3] = version;
+                match decode_index(&block) {
+                    Err(StoreError::UnsupportedVersion(msg)) => {
+                        assert!(msg.contains("TSB"), "{msg}");
+                        assert!(msg.contains(char::from(version)), "{msg}");
+                        assert!(msg.contains("version 2"), "{msg}");
+                    }
+                    other => panic!("expected UnsupportedVersion, got {other:?}"),
+                }
             }
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
         // A magic that isn't TSB-anything is still plain corruption.
         let mut garbled = c.encode_block();
@@ -555,7 +916,7 @@ mod tests {
             count: u32::MAX,
             ..*c.index()
         };
-        let block = encode_block_parts(&index, c.bits.as_bytes(), c.bits.len_bits());
+        let block = encode_block_parts(&index, None, c.bits.as_bytes(), c.bits.len_bits());
         assert!(decode_index(&block).is_ok());
         assert!(matches!(decode_block(&block), Err(StoreError::Corrupt(_))));
     }
@@ -576,7 +937,7 @@ mod tests {
             count: 5,
             ..*c.index()
         };
-        let block = encode_block_parts(&short, payload, bits);
+        let block = encode_block_parts(&short, None, payload, bits);
         assert!(decode_index(&block).is_ok());
         assert!(matches!(decode_block(&block), Err(StoreError::Corrupt(_))));
         assert!(matches!(
@@ -586,7 +947,7 @@ mod tests {
 
         let mut padded = payload.to_vec();
         *padded.last_mut().unwrap() |= 1;
-        let block = encode_block_parts(c.index(), &padded, bits);
+        let block = encode_block_parts(c.index(), None, &padded, bits);
         assert!(decode_index(&block).is_ok());
         assert!(matches!(decode_block(&block), Err(StoreError::Corrupt(_))));
         assert!(matches!(
@@ -594,7 +955,7 @@ mod tests {
             Err(StoreError::Corrupt(_))
         ));
 
-        let block = encode_block_parts(c.index(), payload, bits);
+        let block = encode_block_parts(c.index(), None, payload, bits);
         assert_eq!(decode_block(&block).unwrap().len(), 6);
         assert!(PointCompressor::resume(&block).is_ok());
     }

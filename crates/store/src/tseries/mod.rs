@@ -7,10 +7,13 @@
 //!
 //! * [`bits`] — packed bit I/O (MSB-first) + ZigZag, the substrate for
 //!   the variable-width codes.
-//! * [`codec`] — delta-of-delta timestamps and Gorilla-style XOR float
-//!   compression, sealed into immutable `TSB1` blocks that carry a
-//!   sparse index (count, min/max timestamp, min/max value) readable
-//!   without decompressing the payload.
+//! * [`codec`] — delta-of-delta timestamps and, per block, one of two
+//!   value codes: Gorilla-style XOR float compression (`TSB1`: every
+//!   open tail, and sealed blocks off any decimal grid), or integer step
+//!   counts (`TSB2`: sealed blocks whose values all lie on one decimal
+//!   grid, when that is the smaller). Both block layouts carry a sparse
+//!   index (count, min/max timestamp, min/max value) readable without
+//!   decompressing the payload.
 //! * [`engine`] — [`TsStore`]: per-series sealed blocks + a mutable
 //!   tail, durable through any [`StateStore`](crate::api::StateStore)
 //!   backing via an atomic tail-record commit protocol, exposed through
@@ -31,8 +34,8 @@ use crate::api::StoreError;
 
 /// Typed decode failures of the tseries on-disk formats.
 ///
-/// Every format carries a version digit as the last magic byte (`TSB1`,
-/// `TST1`, `TSW1`). Decoders dispatch on it *before* the CRC check
+/// Every format carries a version digit as the last magic byte (`TSB1`
+/// and `TSB2`, `TST1`, `TSW1`). Decoders dispatch on it *before* the CRC check
 /// ([`crate::codec::Reader::magic`], the one gate): a record
 /// written by a newer layout has its CRC in a different place, so
 /// without the dispatch a version bump could only ever surface as

@@ -1,7 +1,8 @@
 //! The durable record formats against their decoders, from the outside:
 //! golden bytes of the `LogStore` mutation records, and the strict-prefix
-//! property — every strict prefix of a valid `TSB1` block, `TST1` tail
-//! record, `TSW1` delta or `LogStore` mutation is rejected as an error,
+//! property — every strict prefix of a valid `TSB1` or `TSB2` block,
+//! `TST1` tail record, `TSW1` delta or `LogStore` mutation is rejected as
+//! an error,
 //! never decoded and never a panic. (A strict prefix of a whole
 //! `len | crc | payload` frame is a torn tail, which recovery truncates
 //! by design; `wal_props.rs` covers that. Here each truncated payload is
@@ -131,6 +132,7 @@ proptest! {
         seal_every in 1u32..8,
         key in proptest::collection::vec(any::<u8>(), 0..12),
         value in proptest::collection::vec(any::<u8>(), 0..24),
+        tenths in proptest::collection::vec(-100i64..100, 8..40),
     ) {
         // TSB1 sealed block. (The empty string is the valid encoding of
         // an empty block, so `decode_block` accepts the empty prefix;
@@ -145,6 +147,24 @@ proptest! {
             prop_assert!(decode_index(&block[..cut]).is_err(), "TSB1 index cut at {}", cut);
             if cut > 0 {
                 prop_assert!(decode_block(&block[..cut]).is_err(), "TSB1 cut at {}", cut);
+            }
+        }
+
+        // TSB2 sealed block: one-decimal values that never repeat, so the
+        // step block is the smaller and the seal takes it.
+        let mut comp = PointCompressor::new();
+        let mut d = 2150i64;
+        for (i, m) in tenths.iter().enumerate() {
+            d += if *m >= 0 { m + 1 } else { *m };
+            comp.append(1_700_000_000_000 + i as u64 * 100, d as f64 / 10.0);
+        }
+        let block = comp.seal_block();
+        prop_assert_eq!(&block[..4], b"TSB2");
+        prop_assert!(decode_block(&block).is_ok());
+        for cut in 0..block.len() {
+            prop_assert!(decode_index(&block[..cut]).is_err(), "TSB2 index cut at {}", cut);
+            if cut > 0 {
+                prop_assert!(decode_block(&block[..cut]).is_err(), "TSB2 cut at {}", cut);
             }
         }
 

@@ -2,8 +2,10 @@
 //! identity over adversarial streams, sparse-index correctness, resume
 //! and reopen equivalence, `scan_from` against the append-order scan on
 //! every store, the byte-wise bit kernels against a
-//! bit-at-a-time reference, golden byte fixtures pinning the on-disk
-//! formats (`TSB1` sealed block, `TST1` tail record, `TSW1` WAL delta),
+//! bit-at-a-time reference, the sealed-block layout choice against a
+//! reference grid test, golden byte fixtures pinning the on-disk
+//! formats (`TSB1` and `TSB2` sealed blocks, `TST1` tail record, `TSW1`
+//! WAL delta),
 //! and the commit protocol over a recording backing store: block records
 //! before the tail records that count them, tail records only from the
 //! checkpoint and never with a pending copy.
@@ -13,6 +15,7 @@ use std::sync::{Arc, Mutex};
 
 use aodb_chaos::ReferenceSeries;
 use aodb_store::tseries::bits::{BitReader, BitWriter};
+use aodb_store::tseries::codec::E_MAX;
 use aodb_store::tseries::{
     decode_block, decode_index, PointCompressor, SeriesStore, TsConfig, TsStore,
 };
@@ -236,8 +239,16 @@ proptest! {
         steps in proptest::collection::vec(step_strategy(), 2..150),
         split in 1usize..149,
         seal_every in 1u32..17,
+        quarter in any::<bool>(),
     ) {
-        let points = materialize(start, &steps);
+        let mut points = materialize(start, &steps);
+        // Quarter steps seal as `TSB2` once a block holds a few dozen.
+        let seal_every = if quarter {
+            on_quarter_steps(&mut points);
+            seal_every * 8
+        } else {
+            seal_every
+        };
         let split = split.min(points.len() - 1);
         let backing: Arc<dyn StateStore> = Arc::new(MemStore::new());
         let config = TsConfig { seal_age_ms: u64::MAX, ..TsConfig::sealing_every(seal_every) };
@@ -266,6 +277,18 @@ proptest! {
             store.scan_prefix(&Key::partition_prefix("tseries", "s")).unwrap()
         };
         assert_eq!(records(&backing), records(&unbroken_backing));
+    }
+}
+
+/// Replaces the values of `points` with the benchmark's signal class: a
+/// quarter-step triangle wave with a dither bit, on the decimal grid
+/// `e` = 2, `step` = 25, so full enough blocks seal as `TSB2`.
+fn on_quarter_steps(points: &mut [(u64, f64)]) {
+    for (k, p) in points.iter_mut().enumerate() {
+        let q = k as u64 % 32;
+        let tri = if q < 16 { q } else { 32 - q };
+        let dither = (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 63;
+        p.1 = 20.0 + (tri + dither) as f64 * 0.25;
     }
 }
 
@@ -375,6 +398,151 @@ proptest! {
     }
 }
 
+/// `10^e`, exact: parsed from its decimal literal.
+fn pow10(e: u8) -> f64 {
+    format!("1e{e}").parse().unwrap()
+}
+
+/// The grid test, from its definition: the smallest `e` at which every
+/// value is `round(v·10^e) / 10^e` bit for bit with the integer below
+/// 2^53, and the gcd of the integers' successive differences (1 when
+/// they are all equal); `None` when no `e` up to `E_MAX` holds them all.
+fn reference_grid(values: &[f64]) -> Option<(u8, u64)> {
+    let ints = |e: u8| -> Option<Vec<i64>> {
+        let scale = pow10(e);
+        values
+            .iter()
+            .map(|&v| {
+                let d = (v * scale).round();
+                (d.abs() < 2f64.powi(53) && ((d as i64) as f64 / scale).to_bits() == v.to_bits())
+                    .then_some(d as i64)
+            })
+            .collect()
+    };
+    let (e, ints) = (0..=E_MAX).find_map(|e| ints(e).map(|d| (e, d)))?;
+    let gcd = ints.windows(2).fold(0u64, |g, w| {
+        let (mut a, mut b) = (g, w[1].abs_diff(w[0]));
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    });
+    Some((e, gcd.max(1)))
+}
+
+/// Values on a decimal grid: an exponent up to `E_MAX`, a signed step
+/// (0 gives a constant series) and integer counts from a start that may
+/// sit right at ±2^53, where the walk can leave the grid.
+fn grid_values() -> impl Strategy<Value = Vec<f64>> {
+    let start = prop_oneof![
+        -1_000_000i64..1_000_000,
+        Just((1i64 << 53) - 1),
+        Just(1 - (1i64 << 53)),
+        any::<i64>().prop_map(|x| x >> 11),
+    ];
+    let moves = proptest::collection::vec(-3i64..4, 1..300);
+    (0u8..E_MAX + 1, -50i64..50, start, moves).prop_map(|(e, step, start, moves)| {
+        let scale = pow10(e);
+        let mut d = start;
+        moves
+            .iter()
+            .map(|m| {
+                let v = d as f64 / scale;
+                d = d.saturating_add(m * step);
+                v
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A sealed block, on a decimal grid or off it, decodes to its input
+    /// bit for bit and is never longer than the `TSB1` image. Off the
+    /// grid it is that image; a `TSB2` block carries the smallest grid
+    /// exponent and the gcd step of the reference grid test. A tail
+    /// resumed from its image at any cut, which finds its step block at
+    /// the seal, seals the same bytes as one that encoded it point by
+    /// point.
+    #[test]
+    fn sealed_block_is_exact_never_larger_and_xor_off_the_grid(
+        start in any::<u64>(),
+        steps in proptest::collection::vec(step_strategy(), 1..300),
+        grid in grid_values(),
+        on_grid in any::<bool>(),
+        special in (any::<usize>(), 0usize..16),
+        cut in any::<usize>(),
+    ) {
+        let mut points = materialize(start, &steps);
+        if on_grid {
+            points.truncate(grid.len());
+            for (p, &v) in points.iter_mut().zip(&grid) {
+                p.1 = v;
+            }
+        }
+        // One case in four puts an IEEE special in the block.
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+        if let Some(&v) = specials.get(special.1) {
+            let n = points.len();
+            points[special.0 % n].1 = v;
+        }
+        let mut comp = PointCompressor::new();
+        for &(ts, v) in &points {
+            comp.append(ts, v);
+        }
+        let xor = comp.encode_block();
+        let sealed = comp.seal_block();
+        let cut = cut % (points.len() + 1);
+        let mut prefix = PointCompressor::new();
+        for &(ts, v) in &points[..cut] {
+            prefix.append(ts, v);
+        }
+        let mut resumed = PointCompressor::resume(&prefix.encode_block()).unwrap();
+        for &(ts, v) in &points[cut..] {
+            resumed.append(ts, v);
+        }
+        prop_assert_eq!(&resumed.seal_block(), &sealed);
+        assert_points_identical(&decode_block(&sealed).unwrap(), &points);
+        prop_assert_eq!(decode_index(&sealed).unwrap(), *comp.index());
+        prop_assert!(sealed.len() <= xor.len(), "{} > {}", sealed.len(), xor.len());
+        let values: Vec<f64> = points.iter().map(|p| p.1).collect();
+        match reference_grid(&values) {
+            None => prop_assert_eq!(&sealed, &xor, "off the grid seals as TSB1"),
+            Some((e, step)) if &sealed[..4] == b"TSB2" => {
+                prop_assert_eq!(sealed[40], e);
+                prop_assert_eq!(u64::from_le_bytes(sealed[41..49].try_into().unwrap()), step);
+            }
+            Some(_) => prop_assert_eq!(&sealed, &xor),
+        }
+    }
+}
+
+/// The benchmark's signal class, a 10 Hz quarter-step triangle wave with
+/// a dither bit, seals in integer steps at about 0.65 B/point, 40 %
+/// under its XOR image.
+#[test]
+fn quarter_step_stream_seals_in_steps() {
+    let mut points: Vec<(u64, f64)> = (0..512)
+        .map(|k| (1_700_000_000_000 + k * 100, 0.0))
+        .collect();
+    on_quarter_steps(&mut points);
+    let mut comp = PointCompressor::new();
+    for &(ts, v) in &points {
+        comp.append(ts, v);
+    }
+    let (xor, sealed) = (comp.encode_block(), comp.seal_block());
+    assert_eq!(&sealed[..4], b"TSB2");
+    assert_eq!((sealed[40], &sealed[41..49]), (2, &25u64.to_le_bytes()[..]));
+    assert!(
+        sealed.len() * 10 < xor.len() * 7,
+        "{} vs {}",
+        sealed.len(),
+        xor.len()
+    );
+    assert!((sealed.len() as f64 / 512.0) < 0.7, "{} B", sealed.len());
+}
+
 /// Golden fixture: the exact bytes of one sealed block. Any codec or
 /// layout change that alters the on-disk format must consciously update
 /// this constant (and consider migration), not drift silently.
@@ -422,6 +590,53 @@ fn golden_sealed_block_bytes() {
         assert_eq!(a.0, e.0);
         assert_eq!(a.1.to_bits(), e.1.to_bits());
     }
+}
+
+/// Golden fixture: the exact bytes of one sealed `TSB2` block — values
+/// with one decimal, so `e` = 1 and `step` = 1, 81 bytes where the
+/// `TSB1` image of the same points takes 107.
+#[test]
+fn golden_step_block_bytes() {
+    let points = [
+        (1_546_300_800_000u64, 21.5f64), // 2019-01-01T00:00:00Z
+        (1_546_300_800_100, 21.7),       // 10 Hz, +2 steps
+        (1_546_300_800_200, 21.9),       // +2
+        (1_546_300_800_300, 22.0),       // +1
+        (1_546_300_800_250, 21.8),       // out of order, −2
+        (1_546_300_800_400, 21.6),       // −2
+    ];
+    let mut comp = PointCompressor::new();
+    for &(ts, v) in &points {
+        comp.append(ts, v);
+    }
+    let block = comp.seal_block();
+    assert_eq!(comp.encode_block().len(), 107);
+    assert_eq!(
+        hex(&block),
+        concat!(
+            // header: magic "TSB2" | count=6 | min_ts | max_ts (LE)
+            "54534232",
+            "06000000",
+            "00bcb50668010000", // 1546300800000
+            "90bdb50668010000", // 1546300800400
+            // min_val=21.5 | max_val=22.0 (LE f64)
+            "0000000000803540",
+            "0000000000003640",
+            // e=1 | step=1 (LE u64)
+            "01",
+            "0100000000000000",
+            // payload length in bits = 189
+            "bd000000",
+            // payload: the raw first timestamp and first integer (215),
+            // then per point its dod code and its step code: `11001`
+            // (+2), `11001`, `101` (+1), `11000` (−2), `11000`
+            "0000016806b5bc0000000000000000d7cc8cb2ba578d90c0",
+            // crc32 over everything above
+            "ed410e56",
+        ),
+        "step-block format drifted — bump the format (new magic) or fix the codec"
+    );
+    assert_points_identical(&decode_block(&block).unwrap(), &points);
 }
 
 fn hex(bytes: &[u8]) -> String {
