@@ -258,22 +258,18 @@ struct Grid {
 #[inline]
 fn on_grid(v: f64, exp: u8) -> Option<i64> {
     let scale = POW10[exp as usize];
-    let x = v * scale;
-    if x.is_nan() || x.abs() >= GRID_LIMIT {
-        return None;
-    }
-    // `round` without a libm call: truncate, then step away from zero
-    // on a fraction of one half or more (exact below 2^53).
-    let t = x as i64;
-    let frac = x - t as f64;
-    let d = t + i64::from(frac >= 0.5) - i64::from(frac <= -0.5);
-    (d.unsigned_abs() < 1 << 53 && (d as f64 / scale).to_bits() == v.to_bits()).then_some(d)
+    let d = (v * scale).round();
+    (d.abs() < GRID_LIMIT && ((d as i64) as f64 / scale).to_bits() == v.to_bits())
+        .then_some(d as i64)
 }
 
 /// Appends the bucket code of one step count.
 #[inline]
 fn push_step(bits: &mut BitWriter, zz: u64) {
-    match STEP_BASES[1..].iter().position(|&next| zz < next) {
+    // The bucket: the number of bucket bases past the first that `zz`
+    // reaches.
+    let i: usize = STEP_BASES[1..].iter().map(|&b| usize::from(zz >= b)).sum();
+    match (i < 6).then_some(i) {
         Some(i) => {
             // `i` ones, a zero, then the offset in the bucket's width.
             let width = STEP_WIDTHS[i];
@@ -440,128 +436,138 @@ impl PointCompressor {
     /// Serializes the current contents as a sealed block: the `TSB2`
     /// step block when every value lies on one decimal grid and that
     /// block is the smaller, else [`PointCompressor::encode_block`]'s
-    /// bytes (see the module docs). Two walks over the payload, one for
-    /// the grid and one to encode; neither collects the points.
+    /// bytes (see the module docs).
     pub fn seal_block(&self) -> Vec<u8> {
-        self.grid()
-            .and_then(|grid| self.step_block(grid))
-            .unwrap_or_else(|| self.encode_block())
+        self.step_block().unwrap_or_else(|| self.encode_block())
     }
 
-    /// The grid test: the smallest exponent every value fits, and the
-    /// gcd of the integer deltas at it. One walk, which stops at the
-    /// first value off every grid: raising the exponent scales the
-    /// integers seen so far by ten, and so their gcd;
-    /// [`PointCompressor::step_block`] checks every point again at the
-    /// final grid.
-    fn grid(&self) -> Option<Grid> {
-        let (mut exp, mut prev, mut gcd) = (0u8, None::<i64>, 0u64);
-        let mut fits = true;
+    /// The `TSB2` image, or `None` when a value lies on no grid or the
+    /// step block would not be smaller than the `TSB1` image. One walk
+    /// over the payload keeps each point's timestamp and grid integer in
+    /// a scratch buffer, and one pass over that buffer encodes.
+    fn step_block(&self) -> Option<Vec<u8>> {
+        let mut points: Vec<(u64, i64)> = Vec::with_capacity(self.index.count as usize);
+        let mut exp = 0u8;
+        // The gcd of every integer's distance from the first, which is
+        // the gcd of the successive deltas: each is a difference of two
+        // such distances, and each distance a sum of deltas.
+        let mut step = 0u64;
+        // Recent values and their integers at `exp`, by a hash of the
+        // value bits: a sensor's block repeats a few dozen values, and a
+        // hit skips the grid test and the gcd, which a value already seen
+        // cannot change. `(+0.0, 0)` is right at every exponent.
+        let mut memo = [(0u64, 0i64); 32];
         let walked = walk_points(
             self.bits.as_bytes(),
             self.bits.len_bits(),
             self.index.count,
-            |_, val_bits| {
-                let v = f64::from_bits(val_bits);
-                let d = loop {
-                    if let Some(d) = on_grid(v, exp) {
-                        break d;
-                    }
-                    // Past 2^53 the earlier values fit no finer grid.
-                    let scaled =
-                        prev.map(|p| p.checked_mul(10).filter(|p| p.unsigned_abs() < 1 << 53));
-                    match (exp < E_MAX, scaled, gcd.checked_mul(10)) {
-                        (false, ..) | (_, Some(None), _) | (.., None) => {
-                            fits = false;
-                            return false;
-                        }
-                        (true, scaled, Some(g)) => {
-                            (exp, prev, gcd) = (exp + 1, scaled.flatten(), g)
-                        }
-                    }
-                };
-                if let Some(p) = prev {
-                    gcd = gcd_u64(gcd, d.abs_diff(p));
+            |ts, val_bits| {
+                let slot = (val_bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59) as usize;
+                if memo[slot].0 != val_bits {
+                    let v = f64::from_bits(val_bits);
+                    let d = match on_grid(v, exp) {
+                        Some(d) => d,
+                        // A finer grid, for this value and every one before.
+                        None => match regrid(&mut points, exp, v) {
+                            Some((finer, d)) => {
+                                exp = finer;
+                                memo = [(0, 0); 32];
+                                step = points.iter().fold(0, |g, p| gcd(g, p.1.abs_diff(d)));
+                                d
+                            }
+                            None => return false,
+                        },
+                    };
+                    memo[slot] = (val_bits, d);
+                    step = gcd(step, d.abs_diff(points.first().map_or(d, |p| p.1)));
                 }
-                prev = Some(d);
+                points.push((ts, memo[slot].1));
                 true
             },
         );
-        (walked.is_ok() && fits && prev.is_some()).then_some(Grid {
+        if walked.is_err() || points.len() != self.index.count as usize {
+            return None;
+        }
+        let grid = Grid {
             exp,
-            step: gcd.max(1),
-        })
-    }
+            step: step.max(1),
+        };
+        let div = ExactDiv::new(grid.step);
 
-    /// The `TSB2` block on `grid`, or `None` when a point does not fit it
-    /// or the block would not be smaller than the `TSB1` image.
-    fn step_block(&self, grid: Grid) -> Option<Vec<u8>> {
         // A step payload that reaches `limit` bytes no longer wins.
         let limit = (self.bits.len_bytes() + BLOCK_HEADER_LEN).checked_sub(STEP_HEADER_LEN)?;
-        let step = i64::try_from(grid.step).ok()?;
         let mut bits = BitWriter::with_capacity(limit);
-        let (mut ts, mut prev, mut first) = (TsState::default(), 0i64, true);
-        let mut fits = true;
-        walk_points(
-            self.bits.as_bytes(),
-            self.bits.len_bits(),
-            self.index.count,
-            |t, val_bits| {
-                ts.push(&mut bits, t, first);
-                let Some(d) = on_grid(f64::from_bits(val_bits), grid.exp) else {
-                    fits = false;
-                    return false;
-                };
-                if first {
-                    bits.push_bits(d as u64, 64);
-                } else {
-                    let Some(q) = steps_in(d - prev, step) else {
-                        fits = false;
-                        return false;
-                    };
-                    push_step(&mut bits, zigzag(q));
-                }
-                prev = d;
-                first = false;
-                fits = bits.len_bytes() < limit;
-                fits
-            },
-        )
-        .ok()?;
-        fits.then(|| encode_block_parts(&self.index, Some(grid), bits.as_bytes(), bits.len_bits()))
+        let mut ts = TsState::default();
+        let (first_ts, first_d) = *points.first()?;
+        ts.push(&mut bits, first_ts, true);
+        bits.push_bits(first_d as u64, 64);
+        for w in points.windows(2) {
+            ts.push(&mut bits, w[1].0, false);
+            push_step(&mut bits, zigzag(div.of(w[1].1 - w[0].1)));
+        }
+        (bits.len_bytes() < limit)
+            .then(|| encode_block_parts(&self.index, Some(grid), bits.as_bytes(), bits.len_bits()))
     }
 }
 
-/// Binary gcd: shifts and subtractions, no division.
-fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
-    if a == 0 || b == 0 || a == b {
-        return a | b;
-    }
-    let shift = (a | b).trailing_zeros();
-    a >>= a.trailing_zeros();
-    loop {
-        b >>= b.trailing_zeros();
-        if a > b {
-            (a, b) = (b, a);
-        }
-        b -= a;
-        if b == 0 {
-            return a << shift;
-        }
-    }
+/// The smallest exponent above `exp` at which `v` and every value
+/// before it (the integers in `points`, on the grid at `exp`) lie on a
+/// grid, with those integers rewritten at it, and `v`'s integer there;
+/// `None` when there is none up to [`E_MAX`].
+fn regrid(points: &mut [(u64, i64)], exp: u8, v: f64) -> Option<(u8, i64)> {
+    // `d / 10^exp` is the value itself: the grid test checked it.
+    let scale = POW10[exp as usize];
+    (exp + 1..=E_MAX).find_map(|finer| {
+        let d = on_grid(v, finer)?;
+        let fits = points
+            .iter()
+            .all(|&(_, d)| on_grid(d as f64 / scale, finer).is_some());
+        fits.then(|| {
+            for p in points.iter_mut() {
+                p.1 = on_grid(p.1 as f64 / scale, finer).expect("checked just above");
+            }
+            (finer, d)
+        })
+    })
 }
 
-/// `delta / step` when `step` divides it. One float division, checked
-/// by an exact multiplication: below 2^53 the quotient of a multiple is
-/// exact, so a divisible delta is never missed there (a larger one may
-/// be, and its block then stays `TSB1`).
-#[inline]
-fn steps_in(delta: i64, step: i64) -> Option<i64> {
-    if step == 1 {
-        return Some(delta);
+/// Euclid's gcd.
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
     }
-    let q = (delta as f64 / step as f64) as i64;
-    (q.wrapping_mul(step) == delta).then_some(q)
+    a
+}
+
+/// Division by a block's step, of deltas it divides: a shift by the
+/// step's trailing zeros and a product with the inverse of its odd part
+/// modulo 2^64, exact for every multiple (Granlund and Montgomery,
+/// PLDI 1994) and cheaper than a 64-bit division per point.
+struct ExactDiv {
+    shift: u32,
+    inverse: u64,
+}
+
+impl ExactDiv {
+    fn new(step: u64) -> Self {
+        let odd = step >> step.trailing_zeros();
+        // Newton's iteration doubles the correct low bits of an inverse;
+        // `odd` is its own inverse to 3 bits, and 3 · 2^5 ≥ 64.
+        let mut inverse = odd;
+        for _ in 0..5 {
+            inverse = inverse.wrapping_mul(2u64.wrapping_sub(odd.wrapping_mul(inverse)));
+        }
+        ExactDiv {
+            shift: step.trailing_zeros(),
+            inverse,
+        }
+    }
+
+    /// `delta / step`, for a `delta` that `step` divides.
+    #[inline]
+    fn of(&self, delta: i64) -> i64 {
+        ((delta >> self.shift) as u64).wrapping_mul(self.inverse) as i64
+    }
 }
 
 fn encode_block_parts(
@@ -958,6 +964,18 @@ mod tests {
         let block = encode_block_parts(c.index(), None, payload, bits);
         assert_eq!(decode_block(&block).unwrap().len(), 6);
         assert!(PointCompressor::resume(&block).is_ok());
+    }
+
+    #[test]
+    fn exact_division_by_a_step_matches_integer_division() {
+        for step in [1u64, 2, 3, 25, 64, 1000, 7 << 20, (1 << 53) - 1] {
+            let div = ExactDiv::new(step);
+            for q in [0i64, 1, -1, 2, -3, 1 << 20, -(1 << 30)] {
+                if let Some(delta) = q.checked_mul(step as i64) {
+                    assert_eq!(div.of(delta), q, "{delta} / {step}");
+                }
+            }
+        }
     }
 
     #[test]
