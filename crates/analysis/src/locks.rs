@@ -345,11 +345,29 @@ fn nested_block_of(toks: &[Tok], from: usize, j: usize) -> Option<usize> {
     None
 }
 
+/// The `{` that the `}` at token `j` closes, when it opens inside the
+/// statement that starts at token `from`.
+fn block_open_of(toks: &[Tok], from: usize, j: usize) -> Option<usize> {
+    let mut depth = 0i32;
+    for k in (from..j).rev() {
+        if toks[k].is_punct('}') {
+            depth += 1;
+        } else if toks[k].is_punct('{') {
+            if depth == 0 {
+                return Some(k);
+            }
+            depth -= 1;
+        }
+    }
+    None
+}
+
 /// Applies one statement. At its end — a `;`, or a run ending
 /// mid-statement (an `if`/`match` head, whose temporaries are evaluated
 /// before the branch in the common case) — temporaries die and a pending
 /// binding commits. A `;` of a closure body inside the statement does the
-/// same for the temporaries and the `let` of that body's inner statement.
+/// same for the temporaries and the `let` of that body's inner statement,
+/// and the body's `}` drops the guards its `let`s bound.
 fn run_stmt(cx: &mut FnCx<'_>, s: &mut LState, idxs: &[usize], depth: u16) {
     let toks = &cx.model.toks;
     let mut pending_let: Option<String> = None;
@@ -361,6 +379,16 @@ fn run_stmt(cx: &mut FnCx<'_>, s: &mut LState, idxs: &[usize], depth: u16) {
     while k < idxs.len() {
         let j = idxs[k];
         let t = &toks[j];
+        // A flattened closure body's braces are not in `idxs`: a `}`
+        // between two of its tokens ends the guards that body bound.
+        if let Some(&prev) = k.checked_sub(1).and_then(|p| idxs.get(p)) {
+            for c in (prev + 1..j).filter(|&c| toks[c].is_punct('}')) {
+                if let Some(open) = block_open_of(toks, idxs[0], c) {
+                    s.held
+                        .retain(|g| g.name.is_none() || g.at < open || g.at > c);
+                }
+            }
+        }
         if t.is_punct(';') {
             if let Some(open) = nested_block_of(toks, idxs[0], j) {
                 s.held.retain(|g| g.name.is_some() || g.at < open);
